@@ -27,6 +27,7 @@ import (
 
 	"prepare/internal/bayes"
 	"prepare/internal/cloudsim"
+	"prepare/internal/columnar"
 	"prepare/internal/markov"
 	"prepare/internal/metrics"
 	"prepare/internal/monitor"
@@ -81,10 +82,14 @@ func BenchmarkTable1VMMonitoring(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	store, err := columnar.New(1, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sampler.Advance(simclock.Time(i))
-		if _, err := sampler.Collect(simclock.Time(i), metrics.LabelNormal); err != nil {
+		if err := sampler.CollectColumnar(simclock.Time(i), metrics.LabelNormal, store); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -41,22 +41,12 @@
 // -chaos-seed (0 derives one from -seed), so a given seed reproduces
 // the exact same fault schedule.
 //
-// The run and engine modes accept retraining knobs: -retrain N refits
-// the prediction models every N simulated seconds, -retrain-mode
-// auto|batch|incremental picks full-history refits or the O(1)
-// sufficient-statistics path (auto, the default, retrains incrementally
-// whenever an interval is set), and -history-window M bounds per-VM
-// sample history to a ring of M samples:
+// The run and engine modes accept retraining knobs: -retrain N updates
+// the prediction models every N simulated seconds, and -history-window M
+// bounds per-VM sample history to a ring of M samples:
 //
 //	preparesim -experiment run -app rubis -fault memleak -retrain 600
-//	preparesim -engine -tenants 4 -retrain 600 -retrain-mode batch -history-window 720
-//
-// The run and engine modes also accept -batch auto|on|off to pick the
-// control loop's columnar fleet hot path. Batch and scalar produce
-// byte-identical output; the flag exists for benchmarking the scalar
-// oracle against the batched sweep:
-//
-//	preparesim -experiment run -app systems -fault memleak -batch off
+//	preparesim -engine -tenants 4 -retrain 600 -history-window 720
 //
 // The run and engine modes accept -detector to swap the anomaly
 // detector driving the control loop: tan (the paper's supervised
@@ -139,9 +129,7 @@ type options struct {
 	chaosSeed       int64
 	chaosRate       float64
 	retrainS        int64
-	retrainMode     string
 	historyWindow   int
-	batch           string
 	detector        string
 	placement       string
 	policy          string
@@ -153,18 +141,8 @@ type options struct {
 // and engine modes (the figure experiments keep the paper's fixed
 // train-once protocol).
 func (o options) applyRetrain(sc prepare.Scenario) (prepare.Scenario, error) {
-	mode, ok := retrainModeByName(o.retrainMode)
-	if !ok {
-		return sc, fmt.Errorf("unknown retrain mode %q (want auto, batch or incremental)", o.retrainMode)
-	}
 	sc.RetrainIntervalS = o.retrainS
-	sc.RetrainMode = mode
 	sc.HistoryWindowSamples = o.historyWindow
-	batch, ok := batchModeByName(o.batch)
-	if !ok {
-		return sc, fmt.Errorf("unknown batch mode %q (want auto, on or off)", o.batch)
-	}
-	sc.Batch = batch
 	spec, err := prepare.ParseDetectorSpec(o.detector)
 	if err != nil {
 		return sc, err
@@ -238,12 +216,8 @@ func run(args []string) error {
 		"per-call probability of each chaos fault kind")
 	fs.Int64Var(&opts.retrainS, "retrain", 0,
 		"retrain the prediction models every N simulated seconds in the run and engine modes (0 = train once)")
-	fs.StringVar(&opts.retrainMode, "retrain-mode", "auto",
-		"how periodic retraining refits models: auto, batch or incremental")
 	fs.IntVar(&opts.historyWindow, "history-window", 0,
 		"bound per-VM sample history to a ring of N samples (0 = unbounded)")
-	fs.StringVar(&opts.batch, "batch", "auto",
-		"control-loop hot path for the run and engine modes: auto, on (columnar batch) or off (per-VM scalar); output is identical either way")
 	fs.StringVar(&opts.detector, "detector", "",
 		"anomaly detector for the run, engine and detectors modes: tan (default), kmeans, zscore, ewma, zrobust, or an ensemble spec like ensemble:tan+ewma@1")
 	fs.StringVar(&opts.placement, "placement", "",
@@ -454,17 +428,17 @@ func dispatch(opts options) error {
 			App: app, Fault: fault, Seed: opts.seed, SkipFirstInjection: true,
 		}
 		for _, variant := range []struct {
-			name         string
-			scheme       prepare.Scheme
-			unsupervised bool
+			name     string
+			scheme   prepare.Scheme
+			detector string
 		}{
-			{"without-intervention", prepare.SchemeNone, false},
-			{"prepare-supervised", prepare.SchemePREPARE, false},
-			{"prepare-unsupervised", prepare.SchemePREPARE, true},
+			{"without-intervention", prepare.SchemeNone, prepare.DetectorTAN},
+			{"prepare-supervised", prepare.SchemePREPARE, prepare.DetectorTAN},
+			{"prepare-unsupervised", prepare.SchemePREPARE, prepare.DetectorKMeans},
 		} {
 			sc := base
 			sc.Scheme = variant.scheme
-			sc.Unsupervised = variant.unsupervised
+			sc.Detector = prepare.DetectorSpec{Kind: variant.detector}
 			res, err := prepare.Run(sc)
 			if err != nil {
 				return err
@@ -621,32 +595,6 @@ func faultByName(name string) (prepare.FaultKind, bool) {
 		return prepare.CPUHog, true
 	case "bottleneck":
 		return prepare.Bottleneck, true
-	default:
-		return 0, false
-	}
-}
-
-func retrainModeByName(name string) (prepare.RetrainMode, bool) {
-	switch name {
-	case "auto":
-		return prepare.RetrainAuto, true
-	case "batch":
-		return prepare.RetrainBatch, true
-	case "incremental":
-		return prepare.RetrainIncremental, true
-	default:
-		return 0, false
-	}
-}
-
-func batchModeByName(name string) (prepare.BatchMode, bool) {
-	switch name {
-	case "auto":
-		return prepare.BatchAuto, true
-	case "on":
-		return prepare.BatchOn, true
-	case "off":
-		return prepare.BatchOff, true
 	default:
 		return 0, false
 	}

@@ -38,51 +38,18 @@ func TestNameLookups(t *testing.T) {
 	if _, ok := schemeByName("magic"); ok {
 		t.Error("unknown scheme resolved")
 	}
-	if m, ok := retrainModeByName("auto"); !ok || m != prepare.RetrainAuto {
-		t.Error("retrainModeByName(auto) wrong")
-	}
-	if m, ok := retrainModeByName("batch"); !ok || m != prepare.RetrainBatch {
-		t.Error("retrainModeByName(batch) wrong")
-	}
-	if m, ok := retrainModeByName("incremental"); !ok || m != prepare.RetrainIncremental {
-		t.Error("retrainModeByName(incremental) wrong")
-	}
-	if _, ok := retrainModeByName("sometimes"); ok {
-		t.Error("unknown retrain mode resolved")
-	}
-	if m, ok := batchModeByName("auto"); !ok || m != prepare.BatchAuto {
-		t.Error("batchModeByName(auto) wrong")
-	}
-	if m, ok := batchModeByName("on"); !ok || m != prepare.BatchOn {
-		t.Error("batchModeByName(on) wrong")
-	}
-	if m, ok := batchModeByName("off"); !ok || m != prepare.BatchOff {
-		t.Error("batchModeByName(off) wrong")
-	}
-	if _, ok := batchModeByName("maybe"); ok {
-		t.Error("unknown batch mode resolved")
-	}
 }
 
 // TestApplyRetrainWiresScenario checks the CLI knobs land on the
 // scenario fields the control loop reads.
 func TestApplyRetrainWiresScenario(t *testing.T) {
-	o := options{retrainS: 600, retrainMode: "incremental", historyWindow: 720, batch: "off"}
+	o := options{retrainS: 600, historyWindow: 720}
 	sc, err := o.applyRetrain(prepare.Scenario{App: prepare.RUBiS})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.RetrainIntervalS != 600 || sc.RetrainMode != prepare.RetrainIncremental || sc.HistoryWindowSamples != 720 {
+	if sc.RetrainIntervalS != 600 || sc.HistoryWindowSamples != 720 {
 		t.Errorf("applyRetrain produced %+v", sc)
-	}
-	if sc.Batch != prepare.BatchOff {
-		t.Errorf("applyRetrain Batch = %v, want off", sc.Batch)
-	}
-	if _, err := (options{retrainMode: "nope", batch: "auto"}).applyRetrain(prepare.Scenario{}); err == nil {
-		t.Error("bad retrain mode should fail")
-	}
-	if _, err := (options{retrainMode: "auto", batch: "nope"}).applyRetrain(prepare.Scenario{}); err == nil {
-		t.Error("bad batch mode should fail")
 	}
 }
 
@@ -90,7 +57,7 @@ func TestApplyRetrainWiresScenario(t *testing.T) {
 // -policy flags land on the scenario, default to the pre-existing
 // behavior, and reject unknown spellings.
 func TestApplyRetrainWiresPlacementAndPolicy(t *testing.T) {
-	o := options{retrainMode: "auto", batch: "auto", placement: "predictive", policy: "migration"}
+	o := options{placement: "predictive", policy: "migration"}
 	sc, err := o.applyRetrain(prepare.Scenario{App: prepare.SystemS})
 	if err != nil {
 		t.Fatal(err)
@@ -98,17 +65,17 @@ func TestApplyRetrainWiresPlacementAndPolicy(t *testing.T) {
 	if sc.Placement != prepare.PlacementPredictive || sc.Policy != prepare.MigrationOnly {
 		t.Errorf("applyRetrain produced placement %v policy %v", sc.Placement, sc.Policy)
 	}
-	def, err := (options{retrainMode: "auto", batch: "auto"}).applyRetrain(prepare.Scenario{})
+	def, err := (options{}).applyRetrain(prepare.Scenario{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if def.Placement != prepare.PlacementNaive || def.Policy != 0 {
 		t.Errorf("flag defaults must keep the scenario zero values, got %+v", def)
 	}
-	if _, err := (options{retrainMode: "auto", batch: "auto", placement: "psychic"}).applyRetrain(prepare.Scenario{}); err == nil {
+	if _, err := (options{placement: "psychic"}).applyRetrain(prepare.Scenario{}); err == nil {
 		t.Error("bad placement mode should fail")
 	}
-	if _, err := (options{retrainMode: "auto", batch: "auto", policy: "prayer"}).applyRetrain(prepare.Scenario{}); err == nil {
+	if _, err := (options{policy: "prayer"}).applyRetrain(prepare.Scenario{}); err == nil {
 		t.Error("bad policy should fail")
 	}
 }
@@ -128,8 +95,9 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-experiment", "run", "-app", "nope"},
 		{"-experiment", "run", "-fault", "nope"},
 		{"-experiment", "run", "-scheme", "nope"},
-		{"-experiment", "run", "-retrain-mode", "nope"},
-		{"-experiment", "run", "-batch", "nope"},
+		// Removed flags: there is one tick and one retraining rule.
+		{"-experiment", "run", "-retrain-mode", "batch"},
+		{"-experiment", "run", "-batch", "off"},
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {
@@ -172,39 +140,22 @@ func captureStdout(t *testing.T, fn func() error) string {
 	return string(out)
 }
 
-// TestBatchFlagOutputByteIdentical runs the same scenario through the
-// CLI with -batch on and -batch off and requires byte-identical
-// stdout: the columnar fleet hot path is a pure optimization, with the
-// per-VM pipeline kept as its oracle.
-func TestBatchFlagOutputByteIdentical(t *testing.T) {
+// TestEngineOutputIdenticalAcrossShards runs the same tenants through
+// the CLI at shard counts 1 and 4 and requires byte-identical stdout.
+func TestEngineOutputIdenticalAcrossShards(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	runArgs := func(mode string) []string {
-		return []string{"-experiment", "run", "-app", "systems", "-fault", "memleak",
-			"-scheme", "prepare", "-seed", "7", "-chaos", "-chaos-rate", "0.02",
-			"-batch", mode}
-	}
-	on := captureStdout(t, func() error { return run(runArgs("on")) })
-	off := captureStdout(t, func() error { return run(runArgs("off")) })
-	if on != off {
-		t.Errorf("run-mode output diverged between -batch on and off:\n--- on ---\n%s\n--- off ---\n%s", on, off)
-	}
-	if !strings.Contains(on, "confirmed alerts") {
-		t.Errorf("run output looks wrong:\n%s", on)
-	}
-
-	engineArgs := func(mode string, shards string) []string {
+	engineArgs := func(shards string) []string {
 		return []string{"-engine", "-tenants", "3", "-shards", shards,
-			"-app", "rubis", "-fault", "cpuhog", "-seed", "11", "-batch", mode}
+			"-app", "rubis", "-fault", "cpuhog", "-seed", "11"}
 	}
-	ref := captureStdout(t, func() error { return run(engineArgs("off", "1")) })
-	for _, variant := range [][2]string{{"on", "1"}, {"on", "4"}, {"off", "4"}} {
-		got := captureStdout(t, func() error { return run(engineArgs(variant[0], variant[1])) })
-		if got != ref {
-			t.Errorf("engine output diverged for -batch %s -shards %s:\n--- got ---\n%s\n--- ref ---\n%s",
-				variant[0], variant[1], got, ref)
-		}
+	ref := captureStdout(t, func() error { return run(engineArgs("1")) })
+	if !strings.Contains(ref, "aggregate: alerts") {
+		t.Errorf("engine output looks wrong:\n%s", ref)
+	}
+	if got := captureStdout(t, func() error { return run(engineArgs("4")) }); got != ref {
+		t.Errorf("engine output diverged between -shards 1 and 4:\n--- 4 ---\n%s\n--- 1 ---\n%s", got, ref)
 	}
 }
 

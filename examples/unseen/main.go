@@ -28,10 +28,10 @@ func main() {
 		SkipFirstInjection: true,
 	}
 
-	run := func(scheme prepare.Scheme, unsupervised bool) prepare.Result {
+	run := func(scheme prepare.Scheme, detector string) prepare.Result {
 		sc := base
 		sc.Scheme = scheme
-		sc.Unsupervised = unsupervised
+		sc.Detector = prepare.DetectorSpec{Kind: detector}
 		res, err := prepare.Run(sc)
 		if err != nil {
 			log.Fatal(err)
@@ -39,9 +39,9 @@ func main() {
 		return res
 	}
 
-	none := run(prepare.SchemeNone, false)
-	supervised := run(prepare.SchemePREPARE, false)
-	unsupervised := run(prepare.SchemePREPARE, true)
+	none := run(prepare.SchemeNone, prepare.DetectorTAN)
+	supervised := run(prepare.SchemePREPARE, prepare.DetectorTAN)
+	unsupervised := run(prepare.SchemePREPARE, prepare.DetectorKMeans)
 
 	fmt.Printf("%-38s %18s %8s\n", "variant", "violation (s)", "actions")
 	fmt.Printf("%-38s %18d %8d\n", "without intervention", none.EvalViolationSeconds, 0)

@@ -3,7 +3,6 @@ package control
 import (
 	"fmt"
 	"math"
-	"reflect"
 	"testing"
 
 	"prepare/internal/chaos"
@@ -13,8 +12,8 @@ import (
 	"prepare/internal/telemetry"
 )
 
-// synthWorld is a cheap deterministic N-VM substrate + App for batch
-// equivalence tests and fleet-scale benchmarks: every Sample is a pure
+// synthWorld is a cheap deterministic N-VM substrate + App for the
+// golden tick tests and fleet-scale benchmarks: every Sample is a pure
 // O(1) function of (VM index, time), the app's SLO violates on a fixed
 // episode schedule, and a rotating subset of VMs carries the anomaly
 // signal during each episode. Actuations succeed without modeling
@@ -139,7 +138,7 @@ var _ App = (*synthWorld)(nil)
 // runSynth drives one controller over a fresh synthetic world for
 // `until` simulated seconds and returns the controller plus its
 // telemetry registry.
-func runSynth(tb testing.TB, nVMs int, until int64, mode BatchMode, chaosRate float64) (*Controller, *telemetry.Registry) {
+func runSynth(tb testing.TB, nVMs int, until int64, chaosRate float64) (*Controller, *telemetry.Registry) {
 	tb.Helper()
 	w := newSynthWorld(nVMs)
 	var sub substrate.Substrate = w
@@ -154,7 +153,6 @@ func runSynth(tb testing.TB, nVMs int, until int64, mode BatchMode, chaosRate fl
 	ctl, err := New(SchemePREPARE, sub, w, Config{
 		TrainAtS:    300,
 		MonitorSeed: 11,
-		Batch:       mode,
 		Telemetry:   reg,
 	})
 	if err != nil {
@@ -170,193 +168,14 @@ func runSynth(tb testing.TB, nVMs int, until int64, mode BatchMode, chaosRate fl
 	return ctl, reg
 }
 
-// sameHistogramCounts compares histogram observation counts, ignoring
-// the wall-clock sums (latency histograms are nondeterministic even
-// between two scalar runs).
-func sameHistogramCounts(a, b map[string]telemetry.HistogramSnapshot) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for name, ha := range a {
-		hb, ok := b[name]
-		if !ok || ha.Count != hb.Count {
-			return false
-		}
-	}
-	return true
-}
-
-func assertRunsIdentical(t *testing.T, batch, scalar *Controller, regBatch, regScalar *telemetry.Registry) {
-	t.Helper()
-	if !reflect.DeepEqual(batch.Alerts(), scalar.Alerts()) {
-		t.Errorf("alerts diverged:\n batch  %+v\n scalar %+v", batch.Alerts(), scalar.Alerts())
-	}
-	if !reflect.DeepEqual(batch.Steps(), scalar.Steps()) {
-		t.Errorf("prevention steps diverged:\n batch  %+v\n scalar %+v", batch.Steps(), scalar.Steps())
-	}
-	if !reflect.DeepEqual(batch.SLOLog(), scalar.SLOLog()) {
-		t.Error("SLO logs diverged")
-	}
-	if !reflect.DeepEqual(batch.Sampler().Dataset(), scalar.Sampler().Dataset()) {
-		t.Error("training series diverged")
-	}
-	sb, ss := regBatch.Snapshot(), regScalar.Snapshot()
-	// The one intended difference between the two pipelines is how often
-	// the bayes scoring hook fires (the batch path materializes full
-	// verdicts only for confirmed VMs); that hook feeds a process-global
-	// histogram that per-run registries never see, so counters, events,
-	// and histogram counts must all match.
-	if !reflect.DeepEqual(sb.Counters, ss.Counters) {
-		t.Errorf("telemetry counters diverged:\n batch  %v\n scalar %v", sb.Counters, ss.Counters)
-	}
-	if !reflect.DeepEqual(sb.Events, ss.Events) {
-		t.Errorf("telemetry event streams diverged (%d vs %d events)", len(sb.Events), len(ss.Events))
-	}
-	if !sameHistogramCounts(sb.Histograms, ss.Histograms) {
-		t.Error("telemetry histogram counts diverged")
-	}
-}
-
-// TestBatchMatchesScalarAcrossFleetSizes is the batch-vs-scalar oracle
-// check: for several fleet sizes, the columnar pipeline must reproduce
-// the per-VM pipeline's alerts, prevention steps, SLO log, training
-// series, counters, and telemetry event stream exactly.
-func TestBatchMatchesScalarAcrossFleetSizes(t *testing.T) {
-	for _, nVMs := range []int{1, 7, 100} {
-		nVMs := nVMs
-		t.Run(fmt.Sprintf("vms=%d", nVMs), func(t *testing.T) {
-			until := int64(700)
-			if nVMs == 100 {
-				until = 550 // keep the big case fast; it still crosses two post-training episodes
-			}
-			batch, regBatch := runSynth(t, nVMs, until, BatchOn, 0)
-			scalar, regScalar := runSynth(t, nVMs, until, BatchOff, 0)
-			if !batch.batchActive() {
-				t.Fatal("batch controller did not take the batch path")
-			}
-			if scalar.batchActive() {
-				t.Fatal("scalar controller took the batch path")
-			}
-			if len(batch.Alerts()) == 0 {
-				t.Error("no alerts fired; the equivalence check exercised nothing")
-			}
-			assertRunsIdentical(t, batch, scalar, regBatch, regScalar)
-		})
-	}
-}
-
-// TestBatchMatchesScalarUnderChaos repeats the oracle check with the
-// chaos decorator injecting metric drops, stale/stuck sensors, NaNs,
-// and actuator faults — the batch path must inherit all of the scalar
-// path's resilience behavior bit for bit.
-func TestBatchMatchesScalarUnderChaos(t *testing.T) {
-	batch, regBatch := runSynth(t, 7, 700, BatchOn, 0.05)
-	scalar, regScalar := runSynth(t, 7, 700, BatchOff, 0.05)
-	assertRunsIdentical(t, batch, scalar, regBatch, regScalar)
-}
-
-// TestBatchAutoDefaultsOn pins BatchAuto (the zero value) to the batch
-// path for supervised PREPARE and to the scalar path everywhere else.
-func TestBatchAutoDefaultsOn(t *testing.T) {
-	w := newSynthWorld(2)
-	mk := func(scheme Scheme, cfg Config) *Controller {
-		ctl, err := New(scheme, w, w, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ctl
-	}
-	if !mk(SchemePREPARE, Config{}).batchActive() {
-		t.Error("BatchAuto + PREPARE should run the batch path")
-	}
-	if mk(SchemePREPARE, Config{Batch: BatchOff}).batchActive() {
-		t.Error("BatchOff must force the scalar path")
-	}
-	if mk(SchemeReactive, Config{}).batchActive() {
-		t.Error("reactive scheme has no batch path")
-	}
-	if mk(SchemePREPARE, Config{Unsupervised: true}).batchActive() {
-		t.Error("unsupervised mode has no batch path")
-	}
-}
-
-func TestBatchModeStrings(t *testing.T) {
-	for _, tc := range []struct {
-		mode BatchMode
-		want string
-	}{
-		{BatchAuto, "auto"}, {BatchOn, "on"}, {BatchOff, "off"}, {BatchMode(9), "batch-mode(9)"},
-	} {
-		if got := tc.mode.String(); got != tc.want {
-			t.Errorf("%d.String() = %q, want %q", int(tc.mode), got, tc.want)
-		}
-	}
-}
-
-// TestEngineBatchMatchesScalarAcrossShards runs a 4-tenant engine at
-// shard counts {1, 4} in both modes: all four runs must agree on the
-// merged alert and step logs.
-func TestEngineBatchMatchesScalarAcrossShards(t *testing.T) {
-	run := func(mode BatchMode, shards int) ([]TenantAlert, []TenantStep) {
-		t.Helper()
-		tenants := make([]Tenant, 4)
-		for i := range tenants {
-			w := newSynthWorld(3 + i)
-			ctl, err := New(SchemePREPARE, w, w, Config{
-				TrainAtS:    300,
-				MonitorSeed: int64(100 + i),
-				Batch:       mode,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			tenants[i] = Tenant{
-				ID:         fmt.Sprintf("tenant-%d", i),
-				Controller: ctl,
-				Advance: func(now simclock.Time) error {
-					w.Tick(now)
-					return nil
-				},
-			}
-		}
-		eng, err := NewEngine(tenants, EngineOptions{Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.Run(600); err != nil {
-			t.Fatal(err)
-		}
-		return eng.Alerts(), eng.Steps()
-	}
-	refAlerts, refSteps := run(BatchOff, 1)
-	if len(refAlerts) == 0 {
-		t.Fatal("reference run raised no alerts; the check exercised nothing")
-	}
-	for _, tc := range []struct {
-		mode   BatchMode
-		shards int
-	}{
-		{BatchOff, 4}, {BatchOn, 1}, {BatchOn, 4},
-	} {
-		alerts, steps := run(tc.mode, tc.shards)
-		if !reflect.DeepEqual(alerts, refAlerts) {
-			t.Errorf("mode=%v shards=%d: alerts diverged", tc.mode, tc.shards)
-		}
-		if !reflect.DeepEqual(steps, refSteps) {
-			t.Errorf("mode=%v shards=%d: steps diverged", tc.mode, tc.shards)
-		}
-	}
-}
-
 // measureTickAllocs returns the steady-state allocations of one
 // post-training sampling tick in a violation-free phase.
-func measureTickAllocs(tb testing.TB, nVMs int, mode BatchMode) float64 {
+func measureTickAllocs(tb testing.TB, nVMs int) float64 {
 	tb.Helper()
 	w := newSynthWorld(nVMs)
 	ctl, err := New(SchemePREPARE, w, w, Config{
 		TrainAtS:    300,
 		MonitorSeed: 11,
-		Batch:       mode,
 		// A bounded series ring keeps training-series appends from
 		// reallocating mid-measurement.
 		HistoryWindowSamples: 128,
@@ -400,88 +219,76 @@ func measureTickAllocs(tb testing.TB, nVMs int, mode BatchMode) float64 {
 	return testing.AllocsPerRun(60, tick)
 }
 
-// TestBatchTickAllocsIndependentOfFleetSize pins the batch hot path's
-// per-tick allocation count: small, and — the columnar property the
-// scalar path cannot offer — independent of the VM count.
+// TestBatchTickAllocsIndependentOfFleetSize pins the tick's allocation
+// count: small, and — the columnar property — independent of the VM
+// count.
 func TestBatchTickAllocsIndependentOfFleetSize(t *testing.T) {
-	small := measureTickAllocs(t, 4, BatchOn)
-	large := measureTickAllocs(t, 32, BatchOn)
+	small := measureTickAllocs(t, 4)
+	large := measureTickAllocs(t, 32)
 	if small != large {
-		t.Errorf("batch tick allocs scale with fleet size: %v at 4 VMs vs %v at 32 VMs", small, large)
+		t.Errorf("tick allocs scale with fleet size: %v at 4 VMs vs %v at 32 VMs", small, large)
 	}
 	if large > 6 {
-		t.Errorf("batch tick allocates %v/op, want <= 6", large)
-	}
-	scalarSmall := measureTickAllocs(t, 4, BatchOff)
-	scalarLarge := measureTickAllocs(t, 32, BatchOff)
-	if scalarLarge <= scalarSmall {
-		t.Logf("note: scalar path unexpectedly flat (%v vs %v)", scalarSmall, scalarLarge)
+		t.Errorf("tick allocates %v/op, want <= 6", large)
 	}
 }
 
 // BenchmarkEngineVMSteps measures fleet throughput in VM-steps/sec —
 // one VM-step is one VM's share of one post-training sampling tick
-// (sample → observe → predict window → filter) — for the scalar oracle
-// and the columnar batch path. The 10k and 100k fleets are skipped in
-// -short mode; scripts/record_bench.sh runs them in full.
+// (sample → observe → predict window → filter). The sub-benchmarks keep
+// the name batch/vms=N so the CI base-vs-head gate pairs them with
+// earlier commits. The 10k and 100k fleets are skipped in -short mode.
 func BenchmarkEngineVMSteps(b *testing.B) {
-	for _, mode := range []BatchMode{BatchOff, BatchOn} {
-		name := "scalar"
-		if mode == BatchOn {
-			name = "batch"
-		}
-		for _, nVMs := range []int{1000, 10000, 100000} {
-			b.Run(fmt.Sprintf("%s/vms=%d", name, nVMs), func(b *testing.B) {
-				if nVMs > 1000 && testing.Short() {
-					b.Skipf("skipping %d-VM fleet in -short mode", nVMs)
-				}
-				w := newSynthWorld(nVMs)
-				ctl, err := New(SchemePREPARE, w, w, Config{
-					TrainAtS:             300,
-					MonitorSeed:          11,
-					Batch:                mode,
-					HistoryWindowSamples: 128,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				tenants := []Tenant{{
-					ID:         "bench",
-					Controller: ctl,
-					Advance: func(now simclock.Time) error {
-						w.Tick(now)
-						return nil
-					},
-				}}
-				eng, err := NewEngine(tenants, EngineOptions{Shards: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := eng.Run(305); err != nil {
-					b.Fatal(err)
-				}
-				if !ctl.Trained() {
-					b.Fatal("controller never trained")
-				}
-				interval := ctl.cfg.SamplingIntervalS
-				now := int64(305)
-				// One warm tick outside the measurement.
+	for _, nVMs := range []int{1000, 10000, 100000} {
+		b.Run(fmt.Sprintf("batch/vms=%d", nVMs), func(b *testing.B) {
+			if nVMs > 1000 && testing.Short() {
+				b.Skipf("skipping %d-VM fleet in -short mode", nVMs)
+			}
+			w := newSynthWorld(nVMs)
+			ctl, err := New(SchemePREPARE, w, w, Config{
+				TrainAtS:             300,
+				MonitorSeed:          11,
+				HistoryWindowSamples: 128,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			tenants := []Tenant{{
+				ID:         "bench",
+				Controller: ctl,
+				Advance: func(now simclock.Time) error {
+					w.Tick(now)
+					return nil
+				},
+			}}
+			eng, err := NewEngine(tenants, EngineOptions{Shards: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := eng.Run(305); err != nil {
+				b.Fatal(err)
+			}
+			if !ctl.Trained() {
+				b.Fatal("controller never trained")
+			}
+			interval := ctl.cfg.SamplingIntervalS
+			now := int64(305)
+			// One warm tick outside the measurement.
+			now += interval
+			if err := eng.Step(simclock.Time(now)); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				now += interval
 				if err := eng.Step(simclock.Time(now)); err != nil {
 					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					now += interval
-					if err := eng.Step(simclock.Time(now)); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				steps := float64(nVMs) * float64(b.N)
-				b.ReportMetric(steps/b.Elapsed().Seconds(), "vm-steps/sec")
-			})
-		}
+			}
+			b.StopTimer()
+			steps := float64(nVMs) * float64(b.N)
+			b.ReportMetric(steps/b.Elapsed().Seconds(), "vm-steps/sec")
+		})
 	}
 }

@@ -75,75 +75,6 @@ func (s Scheme) String() string {
 	}
 }
 
-// RetrainMode selects how periodic retraining refits the per-VM models.
-type RetrainMode int
-
-const (
-	// RetrainAuto (the default) maintains sufficient statistics and
-	// retrains incrementally whenever that is possible — supervised
-	// predictors with periodic retraining enabled — and falls back to
-	// batch refits otherwise (unsupervised detectors, or no retraining).
-	RetrainAuto RetrainMode = iota
-	// RetrainBatch refits every model from the retained series at each
-	// retrain deadline (O(history) per retrain, the pre-incremental
-	// behaviour).
-	RetrainBatch
-	// RetrainIncremental folds every sample into per-VM count tables
-	// online and rebuilds the classifiers from those counts at each
-	// retrain deadline (O(attrs²·bins²), independent of history length).
-	RetrainIncremental
-)
-
-// String returns the mode name as accepted by the CLI flags.
-func (m RetrainMode) String() string {
-	switch m {
-	case RetrainAuto:
-		return "auto"
-	case RetrainBatch:
-		return "batch"
-	case RetrainIncremental:
-		return "incremental"
-	default:
-		return fmt.Sprintf("retrain-mode(%d)", int(m))
-	}
-}
-
-// BatchMode selects whether the PREPARE hot path runs the columnar
-// batch pipeline (struct-of-arrays collection, fleet-batched window
-// scoring) or the per-VM scalar pipeline. The two produce byte-identical
-// verdicts, alerts, and telemetry event streams; batch trades the
-// per-VM allocations and scattered traversals for contiguous sweeps.
-type BatchMode int
-
-const (
-	// BatchAuto (the default) uses the batch pipeline wherever it
-	// applies: the supervised PREPARE scheme. Other schemes (reactive,
-	// none, unsupervised) have no fleet-batched counterpart and always
-	// run scalar.
-	BatchAuto BatchMode = iota
-	// BatchOn behaves like BatchAuto today; it exists so configurations
-	// can pin the batch path explicitly and fail loudly if a future
-	// change narrows auto's coverage.
-	BatchOn
-	// BatchOff forces the per-VM scalar pipeline — the oracle the batch
-	// path is validated against.
-	BatchOff
-)
-
-// String returns the mode name as accepted by the CLI flags.
-func (m BatchMode) String() string {
-	switch m {
-	case BatchAuto:
-		return "auto"
-	case BatchOn:
-		return "on"
-	case BatchOff:
-		return "off"
-	default:
-		return fmt.Sprintf("batch-mode(%d)", int(m))
-	}
-}
-
 // Config tunes the control loop.
 type Config struct {
 	// SamplingIntervalS is the monitoring interval (default 5 s).
@@ -173,16 +104,10 @@ type Config struct {
 	// data collected so far (the paper's models are "periodically updated
 	// with new data measurements to adapt to dynamic systems"). Zero
 	// disables periodic retraining; the value predictors still update
-	// online on every sample either way.
+	// online on every sample either way. With it set, the tan detector
+	// retrains from per-VM count tables (O(attrs²·bins²), independent of
+	// history length); every other kind refits from the retained series.
 	RetrainIntervalS int64
-	// RetrainMode selects batch refits or incremental sufficient-
-	// statistics retraining (default RetrainAuto: incremental where
-	// possible).
-	RetrainMode RetrainMode
-	// Batch selects the columnar fleet hot path (default BatchAuto). The
-	// batch and scalar pipelines produce byte-identical results; BatchOff
-	// keeps the per-VM oracle path.
-	Batch BatchMode
 	// TrainWorkers bounds how many per-VM model fits run concurrently
 	// during (re)training (0 = the pool default). Per-VM fits are
 	// independent and deterministically seeded, so results are identical
@@ -190,27 +115,20 @@ type Config struct {
 	TrainWorkers int
 	// HistoryWindowSamples bounds each VM's retained training series to a
 	// ring of the most recent samples, capping monitoring memory for
-	// long-running loops. Zero keeps full history. Incremental retraining
-	// does not read old samples, but batch (re)fits see only what the
-	// ring still holds — keep the window larger than the training prefix
-	// (TrainAtS/SamplingIntervalS) and the validation look-back.
+	// long-running loops. Zero keeps full history. Retraining from count
+	// tables does not read old samples, but fits from the series see only
+	// what the ring still holds — keep the window larger than the
+	// training prefix (TrainAtS/SamplingIntervalS) and the validation
+	// look-back.
 	HistoryWindowSamples int
 	// Detector selects the anomaly detector driving the loop (default
 	// the paper's supervised Markov+TAN pipeline). Any detector.Spec
 	// kind works: tan, kmeans, zscore, ewma, zrobust, or an ensemble of
-	// them — the loop drives one code path for all of them. Parse CLI
-	// syntax with detector.ParseSpec.
+	// them — the loop drives one code path for all of them. kmeans and
+	// zscore (the paper's Section V extension) train on unlabeled data,
+	// so PREPARE can prevent even the FIRST occurrence of an anomaly
+	// class. Parse CLI syntax with detector.ParseSpec.
 	Detector detector.Spec
-	// Unsupervised replaces the supervised TAN classifier with an
-	// unsupervised outlier detector (the paper's Section V extension):
-	// the models train on unlabeled data, so PREPARE can prevent even the
-	// FIRST occurrence of an anomaly class it has never seen. Legacy
-	// switch: when Detector is unset it maps onto the kmeans/zscore
-	// spec; an explicit Detector spec wins.
-	Unsupervised bool
-	// UnsupervisedDetector selects the legacy unsupervised detector
-	// (default KMeans); see Unsupervised.
-	UnsupervisedDetector predict.UnsupervisedKind
 	// Predict configures the per-VM predictors.
 	Predict predict.Config
 	// Telemetry receives the controller's metrics and trace events.
@@ -263,14 +181,7 @@ func (c Config) withDefaults() Config {
 		c.Policy = prevent.ScalingFirst
 	}
 	if c.Detector.IsZero() {
-		switch {
-		case c.Unsupervised && c.UnsupervisedDetector == predict.ZScoreDetector:
-			c.Detector = detector.Spec{Kind: detector.KindZScore}
-		case c.Unsupervised:
-			c.Detector = detector.Spec{Kind: detector.KindKMeans}
-		default:
-			c.Detector = detector.Spec{Kind: detector.KindTAN}
-		}
+		c.Detector = detector.Spec{Kind: detector.KindTAN}
 	}
 	c.Predict.SamplingIntervalS = c.SamplingIntervalS
 	return c
@@ -302,9 +213,9 @@ type Controller struct {
 	app    App
 
 	sampler *monitor.Sampler
-	// Columnar hot path (nil/unused when batchActive() is false): the
-	// struct-of-arrays sample store, the sampler-order index of each VM
-	// in it, and the fleet-batched window scorer.
+	// store is the struct-of-arrays ring every tick's samples land in
+	// (the loop's only sample representation), storeIdx each VM's index
+	// in it, and fleet the batched window scorer (nil unless pure tan).
 	store    *columnar.Store
 	storeIdx map[substrate.VMID]int
 	fleet    *predict.Fleet
@@ -326,8 +237,9 @@ type Controller struct {
 	// the sampling interval does not divide the retrain interval.
 	nextRetrainAt simclock.Time
 	// fitAt records the tick at which each VM's model was last fit from
-	// the series; on that tick the incremental path observes the current
-	// row like the batch path does instead of re-counting it via Update.
+	// the series; on that tick an incremental detector only observes the
+	// current row (the fit already counted it) instead of re-counting it
+	// via Update.
 	fitAt map[substrate.VMID]simclock.Time
 	// rowScratch is the reusable per-tick row buffer: rows are consumed
 	// synchronously within a tick (predictors copy what they retain), so
@@ -385,7 +297,8 @@ func New(scheme Scheme, sub substrate.Substrate, app App, cfg Config) (*Controll
 	if err := cfg.Detector.Validate(); err != nil {
 		return nil, fmt.Errorf("control: %w", err)
 	}
-	sampler, err := monitor.NewSampler(sub, app.VMIDs(), monitor.Config{
+	vms := app.VMIDs()
+	sampler, err := monitor.NewSampler(sub, vms, monitor.Config{
 		NoiseStd:      cfg.MonitorNoiseStd,
 		Seed:          cfg.MonitorSeed,
 		Telemetry:     cfg.Telemetry,
@@ -410,7 +323,16 @@ func New(scheme Scheme, sub substrate.Substrate, app App, cfg Config) (*Controll
 	if err != nil {
 		return nil, fmt.Errorf("control: %w", err)
 	}
-	vms := app.VMIDs()
+	store, err := columnar.New(len(vms), 4)
+	if err != nil {
+		return nil, fmt.Errorf("control: %w", err)
+	}
+	// The store's VM order is the sampler's (the app order it was given);
+	// the controller iterates in sorted vmOrder, so keep an index map.
+	storeIdx := make(map[substrate.VMID]int, len(vms))
+	for i, id := range vms {
+		storeIdx[id] = i
+	}
 	sort.Slice(vms, func(i, j int) bool { return vms[i] < vms[j] })
 	wd, err := infer.NewWorkloadDetector(vms, 24, 4*cfg.SamplingIntervalS)
 	if err != nil {
@@ -422,6 +344,8 @@ func New(scheme Scheme, sub substrate.Substrate, app App, cfg Config) (*Controll
 		sub:           sub,
 		app:           app,
 		sampler:       sampler,
+		store:         store,
+		storeIdx:      storeIdx,
 		sloLog:        &monitor.SLOLog{},
 		detectors:     make(map[substrate.VMID]detector.Detector, len(vms)),
 		filters:       make(map[substrate.VMID]*predict.AlarmFilter, len(vms)),
@@ -439,36 +363,17 @@ func New(scheme Scheme, sub substrate.Substrate, app App, cfg Config) (*Controll
 		placeInv:      placeInv,
 		tel:           newInstruments(cfg.Telemetry),
 	}
-	if c.batchActive() {
-		// The store's VM order is the sampler's (app order); the
-		// controller iterates in sorted vmOrder, so keep an index map.
-		samplerIDs := sampler.VMIDs()
-		store, err := columnar.New(len(samplerIDs), 4)
-		if err != nil {
-			return nil, fmt.Errorf("control: %w", err)
-		}
-		idx := make(map[substrate.VMID]int, len(samplerIDs))
-		for i, id := range samplerIDs {
-			idx[id] = i
-		}
-		c.store, c.storeIdx, c.fleet = store, idx, predict.NewFleet()
+	if cfg.Detector.Kind == detector.KindTAN {
+		c.fleet = predict.NewFleet()
 	}
 	return c, nil
-}
-
-// batchActive reports whether this controller runs the columnar batch
-// hot path. Only the pure supervised-TAN PREPARE configuration has a
-// fleet-batched pipeline; every other scheme or detector runs the
-// per-VM scalar path regardless of the configured mode.
-func (c *Controller) batchActive() bool {
-	return c.scheme == SchemePREPARE && c.cfg.Detector.Kind == detector.KindTAN && c.cfg.Batch != BatchOff
 }
 
 // Scheme returns the controller's scheme.
 func (c *Controller) Scheme() Scheme { return c.scheme }
 
 // DetectorSpec returns the resolved detector specification driving the
-// loop (after legacy Unsupervised mapping and defaulting).
+// loop (after defaulting).
 func (c *Controller) DetectorSpec() detector.Spec { return c.cfg.Detector }
 
 // SLOLog returns the recorded SLO state log.
@@ -548,33 +453,12 @@ func (c *Controller) OnTick(now simclock.Time) error {
 	if violated {
 		label = metrics.LabelAbnormal
 	}
-	// The batch path collects into the columnar store (no per-tick sample
-	// map); the scalar path keeps the map the reactive baseline's
-	// busiest-VM fallback consumes. Both run the identical per-VM
-	// sampling pipeline underneath, so downstream values match bit for
-	// bit.
-	batch := c.batchActive()
-	var samples map[substrate.VMID]metrics.Sample
-	if batch {
-		if err := c.sampler.CollectColumnar(now, label, c.store); err != nil {
-			return fmt.Errorf("control: %w", err)
-		}
-	} else {
-		var err error
-		samples, err = c.sampler.Collect(now, label)
-		if err != nil {
-			return fmt.Errorf("control: %w", err)
-		}
-	}
-	netIn := func(id substrate.VMID) float64 {
-		if batch {
-			return c.store.Latest(c.storeIdx[id], metrics.NetIn)
-		}
-		return samples[id].Values.Get(metrics.NetIn)
+	if err := c.sampler.CollectColumnar(now, label, c.store); err != nil {
+		return fmt.Errorf("control: %w", err)
 	}
 	for _, id := range c.vmOrder {
 		// Track inbound traffic for workload-change inference.
-		if err := c.workload.Offer(now, id, netIn(id)); err != nil {
+		if err := c.workload.Offer(now, id, c.store.Latest(c.storeIdx[id], metrics.NetIn)); err != nil {
 			return fmt.Errorf("control: %w", err)
 		}
 	}
@@ -603,24 +487,14 @@ func (c *Controller) OnTick(now simclock.Time) error {
 	}
 
 	// Feed the new samples to the per-VM detectors and collect the
-	// filter-confirmed verdicts. One code path serves every detector
-	// kind: the TAN adapter routes window scoring through the fleet
-	// batch scorer when the columnar path is active (materializing full
-	// verdicts only for confirmed VMs) and scores scalar otherwise;
-	// unsupervised, forecast-error, and ensemble detectors always score
-	// scalar.
+	// filter-confirmed verdicts. The TAN adapter routes window scoring
+	// through the fleet scorer (materializing full verdicts only for
+	// confirmed VMs); every other detector kind scores per VM.
 	confirmed := make(map[substrate.VMID]detector.Verdict)
+	row := c.rowScratch
 	for _, id := range c.vmOrder {
-		var row []float64
+		c.store.RowInto(c.storeIdx[id], row)
 		lbl := label
-		if batch {
-			c.store.RowInto(c.storeIdx[id], c.rowScratch)
-			row = c.rowScratch
-		} else {
-			sm := samples[id]
-			row = c.rowOf(sm)
-			lbl = sm.Label
-		}
 		d := c.detectors[id]
 		if d.Incremental() && c.fitAt[id] != now {
 			// Incremental training: one Update advances the value-
@@ -695,7 +569,7 @@ func (c *Controller) OnTick(now simclock.Time) error {
 		// fired (e.g., the symptom manifests only in the SLO): blame the
 		// busiest VM so the reactive baseline still intervenes, as its
 		// real counterpart would.
-		if id, verdict, ok := c.busiestVM(samples); ok {
+		if id, verdict, ok := c.busiestVM(); ok {
 			confirmed[id] = verdict
 		}
 	}
@@ -802,13 +676,12 @@ func (c *Controller) targets(now simclock.Time, confirmed map[substrate.VMID]det
 
 // busiestVM builds a fallback diagnosis for the reactive baseline when no
 // detector fired: pick the VM with the highest CPU utilization sample and
-// classify its current row. All detector kinds answer through the same
-// Current call, so this no longer branches on the configured scheme.
-func (c *Controller) busiestVM(samples map[substrate.VMID]metrics.Sample) (substrate.VMID, detector.Verdict, bool) {
+// classify its current row.
+func (c *Controller) busiestVM() (substrate.VMID, detector.Verdict, bool) {
 	var bestID substrate.VMID
 	best := -1.0
 	for _, id := range c.vmOrder {
-		if u := samples[id].Values.Get(metrics.CPUTotal); u > best {
+		if u := c.store.Latest(c.storeIdx[id], metrics.CPUTotal); u > best {
 			best = u
 			bestID = id
 		}
@@ -816,7 +689,8 @@ func (c *Controller) busiestVM(samples map[substrate.VMID]metrics.Sample) (subst
 	if best < 0 {
 		return "", detector.Verdict{}, false
 	}
-	verdict, err := c.detectors[bestID].Current(c.rowOf(samples[bestID]))
+	c.store.RowInto(c.storeIdx[bestID], c.rowScratch)
+	verdict, err := c.detectors[bestID].Current(c.rowScratch)
 	if err != nil {
 		return "", detector.Verdict{}, false
 	}
@@ -1030,8 +904,8 @@ func (c *Controller) train(now simclock.Time) error {
 }
 
 // detectorOptions assembles the per-VM adapter options from the
-// controller's configuration. The fleet is nil unless the columnar
-// batch path is active, which pins it to the pure-TAN configuration.
+// controller's configuration. The fleet is nil unless the spec is pure
+// tan.
 func (c *Controller) detectorOptions(id substrate.VMID) predict.DetectorOptions {
 	return predict.DetectorOptions{
 		Names:           c.attrNames,
@@ -1069,31 +943,21 @@ func (c *Controller) fitVM(id substrate.VMID) (detector.Detector, error) {
 
 // incrementalTraining reports whether this configuration maintains
 // per-VM sufficient statistics and retrains from them. Only the pure
-// supervised TAN detector has a count-table form; everything else
-// (unsupervised, forecast-error, ensembles) refits batch. RetrainAuto
-// goes incremental only when periodic retraining is actually enabled
-// (without it the statistics would never be consumed).
+// supervised TAN detector has a count-table form, and only periodic
+// retraining ever consumes the statistics; everything else
+// (unsupervised, forecast-error, ensembles, train-once) fits from the
+// retained series.
 func (c *Controller) incrementalTraining() bool {
-	if c.cfg.Detector.Kind != detector.KindTAN {
-		return false
-	}
-	switch c.cfg.RetrainMode {
-	case RetrainBatch:
-		return false
-	case RetrainIncremental:
-		return true
-	default:
-		return c.cfg.RetrainIntervalS > 0
-	}
+	return c.cfg.Detector.Kind == detector.KindTAN && c.cfg.RetrainIntervalS > 0
 }
 
-// retrain performs one periodic model update. In batch mode it refits
-// everything from the retained series (O(history)); in incremental mode
-// it rebuilds each classifier from its accumulated count table
+// retrain performs one periodic model update. Detectors without a
+// count-table form refit from the retained series (O(history)). The tan
+// detector rebuilds each classifier from its accumulated count table
 // (O(attrs²·bins²), independent of history length) and refits from the
 // series only to self-heal predictors that carry no incremental state
 // (e.g. restored from an older snapshot). Alarm filters restart fresh
-// either way, as batch retraining always did.
+// either way.
 func (c *Controller) retrain(now simclock.Time) error {
 	if !c.incrementalTraining() {
 		defer c.tel.retrainBatch.ObserveSince(time.Now())
@@ -1133,13 +997,4 @@ func (c *Controller) retrain(now simclock.Time) error {
 	}
 	c.tel.trainings.Inc()
 	return nil
-}
-
-// rowOf copies the sample's attribute values into the controller's
-// reusable row buffer. Rows are consumed synchronously within a tick and
-// predictors copy anything they retain, so sharing one buffer is safe
-// and keeps the per-tick loop allocation-free.
-func (c *Controller) rowOf(sm metrics.Sample) []float64 {
-	copy(c.rowScratch, sm.Values[:])
-	return c.rowScratch
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"prepare/internal/cloudsim"
+	"prepare/internal/columnar"
 	"prepare/internal/detector"
 	"prepare/internal/infer"
 	"prepare/internal/metrics"
@@ -399,9 +400,9 @@ func TestNoRetrainingStaysBlind(t *testing.T) {
 func TestUnsupervisedModeFirstOccurrence(t *testing.T) {
 	c, sub, app := newFakeWorld(t, workload.Constant{Value: 60})
 	ctl, err := New(SchemePREPARE, sub, app, Config{
-		TrainAtS:     200, // trained before any fault
-		Unsupervised: true,
-		MonitorSeed:  8,
+		TrainAtS:    200, // trained before any fault
+		Detector:    detector.Spec{Kind: detector.KindKMeans},
+		MonitorSeed: 8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -438,9 +439,9 @@ func TestUnsupervisedModeFirstOccurrence(t *testing.T) {
 func TestUnsupervisedReactiveMode(t *testing.T) {
 	c, sub, app := newFakeWorld(t, workload.Constant{Value: 60})
 	ctl, err := New(SchemeReactive, sub, app, Config{
-		TrainAtS:     200,
-		Unsupervised: true,
-		MonitorSeed:  9,
+		TrainAtS:    200,
+		Detector:    detector.Spec{Kind: detector.KindKMeans},
+		MonitorSeed: 9,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -542,24 +543,38 @@ func TestBusiestVMUnifiedVerdict(t *testing.T) {
 		}
 		dets[id] = e
 	}
+	store, err := columnar.New(len(vms), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	c := &Controller{
 		cfg:        Config{}.withDefaults(),
 		vmOrder:    vms,
 		detectors:  dets,
 		attrNames:  names,
 		rowScratch: make([]float64, len(names)),
+		store:      store,
+		storeIdx:   map[substrate.VMID]int{"vm1": 0, "vm2": 1},
 	}
 
-	samples := make(map[substrate.VMID]metrics.Sample)
-	for i, id := range vms {
-		var sm metrics.Sample
-		for j := range sm.Values {
-			sm.Values[j] = 10
+	// commit publishes one tick: vm1's attributes at 10, vm2's at
+	// vm2Fill, and CPUTotal as given per VM.
+	commit := func(vm2Fill float64, cpu [2]float64) {
+		for i := range vms {
+			var v metrics.Vector
+			for j := range v {
+				v[j] = 10
+				if i == 1 {
+					v[j] = vm2Fill
+				}
+			}
+			v.Set(metrics.CPUTotal, cpu[i])
+			store.StageRow(i, &v)
 		}
-		sm.Values.Set(metrics.CPUTotal, float64(13+i)) // vm2 busiest, both in-range
-		samples[id] = sm
+		store.Commit(0, metrics.LabelNormal)
 	}
-	id, verdict, ok := c.busiestVM(samples)
+	commit(10, [2]float64{13, 14}) // vm2 busiest, both in-range
+	id, verdict, ok := c.busiestVM()
 	if !ok || id != "vm2" {
 		t.Fatalf("busiestVM = %v ok=%v, want vm2", id, ok)
 	}
@@ -569,13 +584,8 @@ func TestBusiestVMUnifiedVerdict(t *testing.T) {
 
 	// A wildly deviant busiest VM yields an abnormal unified verdict
 	// with attribution strengths.
-	var sm metrics.Sample
-	for j := range sm.Values {
-		sm.Values[j] = 500
-	}
-	sm.Values.Set(metrics.CPUTotal, 99)
-	samples["vm2"] = sm
-	if _, verdict, ok = c.busiestVM(samples); !ok || !verdict.Abnormal || len(verdict.Strengths) == 0 {
+	commit(500, [2]float64{13, 99})
+	if _, verdict, ok = c.busiestVM(); !ok || !verdict.Abnormal || len(verdict.Strengths) == 0 {
 		t.Fatalf("deviant sample verdict %+v ok=%v, want abnormal with strengths", verdict, ok)
 	}
 }

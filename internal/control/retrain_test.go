@@ -3,6 +3,7 @@ package control
 import (
 	"testing"
 
+	"prepare/internal/detector"
 	"prepare/internal/simclock"
 	"prepare/internal/telemetry"
 	"prepare/internal/workload"
@@ -43,7 +44,7 @@ func TestRetrainDeadlineSurvivesNonDivisibleInterval(t *testing.T) {
 		t.Errorf("control.trainings = %d, want %d (the modulo trigger managed %d)",
 			got, wantTrainings, 1+4) // old: fired only at 135, 170, 205, 240
 	}
-	// RetrainAuto with an interval goes incremental: every retrain must
+	// tan with an interval goes incremental: every retrain must
 	// have gone through the O(1) path and every post-training sample must
 	// have been folded into the statistics.
 	if n := snap.Histograms["control.retrain.latency.incremental"].Count; n != 14 {
@@ -57,17 +58,17 @@ func TestRetrainDeadlineSurvivesNonDivisibleInterval(t *testing.T) {
 	}
 }
 
-// TestPeriodicRetrainingAdaptsBatchMode re-runs the adaptation scenario
-// with RetrainBatch forced: the pre-incremental full-refit path must
-// keep working (snapshot compatibility, opt-out knob) and be recorded
-// under the batch latency histogram.
-func TestPeriodicRetrainingAdaptsBatchMode(t *testing.T) {
+// TestPeriodicRetrainingAdaptsViaSeriesRefit re-runs the adaptation scenario
+// under a detector with no count-table form (ewma): every periodic
+// retrain must refit from the retained series through train() and be
+// recorded under the batch latency histogram.
+func TestPeriodicRetrainingAdaptsViaSeriesRefit(t *testing.T) {
 	c, sub, app := newFakeWorld(t, workload.Constant{Value: 60})
 	reg := telemetry.New(telemetry.Options{})
 	ctl, err := New(SchemePREPARE, sub, app, Config{
 		TrainAtS:         200,
 		RetrainIntervalS: 200,
-		RetrainMode:      RetrainBatch,
+		Detector:         detector.Spec{Kind: detector.KindEWMA},
 		MonitorSeed:      6,
 		Telemetry:        reg,
 	})
@@ -95,34 +96,64 @@ func TestPeriodicRetrainingAdaptsBatchMode(t *testing.T) {
 		t.Fatal("first occurrence should have violated (models untrained on it)")
 	}
 	if second >= first {
-		t.Errorf("after batch retraining, second occurrence (%ds) should improve on first (%ds)",
+		t.Errorf("after retraining, second occurrence (%ds) should improve on first (%ds)",
 			second, first)
 	}
 	snap := reg.Snapshot()
 	if n := snap.Histograms["control.retrain.latency.batch"].Count; n == 0 {
-		t.Error("batch mode recorded no batch retrains")
+		t.Error("ewma recorded no batch retrains")
 	}
 	if n := snap.Histograms["control.retrain.latency.incremental"].Count; n != 0 {
-		t.Errorf("batch mode recorded %d incremental retrains", n)
+		t.Errorf("ewma recorded %d incremental retrains", n)
 	}
 	if c := snap.Counter("train.incremental.updates"); c != 0 {
-		t.Errorf("batch mode recorded %d incremental updates", c)
+		t.Errorf("ewma recorded %d incremental updates", c)
 	}
 }
 
-// TestRetrainModeStrings pins the CLI flag vocabulary.
-func TestRetrainModeStrings(t *testing.T) {
-	tests := []struct {
-		mode RetrainMode
-		want string
+// TestIncrementalTrainingRule pins the one retraining rule: per-VM
+// sufficient statistics are maintained iff the detector is pure tan and
+// periodic retraining is enabled; everything else fits from the series.
+func TestIncrementalTrainingRule(t *testing.T) {
+	for _, tc := range []struct {
+		spec     string
+		retrainS int64
+		want     bool
 	}{
-		{RetrainAuto, "auto"},
-		{RetrainBatch, "batch"},
-		{RetrainIncremental, "incremental"},
-	}
-	for _, tt := range tests {
-		if got := tt.mode.String(); got != tt.want {
-			t.Errorf("%d.String() = %q, want %q", int(tt.mode), got, tt.want)
+		{"tan", 0, false},
+		{"tan", 300, true},
+		{"ewma", 300, false},
+		{"kmeans", 300, false},
+		{"ensemble:tan+ewma", 300, false},
+	} {
+		spec, err := detector.ParseSpec(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, sub, app := newFakeWorld(t, workload.Constant{Value: 60})
+		ctl, err := New(SchemePREPARE, sub, app, Config{
+			TrainAtS:         100,
+			RetrainIntervalS: tc.retrainS,
+			Detector:         spec,
+			MonitorSeed:      3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := int64(1); s <= 100; s++ {
+			app.Tick(simclock.Time(s))
+			c.Tick(simclock.Time(s))
+			if err := ctl.OnTick(simclock.Time(s)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !ctl.Trained() {
+			t.Fatalf("%s: controller never trained", tc.spec)
+		}
+		for id, d := range ctl.detectors {
+			if got := d.Incremental(); got != tc.want {
+				t.Errorf("%s retrain=%ds: %s trained incremental=%v, want %v", tc.spec, tc.retrainS, id, got, tc.want)
+			}
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"prepare/internal/control"
 	"prepare/internal/metrics"
+	"prepare/internal/pool"
 	"prepare/internal/predict"
 	"prepare/internal/substrate"
 )
@@ -117,7 +118,7 @@ func sweepCurves(ds Dataset, specs []curveSpec) ([]AccuracyCurve, error) {
 			cells = append(cells, cellRef{spec: si, point: pi})
 		}
 	}
-	err := Runner{}.ForEach(context.Background(), len(cells), func(_ context.Context, i int) error {
+	err := pool.Runner{}.ForEach(context.Background(), len(cells), func(_ context.Context, i int) error {
 		c := cells[i]
 		sp := specs[c.spec]
 		la := sp.lookaheads[c.point]

@@ -22,7 +22,7 @@ func chaosFingerprint(alerts, steps, events interface{}) string {
 // merged streams AND each tenant's injected fault schedule must be
 // identical for any shard/worker count, because injection decisions are
 // pure functions of (seed, time, VM), never of scheduling. The scenario
-// retrains periodically (incremental under RetrainAuto), so the
+// retrains periodically (incrementally: the detector is tan), so the
 // sufficient-statistics update and pool-parallel (re)fit paths are
 // inside the determinism and race (-race CI job) envelope too.
 func TestChaosEngineDeterministicAcrossShardCounts(t *testing.T) {
@@ -135,7 +135,7 @@ func TestChaosSoak(t *testing.T) {
 		t.Errorf("no prevention step on fault target %s (steps: %+v)", res.FaultTarget, res.Steps)
 	}
 
-	// The soak retrains incrementally (RetrainAuto with an interval set):
+	// The soak retrains incrementally (tan with an interval set):
 	// every post-training sample must have been folded into the
 	// sufficient statistics, and each retrain deadline must have rebuilt
 	// the classifiers through the O(1) path, not a batch refit.

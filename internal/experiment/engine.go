@@ -26,7 +26,7 @@ type EngineOptions struct {
 	// <= 0 uses the worker-pool default. Per-tenant results are
 	// bit-identical for any value.
 	Shards int
-	// Workers bounds the worker pool; <= 0 uses DefaultWorkers().
+	// Workers bounds the worker pool; <= 0 uses pool.DefaultWorkers().
 	Workers int
 }
 
@@ -93,27 +93,7 @@ func RunEngine(tenants []TenantScenario, opts EngineOptions) (EngineResult, erro
 			return EngineResult{}, fmt.Errorf("experiment: tenant %s: %w", t.ID, err)
 		}
 		chaoses[i] = cs
-		ctl, err := control.New(sc.Scheme, sub, w.app, control.Config{
-			SamplingIntervalS: sc.SamplingIntervalS,
-			LookaheadS:        sc.LookaheadS,
-			FilterK:           sc.FilterK,
-			FilterW:           sc.FilterW,
-			TrainAtS:          sc.TrainAtS,
-			RetrainIntervalS:  sc.RetrainIntervalS,
-			RetrainMode:       sc.RetrainMode,
-			Policy:            sc.Policy,
-			Predict:           sc.Predict,
-			MonitorSeed:       sc.Seed + 1000,
-			DisableValidation: sc.DisableValidation,
-			Detector:          sc.Detector,
-			Unsupervised:      sc.Unsupervised,
-			Telemetry:         regs[i],
-			MonitorResilience: sc.monitorResilience(),
-
-			HistoryWindowSamples:     sc.HistoryWindowSamples,
-			Placement:                sc.Placement,
-			PlacementPreemptionDepth: sc.PlacementPreemptionDepth,
-		})
+		ctl, err := control.New(sc.Scheme, sub, w.app, sc.controlConfig(regs[i]))
 		if err != nil {
 			return EngineResult{}, fmt.Errorf("experiment: tenant %s: %w", t.ID, err)
 		}

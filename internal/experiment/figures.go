@@ -8,6 +8,7 @@ import (
 
 	"prepare/internal/control"
 	"prepare/internal/faults"
+	"prepare/internal/pool"
 	"prepare/internal/predict"
 	"prepare/internal/prevent"
 	"prepare/internal/simclock"
@@ -230,7 +231,7 @@ func FigureSamplingInterval(seed int64) ([]AccuracyCurve, error) {
 	// Each interval needs its own dataset (the monitoring cadence changes
 	// the collected samples), so the fan-out is per curve; the nested
 	// accuracy sweep parallelizes the look-ahead windows within each.
-	err := Runner{}.ForEach(context.Background(), len(intervals), func(_ context.Context, i int) error {
+	err := pool.Runner{}.ForEach(context.Background(), len(intervals), func(_ context.Context, i int) error {
 		interval := intervals[i]
 		ds, err := CollectDataset(Scenario{
 			App: RUBiS, Fault: faults.Bottleneck, Seed: seed,

@@ -8,6 +8,7 @@ import (
 	"prepare/internal/control"
 	"prepare/internal/detector"
 	"prepare/internal/faults"
+	"prepare/internal/pool"
 	"prepare/internal/simclock"
 )
 
@@ -140,8 +141,8 @@ func TestCompareDetectorsEnsembleWins(t *testing.T) {
 
 	// Byte-identical table across worker counts.
 	table := FormatDetectorTable(runs)
-	SetDefaultWorkers(1)
-	defer SetDefaultWorkers(0)
+	pool.SetDefaultWorkers(1)
+	defer pool.SetDefaultWorkers(0)
 	serial, err := CompareDetectors(base, kinds, specs, NABOptions{})
 	if err != nil {
 		t.Fatal(err)

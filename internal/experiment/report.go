@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"prepare/internal/control"
+	"prepare/internal/detector"
 	"prepare/internal/faults"
 	"prepare/internal/prevent"
 )
@@ -115,19 +116,19 @@ func WriteReport(w io.Writer, opts ReportOptions) error {
 	fmt.Fprint(w, "## Extension — unseen anomalies (Section V)\n\n```\n")
 	base := Scenario{App: RUBiS, Fault: faults.MemoryLeak, Seed: opts.Seed, SkipFirstInjection: true}
 	variants := []struct {
-		name         string
-		scheme       control.Scheme
-		unsupervised bool
+		name     string
+		scheme   control.Scheme
+		detector detector.Spec
 	}{
-		{"without-intervention", control.SchemeNone, false},
-		{"prepare-supervised", control.SchemePREPARE, false},
-		{"prepare-unsupervised", control.SchemePREPARE, true},
+		{"without-intervention", control.SchemeNone, detector.Spec{}},
+		{"prepare-supervised", control.SchemePREPARE, detector.Spec{}},
+		{"prepare-unsupervised", control.SchemePREPARE, detector.Spec{Kind: detector.KindKMeans}},
 	}
 	scenarios := make([]Scenario, len(variants))
 	for i, variant := range variants {
 		scenarios[i] = base
 		scenarios[i].Scheme = variant.scheme
-		scenarios[i].Unsupervised = variant.unsupervised
+		scenarios[i].Detector = variant.detector
 	}
 	results, err := RunAll(scenarios, BatchOptions{})
 	if err != nil {

@@ -8,27 +8,10 @@ import (
 	"prepare/internal/telemetry"
 )
 
-// Runner is the bounded deterministic worker pool every sweep entry
-// point runs on. It now lives in internal/pool (the control engine
-// shares it); the alias keeps the experiment API unchanged.
-type Runner = pool.Runner
-
-// DefaultWorkers returns the process-wide worker-pool size sweeps use
-// when none is given explicitly.
-func DefaultWorkers() int { return pool.DefaultWorkers() }
-
-// SetDefaultWorkers overrides the process-wide worker-pool size for
-// every sweep entry point (Repeat, the figure generators, accuracy
-// sweeps, Table1) and for the multi-tenant control engine. n <= 0
-// restores the GOMAXPROCS default. Because every scenario run is
-// deterministically seeded and fully self-contained, results are
-// bit-identical for any worker count.
-func SetDefaultWorkers(n int) { pool.SetDefaultWorkers(n) }
-
 // BatchOptions configures RunAll.
 type BatchOptions struct {
 	// Workers bounds concurrent scenario runs; <= 0 means
-	// DefaultWorkers().
+	// pool.DefaultWorkers().
 	Workers int
 	// Context cancels the batch early when done; nil means Background.
 	Context context.Context
@@ -49,7 +32,7 @@ func (o BatchOptions) context() context.Context {
 // identified — app, fault, scheme, and seed — in the returned error.
 func RunAll(scenarios []Scenario, opts BatchOptions) ([]Result, error) {
 	results := make([]Result, len(scenarios))
-	r := Runner{Workers: opts.Workers}
+	r := pool.Runner{Workers: opts.Workers}
 	// Batch counters live on the process-wide registry (nil-safe when
 	// telemetry is disabled). started is incremented only when a task's
 	// body actually begins — tasks skipped after a mid-batch cancellation

@@ -7,6 +7,7 @@ import (
 
 	"prepare/internal/control"
 	"prepare/internal/faults"
+	"prepare/internal/pool"
 )
 
 // spin is a deterministic CPU-bound task standing in for one scenario
@@ -30,7 +31,7 @@ func BenchmarkForEach(b *testing.B) {
 	for _, workers := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			sums := make([]float64, tasks)
-			r := Runner{Workers: workers}
+			r := pool.Runner{Workers: workers}
 			b.ReportAllocs()
 			for n := 0; n < b.N; n++ {
 				if err := r.ForEach(context.Background(), tasks, func(_ context.Context, i int) error {

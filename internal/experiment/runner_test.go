@@ -4,40 +4,25 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"prepare/internal/control"
 	"prepare/internal/faults"
+	"prepare/internal/pool"
 	"prepare/internal/prevent"
 )
 
-func TestForEachRunsEveryIndexOnce(t *testing.T) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		const n = 50
-		counts := make([]atomic.Int64, n)
-		err := Runner{Workers: workers}.ForEach(context.Background(), n, func(_ context.Context, i int) error {
-			counts[i].Add(1)
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i := range counts {
-			if got := counts[i].Load(); got != 1 {
-				t.Errorf("workers=%d: index %d ran %d times", workers, i, got)
-			}
-		}
-	}
-}
+// The three ForEach tests below are the part of the pool's behavioural
+// suite internal/pool/pool_test.go does not repeat: the concurrency
+// bound, error-triggered cancellation, and the empty batch.
 
 func TestForEachBoundsConcurrency(t *testing.T) {
 	const workers = 3
 	var cur, peak atomic.Int64
 	var mu sync.Mutex
-	err := Runner{Workers: workers}.ForEach(context.Background(), 40, func(_ context.Context, i int) error {
+	err := pool.Runner{Workers: workers}.ForEach(context.Background(), 40, func(_ context.Context, i int) error {
 		c := cur.Add(1)
 		mu.Lock()
 		if c > peak.Load() {
@@ -55,29 +40,10 @@ func TestForEachBoundsConcurrency(t *testing.T) {
 	}
 }
 
-func TestForEachReturnsLowestIndexError(t *testing.T) {
-	// Several tasks fail; the reported error must be the lowest-indexed
-	// one no matter which worker finishes first.
-	for _, workers := range []int{1, 4} {
-		err := Runner{Workers: workers}.ForEach(context.Background(), 20, func(_ context.Context, i int) error {
-			if i >= 5 && i%3 == 2 {
-				return fmt.Errorf("task %d failed", i)
-			}
-			return nil
-		})
-		if err == nil {
-			t.Fatalf("workers=%d: expected error", workers)
-		}
-		if got, want := err.Error(), "task 5 failed"; got != want {
-			t.Errorf("workers=%d: err = %q, want %q", workers, got, want)
-		}
-	}
-}
-
 func TestForEachCancelsRemainingTasks(t *testing.T) {
 	var ran atomic.Int64
 	boom := errors.New("boom")
-	err := Runner{Workers: 2}.ForEach(context.Background(), 1000, func(ctx context.Context, i int) error {
+	err := pool.Runner{Workers: 2}.ForEach(context.Background(), 1000, func(ctx context.Context, i int) error {
 		ran.Add(1)
 		if i == 0 {
 			return boom
@@ -95,23 +61,9 @@ func TestForEachCancelsRemainingTasks(t *testing.T) {
 	}
 }
 
-func TestForEachHonorsCallerContext(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	err := Runner{Workers: 4}.ForEach(ctx, 10, func(_ context.Context, i int) error { return nil })
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("err = %v, want context.Canceled", err)
-	}
-	// Serial path too.
-	err = Runner{Workers: 1}.ForEach(ctx, 10, func(_ context.Context, i int) error { return nil })
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("serial err = %v, want context.Canceled", err)
-	}
-}
-
 func TestForEachZeroTasks(t *testing.T) {
 	called := false
-	if err := (Runner{}).ForEach(context.Background(), 0, func(_ context.Context, i int) error {
+	if err := (pool.Runner{}).ForEach(context.Background(), 0, func(_ context.Context, i int) error {
 		called = true
 		return nil
 	}); err != nil {
@@ -119,18 +71,6 @@ func TestForEachZeroTasks(t *testing.T) {
 	}
 	if called {
 		t.Error("fn called for n=0")
-	}
-}
-
-func TestSetDefaultWorkers(t *testing.T) {
-	defer SetDefaultWorkers(0)
-	SetDefaultWorkers(3)
-	if got := DefaultWorkers(); got != 3 {
-		t.Errorf("DefaultWorkers() = %d, want 3", got)
-	}
-	SetDefaultWorkers(0)
-	if got := DefaultWorkers(); got < 1 {
-		t.Errorf("DefaultWorkers() = %d, want >= 1", got)
 	}
 }
 
@@ -198,8 +138,8 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 		t.Skip("full figure sweeps in -short mode")
 	}
 	render := func(workers int) (string, string) {
-		defer SetDefaultWorkers(0)
-		SetDefaultWorkers(workers)
+		defer pool.SetDefaultWorkers(0)
+		pool.SetDefaultWorkers(workers)
 		cells, err := FigureSLOViolation(prevent.ScalingFirst, 2, 42)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -232,8 +172,8 @@ func TestAccuracySweepDeterministicAcrossWorkerCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	sweep := func(workers int) []AccuracyPoint {
-		defer SetDefaultWorkers(0)
-		SetDefaultWorkers(workers)
+		defer pool.SetDefaultWorkers(0)
+		pool.SetDefaultWorkers(workers)
 		pts, err := AccuracySweep(ds, []int64{10, 20, 30}, AccuracyOptions{})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)

@@ -85,17 +85,9 @@ type Scenario struct {
 	// RetrainIntervalS periodically retrains the models with the data
 	// accumulated since training (0 disables periodic retraining).
 	RetrainIntervalS int64
-	// RetrainMode selects batch or incremental (sufficient-statistics)
-	// periodic retraining; the default RetrainAuto goes incremental
-	// whenever the configuration allows it.
-	RetrainMode control.RetrainMode
 	// HistoryWindowSamples bounds each VM's retained training series to
 	// the most recent samples (0 keeps full history).
 	HistoryWindowSamples int
-	// Batch selects the control loop's columnar fleet hot path (default
-	// BatchAuto). Batch and scalar produce byte-identical results;
-	// BatchOff forces the per-VM oracle pipeline.
-	Batch control.BatchMode
 	// Predict overrides predictor options (order, bins, naive).
 	Predict predict.Config
 	// DisableValidation turns off the effectiveness validation (for the
@@ -103,14 +95,11 @@ type Scenario struct {
 	DisableValidation bool
 	// Detector selects the anomaly detector driving the control loop
 	// (zero = the paper's supervised Markov+TAN pipeline): tan, kmeans,
-	// zscore, ewma, zrobust, or an ensemble spec. Parse CLI syntax with
-	// detector.ParseSpec.
+	// zscore, ewma, zrobust, or an ensemble spec. The unsupervised kinds
+	// (kmeans, zscore: the Section V extension) combined with
+	// SkipFirstInjection demonstrate first-occurrence prevention. Parse
+	// CLI syntax with detector.ParseSpec.
 	Detector detector.Spec
-	// Unsupervised replaces the supervised classifier with an outlier
-	// detector (the Section V extension); combined with
-	// SkipFirstInjection it demonstrates first-occurrence prevention.
-	// Legacy switch — an explicit Detector spec wins.
-	Unsupervised bool
 	// SkipFirstInjection drops the training-time fault injection: the
 	// models train on clean data only and the (single) injection in the
 	// Inject2 window is the anomaly's FIRST occurrence.
@@ -287,6 +276,30 @@ func buildWorld(sc Scenario) (*world, error) {
 	return &world{cluster: cluster, sub: sub, app: app, schedule: schedule, target: target}, nil
 }
 
+// controlConfig is the control-loop configuration of a (defaulted)
+// scenario, reporting to reg.
+func (sc Scenario) controlConfig(reg *telemetry.Registry) control.Config {
+	return control.Config{
+		SamplingIntervalS: sc.SamplingIntervalS,
+		LookaheadS:        sc.LookaheadS,
+		FilterK:           sc.FilterK,
+		FilterW:           sc.FilterW,
+		TrainAtS:          sc.TrainAtS,
+		RetrainIntervalS:  sc.RetrainIntervalS,
+		Policy:            sc.Policy,
+		Predict:           sc.Predict,
+		MonitorSeed:       sc.Seed + 1000,
+		DisableValidation: sc.DisableValidation,
+		Detector:          sc.Detector,
+		Telemetry:         reg,
+		MonitorResilience: sc.monitorResilience(),
+
+		HistoryWindowSamples:     sc.HistoryWindowSamples,
+		Placement:                sc.Placement,
+		PlacementPreemptionDepth: sc.PlacementPreemptionDepth,
+	}
+}
+
 // Run executes the scenario.
 func Run(sc Scenario) (Result, error) {
 	sc = sc.withDefaults()
@@ -302,28 +315,7 @@ func Run(sc Scenario) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	ctl, err := control.New(sc.Scheme, sub, app, control.Config{
-		SamplingIntervalS: sc.SamplingIntervalS,
-		LookaheadS:        sc.LookaheadS,
-		FilterK:           sc.FilterK,
-		FilterW:           sc.FilterW,
-		TrainAtS:          sc.TrainAtS,
-		RetrainIntervalS:  sc.RetrainIntervalS,
-		RetrainMode:       sc.RetrainMode,
-		Batch:             sc.Batch,
-		Policy:            sc.Policy,
-		Predict:           sc.Predict,
-		MonitorSeed:       sc.Seed + 1000,
-		DisableValidation: sc.DisableValidation,
-		Detector:          sc.Detector,
-		Unsupervised:      sc.Unsupervised,
-		Telemetry:         reg,
-		MonitorResilience: sc.monitorResilience(),
-
-		HistoryWindowSamples:     sc.HistoryWindowSamples,
-		Placement:                sc.Placement,
-		PlacementPreemptionDepth: sc.PlacementPreemptionDepth,
-	})
+	ctl, err := control.New(sc.Scheme, sub, app, sc.controlConfig(reg))
 	if err != nil {
 		return Result{}, fmt.Errorf("experiment: %w", err)
 	}

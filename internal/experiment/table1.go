@@ -8,9 +8,11 @@ import (
 
 	"prepare/internal/bayes"
 	"prepare/internal/cloudsim"
+	"prepare/internal/columnar"
 	"prepare/internal/markov"
 	"prepare/internal/metrics"
 	"prepare/internal/monitor"
+	"prepare/internal/pool"
 	"prepare/internal/predict"
 	"prepare/internal/simclock"
 )
@@ -31,7 +33,7 @@ type Table1Row struct {
 // rows report the simulated latency constants. The five module timings
 // run concurrently on the package worker pool; each measurement times
 // its own repetition loop, so per-op figures stay comparable (on a
-// heavily loaded machine, SetDefaultWorkers(1) restores fully serial
+// heavily loaded machine, pool.SetDefaultWorkers(1) restores fully serial
 // timing).
 func Table1(rounds int) ([]Table1Row, error) {
 	if rounds < 1 {
@@ -51,7 +53,7 @@ func Table1(rounds int) ([]Table1Row, error) {
 		func() (string, error) { return timePrediction(rows, labels, rounds) },
 	}
 	measured := make([]string, len(timings))
-	err = Runner{}.ForEach(context.Background(), len(timings), func(_ context.Context, i int) error {
+	err = pool.Runner{}.ForEach(context.Background(), len(timings), func(_ context.Context, i int) error {
 		m, err := timings[i]()
 		if err != nil {
 			return fmt.Errorf("experiment: table1 timing %d: %w", i, err)
@@ -126,10 +128,14 @@ func timeMonitoring(rounds int) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	store, err := columnar.New(1, 1)
+	if err != nil {
+		return "", err
+	}
 	start := time.Now()
 	for i := 0; i < rounds; i++ {
 		sampler.Advance(simclock.Time(i))
-		if _, err := sampler.Collect(simclock.Time(i), metrics.LabelNormal); err != nil {
+		if err := sampler.CollectColumnar(simclock.Time(i), metrics.LabelNormal, store); err != nil {
 			return "", err
 		}
 	}

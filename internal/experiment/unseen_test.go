@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"prepare/internal/control"
+	"prepare/internal/detector"
 	"prepare/internal/faults"
 )
 
@@ -40,7 +41,7 @@ func TestUnseenAnomalyPrevention(t *testing.T) {
 
 	unsSc := base
 	unsSc.Scheme = control.SchemePREPARE
-	unsSc.Unsupervised = true
+	unsSc.Detector = detector.Spec{Kind: detector.KindKMeans}
 	unsupervised, err := Run(unsSc)
 	if err != nil {
 		t.Fatal(err)

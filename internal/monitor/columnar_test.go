@@ -1,111 +1,31 @@
 package monitor
 
 import (
-	"math"
-	"reflect"
 	"testing"
 
 	"prepare/internal/columnar"
 	"prepare/internal/metrics"
 	"prepare/internal/simclock"
 	"prepare/internal/substrate"
-	"prepare/internal/telemetry"
 )
 
-// TestCollectColumnarMatchesCollect drives two identically configured
-// samplers — one through Collect, one through CollectColumnar — over
-// the same flaky source script (transient gaps, corrupt readings, stuck
-// stretches) with noise enabled, and requires byte-identical vectors,
-// training series, staleness state, and telemetry.
-func TestCollectColumnarMatchesCollect(t *testing.T) {
-	vms := []substrate.VMID{"vm-b", "vm-a", "vm-c"} // app order, deliberately unsorted
-	script := func() *flakySource {
-		src := newFlakySource()
-		src.errAt[4] = substrate.ErrUnavailable
-		src.errAt[7] = substrate.ErrUnavailable
-		bad := src.base
-		bad[3] = math.NaN()
-		bad[8] = -12
-		src.vecAt[10] = bad
-		stuck := src.base
-		for i := 13; i < 22; i++ {
-			src.vecAt[i] = stuck
-		}
-		return src
-	}
-	build := func(src substrate.MetricSource, reg *telemetry.Registry) *Sampler {
-		s, err := NewSampler(src, vms, Config{
-			Seed:      42,
-			NoiseStd:  0.05,
-			Telemetry: reg,
-			Resilience: Resilience{
-				MaxStaleTicks:  2,
-				StuckThreshold: 2,
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	regA, regB := telemetry.New(telemetry.Options{}), telemetry.New(telemetry.Options{})
-	scalar := build(script(), regA)
-	batch := build(script(), regB)
-	store, err := columnar.New(len(vms), 4)
+// collect runs one CollectColumnar tick into a fresh store and reads
+// every VM's row back with RowInto, keyed by VM.
+func collect(s *Sampler, now simclock.Time, label metrics.Label) (map[substrate.VMID]metrics.Sample, error) {
+	store, err := columnar.New(len(s.vmIDs), 1)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-
-	row := make([]float64, metrics.NumAttributes)
-	for tick := 0; tick < 12; tick++ {
-		now := simclock.Time(5 * (tick + 1))
-		label := metrics.LabelNormal
-		if tick%3 == 2 {
-			label = metrics.LabelAbnormal
-		}
-		samples, err := scalar.Collect(now, label)
-		if err != nil {
-			t.Fatalf("tick %d: Collect: %v", tick, err)
-		}
-		if err := batch.CollectColumnar(now, label, store); err != nil {
-			t.Fatalf("tick %d: CollectColumnar: %v", tick, err)
-		}
-		if store.Time(0) != now || store.Label(0) != label {
-			t.Fatalf("tick %d: committed (%v, %v), want (%v, %v)",
-				tick, store.Time(0), store.Label(0), now, label)
-		}
-		for i, id := range vms {
-			store.RowInto(i, row)
-			want := samples[id].Values
-			for a := range row {
-				if math.Float64bits(row[a]) != math.Float64bits(want[a]) {
-					t.Fatalf("tick %d vm %s attr %d: columnar %v vs map %v",
-						tick, id, a, row[a], want[a])
-				}
-			}
-			if scalar.StaleTicks(id) != batch.StaleTicks(id) || scalar.Recording(id) != batch.Recording(id) {
-				t.Fatalf("tick %d vm %s: staleness diverged (%d/%v vs %d/%v)", tick, id,
-					scalar.StaleTicks(id), scalar.Recording(id),
-					batch.StaleTicks(id), batch.Recording(id))
-			}
-		}
+	if err := s.CollectColumnar(now, label, store); err != nil {
+		return nil, err
 	}
-	for _, id := range vms {
-		sa, err := scalar.Series(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sb, err := batch.Series(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(sa.All(), sb.All()) {
-			t.Fatalf("vm %s: training series diverged", id)
-		}
+	out := make(map[substrate.VMID]metrics.Sample, len(s.vmIDs))
+	for i, id := range s.vmIDs {
+		sm := metrics.Sample{Time: store.Time(0), Label: store.Label(0)}
+		store.RowInto(i, sm.Values[:])
+		out[id] = sm
 	}
-	if a, b := regA.Snapshot(), regB.Snapshot(); !reflect.DeepEqual(a, b) {
-		t.Fatalf("telemetry diverged:\n scalar %v\n batch  %v", a, b)
-	}
+	return out, nil
 }
 
 // TestCollectColumnarStoreSizeMismatch rejects a store built for a

@@ -216,7 +216,7 @@ func TestCollectProducesAllAttributes(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Advance(0)
-	samples, err := s.Collect(5, metrics.LabelNormal)
+	samples, err := collect(s, 5, metrics.LabelNormal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestCollectAppendsToSeries(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < 5; i++ {
-		if _, err := s.Collect(simclock.Time(i*5), metrics.LabelNormal); err != nil {
+		if _, err := collect(s, simclock.Time(i*5), metrics.LabelNormal); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -275,7 +275,7 @@ func TestSamplerDeterministicForSeed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		samples, err := s.Collect(0, metrics.LabelNormal)
+		samples, err := collect(s, 0, metrics.LabelNormal)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -295,7 +295,7 @@ func TestNoiseDisabledPassesValuesThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples, err := s.Collect(0, metrics.LabelNormal)
+	samples, err := collect(s, 0, metrics.LabelNormal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestNoiseNeverNegative(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < 50; i++ {
-		samples, err := s.Collect(simclock.Time(i), metrics.LabelNormal)
+		samples, err := collect(s, simclock.Time(i), metrics.LabelNormal)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,7 +338,7 @@ func TestLoadEMAConverges(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		s.Advance(simclock.Time(i))
 	}
-	samples, err := s.Collect(1000, metrics.LabelNormal)
+	samples, err := collect(s, 1000, metrics.LabelNormal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func TestDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Collect(0, metrics.LabelAbnormal); err != nil {
+	if _, err := collect(s, 0, metrics.LabelAbnormal); err != nil {
 		t.Fatal(err)
 	}
 	ds := s.Dataset()

@@ -76,17 +76,17 @@ func TestNewSamplerToleratesTransientSource(t *testing.T) {
 
 func TestCollectCarriesForwardOverTransientGaps(t *testing.T) {
 	src := newFlakySource()
-	// Call 0 is the construction probe; calls 1.. are Collect ticks.
+	// Call 0 is the construction probe; calls 1.. are collect ticks.
 	src.errAt[2] = fmt.Errorf("gap: %w", substrate.ErrUnavailable)
 	s := noiseless(t, src, Resilience{})
 
-	first, err := s.Collect(5, metrics.LabelNormal)
+	first, err := collect(s, 5, metrics.LabelNormal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Collect(10, metrics.LabelNormal)
+	got, err := collect(s, 10, metrics.LabelNormal)
 	if err != nil {
-		t.Fatalf("transient gap surfaced from Collect: %v", err)
+		t.Fatalf("transient gap surfaced from CollectColumnar: %v", err)
 	}
 	if got["vm1"].Values != first["vm1"].Values {
 		t.Errorf("carried sample = %v, want last good %v", got["vm1"].Values, first["vm1"].Values)
@@ -95,7 +95,7 @@ func TestCollectCarriesForwardOverTransientGaps(t *testing.T) {
 		t.Errorf("StaleTicks = %d, want 1", n)
 	}
 	// A healthy tick resets the staleness run.
-	if _, err := s.Collect(15, metrics.LabelNormal); err != nil {
+	if _, err := collect(s, 15, metrics.LabelNormal); err != nil {
 		t.Fatal(err)
 	}
 	if n := s.StaleTicks("vm1"); n != 0 {
@@ -107,8 +107,8 @@ func TestCollectPermanentErrorStillFails(t *testing.T) {
 	src := newFlakySource()
 	src.errAt[1] = substrate.ErrNoSuchVM
 	s := noiseless(t, src, Resilience{})
-	if _, err := s.Collect(5, metrics.LabelNormal); !errors.Is(err, substrate.ErrNoSuchVM) {
-		t.Fatalf("Collect error = %v, want ErrNoSuchVM passthrough", err)
+	if _, err := collect(s, 5, metrics.LabelNormal); !errors.Is(err, substrate.ErrNoSuchVM) {
+		t.Fatalf("CollectColumnar error = %v, want ErrNoSuchVM passthrough", err)
 	}
 }
 
@@ -125,11 +125,11 @@ func TestCollectSanitizesCorruptReadings(t *testing.T) {
 	src.vecAt[2] = poisoned
 	s := noiseless(t, src, Resilience{})
 
-	first, err := s.Collect(5, metrics.LabelNormal)
+	first, err := collect(s, 5, metrics.LabelNormal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Collect(10, metrics.LabelNormal)
+	got, err := collect(s, 10, metrics.LabelNormal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestStaleBudgetStopsTrainingAppends(t *testing.T) {
 	s := noiseless(t, src, Resilience{MaxStaleTicks: 3})
 
 	for tick := 1; tick <= 10; tick++ {
-		out, err := s.Collect(simclock.Time(tick*5), metrics.LabelNormal)
+		out, err := collect(s, simclock.Time(tick*5), metrics.LabelNormal)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +194,7 @@ func TestStuckSensorCountsAgainstBudget(t *testing.T) {
 	s := noiseless(t, src, Resilience{MaxStaleTicks: 2, StuckThreshold: 3})
 
 	for tick := 1; tick <= 12; tick++ {
-		if _, err := s.Collect(simclock.Time(tick*5), metrics.LabelNormal); err != nil {
+		if _, err := collect(s, simclock.Time(tick*5), metrics.LabelNormal); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -219,7 +219,7 @@ func TestStuckSensorCountsAgainstBudget(t *testing.T) {
 	}
 	s2 := noiseless(t, src2, Resilience{})
 	for tick := 1; tick <= 12; tick++ {
-		if _, err := s2.Collect(simclock.Time(tick*5), metrics.LabelNormal); err != nil {
+		if _, err := collect(s2, simclock.Time(tick*5), metrics.LabelNormal); err != nil {
 			t.Fatal(err)
 		}
 	}

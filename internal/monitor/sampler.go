@@ -131,7 +131,7 @@ func NewSampler(source substrate.MetricSource, vmIDs []substrate.VMID, cfg Confi
 	}
 	for _, id := range vmIDs {
 		// A transiently unavailable sample (a chaos drop, a collector
-		// hiccup) must not fail construction: the first Collect carries
+		// hiccup) must not fail construction: the first collect carries
 		// forward instead. Only permanent errors (unknown VM) reject.
 		if _, err := source.Sample(id); err != nil && !substrate.IsTransient(err) {
 			return nil, fmt.Errorf("monitor: %w", err)
@@ -174,13 +174,6 @@ func NewSampler(source substrate.MetricSource, vmIDs []substrate.VMID, cfg Confi
 	return s, nil
 }
 
-// VMIDs returns the monitored VM IDs.
-func (s *Sampler) VMIDs() []substrate.VMID {
-	out := make([]substrate.VMID, len(s.vmIDs))
-	copy(out, s.vmIDs)
-	return out
-}
-
 // Series returns the sample series of a VM.
 func (s *Sampler) Series(id substrate.VMID) (*metrics.Series, error) {
 	sr, ok := s.series[id]
@@ -201,10 +194,7 @@ func (s *Sampler) Advance(now simclock.Time) {
 // transient carry-forward, sanitization, stuck/staleness accounting,
 // measurement noise — and returns the noised vector plus whether the VM
 // is within its staleness budget (i.e. the sample should be recorded to
-// the training series). It is the shared body of Collect and
-// CollectColumnar; the two differ only in where the vectors land, so
-// factoring it here keeps the batch path byte-identical to the per-VM
-// path (including the sequential RNG draws noise consumes).
+// the training series).
 func (s *Sampler) sampleOne(id substrate.VMID) (metrics.Vector, bool, error) {
 	clean, err := s.source.Sample(id)
 	synthesized := false
@@ -256,43 +246,13 @@ func (s *Sampler) sampleOne(id substrate.VMID) (metrics.Vector, bool, error) {
 	return v, s.staleRun[id] <= s.res.MaxStaleTicks, nil
 }
 
-// Collect samples every monitored VM at the given instant, labels the
-// samples with the current SLO state, and appends them to the per-VM
-// series. The labeled samples are returned keyed by VM — every
-// monitored VM is present in the map even when its source sample had to
-// be synthesized by carry-forward.
-func (s *Sampler) Collect(now simclock.Time, label metrics.Label) (map[substrate.VMID]metrics.Sample, error) {
-	out := make(map[substrate.VMID]metrics.Sample, len(s.vmIDs))
-	ingested := 0
-	for _, id := range s.vmIDs {
-		v, record, err := s.sampleOne(id)
-		if err != nil {
-			return nil, err
-		}
-		sample := metrics.Sample{Time: now, Values: v, Label: label}
-		if record {
-			if err := s.series[id].Append(sample); err != nil {
-				return nil, fmt.Errorf("monitor: append %q: %w", id, err)
-			}
-			ingested++
-		} else {
-			// Past the staleness budget: the loop still gets a value,
-			// but the training series stops recording the flat line.
-			s.droppedStale.Inc()
-		}
-		out[id] = sample
-	}
-	s.ingested.Add(int64(ingested))
-	return out, nil
-}
-
-// CollectColumnar is Collect's struct-of-arrays counterpart: the same
-// per-VM sampling pipeline, in the same VM and RNG order, but the noised
-// vectors are staged into the columnar store (VM i of the store is
-// s.vmIDs[i]) and published as one committed tick instead of being
-// boxed into a per-tick map. Training-series appends, staleness
-// accounting, and telemetry are identical to Collect, so a seeded run
-// produces byte-identical state through either entry point.
+// CollectColumnar samples every monitored VM at the given instant,
+// labels the samples with the current SLO state, appends them to the
+// per-VM series, and stages the noised vectors into the columnar store
+// (VM i of the store is the i-th VM given to NewSampler) as one
+// committed tick. Every VM gets a row even when its sample had to be
+// synthesized by carry-forward; past the staleness budget the training
+// series stops recording the flat line.
 func (s *Sampler) CollectColumnar(now simclock.Time, label metrics.Label, st *columnar.Store) error {
 	if st.VMs() != len(s.vmIDs) {
 		return fmt.Errorf("monitor: columnar store holds %d VMs, sampler monitors %d", st.VMs(), len(s.vmIDs))

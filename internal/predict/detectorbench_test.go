@@ -75,7 +75,8 @@ func benchmarkDetectorFleet(b *testing.B, spec detector.Spec, vms int) {
 // BenchmarkDetectorFleetTick is the PR8 baseline set: the supervised
 // TAN adapter, the EWMA forecast-error detector, and the strict-
 // majority ensemble of the two, each at 1k VMs (and 10k without
-// -short). Recorded into BENCH_PR8.json by scripts/record_bench.sh.
+// -short). The standing benchmark (BENCHMARK.json, benchmark/README.md)
+// measures the same detectors end to end as fleet_tan and fleet_ewma.
 func BenchmarkDetectorFleetTick(b *testing.B) {
 	specs := []detector.Spec{
 		{Kind: detector.KindTAN},

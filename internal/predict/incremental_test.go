@@ -10,13 +10,13 @@ import (
 	"prepare/internal/simclock"
 )
 
-// frozenBatchModel rebuilds the classifier the way a batch refit over
+// frozenRefitModel rebuilds the classifier the way a batch refit over
 // the full history would, holding the discretizers and the relabel
 // baseline frozen at their initial-training state — which is exactly
 // the equivalence incremental training promises: same gate, same
 // backward extension, same minimum-support fold, same counts, same
 // Chow-Liu tree and CPTs.
-func frozenBatchModel(t *testing.T, p *Predictor, rows [][]float64, rawLabels []metrics.Label, lookback int) *bayes.Model {
+func frozenRefitModel(t *testing.T, p *Predictor, rows [][]float64, rawLabels []metrics.Label, lookback int) *bayes.Model {
 	t.Helper()
 	labels := append([]metrics.Label(nil), rawLabels...)
 	if p.inc.base != nil {
@@ -137,7 +137,7 @@ func TestRetrainMatchesFrozenBatch(t *testing.T) {
 		if err := p.Retrain(); err != nil {
 			t.Fatal(err)
 		}
-		want := frozenBatchModel(t, p, rows[:i+1], raw[:i+1], lookback)
+		want := frozenRefitModel(t, p, rows[:i+1], raw[:i+1], lookback)
 		if !reflect.DeepEqual(p.model.Snapshot(), want.Snapshot()) {
 			t.Fatalf("checkpoint %d: incremental model differs from frozen batch refit", i+1)
 		}

@@ -1,6 +1,9 @@
 package prepare
 
-import "prepare/internal/experiment"
+import (
+	"prepare/internal/experiment"
+	"prepare/internal/pool"
+)
 
 // BatchOptions configures a RunAll batch (worker count, cancellation
 // context).
@@ -21,7 +24,7 @@ func RunAll(scenarios []Scenario, opts BatchOptions) ([]Result, error) {
 // point (Repeat, the figure generators, accuracy sweeps, Table1) and by
 // RunAll when BatchOptions.Workers is zero. n <= 0 restores the default
 // of runtime.GOMAXPROCS(0). Safe to call concurrently.
-func SetParallelism(n int) { experiment.SetDefaultWorkers(n) }
+func SetParallelism(n int) { pool.SetDefaultWorkers(n) }
 
 // Parallelism returns the current worker-pool size sweeps will use.
-func Parallelism() int { return experiment.DefaultWorkers() }
+func Parallelism() int { return pool.DefaultWorkers() }

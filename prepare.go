@@ -100,13 +100,6 @@ type (
 type (
 	// Scheme selects the anomaly management strategy.
 	Scheme = control.Scheme
-	// RetrainMode selects how periodic retraining refits the prediction
-	// models (see ControlConfig.RetrainIntervalS).
-	RetrainMode = control.RetrainMode
-	// BatchMode selects the control loop's columnar fleet hot path
-	// (see Scenario.Batch). Batch and scalar produce byte-identical
-	// results.
-	BatchMode = control.BatchMode
 	// Policy selects the prevention actuation strategy.
 	Policy = prevent.Policy
 	// PlacementMode selects how migration targets are chosen (see
@@ -175,29 +168,6 @@ const (
 	SchemeReactive = control.SchemeReactive
 	// SchemePREPARE prevents predicted anomalies before they happen.
 	SchemePREPARE = control.SchemePREPARE
-)
-
-// Retrain modes.
-const (
-	// RetrainAuto retrains incrementally from sufficient statistics when
-	// possible (supervised models with periodic retraining enabled) and
-	// falls back to batch refits otherwise.
-	RetrainAuto = control.RetrainAuto
-	// RetrainBatch forces full-history refits at every retrain deadline.
-	RetrainBatch = control.RetrainBatch
-	// RetrainIncremental forces sufficient-statistics training.
-	RetrainIncremental = control.RetrainIncremental
-)
-
-// Batch modes.
-const (
-	// BatchAuto uses the columnar batch hot path whenever the
-	// controller supports it (supervised PREPARE scheme).
-	BatchAuto = control.BatchAuto
-	// BatchOn forces the batch path.
-	BatchOn = control.BatchOn
-	// BatchOff forces the per-VM scalar oracle pipeline.
-	BatchOff = control.BatchOff
 )
 
 // Prevention policies.

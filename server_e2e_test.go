@@ -45,13 +45,11 @@ func TestServerMatchesLiveRun(t *testing.T) {
 			FilterW:              sc.FilterW,
 			TrainAtS:             sc.TrainAtS,
 			RetrainIntervalS:     sc.RetrainIntervalS,
-			RetrainMode:          sc.RetrainMode,
-			Batch:                sc.Batch,
 			Policy:               sc.Policy,
 			Predict:              sc.Predict,
 			MonitorSeed:          sc.Seed + 1000,
 			DisableValidation:    sc.DisableValidation,
-			Unsupervised:         sc.Unsupervised,
+			Detector:             sc.Detector,
 			HistoryWindowSamples: sc.HistoryWindowSamples,
 		},
 	}}, prepare.ServerConfig{QueueDepth: 1024})
