@@ -383,21 +383,21 @@ func BenchmarkAblationPredictWindowVsPoint(b *testing.B) {
 	})
 }
 
-// BenchmarkExtensionUnsupervised measures the unsupervised predictor's
-// window prediction cost (Section V extension) against the supervised
-// path measured in BenchmarkTable1AnomalyPrediction.
+// BenchmarkExtensionUnsupervised measures the kmeans detector's window
+// scoring cost (Section V extension) against the supervised path
+// measured in BenchmarkTable1AnomalyPrediction.
 func BenchmarkExtensionUnsupervised(b *testing.B) {
 	rows, _ := benchTrainingData()
-	p, err := predict.NewUnsupervised(predict.Config{}, predict.AttributeNames())
+	d, err := NewDetector(DetectorSpec{Kind: DetectorKMeans}, DetectorOptions{Names: predict.AttributeNames(), Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := p.Train(rows, predict.KMeansDetector, 1); err != nil {
+	if err := d.Train(rows, nil); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.PredictWindow(120); err != nil {
+		if _, err := d.Score(120); err != nil {
 			b.Fatal(err)
 		}
 	}

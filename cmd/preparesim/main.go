@@ -199,7 +199,7 @@ func run(args []string) error {
 	fs.Float64Var(&opts.rate, "rate", -1,
 		"override the -loadgen profile's open-loop rate in samples/sec (0 = unpaced, -1 = profile default)")
 	fs.StringVar(&opts.wireMode, "wire", "",
-		"ingest transport for -loadgen: direct, json, binary or stream (default: profile's)")
+		"ingest transport for -loadgen: json, binary or stream (default: binary)")
 	fs.StringVar(&opts.alertsOut, "alerts-out", "",
 		"write the -loadgen run's canonical alert stream to this file (transport byte-diffs)")
 	fs.BoolVar(&opts.telemetry, "telemetry", false,

@@ -3,6 +3,7 @@ package prepare
 import (
 	"prepare/internal/detector"
 	"prepare/internal/experiment"
+	"prepare/internal/predict"
 )
 
 // Pluggable anomaly detection. The control loop drives every detector
@@ -23,6 +24,10 @@ type (
 	// DetectorDecision is a cheap detector outcome: abnormal flag,
 	// score, and predicted lead steps.
 	DetectorDecision = detector.Decision
+	// DetectorOptions is what a detector needs from its host: the
+	// column names, the value-prediction configuration, the TAN alert
+	// margin and training look-back, and the seed of the kmeans kind.
+	DetectorOptions = predict.DetectorOptions
 )
 
 // Detector kinds accepted by DetectorSpec and ParseDetectorSpec.
@@ -52,6 +57,14 @@ const (
 // optional vote quorum "ensemble:tan+ewma@1" (default: strict
 // majority).
 func ParseDetectorSpec(s string) (DetectorSpec, error) { return detector.ParseSpec(s) }
+
+// NewDetector builds an untrained detector of any kind over the named
+// metric columns, for driving it over your own metric streams: Train on
+// a history (labels may be nil for the kinds that ignore them), then
+// per sample Observe or Update followed by Score.
+func NewDetector(spec DetectorSpec, opts DetectorOptions) (Detector, error) {
+	return predict.NewDetector(spec, opts)
+}
 
 // NAB-style time-window-aware detector scoring: detections are judged
 // against ground-truth anomaly windows derived from fault-injection

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"prepare/internal/chaos"
+	"prepare/internal/detector"
 	"prepare/internal/metrics"
 	"prepare/internal/simclock"
 	"prepare/internal/substrate"
@@ -137,8 +138,8 @@ var _ App = (*synthWorld)(nil)
 
 // runSynth drives one controller over a fresh synthetic world for
 // `until` simulated seconds and returns the controller plus its
-// telemetry registry.
-func runSynth(tb testing.TB, nVMs int, until int64, chaosRate float64) (*Controller, *telemetry.Registry) {
+// telemetry registry. The zero spec is the default detector (tan).
+func runSynth(tb testing.TB, nVMs int, until int64, chaosRate float64, spec detector.Spec) (*Controller, *telemetry.Registry) {
 	tb.Helper()
 	w := newSynthWorld(nVMs)
 	var sub substrate.Substrate = w
@@ -154,6 +155,7 @@ func runSynth(tb testing.TB, nVMs int, until int64, chaosRate float64) (*Control
 		TrainAtS:    300,
 		MonitorSeed: 11,
 		Telemetry:   reg,
+		Detector:    spec,
 	})
 	if err != nil {
 		tb.Fatal(err)

@@ -15,8 +15,7 @@ import (
 // modelsVersion guards the controller model snapshot wire format.
 // Version 2 wraps each VM's payload in a {kind, data} envelope so every
 // detector kind — TAN, unsupervised, forecast-error, ensembles — round-
-// trips; version 1 snapshots (raw supervised predictor payloads) are
-// still read and installed as TAN detectors.
+// trips.
 const modelsVersion = 2
 
 // vmModelSnapshot is one VM's detector snapshot: the detector kind that
@@ -33,13 +32,6 @@ type vmModelSnapshot struct {
 type modelsSnapshot struct {
 	Version int                        `json:"version"`
 	VMs     map[string]vmModelSnapshot `json:"vms"`
-}
-
-// legacyModelsSnapshot is the version-1 format: bare supervised
-// predictor payloads keyed by VM.
-type legacyModelsSnapshot struct {
-	Version int                        `json:"version"`
-	VMs     map[string]json.RawMessage `json:"vms"`
 }
 
 // SaveModels writes the controller's trained per-VM detectors as JSON.
@@ -74,49 +66,27 @@ func (c *Controller) SaveModels(w io.Writer) error {
 
 // RestoreModels loads a SaveModels snapshot into the controller,
 // marking it trained. The snapshot must provide a model for every VM
-// the controller manages. Version-1 snapshots (bare supervised
-// payloads) install as TAN detectors.
+// the controller manages.
 func (c *Controller) RestoreModels(r io.Reader) error {
 	raw, err := io.ReadAll(r)
 	if err != nil {
 		return fmt.Errorf("control: read models: %w", err)
 	}
-	var head struct {
-		Version int `json:"version"`
-	}
-	if err := json.Unmarshal(raw, &head); err != nil {
+	var snap modelsSnapshot
+	if err := json.Unmarshal(raw, &snap); err != nil {
 		return fmt.Errorf("control: decode models: %w", err)
 	}
-	models := make(map[substrate.VMID]detector.Detector)
-	switch head.Version {
-	case 1:
-		var snap legacyModelsSnapshot
-		if err := json.Unmarshal(raw, &snap); err != nil {
-			return fmt.Errorf("control: decode models: %w", err)
+	if snap.Version != modelsVersion {
+		return fmt.Errorf("control: unsupported model snapshot version %d", snap.Version)
+	}
+	models := make(map[substrate.VMID]detector.Detector, len(snap.VMs))
+	for id, entry := range snap.VMs {
+		vm := substrate.VMID(id)
+		d, err := predict.LoadDetector(entry.Kind, bytes.NewReader(entry.Data), c.detectorOptions(vm))
+		if err != nil {
+			return fmt.Errorf("control: restore models for %s: %w", id, err)
 		}
-		for id, payload := range snap.VMs {
-			vm := substrate.VMID(id)
-			d, err := predict.LoadDetector(detector.KindTAN, bytes.NewReader(payload), c.detectorOptions(vm))
-			if err != nil {
-				return fmt.Errorf("control: restore models for %s: %w", id, err)
-			}
-			models[vm] = d
-		}
-	case modelsVersion:
-		var snap modelsSnapshot
-		if err := json.Unmarshal(raw, &snap); err != nil {
-			return fmt.Errorf("control: decode models: %w", err)
-		}
-		for id, entry := range snap.VMs {
-			vm := substrate.VMID(id)
-			d, err := predict.LoadDetector(entry.Kind, bytes.NewReader(entry.Data), c.detectorOptions(vm))
-			if err != nil {
-				return fmt.Errorf("control: restore models for %s: %w", id, err)
-			}
-			models[vm] = d
-		}
-	default:
-		return fmt.Errorf("control: unsupported model snapshot version %d", head.Version)
+		models[vm] = d
 	}
 	return c.InstallDetectors(models)
 }
@@ -193,7 +163,7 @@ func (e *Engine) RestoreModels(r io.Reader) error {
 	if err := json.NewDecoder(r).Decode(&snap); err != nil {
 		return fmt.Errorf("control: decode engine models: %w", err)
 	}
-	if snap.Version != 1 && snap.Version != modelsVersion {
+	if snap.Version != modelsVersion {
 		return fmt.Errorf("control: unsupported engine snapshot version %d", snap.Version)
 	}
 	for _, t := range e.tenants {

@@ -127,10 +127,12 @@ func TestSaveModelsV2RoundTripsNonTANKinds(t *testing.T) {
 	}
 }
 
-// TestRestoreModelsReadsLegacyV1 checks backward compatibility: a
-// version-1 snapshot (bare supervised predictor payloads) installs as
-// TAN detectors.
-func TestRestoreModelsReadsLegacyV1(t *testing.T) {
+// TestRestoreModelsRejectsV1: no writer has produced the version-1
+// format (bare supervised predictor payloads keyed by VM) since the
+// {kind, data} envelope replaced it. Such a document must fail by its
+// version and leave the controller untrained; the same payload in a
+// version-2 envelope restores.
+func TestRestoreModelsRejectsV1(t *testing.T) {
 	dims := len(predict.AttributeNames())
 	p, err := predict.New(predict.Config{}, predict.AttributeNames())
 	if err != nil {
@@ -152,28 +154,39 @@ func TestRestoreModelsReadsLegacyV1(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	legacy, err := json.Marshal(legacyModelsSnapshot{
-		Version: 1,
-		VMs:     map[string]json.RawMessage{"vm-a": json.RawMessage(payload.Bytes())},
+	v1, err := json.Marshal(map[string]any{
+		"version": 1,
+		"vms":     map[string]json.RawMessage{"vm-a": payload.Bytes()},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	c := persistController(detector.Spec{}, "vm-a")
-	if err := c.RestoreModels(bytes.NewReader(legacy)); err != nil {
+	err = c.RestoreModels(bytes.NewReader(v1))
+	if err == nil || !strings.Contains(err.Error(), "unsupported model snapshot version 1") {
+		t.Fatalf("version-1 restore: %v, want unsupported model snapshot version 1", err)
+	}
+	if c.trained || len(c.detectors) != 0 {
+		t.Fatal("rejected version-1 snapshot left the controller trained")
+	}
+
+	v2, err := json.Marshal(modelsSnapshot{
+		Version: modelsVersion,
+		VMs:     map[string]vmModelSnapshot{"vm-a": {Kind: detector.KindTAN, Data: payload.Bytes()}},
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.trained {
-		t.Fatal("legacy restore did not mark controller trained")
+	if err := c.RestoreModels(bytes.NewReader(v2)); err != nil {
+		t.Fatal(err)
 	}
-	if got := c.detectors["vm-a"].Kind(); got != detector.KindTAN {
-		t.Fatalf("legacy payload installed as %q, want tan", got)
+	if !c.trained || c.detectors["vm-a"].Kind() != detector.KindTAN {
+		t.Fatal("version-2 envelope did not install the TAN detector")
 	}
 
 	// A snapshot missing a managed VM must be rejected whole.
 	c2 := persistController(detector.Spec{}, "vm-a", "vm-b")
-	err = c2.RestoreModels(bytes.NewReader(legacy))
+	err = c2.RestoreModels(bytes.NewReader(v2))
 	if err == nil || !strings.Contains(err.Error(), "vm-b") {
 		t.Fatalf("restore with missing VM: %v, want no-model error for vm-b", err)
 	}

@@ -123,31 +123,13 @@ func (e *EWMA) Train(rows [][]float64, labels []metrics.Label) error {
 			return fmt.Errorf("detector: ewma row has %d attributes, want %d", len(r), dims)
 		}
 	}
-	normal := rows
-	if len(labels) == len(rows) {
-		keep := make([][]float64, 0, len(rows))
-		for i, r := range rows {
-			if labels[i] != metrics.LabelAbnormal {
-				keep = append(keep, r)
-			}
-		}
-		if len(keep) > 0 {
-			normal = keep
-		}
-	}
-	col := make([]float64, len(normal))
-	for j := 0; j < dims; j++ {
-		for i, r := range normal {
-			col[i] = r[j]
-		}
-		e.center[j] = median(col)
-		for i := range col {
-			col[i] = math.Abs(col[i] - e.center[j])
-		}
-		// 1.4826 scales MAD to the stddev of a normal distribution.
-		e.scale[j] = math.Max(1.4826*median(col), 1e-9)
-		e.scale0[j] = e.scale[j]
-	}
+	// Copied into the slices NewEWMA allocated alongside level and
+	// trend rather than replacing them, so a fleet's per-VM state stays
+	// where it was laid out.
+	center, scale := metrics.RobustScale(normalRows(rows, labels))
+	copy(e.center, center)
+	copy(e.scale, scale)
+	copy(e.scale0, scale)
 	// Warm the Holt filter on the full history (faulty spans included:
 	// the filter tracks the signal, the frozen baseline judges it),
 	// then zero the trend. A training history that ends near a faulty
@@ -370,6 +352,25 @@ func LoadEWMA(r io.Reader) (*EWMA, error) {
 	return e, nil
 }
 
+// normalRows returns the rows a baseline is fit on: those not labeled
+// abnormal, or every row when labels are absent or that would leave
+// none.
+func normalRows(rows [][]float64, labels []metrics.Label) [][]float64 {
+	if len(labels) != len(rows) {
+		return rows
+	}
+	keep := make([][]float64, 0, len(rows))
+	for i, r := range rows {
+		if labels[i] != metrics.LabelAbnormal {
+			keep = append(keep, r)
+		}
+	}
+	if len(keep) == 0 {
+		return rows
+	}
+	return keep
+}
+
 // rankStrengths converts per-attribute deviation weights into a ranked
 // Strength slice (strongest first, attribute index breaking ties) with
 // zero-weight attributes dropped.
@@ -387,17 +388,4 @@ func rankStrengths(weights []float64) []Strength {
 		return out[a].Attribute < out[b].Attribute
 	})
 	return out
-}
-
-// median returns the middle value of xs, mutating xs by sorting.
-func median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sort.Float64s(xs)
-	mid := len(xs) / 2
-	if len(xs)%2 == 1 {
-		return xs[mid]
-	}
-	return (xs[mid-1] + xs[mid]) / 2
 }

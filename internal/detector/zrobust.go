@@ -97,29 +97,10 @@ func (z *ZRobust) Train(rows [][]float64, labels []metrics.Label) error {
 			return fmt.Errorf("detector: zrobust row has %d attributes, want %d", len(r), dims)
 		}
 	}
-	normal := rows
-	if len(labels) == len(rows) {
-		keep := make([][]float64, 0, len(rows))
-		for i, r := range rows {
-			if labels[i] != metrics.LabelAbnormal {
-				keep = append(keep, r)
-			}
-		}
-		if len(keep) > 0 {
-			normal = keep
-		}
-	}
-	col := make([]float64, len(normal))
-	for j := 0; j < dims; j++ {
-		for i, r := range normal {
-			col[i] = r[j]
-		}
-		z.center[j] = median(col)
-		for i := range col {
-			col[i] = math.Abs(col[i] - z.center[j])
-		}
-		z.scale[j] = math.Max(1.4826*median(col), 1e-9)
-	}
+	normal := normalRows(rows, labels)
+	center, scale := metrics.RobustScale(normal)
+	copy(z.center, center)
+	copy(z.scale, scale)
 	z.calibMean, z.calibVar, z.calibN = 0, 0, 0
 	z.trained = true
 	z.lastValid = false

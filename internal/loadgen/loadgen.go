@@ -60,13 +60,12 @@ type Config struct {
 	// Verify re-runs every tenant synchronously and requires the
 	// published alert stream to match byte-for-byte.
 	Verify bool
-	// Wire selects the ingest transport: "direct" (default — in-process
-	// structs through server.Ingest, the PR 7 baseline), "json" (each
-	// batch marshalled once up front, decoded per send through
-	// server.IngestJSON — the HTTP/JSON path minus the network),
-	// "binary" (columnar frames through server.IngestFrame), or
-	// "stream" (the same frames over one long-lived server.IngestStream
-	// connection).
+	// Wire selects the ingest transport: "json" (each batch marshalled
+	// once up front, decoded per send through server.IngestJSON — the
+	// HTTP/JSON path minus the network), "binary" (default — columnar
+	// frames through server.IngestFrame), or "stream" (the same frames
+	// over one long-lived server.IngestStream connection). Every choice
+	// runs the handler's decode, which the SLO gate exists to measure.
 	Wire string
 	// AlertsOut, when set, writes the canonical published alert stream
 	// as JSON to this path after the run — two runs over the same
@@ -79,7 +78,7 @@ type Config struct {
 }
 
 // Wires lists the transport choices.
-func Wires() []string { return []string{"direct", "json", "binary", "stream"} }
+func Wires() []string { return []string{"json", "binary", "stream"} }
 
 // Profiles returns the preset names.
 func Profiles() []string { return []string{"short", "ingest", "full"} }
@@ -137,8 +136,7 @@ type Report struct {
 	// Per-stage transport breakdown (seconds, per batch): encode is the
 	// client-side wire encoding, send the ingest-call round trip,
 	// decode the server-side wire decoding, apply the append+watermark
-	// pass. Encode/decode are zero on the direct transport, which has
-	// neither stage.
+	// pass.
 	P50EncodeS  float64 `json:"p50_encode_s"`
 	P99EncodeS  float64 `json:"p99_encode_s"`
 	P50SendS    float64 `json:"p50_send_s"`
@@ -159,7 +157,7 @@ func (r Report) JSON() []byte {
 
 func (c Config) withDefaults() Config {
 	if c.Wire == "" {
-		c.Wire = "direct"
+		c.Wire = "binary"
 	}
 	if c.Tenants <= 0 {
 		c.Tenants = 4
@@ -301,30 +299,28 @@ func Run(cfg Config) (Report, error) {
 		}
 	}
 
-	// Pre-encode the wire bodies — one per tenant per instant, the same
-	// batching as the direct plan — timing each encode into its own
-	// stage histogram, so the timed loop pays only the send itself (a
-	// real client would encode on its side of the wire anyway).
+	// Pre-encode the wire bodies — one per tenant per instant, so a full
+	// shard queue rejects only that tenant's samples, mirroring
+	// independent clients — timing each encode into its own stage
+	// histogram, so the timed loop pays only the send itself (a real
+	// client would encode on its side of the wire anyway).
 	encodeHist := reg.HistogramWith("loadgen.stage.encode", telemetry.LatencyBuckets)
 	sendHist := reg.HistogramWith("loadgen.stage.send", telemetry.LatencyBuckets)
-	var bodies [][][]byte // [instant][tenant] encoded batch, nil when empty
-	if cfg.Wire != "direct" {
-		bodies = make([][][]byte, len(plan))
-		for inst := range plan {
-			bodies[inst] = make([][]byte, cfg.Tenants)
-			for ti := range plan[inst] {
-				b := &plan[inst][ti]
-				if len(b.Samples) == 0 {
-					continue
-				}
-				encStart := time.Now()
-				body, err := encodeBatch(cfg.Wire, b)
-				if err != nil {
-					return rep, fmt.Errorf("loadgen: encode t=%d tenant=%s: %w", inst*5, b.Tenant, err)
-				}
-				encodeHist.ObserveSince(encStart)
-				bodies[inst][ti] = body
+	bodies := make([][][]byte, len(plan)) // [instant][tenant] encoded batch, nil when empty
+	for inst := range plan {
+		bodies[inst] = make([][]byte, cfg.Tenants)
+		for ti := range plan[inst] {
+			b := &plan[inst][ti]
+			if len(b.Samples) == 0 {
+				continue
 			}
+			encStart := time.Now()
+			body, err := encodeBatch(cfg.Wire, b)
+			if err != nil {
+				return rep, fmt.Errorf("loadgen: encode t=%d tenant=%s: %w", inst*5, b.Tenant, err)
+			}
+			encodeHist.ObserveSince(encStart)
+			bodies[inst][ti] = body
 		}
 	}
 
@@ -343,23 +339,17 @@ func Run(cfg Config) (Report, error) {
 		}()
 	}
 
-	send := func(inst, ti int, b *server.Batch) error {
+	send := func(body []byte) error {
+		var err error
 		switch cfg.Wire {
-		case "direct":
-			// One Ingest per tenant batch so a full shard queue rejects
-			// only that tenant's samples, mirroring independent clients.
-			_, err := srv.Ingest([]server.Batch{*b})
-			return err
 		case "json":
-			_, err := srv.IngestJSON(bodies[inst][ti])
-			return err
+			_, err = srv.IngestJSON(body)
 		case "binary":
-			_, err := srv.IngestFrame(bodies[inst][ti])
-			return err
+			_, err = srv.IngestFrame(body)
 		default: // stream
-			_, err := streamW.Write(bodies[inst][ti])
-			return err
+			_, err = streamW.Write(body)
 		}
+		return err
 	}
 
 	// Open-loop send, paced against the wall clock, rejections counted
@@ -381,7 +371,7 @@ func Run(cfg Config) (Report, error) {
 				continue
 			}
 			sendStart := time.Now()
-			err := send(inst, ti, b)
+			err := send(bodies[inst][ti])
 			sendHist.ObserveSince(sendStart)
 			if err != nil && err != server.ErrBackpressure {
 				srv.Close()

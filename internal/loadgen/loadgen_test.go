@@ -99,7 +99,7 @@ func TestWireTransportsEquivalent(t *testing.T) {
 		t.Skip("multi-transport load run outside -short")
 	}
 	dir := t.TempDir()
-	var want []byte
+	files := make(map[string][]byte)
 	for _, w := range Wires() {
 		cfg := Config{Profile: "wire-" + w, Tenants: 2, VMsPerTenant: 2, HorizonS: 1500,
 			TrainAtS: 600, Seed: 3, ChaosRate: 0.02, Verify: true,
@@ -118,17 +118,17 @@ func TestWireTransportsEquivalent(t *testing.T) {
 		if rep.AlertsPublished == 0 {
 			t.Fatalf("%s: no alerts; equivalence would be vacuous", w)
 		}
-		if w != "direct" && (rep.P99EncodeS == 0 || rep.P99SendS == 0) {
+		if rep.P99EncodeS == 0 || rep.P99SendS == 0 {
 			t.Errorf("%s: missing stage breakdown: %+v", w, rep)
 		}
-		got, err := os.ReadFile(cfg.AlertsOut)
-		if err != nil {
+		if files[w], err = os.ReadFile(cfg.AlertsOut); err != nil {
 			t.Fatal(err)
 		}
-		if want == nil {
-			want = got
-		} else if string(got) != string(want) {
-			t.Fatalf("%s: alert file diverges from direct transport (%d vs %d bytes)", w, len(got), len(want))
+	}
+	want := files["binary"]
+	for w, got := range files {
+		if string(got) != string(want) {
+			t.Errorf("%s: alert file diverges from the binary transport (%d vs %d bytes)", w, len(got), len(want))
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package metrics
 
-import "math"
+import (
+	"math"
+	"sort"
+)
 
 // Summary holds basic descriptive statistics for a sequence of values.
 type Summary struct {
@@ -69,4 +72,56 @@ func Clamp(v, lo, hi float64) float64 {
 		return hi
 	}
 	return v
+}
+
+// Median returns the middle value of xs: the mean of the two middle
+// values for an even count, 0 for none. The input is not reordered.
+func Median(xs []float64) float64 {
+	cp := make([]float64, len(xs))
+	copy(cp, xs)
+	return medianSorting(cp)
+}
+
+// medianSorting is Median over a slice it may sort in place.
+func medianSorting(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
+}
+
+// RobustScale fits the per-column robust baseline every detector's
+// normalization uses: center is each column's median and scale is
+// 1.4826 times the median absolute deviation (the factor that makes MAD
+// estimate a normal distribution's standard deviation), floored at 1e-9
+// so a flat column cannot divide by zero. A mean/std baseline would be
+// dragged by the very drift the detectors look for. Rows must share
+// the width of rows[0]; no rows yield nil slices.
+func RobustScale(rows [][]float64) (center, scale []float64) {
+	if len(rows) == 0 {
+		return nil, nil
+	}
+	nCols := len(rows[0])
+	center = make([]float64, nCols)
+	scale = make([]float64, nCols)
+	col := make([]float64, len(rows)) // one scratch column, sorted in place
+	for j := 0; j < nCols; j++ {
+		for i, row := range rows {
+			col[i] = row[j]
+		}
+		center[j] = medianSorting(col)
+		for i, v := range col {
+			col[i] = math.Abs(v - center[j])
+		}
+		scale[j] = 1.4826 * medianSorting(col)
+		if scale[j] < 1e-9 {
+			scale[j] = 1e-9
+		}
+	}
+	return center, scale
 }

@@ -11,9 +11,8 @@ import (
 	"prepare/internal/telemetry"
 )
 
-// DetectorOptions carries everything the model-backed detector
-// adapters need from their host (the control loop or the offline
-// scoring harness).
+// DetectorOptions carries everything the model-backed detectors need
+// from their host (the control loop or the offline scoring harness).
 type DetectorOptions struct {
 	// Names are the row column names.
 	Names []string
@@ -44,10 +43,10 @@ type DetectorOptions struct {
 	TelemetryScope string
 }
 
-// NewDetector builds an untrained detector for the spec. Model-backed
-// kinds (tan, kmeans, zscore) adapt the predict package's supervised
-// and unsupervised predictors; ewma/zrobust come from the detector
-// package; ensembles compose any of them.
+// NewDetector builds an untrained detector for the spec. The kinds
+// built on the value model live here: tan adapts the supervised
+// Predictor, kmeans and zscore are one outlierDetector. ewma/zrobust
+// come from the detector package; ensembles compose any of them.
 func NewDetector(spec detector.Spec, opts DetectorOptions) (detector.Detector, error) {
 	if spec.IsZero() {
 		spec = detector.Spec{Kind: detector.KindTAN}
@@ -62,10 +61,8 @@ func NewDetector(spec detector.Spec, opts DetectorOptions) (detector.Detector, e
 	switch spec.Kind {
 	case detector.KindTAN:
 		return &tanDetector{opts: opts}, nil
-	case detector.KindKMeans:
-		return &unsupervisedDetector{kind: detector.KindKMeans, ukind: KMeansDetector, opts: opts}, nil
-	case detector.KindZScore:
-		return &unsupervisedDetector{kind: detector.KindZScore, ukind: ZScoreDetector, opts: opts}, nil
+	case detector.KindKMeans, detector.KindZScore:
+		return &outlierDetector{kind: spec.Kind, opts: opts}, nil
 	case detector.KindEWMA:
 		cfg := opts.Config.withDefaults()
 		return detector.NewEWMA(dims, detector.EWMAOptions{SamplingIntervalS: cfg.SamplingIntervalS}), nil
@@ -108,16 +105,7 @@ func LoadDetector(kind string, r io.Reader, opts DetectorOptions) (detector.Dete
 		p.SetInstruments(opts.Instruments)
 		return &tanDetector{opts: opts, p: p}, nil
 	case detector.KindKMeans, detector.KindZScore:
-		up, err := LoadUnsupervised(r)
-		if err != nil {
-			return nil, err
-		}
-		up.SetInstruments(opts.Instruments)
-		ukind := KMeansDetector
-		if kind == detector.KindZScore {
-			ukind = ZScoreDetector
-		}
-		return &unsupervisedDetector{kind: kind, ukind: ukind, opts: opts, up: up}, nil
+		return loadOutlierDetector(kind, r, opts)
 	case detector.KindEWMA:
 		return detector.LoadEWMA(r)
 	case detector.KindZRobust:
@@ -303,115 +291,4 @@ func supervisedVerdict(v Verdict, abnormal bool, lead int) detector.Verdict {
 		}
 	}
 	return out
-}
-
-// unsupervisedDetector adapts the unsupervised predictor (Markov value
-// prediction + clustering/z-score outlier detection, the paper's
-// Section V extension) to the detector interface, reproducing the
-// control loop's former stepUnsupervised semantics.
-type unsupervisedDetector struct {
-	kind  string
-	ukind UnsupervisedKind
-	opts  DetectorOptions
-	up    *UnsupervisedPredictor
-
-	lastScore float64
-	lastValid bool
-	lastAbn   bool
-}
-
-// Kind implements detector.Detector.
-func (d *unsupervisedDetector) Kind() string { return d.kind }
-
-// Train implements detector.Detector: labels are ignored — the
-// detector learns the normal operating modes from the raw data.
-func (d *unsupervisedDetector) Train(rows [][]float64, _ []metrics.Label) error {
-	up, err := NewUnsupervised(d.opts.Config, d.opts.Names)
-	if err != nil {
-		return err
-	}
-	up.SetInstruments(d.opts.Instruments)
-	if err := up.Train(rows, d.ukind, d.opts.Seed); err != nil {
-		return err
-	}
-	d.up = up
-	d.lastValid = false
-	return nil
-}
-
-// Trained implements detector.Detector.
-func (d *unsupervisedDetector) Trained() bool { return d.up != nil && d.up.Trained() }
-
-// Update implements detector.Detector: unsupervised models have no
-// labeled statistics, so Update and Observe both advance the chains.
-func (d *unsupervisedDetector) Update(row []float64, _ metrics.Label) error {
-	return d.up.Observe(row)
-}
-
-// Observe implements detector.Detector.
-func (d *unsupervisedDetector) Observe(row []float64) error { return d.up.Observe(row) }
-
-// Incremental implements detector.Detector.
-func (d *unsupervisedDetector) Incremental() bool { return false }
-
-// Retrain implements detector.Detector.
-func (d *unsupervisedDetector) Retrain() error {
-	return errors.New("predict: unsupervised detectors do not support incremental retrain")
-}
-
-// Score implements detector.Detector.
-func (d *unsupervisedDetector) Score(lookaheadS int64) (detector.Decision, error) {
-	v, err := d.up.PredictWindow(lookaheadS)
-	if err != nil {
-		return detector.Decision{}, err
-	}
-	d.lastScore, d.lastAbn, d.lastValid = v.Score, v.Abnormal, true
-	return detector.Decision{Abnormal: v.Abnormal, Score: v.Score}, nil
-}
-
-// Verdict implements detector.Detector: attribution of the last
-// streamed row (the row PredictWindow's current-state term scored),
-// with Abnormal pinned true as the legacy confirmed-alert verdicts
-// were.
-func (d *unsupervisedDetector) Verdict() (detector.Verdict, error) {
-	if !d.lastValid {
-		return detector.Verdict{}, errors.New("predict: unsupervised verdict without a preceding score")
-	}
-	strengths, err := d.up.Attribution(d.up.lastRow)
-	if err != nil {
-		return detector.Verdict{}, err
-	}
-	out := detector.Verdict{Abnormal: true, Score: d.lastScore}
-	out.Strengths = make([]detector.Strength, len(strengths))
-	for i, s := range strengths {
-		out.Strengths[i] = detector.Strength{Attribute: s.Attribute, L: s.L}
-	}
-	return out, nil
-}
-
-// Current implements detector.Detector: one-step prediction of the
-// current state plus attribution of the sample itself.
-func (d *unsupervisedDetector) Current(row []float64) (detector.Verdict, error) {
-	v, err := d.up.Predict(1)
-	if err != nil {
-		return detector.Verdict{}, err
-	}
-	strengths, err := d.up.Attribution(row)
-	if err != nil {
-		return detector.Verdict{}, err
-	}
-	out := detector.Verdict{Abnormal: v.Abnormal, Score: v.Score}
-	out.Strengths = make([]detector.Strength, len(strengths))
-	for i, s := range strengths {
-		out.Strengths[i] = detector.Strength{Attribute: s.Attribute, L: s.L}
-	}
-	return out, nil
-}
-
-// Save implements detector.Detector.
-func (d *unsupervisedDetector) Save(w io.Writer) error {
-	if d.up == nil {
-		return ErrNotTrained
-	}
-	return d.up.Save(w)
 }

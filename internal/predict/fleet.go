@@ -60,7 +60,7 @@ func (f *Fleet) ScoreWindow(p *Predictor, lookaheadS int64) (WindowDecision, err
 	tStart := p.ins.windowStart()
 	defer p.ins.windowDone(tStart)
 	maxSteps := p.StepsFor(lookaheadS)
-	series := markov.PredictSeriesBatch(p.chains, maxSteps, &f.arena)
+	series := markov.PredictSeriesBatch(p.vm.chains, maxSteps, &f.arena)
 	marginals := p.marginalsBuf()
 	lr := p.logRatios()
 	bestStep, bestScore := 0, 0.0
@@ -110,7 +110,7 @@ func (f *Fleet) Materialize(p *Predictor) (Verdict, error) {
 // *bayes.Model, so pointer identity detects staleness). Nil when the
 // configuration scores by argmax or the model is absent.
 func (p *Predictor) logRatios() *bayes.LogRatios {
-	if p.cfg.ArgmaxScore || p.model == nil {
+	if p.vm.cfg.ArgmaxScore || p.model == nil {
 		return nil
 	}
 	if p.lr == nil || p.lr.Model() != p.model {

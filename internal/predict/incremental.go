@@ -146,9 +146,9 @@ func (p *Predictor) TrainIncremental(rows [][]float64, rawLabels []metrics.Label
 
 	// Accumulate the count table from the stream labels (pre-fold) and
 	// seed the extension ring with the window's tail.
-	binsPerAttr := make([]int, len(p.names))
+	binsPerAttr := make([]int, len(p.vm.names))
 	for j := range binsPerAttr {
-		binsPerAttr[j] = p.cfg.Bins
+		binsPerAttr[j] = p.vm.cfg.Bins
 	}
 	ct, err := bayes.NewCountTable(binsPerAttr)
 	if err != nil {
@@ -160,12 +160,12 @@ func (p *Predictor) TrainIncremental(rows [][]float64, rawLabels []metrics.Label
 		lookback:   lookbackSamples,
 		ring:       make([]ringEntry, 0, lookbackSamples),
 		prev:       metrics.LabelUnknown,
-		binScratch: make([]int, len(p.names)),
+		binScratch: make([]int, len(p.vm.names)),
 	}
-	binned := make([]int, len(p.names))
+	binned := make([]int, len(p.vm.names))
 	for i, row := range rows {
 		for j, v := range row {
-			binned[j] = p.disc[j].Bin(v)
+			binned[j] = p.vm.disc[j].Bin(v)
 		}
 		counted := false
 		switch streamLabels[i] {
@@ -203,14 +203,14 @@ func (p *Predictor) Update(row []float64, label metrics.Label) error {
 	if p.inc == nil {
 		return ErrNotIncremental
 	}
-	if len(row) != len(p.names) {
-		return fmt.Errorf("%w: row has %d columns, want %d", ErrShape, len(row), len(p.names))
+	if len(row) != len(p.vm.names) {
+		return fmt.Errorf("%w: row has %d columns, want %d", ErrShape, len(row), len(p.vm.names))
 	}
 	s := p.inc
 	binned := s.binScratch
 	for j, v := range row {
-		binned[j] = p.disc[j].Bin(v)
-		if err := p.chains[j].Observe(binned[j]); err != nil {
+		binned[j] = p.vm.disc[j].Bin(v)
+		if err := p.vm.chains[j].Observe(binned[j]); err != nil {
 			return fmt.Errorf("predict: observe: %w", err)
 		}
 	}
@@ -278,7 +278,7 @@ func (p *Predictor) Retrain() error {
 	if ab := view.ClassCount(true); p.inc.base != nil && ab > 0 && ab < minAbnormalSupport {
 		view = view.FoldAbnormal()
 	}
-	model, err := bayes.TrainFromCounts(view, bayes.Options{Naive: p.cfg.Naive})
+	model, err := bayes.TrainFromCounts(view, bayes.Options{Naive: p.vm.cfg.Naive})
 	if err != nil {
 		return fmt.Errorf("predict: retrain classifier: %w", err)
 	}

@@ -27,27 +27,27 @@ func frozenRefitModel(t *testing.T, p *Predictor, rows [][]float64, rawLabels []
 		gateAndExtend(labels, deviating, lookback)
 		applyMinSupport(labels)
 	}
-	binsPerAttr := make([]int, len(p.names))
+	binsPerAttr := make([]int, len(p.vm.names))
 	for j := range binsPerAttr {
-		binsPerAttr[j] = p.cfg.Bins
+		binsPerAttr[j] = p.vm.cfg.Bins
 	}
 	ct, err := bayes.NewCountTable(binsPerAttr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	binned := make([]int, len(p.names))
+	binned := make([]int, len(p.vm.names))
 	for i, row := range rows {
 		if labels[i] == metrics.LabelUnknown {
 			continue
 		}
 		for j, v := range row {
-			binned[j] = p.disc[j].Bin(v)
+			binned[j] = p.vm.disc[j].Bin(v)
 		}
 		if err := ct.Add(binned, labels[i] == metrics.LabelAbnormal); err != nil {
 			t.Fatal(err)
 		}
 	}
-	model, err := bayes.TrainFromCounts(ct, bayes.Options{Naive: p.cfg.Naive})
+	model, err := bayes.TrainFromCounts(ct, bayes.Options{Naive: p.vm.cfg.Naive})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,3 @@ func (ins Instruments) windowDone(start time.Time) {
 // SetInstruments wires the predictor's telemetry (Instruments{} to
 // disable).
 func (p *Predictor) SetInstruments(ins Instruments) { p.ins = ins }
-
-// SetInstruments wires the unsupervised predictor's telemetry
-// (Instruments{} to disable).
-func (p *UnsupervisedPredictor) SetInstruments(ins Instruments) { p.ins = ins }

@@ -51,11 +51,17 @@ func (p *Predictor) Save(w io.Writer) error {
 	if !p.trained {
 		return ErrNotTrained
 	}
+	discs, chains, err := p.vm.snapshot()
+	if err != nil {
+		return err
+	}
 	snap := predictorSnapshot{
-		Version: snapshotVersion,
-		Names:   append([]string(nil), p.names...),
-		Config:  p.cfg,
-		Model:   p.model.Snapshot(),
+		Version:      snapshotVersion,
+		Names:        append([]string(nil), p.vm.names...),
+		Config:       p.vm.cfg,
+		Discretizers: discs,
+		Chains:       chains,
+		Model:        p.model.Snapshot(),
 	}
 	if s := p.inc; s != nil {
 		is := &incrementalSnapshot{
@@ -79,21 +85,6 @@ func (p *Predictor) Save(w io.Writer) error {
 		}
 		snap.Incremental = is
 	}
-	for j := range p.names {
-		ew, ok := p.disc[j].(*metrics.EqualWidth)
-		if !ok {
-			return fmt.Errorf("predict: unsupported discretizer type for %s", p.names[j])
-		}
-		snap.Discretizers = append(snap.Discretizers, ew.Snapshot())
-		switch ch := p.chains[j].(type) {
-		case *markov.SimpleChain:
-			snap.Chains = append(snap.Chains, ch.Snapshot())
-		case *markov.TwoDepChain:
-			snap.Chains = append(snap.Chains, ch.Snapshot())
-		default:
-			return fmt.Errorf("predict: unsupported chain type for %s", p.names[j])
-		}
-	}
 	enc := json.NewEncoder(w)
 	if err := enc.Encode(snap); err != nil {
 		return fmt.Errorf("predict: encode snapshot: %w", err)
@@ -111,32 +102,12 @@ func Load(r io.Reader) (*Predictor, error) {
 	if snap.Version != snapshotVersion {
 		return nil, fmt.Errorf("predict: unsupported snapshot version %d", snap.Version)
 	}
-	n := len(snap.Names)
-	if n == 0 {
-		return nil, fmt.Errorf("predict: snapshot has no columns")
-	}
-	if len(snap.Discretizers) != n || len(snap.Chains) != n {
-		return nil, fmt.Errorf("predict: snapshot shape mismatch (%d names, %d discretizers, %d chains)",
-			n, len(snap.Discretizers), len(snap.Chains))
-	}
-	p, err := New(snap.Config, snap.Names)
+	vm, err := restoreValueModel(snap.Config, snap.Names, snap.Discretizers, snap.Chains)
 	if err != nil {
 		return nil, err
 	}
-	p.disc = make([]metrics.Discretizer, n)
-	p.chains = make([]markov.Predictor, n)
-	for j := 0; j < n; j++ {
-		d, err := metrics.DiscretizerFromSnapshot(snap.Discretizers[j])
-		if err != nil {
-			return nil, fmt.Errorf("predict: column %s: %w", snap.Names[j], err)
-		}
-		p.disc[j] = d
-		ch, err := markov.FromSnapshot(snap.Chains[j])
-		if err != nil {
-			return nil, fmt.Errorf("predict: column %s: %w", snap.Names[j], err)
-		}
-		p.chains[j] = ch
-	}
+	p := &Predictor{vm: vm}
+	n := len(vm.names)
 	model, err := bayes.FromSnapshot(snap.Model)
 	if err != nil {
 		return nil, fmt.Errorf("predict: %w", err)

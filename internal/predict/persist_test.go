@@ -2,9 +2,14 @@ package predict
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"prepare/internal/detector"
 )
 
 func trainedPredictor(t *testing.T) *Predictor {
@@ -76,16 +81,60 @@ func TestSaveUntrainedFails(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	cases := map[string]string{
-		"not json":    "hello",
-		"bad version": `{"version":99,"names":["a"]}`,
-		"no names":    `{"version":1,"names":[]}`,
-		"mismatch":    `{"version":1,"names":["a","b"],"discretizers":[],"chains":[]}`,
+	kmeans, err := os.ReadFile(filepath.Join("testdata", "kmeans.snapshot.json"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, data := range cases {
-		t.Run(name, func(t *testing.T) {
-			if _, err := Load(strings.NewReader(data)); err == nil {
-				t.Error("garbage snapshot should fail to load")
+	// mutated returns the valid k-means snapshot with one edit applied to
+	// its decoded form (det is the nested "detector" object).
+	mutated := func(edit func(snap, det map[string]any)) string {
+		var snap map[string]any
+		if err := json.Unmarshal(kmeans, &snap); err != nil {
+			t.Fatal(err)
+		}
+		edit(snap, snap["detector"].(map[string]any))
+		out, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(out)
+	}
+	const tan, km, zs = detector.KindTAN, detector.KindKMeans, detector.KindZScore
+	for _, tc := range []struct {
+		name, kind, data string
+		wantInErr        []string
+	}{
+		{name: "not json", kind: tan, data: "hello"},
+		{name: "bad version", kind: tan, data: `{"version":99,"names":["a"]}`},
+		{name: "no names", kind: tan, data: `{"version":1,"names":[]}`},
+		{name: "mismatch", kind: tan, data: `{"version":1,"names":["a","b"],"discretizers":[],"chains":[]}`},
+		{name: "outlier not json", kind: km, data: "hello"},
+		{name: "outlier bad version", kind: km, data: mutated(func(snap, _ map[string]any) { snap["version"] = 99 })},
+		{name: "outlier no names", kind: km, data: mutated(func(snap, _ map[string]any) { snap["names"] = []string{} })},
+		{name: "kmeans payload loaded as zscore", kind: zs, data: string(kmeans), wantInErr: []string{"zscore", "kmeans"}},
+		{name: "payload kind disagrees", kind: km, data: mutated(func(snap, _ map[string]any) { snap["kind"] = 2 }),
+			wantInErr: []string{"kmeans", "kind 2"}},
+		{name: "detector kind disagrees", kind: km, data: mutated(func(_, det map[string]any) { det["kind"] = "zscore" }),
+			wantInErr: []string{"kmeans", "zscore"}},
+		{name: "zero-width center", kind: km, data: mutated(func(_, det map[string]any) { det["center"] = []float64{} })},
+		{name: "short scale", kind: km, data: mutated(func(_, det map[string]any) { det["scale"] = []float64{1} })},
+		{name: "ragged centroid", kind: km, data: mutated(func(_, det map[string]any) {
+			cs := det["centroids"].([]any)
+			cs[len(cs)-1] = cs[len(cs)-1].([]any)[:1]
+		})},
+		{name: "kmeans without centroids", kind: km, data: mutated(func(_, det map[string]any) { delete(det, "centroids") })},
+		{name: "zscore with centroids", kind: zs, data: mutated(func(snap, det map[string]any) { snap["kind"], det["kind"] = 2, zs })},
+		{name: "short last row", kind: km, data: mutated(func(snap, _ map[string]any) { snap["last_row"] = []float64{1} })},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := LoadDetector(tc.kind, strings.NewReader(tc.data), DetectorOptions{})
+			if err == nil {
+				t.Fatal("garbage snapshot should fail to load")
+			}
+			for _, want := range tc.wantInErr {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not name %q", err, want)
+				}
 			}
 		})
 	}

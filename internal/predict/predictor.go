@@ -92,10 +92,9 @@ type Verdict struct {
 // (as do its Markov chains), so it must stay confined to one goroutine;
 // returned Verdicts are freshly allocated and safe to retain.
 type Predictor struct {
-	cfg     Config
-	names   []string
-	disc    []metrics.Discretizer
-	chains  []markov.Predictor
+	// vm is the value-prediction module; the hot paths below index its
+	// disc and chains slices directly.
+	vm      valueModel
 	model   *bayes.Model
 	trained bool
 
@@ -124,22 +123,17 @@ type Predictor struct {
 
 // New builds an untrained predictor over the named columns.
 func New(cfg Config, names []string) (*Predictor, error) {
-	if len(names) == 0 {
-		return nil, fmt.Errorf("predict: at least one column is required")
+	vm, err := newValueModel(cfg, names)
+	if err != nil {
+		return nil, err
 	}
-	cfg = cfg.withDefaults()
-	if cfg.Order != SimpleMarkov && cfg.Order != TwoDependent {
-		return nil, fmt.Errorf("predict: unsupported markov order %d", cfg.Order)
-	}
-	cp := make([]string, len(names))
-	copy(cp, names)
-	return &Predictor{cfg: cfg, names: cp}, nil
+	return &Predictor{vm: vm}, nil
 }
 
 // Names returns the predictor's column names.
 func (p *Predictor) Names() []string {
-	out := make([]string, len(p.names))
-	copy(out, p.names)
+	out := make([]string, len(p.vm.names))
+	copy(out, p.vm.names)
 	return out
 }
 
@@ -147,7 +141,7 @@ func (p *Predictor) Names() []string {
 func (p *Predictor) Trained() bool { return p.trained }
 
 // Config returns the effective configuration.
-func (p *Predictor) Config() Config { return p.cfg }
+func (p *Predictor) Config() Config { return p.vm.cfg }
 
 // Train fits the discretizers, value predictors and classifier from a
 // labeled window of rows. Rows with LabelUnknown train the value
@@ -163,73 +157,37 @@ func (p *Predictor) Train(rows [][]float64, labels []metrics.Label) error {
 	if len(rows) != len(labels) {
 		return fmt.Errorf("%w: %d rows vs %d labels", ErrShape, len(rows), len(labels))
 	}
-	for i, r := range rows {
-		if len(r) != len(p.names) {
-			return fmt.Errorf("%w: row %d has %d columns, want %d", ErrShape, i, len(r), len(p.names))
-		}
+	// Fit a copy so a failed Train leaves the predictor as it was.
+	vm := p.vm
+	if err := vm.fit(rows); err != nil {
+		return err
 	}
 
-	nCols := len(p.names)
-	disc := make([]metrics.Discretizer, nCols)
-	for j := 0; j < nCols; j++ {
-		col := make([]float64, len(rows))
-		for i := range rows {
-			col[i] = rows[i][j]
-		}
-		d, err := metrics.NewEqualWidth(col, p.cfg.Bins)
-		if err != nil {
-			return fmt.Errorf("predict: fit discretizer for %s: %w", p.names[j], err)
-		}
-		disc[j] = d
-	}
-
-	chains := make([]markov.Predictor, nCols)
-	for j := 0; j < nCols; j++ {
-		var (
-			ch  markov.Predictor
-			err error
-		)
-		if p.cfg.Order == SimpleMarkov {
-			ch, err = markov.NewSimpleChain(p.cfg.Bins)
-		} else {
-			ch, err = markov.NewTwoDepChain(p.cfg.Bins)
-		}
-		if err != nil {
-			return fmt.Errorf("predict: new chain: %w", err)
-		}
-		chains[j] = ch
-	}
-
+	nCols := len(vm.names)
 	binsPerAttr := make([]int, nCols)
 	for j := range binsPerAttr {
-		binsPerAttr[j] = p.cfg.Bins
+		binsPerAttr[j] = vm.cfg.Bins
 	}
 	var instances []bayes.Instance
 	for i, row := range rows {
+		if labels[i] != metrics.LabelNormal && labels[i] != metrics.LabelAbnormal {
+			continue
+		}
 		binned := make([]int, nCols)
 		for j, v := range row {
-			binned[j] = disc[j].Bin(v)
-			if err := chains[j].Observe(binned[j]); err != nil {
-				return fmt.Errorf("predict: observe: %w", err)
-			}
+			binned[j] = vm.disc[j].Bin(v)
 		}
-		switch labels[i] {
-		case metrics.LabelNormal:
-			instances = append(instances, bayes.Instance{Bins: binned, Abnormal: false})
-		case metrics.LabelAbnormal:
-			instances = append(instances, bayes.Instance{Bins: binned, Abnormal: true})
-		}
+		instances = append(instances, bayes.Instance{Bins: binned, Abnormal: labels[i] == metrics.LabelAbnormal})
 	}
 	if len(instances) == 0 {
 		return fmt.Errorf("%w: no labeled rows", ErrNoData)
 	}
-	model, err := bayes.Train(instances, binsPerAttr, bayes.Options{Naive: p.cfg.Naive})
+	model, err := bayes.Train(instances, binsPerAttr, bayes.Options{Naive: vm.cfg.Naive})
 	if err != nil {
 		return fmt.Errorf("predict: train classifier: %w", err)
 	}
 
-	p.disc = disc
-	p.chains = chains
+	p.vm = vm
 	p.model = model
 	p.trained = true
 	// A fresh batch fit discards any previous incremental statistics;
@@ -245,26 +203,12 @@ func (p *Predictor) Observe(row []float64) error {
 	if !p.trained {
 		return ErrNotTrained
 	}
-	if len(row) != len(p.names) {
-		return fmt.Errorf("%w: row has %d columns, want %d", ErrShape, len(row), len(p.names))
-	}
-	for j, v := range row {
-		if err := p.chains[j].Observe(p.disc[j].Bin(v)); err != nil {
-			return fmt.Errorf("predict: observe: %w", err)
-		}
-	}
-	return nil
+	return p.vm.observe(row)
 }
 
 // StepsFor converts a look-ahead window in seconds into prediction steps
 // (at least 1).
-func (p *Predictor) StepsFor(lookaheadS int64) int {
-	steps := int((lookaheadS + p.cfg.SamplingIntervalS - 1) / p.cfg.SamplingIntervalS)
-	if steps < 1 {
-		steps = 1
-	}
-	return steps
-}
+func (p *Predictor) StepsFor(lookaheadS int64) int { return p.vm.stepsFor(lookaheadS) }
 
 // ForecastValueMax returns the maximum expected value of one column
 // over the look-ahead window: for each prediction step up to
@@ -275,14 +219,14 @@ func (p *Predictor) StepsFor(lookaheadS int64) int {
 // snapshot. Reports false when the predictor is untrained or the column
 // is out of range.
 func (p *Predictor) ForecastValueMax(col int, lookaheadS int64) (float64, bool) {
-	if !p.trained || col < 0 || col >= len(p.chains) {
+	if !p.trained || col < 0 || col >= len(p.vm.chains) {
 		return 0, false
 	}
-	series := p.chains[col].PredictSeries(p.StepsFor(lookaheadS))
+	series := p.vm.chains[col].PredictSeries(p.StepsFor(lookaheadS))
 	if len(series) == 0 {
 		return 0, false
 	}
-	d := p.disc[col]
+	d := p.vm.disc[col]
 	best := 0.0
 	for s, dist := range series {
 		v := 0.0
@@ -306,7 +250,7 @@ func (p *Predictor) Predict(steps int) (Verdict, error) {
 		return Verdict{}, ErrNotTrained
 	}
 	marginals := p.marginalsBuf()
-	for j, ch := range p.chains {
+	for j, ch := range p.vm.chains {
 		marginals[j] = ch.Predict(steps)
 	}
 	return p.score(marginals)
@@ -314,18 +258,18 @@ func (p *Predictor) Predict(steps int) (Verdict, error) {
 
 // marginalsBuf returns the reusable per-attribute marginal header slice.
 func (p *Predictor) marginalsBuf() [][]float64 {
-	if cap(p.marginalsScratch) < len(p.names) {
-		p.marginalsScratch = make([][]float64, len(p.names))
+	if cap(p.marginalsScratch) < len(p.vm.names) {
+		p.marginalsScratch = make([][]float64, len(p.vm.names))
 	}
-	return p.marginalsScratch[:len(p.names)]
+	return p.marginalsScratch[:len(p.vm.names)]
 }
 
 // futureBuf returns the reusable argmax-bin slice.
 func (p *Predictor) futureBuf() []int {
-	if cap(p.futureScratch) < len(p.names) {
-		p.futureScratch = make([]int, len(p.names))
+	if cap(p.futureScratch) < len(p.vm.names) {
+		p.futureScratch = make([]int, len(p.vm.names))
 	}
-	return p.futureScratch[:len(p.names)]
+	return p.futureScratch[:len(p.vm.names)]
 }
 
 // PredictAt classifies the predicted state lookaheadS seconds ahead.
@@ -346,8 +290,8 @@ func (p *Predictor) PredictWindow(lookaheadS int64) (Verdict, error) {
 	tStart := p.ins.windowStart()
 	defer p.ins.windowDone(tStart)
 	maxSteps := p.StepsFor(lookaheadS)
-	series := make([][][]float64, len(p.names))
-	for j, ch := range p.chains {
+	series := make([][][]float64, len(p.vm.names))
+	for j, ch := range p.vm.chains {
 		series[j] = ch.PredictSeries(maxSteps)
 	}
 	// Locate the worst step with the allocation-free score path, then
@@ -356,7 +300,7 @@ func (p *Predictor) PredictWindow(lookaheadS int64) (Verdict, error) {
 	marginals := p.marginalsBuf()
 	bestStep, bestScore := 0, 0.0
 	for s := 0; s < maxSteps; s++ {
-		for j := range p.names {
+		for j := range p.vm.names {
 			marginals[j] = series[j][s]
 		}
 		score, err := p.stepScore(marginals)
@@ -368,7 +312,7 @@ func (p *Predictor) PredictWindow(lookaheadS int64) (Verdict, error) {
 		}
 	}
 	p.lastBestStep = bestStep
-	for j := range p.names {
+	for j := range p.vm.names {
 		marginals[j] = series[j][bestStep]
 	}
 	return p.score(marginals)
@@ -377,7 +321,7 @@ func (p *Predictor) PredictWindow(lookaheadS int64) (Verdict, error) {
 // stepScore computes just the classification score for one step's
 // marginals, reusing the predictor's scratch buffers.
 func (p *Predictor) stepScore(marginals [][]float64) (float64, error) {
-	if p.cfg.ArgmaxScore {
+	if p.vm.cfg.ArgmaxScore {
 		future := p.futureBuf()
 		for j, dist := range marginals {
 			future[j] = markov.ArgMax(dist)
@@ -389,7 +333,7 @@ func (p *Predictor) stepScore(marginals [][]float64) (float64, error) {
 
 // score classifies one set of per-attribute predicted marginals.
 func (p *Predictor) score(marginals [][]float64) (Verdict, error) {
-	future := make([]int, len(p.names))
+	future := make([]int, len(p.vm.names))
 	for j, dist := range marginals {
 		future[j] = markov.ArgMax(dist)
 	}
@@ -398,7 +342,7 @@ func (p *Predictor) score(marginals [][]float64) (Verdict, error) {
 		strengths []bayes.Strength
 		err       error
 	)
-	if p.cfg.ArgmaxScore {
+	if p.vm.cfg.ArgmaxScore {
 		score, err = p.model.Score(future)
 		if err == nil {
 			strengths, err = p.model.AttributeStrengths(future)
@@ -435,12 +379,12 @@ func (p *Predictor) Evaluate(row []float64) (Verdict, error) {
 	if !p.trained {
 		return Verdict{}, ErrNotTrained
 	}
-	if len(row) != len(p.names) {
-		return Verdict{}, fmt.Errorf("%w: row has %d columns, want %d", ErrShape, len(row), len(p.names))
+	if len(row) != len(p.vm.names) {
+		return Verdict{}, fmt.Errorf("%w: row has %d columns, want %d", ErrShape, len(row), len(p.vm.names))
 	}
 	binned := make([]int, len(row))
 	for j, v := range row {
-		binned[j] = p.disc[j].Bin(v)
+		binned[j] = p.vm.disc[j].Bin(v)
 	}
 	score, err := p.model.Score(binned)
 	if err != nil {

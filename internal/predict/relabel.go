@@ -1,10 +1,6 @@
 package predict
 
-import (
-	"sort"
-
-	"prepare/internal/metrics"
-)
+import "prepare/internal/metrics"
 
 // Relabeling thresholds (shared by the batch RelabelForTraining pass and
 // the streaming relabel path of incremental training).
@@ -42,38 +38,17 @@ func fitBaseline(rows [][]float64, labels []metrics.Label) *baseline {
 		return nil
 	}
 	nCols := len(rows[0])
-	cols := make([][]float64, nCols)
+	normal := make([][]float64, 0, len(rows))
 	for i, row := range rows {
-		if labels[i] != metrics.LabelNormal || len(row) != nCols {
-			continue
-		}
-		for j, v := range row {
-			cols[j] = append(cols[j], v)
+		if labels[i] == metrics.LabelNormal && len(row) == nCols {
+			normal = append(normal, row)
 		}
 	}
-	if len(cols[0]) < minBaselineRows {
+	if len(normal) < minBaselineRows {
 		return nil // not enough baseline to judge
 	}
-	b := &baseline{
-		mean: make([]float64, nCols),
-		std:  make([]float64, nCols),
-	}
-	for j := range cols {
-		b.mean[j] = median(cols[j])
-		devs := make([]float64, len(cols[j]))
-		for i, v := range cols[j] {
-			d := v - b.mean[j]
-			if d < 0 {
-				d = -d
-			}
-			devs[i] = d
-		}
-		b.std[j] = 1.4826 * median(devs)
-		if b.std[j] < 1e-9 {
-			b.std[j] = 1e-9
-		}
-	}
-	return b
+	mean, std := metrics.RobustScale(normal)
+	return &baseline{mean: mean, std: std}
 }
 
 // deviating reports whether the row deviates from the baseline on at
@@ -169,20 +144,4 @@ func RelabelForTraining(rows [][]float64, labels []metrics.Label, lookbackSample
 	}
 	gateAndExtend(labels, deviating, lookbackSamples)
 	applyMinSupport(labels)
-}
-
-// median returns the middle value of xs (copying so the input order is
-// preserved).
-func median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := make([]float64, len(xs))
-	copy(cp, xs)
-	sort.Float64s(cp)
-	n := len(cp)
-	if n%2 == 1 {
-		return cp[n/2]
-	}
-	return (cp[n/2-1] + cp[n/2]) / 2
 }

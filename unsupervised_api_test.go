@@ -14,11 +14,15 @@ func TestUnsupervisedPublicWorkflow(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		rows = append(rows, mkRow())
 	}
-	p, err := NewUnsupervisedPredictor(PredictorConfig{Bins: 8}, []string{"free", "cpu"})
+	d, err := NewDetector(DetectorSpec{Kind: DetectorKMeans}, DetectorOptions{
+		Names:  []string{"free", "cpu"},
+		Config: PredictorConfig{Bins: 8},
+		Seed:   1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Train(rows, KMeansDetector, 1); err != nil {
+	if err := d.Train(rows, nil); err != nil { // no labels needed
 		t.Fatal(err)
 	}
 	// Drive into an unseen extreme state.
@@ -26,20 +30,20 @@ func TestUnsupervisedPublicWorkflow(t *testing.T) {
 	for i := 0; i < 120; i++ {
 		free := 800 - 7*float64(i) + 10*rng.NormFloat64()
 		cpu := 40 + 0.45*float64(i) + 2*rng.NormFloat64()
-		if err := p.Observe([]float64{free, cpu}); err != nil {
+		if err := d.Observe([]float64{free, cpu}); err != nil {
 			t.Fatal(err)
 		}
-		v, err := p.PredictWindow(60)
+		dec, err := d.Score(60)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v.Abnormal {
+		if dec.Abnormal {
 			alerted = true
 			break
 		}
 	}
 	if !alerted {
-		t.Error("unsupervised predictor never flagged the unseen drift")
+		t.Error("kmeans detector never flagged the unseen drift")
 	}
 }
 
@@ -49,28 +53,33 @@ func TestOutlierDetectorsPublic(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		rows = append(rows, []float64{10 + rng.NormFloat64(), 5 + 0.5*rng.NormFloat64()})
 	}
-	km, err := TrainKMeansDetector(rows, KMeansOptions{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	zs, err := TrainZScoreDetector(rows, ZScoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range []OutlierDetector{km, zs} {
-		anomalous, err := d.Anomalous([]float64{100, -40})
+	for _, kind := range []string{DetectorKMeans, DetectorZScore} {
+		d, err := NewDetector(DetectorSpec{Kind: kind}, DetectorOptions{Names: []string{"a", "b"}, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !anomalous {
-			t.Error("extreme point should be anomalous")
+		if d.Kind() != kind {
+			t.Errorf("Kind() = %q, want %q", d.Kind(), kind)
 		}
-		normal, err := d.Anomalous([]float64{10, 5})
-		if err != nil {
+		if err := d.Train(rows, nil); err != nil {
 			t.Fatal(err)
 		}
-		if normal {
-			t.Error("central point should be normal")
+		// The observed row joins the decision, so a central point stays
+		// normal and an extreme one alerts at once.
+		for _, tc := range []struct {
+			row  []float64
+			want bool
+		}{{[]float64{10, 5}, false}, {[]float64{100, -40}, true}} {
+			if err := d.Observe(tc.row); err != nil {
+				t.Fatal(err)
+			}
+			dec, err := d.Score(5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dec.Abnormal != tc.want {
+				t.Errorf("%s: row %v abnormal = %v (score %g), want %v", kind, tc.row, dec.Abnormal, dec.Score, tc.want)
+			}
 		}
 	}
 }
