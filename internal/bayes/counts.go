@@ -1,6 +1,9 @@
 package bayes
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // CountTable holds the sufficient statistics of TAN training: the
 // class counts, the class-conditional single-attribute value counts,
@@ -222,34 +225,47 @@ func (t *CountTable) cmi(i, j int) float64 {
 // effective instances as a batch Train call yields a bit-identical
 // model (same tree parents, same CPT values).
 func TrainFromCounts(t *CountTable, opts Options) (*Model, error) {
-	start := trainHook.Start()
-	defer trainHook.Done(start)
-	return trainFromCounts(t, opts)
+	m := &Model{}
+	if err := m.RefitFromCounts(t, opts); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
-// trainFromCounts is the unhooked core shared by Train and
-// TrainFromCounts (so a batch Train records exactly one training in
-// telemetry, not two).
-func trainFromCounts(t *CountTable, opts Options) (*Model, error) {
+// RefitFromCounts fits the model to the table in place: the tree, the
+// CPTs and the class prior all become what TrainFromCounts would build
+// from the same table, in the storage the model already owns, so
+// refitting allocates nothing. A LogRatios table built from the model
+// goes stale (LogRatios.Refresh refills it). On error the model is
+// untouched and keeps scoring as before.
+func (m *Model) RefitFromCounts(t *CountTable, opts Options) error {
+	start := trainHook.Start()
+	defer trainHook.Done(start)
+	return m.refit(t, opts)
+}
+
+// refit is the unhooked fit shared by Train, TrainFromCounts and
+// RefitFromCounts (so a batch Train records exactly one training in
+// telemetry, not two). A zero Model takes its shape from the table;
+// after that the shape is fixed.
+func (m *Model) refit(t *CountTable, opts Options) error {
 	if t == nil || t.total <= 0 {
-		return nil, ErrNoInstances
+		return ErrNoInstances
 	}
-	n := len(t.bins)
-	m := &Model{
-		numAttrs:   n,
-		bins:       append([]int(nil), t.bins...),
-		parent:     make([]int, n),
-		classCount: t.classCount,
-		total:      t.total,
+	if m.numAttrs == 0 {
+		m.initShape(t.bins)
+	} else if !slices.Equal(m.bins, t.bins) {
+		return fmt.Errorf("%w: count table bins %v, model bins %v", ErrShape, t.bins, m.bins)
 	}
+	n := m.numAttrs
 	if opts.Naive || n == 1 {
 		for i := range m.parent {
 			m.parent[i] = -1
 		}
 	} else {
-		m.parent = buildTreeFrom(n, t.cmi)
+		m.buildTree(t)
 	}
-	m.allocCPTs()
+	m.carveCPTs()
 	for i := 0; i < n; i++ {
 		p := m.parent[i]
 		for c := 0; c < 2; c++ {
@@ -276,7 +292,9 @@ func trainFromCounts(t *CountTable, opts Options) (*Model, error) {
 		}
 	}
 	m.normalizeCPTs()
-	return m, nil
+	m.classCount, m.total = t.classCount, t.total
+	m.gen++
+	return nil
 }
 
 // CountSnapshot is a serializable dump of a CountTable, persisted

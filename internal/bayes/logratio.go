@@ -11,35 +11,60 @@ import "math"
 // computed eagerly or lazily, and the multiply/add order of the scoring
 // loop is unchanged.
 //
-// A LogRatios is immutable and tied to the exact Model it was built
-// from; rebuild it whenever the model is replaced (retraining builds a
-// new *Model, so pointer identity is a sufficient freshness check).
+// A LogRatios is tied to the exact Model it was built from. Refitting
+// that model in place (RefitFromCounts) leaves the table stale until
+// Refresh refills it; a different *Model needs a new table.
 type LogRatios struct {
 	model *Model
+	gen   uint64 // model.gen the table was last filled at
 	prior float64
 	// tab[i][u*bins[i]+v]; parent row u is 0 for root/naive attributes.
-	tab [][]float64
+	// The rows are cut from store, which grows only when a refitted
+	// tree needs more cells than any tree before it did.
+	tab   [][]float64
+	store []float64
 }
 
 // LogRatios precomputes the Equation (1)/(2) log ratio table for the
 // model.
 func (m *Model) LogRatios() *LogRatios {
-	tab := make([][]float64, m.numAttrs)
-	for i := 0; i < m.numAttrs; i++ {
-		pb := 1
-		if m.parent[i] >= 0 {
-			pb = m.bins[m.parent[i]]
-		}
+	lr := &LogRatios{model: m, tab: make([][]float64, m.numAttrs)}
+	lr.fill()
+	return lr
+}
+
+// fill evaluates every log ratio of the model's current fit.
+func (lr *LogRatios) fill() {
+	m := lr.model
+	cells := 0
+	for i := range lr.tab {
+		cells += len(m.cpt[i][1]) * m.bins[i]
+	}
+	if cap(lr.store) < cells {
+		lr.store = make([]float64, cells)
+	}
+	store := lr.store[:cells]
+	for i := range lr.tab {
 		bi := m.bins[i]
-		row := make([]float64, pb*bi)
-		for u := 0; u < pb; u++ {
-			for v := 0; v < bi; v++ {
-				row[u*bi+v] = math.Log(m.cpt[i][1][u][v] / m.cpt[i][0][u][v])
+		n := len(m.cpt[i][1]) * bi
+		lr.tab[i], store = store[:n:n], store[n:]
+		for u, abnormal := range m.cpt[i][1] {
+			normal := m.cpt[i][0][u]
+			for v := range abnormal {
+				lr.tab[i][u*bi+v] = math.Log(abnormal[v] / normal[v])
 			}
 		}
-		tab[i] = row
 	}
-	return &LogRatios{model: m, prior: m.ClassPrior(), tab: tab}
+	lr.prior = m.ClassPrior()
+	lr.gen = m.gen
+}
+
+// Refresh refills the table in place when its model has been refitted
+// since the table was last filled, and does nothing otherwise.
+func (lr *LogRatios) Refresh() {
+	if lr.gen != lr.model.gen {
+		lr.fill()
+	}
 }
 
 // Model returns the model the table was built from (for freshness

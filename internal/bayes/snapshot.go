@@ -47,14 +47,9 @@ func FromSnapshot(s Snapshot) (*Model, error) {
 	if s.Total <= 0 {
 		return nil, fmt.Errorf("bayes: snapshot total %g invalid", s.Total)
 	}
-	m := &Model{
-		numAttrs:   n,
-		bins:       append([]int(nil), s.Bins...),
-		parent:     append([]int(nil), s.Parent...),
-		classCount: s.ClassCount,
-		total:      s.Total,
-	}
-	m.cpt = make([][2][][]float64, n)
+	// Check every dimension before sizing storage from them, so a
+	// document that lies about its bins cannot ask for more memory than
+	// the tables it actually carries.
 	for i := 0; i < n; i++ {
 		if s.Bins[i] < 1 {
 			return nil, fmt.Errorf("bayes: snapshot attribute %d has %d bins", i, s.Bins[i])
@@ -72,7 +67,6 @@ func FromSnapshot(s Snapshot) (*Model, error) {
 				return nil, fmt.Errorf("bayes: snapshot cpt[%d][%d] has %d parent rows, want %d",
 					i, c, len(s.CPT[i][c]), wantParentBins)
 			}
-			tables := make([][]float64, wantParentBins)
 			for u, row := range s.CPT[i][c] {
 				if len(row) != s.Bins[i] {
 					return nil, fmt.Errorf("bayes: snapshot cpt[%d][%d][%d] has %d cols, want %d",
@@ -83,9 +77,18 @@ func FromSnapshot(s Snapshot) (*Model, error) {
 						return nil, fmt.Errorf("bayes: snapshot cpt[%d][%d][%d] probability %g out of (0,1]", i, c, u, v)
 					}
 				}
-				tables[u] = append([]float64(nil), row...)
 			}
-			m.cpt[i][c] = tables
+		}
+	}
+	m := &Model{classCount: s.ClassCount, total: s.Total}
+	m.initShape(s.Bins)
+	copy(m.parent, s.Parent)
+	m.carveCPTs()
+	for i := range m.cpt {
+		for c := 0; c < 2; c++ {
+			for u, row := range s.CPT[i][c] {
+				copy(m.cpt[i][c][u], row)
+			}
 		}
 	}
 	return m, nil

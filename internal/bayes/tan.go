@@ -54,6 +54,21 @@ type Model struct {
 	cpt        [][2][][]float64
 	classCount [2]float64
 	total      float64
+
+	// gen counts the fits the model has been through. A LogRatios table
+	// records the one it was filled at, which is how a table cached
+	// next to a model that is refitted in place knows it is stale.
+	gen uint64
+
+	// Storage every refit reuses, so refitting allocates nothing once
+	// the model has been fitted: cptStore backs every CPT row and
+	// cptRows every cpt[i][c] header block (carveCPTs lays them out for
+	// the current tree); inTree, best and bestFrom are Prim's scratch.
+	cptStore []float64
+	cptRows  [][]float64
+	inTree   []bool
+	best     []float64
+	bestFrom []int
 }
 
 // Options controls training.
@@ -95,7 +110,11 @@ func Train(instances []Instance, bins []int, opts Options) (*Model, error) {
 		}
 		t.add(inst.Bins, inst.Abnormal, 1)
 	}
-	return trainFromCounts(t, opts)
+	m := &Model{}
+	if err := m.refit(t, opts); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 func classIdx(abnormal bool) int {
@@ -105,34 +124,18 @@ func classIdx(abnormal bool) int {
 	return 0
 }
 
-// buildTreeFrom computes the Chow-Liu maximum spanning tree over
-// pairwise conditional mutual information (supplied by cmiAt, typically
-// CountTable.cmi) and returns the parent array (root has parent -1).
-func buildTreeFrom(n int, cmiAt func(i, j int) float64) []int {
-	cmi := make([][]float64, n)
-	for i := range cmi {
-		cmi[i] = make([]float64, n)
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			v := cmiAt(i, j)
-			cmi[i][j] = v
-			cmi[j][i] = v
-		}
-	}
-	// Prim's algorithm from attribute 0.
-	parent := make([]int, n)
-	inTree := make([]bool, n)
-	best := make([]float64, n)
-	bestFrom := make([]int, n)
-	for i := range best {
-		best[i] = math.Inf(-1)
-		bestFrom[i] = -1
-		parent[i] = -1
-	}
-	inTree[0] = true
+// buildTree sets m.parent to the Chow-Liu maximum spanning tree over the
+// table's pairwise conditional mutual information (the root has parent
+// -1), by Prim's algorithm from attribute 0. Each pair's CMI is needed
+// exactly once — when the first of the two joins the tree — so it is
+// evaluated there instead of into a matrix up front.
+func (m *Model) buildTree(t *CountTable) {
+	n := m.numAttrs
+	parent, inTree, best, bestFrom := m.parent, m.inTree, m.best, m.bestFrom
+	parent[0], inTree[0] = -1, true
 	for j := 1; j < n; j++ {
-		best[j] = cmi[0][j]
+		inTree[j] = false
+		best[j] = t.cmi(0, j)
 		bestFrom[j] = 0
 	}
 	for added := 1; added < n; added++ {
@@ -142,19 +145,18 @@ func buildTreeFrom(n int, cmiAt func(i, j int) float64) []int {
 				pick = j
 			}
 		}
-		if pick == -1 {
-			break
-		}
 		inTree[pick] = true
 		parent[pick] = bestFrom[pick]
 		for j := 0; j < n; j++ {
-			if !inTree[j] && cmi[pick][j] > best[j] {
-				best[j] = cmi[pick][j]
+			if inTree[j] {
+				continue
+			}
+			if v := t.cmi(pick, j); v > best[j] {
+				best[j] = v
 				bestFrom[j] = pick
 			}
 		}
 	}
-	return parent
 }
 
 // cmiFromCounts estimates I(A_i; A_j | C) with Laplace smoothing from
@@ -183,21 +185,53 @@ func cmiFromCounts(bi, bj int, joint, margI, margJ [2][]float64, classN [2]float
 	return info
 }
 
-// allocCPTs sizes the conditional probability tables for the current
-// parent array, zero-filled.
-func (m *Model) allocCPTs() {
-	m.cpt = make([][2][][]float64, m.numAttrs)
-	for i := 0; i < m.numAttrs; i++ {
-		pb := 1
-		if m.parent[i] >= 0 {
-			pb = m.bins[m.parent[i]]
-		}
+// initShape gives a zero model its attributes.
+func (m *Model) initShape(bins []int) {
+	n := len(bins)
+	m.numAttrs = n
+	m.bins = append([]int(nil), bins...)
+	m.parent = make([]int, n)
+	m.cpt = make([][2][][]float64, n)
+	m.inTree = make([]bool, n)
+	m.best = make([]float64, n)
+	m.bestFrom = make([]int, n)
+}
+
+// parentBins is the number of parent rows attribute i's tables have
+// under the current parent array: one for a root or naive attribute,
+// the parent's bin count otherwise.
+func (m *Model) parentBins(i int) int {
+	if p := m.parent[i]; p >= 0 {
+		return m.bins[p]
+	}
+	return 1
+}
+
+// carveCPTs lays the tables the current parent array calls for out over
+// the model's flat storage, which grows only when a tree needs more
+// than any tree before it did (with equal bin counts throughout, every
+// TAN tree needs the same). The cells keep whatever an earlier fit left
+// there; the caller overwrites every one.
+func (m *Model) carveCPTs() {
+	rows, cells := 0, 0
+	for i, bi := range m.bins {
+		rows += 2 * m.parentBins(i)
+		cells += 2 * m.parentBins(i) * bi
+	}
+	if cap(m.cptRows) < rows {
+		m.cptRows = make([][]float64, rows)
+	}
+	if cap(m.cptStore) < cells {
+		m.cptStore = make([]float64, cells)
+	}
+	headers, store := m.cptRows[:rows], m.cptStore[:cells]
+	for i, bi := range m.bins {
+		pb := m.parentBins(i)
 		for c := 0; c < 2; c++ {
-			table := make([][]float64, pb)
-			for u := range table {
-				table[u] = make([]float64, m.bins[i])
+			m.cpt[i][c], headers = headers[:pb:pb], headers[pb:]
+			for u := range m.cpt[i][c] {
+				m.cpt[i][c][u], store = store[:bi:bi], store[bi:]
 			}
-			m.cpt[i][c] = table
 		}
 	}
 }

@@ -1,5 +1,7 @@
 package markov
 
+import "math/bits"
+
 // Batch (fleet) prediction path.
 //
 // PredictSeries allocates its result series on every call — fine for a
@@ -13,22 +15,22 @@ package markov
 // The propagation kernel is also restructured for speed while staying
 // bit-identical to the scalar loop in PredictSeries:
 //
-//   - Rows are refreshed eagerly (refreshRows) instead of lazily per
-//     combined state (rowAt), and only the columns dirtied by Observe
-//     since the last refresh are recomputed: an observation of combined
-//     state (prev, cur) increments counts[prev*S+cur], which can change
-//     only row (prev, cur) itself and the backoff rows aggregating over
-//     column cur. Rows in untouched columns keep their exact previous
-//     float64 values, so revalidating them without recomputation yields
-//     bit-identical results (rowInto is deterministic).
+//   - Rows are refreshed eagerly (refreshRows) and only the columns
+//     dirtied by Observe since the last refresh are recomputed: an
+//     observation of combined state (prev, cur) increments
+//     counts[prev*S+cur], which can change only row (prev, cur) itself
+//     and the backoff rows aggregating over column cur. A row is a pure
+//     function of the counts, so rows in untouched columns keep their
+//     exact float64 values.
 //   - The states==8 kernel (the production bin count) keeps each output
 //     column's eight accumulators in registers and fuses the marginal
-//     pass into the propagation sweep. Per accumulator the additions
-//     happen in the same ascending-index order as the scalar loop, no
-//     fused multiply-add is emitted (Go only fuses within a single
-//     expression), and skipped zero-probability terms contribute exact
-//     +0.0 products either way, so every float64 matches the scalar
-//     path bit for bit.
+//     pass into the propagation sweep; on amd64 with AVX2 the same
+//     sweep runs four lanes at a time (step8_amd64.s). Per accumulator
+//     the additions happen in the same ascending-index order as the
+//     scalar loop, no fused multiply-add is emitted (Go only fuses
+//     within a single expression), and skipped zero-probability terms
+//     contribute exact +0.0 products either way, so every float64
+//     matches the scalar path bit for bit.
 type BatchArena struct {
 	flat   []float64
 	steps  [][]float64
@@ -150,35 +152,64 @@ func (c *SimpleChain) seriesInto8(out [][]float64) {
 	}
 }
 
-// refreshRows makes every cached smoothed row valid for the current
-// version, recomputing only the columns dirtied by Observe since the
-// last refresh (see the package comment above for why that is exact).
-// After it returns the dense kernels may read any row without version
-// checks.
+// refreshRows brings the smoothed rows up to date with the counts,
+// recomputing only the columns dirtied by Observe since the last
+// refresh (see the comment above for why that is exact). After it
+// returns any row may be read directly.
 func (c *TwoDepChain) refreshRows() {
 	c.ensureScratch()
-	if c.rowsFresh == c.version {
-		return
-	}
-	if c.rowsFresh == 0 || c.dirtyAll {
-		for idx := range c.rows {
-			c.rowInto(idx/c.states, idx%c.states, c.rows[idx])
+	if c.dirtyAll {
+		for col := 0; col < c.states; col++ {
+			c.refreshColumn(col)
 		}
 	} else {
-		for col := 0; col < c.states; col++ {
-			if c.dirtyCols&(1<<uint(col)) == 0 {
-				continue
-			}
-			for p := 0; p < c.states; p++ {
-				c.rowInto(p, col, c.rows[p*c.states+col])
-			}
+		for m := c.dirtyCols; m != 0; m &= m - 1 {
+			c.refreshColumn(bits.TrailingZeros64(m))
 		}
 	}
-	for idx := range c.rowVersion {
-		c.rowVersion[idx] = c.version
-	}
 	c.dirtyCols, c.dirtyAll = 0, false
-	c.rowsFresh = c.version
+}
+
+// refreshColumn recomputes the smoothed next-bin distribution of every
+// combined state (p, col). A state that was observed gets its own
+// Laplace-smoothed counts; one that never was backs off to the
+// aggregate over all prev with the same cur, which keeps sparse pairs
+// from collapsing to uniform noise. The backoff row is the same for
+// every unobserved p, so it is built once, on the first p that needs
+// it. Counts are whole numbers, so their sums are exact in any order
+// and each division sees the operands a row-at-a-time computation
+// would.
+func (c *TwoDepChain) refreshColumn(col int) {
+	haveBackoff := false
+	for p := 0; p < c.states; p++ {
+		idx := p*c.states + col
+		counts, dst := c.counts[idx], c.row(idx)
+		total := 0.0
+		for _, n := range counts {
+			total += n
+		}
+		if total > 0 {
+			for j, n := range counts {
+				dst[j] = (n + laplaceAlpha) / (total + laplaceAlpha*float64(c.states))
+			}
+			continue
+		}
+		if !haveBackoff {
+			haveBackoff = true
+			clear(c.backoff)
+			aggTotal := 0.0
+			for q := 0; q < c.states; q++ {
+				for j, n := range c.counts[q*c.states+col] {
+					c.backoff[j] += n
+					aggTotal += n
+				}
+			}
+			for j, n := range c.backoff {
+				c.backoff[j] = (n + laplaceAlpha) / (aggTotal + laplaceAlpha*float64(c.states))
+			}
+		}
+		copy(dst, c.backoff)
+	}
 }
 
 // PredictSeriesInto implements Predictor. See PredictSeries for the
@@ -211,7 +242,7 @@ func (c *TwoDepChain) PredictSeriesInto(out [][]float64) {
 				continue
 			}
 			base := (idx % c.states) * c.states
-			for j, q := range c.rows[idx] {
+			for j, q := range c.row(idx) {
 				next[base+j] += p * q
 			}
 		}
@@ -224,53 +255,66 @@ func (c *TwoDepChain) PredictSeriesInto(out [][]float64) {
 	}
 }
 
-// seriesInto8 is the 8-state TwoDepChain kernel. The combined-state
-// distribution is swept one output column at a time (new-prev = old
-// cur), with the eight next-bin accumulators held in registers; the
-// marginal over the new current bin is fused into the same sweep.
-// For a fixed target cell next[c*8+j] the scalar loop in PredictSeries
-// adds contributions in ascending source-prev order, exactly as the
-// p-loop below does, and the fused marginal accumulates column values
-// in the same ascending order as the scalar marginalization — so every
-// intermediate and final float64 is bit-identical to the scalar path.
+// seriesInto8 is the 8-state TwoDepChain propagation: one dense step
+// kernel per horizon, ping-ponging the combined-state distribution
+// between the two scratch buffers.
 func (c *TwoDepChain) seriesInto8(out [][]float64) {
-	dist, next := c.distA, c.distB
-	clear(dist)
+	rows := (*[512]float64)(c.rows)
+	dist, next := (*[64]float64)(c.distA), (*[64]float64)(c.distB)
+	*dist = [64]float64{}
 	dist[c.prev*8+c.cur] = 1
 	for s := range out {
-		var m0, m1, m2, m3, m4, m5, m6, m7 float64
-		for col := 0; col < 8; col++ {
-			var a0, a1, a2, a3, a4, a5, a6, a7 float64
-			for p := 0; p < 8; p++ {
-				d := dist[p*8+col]
-				if d == 0 {
-					continue
-				}
-				r := (*[8]float64)(c.rows[p*8+col])
-				a0 += d * r[0]
-				a1 += d * r[1]
-				a2 += d * r[2]
-				a3 += d * r[3]
-				a4 += d * r[4]
-				a5 += d * r[5]
-				a6 += d * r[6]
-				a7 += d * r[7]
-			}
-			nb := (*[8]float64)(next[col*8:])
-			nb[0], nb[1], nb[2], nb[3] = a0, a1, a2, a3
-			nb[4], nb[5], nb[6], nb[7] = a4, a5, a6, a7
-			m0 += a0
-			m1 += a1
-			m2 += a2
-			m3 += a3
-			m4 += a4
-			m5 += a5
-			m6 += a6
-			m7 += a7
+		marg := (*[8]float64)(out[s])
+		if useAVX2 {
+			twoDepStep8AVX2(&rows[0], &dist[0], &next[0], &marg[0])
+		} else {
+			twoDepStep8Go(rows, dist, next, marg)
 		}
-		ob := (*[8]float64)(out[s])
-		ob[0], ob[1], ob[2], ob[3] = m0, m1, m2, m3
-		ob[4], ob[5], ob[6], ob[7] = m4, m5, m6, m7
 		dist, next = next, dist
 	}
+}
+
+// twoDepStep8Go is the portable step kernel and the reference the
+// vector kernel is tested against. The combined-state distribution is
+// swept one output column at a time (new-prev = old cur), with the
+// eight next-bin accumulators held in registers; the marginal over the
+// new current bin is fused into the same sweep. For a fixed target
+// cell next[c*8+j] the scalar loop in PredictSeries adds contributions
+// in ascending source-prev order, exactly as the p-loop below does, and
+// the fused marginal accumulates column values in the same ascending
+// order as the scalar marginalization — so every intermediate and final
+// float64 is bit-identical to the scalar path.
+func twoDepStep8Go(rows *[512]float64, dist, next *[64]float64, marg *[8]float64) {
+	var m0, m1, m2, m3, m4, m5, m6, m7 float64
+	for col := 0; col < 8; col++ {
+		var a0, a1, a2, a3, a4, a5, a6, a7 float64
+		for p := 0; p < 8; p++ {
+			d := dist[p*8+col]
+			if d == 0 {
+				continue
+			}
+			r := (*[8]float64)(rows[(p*8+col)*8:])
+			a0 += d * r[0]
+			a1 += d * r[1]
+			a2 += d * r[2]
+			a3 += d * r[3]
+			a4 += d * r[4]
+			a5 += d * r[5]
+			a6 += d * r[6]
+			a7 += d * r[7]
+		}
+		nb := (*[8]float64)(next[col*8:])
+		nb[0], nb[1], nb[2], nb[3] = a0, a1, a2, a3
+		nb[4], nb[5], nb[6], nb[7] = a4, a5, a6, a7
+		m0 += a0
+		m1 += a1
+		m2 += a2
+		m3 += a3
+		m4 += a4
+		m5 += a5
+		m6 += a6
+		m7 += a7
+	}
+	marg[0], marg[1], marg[2], marg[3] = m0, m1, m2, m3
+	marg[4], marg[5], marg[6], marg[7] = m4, m5, m6, m7
 }

@@ -257,25 +257,22 @@ type TwoDepChain struct {
 	cur    int
 	nSeen  int // 0, 1 or 2+ observations so far
 
-	// Smoothed-row cache: rows[idx] holds the distribution for combined
-	// state idx, valid when rowVersion[idx] == version. Observe bumps
-	// version, invalidating every cached row at once (an observation
-	// also shifts the backoff aggregates other rows depend on).
-	rows         [][]float64
-	rowVersion   []uint64
-	version      uint64
+	// Smoothed-row cache, allocated on first prediction: one flat array
+	// in which rows[idx*states:][:states] is the next-bin distribution
+	// of combined state idx (row(idx)); backoff is refreshColumn's
+	// scratch row.
+	rows         []float64
+	backoff      []float64
 	distA, distB []float64 // states*states propagation scratch
 
-	// Batch-path bookkeeping (batch.go): an observation of combined
-	// state (prev, cur) can only change the smoothed rows in column cur
-	// — the incremented row itself plus the backoff rows that aggregate
-	// over that column — so refreshRows revalidates just the columns
-	// touched since the last refresh instead of all states² rows.
-	// dirtyCols is a column bitmask (dirtyAll covers states > 64);
-	// rowsFresh is the version at which every row was last made valid.
+	// An observation of combined state (prev, cur) can only change the
+	// smoothed rows in column cur — the incremented row itself plus the
+	// backoff rows that aggregate over that column — so refreshRows
+	// (batch.go) recomputes just the columns observed since it last ran.
+	// dirtyCols is a column bitmask; dirtyAll covers states > 64 and the
+	// first refresh.
 	dirtyCols uint64
 	dirtyAll  bool
-	rowsFresh uint64
 }
 
 var _ Predictor = (*TwoDepChain)(nil)
@@ -321,7 +318,6 @@ func (c *TwoDepChain) Observe(bin int) error {
 		c.nSeen = 2
 	default:
 		c.counts[c.prev*c.states+c.cur][bin]++
-		c.version++
 		if c.cur < 64 {
 			c.dirtyCols |= 1 << uint(c.cur)
 		} else {
@@ -344,69 +340,23 @@ func (c *TwoDepChain) Fit(seq []int) error {
 	return nil
 }
 
-// rowFor returns the smoothed next-bin distribution for combined state
-// (prev, cur). When the combined state was never observed, it backs off
-// to the aggregate distribution conditioned on cur alone, which keeps
-// sparse pairs from collapsing to uniform noise.
-func (c *TwoDepChain) rowFor(prev, cur int) []float64 {
-	out := make([]float64, c.states)
-	c.rowInto(prev, cur, out)
-	return out
-}
-
-// rowInto writes the smoothed next-bin distribution for combined state
-// (prev, cur) into dst.
-func (c *TwoDepChain) rowInto(prev, cur int, dst []float64) {
-	idx := prev*c.states + cur
-	total := 0.0
-	for _, n := range c.counts[idx] {
-		total += n
-	}
-	if total > 0 {
-		for j, n := range c.counts[idx] {
-			dst[j] = (n + laplaceAlpha) / (total + laplaceAlpha*float64(c.states))
-		}
-		return
-	}
-	// Back off: aggregate over all prev with the same cur.
-	clear(dst)
-	aggTotal := 0.0
-	for p := 0; p < c.states; p++ {
-		for j, n := range c.counts[p*c.states+cur] {
-			dst[j] += n
-			aggTotal += n
-		}
-	}
-	for j := range dst {
-		dst[j] = (dst[j] + laplaceAlpha) / (aggTotal + laplaceAlpha*float64(c.states))
-	}
+// row returns the cached smoothed row of combined state idx.
+func (c *TwoDepChain) row(idx int) []float64 {
+	return c.rows[idx*c.states : (idx+1)*c.states]
 }
 
 // ensureScratch allocates the row cache and propagation buffers on first
-// use. Rows are filled lazily per combined state: most are never reached.
+// use, with every row still to be computed.
 func (c *TwoDepChain) ensureScratch() {
 	if c.rows != nil {
 		return
 	}
 	n := c.states * c.states
-	storage := make([]float64, n*c.states)
-	c.rows = make([][]float64, n)
-	for i := range c.rows {
-		c.rows[i] = storage[i*c.states : (i+1)*c.states : (i+1)*c.states]
-	}
-	c.rowVersion = make([]uint64, n)
-	c.version++ // ensure version > 0 so zeroed rowVersion reads as stale
+	c.rows = make([]float64, n*c.states)
+	c.backoff = make([]float64, c.states)
 	c.distA = make([]float64, n)
 	c.distB = make([]float64, n)
-}
-
-// rowAt returns the (cached) smoothed row for combined state idx.
-func (c *TwoDepChain) rowAt(idx int) []float64 {
-	if c.rowVersion[idx] != c.version {
-		c.rowInto(idx/c.states, idx%c.states, c.rows[idx])
-		c.rowVersion[idx] = c.version
-	}
-	return c.rows[idx]
+	c.dirtyAll = true
 }
 
 // Predict implements Predictor. The distribution over combined states is
@@ -441,7 +391,7 @@ func (c *TwoDepChain) PredictSeries(maxSteps int) [][]float64 {
 		}
 		return out
 	}
-	c.ensureScratch()
+	c.refreshRows()
 	dist, next := c.distA, c.distB
 	clear(dist)
 	dist[c.prev*c.states+c.cur] = 1
@@ -453,7 +403,7 @@ func (c *TwoDepChain) PredictSeries(maxSteps int) [][]float64 {
 			}
 			cur := idx % c.states
 			base := cur * c.states
-			for j, q := range c.rowAt(idx) {
+			for j, q := range c.row(idx) {
 				next[base+j] += p * q
 			}
 		}

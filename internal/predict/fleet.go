@@ -105,16 +105,20 @@ func (f *Fleet) Materialize(p *Predictor) (Verdict, error) {
 	return p.score(marginals)
 }
 
-// logRatios returns the predictor's cached TAN log-ratio table,
-// rebuilding it when the model was replaced (retraining installs a new
-// *bayes.Model, so pointer identity detects staleness). Nil when the
-// configuration scores by argmax or the model is absent.
+// logRatios returns the predictor's cached TAN log-ratio table, brought
+// up to date with the model: Retrain refits the model in place, which
+// the table notices by the model's fit generation and answers by
+// refilling itself, and Train installs a new *bayes.Model, which takes a
+// new table. Nil when the configuration scores by argmax or the model
+// is absent.
 func (p *Predictor) logRatios() *bayes.LogRatios {
 	if p.vm.cfg.ArgmaxScore || p.model == nil {
 		return nil
 	}
 	if p.lr == nil || p.lr.Model() != p.model {
 		p.lr = p.model.LogRatios()
+	} else {
+		p.lr.Refresh()
 	}
 	return p.lr
 }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"prepare/internal/bayes"
 	"prepare/internal/metrics"
 )
 
@@ -167,6 +168,65 @@ func TestFleetLogRatioCacheInvalidation(t *testing.T) {
 	}
 	if math.Float64bits(dec.Score) != math.Float64bits(want.Score) {
 		t.Fatalf("post-retrain score %v vs %v", dec.Score, want.Score)
+	}
+
+	// The in-place case: Retrain refits the model the pointer already
+	// names, so only the fit generation tells the cached table it is
+	// stale. Stream shifted rows in, Retrain, and the fleet score must
+	// equal the PredictWindow of an oracle whose classifier was trained
+	// fresh from the same counts.
+	inc, err := New(Config{}, AttributeNames())
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace, traceLabels := benchTrace(900, 5)
+	if err := inc.TrainIncremental(trace[:600], traceLabels[:600], 24); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fleet.ScoreWindow(inc, 120); err != nil {
+		t.Fatal(err)
+	}
+	model, table := inc.model, inc.lr
+	before := model.Snapshot()
+	for i := 600; i < len(trace); i++ {
+		for j := range trace[i] {
+			trace[i][j] += 80 * float64(j%3) // far enough to pass the deviation gate
+		}
+		if err := inc.Update(trace[i], traceLabels[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := inc.Retrain(); err != nil {
+		t.Fatal(err)
+	}
+	if inc.model != model {
+		t.Fatal("Retrain replaced the model instead of refitting it in place")
+	}
+	if reflect.DeepEqual(model.Snapshot(), before) {
+		t.Fatal("the shifted rows did not change the fit; the stale table would go unnoticed")
+	}
+	if ab := inc.inc.ct.ClassCount(true); ab < minAbnormalSupport {
+		t.Fatalf("only %v abnormal rows counted: the oracle below does not apply the minimum-support fold", ab)
+	}
+	fresh, err := bayes.TrainFromCounts(inc.inc.ct, bayes.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := *inc
+	oracle.model, oracle.lr = fresh, nil
+	want, err = oracle.PredictWindow(120)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err = fleet.ScoreWindow(inc, 120)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inc.lr != table {
+		t.Fatal("the log-ratio table was reallocated instead of refilled in place")
+	}
+	if math.Float64bits(dec.Score) != math.Float64bits(want.Score) {
+		t.Fatalf("score after in-place retrain %v vs freshly trained oracle %v", dec.Score, want.Score)
 	}
 }
 

@@ -256,14 +256,16 @@ func (p *Predictor) Update(row []float64, label metrics.Label) error {
 	return nil
 }
 
-// Retrain rebuilds the TAN classifier from the accumulated count table
+// Retrain refits the TAN classifier from the accumulated count table
 // in O(attrs²·bins²) — independent of how much history produced the
 // counts, which is what turns the control loop's periodic retrain from
 // O(T) into O(1) amortized. The minimum-support rule is applied as a
 // view (abnormal counts folded into normal when below threshold), so the
 // underlying statistics keep accumulating either way. The result is
 // bit-identical to a batch Train over the same rows relabeled against
-// the same frozen baseline.
+// the same frozen baseline. The model is refitted in place, which
+// allocates nothing unless the fold is taken; if the refit fails the
+// old fit keeps scoring.
 func (p *Predictor) Retrain() error {
 	if !p.trained {
 		return ErrNotTrained
@@ -278,10 +280,8 @@ func (p *Predictor) Retrain() error {
 	if ab := view.ClassCount(true); p.inc.base != nil && ab > 0 && ab < minAbnormalSupport {
 		view = view.FoldAbnormal()
 	}
-	model, err := bayes.TrainFromCounts(view, bayes.Options{Naive: p.vm.cfg.Naive})
-	if err != nil {
+	if err := p.model.RefitFromCounts(view, bayes.Options{Naive: p.vm.cfg.Naive}); err != nil {
 		return fmt.Errorf("predict: retrain classifier: %w", err)
 	}
-	p.model = model
 	return nil
 }

@@ -2,6 +2,8 @@ package predict
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -270,6 +272,82 @@ func TestUpdateAllocBudget(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("Update allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestRetrainAllocatesNothing pins the in-place retrain: once the first
+// Retrain and ScoreWindow have sized the model's and the log-ratio
+// table's storage, a stretch of Updates, a Retrain and the fleet score
+// that follows allocate nothing. (The minimum-support fold clones the
+// count table, so the abnormal class must be past it.)
+func TestRetrainAllocatesNothing(t *testing.T) {
+	rows, raw := benchTrace(1200, 13)
+	for i, row := range rows {
+		if raw[i] == metrics.LabelAbnormal {
+			row[5] += 200 // two more deviating columns carry the
+			row[7] += 200 // abnormal rows through the deviation gate
+		}
+	}
+	p, err := New(Config{}, AttributeNames())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.TrainIncremental(rows[:600], raw[:600], 24); err != nil {
+		t.Fatal(err)
+	}
+	for i := 600; i < 1000; i++ {
+		if err := p.Update(rows[i], raw[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ab := p.inc.ct.ClassCount(true); ab < minAbnormalSupport {
+		t.Fatalf("abnormal support %v is below the fold threshold %d", ab, minAbnormalSupport)
+	}
+	fleet := NewFleet()
+	cycle := func() {
+		for k := 0; k < 5; k++ {
+			i := 600 + int(p.inc.updates)%600
+			if err := p.Update(rows[i], raw[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := p.Retrain(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fleet.ScoreWindow(p, 120); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle() // warm-up
+	if allocs := testing.AllocsPerRun(40, cycle); allocs != 0 {
+		t.Fatalf("Update x5 + Retrain + ScoreWindow allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestRefitFailureKeepsModel: a Retrain that cannot fit (here an empty
+// count table) reports the error and leaves the old fit scoring, bit
+// for bit.
+func TestRefitFailureKeepsModel(t *testing.T) {
+	p := incrementalAtHistory(t, 800)
+	fleet := NewFleet()
+	before, err := fleet.ScoreWindow(p, 120)
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty, err := bayes.NewCountTable(p.inc.ct.Bins())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.inc.ct = empty
+	if err := p.Retrain(); !errors.Is(err, bayes.ErrNoInstances) {
+		t.Fatalf("Retrain from an empty table: %v, want ErrNoInstances", err)
+	}
+	after, err := fleet.ScoreWindow(p, 120)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(after.Score) != math.Float64bits(before.Score) || after.BestStep != before.BestStep {
+		t.Fatalf("score after a failed refit %+v, before %+v", after, before)
 	}
 }
 

@@ -99,18 +99,19 @@ type Predictor struct {
 	trained bool
 
 	// Scratch reused across predictions: per-step marginal headers, the
-	// argmax bins of the step under evaluation, and the classifier's own
-	// scoring buffers.
+	// argmax bins of the step under evaluation, the classifier's own
+	// scoring buffers, and ForecastValueMax's predicted series.
 	marginalsScratch [][]float64
 	futureScratch    []int
 	scratch          bayes.Scratch
+	forecastScratch  [][]float64
 
 	// inc holds the sufficient statistics of incremental training, set
 	// by TrainIncremental and nil on batch-trained predictors.
 	inc *incrementalState
 
-	// lr caches the TAN log-ratio table for the fleet batch scorer,
-	// keyed by model pointer identity (see Predictor.logRatios).
+	// lr caches the TAN log-ratio table for the fleet batch scorer (see
+	// Predictor.logRatios for how it is kept fresh).
 	lr *bayes.LogRatios
 
 	// lastBestStep records the winning window step of the most recent
@@ -222,10 +223,9 @@ func (p *Predictor) ForecastValueMax(col int, lookaheadS int64) (float64, bool) 
 	if !p.trained || col < 0 || col >= len(p.vm.chains) {
 		return 0, false
 	}
-	series := p.vm.chains[col].PredictSeries(p.StepsFor(lookaheadS))
-	if len(series) == 0 {
-		return 0, false
-	}
+	ch := p.vm.chains[col]
+	series := p.forecastBuf(p.StepsFor(lookaheadS), ch.NumStates())
+	ch.PredictSeriesInto(series)
 	d := p.vm.disc[col]
 	best := 0.0
 	for s, dist := range series {
@@ -254,6 +254,19 @@ func (p *Predictor) Predict(steps int) (Verdict, error) {
 		marginals[j] = ch.Predict(steps)
 	}
 	return p.score(marginals)
+}
+
+// forecastBuf returns the reusable steps × states series ForecastValueMax
+// propagates into: one backing array with a view per step.
+func (p *Predictor) forecastBuf(steps, states int) [][]float64 {
+	if len(p.forecastScratch) != steps || len(p.forecastScratch[0]) != states {
+		flat := make([]float64, steps*states)
+		p.forecastScratch = make([][]float64, steps)
+		for s := range p.forecastScratch {
+			p.forecastScratch[s] = flat[s*states : (s+1)*states : (s+1)*states]
+		}
+	}
+	return p.forecastScratch
 }
 
 // marginalsBuf returns the reusable per-attribute marginal header slice.

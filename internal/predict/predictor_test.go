@@ -302,3 +302,54 @@ func TestPredictorDeterministic(t *testing.T) {
 		t.Error("identical training should give identical verdicts")
 	}
 }
+
+// TestForecastValueMaxMatchesPredictSeries checks the allocation-free
+// forecast against the expression it replaced — the same reduction over
+// the chain's allocating PredictSeries — bit for bit, across columns,
+// horizons and further observations, and pins it at zero allocations.
+func TestForecastValueMaxMatchesPredictSeries(t *testing.T) {
+	rows, labels := leakTrace(400, 2)
+	p, err := New(Config{}, []string{"free_mem", "noise"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Train(rows[:300], labels[:300]); err != nil {
+		t.Fatal(err)
+	}
+	for i := 300; i < len(rows); i++ {
+		if err := p.Observe(rows[i]); err != nil {
+			t.Fatal(err)
+		}
+		for col := range rows[i] {
+			lookahead := int64(5 * (1 + (i+col)%30))
+			got, ok := p.ForecastValueMax(col, lookahead)
+			if !ok {
+				t.Fatalf("row %d col %d: no forecast", i, col)
+			}
+			want := 0.0
+			for s, dist := range p.vm.chains[col].PredictSeries(p.StepsFor(lookahead)) {
+				v := 0.0
+				for b, pb := range dist {
+					v += pb * p.vm.disc[col].Center(b)
+				}
+				if s == 0 || v > want {
+					want = v
+				}
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("row %d col %d lookahead %ds: forecast %v, PredictSeries reduction %v", i, col, lookahead, got, want)
+			}
+		}
+	}
+	if _, ok := p.ForecastValueMax(len(rows[0]), 120); ok {
+		t.Fatal("a column out of range must report false")
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, ok := p.ForecastValueMax(1, 120); !ok {
+			t.Fatal("no forecast")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("ForecastValueMax allocates %.1f/op, want 0", allocs)
+	}
+}

@@ -36,8 +36,9 @@ type AuditEntry struct {
 // firstSeq advances and cursor reads report the truncation.
 type eventLog[T any] struct {
 	mu    sync.RWMutex
-	buf   []T
+	buf   []T // grows to size, then wraps: the oldest record is at head
 	size  int
+	head  int
 	next  uint64 // next sequence number to assign
 	first uint64 // sequence of the oldest retained record (0 = empty)
 }
@@ -46,7 +47,8 @@ func newEventLog[T any](capacity int) *eventLog[T] {
 	return &eventLog[T]{buf: make([]T, 0, capacity), size: capacity}
 }
 
-// append stores make(seq) under the next sequence number.
+// append stores make(seq) under the next sequence number, over the
+// oldest record once the ring is full.
 func (l *eventLog[T]) append(make func(seq uint64) T) uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -56,8 +58,10 @@ func (l *eventLog[T]) append(make func(seq uint64) T) uint64 {
 		l.first = seq
 	}
 	if len(l.buf) == l.size {
-		copy(l.buf, l.buf[1:])
-		l.buf[len(l.buf)-1] = make(seq)
+		l.buf[l.head] = make(seq)
+		if l.head++; l.head == l.size {
+			l.head = 0
+		}
 		l.first++
 	} else {
 		l.buf = append(l.buf, make(seq))
@@ -86,7 +90,7 @@ func (l *eventLog[T]) since(cursor uint64, limit int) (items []T, next uint64, f
 		limit = len(l.buf)
 	}
 	for seq := start; seq <= l.next && len(items) < limit; seq++ {
-		items = append(items, l.buf[seq-l.first])
+		items = append(items, l.buf[(l.head+int(seq-l.first))%len(l.buf)])
 		next = seq
 	}
 	if next < cursor {

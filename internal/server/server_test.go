@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
@@ -418,5 +419,77 @@ func TestEventLogRing(t *testing.T) {
 	items, next, _, _ = l.since(10, 0)
 	if len(items) != 0 || next != 10 {
 		t.Errorf("caught-up read: items=%v next=%d", items, next)
+	}
+}
+
+// TestEventLogRingMatchesSliceModel fills a log to capacity, then
+// appends three capacities more while a reader pages through it with
+// since, and requires every read to return what a plain slice of all
+// records ever appended says it should: same items, next, first and
+// truncated. The reader's page size and pace vary so it is sometimes
+// caught up, sometimes lapped by the ring.
+func TestEventLogRingMatchesSliceModel(t *testing.T) {
+	const size = 64
+	l := newEventLog[uint64](size)
+	var all []uint64 // all[i] has sequence i+1
+	check := func(cursor uint64, limit int) uint64 {
+		t.Helper()
+		items, next, first, truncated := l.since(cursor, limit)
+		wantFirst := uint64(1)
+		if len(all) > size {
+			wantFirst = uint64(len(all) - size + 1)
+		}
+		start := max(cursor+1, wantFirst)
+		var want []uint64
+		if start <= uint64(len(all)) {
+			want = all[start-1:]
+		}
+		if limit > 0 && len(want) > limit {
+			want = want[:limit]
+		}
+		wantNext := cursor
+		if len(want) > 0 {
+			wantNext = want[len(want)-1]
+		}
+		if !reflect.DeepEqual(items, append([]uint64(nil), want...)) ||
+			next != wantNext || first != wantFirst || truncated != (cursor+1 < wantFirst) {
+			t.Fatalf("after %d appends since(%d, %d) = items %v next %d first %d truncated %v; model: items %v next %d first %d truncated %v",
+				len(all), cursor, limit, items, next, first, truncated, want, wantNext, wantFirst, cursor+1 < wantFirst)
+		}
+		return next
+	}
+	rng := rand.New(rand.NewSource(9))
+	cursor := uint64(0)
+	for i := 0; i < 4*size; i++ {
+		seq := l.append(func(seq uint64) uint64 { return seq })
+		all = append(all, seq)
+		if rng.Intn(3) == 0 || i%size == size-1 {
+			cursor = check(cursor, 1+rng.Intn(size/2))
+		}
+		if rng.Intn(40) == 0 {
+			check(0, 0) // a reader starting over: everything retained
+		}
+	}
+	check(cursor, 0)
+	if l.retained() != size {
+		t.Fatalf("retained %d, want %d", l.retained(), size)
+	}
+}
+
+// BenchmarkEventLogAppendFull appends to a log already at capacity: the
+// cost must not grow with the capacity.
+func BenchmarkEventLogAppendFull(b *testing.B) {
+	for _, size := range []int{64, 4096, 65536} {
+		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
+			l := newEventLog[Alert](size)
+			record := func(seq uint64) Alert { return Alert{Seq: seq} }
+			for i := 0; i < size; i++ {
+				l.append(record)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				l.append(record)
+			}
+		})
 	}
 }
