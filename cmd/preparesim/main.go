@@ -161,6 +161,21 @@ func (o options) applyRetrain(sc prepare.Scenario) (prepare.Scenario, error) {
 	return sc, nil
 }
 
+// checkScenarioFlags rejects -placement and -policy in the modes that
+// would ignore them: only -experiment run and -engine (applyRetrain)
+// read them.
+func (o options) checkScenarioFlags() error {
+	if !o.serve && !o.loadgen && (o.experiment == "run" || o.experiment == "engine") {
+		return nil
+	}
+	for _, f := range []struct{ name, value string }{{"placement", o.placement}, {"policy", o.policy}} {
+		if f.value != "" {
+			return fmt.Errorf("-%s is only read by -experiment run and -engine, not by this mode", f.name)
+		}
+	}
+	return nil
+}
+
 // chaosPlan builds the run's fault-injection plan from the flags (the
 // zero plan when -chaos is absent).
 func (o options) chaosPlan() prepare.ChaosPlan {
@@ -257,6 +272,9 @@ func run(args []string) error {
 	prepare.SetParallelism(opts.parallel)
 	if opts.engine {
 		opts.experiment = "engine"
+	}
+	if err := opts.checkScenarioFlags(); err != nil {
+		return err
 	}
 
 	if opts.telemetry || opts.telemetryAddr != "" {

@@ -98,11 +98,20 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		// Removed flags: there is one tick and one retraining rule.
 		{"-experiment", "run", "-retrain-mode", "batch"},
 		{"-experiment", "run", "-batch", "off"},
+		// -placement and -policy mean nothing outside run and engine.
+		{"-experiment", "fig6", "-placement", "predictive"},
+		{"-experiment", "fig8", "-policy", "scaling-first"},
+		{"-experiment", "table1", "-placement", "naive"},
+		{"-experiment", "run", "-loadgen", "-placement", "predictive"},
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {
 			t.Errorf("run(%v) should fail", args)
 		}
+	}
+	err := run([]string{"-experiment", "fig6", "-policy", "migration"})
+	if err == nil || !strings.Contains(err.Error(), "-experiment run and -engine") {
+		t.Errorf("misplaced -policy error %v does not name the modes that accept it", err)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"prepare/internal/chaos"
-	"prepare/internal/detector"
 	"prepare/internal/metrics"
 	"prepare/internal/simclock"
 	"prepare/internal/substrate"
@@ -138,8 +137,10 @@ var _ App = (*synthWorld)(nil)
 
 // runSynth drives one controller over a fresh synthetic world for
 // `until` simulated seconds and returns the controller plus its
-// telemetry registry. The zero spec is the default detector (tan).
-func runSynth(tb testing.TB, nVMs int, until int64, chaosRate float64, spec detector.Spec) (*Controller, *telemetry.Registry) {
+// telemetry registry. cfg supplies the detector (the zero spec is the
+// default, tan) and any retraining knobs; the training instant, monitor
+// seed and telemetry registry are fixed here.
+func runSynth(tb testing.TB, nVMs int, until int64, chaosRate float64, cfg Config) (*Controller, *telemetry.Registry) {
 	tb.Helper()
 	w := newSynthWorld(nVMs)
 	var sub substrate.Substrate = w
@@ -151,12 +152,10 @@ func runSynth(tb testing.TB, nVMs int, until int64, chaosRate float64, spec dete
 		sub = cs
 	}
 	reg := telemetry.New(telemetry.Options{})
-	ctl, err := New(SchemePREPARE, sub, w, Config{
-		TrainAtS:    300,
-		MonitorSeed: 11,
-		Telemetry:   reg,
-		Detector:    spec,
-	})
+	cfg.TrainAtS = 300
+	cfg.MonitorSeed = 11
+	cfg.Telemetry = reg
+	ctl, err := New(SchemePREPARE, sub, w, cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}

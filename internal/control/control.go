@@ -245,6 +245,13 @@ type Controller struct {
 	// synchronously within a tick (predictors copy what they retain), so
 	// one buffer serves every VM without per-sample allocation.
 	rowScratch []float64
+	// fitBufs holds one training worker's row buffers each, refilled
+	// from the series ring for every VM that worker fits.
+	fitBufs []fitBuf
+	// built holds, in vmOrder order, the detector fitVM built for each
+	// VM, which later fits train again in place. InstallDetectors clears
+	// it, so a detector installed from outside is replaced, not refit.
+	built []detector.Detector
 
 	pending  map[substrate.VMID]*pendingValidation
 	attempts map[substrate.VMID]int
@@ -353,6 +360,7 @@ func New(scheme Scheme, sub substrate.Substrate, app App, cfg Config) (*Controll
 		planner:       planner,
 		fitAt:         make(map[substrate.VMID]simclock.Time, len(vms)),
 		rowScratch:    make([]float64, metrics.NumAttributes),
+		built:         make([]detector.Detector, len(vms)),
 		pending:       make(map[substrate.VMID]*pendingValidation, len(vms)),
 		attempts:      make(map[substrate.VMID]int, len(vms)),
 		vmOrder:       vms,
@@ -876,9 +884,9 @@ func (c *Controller) train(now simclock.Time) error {
 	// fan out across the worker pool; each goroutine writes only its own
 	// slot and the results are installed in canonical VM order below.
 	runner := pool.Runner{Workers: c.cfg.TrainWorkers}
-	err := runner.ForEach(context.Background(), len(c.vmOrder), func(_ context.Context, i int) error {
-		id := c.vmOrder[i]
-		d, err := c.fitVM(id)
+	c.growFitBufs(runner.Size(len(c.vmOrder)))
+	err := runner.ForEachWorker(context.Background(), len(c.vmOrder), func(_ context.Context, w, i int) error {
+		d, err := c.fitVM(i, &c.fitBufs[w])
 		if err != nil {
 			return err
 		}
@@ -921,24 +929,44 @@ func (c *Controller) detectorOptions(id substrate.VMID) predict.DetectorOptions 
 	}
 }
 
-// fitVM fits one VM's detector from its retained series. The detector
-// adapter applies the kind-appropriate training protocol: anomaly-onset
-// relabeling plus a batch TAN fit, incremental sufficient statistics,
-// or an unlabeled outlier/forecast fit.
-func (c *Controller) fitVM(id substrate.VMID) (detector.Detector, error) {
+// fitBuf is one training worker's rows and labels (see Series.RowsInto).
+type fitBuf struct {
+	backing []float64
+	rows    [][]float64
+	labels  []metrics.Label
+}
+
+// growFitBufs makes sure every one of n training workers has a buffer.
+func (c *Controller) growFitBufs(n int) {
+	if len(c.fitBufs) < n {
+		c.fitBufs = append(c.fitBufs, make([]fitBuf, n-len(c.fitBufs))...)
+	}
+}
+
+// fitVM fits the i-th VM's detector from its retained series, read
+// straight from the ring into buf. The detector adapter applies the
+// kind-appropriate training protocol: anomaly-onset relabeling plus a
+// batch TAN fit, incremental sufficient statistics, or an unlabeled
+// outlier/forecast fit. A detector is built only when the VM's built
+// slot is empty (first training, or after InstallDetectors); otherwise
+// the one there is refit in place. Train replaces all model state and
+// keeps neither rows nor labels, so buf is free for the worker's next VM.
+func (c *Controller) fitVM(i int, buf *fitBuf) (detector.Detector, error) {
+	id := c.vmOrder[i]
 	series, err := c.sampler.Series(id)
 	if err != nil {
 		return nil, err
 	}
-	rows, labels := predict.RowsFromSamples(series.All())
-	d, err := predict.NewDetector(c.cfg.Detector, c.detectorOptions(id))
-	if err != nil {
-		return nil, err
+	buf.backing, buf.rows, buf.labels = series.RowsInto(buf.backing, buf.rows, buf.labels)
+	if c.built[i] == nil {
+		if c.built[i], err = predict.NewDetector(c.cfg.Detector, c.detectorOptions(id)); err != nil {
+			return nil, err
+		}
 	}
-	if err := d.Train(rows, labels); err != nil {
+	if err := c.built[i].Train(buf.rows, buf.labels); err != nil {
 		return nil, fmt.Errorf("train %s: %w", id, err)
 	}
-	return d, nil
+	return c.built[i], nil
 }
 
 // incrementalTraining reports whether this configuration maintains
@@ -966,7 +994,8 @@ func (c *Controller) retrain(now simclock.Time) error {
 	defer c.tel.retrainIncremental.ObserveSince(time.Now())
 	healed := make([]detector.Detector, len(c.vmOrder))
 	runner := pool.Runner{Workers: c.cfg.TrainWorkers}
-	err := runner.ForEach(context.Background(), len(c.vmOrder), func(_ context.Context, i int) error {
+	c.growFitBufs(runner.Size(len(c.vmOrder)))
+	err := runner.ForEachWorker(context.Background(), len(c.vmOrder), func(_ context.Context, w, i int) error {
 		id := c.vmOrder[i]
 		if d := c.detectors[id]; d != nil && d.Incremental() {
 			if err := d.Retrain(); err != nil {
@@ -974,7 +1003,7 @@ func (c *Controller) retrain(now simclock.Time) error {
 			}
 			return nil
 		}
-		d, err := c.fitVM(id)
+		d, err := c.fitVM(i, &c.fitBufs[w])
 		if err != nil {
 			return err
 		}

@@ -101,6 +101,9 @@ func (c *Controller) InstallDetectors(models map[substrate.VMID]detector.Detecto
 			return fmt.Errorf("control: no model for VM %s", id)
 		}
 	}
+	// Retraining replaces an installed detector rather than refitting
+	// it in place: it may carry options this controller did not give it.
+	clear(c.built)
 	for _, id := range c.vmOrder {
 		c.detectors[id] = models[id]
 		f, err := predict.NewAlarmFilter(c.cfg.FilterK, c.cfg.FilterW)

@@ -196,3 +196,37 @@ func TestRestoreModelsRejectsV1(t *testing.T) {
 		t.Fatal("version 99 snapshot accepted")
 	}
 }
+
+// TestRetrainReplacesInstalledDetectors: a periodic retrain refits the
+// detectors the controller built in place, but replaces installed ones,
+// which may carry options the controller did not give them.
+func TestRetrainReplacesInstalledDetectors(t *testing.T) {
+	ctl, _ := runSynth(t, 2, 400, 0, Config{Detector: detector.Spec{Kind: detector.KindEWMA}, RetrainIntervalS: 100})
+	id := ctl.vmOrder[0]
+	own := ctl.detectors[id]
+	if err := ctl.retrain(400); err != nil {
+		t.Fatal(err)
+	}
+	if ctl.detectors[id] != own {
+		t.Fatal("retrain replaced a detector the controller built instead of refitting it")
+	}
+
+	dims := len(predict.AttributeNames())
+	models := make(map[substrate.VMID]detector.Detector, len(ctl.vmOrder))
+	for _, vm := range ctl.vmOrder {
+		d := detector.NewEWMA(dims, detector.EWMAOptions{SamplingIntervalS: 5, Threshold: 99})
+		if err := d.Train(trainingRows(dims, 50), nil); err != nil {
+			t.Fatal(err)
+		}
+		models[vm] = d
+	}
+	if err := ctl.InstallDetectors(models); err != nil {
+		t.Fatal(err)
+	}
+	if err := ctl.retrain(500); err != nil {
+		t.Fatal(err)
+	}
+	if got := ctl.detectors[id]; got == models[id] || got == own {
+		t.Fatal("retrain after InstallDetectors did not build a fresh detector")
+	}
+}

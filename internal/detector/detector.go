@@ -69,6 +69,12 @@ type Detector interface {
 
 	// Train fits the detector from scratch on a labeled history.
 	// Detectors that cannot use labels ignore them; labels may be nil.
+	//
+	// Train replaces all model state: training a detector that was
+	// already trained (and streamed since) leaves it identical to a
+	// fresh one trained on the same history. It retains neither rows
+	// nor labels after returning, so the caller may refill both buffers
+	// for the next VM; it may mutate labels while it runs.
 	Train(rows [][]float64, labels []metrics.Label) error
 
 	// Trained reports whether the detector is ready to score.

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"sync"
 
 	"prepare/internal/metrics"
 )
@@ -85,9 +86,10 @@ type EWMA struct {
 
 	trained bool
 
-	// cached by Score for Verdict.
+	// cached by Score for Verdict, which recomputes the best step's
+	// clamped per-attribute deviations into lastZ.
 	lastDec   Decision
-	lastZ     []float64 // clamped per-attribute deviations at best step
+	lastZ     []float64
 	lastValid bool
 
 	scratch []float64
@@ -112,7 +114,9 @@ func (e *EWMA) Kind() string { return KindEWMA }
 
 // Train freezes the robust baseline from the history's normal samples
 // (all samples when no normal labels are present) and warms the Holt
-// filter by replaying the rows in order.
+// filter by replaying the rows in order. Every piece of model state is
+// overwritten in place, so a refit of a trained detector allocates
+// nothing once the pooled working set has grown to the history's length.
 func (e *EWMA) Train(rows [][]float64, labels []metrics.Label) error {
 	if len(rows) == 0 {
 		return errors.New("detector: ewma needs at least one training row")
@@ -123,13 +127,12 @@ func (e *EWMA) Train(rows [][]float64, labels []metrics.Label) error {
 			return fmt.Errorf("detector: ewma row has %d attributes, want %d", len(r), dims)
 		}
 	}
-	// Copied into the slices NewEWMA allocated alongside level and
-	// trend rather than replacing them, so a fleet's per-VM state stays
-	// where it was laid out.
-	center, scale := metrics.RobustScale(normalRows(rows, labels))
-	copy(e.center, center)
-	copy(e.scale, scale)
-	copy(e.scale0, scale)
+	// Fit into the slices NewEWMA allocated alongside level and trend
+	// rather than replacing them, so a fleet's per-VM state stays where
+	// it was laid out.
+	_, b := fitBaseline(rows, labels, e.center, e.scale)
+	b.release()
+	copy(e.scale0, e.scale)
 	// Warm the Holt filter on the full history (faulty spans included:
 	// the filter tracks the signal, the frozen baseline judges it),
 	// then zero the trend. A training history that ends near a faulty
@@ -238,7 +241,8 @@ func (e *EWMA) deviation(values, out []float64) float64 {
 // Score implements Detector: projects the Holt forecast over every
 // step of the window and returns the worst deviation from the frozen
 // baseline. Step 0 is the current level (jump faults), steps 1..h the
-// trend projection (ramp faults).
+// trend projection (ramp faults). Each step is evaluated once; the
+// per-attribute attribution is left to Verdict.
 func (e *EWMA) Score(lookaheadS int64) (Decision, error) {
 	if !e.trained {
 		return Decision{}, errors.New("detector: ewma not trained")
@@ -249,17 +253,8 @@ func (e *EWMA) Score(lookaheadS int64) (Decision, error) {
 	}
 	best, bestStep := -1.0, 0
 	for h := 0; h <= steps; h++ {
-		for j := range e.level {
-			e.scratch[j] = e.level[j] + float64(h)*e.trend[j]
-		}
-		if s := e.deviation(e.scratch, e.scratch); s > best {
+		if s := e.deviation(e.project(h), e.scratch); s > best {
 			best, bestStep = s, h
-			// scratch was consumed by deviation; recompute the z's
-			// into lastZ for attribution.
-			for j := range e.level {
-				e.scratch[j] = e.level[j] + float64(h)*e.trend[j]
-			}
-			e.deviation(e.scratch, e.lastZ)
 		}
 	}
 	e.lastDec = Decision{Abnormal: best > e.opts.Threshold, Score: best, LeadSteps: bestStep}
@@ -267,11 +262,25 @@ func (e *EWMA) Score(lookaheadS int64) (Decision, error) {
 	return e.lastDec, nil
 }
 
-// Verdict implements Detector.
+// project writes the Holt forecast h steps ahead into scratch and
+// returns it.
+func (e *EWMA) project(h int) []float64 {
+	for j := range e.level {
+		e.scratch[j] = e.level[j] + float64(h)*e.trend[j]
+	}
+	return e.scratch
+}
+
+// Verdict implements Detector. It recomputes the clamped deviations at
+// the step Score chose, with the same projection and the same deviation
+// arithmetic. That reproduces what Score saw exactly: lastValid holds
+// only until the next Observe, Update or Train, so level, trend, center
+// and scale are unchanged since.
 func (e *EWMA) Verdict() (Verdict, error) {
 	if !e.lastValid {
 		return Verdict{}, errors.New("detector: ewma verdict without a preceding score")
 	}
+	e.deviation(e.project(e.lastDec.LeadSteps), e.lastZ)
 	return Verdict{
 		Abnormal:  e.lastDec.Abnormal,
 		Score:     e.lastDec.Score,
@@ -352,23 +361,45 @@ func LoadEWMA(r io.Reader) (*EWMA, error) {
 	return e, nil
 }
 
-// normalRows returns the rows a baseline is fit on: those not labeled
-// abnormal, or every row when labels are absent or that would leave
-// none.
-func normalRows(rows [][]float64, labels []metrics.Label) [][]float64 {
-	if len(labels) != len(rows) {
-		return rows
-	}
-	keep := make([][]float64, 0, len(rows))
-	for i, r := range rows {
-		if labels[i] != metrics.LabelAbnormal {
-			keep = append(keep, r)
+// baseline is Train's working set for the median/MAD fit: the normal
+// rows' headers and the median column. It is pooled rather than kept by
+// each detector, so a fleet holds one per training goroutine instead of
+// one per VM, and a warm refit allocates nothing.
+type baseline struct {
+	normal [][]float64
+	col    []float64
+}
+
+var baselines = sync.Pool{New: func() any { return new(baseline) }}
+
+// fitBaseline fits center and scale in place on the rows a baseline is
+// fit on: those not labeled abnormal, or every row when labels are
+// absent or that would leave none. It returns those rows and the
+// working set they live in, which the caller hands back to release once
+// it is done with them.
+func fitBaseline(rows [][]float64, labels []metrics.Label, center, scale []float64) ([][]float64, *baseline) {
+	b := baselines.Get().(*baseline)
+	keep := b.normal[:0]
+	if len(labels) == len(rows) {
+		for i, r := range rows {
+			if labels[i] != metrics.LabelAbnormal {
+				keep = append(keep, r)
+			}
 		}
 	}
 	if len(keep) == 0 {
-		return rows
+		keep = append(keep, rows...)
 	}
-	return keep
+	b.normal = keep
+	b.col = metrics.RobustScaleInto(keep, center, scale, b.col)
+	return keep, b
+}
+
+// release clears the row headers, so no caller row outlives Train, and
+// returns b to the pool.
+func (b *baseline) release() {
+	clear(b.normal)
+	baselines.Put(b)
 }
 
 // rankStrengths converts per-attribute deviation weights into a ranked

@@ -86,7 +86,8 @@ func NewZRobust(dims int, opts ZRobustOptions) *ZRobust {
 func (z *ZRobust) Kind() string { return KindZRobust }
 
 // Train freezes the median/MAD baseline from the history's normal
-// samples and seeds the online calibration by replaying the rows.
+// samples and seeds the online calibration by replaying the rows. Like
+// EWMA.Train it overwrites every piece of model state in place.
 func (z *ZRobust) Train(rows [][]float64, labels []metrics.Label) error {
 	if len(rows) == 0 {
 		return errors.New("detector: zrobust needs at least one training row")
@@ -97,10 +98,8 @@ func (z *ZRobust) Train(rows [][]float64, labels []metrics.Label) error {
 			return fmt.Errorf("detector: zrobust row has %d attributes, want %d", len(r), dims)
 		}
 	}
-	normal := normalRows(rows, labels)
-	center, scale := metrics.RobustScale(normal)
-	copy(z.center, center)
-	copy(z.scale, scale)
+	normal, b := fitBaseline(rows, labels, z.center, z.scale)
+	defer b.release()
 	z.calibMean, z.calibVar, z.calibN = 0, 0, 0
 	z.trained = true
 	z.lastValid = false

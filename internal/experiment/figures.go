@@ -94,13 +94,19 @@ func FormatViolationCells(title string, cells []ViolationCell) string {
 		key := c.App.String() + "/" + c.Fault.String()
 		vsNone, vsReactive := "", ""
 		if c.Scheme == control.SchemePREPARE {
-			vsNone = fmt.Sprintf("-%.0f%%", Reduction(baseline[key], c.Stat.Mean))
-			vsReactive = fmt.Sprintf("-%.0f%%", Reduction(reactive[key], c.Stat.Mean))
+			vsNone = formatChange(Reduction(baseline[key], c.Stat.Mean))
+			vsReactive = formatChange(Reduction(reactive[key], c.Stat.Mean))
 		}
 		fmt.Fprintf(&b, "%-8s %-11s %-22s %15s %12s %12s\n",
 			c.App, c.Fault, c.Scheme, c.Stat, vsNone, vsReactive)
 	}
 	return b.String()
+}
+
+// formatChange renders a percent reduction as the signed change in
+// violation time: a 20% reduction is "-20%", a 20% increase "+20%".
+func formatChange(reduction float64) string {
+	return fmt.Sprintf("%+.0f%%", -reduction)
 }
 
 // TraceSeries is one curve of Figures 7/9: the SLO metric trace of one

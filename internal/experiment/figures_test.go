@@ -148,3 +148,42 @@ func TestFigurePerComponentVsMonolithic(t *testing.T) {
 			quality(curves[0]), quality(curves[1]))
 	}
 }
+
+// TestFormatViolationCellsSign: the "vs" columns carry the sign of the
+// change in violation time, so a cell where PREPARE loses reads "+20%",
+// not "--20%".
+func TestFormatViolationCellsSign(t *testing.T) {
+	for _, tc := range []struct {
+		name                    string
+		none, reactive, prepare float64
+		wantVsNone, wantVsReact string
+	}{
+		{"wins both", 100, 50, 40, "-60%", "-20%"},
+		{"loses to reactive", 100, 50, 60, "-40%", "+20%"},
+		{"ties reactive", 100, 50, 50, "-50%", "-0%"},
+		{"no baseline violation", 0, 0, 10, "-0%", "-0%"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cell := func(s control.Scheme, mean float64) ViolationCell {
+				return ViolationCell{App: RUBiS, Fault: faults.MemoryLeak, Scheme: s, Stat: Stat{Mean: mean, N: 1}}
+			}
+			text := FormatViolationCells("t", []ViolationCell{
+				cell(control.SchemeNone, tc.none),
+				cell(control.SchemeReactive, tc.reactive),
+				cell(control.SchemePREPARE, tc.prepare),
+			})
+			var row []string
+			for _, line := range strings.Split(text, "\n") {
+				if f := strings.Fields(line); len(f) > 2 && f[2] == control.SchemePREPARE.String() {
+					row = f
+				}
+			}
+			if len(row) != 6 {
+				t.Fatalf("no six-column prepare row in:\n%s", text)
+			}
+			if row[4] != tc.wantVsNone || row[5] != tc.wantVsReact {
+				t.Errorf("vs none/reactive = %s %s, want %s %s", row[4], row[5], tc.wantVsNone, tc.wantVsReact)
+			}
+		})
+	}
+}

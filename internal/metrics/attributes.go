@@ -60,11 +60,10 @@ func (a Attribute) String() string {
 	return fmt.Sprintf("attribute(%d)", int(a))
 }
 
-// Valid reports whether a names one of the 13 monitored attributes.
-func (a Attribute) Valid() bool {
-	_, ok := attributeNames[a]
-	return ok
-}
+// Valid reports whether a names one of the 13 monitored attributes. It
+// is a range check, not a lookup in attributeNames: Index calls it for
+// every attribute of every sample.
+func (a Attribute) Valid() bool { return a >= CPUUser && a <= PageFaults }
 
 // Index returns the 0-based position of the attribute within a sample
 // vector. It panics on invalid attributes, which indicates a programming

@@ -66,6 +66,11 @@ func TestInvalidAttribute(t *testing.T) {
 	if Attribute(NumAttributes + 1).Valid() {
 		t.Error("attribute 14 should be invalid")
 	}
+	for a := Attribute(-2); a <= NumAttributes+2; a++ {
+		if _, named := attributeNames[a]; a.Valid() != named {
+			t.Errorf("Attribute(%d).Valid() = %v, but named = %v", int(a), a.Valid(), named)
+		}
+	}
 	defer func() {
 		if recover() == nil {
 			t.Error("Index() on invalid attribute should panic")

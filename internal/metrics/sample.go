@@ -165,6 +165,34 @@ func (s *Series) All() []Sample {
 	return out
 }
 
+// RowsInto writes every retained sample, oldest first, as one row of
+// NumAttributes values plus its label, reading the ring in place. Rows
+// are consecutive, capacity-capped windows of backing. Each buffer is
+// reused when it is large enough and replaced when not; RowsInto returns
+// all three, so a caller that keeps them converts series after series
+// without allocating.
+func (s *Series) RowsInto(backing []float64, rows [][]float64, labels []Label) ([]float64, [][]float64, []Label) {
+	n := s.count
+	if cap(backing) < n*NumAttributes {
+		backing = make([]float64, n*NumAttributes)
+	}
+	if cap(rows) < n {
+		rows = make([][]float64, n)
+	}
+	if cap(labels) < n {
+		labels = make([]Label, n)
+	}
+	backing, rows, labels = backing[:n*NumAttributes], rows[:n], labels[:n]
+	for i := range rows {
+		sm := &s.samples[s.idx(i)]
+		row := backing[i*NumAttributes : (i+1)*NumAttributes : (i+1)*NumAttributes]
+		copy(row, sm.Values[:])
+		rows[i] = row
+		labels[i] = sm.Label
+	}
+	return backing, rows, labels
+}
+
 // Column extracts the values of a single attribute across all retained
 // samples.
 func (s *Series) Column(a Attribute) []float64 {

@@ -151,6 +151,46 @@ func TestSeriesAllIsCopy(t *testing.T) {
 	}
 }
 
+// TestSeriesRowsInto: a wrapped ring converts to the rows and labels of
+// All, oldest first, in capacity-capped rows, and a second conversion
+// into the returned buffers allocates nothing.
+func TestSeriesRowsInto(t *testing.T) {
+	s, err := NewBoundedSeries(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		sm := mkSample(simclock.Time(i), float64(i), Label(i%3))
+		sm.Values.Set(PageFaults, float64(-i))
+		if err := s.Append(sm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	backing, rows, labels := s.RowsInto(nil, nil, nil)
+	all := s.All()
+	if len(rows) != len(all) || len(labels) != len(all) {
+		t.Fatalf("RowsInto gave %d rows and %d labels, want %d", len(rows), len(labels), len(all))
+	}
+	for i, sm := range all {
+		if len(rows[i]) != NumAttributes || cap(rows[i]) != NumAttributes {
+			t.Errorf("row %d has len %d cap %d, want %d", i, len(rows[i]), cap(rows[i]), NumAttributes)
+		}
+		for j, v := range sm.Values {
+			if rows[i][j] != v {
+				t.Errorf("row %d col %d = %v, want %v", i, j, rows[i][j], v)
+			}
+		}
+		if labels[i] != sm.Label {
+			t.Errorf("label %d = %v, want %v", i, labels[i], sm.Label)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		backing, rows, labels = s.RowsInto(backing, rows, labels)
+	}); allocs != 0 {
+		t.Errorf("RowsInto into warm buffers allocates %v/op, want 0", allocs)
+	}
+}
+
 func TestLabelString(t *testing.T) {
 	tests := []struct {
 		label Label

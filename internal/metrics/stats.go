@@ -79,10 +79,15 @@ func Clamp(v, lo, hi float64) float64 {
 func Median(xs []float64) float64 {
 	cp := make([]float64, len(xs))
 	copy(cp, xs)
+	if m, ok := selectMedian(cp); ok {
+		return m
+	}
+	copy(cp, xs)
 	return medianSorting(cp)
 }
 
-// medianSorting is Median over a slice it may sort in place.
+// medianSorting is Median over a slice it may sort in place. It is the
+// reference selectMedian must reproduce bit for bit.
 func medianSorting(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
@@ -93,6 +98,89 @@ func medianSorting(xs []float64) float64 {
 		return xs[n/2]
 	}
 	return (xs[n/2-1] + xs[n/2]) / 2
+}
+
+// selectMedian is medianSorting in O(n): a quickselect that reorders xs.
+// It declines (ok false, xs reordered) in the two cases where
+// medianSorting's bits depend on the input order, because sort.Float64s
+// places NaNs and equal-comparing ±0 by position: xs holds a NaN, or
+// the median is zero and xs holds a -0. The caller then sorts the
+// untouched input. Every other median is an order statistic of values
+// whose equal elements are bit-identical, so selection and sorting agree.
+func selectMedian(xs []float64) (median float64, ok bool) {
+	n := len(xs)
+	if n == 0 {
+		return 0, true
+	}
+	negZero := false
+	for _, v := range xs {
+		if v != v {
+			return 0, false
+		}
+		negZero = negZero || (v == 0 && math.Signbit(v))
+	}
+	k := n / 2
+	m := selectK(xs, k)
+	if n%2 == 0 {
+		// selectK left xs[:k] at or below xs[k]: the lower middle value is
+		// their maximum.
+		lo := xs[0]
+		for _, v := range xs[1:k] {
+			if v > lo {
+				lo = v
+			}
+		}
+		m = (lo + m) / 2
+	}
+	if m == 0 && negZero {
+		return 0, false
+	}
+	return m, true
+}
+
+// selectK reorders xs (which holds no NaN) so that xs[k] is its k-th
+// smallest value, everything before it is at or below it and everything
+// after at or above, and returns xs[k]. It partitions three ways around
+// a median-of-three pivot, so runs of equal values — flat metric
+// columns — cost one pass instead of degrading to quadratic time.
+func selectK(xs []float64, k int) float64 {
+	lo, hi := 0, len(xs)-1
+	for lo < hi {
+		a, b, c := xs[lo], xs[lo+(hi-lo)/2], xs[hi]
+		if a > b {
+			a, b = b, a
+		}
+		if b > c {
+			b = c
+			if a > b {
+				b = a
+			}
+		}
+		p := b
+		lt, i, gt := lo, lo, hi
+		for i <= gt {
+			switch v := xs[i]; {
+			case v < p:
+				xs[lt], xs[i] = v, xs[lt]
+				lt++
+				i++
+			case v > p:
+				xs[gt], xs[i] = v, xs[gt]
+				gt--
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt - 1
+		case k > gt:
+			lo = gt + 1
+		default:
+			return xs[k]
+		}
+	}
+	return xs[k]
 }
 
 // RobustScale fits the per-column robust baseline every detector's
@@ -106,22 +194,57 @@ func RobustScale(rows [][]float64) (center, scale []float64) {
 	if len(rows) == 0 {
 		return nil, nil
 	}
-	nCols := len(rows[0])
-	center = make([]float64, nCols)
-	scale = make([]float64, nCols)
-	col := make([]float64, len(rows)) // one scratch column, sorted in place
-	for j := 0; j < nCols; j++ {
+	center = make([]float64, len(rows[0]))
+	scale = make([]float64, len(rows[0]))
+	RobustScaleInto(rows, center, scale, nil)
+	return center, scale
+}
+
+// RobustScaleInto is RobustScale writing into caller-owned center and
+// scale (each at least as wide as the rows) with scratch as its one
+// working column. It returns scratch, grown to len(rows) if it was
+// shorter, so a caller that keeps it refits without allocating. No rows
+// leave center and scale untouched.
+func RobustScaleInto(rows [][]float64, center, scale, scratch []float64) []float64 {
+	if cap(scratch) < len(rows) {
+		scratch = make([]float64, len(rows))
+	}
+	col := scratch[:len(rows)]
+	if len(rows) == 0 {
+		return scratch
+	}
+	for j := range rows[0] {
 		for i, row := range rows {
 			col[i] = row[j]
 		}
-		center[j] = medianSorting(col)
-		for i, v := range col {
-			col[i] = math.Abs(v - center[j])
+		c, ok := selectMedian(col)
+		var mad float64
+		if ok {
+			// The deviations hold no -0 (Abs clears the sign) and no NaN
+			// (ok rules one out), so selection agrees with sorting them in
+			// any order, the sorted one included.
+			for i, v := range col {
+				col[i] = math.Abs(v - c)
+			}
+			mad, ok = selectMedian(col)
 		}
-		scale[j] = 1.4826 * medianSorting(col)
+		if !ok {
+			// Either median is order-sensitive: fit the column exactly as
+			// sorting always has, deviations taken in sorted order.
+			for i, row := range rows {
+				col[i] = row[j]
+			}
+			c = medianSorting(col)
+			for i, v := range col {
+				col[i] = math.Abs(v - c)
+			}
+			mad = medianSorting(col)
+		}
+		center[j] = c
+		scale[j] = 1.4826 * mad
 		if scale[j] < 1e-9 {
 			scale[j] = 1e-9
 		}
 	}
-	return center, scale
+	return scratch
 }

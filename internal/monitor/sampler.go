@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"prepare/internal/columnar"
 	"prepare/internal/metrics"
@@ -52,17 +51,11 @@ type Sampler struct {
 	noiseStd float64
 	res      Resilience
 
-	series map[substrate.VMID]*metrics.Series
-
-	// lastGood is each VM's most recent sanitized raw vector; it seeds
-	// carry-forward and per-attribute sanitization fallbacks.
-	lastGood map[substrate.VMID]metrics.Vector
-	haveGood map[substrate.VMID]bool
-	// staleRun counts consecutive sampling ticks a VM's value was
-	// synthesized (carried forward) or judged sensor-stuck.
-	staleRun map[substrate.VMID]int
-	// stuckRun counts consecutive bitwise-identical raw vectors.
-	stuckRun map[substrate.VMID]int
+	// vms holds each VM's state in vmIDs order (the columnar store's VM
+	// order), so the collect loop walks one dense slice; idx serves only
+	// the ID-keyed accessors.
+	vms []vmState
+	idx map[substrate.VMID]int
 
 	// ingested counts appended samples; nil (disabled telemetry) no-ops,
 	// as do the resilience counters below.
@@ -71,6 +64,20 @@ type Sampler struct {
 	sanitized    *telemetry.Counter
 	stuckSamples *telemetry.Counter
 	droppedStale *telemetry.Counter
+}
+
+// vmState is one monitored VM's sampling state.
+type vmState struct {
+	series *metrics.Series
+	// lastGood is the VM's most recent sanitized raw vector; it seeds
+	// carry-forward and per-attribute sanitization fallbacks.
+	lastGood metrics.Vector
+	haveGood bool
+	// staleRun counts consecutive sampling ticks the VM's value was
+	// synthesized (carried forward) or judged sensor-stuck.
+	staleRun int
+	// stuckRun counts consecutive bitwise-identical raw vectors.
+	stuckRun int
 }
 
 // Resilience tunes the sampler's tolerance of a faulty metric source.
@@ -149,38 +156,48 @@ func NewSampler(source substrate.MetricSource, vmIDs []substrate.VMID, cfg Confi
 		rng:          rand.New(rand.NewSource(cfg.Seed)),
 		noiseStd:     noise,
 		res:          cfg.Resilience.withDefaults(),
-		series:       make(map[substrate.VMID]*metrics.Series, len(ids)),
-		lastGood:     make(map[substrate.VMID]metrics.Vector, len(ids)),
-		haveGood:     make(map[substrate.VMID]bool, len(ids)),
-		staleRun:     make(map[substrate.VMID]int, len(ids)),
-		stuckRun:     make(map[substrate.VMID]int, len(ids)),
+		vms:          make([]vmState, len(ids)),
+		idx:          make(map[substrate.VMID]int, len(ids)),
 		ingested:     cfg.Telemetry.Counter("monitor.samples.ingested"),
 		carried:      cfg.Telemetry.Counter("monitor.samples.carried_forward"),
 		sanitized:    cfg.Telemetry.Counter("monitor.samples.sanitized"),
 		stuckSamples: cfg.Telemetry.Counter("monitor.samples.stuck"),
 		droppedStale: cfg.Telemetry.Counter("monitor.samples.dropped_stale"),
 	}
-	for _, id := range ids {
+	for i, id := range ids {
 		if cfg.WindowSamples > 0 {
 			sr, err := metrics.NewBoundedSeries(cfg.WindowSamples)
 			if err != nil {
 				return nil, fmt.Errorf("monitor: %w", err)
 			}
-			s.series[id] = sr
+			s.vms[i].series = sr
 		} else {
-			s.series[id] = metrics.NewSeries(512)
+			s.vms[i].series = metrics.NewSeries(512)
 		}
+		if _, dup := s.idx[id]; dup {
+			return nil, fmt.Errorf("monitor: VM %q listed twice", id)
+		}
+		s.idx[id] = i
 	}
 	return s, nil
 }
 
+// state returns the VM's sampling state, nil when it is not monitored.
+func (s *Sampler) state(id substrate.VMID) *vmState {
+	i, ok := s.idx[id]
+	if !ok {
+		return nil
+	}
+	return &s.vms[i]
+}
+
 // Series returns the sample series of a VM.
 func (s *Sampler) Series(id substrate.VMID) (*metrics.Series, error) {
-	sr, ok := s.series[id]
-	if !ok {
+	st := s.state(id)
+	if st == nil {
 		return nil, fmt.Errorf("monitor: VM %q is not monitored", id)
 	}
-	return sr, nil
+	return st.series, nil
 }
 
 // Advance moves the metric source to now; call once per simulated
@@ -190,26 +207,27 @@ func (s *Sampler) Advance(now simclock.Time) {
 	s.source.Advance(now)
 }
 
-// sampleOne runs the full per-VM sampling pipeline — source read,
-// transient carry-forward, sanitization, stuck/staleness accounting,
-// measurement noise — and returns the noised vector plus whether the VM
-// is within its staleness budget (i.e. the sample should be recorded to
-// the training series).
-func (s *Sampler) sampleOne(id substrate.VMID) (metrics.Vector, bool, error) {
-	clean, err := s.source.Sample(id)
+// sampleOne runs the full per-VM sampling pipeline for the i-th VM —
+// source read, transient carry-forward, sanitization, stuck/staleness
+// accounting, measurement noise — writes the noised vector into v, and
+// reports whether the VM is within its staleness budget (i.e. the sample
+// should be recorded to the training series).
+func (s *Sampler) sampleOne(i int, v *metrics.Vector) (bool, error) {
+	st := &s.vms[i]
+	clean, err := s.source.Sample(s.vmIDs[i])
 	synthesized := false
 	if err != nil {
 		if !substrate.IsTransient(err) {
-			return metrics.Vector{}, false, fmt.Errorf("monitor: collect %q: %w", id, err)
+			return false, fmt.Errorf("monitor: collect %q: %w", s.vmIDs[i], err)
 		}
 		// Transient gap: carry the last known-good vector forward
 		// (zero vector before the first good sample — sanitization
 		// fallbacks have nothing better yet either).
-		clean = s.lastGood[id]
+		clean = st.lastGood
 		synthesized = true
 		s.carried.Inc()
 	}
-	clean, repaired := SanitizeVector(clean, s.lastGood[id])
+	clean, repaired := SanitizeVector(clean, st.lastGood)
 	if repaired > 0 {
 		s.sanitized.Add(int64(repaired))
 	}
@@ -219,31 +237,30 @@ func (s *Sampler) sampleOne(id substrate.VMID) (metrics.Vector, bool, error) {
 	// sensor is frozen on one bitwise-identical vector.
 	stale := synthesized
 	if !synthesized && s.res.StuckThreshold > 0 {
-		if s.haveGood[id] && clean == s.lastGood[id] {
-			s.stuckRun[id]++
+		if st.haveGood && clean == st.lastGood {
+			st.stuckRun++
 		} else {
-			s.stuckRun[id] = 0
+			st.stuckRun = 0
 		}
-		if s.stuckRun[id] >= s.res.StuckThreshold {
+		if st.stuckRun >= s.res.StuckThreshold {
 			stale = true
 			s.stuckSamples.Inc()
 		}
 	}
 	if stale {
-		s.staleRun[id]++
+		st.staleRun++
 	} else {
-		s.staleRun[id] = 0
+		st.staleRun = 0
 	}
 	if !synthesized {
-		s.lastGood[id] = clean
-		s.haveGood[id] = true
+		st.lastGood = clean
+		st.haveGood = true
 	}
 
-	var v metrics.Vector
 	for _, a := range noiseOrder {
-		v.Set(a, s.noisy(clean.Get(a)))
+		v[int(a)-1] = s.noisy(clean[int(a)-1])
 	}
-	return v, s.staleRun[id] <= s.res.MaxStaleTicks, nil
+	return st.staleRun <= s.res.MaxStaleTicks, nil
 }
 
 // CollectColumnar samples every monitored VM at the given instant,
@@ -258,15 +275,16 @@ func (s *Sampler) CollectColumnar(now simclock.Time, label metrics.Label, st *co
 		return fmt.Errorf("monitor: columnar store holds %d VMs, sampler monitors %d", st.VMs(), len(s.vmIDs))
 	}
 	ingested := 0
-	for i, id := range s.vmIDs {
-		v, record, err := s.sampleOne(id)
+	sm := metrics.Sample{Time: now, Label: label}
+	for i := range s.vms {
+		record, err := s.sampleOne(i, &sm.Values)
 		if err != nil {
 			return err
 		}
-		st.StageRow(i, &v)
+		st.StageRow(i, &sm.Values)
 		if record {
-			if err := s.series[id].Append(metrics.Sample{Time: now, Values: v, Label: label}); err != nil {
-				return fmt.Errorf("monitor: append %q: %w", id, err)
+			if err := s.vms[i].series.Append(sm); err != nil {
+				return fmt.Errorf("monitor: append %q: %w", s.vmIDs[i], err)
 			}
 			ingested++
 		} else {
@@ -281,7 +299,12 @@ func (s *Sampler) CollectColumnar(now simclock.Time, label metrics.Label, st *co
 // StaleTicks returns how many consecutive sampling ticks the VM's
 // sample has been synthesized or judged sensor-stuck (0 for a healthy
 // source).
-func (s *Sampler) StaleTicks(id substrate.VMID) int { return s.staleRun[id] }
+func (s *Sampler) StaleTicks(id substrate.VMID) int {
+	if st := s.state(id); st != nil {
+		return st.staleRun
+	}
+	return 0
+}
 
 // Recording reports whether the VM's samples are currently inside the
 // staleness budget and thus being appended to its training series. The
@@ -289,7 +312,7 @@ func (s *Sampler) StaleTicks(id substrate.VMID) int { return s.staleRun[id] }
 // series refuses are fed to the classifier statistics as unlabeled, so
 // a frozen sensor cannot teach the model a flat line.
 func (s *Sampler) Recording(id substrate.VMID) bool {
-	return s.staleRun[id] <= s.res.MaxStaleTicks
+	return s.StaleTicks(id) <= s.res.MaxStaleTicks
 }
 
 func (s *Sampler) noisy(value float64) float64 {
@@ -304,16 +327,11 @@ func (s *Sampler) noisy(value float64) float64 {
 }
 
 // Dataset bundles each VM's labeled series for offline (trace-driven)
-// experiments, sorted by VM ID for determinism.
+// experiments, keyed by VM ID.
 func (s *Sampler) Dataset() map[substrate.VMID][]metrics.Sample {
-	out := make(map[substrate.VMID][]metrics.Sample, len(s.series))
-	ids := make([]string, 0, len(s.series))
-	for id := range s.series {
-		ids = append(ids, string(id))
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		out[substrate.VMID(id)] = s.series[substrate.VMID(id)].All()
+	out := make(map[substrate.VMID][]metrics.Sample, len(s.vms))
+	for i, id := range s.vmIDs {
+		out[id] = s.vms[i].series.All()
 	}
 	return out
 }

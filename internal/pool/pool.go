@@ -51,6 +51,12 @@ func (r Runner) workers() int {
 	return DefaultWorkers()
 }
 
+// Size returns how many workers ForEach runs n tasks on: Workers (or
+// DefaultWorkers) capped at n, and at least 1.
+func (r Runner) Size(n int) int {
+	return max(1, min(r.workers(), n))
+}
+
 // ForEach runs fn(ctx, i) for every i in [0, n), at most r.Workers at a
 // time. Callers make results deterministic by writing into slot i of a
 // pre-sized slice — completion order never matters. The first error
@@ -58,19 +64,23 @@ func (r Runner) workers() int {
 // that first error (by task submission order, not completion time) is
 // returned.
 func (r Runner) ForEach(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
+	return r.ForEachWorker(ctx, n, func(ctx context.Context, _, i int) error { return fn(ctx, i) })
+}
+
+// ForEachWorker is ForEach that also tells each task which worker, in
+// [0, Size(n)), runs it. One worker runs its tasks one at a time, so
+// per-worker scratch needs no locking.
+func (r Runner) ForEachWorker(ctx context.Context, n int, fn func(ctx context.Context, worker, i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
-	workers := r.workers()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
+	workers := r.Size(n)
+	if workers == 1 {
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := fn(ctx, i); err != nil {
+			if err := fn(ctx, 0, i); err != nil {
 				return err
 			}
 		}
@@ -107,7 +117,7 @@ func (r Runner) ForEach(ctx context.Context, n int, fn func(ctx context.Context,
 				if i >= n || ctx.Err() != nil {
 					return
 				}
-				if err := fn(ctx, i); err != nil {
+				if err := fn(ctx, w, i); err != nil {
 					fail(i, err)
 					return
 				}
