@@ -1,20 +1,16 @@
 package prepare_test
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
 
-// TestControlLoopPackagesDoNotImportCloudsim enforces the substrate
-// boundary: the control-loop packages (control, infer, prevent,
-// monitor) must depend only on the neutral substrate contract, never on
-// the simulator. The simulator is one substrate implementation among
-// others (replay is the second); only composition roots — experiment,
-// the facade, commands — may import it.
 // TestDetectorPackageImportsStayMinimal enforces the detector layer's
 // dependency contract: internal/detector is the interface every scorer
 // implements, so it may import only the row vocabulary
@@ -53,6 +49,12 @@ func TestDetectorPackageImportsStayMinimal(t *testing.T) {
 	}
 }
 
+// TestControlLoopPackagesDoNotImportCloudsim enforces the substrate
+// boundary: the control-loop packages (control, infer, prevent,
+// monitor) must depend only on the neutral substrate contract, never on
+// the simulator. The simulator is one substrate implementation among
+// others (replay is the second); only composition roots — experiment,
+// the facade, commands — may import it.
 func TestControlLoopPackagesDoNotImportCloudsim(t *testing.T) {
 	const forbidden = "prepare/internal/cloudsim"
 	fset := token.NewFileSet()
@@ -80,4 +82,99 @@ func TestControlLoopPackagesDoNotImportCloudsim(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFacadeAPIGolden pins the root package's exported surface: every
+// exported top-level name and method declared in its non-test files,
+// sorted, must match testdata/facade_api.txt. A deliberate API change
+// regenerates the golden with the command the failure prints.
+func TestFacadeAPIGolden(t *testing.T) {
+	const golden = "testdata/facade_api.txt"
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var api []string
+	fset := token.NewFileSet()
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatalf("parsing %s: %v", path, err)
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if !d.Name.IsExported() {
+					continue
+				}
+				if d.Recv == nil {
+					api = append(api, "func "+d.Name.Name)
+					continue
+				}
+				recv := d.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if id, ok := recv.(*ast.Ident); ok && id.IsExported() {
+					api = append(api, "method "+id.Name+"."+d.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						if s.Name.IsExported() {
+							api = append(api, "type "+s.Name.Name)
+						}
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							if n.IsExported() {
+								api = append(api, d.Tok.String()+" "+n.Name)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	sort.Strings(api)
+	got := strings.Join(api, "\n") + "\n"
+	want, err := os.ReadFile(golden)
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	if got == string(want) {
+		return
+	}
+	var diff strings.Builder
+	inGot := make(map[string]bool, len(api))
+	for _, line := range api {
+		inGot[line] = true
+	}
+	inWant := make(map[string]bool)
+	for _, line := range strings.Split(strings.TrimSuffix(string(want), "\n"), "\n") {
+		inWant[line] = true
+		if line != "" && !inGot[line] {
+			diff.WriteString("- " + line + "\n")
+		}
+	}
+	for _, line := range api {
+		if !inWant[line] {
+			diff.WriteString("+ " + line + "\n")
+		}
+	}
+	tmp, err := os.CreateTemp("", "facade_api-*.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tmp.WriteString(got); err != nil {
+		t.Fatal(err)
+	}
+	if err := tmp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	t.Errorf("root package API differs from %s (- golden, + source):\n%sregenerate with: cp %s %s",
+		golden, diff.String(), tmp.Name(), golden)
 }

@@ -16,21 +16,18 @@
 //	preparesim -experiment detectors [-app systems] [-detector tan,ewma,ensemble:tan+ewma@1]
 //	preparesim -engine -tenants 8 [-shards 4] [-app systems] [-fault memleak]
 //	preparesim -serve -addr 127.0.0.1:8080 [-tenants 4 -vms 4] [-chaos]
-//	preparesim -loadgen -profile short [-rate 20000]
 //
 // The -serve mode hosts the controller service: the sharded engine
 // behind an asynchronous ingest→predict→actuate pipeline with an
 // HTTP/JSON API (POST /v1/samples, GET /v1/alerts, /v1/audit,
 // /v1/tenants/{id}/model, /v1/checkpoint, /healthz, /readyz) until
-// SIGINT/SIGTERM. The -loadgen mode drives a deterministic open-loop
-// load profile through an in-process service and prints a flat JSON
-// report (scripts/check_slo.sh gates it in CI).
+// SIGINT/SIGTERM.
 //
 // The -engine mode runs N independent tenants (one world and control
 // loop each) on the sharded multi-tenant engine; output is identical
 // for any -shards/-parallel value.
 //
-// Add -chaos to the run and engine modes to interpose a deterministic
+// Add -chaos to the run, engine and serve modes to interpose a deterministic
 // fault-injecting decorator between the control loop and the simulator:
 //
 //	preparesim -experiment run -app systems -fault memleak -chaos -chaos-rate 0.02
@@ -41,7 +38,7 @@
 // -chaos-seed (0 derives one from -seed), so a given seed reproduces
 // the exact same fault schedule.
 //
-// The run and engine modes accept retraining knobs: -retrain N updates
+// The run, engine and serve modes accept retraining knobs: -retrain N updates
 // the prediction models every N simulated seconds, and -history-window M
 // bounds per-VM sample history to a ring of M samples:
 //
@@ -68,6 +65,8 @@
 //
 //	preparesim -experiment run -app systems -fault cpuhog -policy migration -placement predictive
 //
+// A mode-specific flag is an error in every mode that does not read it.
+//
 // Profiling: -cpuprofile FILE and -memprofile FILE write pprof
 // profiles covering the whole invocation:
 //
@@ -90,6 +89,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"prepare"
@@ -117,11 +117,6 @@ type options struct {
 	serve           bool
 	addr            string
 	vms             int
-	loadgen         bool
-	profile         string
-	rate            float64
-	wireMode        string
-	alertsOut       string
 	telemetry       bool
 	telemetryFormat string
 	telemetryAddr   string
@@ -161,19 +156,42 @@ func (o options) applyRetrain(sc prepare.Scenario) (prepare.Scenario, error) {
 	return sc, nil
 }
 
-// checkScenarioFlags rejects -placement and -policy in the modes that
-// would ignore them: only -experiment run and -engine (applyRetrain)
-// read them.
-func (o options) checkScenarioFlags() error {
-	if !o.serve && !o.loadgen && (o.experiment == "run" || o.experiment == "engine") {
-		return nil
+// modeFlags maps each mode-specific flag to the modes that read it.
+// Every other mode would silently ignore it, so run rejects it there.
+var modeFlags = map[string][]string{
+	"detector":       {"-experiment run", "-engine", "-experiment detectors"},
+	"retrain":        {"-experiment run", "-engine", "-serve"},
+	"history-window": {"-experiment run", "-engine", "-serve"},
+	"chaos":          {"-experiment run", "-engine", "-serve"},
+	"chaos-seed":     {"-experiment run", "-engine", "-serve"},
+	"chaos-rate":     {"-experiment run", "-engine", "-serve"},
+	"placement":      {"-experiment run", "-engine"},
+	"policy":         {"-experiment run", "-engine"},
+}
+
+// mode names the invocation's mode as modeFlags spells it.
+func (o options) mode() string {
+	if o.serve {
+		return "-serve"
 	}
-	for _, f := range []struct{ name, value string }{{"placement", o.placement}, {"policy", o.policy}} {
-		if f.value != "" {
-			return fmt.Errorf("-%s is only read by -experiment run and -engine, not by this mode", f.name)
+	if o.experiment == "engine" {
+		return "-engine"
+	}
+	return "-experiment " + o.experiment
+}
+
+// checkModeFlags rejects every flag set on the command line that
+// modeFlags says the invocation's mode does not read. Visit sees only
+// flags the user set, so an explicit default value is caught too.
+func checkModeFlags(fs *flag.FlagSet, mode string) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		modes, ok := modeFlags[f.Name]
+		if err == nil && ok && !slices.Contains(modes, mode) {
+			err = fmt.Errorf("-%s is not read by %s (only by %s)", f.Name, mode, strings.Join(modes, ", "))
 		}
-	}
-	return nil
+	})
+	return err
 }
 
 // chaosPlan builds the run's fault-injection plan from the flags (the
@@ -208,15 +226,6 @@ func run(args []string) error {
 		"run the controller service: async ingest→predict→actuate pipeline with an HTTP API on -addr")
 	fs.StringVar(&opts.addr, "addr", "127.0.0.1:8080", "listen address for -serve")
 	fs.IntVar(&opts.vms, "vms", 4, "VMs per tenant for the serve mode's synthetic topology")
-	fs.BoolVar(&opts.loadgen, "loadgen", false,
-		"drive a load profile through an in-process controller service and print the JSON report")
-	fs.StringVar(&opts.profile, "profile", "short", "load profile for -loadgen: short, ingest or full")
-	fs.Float64Var(&opts.rate, "rate", -1,
-		"override the -loadgen profile's open-loop rate in samples/sec (0 = unpaced, -1 = profile default)")
-	fs.StringVar(&opts.wireMode, "wire", "",
-		"ingest transport for -loadgen: json, binary or stream (default: binary)")
-	fs.StringVar(&opts.alertsOut, "alerts-out", "",
-		"write the -loadgen run's canonical alert stream to this file (transport byte-diffs)")
 	fs.BoolVar(&opts.telemetry, "telemetry", false,
 		"collect control-loop telemetry and print an end-of-run report to stderr")
 	fs.StringVar(&opts.telemetryFormat, "telemetry-format", "text",
@@ -224,13 +233,13 @@ func run(args []string) error {
 	fs.StringVar(&opts.telemetryAddr, "telemetry-addr", "",
 		"serve live telemetry over HTTP on this address (/metrics, /trace); implies -telemetry")
 	fs.BoolVar(&opts.chaos, "chaos", false,
-		"inject deterministic substrate faults into the run and engine modes")
+		"inject deterministic substrate faults into the run, engine and serve modes")
 	fs.Int64Var(&opts.chaosSeed, "chaos-seed", 0,
 		"chaos fault-schedule seed (0 = derive from -seed)")
 	fs.Float64Var(&opts.chaosRate, "chaos-rate", 0.02,
 		"per-call probability of each chaos fault kind")
 	fs.Int64Var(&opts.retrainS, "retrain", 0,
-		"retrain the prediction models every N simulated seconds in the run and engine modes (0 = train once)")
+		"retrain the prediction models every N simulated seconds in the run, engine and serve modes (0 = train once)")
 	fs.IntVar(&opts.historyWindow, "history-window", 0,
 		"bound per-VM sample history to a ring of N samples (0 = unbounded)")
 	fs.StringVar(&opts.detector, "detector", "",
@@ -273,7 +282,7 @@ func run(args []string) error {
 	if opts.engine {
 		opts.experiment = "engine"
 	}
-	if err := opts.checkScenarioFlags(); err != nil {
+	if err := checkModeFlags(fs, opts.mode()); err != nil {
 		return err
 	}
 
@@ -299,9 +308,6 @@ func run(args []string) error {
 
 	if opts.serve {
 		return runServe(opts)
-	}
-	if opts.loadgen {
-		return runLoadgen(opts)
 	}
 
 	switch opts.experiment {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"io"
 	"os"
 	"path/filepath"
@@ -98,20 +99,81 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		// Removed flags: there is one tick and one retraining rule.
 		{"-experiment", "run", "-retrain-mode", "batch"},
 		{"-experiment", "run", "-batch", "off"},
-		// -placement and -policy mean nothing outside run and engine.
+		// Removed flags: the standing benchmark is the one load generator.
+		{"-loadgen"},
+		{"-profile", "short"},
+		{"-rate", "20000"},
+		{"-wire", "binary"},
+		{"-alerts-out", "alerts.json"},
+		// A mode-specific flag is an error in every mode that ignores it,
+		// even when it spells the default.
 		{"-experiment", "fig6", "-placement", "predictive"},
 		{"-experiment", "fig8", "-policy", "scaling-first"},
 		{"-experiment", "table1", "-placement", "naive"},
-		{"-experiment", "run", "-loadgen", "-placement", "predictive"},
+		{"-experiment", "detectors", "-policy", "migration"},
+		{"-serve", "-placement", "predictive"},
+		{"-experiment", "fig6", "-detector", "ewma"},
+		{"-experiment", "unseen", "-detector", "tan"},
+		{"-serve", "-detector", "ewma"},
+		{"-engine", "-serve", "-detector", "ewma"},
+		{"-experiment", "fig6", "-retrain", "0"},
+		{"-experiment", "table1", "-history-window", "720"},
+		{"-experiment", "report", "-chaos"},
+		{"-experiment", "all", "-chaos-seed", "7"},
+		{"-experiment", "unseen", "-chaos-rate", "0.02"},
+		{"-experiment", "detectors", "-retrain", "600"},
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {
 			t.Errorf("run(%v) should fail", args)
 		}
 	}
-	err := run([]string{"-experiment", "fig6", "-policy", "migration"})
-	if err == nil || !strings.Contains(err.Error(), "-experiment run and -engine") {
-		t.Errorf("misplaced -policy error %v does not name the modes that accept it", err)
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-experiment", "fig6", "-policy", "migration"},
+			"-policy is not read by -experiment fig6 (only by -experiment run, -engine)"},
+		{[]string{"-serve", "-detector", "ewma"},
+			"-detector is not read by -serve (only by -experiment run, -engine, -experiment detectors)"},
+		{[]string{"-experiment", "fig10", "-retrain", "0"},
+			"-retrain is not read by -experiment fig10 (only by -experiment run, -engine, -serve)"},
+		{[]string{"-wire", "json"}, "flag provided but not defined: -wire"},
+	} {
+		if err := run(c.args); err == nil || err.Error() != c.want {
+			t.Errorf("run(%v) = %v, want %q", c.args, err, c.want)
+		}
+	}
+}
+
+// TestModeFlagsAcceptedWhereRead: every mode modeFlags lists for a flag
+// accepts it, and each invocation maps onto the mode names the table
+// uses.
+func TestModeFlagsAcceptedWhereRead(t *testing.T) {
+	for name, modes := range modeFlags {
+		for _, mode := range modes {
+			fs := flag.NewFlagSet("preparesim", flag.ContinueOnError)
+			fs.String(name, "", "")
+			if err := fs.Parse([]string{"-" + name, "1"}); err != nil {
+				t.Fatal(err)
+			}
+			if err := checkModeFlags(fs, mode); err != nil {
+				t.Errorf("-%s rejected by %s: %v", name, mode, err)
+			}
+		}
+	}
+	for _, c := range []struct {
+		o    options
+		want string
+	}{
+		{options{experiment: "run"}, "-experiment run"},
+		{options{experiment: "engine"}, "-engine"},
+		{options{experiment: "detectors"}, "-experiment detectors"},
+		{options{experiment: "engine", serve: true}, "-serve"},
+	} {
+		if got := c.o.mode(); got != c.want {
+			t.Errorf("%+v.mode() = %q, want %q", c.o, got, c.want)
+		}
 	}
 }
 

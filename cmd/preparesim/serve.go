@@ -51,26 +51,3 @@ func runServe(opts options) error {
 		opts.tenants, opts.vms, opts.addr)
 	return prepare.RunServer(ctx, srv, opts.addr)
 }
-
-// runLoadgen executes the named load profile against an in-process
-// controller service and prints the flat JSON report to stdout.
-func runLoadgen(opts options) error {
-	cfg, err := prepare.LoadgenProfile(opts.profile)
-	if err != nil {
-		return err
-	}
-	if opts.rate >= 0 {
-		cfg.Rate = opts.rate
-	}
-	if opts.wireMode != "" {
-		cfg.Wire = opts.wireMode
-	}
-	cfg.AlertsOut = opts.alertsOut
-	cfg.Seed = opts.seed
-	rep, err := prepare.RunLoadgen(cfg)
-	if err != nil {
-		return err
-	}
-	_, err = os.Stdout.Write(rep.JSON())
-	return err
-}

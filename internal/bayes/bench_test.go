@@ -8,7 +8,7 @@ import (
 // benchModel trains a 13-attribute, 8-bin model — the shape of PREPARE's
 // per-VM classifier — and returns marginals resembling a Markov
 // predictor's output.
-func benchModel(b *testing.B) (*Model, [][]float64, []int) {
+func benchModel(b testing.TB) (*Model, [][]float64, []int) {
 	b.Helper()
 	const attrs, bins = 13, 8
 	rng := rand.New(rand.NewSource(1))
@@ -100,6 +100,46 @@ func BenchmarkAttributeStrengthsScratch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := m.AttributeStrengthsScratch(obs, &sc); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestScoringAllocs pins the allocation count of each scoring path the
+// benchmarks above time: with a reused Scratch the scratch variants
+// allocate only what they return, and the marginal scores nothing.
+func TestScoringAllocs(t *testing.T) {
+	m, marginals, obs := benchModel(t)
+	lr := m.LogRatios()
+	var sc Scratch
+	for _, c := range []struct {
+		name string
+		max  float64
+		call func() error
+	}{
+		{"ScoreMarginalsScratch", 3, func() error {
+			_, _, err := m.ScoreMarginalsScratch(marginals, &sc)
+			return err
+		}},
+		{"AttributeStrengthsScratch", 3, func() error {
+			_, err := m.AttributeStrengthsScratch(obs, &sc)
+			return err
+		}},
+		{"MarginalScore", 0, func() error {
+			_, err := m.MarginalScore(marginals, &sc)
+			return err
+		}},
+		{"MarginalScoreFast", 0, func() error {
+			m.MarginalScoreFast(marginals, lr, &sc)
+			return nil
+		}},
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := c.call(); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+		})
+		if allocs > c.max {
+			t.Errorf("%s allocates %v/op, want <= %v", c.name, allocs, c.max)
 		}
 	}
 }

@@ -233,63 +233,3 @@ func TestBatchTickAllocsIndependentOfFleetSize(t *testing.T) {
 		t.Errorf("tick allocates %v/op, want <= 6", large)
 	}
 }
-
-// BenchmarkEngineVMSteps measures fleet throughput in VM-steps/sec —
-// one VM-step is one VM's share of one post-training sampling tick
-// (sample → observe → predict window → filter). The sub-benchmarks keep
-// the name batch/vms=N so the CI base-vs-head gate pairs them with
-// earlier commits. The 10k and 100k fleets are skipped in -short mode.
-func BenchmarkEngineVMSteps(b *testing.B) {
-	for _, nVMs := range []int{1000, 10000, 100000} {
-		b.Run(fmt.Sprintf("batch/vms=%d", nVMs), func(b *testing.B) {
-			if nVMs > 1000 && testing.Short() {
-				b.Skipf("skipping %d-VM fleet in -short mode", nVMs)
-			}
-			w := newSynthWorld(nVMs)
-			ctl, err := New(SchemePREPARE, w, w, Config{
-				TrainAtS:             300,
-				MonitorSeed:          11,
-				HistoryWindowSamples: 128,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			tenants := []Tenant{{
-				ID:         "bench",
-				Controller: ctl,
-				Advance: func(now simclock.Time) error {
-					w.Tick(now)
-					return nil
-				},
-			}}
-			eng, err := NewEngine(tenants, EngineOptions{Shards: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := eng.Run(305); err != nil {
-				b.Fatal(err)
-			}
-			if !ctl.Trained() {
-				b.Fatal("controller never trained")
-			}
-			interval := ctl.cfg.SamplingIntervalS
-			now := int64(305)
-			// One warm tick outside the measurement.
-			now += interval
-			if err := eng.Step(simclock.Time(now)); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				now += interval
-				if err := eng.Step(simclock.Time(now)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			steps := float64(nVMs) * float64(b.N)
-			b.ReportMetric(steps/b.Elapsed().Seconds(), "vm-steps/sec")
-		})
-	}
-}

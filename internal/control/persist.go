@@ -68,27 +68,51 @@ func (c *Controller) SaveModels(w io.Writer) error {
 // marking it trained. The snapshot must provide a model for every VM
 // the controller manages.
 func (c *Controller) RestoreModels(r io.Reader) error {
+	models, err := c.decodeModels(r)
+	if err != nil {
+		return err
+	}
+	return c.InstallDetectors(models)
+}
+
+// decodeModels decodes a SaveModels snapshot into one detector per
+// managed VM, ready for InstallDetectors, without touching the
+// controller.
+func (c *Controller) decodeModels(r io.Reader) (map[substrate.VMID]detector.Detector, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
-		return fmt.Errorf("control: read models: %w", err)
+		return nil, fmt.Errorf("control: read models: %w", err)
 	}
 	var snap modelsSnapshot
 	if err := json.Unmarshal(raw, &snap); err != nil {
-		return fmt.Errorf("control: decode models: %w", err)
+		return nil, fmt.Errorf("control: decode models: %w", err)
 	}
 	if snap.Version != modelsVersion {
-		return fmt.Errorf("control: unsupported model snapshot version %d", snap.Version)
+		return nil, fmt.Errorf("control: unsupported model snapshot version %d", snap.Version)
 	}
 	models := make(map[substrate.VMID]detector.Detector, len(snap.VMs))
 	for id, entry := range snap.VMs {
 		vm := substrate.VMID(id)
 		d, err := predict.LoadDetector(entry.Kind, bytes.NewReader(entry.Data), c.detectorOptions(vm))
 		if err != nil {
-			return fmt.Errorf("control: restore models for %s: %w", id, err)
+			return nil, fmt.Errorf("control: restore models for %s: %w", id, err)
 		}
 		models[vm] = d
 	}
-	return c.InstallDetectors(models)
+	if err := c.checkCoverage(models); err != nil {
+		return nil, err
+	}
+	return models, nil
+}
+
+// checkCoverage reports the first managed VM models has no detector for.
+func (c *Controller) checkCoverage(models map[substrate.VMID]detector.Detector) error {
+	for _, id := range c.vmOrder {
+		if models[id] == nil {
+			return fmt.Errorf("control: no model for VM %s", id)
+		}
+	}
+	return nil
 }
 
 // InstallDetectors installs pre-trained detectors — one per managed VM —
@@ -96,10 +120,8 @@ func (c *Controller) RestoreModels(r io.Reader) error {
 // online training pass. Fresh alarm filters are created alongside, as
 // train does.
 func (c *Controller) InstallDetectors(models map[substrate.VMID]detector.Detector) error {
-	for _, id := range c.vmOrder {
-		if models[id] == nil {
-			return fmt.Errorf("control: no model for VM %s", id)
-		}
+	if err := c.checkCoverage(models); err != nil {
+		return err
 	}
 	// Retraining replaces an installed detector rather than refitting
 	// it in place: it may carry options this controller did not give it.
@@ -114,24 +136,6 @@ func (c *Controller) InstallDetectors(models map[substrate.VMID]detector.Detecto
 	}
 	c.trained = true
 	return nil
-}
-
-// InstallModels installs pre-trained supervised predictors, wrapping
-// each in the TAN detector adapter. It remains as the typed entry point
-// for callers that train predictors out-of-band; the controller must be
-// configured for the TAN detector.
-func (c *Controller) InstallModels(models map[substrate.VMID]*predict.Predictor) error {
-	if c.cfg.Detector.Kind != detector.KindTAN {
-		return fmt.Errorf("control: cannot install supervised predictors into a %s controller", c.cfg.Detector)
-	}
-	wrapped := make(map[substrate.VMID]detector.Detector, len(models))
-	for id, p := range models {
-		if p == nil {
-			continue
-		}
-		wrapped[id] = predict.InstalledTAN(p, c.detectorOptions(id))
-	}
-	return c.InstallDetectors(wrapped)
 }
 
 // engineSnapshot is the JSON wire format of every tenant's models.
@@ -160,7 +164,9 @@ func (e *Engine) SaveModels(w io.Writer) error {
 }
 
 // RestoreModels loads an engine snapshot, restoring every tenant's
-// models. The snapshot must cover every tenant in the engine.
+// models. The snapshot must cover every tenant in the engine. Every
+// tenant's models are decoded and checked before any is installed, so a
+// snapshot that fails leaves every tenant as it was.
 func (e *Engine) RestoreModels(r io.Reader) error {
 	var snap engineSnapshot
 	if err := json.NewDecoder(r).Decode(&snap); err != nil {
@@ -169,12 +175,20 @@ func (e *Engine) RestoreModels(r io.Reader) error {
 	if snap.Version != modelsVersion {
 		return fmt.Errorf("control: unsupported engine snapshot version %d", snap.Version)
 	}
-	for _, t := range e.tenants {
+	decoded := make([]map[substrate.VMID]detector.Detector, len(e.tenants))
+	for i, t := range e.tenants {
 		raw, ok := snap.Tenants[t.ID]
 		if !ok {
 			return fmt.Errorf("control: snapshot has no models for tenant %s", t.ID)
 		}
-		if err := t.Controller.RestoreModels(bytes.NewReader(raw)); err != nil {
+		models, err := t.Controller.decodeModels(bytes.NewReader(raw))
+		if err != nil {
+			return fmt.Errorf("control: tenant %s: %w", t.ID, err)
+		}
+		decoded[i] = models
+	}
+	for i, t := range e.tenants {
+		if err := t.Controller.InstallDetectors(decoded[i]); err != nil {
 			return fmt.Errorf("control: tenant %s: %w", t.ID, err)
 		}
 	}

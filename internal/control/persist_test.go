@@ -197,6 +197,49 @@ func TestRestoreModelsRejectsV1(t *testing.T) {
 	}
 }
 
+// TestEngineRestoreIsAllOrNothing: a two-tenant snapshot whose second
+// tenant fails to decode must install nothing — the first tenant's
+// controller stays untrained with its detectors untouched.
+func TestEngineRestoreIsAllOrNothing(t *testing.T) {
+	spec := detector.Spec{Kind: detector.KindEWMA}
+	dims := len(predict.AttributeNames())
+	trained := persistController(spec, "vm-a")
+	d := detector.NewEWMA(dims, detector.EWMAOptions{SamplingIntervalS: 5})
+	if err := d.Train(trainingRows(dims, 50), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := trained.InstallDetectors(map[substrate.VMID]detector.Detector{"vm-a": d}); err != nil {
+		t.Fatal(err)
+	}
+	var good bytes.Buffer
+	if err := trained.SaveModels(&good); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := json.Marshal(engineSnapshot{Version: modelsVersion, Tenants: map[string]json.RawMessage{
+		"a": bytes.TrimSpace(good.Bytes()),
+		"b": json.RawMessage(`{"version":2,"vms":{"vm-b":{"kind":"ewma","data":{"corrupt":true}}}}`),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	first, second := persistController(spec, "vm-a"), persistController(spec, "vm-b")
+	e, err := NewEngine([]Tenant{{ID: "a", Controller: first}, {ID: "b", Controller: second}}, EngineOptions{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = e.RestoreModels(bytes.NewReader(snap))
+	if err == nil || !strings.Contains(err.Error(), "tenant b") {
+		t.Fatalf("restore with a corrupt second tenant: %v, want an error naming tenant b", err)
+	}
+	for id, c := range map[string]*Controller{"a": first, "b": second} {
+		if c.trained || len(c.detectors) != 0 || len(c.filters) != 0 {
+			t.Errorf("tenant %s: failed restore left trained=%v with %d detectors, %d filters",
+				id, c.trained, len(c.detectors), len(c.filters))
+		}
+	}
+}
+
 // TestRetrainReplacesInstalledDetectors: a periodic retrain refits the
 // detectors the controller built in place, but replaces installed ones,
 // which may carry options the controller did not give them.

@@ -297,6 +297,36 @@ func BenchmarkTwoDepStep8(b *testing.B) {
 	})
 }
 
+// TestStepKernelAllocs pins every step kernel this machine can run at
+// zero allocations.
+func TestStepKernelAllocs(t *testing.T) {
+	ch, _ := NewTwoDepChain(8)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 240; i++ {
+		if err := ch.Observe(rng.Intn(8)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ch.PredictSeriesInto(seriesSlices(4, 8))
+	rows := (*[512]float64)(ch.rows)
+	dist := (*[64]float64)(ch.distA)
+	var next [64]float64
+	var marg [8]float64
+	type kernel struct {
+		name string
+		step func()
+	}
+	kernels := []kernel{{"go", func() { twoDepStep8Go(rows, dist, &next, &marg) }}}
+	if useAVX2 {
+		kernels = append(kernels, kernel{"avx2", func() { twoDepStep8AVX2(&rows[0], &dist[0], &next[0], &marg[0]) }})
+	}
+	for _, k := range kernels {
+		if allocs := testing.AllocsPerRun(100, k.step); allocs != 0 {
+			t.Errorf("%s step kernel allocates %v/op, want 0", k.name, allocs)
+		}
+	}
+}
+
 func BenchmarkTwoDepChainPredictSeriesInto(b *testing.B) {
 	ch, _ := NewTwoDepChain(8)
 	rng := rand.New(rand.NewSource(1))

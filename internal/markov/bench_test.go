@@ -71,8 +71,7 @@ func BenchmarkTwoDepChainPredictSeries(b *testing.B) {
 // 2-dependent chain's series-prediction allocation budget (2 allocs/op:
 // the returned slice-of-rows header block plus the backing array). It
 // runs with telemetry disabled, so it also pins the cost of the
-// uninstalled timing hook — scripts/check_bench_regression.sh gates it
-// in CI.
+// uninstalled timing hook; TestPredictSeriesAllocBudget holds the budget.
 func BenchmarkPredictSeries(b *testing.B) {
 	c, err := NewTwoDepChain(8)
 	if err != nil {
@@ -87,7 +86,7 @@ func BenchmarkPredictSeries(b *testing.B) {
 // TestPredictSeriesAllocBudget pins BenchmarkPredictSeries' allocation
 // budget inside the regular test run (2 allocs/op: the returned
 // slice-of-rows header block plus the backing array), so a regression
-// fails `go test` directly instead of waiting for the CI bench gate.
+// fails `go test` directly.
 func TestPredictSeriesAllocBudget(t *testing.T) {
 	c, err := NewTwoDepChain(8)
 	if err != nil {

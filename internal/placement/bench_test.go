@@ -68,8 +68,7 @@ func benchRequests(nHosts int) []Request {
 // BenchmarkPlacementDecision pins the tentpole latency target: one
 // placement decision over an indexed fleet of 1k hosts / 5k VMs and
 // 10k hosts / 50k VMs (the ISSUE's scale floor) must stay
-// sub-millisecond. The decisions/sec metric feeds the CI bench gate
-// (higher is better, like vm-steps/sec).
+// sub-millisecond. TestDecideAllocs pins its allocation count.
 func BenchmarkPlacementDecision(b *testing.B) {
 	for _, tc := range []struct{ hosts, vmsPer int }{
 		{1000, 5},
@@ -92,6 +91,29 @@ func BenchmarkPlacementDecision(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "decisions/sec")
 		})
+	}
+}
+
+// TestDecideAllocs pins one placement decision over the 1k-host /
+// 5k-VM benchmark fleet at zero allocations.
+func TestDecideAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are pinned without the race detector")
+	}
+	eng, err := NewEngine(benchFleet(t, 1000, 5), Config{MaxGroupPerDomain: 8, PreemptionDepth: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := benchRequests(1000)
+	i := 0
+	allocs := testing.AllocsPerRun(len(reqs), func() {
+		if _, err := eng.Decide(reqs[i%len(reqs)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("Decide allocates %v/op, want 0", allocs)
 	}
 }
 

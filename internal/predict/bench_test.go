@@ -51,8 +51,8 @@ func benchPredictor(b *testing.B) *Predictor {
 // BenchmarkPredictWindow is the acceptance benchmark pinning the
 // control loop's per-tick prediction cost with telemetry disabled:
 // 33 allocs/op (one marginals scratch reuse miss per attribute plus the
-// verdict's future-bins copy) after the scratch-buffer work — gated in
-// CI by scripts/check_bench_regression.sh. The predictor carries zero
+// verdict's future-bins copy) after the scratch-buffer work, held by
+// TestPredictWindowAllocBudget. The predictor carries zero
 // instruments here, so this also pins the disabled-telemetry overhead
 // at nothing but nil checks.
 func BenchmarkPredictWindow(b *testing.B) {
@@ -68,7 +68,7 @@ func BenchmarkPredictWindow(b *testing.B) {
 
 // TestPredictWindowAllocBudget pins BenchmarkPredictWindow's allocation
 // budget inside the regular test run, so a hot-path regression fails
-// `go test` directly instead of waiting for the CI bench gate.
+// `go test` directly.
 func TestPredictWindowAllocBudget(t *testing.T) {
 	p, err := New(Config{}, AttributeNames())
 	if err != nil {
@@ -118,8 +118,7 @@ var benchHistories = []int{1000, 10000}
 // BenchmarkRetrainIncremental measures one periodic model update on the
 // incremental path: rebuild the Chow-Liu tree and CPTs from the
 // accumulated count table. The cost must not grow with history length —
-// compare hist=1000 against hist=10000 (the CI bench gate pins the
-// ns/op of each).
+// compare hist=1000 against hist=10000.
 func BenchmarkRetrainIncremental(b *testing.B) {
 	for _, hist := range benchHistories {
 		b.Run(fmt.Sprintf("hist=%d", hist), func(b *testing.B) {

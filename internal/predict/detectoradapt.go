@@ -131,13 +131,6 @@ func LoadDetector(kind string, r io.Reader, opts DetectorOptions) (detector.Dete
 	}
 }
 
-// InstalledTAN wraps a pre-trained supervised predictor in the TAN
-// detector adapter (the InstallModels path).
-func InstalledTAN(p *Predictor, opts DetectorOptions) detector.Detector {
-	p.SetInstruments(opts.Instruments)
-	return &tanDetector{opts: opts, p: p}
-}
-
 // TANPredictor unwraps the supervised predictor behind a detector, if
 // it is the TAN adapter (comma-ok style).
 func TANPredictor(d detector.Detector) (*Predictor, bool) {

@@ -150,8 +150,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 // IngestJSON decodes one JSON ingest request body and enqueues it —
 // the exact decode+validate path the HTTP handler runs, callable
-// in-process by the load generator to measure the JSON transport
-// without network variance.
+// in-process to drive the JSON transport without a network.
 func (s *Server) IngestJSON(body []byte) (IngestResult, error) {
 	start := time.Now()
 	var req ingestRequest

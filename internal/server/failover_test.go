@@ -144,3 +144,58 @@ func TestRestoreRejectsBadCheckpoints(t *testing.T) {
 		t.Error("restore accepted a running server")
 	}
 }
+
+// failoverTopology is two one-VM tenants that train at trainAtS.
+func failoverTopology(trainAtS int64) ([]TenantConfig, map[string]map[substrate.VMID][]metrics.Sample) {
+	traces := make(map[string]map[substrate.VMID][]metrics.Sample, 2)
+	var cfgs []TenantConfig
+	for i, id := range []string{"east", "west"} {
+		seed := int64(400 + i*31)
+		traces[id] = tenantTraces(id, 1, seed)
+		cfgs = append(cfgs, TenantConfig{ID: id, VMs: sortedVMs(traces[id]), Control: testControlConfig(seed, trainAtS)})
+	}
+	return cfgs, traces
+}
+
+// FuzzCheckpointRestore: Restore on a fresh server never panics, and a
+// checkpoint it rejects leaves nothing behind — no tenant trained, no
+// resume point moved. The seeds are a real checkpoint of a trained
+// server and the bodies TestRestoreRejectsBadCheckpoints refuses.
+func FuzzCheckpointRestore(f *testing.F) {
+	cfgs, traces := failoverTopology(testTrainAt)
+	primary, err := New(cfgs, Config{Shards: 2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := primary.Start(); err != nil {
+		f.Fatal(err)
+	}
+	feed(f, primary, traces, 0, testTrainAt+5)
+	var ckpt bytes.Buffer
+	if err := primary.Checkpoint(&ckpt); err != nil {
+		f.Fatalf("checkpoint: %v", err)
+	}
+	if err := primary.Close(); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(ckpt.Bytes())
+	f.Add([]byte(`{"version":99,"ticks":{"solo":10},"models":{}}`))
+	f.Add([]byte(`{"version":1,"ticks":{"other":10},"models":{}}`))
+	f.Add([]byte(`{}`))
+
+	replicaCfgs, _ := failoverTopology(0)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		s, err := New(replicaCfgs, Config{Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Restore(bytes.NewReader(body)) == nil {
+			return
+		}
+		for id, tn := range s.tenants {
+			if tn.ctl.Trained() || tn.resumeFrom != 0 {
+				t.Fatalf("rejected checkpoint left tenant %s trained=%v resumeFrom=%v", id, tn.ctl.Trained(), tn.resumeFrom)
+			}
+		}
+	})
+}

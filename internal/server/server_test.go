@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -93,10 +94,20 @@ func syncRun(t *testing.T, traces map[substrate.VMID][]metrics.Sample, plan chao
 	return ctl.Alerts(), ctl.Steps()
 }
 
-// feed pushes every grid sample in [from, to] into the server, one
-// batch per tenant per sampling instant, retrying batches rejected by
-// backpressure so nothing is lost.
-func feed(t *testing.T, s *Server, traces map[string]map[substrate.VMID][]metrics.Sample, from, to int64) int {
+// feed pushes every grid sample in [from, to] into the server through
+// Ingest, one batch per tenant per sampling instant, retrying batches
+// rejected by backpressure so nothing is lost.
+func feed(t testing.TB, s *Server, traces map[string]map[substrate.VMID][]metrics.Sample, from, to int64) int {
+	t.Helper()
+	return feedVia(t, traces, from, to, func(b Batch) error {
+		_, err := s.Ingest([]Batch{b})
+		return err
+	})
+}
+
+// feedVia is feed over any transport: send delivers one tenant batch
+// and is retried while it reports backpressure.
+func feedVia(t testing.TB, traces map[string]map[substrate.VMID][]metrics.Sample, from, to int64, send func(Batch) error) int {
 	t.Helper()
 	tenants := make([]string, 0, len(traces))
 	for id := range traces {
@@ -118,11 +129,11 @@ func feed(t *testing.T, s *Server, traces map[string]map[substrate.VMID][]metric
 				continue
 			}
 			for {
-				_, err := s.Ingest([]Batch{b})
+				err := send(b)
 				if err == nil {
 					break
 				}
-				if err == ErrBackpressure {
+				if errors.Is(err, ErrBackpressure) {
 					time.Sleep(200 * time.Microsecond)
 					continue
 				}

@@ -12,7 +12,9 @@ import (
 	"time"
 
 	"prepare/internal/chaos"
+	"prepare/internal/control"
 	"prepare/internal/metrics"
+	"prepare/internal/prevent"
 	"prepare/internal/substrate"
 	"prepare/internal/wire"
 )
@@ -80,52 +82,94 @@ func feedBinary(t *testing.T, s *Server, traces map[string]map[substrate.VMID][]
 	return sent
 }
 
+// transportScenario is the chaotic three-tenant run every transport
+// test replays: the traces, a fresh started server for them, and the
+// synchronous oracle's canonical alert and audit streams.
+type transportScenario struct {
+	tenants               []string
+	traces                map[string]map[substrate.VMID][]metrics.Sample
+	wantAlerts, wantAudit []byte
+	newSrv                func() *Server
+}
+
+func newTransportScenario(t *testing.T) *transportScenario {
+	t.Helper()
+	tenants := []string{"alpha", "beta", "gamma"}
+	seedOf := func(i int) int64 { return int64(100 + i*17) }
+	traces := make(map[string]map[substrate.VMID][]metrics.Sample, len(tenants))
+	oracleA := make(map[string][]control.AlertEvent, len(tenants))
+	oracleS := make(map[string][]prevent.Step, len(tenants))
+	for i, id := range tenants {
+		traces[id] = tenantTraces(id, 2, seedOf(i))
+		oracleA[id], oracleS[id] = syncRun(t, traces[id], chaos.Uniform(seedOf(i), 0.03),
+			testControlConfig(seedOf(i), testTrainAt), testHorizon)
+	}
+	expAlerts := oracleAlerts(oracleA)
+	if len(expAlerts) == 0 {
+		t.Fatal("oracle produced no alerts; the scenario is too quiet to prove equivalence")
+	}
+	return &transportScenario{
+		tenants:    tenants,
+		traces:     traces,
+		wantAlerts: mustJSON(t, expAlerts),
+		wantAudit:  mustJSON(t, oracleAudit(oracleS)),
+		newSrv: func() *Server {
+			cfgs := make([]TenantConfig, 0, len(tenants))
+			for i, id := range tenants {
+				cfgs = append(cfgs, TenantConfig{
+					ID:      id,
+					VMs:     sortedVMs(traces[id]),
+					Control: testControlConfig(seedOf(i), testTrainAt),
+					Chaos:   chaos.Uniform(seedOf(i), 0.03),
+				})
+			}
+			srv, err := New(cfgs, Config{Shards: 2, QueueDepth: 2048})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.Start(); err != nil {
+				t.Fatal(err)
+			}
+			return srv
+		},
+	}
+}
+
+// check requires a closed server's alert and audit streams to be
+// byte-identical to the synchronous oracle's.
+func (sc *transportScenario) check(t *testing.T, name string, srv *Server) {
+	t.Helper()
+	if err := srv.Failure(); err != nil {
+		t.Fatalf("%s: pipeline failed: %v", name, err)
+	}
+	if got := mustJSON(t, canonicalAlerts(drainAlerts(srv))); !bytes.Equal(got, sc.wantAlerts) {
+		t.Errorf("%s alert stream diverges from the synchronous oracle (%d vs %d bytes)", name, len(got), len(sc.wantAlerts))
+	}
+	if got := mustJSON(t, canonicalAudit(drainAudit(srv))); !bytes.Equal(got, sc.wantAudit) {
+		t.Errorf("%s audit stream diverges from the synchronous oracle (%d vs %d bytes)", name, len(got), len(sc.wantAudit))
+	}
+}
+
 // TestServerBinaryMatchesJSON is the transport-equivalence pin: the
-// same chaotic traces ingested as JSON batches, as per-request binary
-// frames, and as one long-lived binary stream must publish byte-identical
-// alert and audit streams. Any decode bug, ordering change, or frame
-// loss diverges the streams.
+// same chaotic traces ingested as Go batches through Ingest, as
+// per-request binary frames, and as one long-lived binary stream must
+// publish alert and audit streams byte-identical to the synchronous
+// oracle's, so the transports agree on the right answer. Any decode
+// bug, ordering change, or frame loss diverges the streams.
 func TestServerBinaryMatchesJSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-horizon equivalence runs outside -short")
 	}
-	tenants := []string{"alpha", "beta", "gamma"}
-	traces := make(map[string]map[substrate.VMID][]metrics.Sample, len(tenants))
-	mkCfgs := func() []TenantConfig {
-		cfgs := make([]TenantConfig, 0, len(tenants))
-		for i, id := range tenants {
-			seed := int64(100 + i*17)
-			if traces[id] == nil {
-				traces[id] = tenantTraces(id, 2, seed)
-			}
-			cfgs = append(cfgs, TenantConfig{
-				ID:      id,
-				VMs:     sortedVMs(traces[id]),
-				Control: testControlConfig(seed, testTrainAt),
-				Chaos:   chaos.Uniform(seed, 0.03),
-			})
-		}
-		return cfgs
-	}
-	newSrv := func() *Server {
-		srv, err := New(mkCfgs(), Config{Shards: 2, QueueDepth: 2048})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := srv.Start(); err != nil {
-			t.Fatal(err)
-		}
-		return srv
-	}
+	sc := newTransportScenario(t)
 
-	srvJSON := newSrv()
-	feed(t, srvJSON, traces, 0, testHorizon)
-	if err := srvJSON.Close(); err != nil {
+	srvIngest := sc.newSrv()
+	feed(t, srvIngest, sc.traces, 0, testHorizon)
+	if err := srvIngest.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	srvBin := newSrv()
-	feedBinary(t, srvBin, traces, 0, testHorizon)
+	srvBin := sc.newSrv()
+	feedBinary(t, srvBin, sc.traces, 0, testHorizon)
 	if err := srvBin.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -134,13 +178,13 @@ func TestServerBinaryMatchesJSON(t *testing.T) {
 	// depth exceeds the frame count, so zero rejections is deterministic.
 	var streamBody []byte
 	for tm := int64(0); tm <= testHorizon; tm += 5 {
-		for _, id := range tenants {
-			if frame := frameForInstant(t, id, traces[id], tm); frame != nil {
+		for _, id := range sc.tenants {
+			if frame := frameForInstant(t, id, sc.traces[id], tm); frame != nil {
 				streamBody = append(streamBody, frame...)
 			}
 		}
 	}
-	srvStream := newSrv()
+	srvStream := sc.newSrv()
 	res, err := srvStream.IngestStream(bytes.NewReader(streamBody))
 	if err != nil {
 		t.Fatalf("stream ingest: %v", err)
@@ -152,24 +196,39 @@ func TestServerBinaryMatchesJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, srv := range []*Server{srvJSON, srvBin, srvStream} {
-		if err := srv.Failure(); err != nil {
-			t.Fatalf("pipeline failed: %v", err)
-		}
+	sc.check(t, "Ingest", srvIngest)
+	sc.check(t, "binary", srvBin)
+	sc.check(t, "stream", srvStream)
+	if srvIngest.Stats().BinaryFrames != 0 || srvBin.Stats().BinaryFrames == 0 {
+		t.Errorf("frame counters: ingest=%d binary=%d", srvIngest.Stats().BinaryFrames, srvBin.Stats().BinaryFrames)
 	}
+}
 
-	wantAlerts := mustJSON(t, canonicalAlerts(drainAlerts(srvJSON)))
-	wantAudit := mustJSON(t, canonicalAudit(drainAudit(srvJSON)))
-	for name, srv := range map[string]*Server{"binary": srvBin, "stream": srvStream} {
-		if got := mustJSON(t, canonicalAlerts(drainAlerts(srv))); !bytes.Equal(got, wantAlerts) {
-			t.Errorf("%s alert stream diverges from JSON ingest (%d vs %d bytes)", name, len(got), len(wantAlerts))
-		}
-		if got := mustJSON(t, canonicalAudit(drainAudit(srv))); !bytes.Equal(got, wantAudit) {
-			t.Errorf("%s audit stream diverges from JSON ingest (%d vs %d bytes)", name, len(got), len(wantAudit))
-		}
+// TestWireTransportsEquivalent runs the transport scenario through
+// IngestJSON, the HTTP handler's JSON decode: each batch marshalled as
+// {"batches":[…]} and retried on backpressure. Its alert and audit
+// streams must be byte-identical to the synchronous oracle's, and so to
+// every leg of TestServerBinaryMatchesJSON.
+func TestWireTransportsEquivalent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-horizon equivalence runs outside -short")
 	}
-	if srvJSON.Stats().BinaryFrames != 0 || srvBin.Stats().BinaryFrames == 0 {
-		t.Errorf("frame counters: json=%d binary=%d", srvJSON.Stats().BinaryFrames, srvBin.Stats().BinaryFrames)
+	sc := newTransportScenario(t)
+	srv := sc.newSrv()
+	feedVia(t, sc.traces, 0, testHorizon, func(b Batch) error {
+		body, err := json.Marshal(ingestRequest{Batches: []Batch{b}})
+		if err != nil {
+			return err
+		}
+		_, err = srv.IngestJSON(body)
+		return err
+	})
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sc.check(t, "IngestJSON", srv)
+	if n := srv.Stats().BinaryFrames; n != 0 {
+		t.Errorf("IngestJSON counted %d binary frames", n)
 	}
 }
 

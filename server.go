@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"time"
 
-	"prepare/internal/loadgen"
 	"prepare/internal/server"
 )
 
@@ -35,12 +34,6 @@ type (
 	ServerAuditEntry = server.AuditEntry
 	// ServerStats is a point-in-time snapshot of pipeline counters.
 	ServerStats = server.Stats
-
-	// LoadgenConfig parameterizes the deterministic open-loop load
-	// generator; LoadgenProfile returns the presets.
-	LoadgenConfig = loadgen.Config
-	// LoadgenReport is the generator's flat JSON result.
-	LoadgenReport = loadgen.Report
 )
 
 // Controller-service sentinel errors.
@@ -82,17 +75,4 @@ func RunServer(ctx context.Context, srv *Server, addr string) error {
 		}
 		return err
 	}
-}
-
-// LoadgenProfile returns a named load-generation preset ("short",
-// "ingest", or "full").
-func LoadgenProfile(name string) (LoadgenConfig, error) {
-	return loadgen.ProfileConfig(name)
-}
-
-// RunLoadgen drives the configured load through an in-process
-// controller service and reports throughput, latency quantiles, and
-// loss counters.
-func RunLoadgen(cfg LoadgenConfig) (LoadgenReport, error) {
-	return loadgen.Run(cfg)
 }
