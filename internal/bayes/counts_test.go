@@ -1,6 +1,8 @@
 package bayes
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -229,5 +231,132 @@ func TestCountTableValidation(t *testing.T) {
 	}
 	if _, err := TrainFromCounts(ct, Options{}); err == nil {
 		t.Error("training an empty table should fail")
+	}
+}
+
+// TestCountTableRefusesOutOfRange: an Add past 2^32-1 instances and a
+// Remove or Relabel that would take a count below zero are errors, and
+// leave the table as it was.
+func TestCountTableRefusesOutOfRange(t *testing.T) {
+	bins := []int{3, 2, 4}
+	ct, err := NewCountTable(bins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, inst := range []Instance{{[]int{0, 1, 2}, false}, {[]int{1, 1, 3}, true}, {[]int{2, 0, 0}, false}} {
+		if err := ct.Add(inst.Bins, inst.Abnormal); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := ct.Snapshot()
+	unchanged := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrCountRange) {
+			t.Fatalf("%s: %v, want ErrCountRange", what, err)
+		}
+		if !reflect.DeepEqual(ct.Snapshot(), before) {
+			t.Fatalf("%s: a refused update changed the table", what)
+		}
+	}
+	// (0,1,3) shares attribute values with counted normal instances but
+	// its pair (attr 0, attr 2) = (0, 3) was never counted.
+	unchanged("remove a pair never counted", ct.Remove([]int{0, 1, 3}, false))
+	unchanged("remove from the wrong class", ct.Remove([]int{0, 1, 2}, true))
+	unchanged("relabel from the wrong class", ct.Relabel([]int{1, 1, 3}, true))
+	unchanged("relabel a value never counted", ct.Relabel([]int{0, 0, 1}, true))
+
+	if err := ct.Relabel([]int{1, 1, 3}, false); err != nil {
+		t.Fatalf("relabel of a counted instance: %v", err)
+	}
+	unchanged = func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrCountRange) {
+			t.Fatalf("%s: %v, want ErrCountRange", what, err)
+		}
+	}
+	unchanged("remove from an emptied class", ct.Remove([]int{1, 1, 3}, true))
+
+	full, err := NewCountTable(bins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full.classCount[0], full.total = maxCount, maxCount
+	for _, m := range full.marg[0] {
+		m[0] = maxCount
+	}
+	for _, p := range full.pair[0] {
+		p[0] = maxCount
+	}
+	if err := full.Add([]int{0, 0, 0}, true); !errors.Is(err, ErrCountRange) {
+		t.Fatalf("add past 2^32-1 instances: %v, want ErrCountRange", err)
+	}
+	if full.total != maxCount || full.classCount[1] != 0 || full.marg[1][0][0] != 0 {
+		t.Fatal("a refused add changed the table")
+	}
+	if err := full.Remove([]int{0, 0, 0}, false); err != nil {
+		t.Fatalf("remove from a full table: %v", err)
+	}
+	if err := full.Add([]int{0, 0, 0}, true); err != nil {
+		t.Fatalf("add below the bound: %v", err)
+	}
+}
+
+// TestCountTableFromSnapshotRejectsBadCounts: every cell, class count
+// and total must be a whole number in [0, 2^32-1], the class counts
+// must sum to the total, and every attribute and pair table must sum to
+// its class count.
+func TestCountTableFromSnapshotRejectsBadCounts(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	bins := []int{3, 2, 4}
+	ct, err := NewCountTable(bins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, inst := range randomInstances(rng, bins, 40, 0.4) {
+		if err := ct.Add(inst.Bins, inst.Abnormal); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := CountTableFromSnapshot(ct.Snapshot()); err != nil {
+		t.Fatalf("valid snapshot refused: %v", err)
+	}
+	bad := map[string]float64{
+		"negative":    -1,
+		"fractional":  0.5,
+		"huge":        1e308,
+		"past uint32": 1 << 32,
+		"nan":         math.NaN(),
+		"inf":         math.Inf(1),
+	}
+	for name, x := range bad {
+		for _, at := range []struct {
+			where string
+			set   func(s *CountSnapshot)
+		}{
+			{"marg", func(s *CountSnapshot) { s.Marg[1][2][3] = x }},
+			{"pair", func(s *CountSnapshot) { s.Pair[0][1][5] = x }},
+			{"class", func(s *CountSnapshot) { s.Class[1] = x }},
+			{"total", func(s *CountSnapshot) { s.Total = x }},
+		} {
+			s := ct.Snapshot()
+			at.set(&s)
+			if _, err := CountTableFromSnapshot(s); !errors.Is(err, ErrCountRange) {
+				t.Errorf("%s %s count %v: %v, want ErrCountRange", name, at.where, x, err)
+			}
+		}
+	}
+	for name, set := range map[string]func(s *CountSnapshot){
+		"class counts miss the total": func(s *CountSnapshot) { s.Total++ },
+		"marg misses its class":       func(s *CountSnapshot) { s.Marg[0][1][0]++ },
+		"pair misses its class":       func(s *CountSnapshot) { s.Pair[1][2][0]++ },
+		"classes sum past 2^32-1": func(s *CountSnapshot) {
+			s.Class[0], s.Class[1], s.Total = maxCount, maxCount, maxCount
+		},
+	} {
+		s := ct.Snapshot()
+		set(&s)
+		if _, err := CountTableFromSnapshot(s); !errors.Is(err, ErrCountRange) {
+			t.Errorf("%s: %v, want ErrCountRange", name, err)
+		}
 	}
 }

@@ -118,8 +118,9 @@ func TestRefitMatchesFreshTrain(t *testing.T) {
 }
 
 // TestRefitAllocatesNothing pins the in-place contract at this layer:
-// once fitted, refitting the model and refreshing its table is free of
-// allocations.
+// once fitted, updating the integer count table (Add, Relabel both
+// ways, Remove and Add back), refitting the model and refreshing its
+// table is free of allocations.
 func TestRefitAllocatesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	bins := []int{8, 8, 8, 8, 8}
@@ -145,13 +146,25 @@ func TestRefitAllocatesNothing(t *testing.T) {
 		if err := ct.Add(inst.Bins, inst.Abnormal); err != nil {
 			t.Fatal(err)
 		}
+		if err := ct.Relabel(inst.Bins, !inst.Abnormal); err != nil {
+			t.Fatal(err)
+		}
+		if err := ct.Relabel(inst.Bins, inst.Abnormal); err != nil {
+			t.Fatal(err)
+		}
+		if err := ct.Remove(inst.Bins, inst.Abnormal); err != nil {
+			t.Fatal(err)
+		}
+		if err := ct.Add(inst.Bins, inst.Abnormal); err != nil {
+			t.Fatal(err)
+		}
 		if err := m.RefitFromCounts(ct, Options{}); err != nil {
 			t.Fatal(err)
 		}
 		lr.Refresh()
 	})
 	if allocs != 0 {
-		t.Fatalf("refit + refresh allocates %.1f/op, want 0", allocs)
+		t.Fatalf("count updates + refit + refresh allocate %.1f/op, want 0", allocs)
 	}
 }
 

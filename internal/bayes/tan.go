@@ -93,6 +93,9 @@ func Train(instances []Instance, bins []int, opts Options) (*Model, error) {
 	if len(instances) == 0 {
 		return nil, ErrNoInstances
 	}
+	if uint64(len(instances)) > maxCount {
+		return nil, fmt.Errorf("%w: %d instances", ErrCountRange, len(instances))
+	}
 	t, err := NewCountTable(bins)
 	if err != nil {
 		return nil, err
@@ -108,7 +111,7 @@ func Train(instances []Instance, bins []int, opts Options) (*Model, error) {
 					ErrShape, idx, i, v, bins[i])
 			}
 		}
-		t.add(inst.Bins, inst.Abnormal, 1)
+		t.add(inst.Bins, classIdx(inst.Abnormal))
 	}
 	m := &Model{}
 	if err := m.refit(t, opts); err != nil {
@@ -161,21 +164,21 @@ func (m *Model) buildTree(t *CountTable) {
 
 // cmiFromCounts estimates I(A_i; A_j | C) with Laplace smoothing from
 // per-class joint and marginal count tables. joint[c] is indexed
-// [vi*bj+vj].
-func cmiFromCounts(bi, bj int, joint, margI, margJ [2][]float64, classN [2]float64) float64 {
-	total := classN[0] + classN[1]
+// [vi*bj+vj]. Every count converts to float64 exactly.
+func cmiFromCounts(bi, bj int, joint, margI, margJ [2][]uint32, classN [2]uint32) float64 {
+	total := float64(classN[0]) + float64(classN[1])
 	info := 0.0
 	for c := 0; c < 2; c++ {
 		if classN[c] == 0 {
 			continue
 		}
-		pc := classN[c] / total
-		nc := classN[c]
+		nc := float64(classN[c])
+		pc := nc / total
 		for vi := 0; vi < bi; vi++ {
 			for vj := 0; vj < bj; vj++ {
-				pxy := (joint[c][vi*bj+vj] + laplaceAlpha) / (nc + laplaceAlpha*float64(bi*bj))
-				px := (margI[c][vi] + laplaceAlpha) / (nc + laplaceAlpha*float64(bi))
-				py := (margJ[c][vj] + laplaceAlpha) / (nc + laplaceAlpha*float64(bj))
+				pxy := (float64(joint[c][vi*bj+vj]) + laplaceAlpha) / (nc + laplaceAlpha*float64(bi*bj))
+				px := (float64(margI[c][vi]) + laplaceAlpha) / (nc + laplaceAlpha*float64(bi))
+				py := (float64(margJ[c][vj]) + laplaceAlpha) / (nc + laplaceAlpha*float64(bj))
 				if pxy > 0 {
 					info += pc * pxy * math.Log(pxy/(px*py))
 				}

@@ -15,13 +15,12 @@ import "math/bits"
 // The propagation kernel is also restructured for speed while staying
 // bit-identical to the scalar loop in PredictSeries:
 //
-//   - Rows are refreshed eagerly (refreshRows) and only the columns
+//   - Rows are refreshed eagerly (refreshRows) and only the rows
 //     dirtied by Observe since the last refresh are recomputed: an
-//     observation of combined state (prev, cur) increments
-//     counts[prev*S+cur], which can change only row (prev, cur) itself
-//     and the backoff rows aggregating over column cur. A row is a pure
-//     function of the counts, so rows in untouched columns keep their
-//     exact float64 values.
+//     observation of combined state (prev, cur) increments one of its
+//     counts, which can change only row (prev, cur) itself and the
+//     backoff rows aggregating over column cur. A row is a pure function
+//     of the counts, so every other row keeps its exact float64 values.
 //   - The states==8 kernel (the production bin count) keeps each output
 //     column's eight accumulators in registers and fuses the marginal
 //     pass into the propagation sweep; on amd64 with AVX2 the same
@@ -153,62 +152,73 @@ func (c *SimpleChain) seriesInto8(out [][]float64) {
 }
 
 // refreshRows brings the smoothed rows up to date with the counts,
-// recomputing only the columns dirtied by Observe since the last
-// refresh (see the comment above for why that is exact). After it
-// returns any row may be read directly.
+// recomputing only the rows dirtied by Observe since the last refresh
+// and the backoff rows of their columns (see the comment above for why
+// that is exact). After it returns any row may be read directly.
 func (c *TwoDepChain) refreshRows() {
 	c.ensureScratch()
 	if c.dirtyAll {
+		for r := range c.rowTot {
+			c.smoothRow(r)
+		}
 		for col := 0; col < c.states; col++ {
-			c.refreshColumn(col)
+			c.smoothBackoff(col)
 		}
 	} else {
-		for m := c.dirtyCols; m != 0; m &= m - 1 {
-			c.refreshColumn(bits.TrailingZeros64(m))
+		for m := c.dirtyRows; m != 0; m &= m - 1 {
+			r := bits.TrailingZeros64(m)
+			c.smoothRow(r)
+			c.smoothBackoff(r / c.states)
 		}
 	}
-	c.dirtyCols, c.dirtyAll = 0, false
+	c.dirtyRows, c.dirtyAll = 0, false
 }
 
-// refreshColumn recomputes the smoothed next-bin distribution of every
-// combined state (p, col). A state that was observed gets its own
-// Laplace-smoothed counts; one that never was backs off to the
-// aggregate over all prev with the same cur, which keeps sparse pairs
-// from collapsing to uniform noise. The backoff row is the same for
-// every unobserved p, so it is built once, on the first p that needs
-// it. Counts are whole numbers, so their sums are exact in any order
-// and each division sees the operands a row-at-a-time computation
-// would.
-func (c *TwoDepChain) refreshColumn(col int) {
-	haveBackoff := false
-	for p := 0; p < c.states; p++ {
-		idx := p*c.states + col
-		counts, dst := c.counts[idx], c.row(idx)
-		total := 0.0
-		for _, n := range counts {
-			total += n
-		}
-		if total > 0 {
-			for j, n := range counts {
-				dst[j] = (n + laplaceAlpha) / (total + laplaceAlpha*float64(c.states))
-			}
+// smoothRow recomputes row r = cur*S+prev from its own counts, as
+// their Laplace-smoothed next-bin distribution, if the combined state
+// was ever observed. An unobserved row is smoothBackoff's to fill.
+//
+// Counts and totals are whole numbers no larger than maxCount, so a
+// total kept running in integers converts to the float64 that summing
+// the row's counts as floats would give, in any order: each division
+// sees the operands a re-sum of the row would.
+func (c *TwoDepChain) smoothRow(r int) {
+	s := c.states
+	total := c.rowTot[r]
+	if total == 0 {
+		return
+	}
+	dst := c.rows[r*s : (r+1)*s]
+	for j, n := range c.counts[r*s : (r+1)*s] {
+		dst[j] = (float64(n) + laplaceAlpha) / (float64(total) + laplaceAlpha*float64(s))
+	}
+}
+
+// smoothBackoff fills the rows of column col whose combined state
+// (p, col) was never observed. Each backs off to the smoothed aggregate
+// over all prev with the same cur, which keeps sparse pairs from
+// collapsing to uniform noise. The backoff row is the same for every
+// unobserved p, so it is computed from the running column aggregates
+// into the first such row and copied into the rest. A column with every
+// prev observed has no backoff row and costs one scan of its totals.
+func (c *TwoDepChain) smoothBackoff(col int) {
+	s := c.states
+	var first []float64
+	for p, total := range c.rowTot[col*s : (col+1)*s] {
+		if total != 0 {
 			continue
 		}
-		if !haveBackoff {
-			haveBackoff = true
-			clear(c.backoff)
-			aggTotal := 0.0
-			for q := 0; q < c.states; q++ {
-				for j, n := range c.counts[q*c.states+col] {
-					c.backoff[j] += n
-					aggTotal += n
-				}
-			}
-			for j, n := range c.backoff {
-				c.backoff[j] = (n + laplaceAlpha) / (aggTotal + laplaceAlpha*float64(c.states))
-			}
+		r := col*s + p
+		dst := c.rows[r*s : (r+1)*s]
+		if first != nil {
+			copy(dst, first)
+			continue
 		}
-		copy(dst, c.backoff)
+		aggTotal := c.colTot[col]
+		for j, n := range c.colAgg[col*s : (col+1)*s] {
+			dst[j] = (float64(n) + laplaceAlpha) / (float64(aggTotal) + laplaceAlpha*float64(s))
+		}
+		first = dst
 	}
 }
 
@@ -241,8 +251,9 @@ func (c *TwoDepChain) PredictSeriesInto(out [][]float64) {
 			if p == 0 {
 				continue
 			}
-			base := (idx % c.states) * c.states
-			for j, q := range c.row(idx) {
+			cur := idx % c.states
+			base := cur * c.states
+			for j, q := range c.row(idx/c.states, cur) {
 				next[base+j] += p * q
 			}
 		}
@@ -278,9 +289,11 @@ func (c *TwoDepChain) seriesInto8(out [][]float64) {
 // vector kernel is tested against. The combined-state distribution is
 // swept one output column at a time (new-prev = old cur), with the
 // eight next-bin accumulators held in registers; the marginal over the
-// new current bin is fused into the same sweep. For a fixed target
-// cell next[c*8+j] the scalar loop in PredictSeries adds contributions
-// in ascending source-prev order, exactly as the p-loop below does, and
+// new current bin is fused into the same sweep. The rows are
+// column-major, rows[(col*8+p)*8+j], so one column's sweep reads one
+// contiguous 512-byte run. For a fixed target cell next[c*8+j] the
+// scalar loop in PredictSeries adds contributions in ascending
+// source-prev order, exactly as the p-loop below does, and
 // the fused marginal accumulates column values in the same ascending
 // order as the scalar marginalization — so every intermediate and final
 // float64 is bit-identical to the scalar path.
@@ -293,7 +306,7 @@ func twoDepStep8Go(rows *[512]float64, dist, next *[64]float64, marg *[8]float64
 			if d == 0 {
 				continue
 			}
-			r := (*[8]float64)(rows[(p*8+col)*8:])
+			r := (*[8]float64)(rows[(col*8+p)*8:])
 			a0 += d * r[0]
 			a1 += d * r[1]
 			a2 += d * r[2]

@@ -169,28 +169,36 @@ func TestRefreshRowsAfterSnapshotRestore(t *testing.T) {
 	})
 }
 
-// rowInto is the row-at-a-time smoothing refreshColumn replaced, kept as
-// its oracle: the Laplace-smoothed next-bin distribution of combined
-// state (prev, cur), backing off to the aggregate over all prev with
-// the same cur when the combined state was never observed.
+// countsOf returns the transition counts out of combined state
+// (prev, cur).
+func (c *TwoDepChain) countsOf(prev, cur int) []uint32 {
+	r := cur*c.states + prev
+	return c.counts[r*c.states : (r+1)*c.states]
+}
+
+// rowInto is the row-at-a-time smoothing the incremental refresh
+// replaced, kept as its oracle: the Laplace-smoothed next-bin
+// distribution of combined state (prev, cur), backing off to the
+// aggregate over all prev with the same cur when the combined state was
+// never observed. It re-sums the counts as float64s where the refresh
+// reads its running integer totals.
 func (c *TwoDepChain) rowInto(prev, cur int, dst []float64) {
-	idx := prev*c.states + cur
 	total := 0.0
-	for _, n := range c.counts[idx] {
-		total += n
+	for _, n := range c.countsOf(prev, cur) {
+		total += float64(n)
 	}
 	if total > 0 {
-		for j, n := range c.counts[idx] {
-			dst[j] = (n + laplaceAlpha) / (total + laplaceAlpha*float64(c.states))
+		for j, n := range c.countsOf(prev, cur) {
+			dst[j] = (float64(n) + laplaceAlpha) / (total + laplaceAlpha*float64(c.states))
 		}
 		return
 	}
 	clear(dst)
 	aggTotal := 0.0
 	for p := 0; p < c.states; p++ {
-		for j, n := range c.counts[p*c.states+cur] {
-			dst[j] += n
-			aggTotal += n
+		for j, n := range c.countsOf(p, cur) {
+			dst[j] += float64(n)
+			aggTotal += float64(n)
 		}
 	}
 	for j := range dst {
@@ -222,7 +230,7 @@ func TestRefreshColumnMatchesRowInto(t *testing.T) {
 			ch.refreshRows()
 			want := make([]float64, states)
 			for idx := 0; idx < states*states; idx++ {
-				got := ch.row(idx)
+				got := ch.row(idx/states, idx%states)
 				ch.rowInto(idx/states, idx%states, want)
 				for j := range want {
 					if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
@@ -254,10 +262,10 @@ func TestRefreshColumnMatchesRowInto(t *testing.T) {
 			check()
 		}
 		for p := 0; p < states; p++ {
-			seen0, seenLast := 0.0, 0.0
+			seen0, seenLast := 0, 0
 			for j := 0; j < states; j++ {
-				seen0 += ch.counts[p*states][j]
-				seenLast += ch.counts[p*states+last][j]
+				seen0 += int(ch.countsOf(p, 0)[j])
+				seenLast += int(ch.countsOf(p, last)[j])
 			}
 			if seen0 == 0 || seenLast != 0 {
 				t.Fatalf("states %d prev %d: column 0 seen %v times (want > 0), column %d seen %v times (want 0)",

@@ -19,6 +19,7 @@ package markov
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // laplaceAlpha is the additive smoothing constant for transition counts.
@@ -61,6 +62,15 @@ type Predictor interface {
 // ErrBadState is returned when an observation is outside [0, states).
 var ErrBadState = errors.New("markov: observation out of range")
 
+// ErrCountOverflow is returned by an Observe that would take a count
+// past maxCount. The chain is left as it was.
+var ErrCountOverflow = errors.New("markov: transition count overflow")
+
+// maxCount bounds every transition count and every running total a
+// chain keeps, so counts fit a uint32 and any sum of them is exact in a
+// float64.
+const maxCount = math.MaxUint32
+
 // SimpleChain is a first-order Markov chain over discretized values.
 //
 // Chains keep internal scratch buffers that are reused across Predict
@@ -69,7 +79,7 @@ var ErrBadState = errors.New("markov: observation out of range")
 // distributions are always freshly allocated and safe to retain.
 type SimpleChain struct {
 	states int
-	counts [][]float64 // counts[i][j]: transitions i -> j
+	counts []uint32 // counts[i*states+j]: transitions i -> j
 	cur    int
 	seen   bool
 
@@ -88,11 +98,7 @@ func NewSimpleChain(states int) (*SimpleChain, error) {
 	if states < 1 {
 		return nil, fmt.Errorf("markov: states %d must be >= 1", states)
 	}
-	counts := make([][]float64, states)
-	for i := range counts {
-		counts[i] = make([]float64, states)
-	}
-	return &SimpleChain{states: states, counts: counts}, nil
+	return &SimpleChain{states: states, counts: make([]uint32, states*states)}, nil
 }
 
 // NumStates implements Predictor.
@@ -102,10 +108,8 @@ func (c *SimpleChain) NumStates() int { return c.states }
 // initial warm-up observation.
 func (c *SimpleChain) Observations() int {
 	total := 0
-	for _, row := range c.counts {
-		for _, n := range row {
-			total += int(n)
-		}
+	for _, n := range c.counts {
+		total += int(n)
 	}
 	if c.seen {
 		total++
@@ -119,7 +123,11 @@ func (c *SimpleChain) Observe(bin int) error {
 		return fmt.Errorf("%w: %d not in [0,%d)", ErrBadState, bin, c.states)
 	}
 	if c.seen {
-		c.counts[c.cur][bin]++
+		k := c.cur*c.states + bin
+		if c.counts[k] == maxCount {
+			return fmt.Errorf("%w: transition %d -> %d", ErrCountOverflow, c.cur, bin)
+		}
+		c.counts[k]++
 		c.rowsValid = false
 	}
 	c.cur = bin
@@ -150,8 +158,8 @@ func (c *SimpleChain) row(i int) []float64 {
 // into dst.
 func (c *SimpleChain) rowInto(i int, dst []float64) {
 	total := 0.0
-	for j, n := range c.counts[i] {
-		dst[j] = n + laplaceAlpha
+	for j, n := range c.counts[i*c.states : (i+1)*c.states] {
+		dst[j] = float64(n) + laplaceAlpha
 		total += dst[j]
 	}
 	for j := range dst {
@@ -251,27 +259,35 @@ func seriesSlices(maxSteps, states int) [][]float64 {
 // distributions are freshly allocated.
 type TwoDepChain struct {
 	states int
-	// counts[prev*states+cur][next]
-	counts [][]float64
-	prev   int
-	cur    int
-	nSeen  int // 0, 1 or 2+ observations so far
+	// Whole-number transition counts and their running totals, carved
+	// from one block and laid out column-major, by the current bin
+	// first. With S states and r = cur*S+prev the row index of
+	// combined state (prev, cur):
+	//
+	//	counts[r*S+next]    transitions (prev, cur) -> next
+	//	rowTot[r]           sum over next of counts[r*S+next]
+	//	colAgg[cur*S+next]  sum over prev of counts[(cur*S+prev)*S+next]
+	//	colTot[cur]         sum over prev and next
+	//
+	// Observe bumps one cell of each, so no total ever exceeds
+	// colTot[cur], which Observe keeps at or below maxCount.
+	counts, rowTot, colAgg, colTot []uint32
+	prev, cur                      int
+	nSeen                          int // 0, 1 or 2+ observations so far
 
-	// Smoothed-row cache, allocated on first prediction: one flat array
-	// in which rows[idx*states:][:states] is the next-bin distribution
-	// of combined state idx (row(idx)); backoff is refreshColumn's
-	// scratch row.
+	// Smoothed-row cache, allocated on first prediction, in the counts'
+	// order: rows[r*S:][:S] is the next-bin distribution of row r
+	// (row(prev, cur)), so the rows of one column are one contiguous
+	// run.
 	rows         []float64
-	backoff      []float64
 	distA, distB []float64 // states*states propagation scratch
 
-	// An observation of combined state (prev, cur) can only change the
-	// smoothed rows in column cur — the incremented row itself plus the
-	// backoff rows that aggregate over that column — so refreshRows
-	// (batch.go) recomputes just the columns observed since it last ran.
-	// dirtyCols is a column bitmask; dirtyAll covers states > 64 and the
-	// first refresh.
-	dirtyCols uint64
+	// An observation of combined state (prev, cur) changes that row's
+	// counts and column cur's aggregates, so refreshRows (batch.go)
+	// recomputes that row and column cur's backoff rows. dirtyRows is a
+	// bitmask of row indices r for states <= 8; dirtyAll covers larger
+	// chains and the first refresh.
+	dirtyRows uint64
 	dirtyAll  bool
 }
 
@@ -282,11 +298,15 @@ func NewTwoDepChain(states int) (*TwoDepChain, error) {
 	if states < 1 {
 		return nil, fmt.Errorf("markov: states %d must be >= 1", states)
 	}
-	counts := make([][]float64, states*states)
-	for i := range counts {
-		counts[i] = make([]float64, states)
-	}
-	return &TwoDepChain{states: states, counts: counts}, nil
+	n := states * states
+	block := make([]uint32, n*states+2*n+states)
+	return &TwoDepChain{
+		states: states,
+		counts: block[: n*states : n*states],
+		rowTot: block[n*states : n*states+n : n*states+n],
+		colAgg: block[n*states+n : n*states+2*n : n*states+2*n],
+		colTot: block[n*states+2*n:],
+	}, nil
 }
 
 // NumStates implements Predictor.
@@ -296,10 +316,8 @@ func (c *TwoDepChain) NumStates() int { return c.states }
 // two warm-up observations that seed the combined state.
 func (c *TwoDepChain) Observations() int {
 	total := 0
-	for _, row := range c.counts {
-		for _, n := range row {
-			total += int(n)
-		}
+	for _, n := range c.colTot {
+		total += int(n)
 	}
 	return total + c.nSeen
 }
@@ -317,9 +335,17 @@ func (c *TwoDepChain) Observe(bin int) error {
 		c.prev, c.cur = c.cur, bin
 		c.nSeen = 2
 	default:
-		c.counts[c.prev*c.states+c.cur][bin]++
-		if c.cur < 64 {
-			c.dirtyCols |= 1 << uint(c.cur)
+		s := c.states
+		if c.colTot[c.cur] == maxCount {
+			return fmt.Errorf("%w: combined state (%d,%d)", ErrCountOverflow, c.prev, c.cur)
+		}
+		r := c.cur*s + c.prev
+		c.counts[r*s+bin]++
+		c.rowTot[r]++
+		c.colAgg[c.cur*s+bin]++
+		c.colTot[c.cur]++
+		if s <= 8 {
+			c.dirtyRows |= 1 << uint(r)
 		} else {
 			c.dirtyAll = true
 		}
@@ -340,22 +366,23 @@ func (c *TwoDepChain) Fit(seq []int) error {
 	return nil
 }
 
-// row returns the cached smoothed row of combined state idx.
-func (c *TwoDepChain) row(idx int) []float64 {
-	return c.rows[idx*c.states : (idx+1)*c.states]
+// row returns the cached smoothed row of combined state (prev, cur).
+func (c *TwoDepChain) row(prev, cur int) []float64 {
+	r := cur*c.states + prev
+	return c.rows[r*c.states : (r+1)*c.states]
 }
 
-// ensureScratch allocates the row cache and propagation buffers on first
-// use, with every row still to be computed.
+// ensureScratch allocates the row cache and propagation buffers, in one
+// block, on first use, with every row still to be computed.
 func (c *TwoDepChain) ensureScratch() {
 	if c.rows != nil {
 		return
 	}
 	n := c.states * c.states
-	c.rows = make([]float64, n*c.states)
-	c.backoff = make([]float64, c.states)
-	c.distA = make([]float64, n)
-	c.distB = make([]float64, n)
+	block := make([]float64, n*c.states+2*n)
+	c.rows = block[: n*c.states : n*c.states]
+	c.distA = block[n*c.states : n*c.states+n : n*c.states+n]
+	c.distB = block[n*c.states+n:]
 	c.dirtyAll = true
 }
 
@@ -403,7 +430,7 @@ func (c *TwoDepChain) PredictSeries(maxSteps int) [][]float64 {
 			}
 			cur := idx % c.states
 			base := cur * c.states
-			for j, q := range c.row(idx) {
+			for j, q := range c.row(idx/c.states, cur) {
 				next[base+j] += p * q
 			}
 		}

@@ -1,6 +1,9 @@
 package markov
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Snapshot is a serializable dump of a chain's state (transition counts
 // plus the current position), used to persist trained predictors.
@@ -9,8 +12,8 @@ type Snapshot struct {
 	Order int `json:"order"`
 	// States is the number of discretized states.
 	States int `json:"states"`
-	// Counts holds the transition counts: States rows for order 1,
-	// States*States rows for order 2.
+	// Counts holds the transition counts as whole numbers: States rows
+	// for order 1, States*States rows (row prev*States+cur) for order 2.
 	Counts [][]float64 `json:"counts"`
 	// Cur / Prev / Seen capture the chain position.
 	Cur   int `json:"cur"`
@@ -20,72 +23,123 @@ type Snapshot struct {
 
 // Snapshot exports the chain state.
 func (c *SimpleChain) Snapshot() Snapshot {
-	counts := make([][]float64, len(c.counts))
-	for i, row := range c.counts {
-		counts[i] = append([]float64(nil), row...)
+	s := c.states
+	counts := floatRows(s, s)
+	for i, row := range counts {
+		for j := range row {
+			row[j] = float64(c.counts[i*s+j])
+		}
 	}
 	nSeen := 0
 	if c.seen {
 		nSeen = 1
 	}
-	return Snapshot{Order: 1, States: c.states, Counts: counts, Cur: c.cur, NSeen: nSeen}
+	return Snapshot{Order: 1, States: s, Counts: counts, Cur: c.cur, NSeen: nSeen}
 }
 
-// Snapshot exports the chain state.
+// Snapshot exports the chain state, its counts in row-major order.
 func (c *TwoDepChain) Snapshot() Snapshot {
-	counts := make([][]float64, len(c.counts))
-	for i, row := range c.counts {
-		counts[i] = append([]float64(nil), row...)
+	s := c.states
+	counts := floatRows(s*s, s)
+	for i, row := range counts {
+		r := (i%s)*s + i/s // row (prev, cur) = (i/s, i%s), stored at cur*s+prev
+		for j := range row {
+			row[j] = float64(c.counts[r*s+j])
+		}
 	}
-	return Snapshot{Order: 2, States: c.states, Counts: counts, Cur: c.cur, Prev: c.prev, NSeen: c.nSeen}
+	return Snapshot{Order: 2, States: s, Counts: counts, Cur: c.cur, Prev: c.prev, NSeen: c.nSeen}
 }
 
-// FromSnapshot reconstructs a Predictor from a snapshot.
+// floatRows carves n rows of width w out of one backing array.
+func floatRows(n, w int) [][]float64 {
+	flat := make([]float64, n*w)
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = flat[i*w : (i+1)*w : (i+1)*w]
+	}
+	return rows
+}
+
+// snapshotCounts checks that every row of the snapshot has States
+// counts, each a whole number in [0, maxCount], and hands them to set
+// in row-major order.
+func (s Snapshot) snapshotCounts(set func(i, j int, n uint32)) error {
+	for i, row := range s.Counts {
+		if len(row) != s.States {
+			return fmt.Errorf("markov: snapshot row %d has %d cols, want %d", i, len(row), s.States)
+		}
+		for j, n := range row {
+			if !(n >= 0 && n <= maxCount && n == math.Trunc(n)) {
+				return fmt.Errorf("markov: snapshot count [%d][%d] = %v is not a whole number in [0, %d]", i, j, n, uint32(maxCount))
+			}
+			set(i, j, uint32(n))
+		}
+	}
+	return nil
+}
+
+// FromSnapshot reconstructs a Predictor from a snapshot. It rejects a
+// snapshot whose counts are not whole numbers in [0, 2^32-1], or whose
+// totals would pass that bound, so a restored chain's rows are finite
+// non-negative probabilities.
 func FromSnapshot(s Snapshot) (Predictor, error) {
 	if s.States < 1 {
 		return nil, fmt.Errorf("markov: snapshot states %d invalid", s.States)
 	}
-	switch s.Order {
-	case 1:
-		if len(s.Counts) != s.States {
-			return nil, fmt.Errorf("markov: snapshot has %d rows, want %d", len(s.Counts), s.States)
-		}
-		c, err := NewSimpleChain(s.States)
-		if err != nil {
-			return nil, err
-		}
-		for i, row := range s.Counts {
-			if len(row) != s.States {
-				return nil, fmt.Errorf("markov: snapshot row %d has %d cols, want %d", i, len(row), s.States)
-			}
-			copy(c.counts[i], row)
-		}
-		if s.Cur < 0 || s.Cur >= s.States {
-			return nil, fmt.Errorf("markov: snapshot cur %d out of range", s.Cur)
-		}
-		c.cur = s.Cur
-		c.seen = s.NSeen > 0
-		return c, nil
-	case 2:
-		if len(s.Counts) != s.States*s.States {
-			return nil, fmt.Errorf("markov: snapshot has %d rows, want %d", len(s.Counts), s.States*s.States)
-		}
-		c, err := NewTwoDepChain(s.States)
-		if err != nil {
-			return nil, err
-		}
-		for i, row := range s.Counts {
-			if len(row) != s.States {
-				return nil, fmt.Errorf("markov: snapshot row %d has %d cols, want %d", i, len(row), s.States)
-			}
-			copy(c.counts[i], row)
-		}
-		if s.Cur < 0 || s.Cur >= s.States || s.Prev < 0 || s.Prev >= s.States {
-			return nil, fmt.Errorf("markov: snapshot position out of range")
-		}
-		c.cur, c.prev, c.nSeen = s.Cur, s.Prev, s.NSeen
-		return c, nil
-	default:
+	if s.Order != 1 && s.Order != 2 {
 		return nil, fmt.Errorf("markov: unknown snapshot order %d", s.Order)
 	}
+	st := s.States
+	rows := st
+	if s.Order == 2 {
+		rows = st * st
+	}
+	// Checked before any storage is sized from States.
+	if len(s.Counts) != rows {
+		return nil, fmt.Errorf("markov: snapshot has %d rows, want %d", len(s.Counts), rows)
+	}
+	if s.Cur < 0 || s.Cur >= st || s.Prev < 0 || s.Prev >= st {
+		return nil, fmt.Errorf("markov: snapshot position out of range")
+	}
+	if s.NSeen < 0 || s.NSeen > s.Order {
+		return nil, fmt.Errorf("markov: snapshot nSeen %d not in [0,%d]", s.NSeen, s.Order)
+	}
+	if s.Order == 1 {
+		c, err := NewSimpleChain(st)
+		if err != nil {
+			return nil, err
+		}
+		if err := s.snapshotCounts(func(i, j int, n uint32) { c.counts[i*st+j] = n }); err != nil {
+			return nil, err
+		}
+		c.cur, c.seen = s.Cur, s.NSeen > 0
+		return c, nil
+	}
+	c, err := NewTwoDepChain(st)
+	if err != nil {
+		return nil, err
+	}
+	colTot := make([]uint64, st)
+	if err := s.snapshotCounts(func(i, j int, n uint32) {
+		prev, cur := i/st, i%st
+		c.counts[(cur*st+prev)*st+j] = n
+		colTot[cur] += uint64(n)
+	}); err != nil {
+		return nil, err
+	}
+	for cur, total := range colTot {
+		if total > maxCount {
+			return nil, fmt.Errorf("%w: snapshot column %d totals %d", ErrCountOverflow, cur, total)
+		}
+	}
+	for r := range c.rowTot {
+		cur := r / st
+		for j, n := range c.counts[r*st : (r+1)*st] {
+			c.rowTot[r] += n
+			c.colAgg[cur*st+j] += n
+		}
+		c.colTot[cur] += c.rowTot[r]
+	}
+	c.cur, c.prev, c.nSeen = s.Cur, s.Prev, s.NSeen
+	return c, nil
 }

@@ -7,11 +7,11 @@
 // Why it is bit-identical. Each YMM lane holds one accumulator of the
 // scalar kernel and performs exactly the scalar kernel's sequence: it
 // starts at +0, then for p = 0..7 in ascending order takes one IEEE
-// multiply (dist[p*8+c] * row[j]) followed by one IEEE add, and the
-// marginal lanes add the finished columns in ascending c. VMULPD and
-// VADDPD round each lane exactly like MULSD and ADDSD. There is no
-// VFMADD here and there must never be: a fused multiply-add skips the
-// rounding of the product and changes the low bits.
+// multiply (dist[p*8+c] * rows[(c*8+p)*8+j]) followed by one IEEE
+// add, and the marginal lanes add the finished columns in ascending c.
+// VMULPD and VADDPD round each lane exactly like MULSD and ADDSD. There
+// is no VFMADD here and there must never be: a fused multiply-add skips
+// the rounding of the product and changes the low bits.
 //
 // The scalar kernel skips terms whose dist entry is zero; this one does
 // not. That is exact because rows are finite non-negative
@@ -20,10 +20,12 @@
 
 // func twoDepStep8AVX2(rows, dist, next, marg *float64)
 //
-// rows is [64][8]float64 indexed [p*8+c][j], dist and next are
-// [64]float64 indexed [p*8+c], marg is [8]float64:
+// rows is [512]float64 column-major, indexed [(c*8+p)*8+j]: the row of
+// combined state (p, c), with column c's eight rows one contiguous
+// 512-byte run. dist and next are [64]float64 indexed [p*8+c], marg is
+// [8]float64:
 //
-//	next[c*8+j] = sum_p dist[p*8+c] * rows[p*8+c][j]
+//	next[c*8+j] = sum_p dist[p*8+c] * rows[(c*8+p)*8+j]
 //	marg[j]     = sum_c next[c*8+j]
 TEXT ·twoDepStep8AVX2(SB), NOSPLIT, $0-32
 	MOVQ rows+0(FP), SI
@@ -38,13 +40,13 @@ column:
 	VXORPD Y0, Y0, Y0 // next[c*8+0 : c*8+4]
 	VXORPD Y1, Y1, Y1 // next[c*8+4 : c*8+8]
 
-// One source-prev term: row (p*8+c) is p*512 bytes past row c, its dist
-// entry p*64 bytes past dist[c].
+// One source-prev term: the row of (p, c) is p*64 bytes past the
+// column's first row, its dist entry p*64 bytes past dist[c].
 #define TERM(p) \
 	VBROADCASTSD (p*64)(DI), Y2 \
-	VMULPD (p*512)(SI), Y2, Y3  \
+	VMULPD (p*64)(SI), Y2, Y3   \
 	VADDPD Y3, Y0, Y0           \
-	VMULPD (p*512+32)(SI), Y2, Y3 \
+	VMULPD (p*64+32)(SI), Y2, Y3 \
 	VADDPD Y3, Y1, Y1
 
 	TERM(0)
@@ -60,8 +62,8 @@ column:
 	VMOVUPD Y1, 32(DX)
 	VADDPD Y0, Y4, Y4
 	VADDPD Y1, Y5, Y5
-	ADDQ $64, SI // next column's row
-	ADDQ $8, DI  // next column's dist entry
+	ADDQ $512, SI // next column's rows
+	ADDQ $8, DI   // next column's dist entry
 	ADDQ $64, DX
 	DECQ CX
 	JNZ column

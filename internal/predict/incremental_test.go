@@ -278,8 +278,9 @@ func TestUpdateAllocBudget(t *testing.T) {
 // TestRetrainAllocatesNothing pins the in-place retrain: once the first
 // Retrain and ScoreWindow have sized the model's and the log-ratio
 // table's storage, a stretch of Updates, a Retrain and the fleet score
-// that follows allocate nothing. (The minimum-support fold clones the
-// count table, so the abnormal class must be past it.)
+// that follows allocate nothing; so does moving a counted row across
+// classes and back in the integer count table. (The minimum-support
+// fold clones the count table, so the abnormal class must be past it.)
 func TestRetrainAllocatesNothing(t *testing.T) {
 	rows, raw := benchTrace(1200, 13)
 	for i, row := range rows {
@@ -308,6 +309,15 @@ func TestRetrainAllocatesNothing(t *testing.T) {
 		for k := 0; k < 5; k++ {
 			i := 600 + int(p.inc.updates)%600
 			if err := p.Update(rows[i], raw[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if e := p.inc.at(0); e.counted {
+			abnormal := e.applied == metrics.LabelAbnormal
+			if err := p.inc.ct.Relabel(e.bins, !abnormal); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.inc.ct.Relabel(e.bins, abnormal); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"sort"
 	"testing"
 
 	"prepare/internal/metrics"
@@ -157,45 +158,122 @@ func failoverTopology(trainAtS int64) ([]TenantConfig, map[string]map[substrate.
 	return cfgs, traces
 }
 
+// trainedCheckpoint is a checkpoint of a trained two-tenant server.
+// With retrainS > 0 the tenants retrain incrementally, so the
+// checkpoint carries their TAN count tables too.
+func trainedCheckpoint(tb testing.TB, retrainS int64) []byte {
+	tb.Helper()
+	cfgs, traces := failoverTopology(testTrainAt)
+	for i := range cfgs {
+		cfgs[i].Control.RetrainIntervalS = retrainS
+	}
+	primary, err := New(cfgs, Config{Shards: 2})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := primary.Start(); err != nil {
+		tb.Fatal(err)
+	}
+	feed(tb, primary, traces, 0, testTrainAt+5)
+	var ckpt bytes.Buffer
+	if err := primary.Checkpoint(&ckpt); err != nil {
+		tb.Fatalf("checkpoint: %v", err)
+	}
+	if err := primary.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return ckpt.Bytes()
+}
+
+// hostileRetrainS is the retrain interval of the checkpoint the
+// hostile-count bodies are cut from.
+const hostileRetrainS = 60
+
+// hostileCountBodies returns copies of ckpt with one model count
+// replaced by a value no count can take — negative, fractional or
+// huge — in the first Markov transition count and in the first TAN
+// count-table cell.
+func hostileCountBodies(tb testing.TB, ckpt []byte) map[string][]byte {
+	tb.Helper()
+	bodies := make(map[string][]byte)
+	for _, site := range []struct{ name, key string }{
+		{"chain", `"counts":[[`},
+		{"table", `"marg":[[[`},
+	} {
+		at := bytes.Index(ckpt, []byte(site.key))
+		if at < 0 {
+			tb.Fatalf("checkpoint has no %s", site.key)
+		}
+		start := at + len(site.key)
+		end := start + bytes.IndexAny(ckpt[start:], ",]")
+		for _, v := range []string{"-1", "0.5", "1e308"} {
+			body := append([]byte(nil), ckpt[:start]...)
+			body = append(body, v...)
+			bodies[site.name+" count "+v] = append(body, ckpt[end:]...)
+		}
+	}
+	return bodies
+}
+
+// restoreLeavesNothing restores body into a fresh replica over cfgs
+// and, if the restore is rejected, requires that no tenant was trained
+// and no resume point moved. It reports whether the restore was
+// rejected.
+func restoreLeavesNothing(t *testing.T, cfgs []TenantConfig, body []byte) bool {
+	t.Helper()
+	s, err := New(cfgs, Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Restore(bytes.NewReader(body)) == nil {
+		return false
+	}
+	for id, tn := range s.tenants {
+		if tn.ctl.Trained() || tn.resumeFrom != 0 {
+			t.Fatalf("rejected checkpoint left tenant %s trained=%v resumeFrom=%v", id, tn.ctl.Trained(), tn.resumeFrom)
+		}
+	}
+	return true
+}
+
+// TestRestoreRejectsHostileCounts: a checkpoint whose model counts are
+// negative, fractional or huge is refused, and leaves nothing behind.
+func TestRestoreRejectsHostileCounts(t *testing.T) {
+	ckpt := trainedCheckpoint(t, hostileRetrainS)
+	replicaCfgs, _ := failoverTopology(0)
+	if restoreLeavesNothing(t, replicaCfgs, ckpt) {
+		t.Fatal("the unmodified checkpoint was rejected")
+	}
+	for name, body := range hostileCountBodies(t, ckpt) {
+		if !restoreLeavesNothing(t, replicaCfgs, body) {
+			t.Errorf("%s: restore accepted the checkpoint", name)
+		}
+	}
+}
+
 // FuzzCheckpointRestore: Restore on a fresh server never panics, and a
 // checkpoint it rejects leaves nothing behind — no tenant trained, no
 // resume point moved. The seeds are a real checkpoint of a trained
-// server and the bodies TestRestoreRejectsBadCheckpoints refuses.
+// server, the bodies TestRestoreRejectsBadCheckpoints refuses and the
+// hostile-count bodies TestRestoreRejectsHostileCounts refuses.
 func FuzzCheckpointRestore(f *testing.F) {
-	cfgs, traces := failoverTopology(testTrainAt)
-	primary, err := New(cfgs, Config{Shards: 2})
-	if err != nil {
-		f.Fatal(err)
-	}
-	if err := primary.Start(); err != nil {
-		f.Fatal(err)
-	}
-	feed(f, primary, traces, 0, testTrainAt+5)
-	var ckpt bytes.Buffer
-	if err := primary.Checkpoint(&ckpt); err != nil {
-		f.Fatalf("checkpoint: %v", err)
-	}
-	if err := primary.Close(); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(ckpt.Bytes())
+	ckpt := trainedCheckpoint(f, 0)
+	f.Add(ckpt)
 	f.Add([]byte(`{"version":99,"ticks":{"solo":10},"models":{}}`))
 	f.Add([]byte(`{"version":1,"ticks":{"other":10},"models":{}}`))
 	f.Add([]byte(`{}`))
+	hostile := hostileCountBodies(f, trainedCheckpoint(f, hostileRetrainS))
+	names := make([]string, 0, len(hostile))
+	for name := range hostile {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		f.Add(hostile[name])
+	}
 
 	replicaCfgs, _ := failoverTopology(0)
 	f.Fuzz(func(t *testing.T, body []byte) {
-		s, err := New(replicaCfgs, Config{Shards: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.Restore(bytes.NewReader(body)) == nil {
-			return
-		}
-		for id, tn := range s.tenants {
-			if tn.ctl.Trained() || tn.resumeFrom != 0 {
-				t.Fatalf("rejected checkpoint left tenant %s trained=%v resumeFrom=%v", id, tn.ctl.Trained(), tn.resumeFrom)
-			}
-		}
+		restoreLeavesNothing(t, replicaCfgs, body)
 	})
 }
