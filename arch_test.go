@@ -49,6 +49,31 @@ func TestDetectorPackageImportsStayMinimal(t *testing.T) {
 	}
 }
 
+// TestDecideImportsStayPure enforces the tick's phase contract:
+// internal/control/decide.go holds the pure policy step, so beyond the
+// standard library it may import only the clock, detector and metrics
+// vocabulary — never monitor, telemetry, prevent, placement, infer or
+// substrate, which a decide that reached past its arguments would need.
+func TestDecideImportsStayPure(t *testing.T) {
+	allowed := map[string]bool{
+		"prepare/internal/simclock": true,
+		"prepare/internal/detector": true,
+		"prepare/internal/metrics":  true,
+	}
+	path := filepath.Join("internal", "control", "decide.go")
+	f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+	if err != nil {
+		t.Fatalf("parsing %s: %v", path, err)
+	}
+	for _, imp := range f.Imports {
+		p := strings.Trim(imp.Path.Value, `"`)
+		if strings.HasPrefix(p, "prepare/") && !allowed[p] {
+			t.Errorf("%s imports %s; decide may import only internal/simclock, internal/detector and internal/metrics",
+				path, p)
+		}
+	}
+}
+
 // TestControlLoopPackagesDoNotImportCloudsim enforces the substrate
 // boundary: the control-loop packages (control, infer, prevent,
 // monitor) must depend only on the neutral substrate contract, never on

@@ -14,11 +14,9 @@
 package control
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"prepare/internal/columnar"
 	"prepare/internal/detector"
@@ -26,7 +24,6 @@ import (
 	"prepare/internal/metrics"
 	"prepare/internal/monitor"
 	"prepare/internal/placement"
-	"prepare/internal/pool"
 	"prepare/internal/predict"
 	"prepare/internal/prevent"
 	"prepare/internal/simclock"
@@ -200,9 +197,63 @@ type AlertEvent struct {
 type pendingValidation struct {
 	step     prevent.Step
 	attr     metrics.Attribute
-	diag     infer.Diagnosis
 	deadline simclock.Time
 	extended bool
+}
+
+// vmState is everything the controller tracks for one managed VM. The
+// controller keeps one per VM in vmOrder (sorted by ID); VM IDs leave
+// the package only in alerts, steps, telemetry events and snapshots.
+type vmState struct {
+	id substrate.VMID
+	// store is the VM's row in the columnar store, which follows the
+	// sampler's (app) order rather than vmOrder.
+	store int
+
+	// det is the VM's anomaly detector — TAN, unsupervised,
+	// forecast-error, or an ensemble — all driven through one code path;
+	// filter is its k-of-W false alarm filter.
+	det    detector.Detector
+	filter *predict.AlarmFilter
+	// built is the detector fitVM built for this VM, which later fits
+	// train again in place. installDetectors clears it, so a detector
+	// installed from outside is replaced, not refit.
+	built detector.Detector
+	// fitAt records the tick at which det was last fit from the series;
+	// on that tick an incremental detector only observes the current row
+	// (the fit already counted it) instead of re-counting it via Update.
+	fitAt simclock.Time
+
+	// cpu and verdict are this tick's observations: the latest CPU sample
+	// (reactive scheme only) and, for an alerting VM, its verdict.
+	cpu     float64
+	verdict detector.Verdict
+
+	// pending is the prevention action awaiting its effectiveness check
+	// (nil when none); attempts is the VM's rung on the ranked-metric
+	// ladder.
+	pending  *pendingValidation
+	attempts int
+
+	// Episode tracking for propagation-aware fault localization (the
+	// paper's PAL [13]): anomalies propagate outward from the faulty VM,
+	// so the VM whose alert episode started first is the prime suspect.
+	episodeOnset, lastAlert simclock.Time
+	// lastMigration enforces a cooldown between migrations: each live
+	// migration costs seconds of degraded capacity, so immediately
+	// re-migrating a VM that was just moved only makes matters worse.
+	lastMigration simclock.Time
+}
+
+// newVMStates lays out one vmState per VM: store indices follow ids'
+// order, the slice is sorted by ID.
+func newVMStates(ids []substrate.VMID) []vmState {
+	vms := make([]vmState, len(ids))
+	for i, id := range ids {
+		vms[i] = vmState{id: id, store: i, lastAlert: never, lastMigration: never}
+	}
+	sort.Slice(vms, func(i, j int) bool { return vms[i].id < vms[j].id })
+	return vms
 }
 
 // Controller runs one management scheme against one application.
@@ -214,16 +265,11 @@ type Controller struct {
 
 	sampler *monitor.Sampler
 	// store is the struct-of-arrays ring every tick's samples land in
-	// (the loop's only sample representation), storeIdx each VM's index
-	// in it, and fleet the batched window scorer (nil unless pure tan).
-	store    *columnar.Store
-	storeIdx map[substrate.VMID]int
-	fleet    *predict.Fleet
-	sloLog   *monitor.SLOLog
-	// detectors holds the per-VM anomaly detectors — TAN, unsupervised,
-	// forecast-error, or ensembles — all driven through one code path.
-	detectors map[substrate.VMID]detector.Detector
-	filters   map[substrate.VMID]*predict.AlarmFilter
+	// (the loop's only sample representation), and fleet the batched
+	// window scorer (nil unless pure tan).
+	store  *columnar.Store
+	fleet  *predict.Fleet
+	sloLog *monitor.SLOLog
 	// attrNames is the canonical column-name list shared by every
 	// detector build.
 	attrNames []string
@@ -234,13 +280,10 @@ type Controller struct {
 	// nextRetrainAt is the deadline of the next periodic retrain. A
 	// deadline (rather than a modulo on the current second) fires on the
 	// first sampling tick at or after it, so retraining happens even when
-	// the sampling interval does not divide the retrain interval.
+	// the sampling interval does not divide the retrain interval. Zero
+	// means unscheduled (models installed from outside): the next
+	// sampling tick schedules it one interval out.
 	nextRetrainAt simclock.Time
-	// fitAt records the tick at which each VM's model was last fit from
-	// the series; on that tick an incremental detector only observes the
-	// current row (the fit already counted it) instead of re-counting it
-	// via Update.
-	fitAt map[substrate.VMID]simclock.Time
 	// rowScratch is the reusable per-tick row buffer: rows are consumed
 	// synchronously within a tick (predictors copy what they retain), so
 	// one buffer serves every VM without per-sample allocation.
@@ -248,37 +291,24 @@ type Controller struct {
 	// fitBufs holds one training worker's row buffers each, refilled
 	// from the series ring for every VM that worker fits.
 	fitBufs []fitBuf
-	// built holds, in vmOrder order, the detector fitVM built for each
-	// VM, which later fits train again in place. InstallDetectors clears
-	// it, so a detector installed from outside is replaced, not refit.
-	built []detector.Detector
 
-	pending  map[substrate.VMID]*pendingValidation
-	attempts map[substrate.VMID]int
-	steps    []prevent.Step
-	alerts   []AlertEvent
-	vmOrder  []substrate.VMID
-
-	// Episode tracking for propagation-aware fault localization (the
-	// paper's PAL [13]): anomalies propagate outward from the faulty VM,
-	// so the VM whose alert episode started first is the prime suspect.
-	episodeOnset map[substrate.VMID]simclock.Time
-	lastAlert    map[substrate.VMID]simclock.Time
+	// vms is every managed VM's state, in vmOrder.
+	vms []vmState
+	// confirmed is observe's reusable list of this tick's
+	// filter-confirmed VMs, as ascending indices into vms.
+	confirmed []int
+	steps     []prevent.Step
+	alerts    []AlertEvent
 
 	// workload distinguishes external workload changes from internal
 	// faults: simultaneous change points on every component mean the
 	// cause is the workload, and every alerting VM should be acted upon
-	// rather than just the earliest-onset one.
+	// rather than just the earliest-onset one. Indexed like the store.
 	workload *infer.WorkloadDetector
 
 	// violatedStreak counts consecutive violated sampling ticks, used to
 	// debounce the reactive baseline's busiest-VM fallback.
 	violatedStreak int
-
-	// lastMigration enforces a per-VM cooldown between migrations: each
-	// live migration costs seconds of degraded capacity, so immediately
-	// re-migrating a VM that was just moved only makes matters worse.
-	lastMigration map[substrate.VMID]simclock.Time
 
 	// placeInv is the substrate's placement-inventory mirror, non-nil
 	// only under PlacementPredictive; the controller pushes per-VM CPU
@@ -334,42 +364,25 @@ func New(scheme Scheme, sub substrate.Substrate, app App, cfg Config) (*Controll
 	if err != nil {
 		return nil, fmt.Errorf("control: %w", err)
 	}
-	// The store's VM order is the sampler's (the app order it was given);
-	// the controller iterates in sorted vmOrder, so keep an index map.
-	storeIdx := make(map[substrate.VMID]int, len(vms))
-	for i, id := range vms {
-		storeIdx[id] = i
-	}
-	sort.Slice(vms, func(i, j int) bool { return vms[i] < vms[j] })
-	wd, err := infer.NewWorkloadDetector(vms, 24, 4*cfg.SamplingIntervalS)
+	wd, err := infer.NewWorkloadDetector(len(vms), 24, 4*cfg.SamplingIntervalS)
 	if err != nil {
 		return nil, fmt.Errorf("control: %w", err)
 	}
 	c := &Controller{
-		scheme:        scheme,
-		cfg:           cfg,
-		sub:           sub,
-		app:           app,
-		sampler:       sampler,
-		store:         store,
-		storeIdx:      storeIdx,
-		sloLog:        &monitor.SLOLog{},
-		detectors:     make(map[substrate.VMID]detector.Detector, len(vms)),
-		filters:       make(map[substrate.VMID]*predict.AlarmFilter, len(vms)),
-		attrNames:     predict.AttributeNames(),
-		planner:       planner,
-		fitAt:         make(map[substrate.VMID]simclock.Time, len(vms)),
-		rowScratch:    make([]float64, metrics.NumAttributes),
-		built:         make([]detector.Detector, len(vms)),
-		pending:       make(map[substrate.VMID]*pendingValidation, len(vms)),
-		attempts:      make(map[substrate.VMID]int, len(vms)),
-		vmOrder:       vms,
-		episodeOnset:  make(map[substrate.VMID]simclock.Time, len(vms)),
-		lastAlert:     make(map[substrate.VMID]simclock.Time, len(vms)),
-		workload:      wd,
-		lastMigration: make(map[substrate.VMID]simclock.Time, len(vms)),
-		placeInv:      placeInv,
-		tel:           newInstruments(cfg.Telemetry),
+		scheme:     scheme,
+		cfg:        cfg,
+		sub:        sub,
+		app:        app,
+		sampler:    sampler,
+		store:      store,
+		sloLog:     &monitor.SLOLog{},
+		attrNames:  predict.AttributeNames(),
+		planner:    planner,
+		rowScratch: make([]float64, metrics.NumAttributes),
+		vms:        newVMStates(vms),
+		workload:   wd,
+		placeInv:   placeInv,
+		tel:        newInstruments(cfg.Telemetry),
 	}
 	if cfg.Detector.Kind == detector.KindTAN {
 		c.fleet = predict.NewFleet()
@@ -391,18 +404,10 @@ func (c *Controller) SLOLog() *monitor.SLOLog { return c.sloLog }
 func (c *Controller) Sampler() *monitor.Sampler { return c.sampler }
 
 // Steps returns the prevention actions executed so far.
-func (c *Controller) Steps() []prevent.Step {
-	out := make([]prevent.Step, len(c.steps))
-	copy(out, c.steps)
-	return out
-}
+func (c *Controller) Steps() []prevent.Step { return append([]prevent.Step{}, c.steps...) }
 
 // Alerts returns the confirmed alerts raised so far.
-func (c *Controller) Alerts() []AlertEvent {
-	out := make([]AlertEvent, len(c.alerts))
-	copy(out, c.alerts)
-	return out
-}
+func (c *Controller) Alerts() []AlertEvent { return append([]AlertEvent{}, c.alerts...) }
 
 // StepCount returns the number of executed prevention steps so far.
 func (c *Controller) StepCount() int { return len(c.steps) }
@@ -410,40 +415,30 @@ func (c *Controller) StepCount() int { return len(c.steps) }
 // StepsSince returns a copy of the executed steps from index from on;
 // incremental consumers (the ingest server's publish stage) drain new
 // steps without copying the whole history. Out-of-range indexes clamp.
-func (c *Controller) StepsSince(from int) []prevent.Step {
-	if from < 0 {
-		from = 0
-	}
-	if from >= len(c.steps) {
-		return nil
-	}
-	out := make([]prevent.Step, len(c.steps)-from)
-	copy(out, c.steps[from:])
-	return out
-}
+func (c *Controller) StepsSince(from int) []prevent.Step { return since(c.steps, from) }
 
 // AlertCount returns the number of confirmed alerts so far.
 func (c *Controller) AlertCount() int { return len(c.alerts) }
 
 // AlertsSince returns a copy of the confirmed alerts from index from
 // on. Out-of-range indexes clamp.
-func (c *Controller) AlertsSince(from int) []AlertEvent {
-	if from < 0 {
-		from = 0
-	}
-	if from >= len(c.alerts) {
+func (c *Controller) AlertsSince(from int) []AlertEvent { return since(c.alerts, from) }
+
+// since copies s from index from on, or returns nil when that is empty.
+func since[T any](s []T, from int) []T {
+	if from = max(from, 0); from >= len(s) {
 		return nil
 	}
-	out := make([]AlertEvent, len(c.alerts)-from)
-	copy(out, c.alerts[from:])
-	return out
+	return append([]T(nil), s[from:]...)
 }
 
 // Trained reports whether the per-VM models have been trained.
 func (c *Controller) Trained() bool { return c.trained }
 
 // OnTick advances the management loop by one simulated second. Call it
-// after the fault schedule and application have ticked.
+// after the fault schedule and application have ticked. A sampling tick
+// runs in three phases: observe feeds the detectors and filters, decide
+// turns what they saw into a Plan, and apply carries it out.
 func (c *Controller) OnTick(now simclock.Time) error {
 	violated := c.app.SLOViolated()
 	if err := c.sloLog.Record(now, violated); err != nil {
@@ -464,9 +459,9 @@ func (c *Controller) OnTick(now simclock.Time) error {
 	if err := c.sampler.CollectColumnar(now, label, c.store); err != nil {
 		return fmt.Errorf("control: %w", err)
 	}
-	for _, id := range c.vmOrder {
-		// Track inbound traffic for workload-change inference.
-		if err := c.workload.Offer(now, id, c.store.Latest(c.storeIdx[id], metrics.NetIn)); err != nil {
+	// Track inbound traffic for workload-change inference.
+	for i := range c.vms {
+		if err := c.workload.Offer(now, i, c.store.Latest(i, metrics.NetIn)); err != nil {
 			return fmt.Errorf("control: %w", err)
 		}
 	}
@@ -484,9 +479,13 @@ func (c *Controller) OnTick(now simclock.Time) error {
 		// predictable on their next recurrence. The deadline fires on the
 		// first sampling tick at or past it (a modulo check would never
 		// fire when the sampling interval does not divide the retrain
-		// interval) and then advances by a full interval.
-		if err := c.retrain(now); err != nil {
-			return fmt.Errorf("control: retrain: %w", err)
+		// interval) and then advances by a full interval. Installed
+		// models are not refit on their first tick: the series behind
+		// them may hold a single sample.
+		if c.nextRetrainAt != 0 {
+			if err := c.retrain(now); err != nil {
+				return fmt.Errorf("control: retrain: %w", err)
+			}
 		}
 		c.nextRetrainAt = now.Add(c.cfg.RetrainIntervalS)
 	}
@@ -494,51 +493,60 @@ func (c *Controller) OnTick(now simclock.Time) error {
 		return nil
 	}
 
-	// Feed the new samples to the per-VM detectors and collect the
-	// filter-confirmed verdicts. The TAN adapter routes window scoring
-	// through the fleet scorer (materializing full verdicts only for
-	// confirmed VMs); every other detector kind scores per VM.
-	confirmed := make(map[substrate.VMID]detector.Verdict)
+	workloadChange, err := c.observe(now, label, violated)
+	if err != nil {
+		return err
+	}
+	return c.apply(now, decide(c.cfg, c.scheme, now, c.vms, c.confirmed, c.violatedStreak, workloadChange))
+}
+
+// observe feeds the new samples to the per-VM detectors and runs each
+// VM's k-of-W filter vote, listing the confirmed VMs in c.confirmed with
+// their full verdicts, and reports whether the workload changed. The
+// vote stays here rather than in decide because the TAN adapter scores
+// through the fleet scorer, whose Materialize must directly follow the
+// same predictor's ScoreWindow; every other detector kind scores per VM.
+func (c *Controller) observe(now simclock.Time, label metrics.Label, violated bool) (bool, error) {
+	c.confirmed = c.confirmed[:0]
 	row := c.rowScratch
-	for _, id := range c.vmOrder {
-		c.store.RowInto(c.storeIdx[id], row)
-		lbl := label
-		d := c.detectors[id]
-		if d.Incremental() && c.fitAt[id] != now {
+	for i := range c.vms {
+		v := &c.vms[i]
+		c.store.RowInto(v.store, row)
+		if v.det.Incremental() && v.fitAt != now {
 			// Incremental training: one Update advances the value-
 			// prediction chains AND folds the labeled row into the TAN
 			// sufficient statistics. Samples the sampler refused to record
 			// (past the staleness budget) become unlabeled so a frozen
 			// sensor cannot teach the classifier a flat line, mirroring
 			// what batch refits from the series would have seen.
-			if !c.sampler.Recording(id) {
+			lbl := label
+			if !c.sampler.Recording(v.id) {
 				lbl = metrics.LabelUnknown
 			}
-			if err := d.Update(row, lbl); err != nil {
-				return fmt.Errorf("control: update %s: %w", id, err)
+			if err := v.det.Update(row, lbl); err != nil {
+				return false, fmt.Errorf("control: update %s: %w", v.id, err)
 			}
-		} else if err := d.Observe(row); err != nil {
+		} else if err := v.det.Observe(row); err != nil {
 			// A model (re)fit this tick already counted the current row
 			// from the series; it only observes, exactly like batch
 			// training has always done.
-			return fmt.Errorf("control: observe %s: %w", id, err)
+			return false, fmt.Errorf("control: observe %s: %w", v.id, err)
 		}
 		switch c.scheme {
 		case SchemePREPARE:
-			dec, err := d.Score(c.cfg.LookaheadS)
+			dec, err := v.det.Score(c.cfg.LookaheadS)
 			if err != nil {
-				return fmt.Errorf("control: predict %s: %w", id, err)
+				return false, fmt.Errorf("control: predict %s: %w", v.id, err)
 			}
-			conf := c.filters[id].Offer(dec.Abnormal)
+			conf := v.filter.Offer(dec.Abnormal)
 			if dec.Abnormal {
-				c.tel.onRawAlert(now.Seconds(), string(id), dec.Score, conf)
+				c.tel.onRawAlert(now.Seconds(), string(v.id), dec.Score, conf)
 			}
-			if conf {
-				verdict, err := d.Verdict()
-				if err != nil {
-					return fmt.Errorf("control: predict %s: %w", id, err)
-				}
-				confirmed[id] = verdict
+			if !conf {
+				continue
+			}
+			if v.verdict, err = v.det.Verdict(); err != nil {
+				return false, fmt.Errorf("control: predict %s: %w", v.id, err)
 			}
 		case SchemeReactive:
 			// Reactive: only act once the SLO violation is observed; the
@@ -546,19 +554,22 @@ func (c *Controller) OnTick(now simclock.Time) error {
 			// false alarm filter applies (the baseline shares PREPARE's
 			// cause inference modules), so a single bad sample does not
 			// trigger an intervention.
-			verdict, err := d.Current(row)
+			verdict, err := v.det.Current(row)
 			if err != nil {
-				return fmt.Errorf("control: evaluate %s: %w", id, err)
+				return false, fmt.Errorf("control: evaluate %s: %w", v.id, err)
 			}
+			v.cpu = c.store.Latest(v.store, metrics.CPUTotal)
 			raw := violated && verdict.Abnormal
-			conf := c.filters[id].Offer(raw)
+			conf := v.filter.Offer(raw)
 			if raw {
-				c.tel.onRawAlert(now.Seconds(), string(id), verdict.Score, conf)
+				c.tel.onRawAlert(now.Seconds(), string(v.id), verdict.Score, conf)
 			}
-			if conf {
-				confirmed[id] = verdict
+			if !conf {
+				continue
 			}
+			v.verdict = verdict
 		}
+		c.confirmed = append(c.confirmed, i)
 	}
 
 	// With the value predictors freshly advanced, refresh the placement
@@ -571,172 +582,94 @@ func (c *Controller) OnTick(now simclock.Time) error {
 	} else {
 		c.violatedStreak = 0
 	}
+	return c.workload.WorkloadChange(now), nil
+}
 
-	if c.scheme == SchemeReactive && len(confirmed) == 0 && c.violatedStreak >= c.cfg.FilterK {
-		// The violation is real and persistent, but no per-VM classifier
-		// fired (e.g., the symptom manifests only in the SLO): blame the
-		// busiest VM so the reactive baseline still intervenes, as its
-		// real counterpart would.
-		if id, verdict, ok := c.busiestVM(); ok {
-			confirmed[id] = verdict
+// apply carries out a plan in a fixed order — record the alerts,
+// resolve the due validations, then act on every target with no action
+// in flight (the paper triggers one prevention per alerted VM, e.g.,
+// memory scaling on one and CPU scaling on another) — so the telemetry
+// event stream follows from the plan alone.
+func (c *Controller) apply(now simclock.Time, p Plan) error {
+	if p.Busiest >= 0 {
+		// observe already scored this row, so classifying it again
+		// cannot fail.
+		v := &c.vms[p.Busiest]
+		c.store.RowInto(v.store, c.rowScratch)
+		verdict, err := v.det.Current(c.rowScratch)
+		if err != nil {
+			return fmt.Errorf("control: evaluate %s: %w", v.id, err)
 		}
+		v.verdict = verdict
 	}
-
-	// Record confirmed alerts in canonical VM order so the alert log
-	// (and the emitted telemetry events) are deterministic.
-	for _, id := range c.vmOrder {
-		v, ok := confirmed[id]
-		if !ok {
-			continue
-		}
-		c.alerts = append(c.alerts, AlertEvent{
-			Time:      now,
-			VM:        id,
-			Score:     v.Score,
-			Predicted: c.scheme == SchemePREPARE,
-		})
-		c.tel.confirmedAlerts.Inc()
-		if c.tel.reg != nil {
-			predicted := 0.0
-			if c.scheme == SchemePREPARE {
-				predicted = 1
+	for _, i := range p.Alerts {
+		c.recordAlert(now, &c.vms[i])
+	}
+	for _, i := range p.Dropped {
+		c.vms[i].pending = nil
+	}
+	for _, val := range p.Validations {
+		c.resolveValidation(now, &c.vms[val.VM], val.AlertsStopped)
+	}
+	for _, i := range p.Alerts {
+		c.vms[i].lastAlert = now
+	}
+	for _, i := range p.Onsets {
+		c.vms[i].episodeOnset = now
+	}
+	for _, i := range p.Targets {
+		if v := &c.vms[i]; v.pending == nil {
+			if err := c.actuate(now, v); err != nil {
+				return err
 			}
-			c.tel.reg.Emit(now.Seconds(), string(id), telemetry.StageControl, telemetry.KindAlertRaised, "",
-				telemetry.F("score", v.Score), telemetry.F("predicted", predicted))
-		}
-	}
-
-	// Resolve any due validations, then act on every confirmed faulty VM
-	// that has no action in flight (the paper triggers one prevention per
-	// alerted VM, e.g., memory scaling on one and CPU scaling on another).
-	for _, id := range c.vmOrder {
-		p, ok := c.pending[id]
-		if !ok || now.Before(p.deadline) {
-			continue
-		}
-		if c.cfg.DisableValidation {
-			// Ablation mode: drop the pending action unexamined; the
-			// attempt ladder never advances past the first choice.
-			delete(c.pending, id)
-			continue
-		}
-		_, stillAlerting := confirmed[id]
-		c.resolveValidation(now, id, !stillAlerting && !violated)
-	}
-
-	for _, id := range c.targets(now, confirmed) {
-		if _, busy := c.pending[id]; busy {
-			continue
-		}
-		if err := c.actuate(now, id, confirmed[id]); err != nil {
-			return err
 		}
 	}
 	return nil
 }
 
-// targets applies propagation-aware fault localization: update alert
-// episodes and return the confirmed VMs whose episode onset is within one
-// sampling interval of the earliest onset (downstream victims alert later
-// than the faulty VM, so they are filtered out; near-simultaneous onsets
-// are all acted upon, as in the paper's two-VM example).
-func (c *Controller) targets(now simclock.Time, confirmed map[substrate.VMID]detector.Verdict) []substrate.VMID {
-	gap := 2 * c.cfg.SamplingIntervalS
-	for _, id := range c.vmOrder {
-		if _, ok := confirmed[id]; !ok {
-			continue
-		}
-		if last, ok := c.lastAlert[id]; !ok || now.Sub(last) > gap {
-			c.episodeOnset[id] = now
-		}
-		c.lastAlert[id] = now
-	}
-	var earliest simclock.Time
-	found := false
-	for id := range confirmed {
-		onset := c.episodeOnset[id]
-		if !found || onset.Before(earliest) {
-			earliest = onset
-			found = true
-		}
-	}
-	if !found {
-		return nil
-	}
-	// An external workload change hits every component at once; in that
-	// case all alerting VMs need relief, not just the earliest one.
-	// Similarly, once a real SLO violation persists, onset ordering stops
-	// mattering — every alerting VM gets help (the predictive priority
-	// only applies while the violation is still preventable).
-	workloadChange := c.workload.WorkloadChange(now) ||
-		c.violatedStreak >= c.cfg.FilterK
-	var out []substrate.VMID
-	for _, id := range c.vmOrder {
-		if _, ok := confirmed[id]; !ok {
-			continue
-		}
-		if workloadChange || c.episodeOnset[id].Sub(earliest) <= c.cfg.SamplingIntervalS {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// busiestVM builds a fallback diagnosis for the reactive baseline when no
-// detector fired: pick the VM with the highest CPU utilization sample and
-// classify its current row.
-func (c *Controller) busiestVM() (substrate.VMID, detector.Verdict, bool) {
-	var bestID substrate.VMID
-	best := -1.0
-	for _, id := range c.vmOrder {
-		if u := c.store.Latest(c.storeIdx[id], metrics.CPUTotal); u > best {
-			best = u
-			bestID = id
-		}
-	}
-	if best < 0 {
-		return "", detector.Verdict{}, false
-	}
-	c.store.RowInto(c.storeIdx[bestID], c.rowScratch)
-	verdict, err := c.detectors[bestID].Current(c.rowScratch)
-	if err != nil {
-		return "", detector.Verdict{}, false
-	}
-	return bestID, verdict, true
-}
-
-// degrade records a skipped or deferred piece of a management step: the
-// substrate failed underneath the loop, the loop logs it and keeps
-// going rather than aborting the tick.
-func (c *Controller) degrade(now simclock.Time, id substrate.VMID, op string, err error) {
-	c.tel.degradedSkips.Inc()
+// recordAlert appends one confirmed alert to the log and emits its
+// event.
+func (c *Controller) recordAlert(now simclock.Time, v *vmState) {
+	c.alerts = append(c.alerts, AlertEvent{
+		Time:      now,
+		VM:        v.id,
+		Score:     v.verdict.Score,
+		Predicted: c.scheme == SchemePREPARE,
+	})
+	c.tel.confirmedAlerts.Inc()
 	if c.tel.reg != nil {
-		c.tel.reg.Emit(now.Seconds(), string(id), telemetry.StageControl, telemetry.KindDegraded,
-			op+": "+err.Error())
+		predicted := 0.0
+		if c.scheme == SchemePREPARE {
+			predicted = 1
+		}
+		c.tel.reg.Emit(now.Seconds(), string(v.id), telemetry.StageControl, telemetry.KindAlertRaised, "",
+			telemetry.F("score", v.verdict.Score), telemetry.F("predicted", predicted))
 	}
 }
 
 // actuate executes the next prevention step for one confirmed faulty VM.
-func (c *Controller) actuate(now simclock.Time, target substrate.VMID, verdict detector.Verdict) error {
-	migrating, err := c.sub.Migrating(target)
+func (c *Controller) actuate(now simclock.Time, v *vmState) error {
+	migrating, err := c.sub.Migrating(v.id)
 	if err != nil {
 		// An inventory lookup failing — transiently or otherwise — must
-		// not abort the whole management tick: skip this VM's actuation
+		// not abort the whole management tick: log the skipped actuation
 		// and let the next confirmed alert try again.
-		c.degrade(now, target, "migrating-lookup", err)
+		c.tel.degradedSkips.Inc()
+		if c.tel.reg != nil {
+			c.tel.reg.Emit(now.Seconds(), string(v.id), telemetry.StageControl, telemetry.KindDegraded,
+				"migrating-lookup: "+err.Error())
+		}
 		return nil
 	}
 	if migrating {
 		return nil // an action is already in flight
 	}
 	const migrationCooldownS = 90
-	if c.planner.Policy() == prevent.MigrationOnly {
-		if last, ok := c.lastMigration[target]; ok && now.Sub(last) < migrationCooldownS {
-			return nil // just moved; give the new placement time to work
-		}
+	if c.planner.Policy() == prevent.MigrationOnly && now.Sub(v.lastMigration) < migrationCooldownS {
+		return nil // just moved; give the new placement time to work
 	}
 
-	diag, err := infer.Diagnose(target, verdict)
+	diag, err := infer.Diagnose(v.id, v.verdict)
 	if err != nil {
 		return fmt.Errorf("control: diagnose: %w", err)
 	}
@@ -748,11 +681,11 @@ func (c *Controller) actuate(now simclock.Time, target substrate.VMID, verdict d
 		}
 		c.tel.attribution.Set(strength)
 		if c.tel.reg != nil {
-			c.tel.reg.Emit(now.Seconds(), string(target), telemetry.StageInfer, telemetry.KindCauseRanked,
+			c.tel.reg.Emit(now.Seconds(), string(v.id), telemetry.StageInfer, telemetry.KindCauseRanked,
 				top.String(), telemetry.F("strength", strength), telemetry.F("ranked", float64(len(diag.Ranked))))
 		}
 	}
-	step, err := c.planner.Prevent(now, diag, c.attempts[target])
+	step, err := c.planner.Prevent(now, diag, v.attempts)
 	if err != nil {
 		switch {
 		case errors.Is(err, prevent.ErrBackoff):
@@ -761,18 +694,18 @@ func (c *Controller) actuate(now simclock.Time, target substrate.VMID, verdict d
 			// Keep the attempt ladder and episode untouched.
 			c.tel.retryBackoffs.Inc()
 			if c.tel.reg != nil {
-				c.tel.reg.Emit(now.Seconds(), string(target), telemetry.StagePrevent,
-					telemetry.KindRetryScheduled, "", telemetry.F("attempt", float64(c.attempts[target])))
+				c.tel.reg.Emit(now.Seconds(), string(v.id), telemetry.StagePrevent,
+					telemetry.KindRetryScheduled, "", telemetry.F("attempt", float64(v.attempts)))
 			}
 		case errors.Is(err, prevent.ErrSaturated):
 			// This resource is at its cap: move to the next option.
-			c.attempts[target]++
+			v.attempts++
 		default:
 			// Out of options for this VM: push its alert episode to the
 			// back of the queue so localization gives other alerting VMs
 			// a turn, and restart its ladder for the next episode.
-			c.attempts[target] = 0
-			c.episodeOnset[target] = now
+			v.attempts = 0
+			v.episodeOnset = now
 		}
 		return nil
 	}
@@ -788,17 +721,12 @@ func (c *Controller) actuate(now simclock.Time, target substrate.VMID, verdict d
 		// The memory allocation does not change until the migration
 		// completes, so reading it after the step still reflects the
 		// amount of state being copied.
-		if alloc, aerr := c.sub.Allocation(target); aerr == nil {
+		if alloc, aerr := c.sub.Allocation(v.id); aerr == nil {
 			delay += c.sub.MigrationSeconds(alloc.MemMB)
 		}
-		c.lastMigration[target] = now
+		v.lastMigration = now
 	}
-	c.pending[target] = &pendingValidation{
-		step:     step,
-		attr:     attr,
-		diag:     diag,
-		deadline: now.Add(delay),
-	}
+	v.pending = &pendingValidation{step: step, attr: attr, deadline: now.Add(delay)}
 	return nil
 }
 
@@ -821,11 +749,11 @@ func (c *Controller) recordStep(now simclock.Time, step prevent.Step) {
 
 // resolveValidation applies the look-back/look-ahead effectiveness check
 // to one VM's pending action.
-func (c *Controller) resolveValidation(now simclock.Time, id substrate.VMID, alertsStopped bool) {
-	p := c.pending[id]
-	series, err := c.sampler.Series(p.step.VM)
+func (c *Controller) resolveValidation(now simclock.Time, v *vmState, alertsStopped bool) {
+	p := v.pending
+	series, err := c.sampler.Series(v.id)
 	if err != nil {
-		delete(c.pending, id)
+		v.pending = nil
 		return
 	}
 	lookBack := p.step.Time.Add(-c.cfg.ValidationDelayS)
@@ -835,17 +763,13 @@ func (c *Controller) resolveValidation(now simclock.Time, id substrate.VMID, ale
 	switch c.validator.Validate(before, after, p.attr, alertsStopped) {
 	case prevent.Effective:
 		c.tel.valEffective.Inc()
-		c.attempts[p.step.VM] = 0
-		if f, ok := c.filters[p.step.VM]; ok {
-			f.Reset()
-		}
-		delete(c.pending, id)
+		v.attempts = 0
+		v.filter.Reset()
+		v.pending = nil
 	case prevent.Ineffective:
 		// Try the next ranked metric on the next confirmed alert.
 		c.tel.valIneffective.Inc()
-		c.rollbackEvent(now, p)
-		c.attempts[p.step.VM]++
-		delete(c.pending, id)
+		c.rollback(now, v)
 	case prevent.Inconclusive:
 		if !p.extended {
 			p.extended = true
@@ -853,177 +777,18 @@ func (c *Controller) resolveValidation(now simclock.Time, id substrate.VMID, ale
 			return
 		}
 		c.tel.valInconclusive.Inc()
-		c.rollbackEvent(now, p)
-		c.attempts[p.step.VM]++
-		delete(c.pending, id)
+		c.rollback(now, v)
 	}
 }
 
-// rollbackEvent emits the validation-rollback trace record: the action
-// did not fix the anomaly, so the ladder advances to the next ranked
-// metric.
-func (c *Controller) rollbackEvent(now simclock.Time, p *pendingValidation) {
-	if c.tel.reg == nil {
-		return
+// rollback gives up on the VM's pending action — it did not fix the
+// anomaly — and advances the ladder to the next ranked metric,
+// emitting the validation-rollback trace record.
+func (c *Controller) rollback(now simclock.Time, v *vmState) {
+	if c.tel.reg != nil {
+		c.tel.reg.Emit(now.Seconds(), string(v.id), telemetry.StagePrevent, telemetry.KindValidationRollback,
+			v.pending.step.Detail, telemetry.F("attempt_next", float64(v.attempts+1)))
 	}
-	c.tel.reg.Emit(now.Seconds(), string(p.step.VM), telemetry.StagePrevent, telemetry.KindValidationRollback,
-		p.step.Detail, telemetry.F("attempt_next", float64(c.attempts[p.step.VM]+1)))
-}
-
-// train fits one predictor (and alarm filter) per VM from the collected
-// labeled series. Following the paper, fault localization decides which
-// VMs' samples are actually trained as "abnormal": a sample keeps its
-// abnormal label only if the VM itself deviates from its own fault-free
-// baseline at that instant (at least two attributes beyond 3.5 sigma).
-// Without this gating, every VM's model would learn the application-level
-// violation windows — including VMs whose metrics carry no fault signal —
-// and then raise persistent false alarms on recurring workload patterns.
-func (c *Controller) train(now simclock.Time) error {
-	dets := make([]detector.Detector, len(c.vmOrder))
-	// Per-VM fits are independent and deterministically seeded, so they
-	// fan out across the worker pool; each goroutine writes only its own
-	// slot and the results are installed in canonical VM order below.
-	runner := pool.Runner{Workers: c.cfg.TrainWorkers}
-	c.growFitBufs(runner.Size(len(c.vmOrder)))
-	err := runner.ForEachWorker(context.Background(), len(c.vmOrder), func(_ context.Context, w, i int) error {
-		d, err := c.fitVM(i, &c.fitBufs[w])
-		if err != nil {
-			return err
-		}
-		dets[i] = d
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	for i, id := range c.vmOrder {
-		c.detectors[id] = dets[i]
-		f, err := predict.NewAlarmFilter(c.cfg.FilterK, c.cfg.FilterW)
-		if err != nil {
-			return err
-		}
-		c.filters[id] = f
-		c.fitAt[id] = now
-	}
-	c.trained = true
-	c.tel.trainings.Inc()
-	c.nextRetrainAt = now.Add(c.cfg.RetrainIntervalS)
-	return nil
-}
-
-// detectorOptions assembles the per-VM adapter options from the
-// controller's configuration. The fleet is nil unless the spec is pure
-// tan.
-func (c *Controller) detectorOptions(id substrate.VMID) predict.DetectorOptions {
-	return predict.DetectorOptions{
-		Names:           c.attrNames,
-		Config:          c.cfg.Predict,
-		Margin:          c.cfg.AlertScoreMargin,
-		LookbackSamples: int(c.cfg.LookaheadS / c.cfg.SamplingIntervalS),
-		Incremental:     c.incrementalTraining(),
-		Seed:            c.cfg.MonitorSeed,
-		Fleet:           c.fleet,
-		Instruments:     c.tel.predict,
-		Telemetry:       c.cfg.Telemetry,
-		TelemetryScope:  string(id),
-	}
-}
-
-// fitBuf is one training worker's rows and labels (see Series.RowsInto).
-type fitBuf struct {
-	backing []float64
-	rows    [][]float64
-	labels  []metrics.Label
-}
-
-// growFitBufs makes sure every one of n training workers has a buffer.
-func (c *Controller) growFitBufs(n int) {
-	if len(c.fitBufs) < n {
-		c.fitBufs = append(c.fitBufs, make([]fitBuf, n-len(c.fitBufs))...)
-	}
-}
-
-// fitVM fits the i-th VM's detector from its retained series, read
-// straight from the ring into buf. The detector adapter applies the
-// kind-appropriate training protocol: anomaly-onset relabeling plus a
-// batch TAN fit, incremental sufficient statistics, or an unlabeled
-// outlier/forecast fit. A detector is built only when the VM's built
-// slot is empty (first training, or after InstallDetectors); otherwise
-// the one there is refit in place. Train replaces all model state and
-// keeps neither rows nor labels, so buf is free for the worker's next VM.
-func (c *Controller) fitVM(i int, buf *fitBuf) (detector.Detector, error) {
-	id := c.vmOrder[i]
-	series, err := c.sampler.Series(id)
-	if err != nil {
-		return nil, err
-	}
-	buf.backing, buf.rows, buf.labels = series.RowsInto(buf.backing, buf.rows, buf.labels)
-	if c.built[i] == nil {
-		if c.built[i], err = predict.NewDetector(c.cfg.Detector, c.detectorOptions(id)); err != nil {
-			return nil, err
-		}
-	}
-	if err := c.built[i].Train(buf.rows, buf.labels); err != nil {
-		return nil, fmt.Errorf("train %s: %w", id, err)
-	}
-	return c.built[i], nil
-}
-
-// incrementalTraining reports whether this configuration maintains
-// per-VM sufficient statistics and retrains from them. Only the pure
-// supervised TAN detector has a count-table form, and only periodic
-// retraining ever consumes the statistics; everything else
-// (unsupervised, forecast-error, ensembles, train-once) fits from the
-// retained series.
-func (c *Controller) incrementalTraining() bool {
-	return c.cfg.Detector.Kind == detector.KindTAN && c.cfg.RetrainIntervalS > 0
-}
-
-// retrain performs one periodic model update. Detectors without a
-// count-table form refit from the retained series (O(history)). The tan
-// detector rebuilds each classifier from its accumulated count table
-// (O(attrs²·bins²), independent of history length) and refits from the
-// series only to self-heal predictors that carry no incremental state
-// (e.g. restored from an older snapshot). Alarm filters restart fresh
-// either way.
-func (c *Controller) retrain(now simclock.Time) error {
-	if !c.incrementalTraining() {
-		defer c.tel.retrainBatch.ObserveSince(time.Now())
-		return c.train(now)
-	}
-	defer c.tel.retrainIncremental.ObserveSince(time.Now())
-	healed := make([]detector.Detector, len(c.vmOrder))
-	runner := pool.Runner{Workers: c.cfg.TrainWorkers}
-	c.growFitBufs(runner.Size(len(c.vmOrder)))
-	err := runner.ForEachWorker(context.Background(), len(c.vmOrder), func(_ context.Context, w, i int) error {
-		id := c.vmOrder[i]
-		if d := c.detectors[id]; d != nil && d.Incremental() {
-			if err := d.Retrain(); err != nil {
-				return fmt.Errorf("retrain %s: %w", id, err)
-			}
-			return nil
-		}
-		d, err := c.fitVM(i, &c.fitBufs[w])
-		if err != nil {
-			return err
-		}
-		healed[i] = d
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	for i, id := range c.vmOrder {
-		if healed[i] != nil {
-			c.detectors[id] = healed[i]
-			c.fitAt[id] = now
-		}
-		f, err := predict.NewAlarmFilter(c.cfg.FilterK, c.cfg.FilterW)
-		if err != nil {
-			return err
-		}
-		c.filters[id] = f
-	}
-	c.tel.trainings.Inc()
-	return nil
+	v.attempts++
+	v.pending = nil
 }

@@ -6,7 +6,6 @@ import (
 	"prepare/internal/cloudsim"
 	"prepare/internal/columnar"
 	"prepare/internal/detector"
-	"prepare/internal/infer"
 	"prepare/internal/metrics"
 	"prepare/internal/predict"
 	"prepare/internal/simclock"
@@ -468,68 +467,14 @@ func TestUnsupervisedReactiveMode(t *testing.T) {
 	}
 }
 
-// TestTargetsOrderingAndPropagationFilter pins the unified-verdict
-// targeting semantics: confirmed VMs are returned in canonical vmOrder
-// (never map-iteration order), downstream victims whose alert episode
-// started later than the faulty VM are filtered out, and a persistent
-// real violation disables the onset filter so every alerting VM gets
-// relief.
-func TestTargetsOrderingAndPropagationFilter(t *testing.T) {
-	vms := []substrate.VMID{"vm1", "vm2", "vm3"}
-	wd, err := infer.NewWorkloadDetector(vms, 1000, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := &Controller{
-		cfg:          Config{SamplingIntervalS: 5}.withDefaults(),
-		vmOrder:      vms,
-		lastAlert:    make(map[substrate.VMID]simclock.Time),
-		episodeOnset: make(map[substrate.VMID]simclock.Time),
-		workload:     wd,
-	}
-	confirmed := func(ids ...substrate.VMID) map[substrate.VMID]detector.Verdict {
-		m := make(map[substrate.VMID]detector.Verdict, len(ids))
-		for _, id := range ids {
-			m[id] = detector.Verdict{Abnormal: true, Score: 3}
-		}
-		return m
-	}
-	equal := func(got, want []substrate.VMID) {
-		t.Helper()
-		if len(got) != len(want) {
-			t.Fatalf("targets %v, want %v", got, want)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("targets %v, want %v", got, want)
-			}
-		}
-	}
-
-	// t=100: vm2's episode starts.
-	equal(c.targets(100, confirmed("vm2")), []substrate.VMID{"vm2"})
-	// t=105: vm3 joins within one sampling interval of the earliest
-	// onset — both act, in canonical order regardless of map order.
-	equal(c.targets(105, confirmed("vm3", "vm2")), []substrate.VMID{"vm2", "vm3"})
-	// t=110: vm1's onset is 10s after the earliest — a downstream
-	// victim, filtered out.
-	equal(c.targets(110, confirmed("vm1", "vm2", "vm3")), []substrate.VMID{"vm2", "vm3"})
-	// A persistent real violation disables the onset filter.
-	c.violatedStreak = c.cfg.FilterK
-	equal(c.targets(115, confirmed("vm1", "vm2", "vm3")), []substrate.VMID{"vm1", "vm2", "vm3"})
-	c.violatedStreak = 0
-	// After a quiet gap the next alert starts a fresh episode.
-	equal(c.targets(200, confirmed("vm3")), []substrate.VMID{"vm3"})
-}
-
-// TestBusiestVMUnifiedVerdict pins the reactive fallback's unified
-// detector path: the busiest VM is picked by CPU sample and classified
-// through the same Detector.Current call every scheme uses.
-func TestBusiestVMUnifiedVerdict(t *testing.T) {
+// TestApplyScoresBusiestVM pins the reactive fallback's unified
+// detector path: apply classifies the VM decide picked through the same
+// Detector.Current call every scheme uses, on the VM's current row, and
+// alerts with that verdict.
+func TestApplyScoresBusiestVM(t *testing.T) {
 	names := predict.AttributeNames()
-	vms := []substrate.VMID{"vm1", "vm2"}
-	dets := make(map[substrate.VMID]detector.Detector, len(vms))
-	for _, id := range vms {
+	vms := newVMStates([]substrate.VMID{"vm1", "vm2"})
+	for i := range vms {
 		e := detector.NewEWMA(len(names), detector.EWMAOptions{})
 		rows := make([][]float64, 40)
 		for i := range rows {
@@ -541,7 +486,7 @@ func TestBusiestVMUnifiedVerdict(t *testing.T) {
 		if err := e.Train(rows, nil); err != nil {
 			t.Fatal(err)
 		}
-		dets[id] = e
+		vms[i].det = e
 	}
 	store, err := columnar.New(len(vms), 1)
 	if err != nil {
@@ -549,17 +494,15 @@ func TestBusiestVMUnifiedVerdict(t *testing.T) {
 	}
 	c := &Controller{
 		cfg:        Config{}.withDefaults(),
-		vmOrder:    vms,
-		detectors:  dets,
-		attrNames:  names,
+		scheme:     SchemeReactive,
+		vms:        vms,
 		rowScratch: make([]float64, len(names)),
 		store:      store,
-		storeIdx:   map[substrate.VMID]int{"vm1": 0, "vm2": 1},
 	}
 
 	// commit publishes one tick: vm1's attributes at 10, vm2's at
-	// vm2Fill, and CPUTotal as given per VM.
-	commit := func(vm2Fill float64, cpu [2]float64) {
+	// vm2Fill.
+	commit := func(vm2Fill float64) {
 		for i := range vms {
 			var v metrics.Vector
 			for j := range v {
@@ -568,24 +511,29 @@ func TestBusiestVMUnifiedVerdict(t *testing.T) {
 					v[j] = vm2Fill
 				}
 			}
-			v.Set(metrics.CPUTotal, cpu[i])
 			store.StageRow(i, &v)
 		}
 		store.Commit(0, metrics.LabelNormal)
 	}
-	commit(10, [2]float64{13, 14}) // vm2 busiest, both in-range
-	id, verdict, ok := c.busiestVM()
-	if !ok || id != "vm2" {
-		t.Fatalf("busiestVM = %v ok=%v, want vm2", id, ok)
+	fallback := Plan{Alerts: []int{1}, Busiest: 1}
+	commit(10) // near baseline
+	if err := c.apply(100, fallback); err != nil {
+		t.Fatal(err)
 	}
-	if verdict.Abnormal {
-		t.Fatalf("near-baseline sample classified abnormal: %+v", verdict)
+	if v := c.vms[1].verdict; v.Abnormal {
+		t.Fatalf("near-baseline sample classified abnormal: %+v", v)
 	}
 
 	// A wildly deviant busiest VM yields an abnormal unified verdict
-	// with attribution strengths.
-	commit(500, [2]float64{13, 99})
-	if _, verdict, ok = c.busiestVM(); !ok || !verdict.Abnormal || len(verdict.Strengths) == 0 {
-		t.Fatalf("deviant sample verdict %+v ok=%v, want abnormal with strengths", verdict, ok)
+	// with attribution strengths, and the alert carries its score.
+	commit(500)
+	if err := c.apply(105, fallback); err != nil {
+		t.Fatal(err)
+	}
+	if v := c.vms[1].verdict; !v.Abnormal || len(v.Strengths) == 0 {
+		t.Fatalf("deviant sample verdict %+v, want abnormal with strengths", v)
+	}
+	if got := c.alerts[len(c.alerts)-1]; got.VM != "vm2" || got.Score != c.vms[1].verdict.Score || got.Predicted {
+		t.Fatalf("fallback alert %+v, want a reactive vm2 alert scored %v", got, c.vms[1].verdict.Score)
 	}
 }

@@ -9,21 +9,34 @@ import (
 	"prepare/internal/detector"
 	"prepare/internal/metrics"
 	"prepare/internal/predict"
+	"prepare/internal/simclock"
 	"prepare/internal/substrate"
 )
 
 // persistController builds a bare controller with just enough state for
-// the model persistence paths: config, VM order, and empty detector and
-// filter maps for InstallDetectors to fill.
+// the model persistence paths: config and one empty vmState per VM for
+// installDetectors to fill.
 func persistController(spec detector.Spec, vms ...substrate.VMID) *Controller {
 	cfg := Config{SamplingIntervalS: 5, Detector: spec}.withDefaults()
 	return &Controller{
 		cfg:       cfg,
-		vmOrder:   vms,
-		detectors: make(map[substrate.VMID]detector.Detector, len(vms)),
-		filters:   make(map[substrate.VMID]*predict.AlarmFilter, len(vms)),
+		vms:       newVMStates(vms),
 		attrNames: predict.AttributeNames(),
 	}
+}
+
+// installed counts the VMs holding a detector and the VMs holding an
+// alarm filter.
+func installed(c *Controller) (dets, filters int) {
+	for _, v := range c.vms {
+		if v.det != nil {
+			dets++
+		}
+		if v.filter != nil {
+			filters++
+		}
+	}
+	return dets, filters
 }
 
 func trainingRows(dims, n int) [][]float64 {
@@ -48,15 +61,15 @@ func TestSaveModelsV2RoundTripsNonTANKinds(t *testing.T) {
 	dims := len(predict.AttributeNames())
 
 	c1 := persistController(spec, vms...)
-	models := make(map[substrate.VMID]detector.Detector, len(vms))
-	for _, id := range vms {
+	models := make([]detector.Detector, len(vms))
+	for i := range vms {
 		d := detector.NewEWMA(dims, detector.EWMAOptions{SamplingIntervalS: 5})
 		if err := d.Train(trainingRows(dims, 50), nil); err != nil {
 			t.Fatal(err)
 		}
-		models[id] = d
+		models[i] = d
 	}
-	if err := c1.InstallDetectors(models); err != nil {
+	if err := c1.installDetectors(models); err != nil {
 		t.Fatal(err)
 	}
 
@@ -104,8 +117,8 @@ func TestSaveModelsV2RoundTripsNonTANKinds(t *testing.T) {
 		if i > 10 {
 			row[3] = 20 + float64(i-10)*6 // drift one attribute
 		}
-		for _, id := range vms {
-			a, b := c1.detectors[id], c2.detectors[id]
+		for k, id := range vms {
+			a, b := c1.vms[k].det, c2.vms[k].det
 			if err := a.Observe(row); err != nil {
 				t.Fatal(err)
 			}
@@ -166,7 +179,7 @@ func TestRestoreModelsRejectsV1(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "unsupported model snapshot version 1") {
 		t.Fatalf("version-1 restore: %v, want unsupported model snapshot version 1", err)
 	}
-	if c.trained || len(c.detectors) != 0 {
+	if dets, _ := installed(c); c.trained || dets != 0 {
 		t.Fatal("rejected version-1 snapshot left the controller trained")
 	}
 
@@ -180,7 +193,7 @@ func TestRestoreModelsRejectsV1(t *testing.T) {
 	if err := c.RestoreModels(bytes.NewReader(v2)); err != nil {
 		t.Fatal(err)
 	}
-	if !c.trained || c.detectors["vm-a"].Kind() != detector.KindTAN {
+	if !c.trained || c.vms[0].det.Kind() != detector.KindTAN {
 		t.Fatal("version-2 envelope did not install the TAN detector")
 	}
 
@@ -208,7 +221,7 @@ func TestEngineRestoreIsAllOrNothing(t *testing.T) {
 	if err := d.Train(trainingRows(dims, 50), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := trained.InstallDetectors(map[substrate.VMID]detector.Detector{"vm-a": d}); err != nil {
+	if err := trained.installDetectors([]detector.Detector{d}); err != nil {
 		t.Fatal(err)
 	}
 	var good bytes.Buffer
@@ -233,9 +246,9 @@ func TestEngineRestoreIsAllOrNothing(t *testing.T) {
 		t.Fatalf("restore with a corrupt second tenant: %v, want an error naming tenant b", err)
 	}
 	for id, c := range map[string]*Controller{"a": first, "b": second} {
-		if c.trained || len(c.detectors) != 0 || len(c.filters) != 0 {
+		if dets, filters := installed(c); c.trained || dets != 0 || filters != 0 {
 			t.Errorf("tenant %s: failed restore left trained=%v with %d detectors, %d filters",
-				id, c.trained, len(c.detectors), len(c.filters))
+				id, c.trained, dets, filters)
 		}
 	}
 }
@@ -245,31 +258,101 @@ func TestEngineRestoreIsAllOrNothing(t *testing.T) {
 // which may carry options the controller did not give them.
 func TestRetrainReplacesInstalledDetectors(t *testing.T) {
 	ctl, _ := runSynth(t, 2, 400, 0, Config{Detector: detector.Spec{Kind: detector.KindEWMA}, RetrainIntervalS: 100})
-	id := ctl.vmOrder[0]
-	own := ctl.detectors[id]
+	own := ctl.vms[0].det
 	if err := ctl.retrain(400); err != nil {
 		t.Fatal(err)
 	}
-	if ctl.detectors[id] != own {
+	if ctl.vms[0].det != own {
 		t.Fatal("retrain replaced a detector the controller built instead of refitting it")
 	}
 
-	dims := len(predict.AttributeNames())
-	models := make(map[substrate.VMID]detector.Detector, len(ctl.vmOrder))
-	for _, vm := range ctl.vmOrder {
-		d := detector.NewEWMA(dims, detector.EWMAOptions{SamplingIntervalS: 5, Threshold: 99})
-		if err := d.Train(trainingRows(dims, 50), nil); err != nil {
-			t.Fatal(err)
-		}
-		models[vm] = d
-	}
-	if err := ctl.InstallDetectors(models); err != nil {
+	models := ewmaModels(t, len(ctl.vms))
+	if err := ctl.installDetectors(models); err != nil {
 		t.Fatal(err)
 	}
 	if err := ctl.retrain(500); err != nil {
 		t.Fatal(err)
 	}
-	if got := ctl.detectors[id]; got == models[id] || got == own {
-		t.Fatal("retrain after InstallDetectors did not build a fresh detector")
+	if got := ctl.vms[0].det; got == models[0] || got == own {
+		t.Fatal("retrain after installDetectors did not build a fresh detector")
+	}
+}
+
+// ewmaModels trains n stand-alone EWMA detectors with an unreachable
+// threshold, as installable models.
+func ewmaModels(t *testing.T, n int) []detector.Detector {
+	t.Helper()
+	dims := len(predict.AttributeNames())
+	models := make([]detector.Detector, n)
+	for i := range models {
+		d := detector.NewEWMA(dims, detector.EWMAOptions{SamplingIntervalS: 5, Threshold: 99})
+		if err := d.Train(trainingRows(dims, 50), nil); err != nil {
+			t.Fatal(err)
+		}
+		models[i] = d
+	}
+	return models
+}
+
+// TestRestoredModelsSurviveFirstTick: with periodic retraining on, the
+// first sampling tick after RestoreModels schedules the next retrain one
+// interval out instead of running it — a retrain then would replace the
+// restored models with fits of a series holding one sample.
+func TestRestoredModelsSurviveFirstTick(t *testing.T) {
+	const retrainS = 100
+	cfg := Config{Detector: detector.Spec{Kind: detector.KindEWMA}, RetrainIntervalS: retrainS}
+	saved, _ := runSynth(t, 2, 400, 0, cfg)
+	var snap bytes.Buffer
+	if err := saved.SaveModels(&snap); err != nil {
+		t.Fatal(err)
+	}
+
+	w := newSynthWorld(2)
+	ctl, err := New(SchemePREPARE, w, w, cfg) // TrainAtS 0: never trains online
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ctl.RestoreModels(&snap); err != nil {
+		t.Fatal(err)
+	}
+	restored := ctl.vms[0].det
+	tick := func(from, to int64) {
+		for s := from; s <= to; s++ {
+			w.Tick(simclock.Time(s))
+			if err := ctl.OnTick(simclock.Time(s)); err != nil {
+				t.Fatalf("tick %d: %v", s, err)
+			}
+		}
+	}
+	tick(1, 5+retrainS-1)
+	if ctl.vms[0].det != restored {
+		t.Fatal("the first ticks after RestoreModels replaced the restored detector")
+	}
+	tick(5+retrainS, 5+retrainS)
+	if ctl.vms[0].det == restored {
+		t.Fatal("no retrain one interval after the first post-restore sampling tick")
+	}
+}
+
+// TestRestoreModelsRejectsUnknownVMs: a snapshot that carries a model
+// for a VM the controller does not manage is refused whole, even when
+// every entry would decode.
+func TestRestoreModelsRejectsUnknownVMs(t *testing.T) {
+	spec := detector.Spec{Kind: detector.KindEWMA}
+	src := persistController(spec, "vm-a", "vm-b", "vm-c")
+	if err := src.installDetectors(ewmaModels(t, 3)); err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := src.SaveModels(&snap); err != nil {
+		t.Fatal(err)
+	}
+	c := persistController(spec, "vm-a", "vm-b")
+	err := c.RestoreModels(bytes.NewReader(snap.Bytes()))
+	if err == nil || !strings.Contains(err.Error(), "does not manage") {
+		t.Fatalf("restore with an unmanaged VM: %v, want a does-not-manage error", err)
+	}
+	if dets, filters := installed(c); c.trained || dets != 0 || filters != 0 {
+		t.Fatalf("rejected snapshot left trained=%v with %d detectors, %d filters", c.trained, dets, filters)
 	}
 }

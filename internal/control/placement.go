@@ -161,8 +161,8 @@ func (c *Controller) pushForecasts() {
 		return
 	}
 	col := metrics.CPUTotal.Index()
-	for _, id := range c.vmOrder {
-		p, ok := predict.TANPredictor(c.detectors[id])
+	for _, v := range c.vms {
+		p, ok := predict.TANPredictor(v.det)
 		if !ok {
 			continue
 		}
@@ -170,10 +170,10 @@ func (c *Controller) pushForecasts() {
 		if !ok {
 			continue
 		}
-		allocCPU, _, ok := c.placeInv.VMAlloc(id)
+		allocCPU, _, ok := c.placeInv.VMAlloc(v.id)
 		if !ok {
 			continue
 		}
-		_ = c.placeInv.SetForecast(id, utilPct/100*allocCPU)
+		_ = c.placeInv.SetForecast(v.id, utilPct/100*allocCPU)
 	}
 }

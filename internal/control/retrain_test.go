@@ -150,9 +150,9 @@ func TestIncrementalTrainingRule(t *testing.T) {
 		if !ctl.Trained() {
 			t.Fatalf("%s: controller never trained", tc.spec)
 		}
-		for id, d := range ctl.detectors {
-			if got := d.Incremental(); got != tc.want {
-				t.Errorf("%s retrain=%ds: %s trained incremental=%v, want %v", tc.spec, tc.retrainS, id, got, tc.want)
+		for _, v := range ctl.vms {
+			if got := v.det.Incremental(); got != tc.want {
+				t.Errorf("%s retrain=%ds: %s trained incremental=%v, want %v", tc.spec, tc.retrainS, v.id, got, tc.want)
 			}
 		}
 	}

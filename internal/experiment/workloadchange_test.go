@@ -25,7 +25,7 @@ func TestWorkloadChangeClassification(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wd, err := infer.NewWorkloadDetector(ds.Order, 24, 20)
+		wd, err := infer.NewWorkloadDetector(len(ds.Order), 24, 20)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -33,9 +33,9 @@ func TestWorkloadChangeClassification(t *testing.T) {
 		// Replay the samples in lockstep.
 		n := len(ds.PerVM[ds.Order[0]])
 		for i := 0; i < n; i++ {
-			for _, id := range ds.Order {
+			for k, id := range ds.Order {
 				sm := ds.PerVM[id][i]
-				if err := wd.Offer(sm.Time, id, sm.Values.Get(metrics.NetIn)); err != nil {
+				if err := wd.Offer(sm.Time, k, sm.Values.Get(metrics.NetIn)); err != nil {
 					t.Fatal(err)
 				}
 			}

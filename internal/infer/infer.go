@@ -11,7 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"prepare/internal/detector"
 	"prepare/internal/metrics"
@@ -106,14 +106,10 @@ func ResourceFor(a metrics.Attribute) ResourceKind {
 // ResourceOther entries.
 func RankedResources(d Diagnosis) []ResourceKind {
 	var out []ResourceKind
-	seen := make(map[ResourceKind]bool, 2)
 	for _, a := range d.Ranked {
-		r := ResourceFor(a)
-		if r == ResourceOther || seen[r] {
-			continue
+		if r := ResourceFor(a); r != ResourceOther && !slices.Contains(out, r) {
+			out = append(out, r)
 		}
-		seen[r] = true
-		out = append(out, r)
 	}
 	return out
 }
@@ -127,10 +123,9 @@ type ChangeDetector struct {
 	threshold float64 // in standard deviations of accumulated drift
 	slack     float64 // per-step slack (also in stds)
 
-	n            int
-	mean, m2     float64
-	sPos, sNeg   float64
-	lastChangeAt int
+	n          int
+	mean, m2   float64
+	sPos, sNeg float64
 }
 
 // NewChangeDetector builds a detector. warmup must cover enough samples
@@ -143,7 +138,7 @@ func NewChangeDetector(warmup int, threshold float64) (*ChangeDetector, error) {
 	if threshold <= 0 {
 		return nil, fmt.Errorf("infer: threshold %g must be positive", threshold)
 	}
-	return &ChangeDetector{warmup: warmup, threshold: threshold, slack: 0.75, lastChangeAt: -1}, nil
+	return &ChangeDetector{warmup: warmup, threshold: threshold, slack: 0.75}, nil
 }
 
 // Offer feeds the next observation and reports whether a change point
@@ -166,7 +161,6 @@ func (c *ChangeDetector) Offer(value float64) bool {
 	c.sNeg = math.Max(0, c.sNeg-z-c.slack)
 	if c.sPos > c.threshold || c.sNeg > c.threshold {
 		c.sPos, c.sNeg = 0, 0
-		c.lastChangeAt = c.n
 		return true
 	}
 	return false
@@ -175,48 +169,47 @@ func (c *ChangeDetector) Offer(value float64) bool {
 // WorkloadDetector decides whether an anomaly alert is explained by an
 // external workload change: if all application components exhibit change
 // points in some system metric within a short window of each other, the
-// cause is workload, not an internal fault.
+// cause is workload, not an internal fault. VMs are tracked by index
+// (the caller's dense VM order), so the per-sample path does no lookups.
 type WorkloadDetector struct {
-	windowS   int64
-	detectors map[substrate.VMID]*ChangeDetector
-	changedAt map[substrate.VMID]simclock.Time
-	order     []substrate.VMID
+	windowS int64
+	vms     []trackedVM
 }
 
-// NewWorkloadDetector builds a detector over the given VMs. windowS is
-// the simultaneity window in seconds.
-func NewWorkloadDetector(vms []substrate.VMID, warmup int, windowS int64) (*WorkloadDetector, error) {
-	if len(vms) == 0 {
+// trackedVM is one VM's change detector and its latest change point.
+type trackedVM struct {
+	cd        *ChangeDetector
+	changedAt simclock.Time
+	changed   bool
+}
+
+// NewWorkloadDetector builds a detector over n VMs, indexed 0..n-1.
+// windowS is the simultaneity window in seconds.
+func NewWorkloadDetector(n, warmup int, windowS int64) (*WorkloadDetector, error) {
+	if n <= 0 {
 		return nil, errors.New("infer: at least one VM is required")
 	}
 	if windowS <= 0 {
 		return nil, fmt.Errorf("infer: window %d must be positive", windowS)
 	}
-	w := &WorkloadDetector{
-		windowS:   windowS,
-		detectors: make(map[substrate.VMID]*ChangeDetector, len(vms)),
-		changedAt: make(map[substrate.VMID]simclock.Time, len(vms)),
-	}
-	for _, id := range vms {
-		d, err := NewChangeDetector(warmup, 8)
+	w := &WorkloadDetector{windowS: windowS, vms: make([]trackedVM, n)}
+	for i := range w.vms {
+		cd, err := NewChangeDetector(warmup, 8)
 		if err != nil {
 			return nil, err
 		}
-		w.detectors[id] = d
-		w.order = append(w.order, id)
+		w.vms[i].cd = cd
 	}
-	sort.Slice(w.order, func(i, j int) bool { return w.order[i] < w.order[j] })
 	return w, nil
 }
 
-// Offer feeds one VM's tracked metric value at the given instant.
-func (w *WorkloadDetector) Offer(now simclock.Time, vm substrate.VMID, value float64) error {
-	d, ok := w.detectors[vm]
-	if !ok {
-		return fmt.Errorf("infer: VM %q is not tracked", vm)
+// Offer feeds the i-th VM's tracked metric value at the given instant.
+func (w *WorkloadDetector) Offer(now simclock.Time, i int, value float64) error {
+	if i < 0 || i >= len(w.vms) {
+		return fmt.Errorf("infer: VM index %d is not tracked", i)
 	}
-	if d.Offer(value) {
-		w.changedAt[vm] = now
+	if v := &w.vms[i]; v.cd.Offer(value) {
+		v.changedAt, v.changed = now, true
 	}
 	return nil
 }
@@ -224,25 +217,10 @@ func (w *WorkloadDetector) Offer(now simclock.Time, vm substrate.VMID, value flo
 // WorkloadChange reports whether every tracked VM has a change point
 // within the simultaneity window ending at now.
 func (w *WorkloadDetector) WorkloadChange(now simclock.Time) bool {
-	for _, id := range w.order {
-		t, ok := w.changedAt[id]
-		if !ok {
-			return false
-		}
-		if now.Sub(t) > w.windowS {
+	for _, v := range w.vms {
+		if !v.changed || now.Sub(v.changedAt) > w.windowS {
 			return false
 		}
 	}
 	return true
-}
-
-// ChangedVMs returns the VMs with a change point within the window.
-func (w *WorkloadDetector) ChangedVMs(now simclock.Time) []substrate.VMID {
-	var out []substrate.VMID
-	for _, id := range w.order {
-		if t, ok := w.changedAt[id]; ok && now.Sub(t) <= w.windowS {
-			out = append(out, id)
-		}
-	}
-	return out
 }

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"prepare/internal/cloudsim"
 	"prepare/internal/detector"
 	"prepare/internal/metrics"
 	"prepare/internal/simclock"
@@ -176,33 +175,25 @@ func TestChangeDetectorDetectsDownShift(t *testing.T) {
 	}
 }
 
-func toVMIDs(names []string) []cloudsim.VMID {
-	out := make([]cloudsim.VMID, len(names))
-	for i, n := range names {
-		out[i] = cloudsim.VMID(n)
-	}
-	return out
-}
-
 func TestWorkloadDetectorValidation(t *testing.T) {
-	if _, err := NewWorkloadDetector(nil, 10, 30); err == nil {
+	if _, err := NewWorkloadDetector(0, 10, 30); err == nil {
 		t.Error("no VMs should fail")
 	}
-	if _, err := NewWorkloadDetector(toVMIDs([]string{"a"}), 10, 0); err == nil {
+	if _, err := NewWorkloadDetector(1, 10, 0); err == nil {
 		t.Error("zero window should fail")
 	}
 }
 
 func TestWorkloadDetectorAllComponentsChange(t *testing.T) {
-	vms := []string{"vm1", "vm2", "vm3"}
-	w, err := NewWorkloadDetector(toVMIDs(vms), 20, 40)
+	const vms = 3
+	w, err := NewWorkloadDetector(vms, 20, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Steady phase then a simultaneous jump on all VMs (workload change).
 	for i := 0; i < 80; i++ {
 		now := simclock.Time(i)
-		for _, vm := range toVMIDs(vms) {
+		for vm := 0; vm < vms; vm++ {
 			v := 10.0
 			if i >= 50 {
 				v = 30
@@ -218,49 +209,10 @@ func TestWorkloadDetectorAllComponentsChange(t *testing.T) {
 	if !w.WorkloadChange(79) {
 		t.Error("simultaneous shift on all VMs should report a workload change")
 	}
-	if got := len(w.ChangedVMs(79)); got != 3 {
-		t.Errorf("ChangedVMs = %d, want 3", got)
-	}
-}
-
-func TestChangedVMsCanonicalOrder(t *testing.T) {
-	// The detector is built from an unsorted VM list; ChangedVMs must
-	// still return canonical sorted order every call, regardless of map
-	// iteration or insertion order.
-	unsorted := toVMIDs([]string{"vm9", "vm2", "vm7", "vm1"})
-	w, err := NewWorkloadDetector(unsorted, 20, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 80; i++ {
-		now := simclock.Time(i)
-		for _, vm := range unsorted {
-			v := 10.0
-			if i >= 50 {
-				v = 30
-			}
-			if err := w.Offer(now, vm, v); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	want := toVMIDs([]string{"vm1", "vm2", "vm7", "vm9"})
-	for trial := 0; trial < 5; trial++ {
-		got := w.ChangedVMs(79)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: ChangedVMs = %v, want %v", trial, got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: ChangedVMs = %v, want sorted %v", trial, got, want)
-			}
-		}
-	}
 }
 
 func TestWorkloadDetectorSingleVMChangeIsNotWorkload(t *testing.T) {
-	vms := toVMIDs([]string{"vm1", "vm2"})
-	w, err := NewWorkloadDetector(vms, 20, 40)
+	w, err := NewWorkloadDetector(2, 20, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,26 +220,22 @@ func TestWorkloadDetectorSingleVMChangeIsNotWorkload(t *testing.T) {
 		now := simclock.Time(i)
 		v1 := 10.0
 		if i >= 50 {
-			v1 = 40 // only vm1 shifts (an internal fault)
+			v1 = 40 // only VM 0 shifts (an internal fault)
 		}
-		if err := w.Offer(now, "vm1", v1); err != nil {
+		if err := w.Offer(now, 0, v1); err != nil {
 			t.Fatal(err)
 		}
-		if err := w.Offer(now, "vm2", 10); err != nil {
+		if err := w.Offer(now, 1, 10); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if w.WorkloadChange(79) {
 		t.Error("single-VM change must not be classified as workload change")
 	}
-	if got := len(w.ChangedVMs(79)); got != 1 {
-		t.Errorf("ChangedVMs = %d, want 1", got)
-	}
 }
 
 func TestWorkloadDetectorWindowExpiry(t *testing.T) {
-	vms := toVMIDs([]string{"vm1", "vm2"})
-	w, err := NewWorkloadDetector(vms, 10, 20)
+	w, err := NewWorkloadDetector(2, 10, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,10 +249,10 @@ func TestWorkloadDetectorWindowExpiry(t *testing.T) {
 		if i >= 150 {
 			v2 = 40
 		}
-		if err := w.Offer(now, "vm1", v1); err != nil {
+		if err := w.Offer(now, 0, v1); err != nil {
 			t.Fatal(err)
 		}
-		if err := w.Offer(now, "vm2", v2); err != nil {
+		if err := w.Offer(now, 1, v2); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -314,11 +262,13 @@ func TestWorkloadDetectorWindowExpiry(t *testing.T) {
 }
 
 func TestWorkloadDetectorUnknownVM(t *testing.T) {
-	w, err := NewWorkloadDetector(toVMIDs([]string{"vm1"}), 10, 20)
+	w, err := NewWorkloadDetector(1, 10, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Offer(0, "ghost", 1); err == nil {
-		t.Error("unknown VM should fail")
+	for _, i := range []int{-1, 1} {
+		if err := w.Offer(0, i, 1); err == nil {
+			t.Errorf("untracked VM index %d should fail", i)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"sort"
 	"testing"
 
@@ -215,6 +216,41 @@ func hostileCountBodies(tb testing.TB, ckpt []byte) map[string][]byte {
 	return bodies
 }
 
+// extraVMBody returns ckpt with tenant east's one VM model copied under
+// a VM name the topology does not have.
+func extraVMBody(tb testing.TB, ckpt []byte) []byte {
+	tb.Helper()
+	// edit decodes the JSON object raw, lets change alter its fields and
+	// re-encodes it.
+	edit := func(raw []byte, change func(map[string]json.RawMessage)) []byte {
+		var obj map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &obj); err != nil {
+			tb.Fatal(err)
+		}
+		change(obj)
+		out, err := json.Marshal(obj)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return out
+	}
+	return edit(ckpt, func(snap map[string]json.RawMessage) {
+		snap["models"] = edit(snap["models"], func(models map[string]json.RawMessage) {
+			models["tenants"] = edit(models["tenants"], func(tenants map[string]json.RawMessage) {
+				tenants["east"] = edit(tenants["east"], func(east map[string]json.RawMessage) {
+					east["vms"] = edit(east["vms"], func(vms map[string]json.RawMessage) {
+						var model json.RawMessage
+						for _, m := range vms { // east has one VM
+							model = m
+						}
+						vms["vm-ghost"] = model
+					})
+				})
+			})
+		})
+	})
+}
+
 // restoreLeavesNothing restores body into a fresh replica over cfgs
 // and, if the restore is rejected, requires that no tenant was trained
 // and no resume point moved. It reports whether the restore was
@@ -254,11 +290,13 @@ func TestRestoreRejectsHostileCounts(t *testing.T) {
 // FuzzCheckpointRestore: Restore on a fresh server never panics, and a
 // checkpoint it rejects leaves nothing behind — no tenant trained, no
 // resume point moved. The seeds are a real checkpoint of a trained
-// server, the bodies TestRestoreRejectsBadCheckpoints refuses and the
+// server, the same checkpoint with a model for a VM the topology does
+// not have, the bodies TestRestoreRejectsBadCheckpoints refuses and the
 // hostile-count bodies TestRestoreRejectsHostileCounts refuses.
 func FuzzCheckpointRestore(f *testing.F) {
 	ckpt := trainedCheckpoint(f, 0)
 	f.Add(ckpt)
+	f.Add(extraVMBody(f, ckpt))
 	f.Add([]byte(`{"version":99,"ticks":{"solo":10},"models":{}}`))
 	f.Add([]byte(`{"version":1,"ticks":{"other":10},"models":{}}`))
 	f.Add([]byte(`{}`))
