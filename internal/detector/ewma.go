@@ -93,6 +93,9 @@ type EWMA struct {
 	lastValid bool
 
 	scratch []float64
+	// sums holds Score's per-step sums of squared deviations, grown to
+	// the longest window scored.
+	sums []float64
 }
 
 // NewEWMA builds an untrained EWMA detector over dims attributes.
@@ -241,8 +244,17 @@ func (e *EWMA) deviation(values, out []float64) float64 {
 // Score implements Detector: projects the Holt forecast over every
 // step of the window and returns the worst deviation from the frozen
 // baseline. Step 0 is the current level (jump faults), steps 1..h the
-// trend projection (ramp faults). Each step is evaluated once; the
-// per-attribute attribution is left to Verdict.
+// trend projection (ramp faults). The per-attribute attribution is left
+// to Verdict.
+//
+// An attribute whose clamped deviation is 0 at both ends of the window
+// is 0 at every step, because the projection is monotone in h after
+// rounding and scale > 0 (DESIGN.md, "Quiet attributes"), so it is
+// skipped: it would add +0 to every step's sum. The rest are scored
+// attribute-outer, step-inner, so each step still sums its attributes
+// in order j = 0..D-1 with deviation's operations and every sum keeps
+// its bits. The projection keeps project's expression shape at every
+// site, so any fusion the compiler applies is the same at each.
 func (e *EWMA) Score(lookaheadS int64) (Decision, error) {
 	if !e.trained {
 		return Decision{}, errors.New("detector: ewma not trained")
@@ -251,9 +263,30 @@ func (e *EWMA) Score(lookaheadS int64) (Decision, error) {
 	if steps < 1 {
 		steps = 1
 	}
+	if cap(e.sums) <= steps {
+		e.sums = make([]float64, steps+1)
+	}
+	sums := e.sums[:steps+1]
+	clear(sums)
+	slack := e.opts.Slack
+	for j, l := range e.level {
+		t, c, s := e.trend[j], e.center[j], e.scale[j]
+		first := math.Abs(l+float64(0)*t-c)/s - slack
+		last := math.Abs(l+float64(steps)*t-c)/s - slack
+		if first <= 0 && last <= 0 {
+			continue
+		}
+		for h := range sums {
+			z := math.Abs(l+float64(h)*t-c)/s - slack
+			if z < 0 {
+				z = 0
+			}
+			sums[h] += z * z
+		}
+	}
 	best, bestStep := -1.0, 0
-	for h := 0; h <= steps; h++ {
-		if s := e.deviation(e.project(h), e.scratch); s > best {
+	for h, sum := range sums {
+		if s := math.Sqrt(sum); s > best {
 			best, bestStep = s, h
 		}
 	}
@@ -337,7 +370,8 @@ func (e *EWMA) Save(w io.Writer) error {
 }
 
 // LoadEWMA restores a detector saved by (*EWMA).Save; the restored
-// detector resumes an identical score stream.
+// detector resumes an identical score stream. A snapshot whose baseline
+// no training produces is refused whole (ewmaSnapshot.check).
 func LoadEWMA(r io.Reader) (*EWMA, error) {
 	var snap ewmaSnapshot
 	if err := json.NewDecoder(r).Decode(&snap); err != nil {
@@ -350,6 +384,9 @@ func LoadEWMA(r io.Reader) (*EWMA, error) {
 	if len(snap.Scale) != dims || len(snap.Scale0) != dims || len(snap.Level) != dims || len(snap.Trend) != dims {
 		return nil, errors.New("detector: ewma snapshot dimension mismatch")
 	}
+	if err := snap.check(); err != nil {
+		return nil, err
+	}
 	e := NewEWMA(dims, snap.Opts)
 	copy(e.center, snap.Center)
 	copy(e.scale, snap.Scale)
@@ -359,6 +396,53 @@ func LoadEWMA(r io.Reader) (*EWMA, error) {
 	e.n = snap.N
 	e.trained = snap.Trained
 	return e, nil
+}
+
+// check refuses a baseline no training or streaming produces: a
+// center, level or trend that is not finite or, once trained, a scale
+// or scale0 that is not a finite positive number. Such a detector
+// scores NaN or Inf on every sample, and Score's quiet-attribute skip
+// holds only for scale > 0. An untrained snapshot keeps its zero
+// scales: Train overwrites them.
+func (snap *ewmaSnapshot) check() error {
+	if err := allFinite("ewma", "center", snap.Center); err != nil {
+		return err
+	}
+	if err := allFinite("ewma", "level", snap.Level); err != nil {
+		return err
+	}
+	if err := allFinite("ewma", "trend", snap.Trend); err != nil {
+		return err
+	}
+	if !snap.Trained {
+		return nil
+	}
+	if err := allPositive("ewma", "scale", snap.Scale); err != nil {
+		return err
+	}
+	return allPositive("ewma", "scale0", snap.Scale0)
+}
+
+// allFinite reports the first value of a snapshot field that is NaN or
+// ±Inf.
+func allFinite(kind, field string, xs []float64) error {
+	for j, v := range xs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("detector: %s snapshot %s[%d] = %v, want a finite value", kind, field, j, v)
+		}
+	}
+	return nil
+}
+
+// allPositive reports the first value of a snapshot field that is not a
+// finite number above zero; -0 and NaN are refused with the rest.
+func allPositive(kind, field string, xs []float64) error {
+	for j, v := range xs {
+		if !(v > 0) || math.IsInf(v, 1) {
+			return fmt.Errorf("detector: %s snapshot %s[%d] = %v, want a finite value above 0", kind, field, j, v)
+		}
+	}
+	return nil
 }
 
 // baseline is Train's working set for the median/MAD fit: the normal

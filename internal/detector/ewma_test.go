@@ -1,7 +1,11 @@
 package detector
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"math"
+	"math/rand"
 	"testing"
 
 	"prepare/internal/metrics"
@@ -63,30 +67,7 @@ func TestEWMAVerdictMatchesEagerAttribution(t *testing.T) {
 				if err := e.Observe(row); err != nil {
 					t.Fatal(err)
 				}
-				wantDec, wantZ := eagerScore(e, 120)
-				dec, err := e.Score(120)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if dec.Abnormal != wantDec.Abnormal || dec.LeadSteps != wantDec.LeadSteps ||
-					math.Float64bits(dec.Score) != math.Float64bits(wantDec.Score) {
-					t.Fatalf("sample %d: Score = %+v, eager %+v", i, dec, wantDec)
-				}
-				v, err := e.Verdict()
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := rankStrengths(wantZ)
-				if len(v.Strengths) != len(want) {
-					t.Fatalf("sample %d: %d strengths, eager %d", i, len(v.Strengths), len(want))
-				}
-				for k := range want {
-					if v.Strengths[k].Attribute != want[k].Attribute ||
-						math.Float64bits(v.Strengths[k].L) != math.Float64bits(want[k].L) {
-						t.Fatalf("sample %d: strengths %+v, eager %+v", i, v.Strengths, want)
-					}
-				}
-				checked += len(want)
+				checked += checkScoreMatchesEager(t, e, 120)
 			}
 			if tc.slope != 0 && checked == 0 {
 				t.Error("no attribute ever deviated: the projection exercised nothing")
@@ -152,26 +133,264 @@ func TestEWMARefitAllocationFree(t *testing.T) {
 	}
 }
 
-// BenchmarkEWMAScore measures one VM's per-tick Observe + Score over the
-// control loop's default 120 s window (25 forecast steps) on a ramp, the
-// case where every step improves the best score.
-func BenchmarkEWMAScore(b *testing.B) {
+// ewmaState builds a trained EWMA straight from per-attribute level,
+// trend, center and scale, skipping the training replay.
+func ewmaState(slack float64, level, trend, center, scale []float64) *EWMA {
+	e := NewEWMA(len(level), EWMAOptions{Slack: slack})
+	copy(e.level, level)
+	copy(e.trend, trend)
+	copy(e.center, center)
+	copy(e.scale, scale)
+	copy(e.scale0, scale)
+	e.trained = true
+	return e
+}
+
+// checkScoreMatchesEager requires Score and Verdict to reproduce the
+// per-step oracle eagerScore bit for bit: the decision, the score's
+// bits, the lead step and every ranked strength. It returns the number
+// of strengths.
+func checkScoreMatchesEager(t *testing.T, e *EWMA, lookaheadS int64) int {
+	t.Helper()
+	wantDec, wantZ := eagerScore(e, lookaheadS)
+	dec, err := e.Score(lookaheadS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.Abnormal != wantDec.Abnormal || dec.LeadSteps != wantDec.LeadSteps ||
+		math.Float64bits(dec.Score) != math.Float64bits(wantDec.Score) {
+		t.Fatalf("lookahead %d s, level %v trend %v center %v scale %v slack %v: Score = %+v, eager %+v",
+			lookaheadS, e.level, e.trend, e.center, e.scale, e.opts.Slack, dec, wantDec)
+	}
+	v, err := e.Verdict()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := rankStrengths(wantZ)
+	if len(v.Strengths) != len(want) {
+		t.Fatalf("lookahead %d s: %d strengths, eager %d", lookaheadS, len(v.Strengths), len(want))
+	}
+	for k := range want {
+		if v.Strengths[k].Attribute != want[k].Attribute ||
+			math.Float64bits(v.Strengths[k].L) != math.Float64bits(want[k].L) {
+			t.Fatalf("lookahead %d s: strengths %+v, eager %+v", lookaheadS, v.Strengths, want)
+		}
+	}
+	return len(want)
+}
+
+// TestEWMAScoreMatchesEager drives Score, with its quiet-attribute skip
+// and step-parallel sums, against the per-step oracle on random states
+// built so that most attributes sit near the dead zone's edge: quiet
+// ones, ones that cross the center mid-window, ones that leave the dead
+// zone only at the far end, and flat ones at the 1e-9 scale floor.
+func TestEWMAScoreMatchesEager(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for iter := 0; iter < 5000; iter++ {
+		dims := 1 + rng.Intn(metrics.NumAttributes)
+		level, trend := make([]float64, dims), make([]float64, dims)
+		center, scale := make([]float64, dims), make([]float64, dims)
+		for j := 0; j < dims; j++ {
+			center[j] = math.Round(rng.NormFloat64()*1000) / 8
+			scale[j] = math.Ldexp(1+rng.Float64(), rng.Intn(12)-4)
+			if rng.Intn(10) == 0 {
+				scale[j] = 1e-9
+			}
+			level[j] = center[j] + scale[j]*rng.NormFloat64()*3
+			switch rng.Intn(4) {
+			case 0:
+				trend[j] = 0
+			case 1:
+				trend[j] = (center[j] - level[j]) / float64(1+rng.Intn(30)) // crosses the center
+			default:
+				trend[j] = scale[j] * rng.NormFloat64() / 8
+			}
+		}
+		e := ewmaState(float64(rng.Intn(4)), level, trend, center, scale)
+		checkScoreMatchesEager(t, e, int64(rng.Intn(700)))
+	}
+}
+
+// FuzzEWMAScore checks Score and Verdict against the per-step oracle on
+// arbitrary states. attrs packs 32 bytes per attribute: level, trend,
+// center and scale as little-endian float64 bits. Inputs outside the
+// detector's domain are skipped: non-finite values, a scale that is not
+// above 0 (every trained, adapted or loaded state has one), a negative
+// slack.
+func FuzzEWMAScore(f *testing.F) {
+	pack := func(attrs ...[4]float64) []byte {
+		b := make([]byte, 0, 32*len(attrs))
+		for _, a := range attrs {
+			for _, v := range a {
+				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+			}
+		}
+		return b
+	}
+	// Every attribute quiet.
+	f.Add(pack([4]float64{10, 0.01, 10.5, 1}, [4]float64{3, -0.001, 2.9, 0.5}, [4]float64{7, 0, 7, 2}), 2.0, int64(120))
+	// Quiet at h = 0, crossing the center at h = 2 and loud at the far
+	// end: a skip that tests only h = 0 drops it.
+	f.Add(pack([4]float64{9, 0.5, 10, 1}, [4]float64{10, 0, 10, 1}), 2.0, int64(120))
+	// Loud at h = 0, dipping through the center and loud again.
+	f.Add(pack([4]float64{0, 1, 12, 1}, [4]float64{5, 0, 5.1, 1}), 2.0, int64(120))
+	// Trend 0 throughout, one attribute outside the dead zone.
+	f.Add(pack([4]float64{4, 0, 1, 1}, [4]float64{1, 0, 1, 1}), 2.0, int64(120))
+	// Scale at the 1e-9 floor of a flat column.
+	f.Add(pack([4]float64{5, 1e-10, 5, 1e-9}, [4]float64{5, 0, 5, 1e-9}, [4]float64{5 + 3e-9, 0, 5, 1e-9}), 2.0, int64(120))
+	// Lookaheads of 0, 7, 120 and 600 s on a mixed state.
+	mixed := pack([4]float64{9, 0.5, 10, 1}, [4]float64{10, 0.01, 10.5, 1}, [4]float64{0, 1, 12, 1})
+	for _, lookahead := range []int64{0, 7, 120, 600} {
+		f.Add(mixed, 2.0, lookahead)
+	}
+	f.Fuzz(func(t *testing.T, attrs []byte, slack float64, lookaheadS int64) {
+		dims := len(attrs) / 32
+		if dims == 0 || dims > 64 || !(slack >= 0) || math.IsInf(slack, 1) {
+			return
+		}
+		lookaheadS %= 3600
+		if lookaheadS < 0 {
+			lookaheadS = -lookaheadS
+		}
+		var cols [4][]float64
+		for k := range cols {
+			cols[k] = make([]float64, dims)
+		}
+		for j := 0; j < dims; j++ {
+			for k := range cols {
+				v := math.Float64frombits(binary.LittleEndian.Uint64(attrs[32*j+8*k:]))
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					return
+				}
+				cols[k][j] = v
+			}
+			if !(cols[3][j] > 0) {
+				return
+			}
+		}
+		checkScoreMatchesEager(t, ewmaState(slack, cols[0], cols[1], cols[2], cols[3]), lookaheadS)
+	})
+}
+
+// TestEWMAScoreAllocs pins Score at zero allocations: at the control
+// loop's default 120 s window (25 forecast steps), and at a 600 s
+// window once the per-step buffer has grown to it.
+func TestEWMAScoreAllocs(t *testing.T) {
 	e := NewEWMA(metrics.NumAttributes, EWMAOptions{})
 	if err := e.Train(rampRows(metrics.NumAttributes, 128), nil); err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
-	row := make([]float64, metrics.NumAttributes)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range row {
-			row[j] = 10 + float64(i%64)*0.5 + float64(j%3)
+	for _, lookaheadS := range []int64{120, 600} {
+		if _, err := e.Score(lookaheadS); err != nil {
+			t.Fatal(err)
 		}
-		if err := e.Observe(row); err != nil {
-			b.Fatal(err)
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, err := e.Score(lookaheadS); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("Score(%d) allocates %v/op, want 0", lookaheadS, allocs)
 		}
-		if _, err := e.Score(120); err != nil {
-			b.Fatal(err)
+	}
+}
+
+// BenchmarkEWMAScore measures one VM's per-tick Observe + Score over the
+// control loop's default 120 s window (25 forecast steps). On a ramp
+// every attribute leaves the dead zone and every step improves the best
+// score, the quiet-attribute skip's worst case; quiet is a steady
+// stream inside the dead zone, the common case, where Score skips every
+// attribute.
+func BenchmarkEWMAScore(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		row  func(i, j int) float64
+	}{
+		{"ramp", func(i, j int) float64 { return 10 + float64(i%64)*0.5 + float64(j%3) }},
+		{"quiet", func(i, j int) float64 { return 10 + float64((i+j)%3) }},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			e := NewEWMA(metrics.NumAttributes, EWMAOptions{})
+			if err := e.Train(rampRows(metrics.NumAttributes, 128), nil); err != nil {
+				b.Fatal(err)
+			}
+			row := make([]float64, metrics.NumAttributes)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range row {
+					row[j] = tc.row(i, j)
+				}
+				if err := e.Observe(row); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := e.Score(120); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// checkLoadRejects saves d, then for each field and each scale value no
+// training produces (0, -0, negative) writes the value into element 0
+// of that field and requires load to refuse the snapshot with an error
+// and no detector. The untouched snapshot must load.
+func checkLoadRejects(t *testing.T, d Detector, load func([]byte) (loaded bool, err error), fields ...string) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := d.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := load(buf.Bytes()); err != nil {
+		t.Fatalf("trained snapshot refused: %v", err)
+	}
+	for _, field := range fields {
+		for _, bad := range []float64{0, math.Copysign(0, -1), -1} {
+			var snap map[string]any
+			if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
+				t.Fatal(err)
+			}
+			snap[field].([]any)[0] = bad
+			data, err := json.Marshal(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if loaded, err := load(data); err == nil || loaded {
+				t.Errorf("%s[0] = %v: load returned a detector %v, error %v", field, bad, loaded, err)
+			}
+		}
+	}
+	return buf.Bytes()
+}
+
+// TestLoadEWMARejectsBadSnapshots: a snapshot whose scale or scale0 is
+// 0, -0 or negative is refused on load, and so is one whose center,
+// level, trend, scale or scale0 is NaN or ±Inf. JSON carries no NaN or
+// Inf (a number past float64's range fails to decode), so those are
+// checked on the decoded snapshot.
+func TestLoadEWMARejectsBadSnapshots(t *testing.T) {
+	const dims = 4
+	e := NewEWMA(dims, EWMAOptions{})
+	if err := e.Train(rampRows(dims, 50), nil); err != nil {
+		t.Fatal(err)
+	}
+	saved := checkLoadRejects(t, e, func(b []byte) (bool, error) {
+		d, err := LoadEWMA(bytes.NewReader(b))
+		return d != nil, err
+	}, "scale", "scale0")
+	for _, field := range []string{"center", "level", "trend", "scale", "scale0"} {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			var snap ewmaSnapshot
+			if err := json.Unmarshal(saved, &snap); err != nil {
+				t.Fatal(err)
+			}
+			map[string][]float64{
+				"center": snap.Center, "level": snap.Level, "trend": snap.Trend,
+				"scale": snap.Scale, "scale0": snap.Scale0,
+			}[field][1] = v
+			if err := snap.check(); err == nil {
+				t.Errorf("%s[1] = %v passes the snapshot check", field, v)
+			}
 		}
 	}
 }

@@ -264,7 +264,8 @@ func (z *ZRobust) Save(w io.Writer) error {
 }
 
 // LoadZRobust restores a detector saved by (*ZRobust).Save; the
-// restored detector resumes an identical score stream.
+// restored detector resumes an identical score stream. A snapshot whose
+// baseline no training produces is refused whole (zrobustSnapshot.check).
 func LoadZRobust(r io.Reader) (*ZRobust, error) {
 	var snap zrobustSnapshot
 	if err := json.NewDecoder(r).Decode(&snap); err != nil {
@@ -277,6 +278,9 @@ func LoadZRobust(r io.Reader) (*ZRobust, error) {
 	if len(snap.Scale) != dims || len(snap.LastRow) != dims {
 		return nil, errors.New("detector: zrobust snapshot dimension mismatch")
 	}
+	if err := snap.check(); err != nil {
+		return nil, err
+	}
 	z := NewZRobust(dims, snap.Opts)
 	copy(z.center, snap.Center)
 	copy(z.scale, snap.Scale)
@@ -287,4 +291,17 @@ func LoadZRobust(r io.Reader) (*ZRobust, error) {
 	z.lastScore = snap.LastScore
 	z.trained = snap.Trained
 	return z, nil
+}
+
+// check is ewmaSnapshot.check for the zrobust baseline: a center that
+// is not finite or, once trained, a scale that is not a finite positive
+// number scores NaN or Inf on every sample.
+func (snap *zrobustSnapshot) check() error {
+	if err := allFinite("zrobust", "center", snap.Center); err != nil {
+		return err
+	}
+	if !snap.Trained {
+		return nil
+	}
+	return allPositive("zrobust", "scale", snap.Scale)
 }

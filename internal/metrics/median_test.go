@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -67,11 +69,72 @@ func checkMedian(t *testing.T, xs []float64) {
 	}
 }
 
+// checkSelectK runs selectK at every k over copies of xs, which holds no
+// NaN. Each result must equal the value sort.Float64s puts at k (±0
+// compare equal: sorting orders them by position), sit at xs[k] with
+// nothing above it before k and nothing below it after, and leave the
+// multiset of bit patterns unchanged.
+func checkSelectK(t *testing.T, xs []float64) {
+	t.Helper()
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	bitsOf := func(vs []float64) []uint64 {
+		b := make([]uint64, len(vs))
+		for i, v := range vs {
+			b[i] = math.Float64bits(v)
+		}
+		slices.Sort(b)
+		return b
+	}
+	want := bitsOf(xs)
+	work := make([]float64, len(xs))
+	for k := range xs {
+		copy(work, xs)
+		got := selectK(work, k)
+		if got != sorted[k] || math.Float64bits(got) != math.Float64bits(work[k]) {
+			t.Fatalf("selectK(%v, %d) = %v with xs[k] = %v, sorting gives %v", xs, k, got, work[k], sorted[k])
+		}
+		for i, v := range work {
+			if (i < k && v > got) || (i > k && v < got) {
+				t.Fatalf("selectK(%v, %d) left %v at %d: %v", xs, k, v, i, work)
+			}
+		}
+		if !slices.Equal(bitsOf(work), want) {
+			t.Fatalf("selectK(%v, %d) changed the values: %v", xs, k, work)
+		}
+	}
+}
+
 // TestMedianSelectMatchesSort pins selection medians, and the robust
 // baseline built on them, to the sorting medians bit for bit on inputs
-// mixing duplicates, ±0, ±Inf and NaN, n from 1 to 300.
+// mixing duplicates, ±0, ±Inf and NaN, n from 1 to 300. selectK itself
+// is checked at every k on NaN-free inputs: ties, all-equal and
+// two-valued columns, ±Inf, and n of 1 and 2 among them.
 func TestMedianSelectMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	negZero, inf := math.Copysign(0, -1), math.Inf(1)
+	for _, xs := range [][]float64{
+		{3}, {inf}, {1, 2}, {2, 1}, {0, negZero}, {negZero, 0}, {inf, -inf}, {5, 5},
+		{2.5, 2.5, 2.5, 2.5, 2.5, 2.5, 2.5},
+		{1, 4, 4, 1, 1, 4, 4, 1, 4},
+		{inf, inf, -inf, inf, -inf, -inf},
+		{0, negZero, 0, 1, negZero, -1, 0, negZero},
+	} {
+		checkSelectK(t, xs)
+	}
+	for iter := 0; iter < 2000; iter++ {
+		xs := medianShape(rng, 1+rng.Intn(64), false)
+		if iter%4 == 0 { // two-valued
+			a, b := xs[0], xs[len(xs)-1]
+			for i := range xs {
+				xs[i] = a
+				if rng.Intn(2) == 0 {
+					xs[i] = b
+				}
+			}
+		}
+		checkSelectK(t, xs)
+	}
 	for iter := 0; iter < 20000; iter++ {
 		checkMedian(t, medianShape(rng, 1+rng.Intn(300), iter%8 == 0))
 	}
@@ -138,5 +201,8 @@ func FuzzMedianSelect(f *testing.F) {
 			xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 		}
 		checkMedian(t, xs)
+		if !slices.ContainsFunc(xs, func(v float64) bool { return v != v }) {
+			checkSelectK(t, xs)
+		}
 	})
 }

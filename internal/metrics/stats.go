@@ -140,9 +140,12 @@ func selectMedian(xs []float64) (median float64, ok bool) {
 
 // selectK reorders xs (which holds no NaN) so that xs[k] is its k-th
 // smallest value, everything before it is at or below it and everything
-// after at or above, and returns xs[k]. It partitions three ways around
-// a median-of-three pivot, so runs of equal values — flat metric
-// columns — cost one pass instead of degrading to quadratic time.
+// after at or above, and returns xs[k]. Around a median-of-three pivot
+// p it makes two branch-free Lomuto passes: the first moves the values
+// below p to the front, and only when k lies past them does the second
+// move the values equal to p up behind them. A run of equal values — a
+// flat metric column — is settled in one round instead of degrading to
+// quadratic time, and neither pass branches on the data.
 func selectK(xs []float64, k int) float64 {
 	lo, hi := 0, len(xs)-1
 	for lo < hi {
@@ -157,28 +160,38 @@ func selectK(xs []float64, k int) float64 {
 			}
 		}
 		p := b
-		lt, i, gt := lo, lo, hi
-		for i <= gt {
-			switch v := xs[i]; {
-			case v < p:
-				xs[lt], xs[i] = v, xs[lt]
-				lt++
-				i++
-			case v > p:
-				xs[gt], xs[i] = v, xs[gt]
-				gt--
-			default:
-				i++
+		lt := lo
+		for i := lo; i <= hi; i++ {
+			v := xs[i]
+			xs[i] = xs[lt]
+			xs[lt] = v
+			below := 0 // a flag set, not a jump, so no branch to mispredict
+			if v < p {
+				below = 1
 			}
+			lt += below
 		}
-		switch {
-		case k < lt:
+		if k < lt {
 			hi = lt - 1
-		case k > gt:
-			lo = gt + 1
-		default:
+			continue
+		}
+		// xs[lt:hi+1] is all at or above p and holds p itself, so the
+		// second pass moves at least one value.
+		eq := lt
+		for i := lt; i <= hi; i++ {
+			v := xs[i]
+			xs[i] = xs[eq]
+			xs[eq] = v
+			equal := 0 // v >= p here, so v <= p means v == p
+			if v <= p {
+				equal = 1
+			}
+			eq += equal
+		}
+		if k < eq {
 			return xs[k]
 		}
+		lo = eq
 	}
 	return xs[k]
 }
