@@ -109,6 +109,44 @@ func TestControlLoopPackagesDoNotImportCloudsim(t *testing.T) {
 	}
 }
 
+// TestNothingImportsPlacement keeps internal/placement out of the
+// control loop: migration takes the substrate's own target choice, and
+// the package stays only because the standing benchmark (its own
+// module under benchmark/) times it. No package of this module, tests
+// included, may import it.
+func TestNothingImportsPlacement(t *testing.T) {
+	const forbidden = "prepare/internal/placement"
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			switch path {
+			case ".git", "benchmark", filepath.Join("internal", "placement"):
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if strings.Trim(imp.Path.Value, `"`) == forbidden {
+				t.Errorf("%s imports %s; migration keeps the substrate's choice", path, forbidden)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestFacadeAPIGolden pins the root package's exported surface: every
 // exported top-level name and method declared in its non-test files,
 // sorted, must match testdata/facade_api.txt. A deliberate API change

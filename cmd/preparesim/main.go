@@ -47,7 +47,7 @@
 //
 // The run and engine modes accept -detector to swap the anomaly
 // detector driving the control loop: tan (the paper's supervised
-// Markov+TAN pipeline, the default), kmeans/zscore (unsupervised),
+// Markov+TAN pipeline, the default), kmeans (unsupervised),
 // ewma (Holt forecast-error), zrobust (threshold-free z-score), or a
 // voting ensemble like ensemble:tan+ewma@1. The detectors experiment
 // runs every fault class under a comma-separated list of detector
@@ -56,14 +56,11 @@
 //	preparesim -experiment run -app rubis -fault memleak -detector ensemble:tan+ewma@1
 //	preparesim -experiment detectors -app systems -detector tan,ewma,ensemble:tan+ewma@1
 //
-// The run and engine modes accept -placement to swap migration target
-// selection: naive (the default; the substrate's least-loaded host,
-// byte-identical to prior releases) or predictive (the forecast-aware
-// placement engine with failure-domain spreading and bounded
-// preemption), and -policy to pick the prevention action (scaling-first
-// or migration):
+// The run and engine modes accept -policy to pick the prevention action
+// (scaling-first or migration); a migration goes to the host the
+// substrate picks, the least-loaded one that fits:
 //
-//	preparesim -experiment run -app systems -fault cpuhog -policy migration -placement predictive
+//	preparesim -experiment run -app systems -fault cpuhog -policy migration
 //
 // A mode-specific flag is an error in every mode that does not read it.
 //
@@ -126,7 +123,6 @@ type options struct {
 	retrainS        int64
 	historyWindow   int
 	detector        string
-	placement       string
 	policy          string
 	cpuProfile      string
 	memProfile      string
@@ -143,11 +139,6 @@ func (o options) applyRetrain(sc prepare.Scenario) (prepare.Scenario, error) {
 		return sc, err
 	}
 	sc.Detector = spec
-	pm, err := prepare.PlacementModeByName(o.placement)
-	if err != nil {
-		return sc, err
-	}
-	sc.Placement = pm
 	policy, ok := policyByName(o.policy)
 	if !ok {
 		return sc, fmt.Errorf("unknown policy %q (want scaling-first or migration)", o.policy)
@@ -165,7 +156,6 @@ var modeFlags = map[string][]string{
 	"chaos":          {"-experiment run", "-engine", "-serve"},
 	"chaos-seed":     {"-experiment run", "-engine", "-serve"},
 	"chaos-rate":     {"-experiment run", "-engine", "-serve"},
-	"placement":      {"-experiment run", "-engine"},
 	"policy":         {"-experiment run", "-engine"},
 }
 
@@ -243,9 +233,7 @@ func run(args []string) error {
 	fs.IntVar(&opts.historyWindow, "history-window", 0,
 		"bound per-VM sample history to a ring of N samples (0 = unbounded)")
 	fs.StringVar(&opts.detector, "detector", "",
-		"anomaly detector for the run, engine and detectors modes: tan (default), kmeans, zscore, ewma, zrobust, or an ensemble spec like ensemble:tan+ewma@1")
-	fs.StringVar(&opts.placement, "placement", "",
-		"migration target selection for the run and engine modes: naive (default; least-loaded host) or predictive (forecast-aware placement engine)")
+		"anomaly detector for the run, engine and detectors modes: tan (default), kmeans, ewma, zrobust, or an ensemble spec like ensemble:tan+ewma@1")
 	fs.StringVar(&opts.policy, "policy", "",
 		"prevention policy for the run and engine modes: scaling-first (default) or migration")
 	fs.StringVar(&opts.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
@@ -447,7 +435,7 @@ func dispatch(opts options) error {
 			Seeds: opts.seeds, Seed: opts.seed,
 		})
 	case "unseen":
-		fmt.Println("Section V extension: first-occurrence prevention (RUBiS memleak)")
+		fmt.Printf("Section V extension: first-occurrence prevention (%s %s)\n", opts.app, opts.fault)
 		base := prepare.Scenario{
 			App: app, Fault: fault, Seed: opts.seed, SkipFirstInjection: true,
 		}

@@ -54,27 +54,24 @@ func TestApplyRetrainWiresScenario(t *testing.T) {
 	}
 }
 
-// TestApplyRetrainWiresPlacementAndPolicy checks the -placement and
-// -policy flags land on the scenario, default to the pre-existing
-// behavior, and reject unknown spellings.
-func TestApplyRetrainWiresPlacementAndPolicy(t *testing.T) {
-	o := options{placement: "predictive", policy: "migration"}
+// TestApplyRetrainWiresPolicy checks the -policy flag lands on the
+// scenario, defaults to the pre-existing behavior, and rejects unknown
+// spellings.
+func TestApplyRetrainWiresPolicy(t *testing.T) {
+	o := options{policy: "migration"}
 	sc, err := o.applyRetrain(prepare.Scenario{App: prepare.SystemS})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.Placement != prepare.PlacementPredictive || sc.Policy != prepare.MigrationOnly {
-		t.Errorf("applyRetrain produced placement %v policy %v", sc.Placement, sc.Policy)
+	if sc.Policy != prepare.MigrationOnly {
+		t.Errorf("applyRetrain produced policy %v", sc.Policy)
 	}
 	def, err := (options{}).applyRetrain(prepare.Scenario{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if def.Placement != prepare.PlacementNaive || def.Policy != 0 {
+	if def.Policy != 0 {
 		t.Errorf("flag defaults must keep the scenario zero values, got %+v", def)
-	}
-	if _, err := (options{placement: "psychic"}).applyRetrain(prepare.Scenario{}); err == nil {
-		t.Error("bad placement mode should fail")
 	}
 	if _, err := (options{policy: "prayer"}).applyRetrain(prepare.Scenario{}); err == nil {
 		t.Error("bad policy should fail")
@@ -107,11 +104,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-alerts-out", "alerts.json"},
 		// A mode-specific flag is an error in every mode that ignores it,
 		// even when it spells the default.
-		{"-experiment", "fig6", "-placement", "predictive"},
 		{"-experiment", "fig8", "-policy", "scaling-first"},
-		{"-experiment", "table1", "-placement", "naive"},
 		{"-experiment", "detectors", "-policy", "migration"},
-		{"-serve", "-placement", "predictive"},
 		{"-experiment", "fig6", "-detector", "ewma"},
 		{"-experiment", "unseen", "-detector", "tan"},
 		{"-serve", "-detector", "ewma"},
@@ -139,6 +133,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{[]string{"-experiment", "fig10", "-retrain", "0"},
 			"-retrain is not read by -experiment fig10 (only by -experiment run, -engine, -serve)"},
 		{[]string{"-wire", "json"}, "flag provided but not defined: -wire"},
+		{[]string{"-placement", "naive"}, "flag provided but not defined: -placement"},
 	} {
 		if err := run(c.args); err == nil || err.Error() != c.want {
 			t.Errorf("run(%v) = %v, want %q", c.args, err, c.want)
@@ -227,6 +222,29 @@ func TestEngineOutputIdenticalAcrossShards(t *testing.T) {
 	}
 	if got := captureStdout(t, func() error { return run(engineArgs("4")) }); got != ref {
 		t.Errorf("engine output diverged between -shards 1 and 4:\n--- 4 ---\n%s\n--- 1 ---\n%s", got, ref)
+	}
+}
+
+// TestUnseenHeaderNamesRun checks the unseen experiment's header names
+// the app and fault it actually ran, for the default flags and for an
+// explicit pair.
+func TestUnseenHeaderNamesRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("long")
+	}
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{nil, "Section V extension: first-occurrence prevention (systems memleak)"},
+		{[]string{"-app", "rubis", "-fault", "cpuhog"},
+			"Section V extension: first-occurrence prevention (rubis cpuhog)"},
+	} {
+		args := append([]string{"-experiment", "unseen"}, c.args...)
+		out := captureStdout(t, func() error { return run(args) })
+		if header, _, _ := strings.Cut(out, "\n"); header != c.want {
+			t.Errorf("run(%v) header = %q, want %q", args, header, c.want)
+		}
 	}
 }
 

@@ -38,9 +38,6 @@ const (
 	// DetectorKMeans is the unsupervised k-means outlier detector over
 	// predicted states (the Section V extension).
 	DetectorKMeans = detector.KindKMeans
-	// DetectorZScore is the unsupervised robust z-score outlier
-	// detector over predicted states.
-	DetectorZScore = detector.KindZScore
 	// DetectorEWMA is the Holt forecast-error detector: double
 	// exponential smoothing per attribute with robust MAD-scaled
 	// Mahalanobis-style deviation scoring.

@@ -26,7 +26,6 @@ import (
 	"math"
 
 	"prepare/internal/metrics"
-	"prepare/internal/placement"
 	"prepare/internal/simclock"
 	"prepare/internal/substrate"
 	"prepare/internal/telemetry"
@@ -446,42 +445,6 @@ func (s *Substrate) Migrate(now simclock.Time, id substrate.VMID, desiredCPUPct,
 		}
 	}
 	return s.inner.Migrate(now, id, desiredCPUPct, desiredMemMB)
-}
-
-// MigrateTo executes the inner explicit-target migration under the same
-// fault schedule as Migrate: transient unavailability, plus a spurious
-// ErrInsufficient standing in for "the chosen target filled between
-// decision and actuation" (the targeted analogue of no-eligible-target).
-// The permanent refusal makes the planner fall back to naive selection
-// within the same attempt, so the soak test exercises that path too.
-func (s *Substrate) MigrateTo(now simclock.Time, id substrate.VMID, target substrate.HostID, desiredCPUPct, desiredMemMB float64) error {
-	t, ok := s.inner.(substrate.TargetedActuator)
-	if !ok {
-		return fmt.Errorf("chaos: migrate_to %s: inner substrate has no explicit-target migration", id)
-	}
-	if s.active(id) {
-		if s.roll(opMigrateTo, id, s.plan.TransientRate) {
-			s.record(FaultActuatorTransient, id, "migrate_to", s.tel.transient)
-			return fmt.Errorf("chaos: migrate_to %s: %w", id, substrate.ErrUnavailable)
-		}
-		if s.roll(opMigrateTo+opInsufficientSalt, id, s.plan.NoTargetRate) {
-			s.record(FaultActuatorNoTarget, id, "migrate_to", s.tel.noTarget)
-			return fmt.Errorf("chaos: migrate_to %s: %w", id, substrate.ErrInsufficient)
-		}
-	}
-	return t.MigrateTo(now, id, target, desiredCPUPct, desiredMemMB)
-}
-
-// PlacementInventory forwards the inner substrate's placement-inventory
-// mirror (nil when the inner substrate has none). Chaos does not corrupt
-// the inventory: injected faults already surface through sampling and
-// actuation, and a silently wrong mirror would turn the determinism
-// suites into noise.
-func (s *Substrate) PlacementInventory() *placement.Inventory {
-	if p, ok := s.inner.(placement.InventoryProvider); ok {
-		return p.PlacementInventory()
-	}
-	return nil
 }
 
 // MigrationSeconds reports the inner duration, multiplied by the stall

@@ -19,7 +19,6 @@ const (
 	opMigrate
 	opMigrateTarget
 	opMigStall
-	opMigrateTo
 
 	// opInsufficientSalt offsets the spurious-insufficient roll from the
 	// transient roll sharing the same call site.

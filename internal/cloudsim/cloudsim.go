@@ -65,10 +65,7 @@ var (
 
 // Host is a simulated physical machine.
 type Host struct {
-	ID HostID
-	// Domain is the host's failure domain (rack, chassis, zone); empty
-	// means the host is its own domain.
-	Domain   string
+	ID       HostID
 	CPUCap   float64 // percentage points, 100 per core
 	MemCapMB float64
 
@@ -257,35 +254,13 @@ type Action struct {
 	DurationS int64   // how long until the action takes effect
 }
 
-// ClusterListener observes fleet bookkeeping changes. The placement
-// inventory mirror registers one so it never has to rescan the cluster:
-// every event carries the values the mirror needs to stay exact.
-type ClusterListener interface {
-	HostAdded(id HostID, domain string, cpuCap, memCapMB float64)
-	VMPlaced(id VMID, host HostID, cpuPct, memMB float64)
-	// AllocChanged fires after elastic scaling changes a VM's caps.
-	AllocChanged(id VMID, cpuPct, memMB float64)
-	// MigrationStarted fires when a live migration begins; resCPUPct /
-	// resMemMB are the resources reserved on the target until completion.
-	MigrationStarted(id VMID, from, to HostID, resCPUPct, resMemMB float64)
-	// MigrationCompleted fires after the VM lands on its target with its
-	// post-migration allocations.
-	MigrationCompleted(id VMID, from, to HostID, cpuPct, memMB float64)
-}
-
 // Cluster owns the hosts and VMs and exposes the actuation API used by
 // the prevention module.
 type Cluster struct {
-	hosts    map[HostID]*Host
-	vms      map[VMID]*VM
-	actions  []Action
-	listener ClusterListener
+	hosts   map[HostID]*Host
+	vms     map[VMID]*VM
+	actions []Action
 }
-
-// SetListener installs the bookkeeping observer (nil to remove). The
-// listener only sees changes from this point on; callers snapshot the
-// existing fleet first.
-func (c *Cluster) SetListener(l ClusterListener) { c.listener = l }
 
 // NewCluster returns an empty cluster.
 func NewCluster() *Cluster {
@@ -306,25 +281,6 @@ func (c *Cluster) AddHost(id HostID, cpuCap, memCapMB float64) (*Host, error) {
 	}
 	h := &Host{ID: id, CPUCap: cpuCap, MemCapMB: memCapMB, vms: make(map[VMID]*VM)}
 	c.hosts[id] = h
-	if c.listener != nil {
-		c.listener.HostAdded(id, h.Domain, cpuCap, memCapMB)
-	}
-	return h, nil
-}
-
-// AddHostInDomain registers a host assigned to a failure domain.
-func (c *Cluster) AddHostInDomain(id HostID, domain string, cpuCap, memCapMB float64) (*Host, error) {
-	if _, ok := c.hosts[id]; ok {
-		return nil, fmt.Errorf("cloudsim: duplicate host %q", id)
-	}
-	if cpuCap <= 0 || memCapMB <= 0 {
-		return nil, fmt.Errorf("cloudsim: host %q capacities must be positive", id)
-	}
-	h := &Host{ID: id, Domain: domain, CPUCap: cpuCap, MemCapMB: memCapMB, vms: make(map[VMID]*VM)}
-	c.hosts[id] = h
-	if c.listener != nil {
-		c.listener.HostAdded(id, domain, cpuCap, memCapMB)
-	}
 	return h, nil
 }
 
@@ -351,9 +307,6 @@ func (c *Cluster) PlaceVM(id VMID, hostID HostID, cpu, memMB float64) (*VM, erro
 	vm := &VM{ID: id, host: h, CPUAllocation: cpu, MemAllocationMB: memMB}
 	h.vms[id] = vm
 	c.vms[id] = vm
-	if c.listener != nil {
-		c.listener.VMPlaced(id, hostID, cpu, memMB)
-	}
 	return vm, nil
 }
 
@@ -427,9 +380,6 @@ func (c *Cluster) ScaleCPU(now simclock.Time, id VMID, newAlloc float64) error {
 		Detail: fmt.Sprintf("cpu->%.0f%%", newAlloc),
 		CostMS: CPUScalingLatencyMS,
 	})
-	if c.listener != nil {
-		c.listener.AllocChanged(id, vm.CPUAllocation, vm.MemAllocationMB)
-	}
 	return nil
 }
 
@@ -456,9 +406,6 @@ func (c *Cluster) ScaleMem(now simclock.Time, id VMID, newAllocMB float64) error
 		Detail: fmt.Sprintf("mem->%.0fMB", newAllocMB),
 		CostMS: MemScalingLatencyMS,
 	})
-	if c.listener != nil {
-		c.listener.AllocChanged(id, vm.CPUAllocation, vm.MemAllocationMB)
-	}
 	return nil
 }
 
@@ -492,49 +439,6 @@ func (c *Cluster) Migrate(now simclock.Time, id VMID, desiredCPU, desiredMemMB f
 		return fmt.Errorf("%w: migrate %q (cpu %.0f mem %.0f)",
 			ErrNoEligibleTarget, id, desiredCPU, desiredMemMB)
 	}
-	c.startMigration(now, vm, target, desiredCPU, desiredMemMB)
-	return nil
-}
-
-// MigrateTo starts a live migration of the VM to an explicit target
-// host (predictive placement chose it). Unlike Migrate, the simulator
-// does no target selection: unknown targets fail with ErrNoSuchHost and
-// a target that cannot fit the desired allocation fails with
-// ErrInsufficient, so the planner can fall back to substrate-chosen
-// selection.
-func (c *Cluster) MigrateTo(now simclock.Time, id VMID, targetID HostID, desiredCPU, desiredMemMB float64) error {
-	vm, err := c.VM(id)
-	if err != nil {
-		return err
-	}
-	if vm.migrating {
-		return fmt.Errorf("%w: %q", ErrMigrating, id)
-	}
-	if desiredCPU < vm.CPUAllocation {
-		desiredCPU = vm.CPUAllocation
-	}
-	if desiredMemMB < vm.MemAllocationMB {
-		desiredMemMB = vm.MemAllocationMB
-	}
-	target, ok := c.hosts[targetID]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoSuchHost, targetID)
-	}
-	if target == vm.host {
-		return fmt.Errorf("%w: migrate %q to its current host %q", ErrInsufficient, id, targetID)
-	}
-	if target.FreeCPU() < desiredCPU || target.FreeMemMB() < desiredMemMB {
-		return fmt.Errorf("%w: migrate %q to %q (cpu %.0f mem %.0f)",
-			ErrInsufficient, id, targetID, desiredCPU, desiredMemMB)
-	}
-	c.startMigration(now, vm, target, desiredCPU, desiredMemMB)
-	return nil
-}
-
-// startMigration reserves target capacity, flags the VM in flight, and
-// logs the action (shared by substrate-chosen and explicit-target
-// migration, so both paths produce identical action records).
-func (c *Cluster) startMigration(now simclock.Time, vm *VM, target *Host, desiredCPU, desiredMemMB float64) {
 	dur := MigrationSeconds(vm.MemAllocationMB)
 	target.reservedCPU += desiredCPU
 	target.reservedMem += desiredMemMB
@@ -549,9 +453,7 @@ func (c *Cluster) startMigration(now simclock.Time, vm *VM, target *Host, desire
 		CostMS:    float64(dur) * 1000,
 		DurationS: dur,
 	})
-	if c.listener != nil {
-		c.listener.MigrationStarted(vm.ID, vm.host.ID, target.ID, desiredCPU, desiredMemMB)
-	}
+	return nil
 }
 
 // findTarget picks the eligible host with the most free CPU, excluding
@@ -584,9 +486,8 @@ func (c *Cluster) Tick(now simclock.Time) {
 }
 
 func (c *Cluster) completeMigration(vm *VM) {
-	src := vm.host
+	delete(vm.host.vms, vm.ID)
 	dst := vm.migrateTarget
-	delete(src.vms, vm.ID)
 	dst.reservedCPU -= vm.migrateCPU
 	dst.reservedMem -= vm.migrateMem
 	vm.host = dst
@@ -595,7 +496,4 @@ func (c *Cluster) completeMigration(vm *VM) {
 	vm.MemAllocationMB = vm.migrateMem
 	vm.migrating = false
 	vm.migrateTarget = nil
-	if c.listener != nil {
-		c.listener.MigrationCompleted(vm.ID, src.ID, dst.ID, vm.CPUAllocation, vm.MemAllocationMB)
-	}
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"prepare/internal/metrics"
-	"prepare/internal/placement"
 	"prepare/internal/simclock"
 	"prepare/internal/substrate"
 )
@@ -21,10 +20,6 @@ type Substrate struct {
 
 	load1 map[VMID]float64
 	load5 map[VMID]float64
-
-	// placeInv is the lazily built placement-inventory mirror (see
-	// PlacementInventory); nil until predictive placement asks for it.
-	placeInv *placement.Inventory
 }
 
 var _ substrate.Substrate = (*Substrate)(nil)

@@ -23,7 +23,6 @@ import (
 	"prepare/internal/infer"
 	"prepare/internal/metrics"
 	"prepare/internal/monitor"
-	"prepare/internal/placement"
 	"prepare/internal/predict"
 	"prepare/internal/prevent"
 	"prepare/internal/simclock"
@@ -120,9 +119,9 @@ type Config struct {
 	HistoryWindowSamples int
 	// Detector selects the anomaly detector driving the loop (default
 	// the paper's supervised Markov+TAN pipeline). Any detector.Spec
-	// kind works: tan, kmeans, zscore, ewma, zrobust, or an ensemble of
-	// them — the loop drives one code path for all of them. kmeans and
-	// zscore (the paper's Section V extension) train on unlabeled data,
+	// kind works: tan, kmeans, ewma, zrobust, or an ensemble of them —
+	// the loop drives one code path for all of them. kmeans (the
+	// paper's Section V extension) trains on unlabeled data,
 	// so PREPARE can prevent even the FIRST occurrence of an anomaly
 	// class. Parse CLI syntax with detector.ParseSpec.
 	Detector detector.Spec
@@ -135,18 +134,6 @@ type Config struct {
 	Prevent prevent.Config
 	// Policy selects scaling-first or migration-only prevention.
 	Policy prevent.Policy
-	// Placement selects how migration targets are chosen. The zero value
-	// (PlacementNaive) keeps the substrate's own first-fit choice — the
-	// pre-existing behavior, byte for byte. PlacementPredictive scores
-	// candidate hosts by their forecast future load through the
-	// placement engine; it requires a substrate that provides a
-	// placement inventory and explicit-target migration.
-	Placement PlacementMode
-	// PlacementPreemptionDepth bounds evict-and-cascade preemption when
-	// predictive placement finds no direct fit (0 = preemption off,
-	// the default: victim migrations are asynchronous in every real
-	// substrate, so cascades only pay off for long-lived pressure).
-	PlacementPreemptionDepth int
 	// MonitorNoiseStd / MonitorSeed configure the sampler.
 	MonitorNoiseStd float64
 	MonitorSeed     int64
@@ -310,12 +297,6 @@ type Controller struct {
 	// debounce the reactive baseline's busiest-VM fallback.
 	violatedStreak int
 
-	// placeInv is the substrate's placement-inventory mirror, non-nil
-	// only under PlacementPredictive; the controller pushes per-VM CPU
-	// forecasts into it on every sampling tick so the engine scores
-	// hosts by predicted future load.
-	placeInv *placement.Inventory
-
 	// tel is the telemetry wiring (all instruments nil when disabled).
 	tel instruments
 }
@@ -345,17 +326,6 @@ func New(scheme Scheme, sub substrate.Substrate, app App, cfg Config) (*Controll
 	if err != nil {
 		return nil, fmt.Errorf("control: %w", err)
 	}
-	var placeInv *placement.Inventory
-	if cfg.Placement == PlacementPredictive {
-		sel, inv, err := newEngineSelector(sub, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("control: %w", err)
-		}
-		// The selector must be installed before the planner is built so
-		// NewPlanner can verify the substrate supports explicit targets.
-		cfg.Prevent.Selector = sel
-		placeInv = inv
-	}
 	planner, err := prevent.NewPlanner(sub, cfg.Policy, cfg.Prevent)
 	if err != nil {
 		return nil, fmt.Errorf("control: %w", err)
@@ -381,7 +351,6 @@ func New(scheme Scheme, sub substrate.Substrate, app App, cfg Config) (*Controll
 		rowScratch: make([]float64, metrics.NumAttributes),
 		vms:        newVMStates(vms),
 		workload:   wd,
-		placeInv:   placeInv,
 		tel:        newInstruments(cfg.Telemetry),
 	}
 	if cfg.Detector.Kind == detector.KindTAN {
@@ -571,11 +540,6 @@ func (c *Controller) observe(now simclock.Time, label metrics.Label, violated bo
 		}
 		c.confirmed = append(c.confirmed, i)
 	}
-
-	// With the value predictors freshly advanced, refresh the placement
-	// inventory's per-VM CPU forecasts so any migration decided below
-	// scores candidate hosts by predicted future load.
-	c.pushForecasts()
 
 	if violated {
 		c.violatedStreak++

@@ -21,8 +21,8 @@ import (
 // its knob are gone; the one remaining tick must keep reproducing what
 // it produced. The rows with a detector column were recorded at a347e8d,
 // before internal/unsupervised, the four median/MAD baselines and the
-// adapter stack in front of kmeans/zscore were folded into one
-// implementation each. A digest that changes means the alert, prevention-step or
+// adapter stack in front of kmeans were folded into one implementation
+// each. A digest that changes means the alert, prevention-step or
 // telemetry-event stream changed — update the constant only for a
 // change that is meant to alter behaviour, and say so in the PR. The
 // retrain rows (ewma and zrobust refitting every 100 s from an 80-sample
@@ -37,9 +37,9 @@ type streamDigests struct {
 
 func hexSum(h hash.Hash) string { return hex.EncodeToString(h.Sum(nil)) }
 
-// emptyStream is the digest of a stream with no records: zscore on one
-// VM and zrobust on one VM under chaos stay silent in the synthetic
-// world, and must keep doing so.
+// emptyStream is the digest of a stream with no records: zrobust on one
+// VM under chaos stays silent in the synthetic world, and must keep
+// doing so.
 const emptyStream = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
 // skipUnlessAMD64 skips a golden test on architectures whose compilers
@@ -149,26 +149,6 @@ func TestTickGolden(t *testing.T) {
 			steps:  "b06a36ec13b92c438920864d1a67708ca90d2a377a6a56a6b9419fae3bf95619",
 			events: "1a87aee62bbddbb33288b4175b98d96cf4655c0bfa911968139c040e3c3e36e5",
 		}},
-		{"zscore", 1, 700, 0, false, streamDigests{
-			alerts: "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-			steps:  "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-			events: "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-		}},
-		{"zscore", 1, 700, 0.05, false, streamDigests{
-			alerts: "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-			steps:  "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-			events: "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-		}},
-		{"zscore", 7, 700, 0, false, streamDigests{
-			alerts: "e770dca77b6a476f4fca799450e58dd416e02e9edd6e263ca6871128e13bcf7f",
-			steps:  "7563f142b61894323b91afb1b3558e742efd4b5ed1cfcdb58aca9bed5d018a69",
-			events: "a6ade10a75c373e6e37108ff943e96ca478eab722be5dee09bea387e5158b2b1",
-		}},
-		{"zscore", 7, 700, 0.05, false, streamDigests{
-			alerts: "6cf9fa64568260f24e7995526a6e4c792346fbd8005b71cf5e315bba7e203f0d",
-			steps:  "2ef9fbd89f771b82468098063d1ac6660b77e43608f372ed41fafc8dc6ce53ae",
-			events: "9c97c20939a3d590abf544ce1e7f8c4b9b82b66d72b8a238d7c6e866026ab87a",
-		}},
 		{"ewma", 1, 700, 0, false, streamDigests{
 			alerts: "8cb431f4e8abbe798f37bab8b2fbcd1b5f70caa717b70612fa5871aaff7ec81c",
 			steps:  "de18067021ee48c1d9a5945f97fc798d62b34aa130c5f73207208bc42a6494f2",
@@ -273,11 +253,6 @@ func TestTickGolden(t *testing.T) {
 			alerts: "62626a4a89bb1862ac940ea3c2a64b3f8eb6c1b6533aab9ee0006c1a429286ac",
 			steps:  "ab2ad8c9996d63f13501b3660fea121efed8a8c724a714c9aec510b36c7b94ff",
 			events: "97896ac4185cb1979409312f37056bb8c533edc9c1da5d7dc2320cdb0cb57d28",
-		}},
-		{"zscore", 7, 700, 0.05, true, streamDigests{
-			alerts: "4a908f7709de4cc4ce0b366cd98888ed5e46b60d9979d5af1c10e9033d024f65",
-			steps:  "b2b5e97c0039e857a1c72947acff3748d1e05b6f6a85d7ebe428013114bdfb9f",
-			events: "edd337c102fc46f341f9aea9c280bd740394d3853fbe7cf143831f04a96bb659",
 		}},
 		{"ensemble:tan+kmeans", 7, 700, 0.05, true, streamDigests{
 			alerts: "19b49bb1541b283040e0394667bf4a872ef835a34cf38881309c4bd05a899745",

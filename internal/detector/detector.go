@@ -113,13 +113,12 @@ type Detector interface {
 	Save(w io.Writer) error
 }
 
-// Detector kinds accepted by ParseSpec. TAN, KMeans, and ZScore are
+// Detector kinds accepted by ParseSpec. TAN and KMeans are
 // backed by internal/predict models (constructed via predict.NewDetector);
 // EWMA, ZRobust, and Ensemble are implemented in this package.
 const (
 	KindTAN      = "tan"
 	KindKMeans   = "kmeans"
-	KindZScore   = "zscore"
 	KindEWMA     = "ewma"
 	KindZRobust  = "zrobust"
 	KindEnsemble = "ensemble"
@@ -158,7 +157,7 @@ func (s Spec) String() string {
 // Validate checks kinds and ensemble shape.
 func (s Spec) Validate() error {
 	switch s.Kind {
-	case KindTAN, KindKMeans, KindZScore, KindEWMA, KindZRobust:
+	case KindTAN, KindKMeans, KindEWMA, KindZRobust:
 		if len(s.Members) > 0 || s.Quorum != 0 {
 			return fmt.Errorf("detector: %s spec does not take members or quorum", s.Kind)
 		}
@@ -169,7 +168,7 @@ func (s Spec) Validate() error {
 		}
 		for _, m := range s.Members {
 			switch m {
-			case KindTAN, KindKMeans, KindZScore, KindEWMA, KindZRobust:
+			case KindTAN, KindKMeans, KindEWMA, KindZRobust:
 			case KindEnsemble:
 				return fmt.Errorf("detector: ensembles do not nest")
 			default:
@@ -187,7 +186,7 @@ func (s Spec) Validate() error {
 
 // ParseSpec parses the CLI/config syntax:
 //
-//	tan | kmeans | zscore | ewma | zrobust
+//	tan | kmeans | ewma | zrobust
 //	ensemble:tan+ewma          (strict-majority vote)
 //	ensemble:tan+ewma@1        (alert on >= 1 member vote)
 //

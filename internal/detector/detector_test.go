@@ -12,7 +12,7 @@ import (
 
 func TestParseSpecRoundTrip(t *testing.T) {
 	for _, text := range []string{
-		"tan", "kmeans", "zscore", "ewma", "zrobust",
+		"tan", "kmeans", "ewma", "zrobust",
 		"ensemble:tan+ewma", "ensemble:tan+ewma@1", "ensemble:tan+ewma+zrobust@2",
 	} {
 		spec, err := ParseSpec(text)

@@ -370,7 +370,7 @@ func (e *Ensemble) Save(w io.Writer) error {
 
 // LoadEnsemble restores an ensemble saved by Save. loadMember restores
 // one member snapshot by kind — injected by the caller so model-backed
-// kinds (tan, kmeans, zscore) can come from internal/predict without a
+// kinds (tan, kmeans) can come from internal/predict without a
 // dependency cycle; EWMA/ZRobust members are handled here when
 // loadMember returns ErrUnknownKind.
 func LoadEnsemble(r io.Reader, loadMember func(kind string, data []byte) (Detector, error)) (*Ensemble, error) {

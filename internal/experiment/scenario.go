@@ -95,9 +95,9 @@ type Scenario struct {
 	DisableValidation bool
 	// Detector selects the anomaly detector driving the control loop
 	// (zero = the paper's supervised Markov+TAN pipeline): tan, kmeans,
-	// zscore, ewma, zrobust, or an ensemble spec. The unsupervised kinds
-	// (kmeans, zscore: the Section V extension) combined with
-	// SkipFirstInjection demonstrate first-occurrence prevention. Parse
+	// ewma, zrobust, or an ensemble spec. The unsupervised kmeans kind
+	// (the Section V extension) combined with SkipFirstInjection
+	// demonstrates first-occurrence prevention. Parse
 	// CLI syntax with detector.ParseSpec.
 	Detector detector.Spec
 	// SkipFirstInjection drops the training-time fault injection: the
@@ -120,14 +120,6 @@ type Scenario struct {
 	// injection; a zero Chaos.Seed derives one from Seed so engine
 	// tenants get distinct but reproducible fault schedules.
 	Chaos chaos.Plan
-	// Placement selects migration-target selection: the zero value keeps
-	// the simulator's naive first-fit (pre-existing behavior, byte for
-	// byte), PlacementPredictive routes targets through the
-	// forecast-scored placement engine.
-	Placement control.PlacementMode
-	// PlacementPreemptionDepth bounds evict-and-cascade preemption under
-	// predictive placement (0 = off).
-	PlacementPreemptionDepth int
 }
 
 func (s Scenario) withDefaults() Scenario {
@@ -294,9 +286,7 @@ func (sc Scenario) controlConfig(reg *telemetry.Registry) control.Config {
 		Telemetry:         reg,
 		MonitorResilience: sc.monitorResilience(),
 
-		HistoryWindowSamples:     sc.HistoryWindowSamples,
-		Placement:                sc.Placement,
-		PlacementPreemptionDepth: sc.PlacementPreemptionDepth,
+		HistoryWindowSamples: sc.HistoryWindowSamples,
 	}
 }
 

@@ -136,17 +136,8 @@ type Config struct {
 	Telemetry *telemetry.Registry
 }
 
-// InventoryProvider is implemented by substrates that can expose an
-// indexed free-capacity mirror of their fleet (cloudsim's adapter does;
-// the trace-replay substrate has no host model and does not). The
-// controller requires it to enable predictive placement.
-type InventoryProvider interface {
-	PlacementInventory() *Inventory
-}
-
 // ErrNoFeasibleHost means no host (even after permitted preemption) can
-// fit the request; the caller falls back to the substrate's naive
-// target selection.
+// fit the request.
 var ErrNoFeasibleHost = errors.New("placement: no feasible host")
 
 // Engine decides placements over an inventory.
@@ -186,8 +177,7 @@ func (e *Engine) Inventory() *Inventory { return e.inv }
 
 // Decide picks the best target for the request. The inventory is left
 // unchanged (preemption planning trial-applies and rolls back); the
-// caller actuates the returned moves and the mirror catches up through
-// its substrate events.
+// caller actuates the returned moves and updates the mirror.
 func (e *Engine) Decide(req Request) (Decision, error) {
 	defer e.lat.ObserveSince(time.Now())
 	if err := e.inv.Damaged(); err != nil {

@@ -6,6 +6,11 @@
 // accurate prediction and effective prevention, because the least-loaded
 // host now is often the next hotspot.
 //
+// Nothing in this module calls it: migration keeps the substrate's own
+// target choice, which on the paper's topologies no scorer can improve.
+// The package remains because the standing benchmark (the separate
+// module under benchmark/) times it.
+//
 // The package has two halves:
 //
 //   - Inventory: an indexed free-capacity mirror of the fleet. Host
@@ -26,8 +31,7 @@
 // actuations, so free capacity may legitimately go negative under
 // rounding or races and the engine's fit check simply excludes such
 // hosts. Structural errors (unknown IDs, duplicates) mark the inventory
-// damaged; a damaged inventory refuses decisions and the planner falls
-// back to the substrate's naive target choice.
+// damaged; a damaged inventory refuses decisions.
 package placement
 
 import (
@@ -192,7 +196,7 @@ type resRec struct {
 }
 
 // Inventory is the indexed free-capacity view of a fleet. It is not
-// safe for concurrent use; each controller owns one.
+// safe for concurrent use.
 type Inventory struct {
 	hosts     []hostRec
 	slotOf    map[HostID]int32
@@ -228,8 +232,7 @@ var (
 
 // MarkDamaged records a structural inconsistency between the inventory
 // mirror and the substrate it tracks. Once damaged, Decide fails until
-// the mirror is rebuilt; the prevention planner falls back to the
-// substrate's naive target selection.
+// the mirror is rebuilt.
 func (inv *Inventory) MarkDamaged(err error) {
 	if inv.damaged == nil && err != nil {
 		inv.damaged = fmt.Errorf("%w: %v", ErrDamaged, err)

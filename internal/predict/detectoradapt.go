@@ -45,7 +45,7 @@ type DetectorOptions struct {
 
 // NewDetector builds an untrained detector for the spec. The kinds
 // built on the value model live here: tan adapts the supervised
-// Predictor, kmeans and zscore are one outlierDetector. ewma/zrobust
+// Predictor, kmeans is the outlierDetector. ewma/zrobust
 // come from the detector package; ensembles compose any of them.
 func NewDetector(spec detector.Spec, opts DetectorOptions) (detector.Detector, error) {
 	if spec.IsZero() {
@@ -61,8 +61,8 @@ func NewDetector(spec detector.Spec, opts DetectorOptions) (detector.Detector, e
 	switch spec.Kind {
 	case detector.KindTAN:
 		return &tanDetector{opts: opts}, nil
-	case detector.KindKMeans, detector.KindZScore:
-		return &outlierDetector{kind: spec.Kind, opts: opts}, nil
+	case detector.KindKMeans:
+		return &outlierDetector{opts: opts}, nil
 	case detector.KindEWMA:
 		cfg := opts.Config.withDefaults()
 		return detector.NewEWMA(dims, detector.EWMAOptions{SamplingIntervalS: cfg.SamplingIntervalS}), nil
@@ -104,8 +104,8 @@ func LoadDetector(kind string, r io.Reader, opts DetectorOptions) (detector.Dete
 		}
 		p.SetInstruments(opts.Instruments)
 		return &tanDetector{opts: opts, p: p}, nil
-	case detector.KindKMeans, detector.KindZScore:
-		return loadOutlierDetector(kind, r, opts)
+	case detector.KindKMeans:
+		return loadOutlierDetector(r, opts)
 	case detector.KindEWMA:
 		return detector.LoadEWMA(r)
 	case detector.KindZRobust:
@@ -113,7 +113,7 @@ func LoadDetector(kind string, r io.Reader, opts DetectorOptions) (detector.Dete
 	case detector.KindEnsemble:
 		ens, err := detector.LoadEnsemble(r, func(mk string, data []byte) (detector.Detector, error) {
 			switch mk {
-			case detector.KindTAN, detector.KindKMeans, detector.KindZScore:
+			case detector.KindTAN, detector.KindKMeans:
 				memberOpts := opts
 				memberOpts.Fleet = nil
 				return LoadDetector(mk, bytes.NewReader(data), memberOpts)
@@ -129,16 +129,6 @@ func LoadDetector(kind string, r io.Reader, opts DetectorOptions) (detector.Dete
 	default:
 		return nil, fmt.Errorf("predict: unknown detector kind %q", kind)
 	}
-}
-
-// TANPredictor unwraps the supervised predictor behind a detector, if
-// it is the TAN adapter (comma-ok style).
-func TANPredictor(d detector.Detector) (*Predictor, bool) {
-	t, ok := d.(*tanDetector)
-	if !ok || t.p == nil {
-		return nil, false
-	}
-	return t.p, true
 }
 
 // tanDetector adapts the supervised Markov+TAN Predictor: Score is

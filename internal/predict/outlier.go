@@ -23,20 +23,15 @@ const (
 	// calibrationQuantile is the training-score quantile the alarm
 	// threshold is calibrated from.
 	calibrationQuantile = 0.995
-	// zSlack is the robust |z| an attribute may reach before it adds to
-	// the zscore kind's score.
-	zSlack = 2.0
 )
 
 // outlierDetector is the paper's Section V extension for anomalies the
 // system has never seen: the same per-attribute Markov value prediction
 // as the supervised Predictor, with the TAN classifier swapped for an
-// outlier scorer fitted on unlabeled data presumed mostly normal. It
-// serves the kmeans and zscore kinds and alerts when the predicted
-// future state — or the state just observed — lies outside the learned
-// normal operating modes.
+// outlier scorer fitted on unlabeled data presumed mostly normal. It is
+// the kmeans kind and alerts when the predicted future state — or the
+// state just observed — lies outside the learned normal operating modes.
 type outlierDetector struct {
-	kind string
 	opts DetectorOptions
 
 	vm      valueModel
@@ -51,7 +46,7 @@ type outlierDetector struct {
 }
 
 // Kind implements detector.Detector.
-func (d *outlierDetector) Kind() string { return d.kind }
+func (d *outlierDetector) Kind() string { return detector.KindKMeans }
 
 // Train implements detector.Detector: labels are ignored — the detector
 // learns the normal operating modes from the raw data.
@@ -64,7 +59,7 @@ func (d *outlierDetector) Train(rows [][]float64, _ []metrics.Label) error {
 		return err
 	}
 	d.vm = vm
-	d.sc = trainOutlierScorer(d.kind, rows, d.opts.Seed)
+	d.sc = trainOutlierScorer(rows, d.opts.Seed)
 	d.values = make([]float64, len(vm.names))
 	d.lastRow = nil
 	d.trained = true
@@ -198,14 +193,11 @@ func (d *outlierDetector) attribution(row []float64) ([]detector.Strength, error
 	return out, nil
 }
 
-// outlierScorer scores rows in robust-normalized space, so distances
-// are comparable across attributes with wildly different units. With
-// centroids it is the kmeans kind: the distance to the nearest cluster
-// of normal states. Without, the zscore kind: the sum of per-attribute
-// |z| beyond zSlack, so one wildly deviating attribute or several
-// mildly deviating ones both raise it. Either way the alarm threshold
-// is calibrated from the training score distribution; no labeled
-// anomalies are needed.
+// outlierScorer is the kmeans kind's scorer: the distance, in
+// robust-normalized space so attributes with wildly different units are
+// comparable, from a row to the nearest cluster of normal states. The
+// alarm threshold is calibrated from the training score distribution;
+// no labeled anomalies are needed.
 type outlierScorer struct {
 	center, scale []float64
 	centroids     [][]float64
@@ -216,24 +208,20 @@ type outlierScorer struct {
 
 // trainOutlierScorer fits the scorer on rows, which the caller has
 // checked to be non-empty and of equal width.
-func trainOutlierScorer(kind string, rows [][]float64, seed int64) outlierScorer {
+func trainOutlierScorer(rows [][]float64, seed int64) outlierScorer {
 	var s outlierScorer
 	s.center, s.scale = metrics.RobustScale(rows)
-	if kind == detector.KindKMeans {
-		data := make([][]float64, len(rows))
-		for i, row := range rows {
-			data[i] = append([]float64(nil), s.normalize(row)...)
-		}
-		s.centroids = kmeansCentroids(data, seed)
+	data := make([][]float64, len(rows))
+	for i, row := range rows {
+		data[i] = append([]float64(nil), s.normalize(row)...)
 	}
+	s.centroids = kmeansCentroids(data, seed)
 	scores := make([]float64, len(rows))
 	for i, row := range rows {
 		scores[i] = s.score(row)
 	}
 	s.threshold = quantile(scores, calibrationQuantile) * 1.25
-	if kind == detector.KindZScore {
-		s.threshold += 1
-	} else if s.threshold <= 0 {
+	if s.threshold <= 0 {
 		s.threshold = 1
 	}
 	return s
@@ -267,43 +255,20 @@ func (s *outlierScorer) nearest(p []float64) ([]float64, float64) {
 // score returns the row's anomaly score (non-negative, higher is more
 // anomalous).
 func (s *outlierScorer) score(row []float64) float64 {
-	p := s.normalize(row)
-	if len(s.centroids) > 0 {
-		_, d := s.nearest(p)
-		return math.Sqrt(d)
-	}
-	sum := 0.0
-	for _, v := range p {
-		sum += zExcess(v)
-	}
-	return sum
-}
-
-// zExcess is how far a robust z lies beyond the slack, 0 within it.
-func zExcess(z float64) float64 {
-	if a := math.Abs(z); a > zSlack {
-		return a - zSlack
-	}
-	return 0
+	_, d := s.nearest(s.normalize(row))
+	return math.Sqrt(d)
 }
 
 // contributions returns each attribute's share of the row's score: its
-// squared distance to the nearest centroid's coordinate, or its |z|
-// beyond the slack.
+// squared distance to the nearest centroid's coordinate.
 func (s *outlierScorer) contributions(row []float64) []float64 {
 	p := s.normalize(row)
 	out := make([]float64, len(p))
-	if len(s.centroids) > 0 {
-		if nearest, _ := s.nearest(p); nearest != nil {
-			for j := range p {
-				d := p[j] - nearest[j]
-				out[j] = d * d
-			}
+	if nearest, _ := s.nearest(p); nearest != nil {
+		for j := range p {
+			d := p[j] - nearest[j]
+			out[j] = d * d
 		}
-		return out
-	}
-	for j, v := range p {
-		out[j] = zExcess(v)
 	}
 	return out
 }
@@ -417,14 +382,14 @@ func quantile(xs []float64, q float64) float64 {
 	return cp[idx]
 }
 
-// outlierSnapshot is the JSON wire format of a trained outlier
+// outlierSnapshot is the JSON wire format of a trained kmeans
 // detector: the value model, the scorer, and the last observed row
 // (part of the scoring state — Score takes the max with it), so a
 // restored detector resumes an identical score stream. The format
-// predates the single outlierDetector type, which is why it names the
-// kind twice: Kind is 1 for kmeans and 2 for zscore, Detector.Kind is
-// the spec string. Both are kept so older checkpoints restore, and the
-// loader requires them to agree.
+// names the kind twice, as it did when a second outlier kind shared
+// it: Kind is the integer 1 (kmeansWireKind), Detector.Kind the spec
+// string. Both are kept so existing checkpoints restore, and the loader
+// requires both.
 type outlierSnapshot struct {
 	Version      int                           `json:"version"`
 	Names        []string                      `json:"names"`
@@ -444,13 +409,9 @@ type scorerSnapshot struct {
 	Threshold float64     `json:"threshold"`
 }
 
-// outlierWireKind is the integer form of the kind in outlierSnapshot.
-func outlierWireKind(kind string) int {
-	if kind == detector.KindZScore {
-		return 2
-	}
-	return 1
-}
+// kmeansWireKind is the integer form of the kmeans kind in
+// outlierSnapshot.
+const kmeansWireKind = 1
 
 // Save implements detector.Detector.
 func (d *outlierDetector) Save(w io.Writer) error {
@@ -465,11 +426,11 @@ func (d *outlierDetector) Save(w io.Writer) error {
 		Version:      snapshotVersion,
 		Names:        d.vm.names,
 		Config:       d.vm.cfg,
-		Kind:         outlierWireKind(d.kind),
+		Kind:         kmeansWireKind,
 		Discretizers: discs,
 		Chains:       chains,
 		Detector: scorerSnapshot{
-			Kind:      d.kind,
+			Kind:      detector.KindKMeans,
 			Center:    d.sc.center,
 			Scale:     d.sc.scale,
 			Centroids: d.sc.centroids,
@@ -483,10 +444,10 @@ func (d *outlierDetector) Save(w io.Writer) error {
 	return nil
 }
 
-// loadOutlierDetector restores a detector of the given kind from a
-// snapshot written by Save, rejecting one that was written for another
-// kind or whose widths disagree with its column names.
-func loadOutlierDetector(kind string, r io.Reader, opts DetectorOptions) (*outlierDetector, error) {
+// loadOutlierDetector restores a kmeans detector from a snapshot written
+// by Save, rejecting one that was written for another kind or whose
+// widths disagree with its column names.
+func loadOutlierDetector(r io.Reader, opts DetectorOptions) (*outlierDetector, error) {
 	var snap outlierSnapshot
 	if err := json.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("predict: decode unsupervised snapshot: %w", err)
@@ -495,9 +456,9 @@ func loadOutlierDetector(kind string, r io.Reader, opts DetectorOptions) (*outli
 		return nil, fmt.Errorf("predict: unsupported unsupervised snapshot version %d", snap.Version)
 	}
 	sc := snap.Detector
-	if snap.Kind != outlierWireKind(kind) || sc.Kind != kind {
-		return nil, fmt.Errorf("predict: cannot load a %s detector from a snapshot of kind %d with detector kind %q",
-			kind, snap.Kind, sc.Kind)
+	if snap.Kind != kmeansWireKind || sc.Kind != detector.KindKMeans {
+		return nil, fmt.Errorf("predict: cannot load a kmeans detector from a snapshot of kind %d with detector kind %q",
+			snap.Kind, sc.Kind)
 	}
 	vm, err := restoreValueModel(snap.Config, snap.Names, snap.Discretizers, snap.Chains)
 	if err != nil {
@@ -507,8 +468,8 @@ func loadOutlierDetector(kind string, r io.Reader, opts DetectorOptions) (*outli
 	if len(sc.Center) != n || len(sc.Scale) != n {
 		return nil, fmt.Errorf("predict: snapshot has %d centers and %d scales, want %d", len(sc.Center), len(sc.Scale), n)
 	}
-	if (kind == detector.KindKMeans) != (len(sc.Centroids) > 0) {
-		return nil, fmt.Errorf("predict: %s snapshot has %d centroids", kind, len(sc.Centroids))
+	if len(sc.Centroids) == 0 {
+		return nil, errors.New("predict: kmeans snapshot has no centroids")
 	}
 	for _, c := range sc.Centroids {
 		if len(c) != n {
@@ -519,7 +480,6 @@ func loadOutlierDetector(kind string, r io.Reader, opts DetectorOptions) (*outli
 		return nil, fmt.Errorf("predict: snapshot last row has %d columns, want %d", len(snap.LastRow), n)
 	}
 	return &outlierDetector{
-		kind:    kind,
 		opts:    opts,
 		vm:      vm,
 		sc:      outlierScorer{center: sc.Center, scale: sc.Scale, centroids: sc.Centroids, threshold: sc.Threshold},

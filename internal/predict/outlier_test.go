@@ -102,31 +102,25 @@ func TestUnsupervisedValidation(t *testing.T) {
 }
 
 func TestUnsupervisedDetectsUnseenAnomaly(t *testing.T) {
-	for _, kind := range []string{detector.KindKMeans, detector.KindZScore} {
-		// Train ONLY on normal data: the anomaly below is unseen.
-		d := trainedOutlier(t, kind, Config{Bins: 10}, stationaryRows(240, 2))
-		// Replay a decline into exhaustion.
-		rng := rand.New(rand.NewSource(3))
-		alerted := false
-		for i := 0; i < 200; i++ {
-			free := 1000 - 5*float64(i) + 20*rng.NormFloat64()
-			cpu := 45 + (1000-free)*0.05 + 3*rng.NormFloat64()
-			if err := d.Observe([]float64{free, cpu}); err != nil {
-				t.Fatal(err)
-			}
-			dec, err := d.Score(60)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if dec.Abnormal {
-				alerted = true
-				break
-			}
+	// Train ONLY on normal data: the anomaly below is unseen.
+	d := trainedOutlier(t, detector.KindKMeans, Config{Bins: 10}, stationaryRows(240, 2))
+	// Replay a decline into exhaustion.
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 200; i++ {
+		free := 1000 - 5*float64(i) + 20*rng.NormFloat64()
+		cpu := 45 + (1000-free)*0.05 + 3*rng.NormFloat64()
+		if err := d.Observe([]float64{free, cpu}); err != nil {
+			t.Fatal(err)
 		}
-		if !alerted {
-			t.Errorf("%s never flagged the unseen anomaly", kind)
+		dec, err := d.Score(60)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dec.Abnormal {
+			return
 		}
 	}
+	t.Error("kmeans never flagged the unseen anomaly")
 }
 
 func TestUnsupervisedQuietOnNormalReplay(t *testing.T) {
@@ -152,8 +146,14 @@ func TestUnsupervisedQuietOnNormalReplay(t *testing.T) {
 // TestOutlierVerdictShape checks the materialized outcomes: Score
 // is non-negative, Verdict and Current rank every attribute (zero
 // contributions included), strongest first and in column order on ties.
+// The training rows are one repeated state, so every centroid sits on
+// it and an attribute at its trained value contributes exactly zero.
 func TestOutlierVerdictShape(t *testing.T) {
-	d := trainedOutlier(t, detector.KindZScore, Config{Bins: 6}, stationaryRows(100, 6))
+	rows := make([][]float64, 100)
+	for i := range rows {
+		rows[i] = []float64{1000, 45}
+	}
+	d := trainedOutlier(t, detector.KindKMeans, Config{Bins: 6}, rows)
 	if err := d.Observe([]float64{1000, 90}); err != nil { // cpu far out, free memory typical
 		t.Fatal(err)
 	}
@@ -234,14 +234,14 @@ func TestTrainKMeansValidation(t *testing.T) {
 }
 
 func TestKMeansFlagsUnseenAnomaly(t *testing.T) {
-	s := trainOutlierScorer(detector.KindKMeans, twoModeRows(300, 2), 1)
+	s := trainOutlierScorer(twoModeRows(300, 2), 1)
 	if !s.anomalous(anomalyRow()) {
 		t.Errorf("unseen anomaly not flagged (score %.2f, threshold %.2f)", s.score(anomalyRow()), s.threshold)
 	}
 }
 
 func TestKMeansAcceptsNormalModes(t *testing.T) {
-	s := trainOutlierScorer(detector.KindKMeans, twoModeRows(300, 3), 1)
+	s := trainOutlierScorer(twoModeRows(300, 3), 1)
 	falseAlarms := 0
 	for _, row := range twoModeRows(200, 4) {
 		if s.anomalous(row) {
@@ -255,8 +255,8 @@ func TestKMeansAcceptsNormalModes(t *testing.T) {
 
 func TestKMeansDeterministicForSeed(t *testing.T) {
 	rows := twoModeRows(100, 5)
-	a := trainOutlierScorer(detector.KindKMeans, rows, 7)
-	b := trainOutlierScorer(detector.KindKMeans, rows, 7)
+	a := trainOutlierScorer(rows, 7)
+	b := trainOutlierScorer(rows, 7)
 	if sa, sb := a.score(anomalyRow()), b.score(anomalyRow()); sa != sb {
 		t.Errorf("same seed, different scores: %g vs %g", sa, sb)
 	}
@@ -284,56 +284,19 @@ func TestKMeansShapeErrors(t *testing.T) {
 }
 
 func TestKMeansCentroidCount(t *testing.T) {
-	if s := trainOutlierScorer(detector.KindKMeans, twoModeRows(100, 8), 2); len(s.centroids) != kmeansK {
+	if s := trainOutlierScorer(twoModeRows(100, 8), 2); len(s.centroids) != kmeansK {
 		t.Errorf("centroids = %d, want %d", len(s.centroids), kmeansK)
 	}
-	if s := trainOutlierScorer(detector.KindKMeans, twoModeRows(3, 8), 2); len(s.centroids) != 3 {
+	if s := trainOutlierScorer(twoModeRows(3, 8), 2); len(s.centroids) != 3 {
 		t.Errorf("centroids = %d, want the 3 rows", len(s.centroids))
 	}
 }
 
-func TestZScoreFlagsUnseenAnomaly(t *testing.T) {
-	s := trainOutlierScorer(detector.KindZScore, twoModeRows(300, 9), 0)
-	if !s.anomalous(anomalyRow()) {
-		t.Errorf("unseen anomaly not flagged (score %.2f, threshold %.2f)", s.score(anomalyRow()), s.threshold)
-	}
-}
-
-func TestZScoreAcceptsNormal(t *testing.T) {
-	s := trainOutlierScorer(detector.KindZScore, twoModeRows(300, 10), 0)
-	falseAlarms := 0
-	for _, row := range twoModeRows(200, 11) {
-		if s.anomalous(row) {
-			falseAlarms++
-		}
-	}
-	if falseAlarms > 10 {
-		t.Errorf("%d/200 false alarms", falseAlarms)
-	}
-}
-
-func TestZScoreValidation(t *testing.T) {
-	d, err := NewDetector(detector.Spec{Kind: detector.KindZScore}, DetectorOptions{Names: []string{"cpu", "free", "net"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Train(nil, nil); err == nil {
-		t.Error("no data should fail")
-	}
-	if err := d.Train(twoModeRows(50, 12), nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Observe([]float64{1, 2}); !errors.Is(err, ErrShape) {
-		t.Errorf("wrong width: err = %v, want ErrShape", err)
-	}
-}
-
 func TestPropertyScoresNonNegative(t *testing.T) {
-	km := trainOutlierScorer(detector.KindKMeans, twoModeRows(100, 13), 3)
-	zs := trainOutlierScorer(detector.KindZScore, twoModeRows(100, 13), 0)
+	km := trainOutlierScorer(twoModeRows(100, 13), 3)
 	f := func(a, b, c float64) bool {
 		row := []float64{clampF(a), clampF(b), clampF(c)}
-		return km.score(row) >= 0 && zs.score(row) >= 0
+		return km.score(row) >= 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -99,7 +99,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		}
 		return string(out)
 	}
-	const tan, km, zs = detector.KindTAN, detector.KindKMeans, detector.KindZScore
+	const tan, km = detector.KindTAN, detector.KindKMeans
 	for _, tc := range []struct {
 		name, kind, data string
 		wantInErr        []string
@@ -111,7 +111,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		{name: "outlier not json", kind: km, data: "hello"},
 		{name: "outlier bad version", kind: km, data: mutated(func(snap, _ map[string]any) { snap["version"] = 99 })},
 		{name: "outlier no names", kind: km, data: mutated(func(snap, _ map[string]any) { snap["names"] = []string{} })},
-		{name: "kmeans payload loaded as zscore", kind: zs, data: string(kmeans), wantInErr: []string{"zscore", "kmeans"}},
+		{name: "kmeans payload loaded as zscore", kind: "zscore", data: string(kmeans), wantInErr: []string{"zscore"}},
 		{name: "payload kind disagrees", kind: km, data: mutated(func(snap, _ map[string]any) { snap["kind"] = 2 }),
 			wantInErr: []string{"kmeans", "kind 2"}},
 		{name: "detector kind disagrees", kind: km, data: mutated(func(_, det map[string]any) { det["kind"] = "zscore" }),
@@ -123,7 +123,8 @@ func TestLoadRejectsGarbage(t *testing.T) {
 			cs[len(cs)-1] = cs[len(cs)-1].([]any)[:1]
 		})},
 		{name: "kmeans without centroids", kind: km, data: mutated(func(_, det map[string]any) { delete(det, "centroids") })},
-		{name: "zscore with centroids", kind: zs, data: mutated(func(snap, det map[string]any) { snap["kind"], det["kind"] = 2, zs })},
+		{name: "zscore with centroids", kind: km, data: mutated(func(snap, det map[string]any) { snap["kind"], det["kind"] = 2, "zscore" }),
+			wantInErr: []string{"kmeans", "zscore"}},
 		{name: "short last row", kind: km, data: mutated(func(snap, _ map[string]any) { snap["last_row"] = []float64{1} })},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -215,10 +215,10 @@ func (p *Predictor) StepsFor(lookaheadS int64) int { return p.vm.stepsFor(lookah
 // over the look-ahead window: for each prediction step up to
 // StepsFor(lookaheadS), the Markov chain's bin distribution is collapsed
 // to an expected value via the discretizer's bin centers, and the
-// largest step value is returned. Placement uses this to score
-// candidate hosts by their forecast peak load rather than the current
-// snapshot. Reports false when the predictor is untrained or the column
-// is out of range.
+// largest step value is returned. Nothing in the control loop calls
+// it; the standing benchmark's predict probe times it as the per-VM
+// cost of a value forecast. Reports false when the predictor is
+// untrained or the column is out of range.
 func (p *Predictor) ForecastValueMax(col int, lookaheadS int64) (float64, bool) {
 	if !p.trained || col < 0 || col >= len(p.vm.chains) {
 		return 0, false

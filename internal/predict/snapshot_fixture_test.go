@@ -65,7 +65,7 @@ func TestParentSnapshotsResume(t *testing.T) {
 		t.Skipf("fixture scores were recorded on amd64, not %s", runtime.GOARCH)
 	}
 	next, nextLabels := fixtureTrace(100, 40, 90, 23)
-	for _, kind := range []string{detector.KindTAN, detector.KindKMeans, detector.KindZScore} {
+	for _, kind := range []string{detector.KindTAN, detector.KindKMeans} {
 		t.Run(kind, func(t *testing.T) {
 			snap, err := os.ReadFile(filepath.Join("testdata", kind+".snapshot.json"))
 			if err != nil {
@@ -102,6 +102,45 @@ func TestParentSnapshotsResume(t *testing.T) {
 			}
 			if got.String() != string(want) {
 				t.Errorf("score stream diverged from the parent's:\n got:\n%s want:\n%s", got.String(), want)
+			}
+		})
+	}
+}
+
+// TestZScoreKindRejected: the zscore kind is gone. Parsing it, alone or
+// as an ensemble member, and loading its checkpoints fail with an error
+// that names it, so a configuration or snapshot that still asks for it
+// is refused rather than silently served by another kind.
+func TestZScoreKindRejected(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "zscore.snapshot.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ensemble := `{"version":1,"members":[{"name":"zscore","kind":"zscore","weight":1,"data":` +
+		strings.TrimSpace(string(fixture)) + `}]}`
+	for _, tc := range []struct {
+		name string
+		try  func() error
+	}{
+		{"ParseSpec", func() error { _, err := detector.ParseSpec("zscore"); return err }},
+		{"ParseSpec ensemble member", func() error { _, err := detector.ParseSpec("ensemble:tan+zscore"); return err }},
+		{"LoadDetector as zscore", func() error {
+			_, err := LoadDetector("zscore", bytes.NewReader(fixture), fixtureOptions())
+			return err
+		}},
+		{"LoadDetector as kmeans", func() error {
+			_, err := LoadDetector(detector.KindKMeans, bytes.NewReader(fixture), fixtureOptions())
+			return err
+		}},
+		{"LoadDetector ensemble member", func() error {
+			_, err := LoadDetector(detector.KindEnsemble, strings.NewReader(ensemble), fixtureOptions())
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.try()
+			if err == nil || !strings.Contains(err.Error(), "zscore") {
+				t.Errorf("err = %v, want an error naming zscore", err)
 			}
 		})
 	}

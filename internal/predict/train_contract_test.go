@@ -65,7 +65,6 @@ func TestTrainReplacesStateAndRetainsNothing(t *testing.T) {
 		{detector.KindTAN, false},
 		{detector.KindTAN, true},
 		{detector.KindKMeans, false},
-		{detector.KindZScore, false},
 		{detector.KindEWMA, false},
 		{detector.KindZRobust, false},
 		{"ensemble:tan+kmeans", false},

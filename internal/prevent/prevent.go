@@ -44,41 +44,6 @@ func (p Policy) String() string {
 	}
 }
 
-// SelectionOutcome tells a TargetSelector what became of its answer,
-// so it can keep decision/fallback accounting without owning the
-// actuation path.
-type SelectionOutcome int
-
-// The selection outcomes.
-const (
-	// OutcomeSuccess: the selected target accepted the migration.
-	OutcomeSuccess SelectionOutcome = iota + 1
-	// OutcomeFallback: no target was selected or the selected target
-	// permanently refused; the planner fell back to substrate-chosen
-	// (naive) target selection for this attempt.
-	OutcomeFallback
-	// OutcomeRetry: the selected target failed transiently; the planner
-	// scheduled a backed-off retry and will consult the selector again
-	// on the next attempt (against fresh inventory state).
-	OutcomeRetry
-)
-
-// TargetSelector picks migration targets for the planner (predictive
-// placement plugs in here). The planner consults it on EVERY migration
-// attempt — including retries after transient failures — so a target
-// that filled up between attempts is re-scored against current
-// inventory state rather than reused stale. Exactly one ReportOutcome
-// call follows each SelectTarget call.
-type TargetSelector interface {
-	// SelectTarget returns the host to migrate the VM to, given the
-	// desired post-migration allocation; ok=false means the selector has
-	// no feasible answer and the planner should fall back to the
-	// substrate's own target selection.
-	SelectTarget(now simclock.Time, id substrate.VMID, desiredCPUPct, desiredMemMB float64) (substrate.HostID, bool)
-	// ReportOutcome tells the selector what happened to its answer.
-	ReportOutcome(id substrate.VMID, outcome SelectionOutcome)
-}
-
 // Config tunes the actuator.
 type Config struct {
 	// CPUStep multiplies the CPU allocation on each scaling action
@@ -104,11 +69,6 @@ type Config struct {
 	RetryBackoffS int64
 	// MaxRetryBackoffS caps the doubling backoff (default 60).
 	MaxRetryBackoffS int64
-	// Selector, when non-nil, picks migration targets (predictive
-	// placement). The substrate must implement
-	// substrate.TargetedActuator; NewPlanner rejects the combination
-	// otherwise. Nil keeps substrate-chosen (naive) target selection.
-	Selector TargetSelector
 }
 
 func (c Config) withDefaults() Config {
@@ -185,9 +145,6 @@ type Planner struct {
 	cfg    Config
 	policy Policy
 	retry  map[substrate.VMID]*retryState
-	// targeted is the explicit-target migration capability, captured
-	// when a selector is configured.
-	targeted substrate.TargetedActuator
 }
 
 // NewPlanner builds a planner over the substrate.
@@ -198,20 +155,11 @@ func NewPlanner(sys substrate.System, policy Policy, cfg Config) (*Planner, erro
 	if policy != ScalingFirst && policy != MigrationOnly {
 		return nil, fmt.Errorf("prevent: unsupported policy %d", policy)
 	}
-	var targeted substrate.TargetedActuator
-	if cfg.Selector != nil {
-		t, ok := sys.(substrate.TargetedActuator)
-		if !ok {
-			return nil, errors.New("prevent: target selector requires a substrate with explicit-target migration")
-		}
-		targeted = t
-	}
 	return &Planner{
-		sys:      sys,
-		cfg:      cfg.withDefaults(),
-		policy:   policy,
-		retry:    make(map[substrate.VMID]*retryState),
-		targeted: targeted,
+		sys:    sys,
+		cfg:    cfg.withDefaults(),
+		policy: policy,
+		retry:  make(map[substrate.VMID]*retryState),
 	}, nil
 }
 
@@ -376,14 +324,6 @@ func (p *Planner) migrate(now simclock.Time, id substrate.VMID, alloc substrate.
 			desiredCPU = p.cfg.MaxCPU
 		}
 	}
-	if p.cfg.Selector != nil {
-		step, err, handled := p.migrateSelected(now, id, res, desiredCPU, desiredMem)
-		if handled {
-			return step, err
-		}
-		// The selector had no feasible answer or its target permanently
-		// refused: fall through to substrate-chosen selection below.
-	}
 	if err := p.sys.Migrate(now, id, desiredCPU, desiredMem); err != nil {
 		if errors.Is(err, substrate.ErrNoEligibleTarget) {
 			p.clearRetry(id)
@@ -404,43 +344,6 @@ func (p *Planner) migrate(now simclock.Time, id substrate.VMID, alloc substrate.
 		Time: now, VM: id, Kind: substrate.ActionMigrate, Resource: res,
 		Detail: fmt.Sprintf("migrate cpu=%.0f mem=%.0f", desiredCPU, desiredMem),
 	}, nil
-}
-
-// migrateSelected runs one selector-driven migration attempt. The
-// selector is consulted fresh on every call — each retry attempt
-// re-scores against current inventory state, so a target that filled up
-// between attempts is never reused stale. handled=false means the
-// caller should fall back to substrate-chosen target selection (the
-// selector was already told via OutcomeFallback).
-func (p *Planner) migrateSelected(now simclock.Time, id substrate.VMID, res infer.ResourceKind, desiredCPU, desiredMem float64) (Step, error, bool) {
-	target, ok := p.cfg.Selector.SelectTarget(now, id, desiredCPU, desiredMem)
-	if !ok {
-		p.cfg.Selector.ReportOutcome(id, OutcomeFallback)
-		return Step{}, nil, false
-	}
-	err := p.targeted.MigrateTo(now, id, target, desiredCPU, desiredMem)
-	switch {
-	case err == nil:
-		p.cfg.Selector.ReportOutcome(id, OutcomeSuccess)
-		p.clearRetry(id)
-		return Step{
-			Time: now, VM: id, Kind: substrate.ActionMigrate, Resource: res,
-			Detail: fmt.Sprintf("migrate cpu=%.0f mem=%.0f -> %s", desiredCPU, desiredMem, target),
-		}, nil, true
-	case substrate.IsTransient(err):
-		// Same retry/backoff ladder as naive migration; the next attempt
-		// re-selects.
-		p.cfg.Selector.ReportOutcome(id, OutcomeRetry)
-		if p.deferRetry(now, id) {
-			return Step{}, ErrBackoff, true
-		}
-		return Step{}, fmt.Errorf("%w: migration kept failing transiently: %v", ErrExhausted, err), true
-	default:
-		// Permanent refusal (e.g. the target filled between decision and
-		// actuation): fall back to naive selection for this attempt.
-		p.cfg.Selector.ReportOutcome(id, OutcomeFallback)
-		return Step{}, nil, false
-	}
 }
 
 // Validation is the outcome of an effectiveness check.

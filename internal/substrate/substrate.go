@@ -139,20 +139,6 @@ type Actuator interface {
 	MigrationSeconds(memMB float64) int64
 }
 
-// TargetedActuator is the optional actuation extension for substrates
-// that support live migration to an explicit target host. The
-// predictive placement engine selects targets itself and needs the
-// substrate to honor them; substrates without the capability keep the
-// Actuator.Migrate contract (substrate-chosen target) and the planner
-// falls back to it.
-type TargetedActuator interface {
-	// MigrateTo starts a live migration of the VM to the given host with
-	// the desired post-migration allocations. Returns ErrNoSuchHost for
-	// unknown targets and ErrInsufficient when the target cannot fit the
-	// allocation.
-	MigrateTo(now simclock.Time, id VMID, target HostID, desiredCPUPct, desiredMemMB float64) error
-}
-
 // System is the planner-facing half of a substrate: bookkeeping plus
 // actuation, without the metric stream.
 type System interface {

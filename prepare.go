@@ -102,10 +102,6 @@ type (
 	Scheme = control.Scheme
 	// Policy selects the prevention actuation strategy.
 	Policy = prevent.Policy
-	// PlacementMode selects how migration targets are chosen (see
-	// Scenario.Placement): the substrate's naive least-loaded choice or
-	// the forecast-aware predictive placement engine.
-	PlacementMode = control.PlacementMode
 	// FaultKind identifies a fault class.
 	FaultKind = faults.Kind
 	// AlertEvent is one confirmed anomaly alert raised by a controller.
@@ -179,23 +175,6 @@ const (
 	// (Figures 8/9).
 	MigrationOnly = prevent.MigrationOnly
 )
-
-// Placement modes.
-const (
-	// PlacementNaive keeps the substrate's built-in target choice (the
-	// currently least-loaded host); byte-identical to prior behavior.
-	PlacementNaive = control.PlacementNaive
-	// PlacementPredictive scores migration targets by forecast future
-	// load through the placement engine, with failure-domain spreading
-	// and bounded preemption.
-	PlacementPredictive = control.PlacementPredictive
-)
-
-// PlacementModeByName maps the CLI spellings to a placement mode:
-// "" and "naive" select PlacementNaive, "predictive" the engine.
-func PlacementModeByName(name string) (PlacementMode, error) {
-	return control.PlacementModeByName(name)
-}
 
 // Markov model orders.
 const (

@@ -53,33 +53,31 @@ func TestOutlierDetectorsPublic(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		rows = append(rows, []float64{10 + rng.NormFloat64(), 5 + 0.5*rng.NormFloat64()})
 	}
-	for _, kind := range []string{DetectorKMeans, DetectorZScore} {
-		d, err := NewDetector(DetectorSpec{Kind: kind}, DetectorOptions{Names: []string{"a", "b"}, Seed: 1})
+	d, err := NewDetector(DetectorSpec{Kind: DetectorKMeans}, DetectorOptions{Names: []string{"a", "b"}, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Kind() != DetectorKMeans {
+		t.Errorf("Kind() = %q, want %q", d.Kind(), DetectorKMeans)
+	}
+	if err := d.Train(rows, nil); err != nil {
+		t.Fatal(err)
+	}
+	// The observed row joins the decision, so a central point stays
+	// normal and an extreme one alerts at once.
+	for _, tc := range []struct {
+		row  []float64
+		want bool
+	}{{[]float64{10, 5}, false}, {[]float64{100, -40}, true}} {
+		if err := d.Observe(tc.row); err != nil {
+			t.Fatal(err)
+		}
+		dec, err := d.Score(5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d.Kind() != kind {
-			t.Errorf("Kind() = %q, want %q", d.Kind(), kind)
-		}
-		if err := d.Train(rows, nil); err != nil {
-			t.Fatal(err)
-		}
-		// The observed row joins the decision, so a central point stays
-		// normal and an extreme one alerts at once.
-		for _, tc := range []struct {
-			row  []float64
-			want bool
-		}{{[]float64{10, 5}, false}, {[]float64{100, -40}, true}} {
-			if err := d.Observe(tc.row); err != nil {
-				t.Fatal(err)
-			}
-			dec, err := d.Score(5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if dec.Abnormal != tc.want {
-				t.Errorf("%s: row %v abnormal = %v (score %g), want %v", kind, tc.row, dec.Abnormal, dec.Score, tc.want)
-			}
+		if dec.Abnormal != tc.want {
+			t.Errorf("row %v abnormal = %v (score %g), want %v", tc.row, dec.Abnormal, dec.Score, tc.want)
 		}
 	}
 }
