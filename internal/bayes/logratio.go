@@ -18,9 +18,15 @@ type LogRatios struct {
 	model *Model
 	gen   uint64 // model.gen the table was last filled at
 	prior float64
-	// tab[i][u*bins[i]+v]; parent row u is 0 for root/naive attributes.
-	// The rows are cut from store, which grows only when a refitted
-	// tree needs more cells than any tree before it did.
+	// tab[i][v*lanes+u] is attribute i's log ratio at its own value v
+	// and its parent's value u: the CPT transposed, so that lane u
+	// holds parent value u — the layout markov.ProjectSeriesBatch
+	// projects through. lanes is the widest attribute's bin count. A
+	// root or naive attribute repeats its one row in every lane; lanes
+	// past a parent's bin count hold 0 and are never read. The tables
+	// are cut from store, which grows only when a refitted tree needs
+	// more cells than any tree before it did.
+	lanes int
 	tab   [][]float64
 	store []float64
 }
@@ -36,27 +42,83 @@ func (m *Model) LogRatios() *LogRatios {
 // fill evaluates every log ratio of the model's current fit.
 func (lr *LogRatios) fill() {
 	m := lr.model
+	lr.lanes = 0
 	cells := 0
-	for i := range lr.tab {
-		cells += len(m.cpt[i][1]) * m.bins[i]
+	for _, b := range m.bins {
+		lr.lanes = max(lr.lanes, b)
+		cells += b
 	}
+	w := lr.lanes
+	cells *= w
 	if cap(lr.store) < cells {
 		lr.store = make([]float64, cells)
 	}
 	store := lr.store[:cells]
+	clear(store)
 	for i := range lr.tab {
-		bi := m.bins[i]
-		n := len(m.cpt[i][1]) * bi
-		lr.tab[i], store = store[:n:n], store[n:]
+		n := m.bins[i] * w
+		t := store[:n:n]
+		store = store[n:]
 		for u, abnormal := range m.cpt[i][1] {
 			normal := m.cpt[i][0][u]
 			for v := range abnormal {
-				lr.tab[i][u*bi+v] = math.Log(abnormal[v] / normal[v])
+				t[v*w+u] = math.Log(abnormal[v] / normal[v])
 			}
 		}
+		if m.parent[i] < 0 {
+			for v := 0; v < m.bins[i]; v++ {
+				row := t[v*w : (v+1)*w]
+				for u := range row {
+					row[u] = row[0]
+				}
+			}
+		}
+		lr.tab[i] = t
 	}
 	lr.prior = m.ClassPrior()
 	lr.gen = m.gen
+}
+
+// Lanes returns the lane count of the tables.
+func (lr *LogRatios) Lanes() int { return lr.lanes }
+
+// Tables returns every attribute's table, in attribute order (see the
+// tab field). The tables belong to lr and change when it is refilled.
+func (lr *LogRatios) Tables() [][]float64 { return lr.tab }
+
+// WindowScore returns the largest Equation (1) score over a look-ahead
+// window of steps predicted states, and the first step that reaches it,
+// from the attributes' marginals projected through Tables:
+// proj[(i*steps+s)*Lanes()+u] is attribute i's expected log ratio at
+// step s with its parent at bin u (Σ_v marg[v]·Tables()[i][v*Lanes()+u],
+// v ascending from +0, the v with marg[v] <= 0 left out), and
+// argmax[i*steps+s] is attribute i's most likely bin at step s.
+//
+// Each step's score is MarginalScoreFast's for that step's marginals,
+// bit for bit: the projection lane of the parent's most likely bin is
+// the expectation MarginalScoreFast sums over the same table cells in
+// the same order, and the step adds the prior and then one such lane per
+// attribute, in attribute order. A later step wins only with a strictly
+// greater score.
+func (lr *LogRatios) WindowScore(proj []float64, argmax []int32, steps int) (best float64, bestStep int) {
+	start := scoreHook.Start()
+	defer scoreHook.Done(start)
+	m := lr.model
+	w := lr.lanes
+	for s := 0; s < steps; s++ {
+		score := lr.prior
+		for i, p := range m.parent {
+			u := 0
+			if p >= 0 {
+				u = int(argmax[p*steps+s])
+			}
+			score += proj[(i*steps+s)*w+u]
+		}
+		if s == 0 || score > best {
+			best, bestStep = score, s
+		}
+	}
+	return best, bestStep
 }
 
 // Refresh refills the table in place when its model has been refitted
@@ -100,14 +162,13 @@ func (m *Model) MarginalScoreFast(marginals [][]float64, lr *LogRatios, sc *Scra
 		if p := m.parent[i]; p >= 0 {
 			u = argmax[p]
 		}
-		bi := m.bins[i]
-		row := lr.tab[i][u*bi : (u+1)*bi]
+		t := lr.tab[i]
 		expL := 0.0
 		for v, pv := range marginals[i] {
 			if pv <= 0 {
 				continue
 			}
-			expL += pv * row[v]
+			expL += pv * t[v*lr.lanes+u]
 		}
 		score += expL
 	}

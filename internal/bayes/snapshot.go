@@ -1,6 +1,9 @@
 package bayes
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Snapshot is a serializable dump of a trained model.
 type Snapshot struct {
@@ -44,8 +47,20 @@ func FromSnapshot(s Snapshot) (*Model, error) {
 		return nil, fmt.Errorf("bayes: snapshot shape mismatch (%d bins, %d parents, %d cpts)",
 			n, len(s.Parent), len(s.CPT))
 	}
-	if s.Total <= 0 {
+	// The class counts are whole numbers that add up to the total, so
+	// the class prior is finite. A NaN total or count fails every
+	// comparison below, which is why they are written to pass only on
+	// good values.
+	if !(s.Total > 0) {
 		return nil, fmt.Errorf("bayes: snapshot total %g invalid", s.Total)
+	}
+	for c, cnt := range s.ClassCount {
+		if !(cnt >= 0) || math.IsInf(cnt, 1) || cnt != math.Trunc(cnt) {
+			return nil, fmt.Errorf("bayes: snapshot class %d count %g is not a whole number >= 0", c, cnt)
+		}
+	}
+	if sum := s.ClassCount[0] + s.ClassCount[1]; sum != s.Total {
+		return nil, fmt.Errorf("bayes: snapshot class counts add up to %g, total is %g", sum, s.Total)
 	}
 	// Check every dimension before sizing storage from them, so a
 	// document that lies about its bins cannot ask for more memory than
@@ -73,7 +88,7 @@ func FromSnapshot(s Snapshot) (*Model, error) {
 						i, c, u, len(row), s.Bins[i])
 				}
 				for _, v := range row {
-					if v <= 0 || v > 1 {
+					if !(v > 0 && v <= 1) {
 						return nil, fmt.Errorf("bayes: snapshot cpt[%d][%d][%d] probability %g out of (0,1]", i, c, u, v)
 					}
 				}

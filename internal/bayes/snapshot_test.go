@@ -82,6 +82,39 @@ func TestBayesFromSnapshotValidation(t *testing.T) {
 			s.CPT[0][1][0][0] = 0
 			return s
 		},
+		"nan prob": func() Snapshot {
+			s := m.Snapshot()
+			s.CPT[1][0][0][0] = math.NaN()
+			return s
+		},
+		"nan total": func() Snapshot { s := m.Snapshot(); s.Total = math.NaN(); return s },
+		// Each class-count case keeps c0 + c1 == Total, so only the
+		// count itself is wrong.
+		"negative class count": func() Snapshot {
+			s := m.Snapshot()
+			s.ClassCount, s.Total = [2]float64{-5, 10}, 5
+			return s
+		},
+		"fractional class count": func() Snapshot {
+			s := m.Snapshot()
+			s.ClassCount, s.Total = [2]float64{2.5, 1.5}, 4
+			return s
+		},
+		"nan class count": func() Snapshot {
+			s := m.Snapshot()
+			s.ClassCount[1] = math.NaN()
+			return s
+		},
+		"infinite class count": func() Snapshot {
+			s := m.Snapshot()
+			s.ClassCount, s.Total = [2]float64{math.Inf(1), 1}, math.Inf(1)
+			return s
+		},
+		"counts disagree with total": func() Snapshot {
+			s := m.Snapshot()
+			s.Total++
+			return s
+		},
 	}
 	for name, mk := range cases {
 		t.Run(name, func(t *testing.T) {

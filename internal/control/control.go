@@ -16,6 +16,7 @@ package control
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"prepare/internal/columnar"
@@ -253,7 +254,7 @@ type Controller struct {
 	sampler *monitor.Sampler
 	// store is the struct-of-arrays ring every tick's samples land in
 	// (the loop's only sample representation), and fleet the batched
-	// window scorer (nil unless pure tan).
+	// window scorer (nil unless the spec has a tan detector or member).
 	store  *columnar.Store
 	fleet  *predict.Fleet
 	sloLog *monitor.SLOLog
@@ -353,7 +354,7 @@ func New(scheme Scheme, sub substrate.Substrate, app App, cfg Config) (*Controll
 		workload:   wd,
 		tel:        newInstruments(cfg.Telemetry),
 	}
-	if cfg.Detector.Kind == detector.KindTAN {
+	if cfg.Detector.Kind == detector.KindTAN || slices.Contains(cfg.Detector.Members, detector.KindTAN) {
 		c.fleet = predict.NewFleet()
 	}
 	return c, nil
@@ -472,9 +473,10 @@ func (c *Controller) OnTick(now simclock.Time) error {
 // observe feeds the new samples to the per-VM detectors and runs each
 // VM's k-of-W filter vote, listing the confirmed VMs in c.confirmed with
 // their full verdicts, and reports whether the workload changed. The
-// vote stays here rather than in decide because the TAN adapter scores
-// through the fleet scorer, whose Materialize must directly follow the
-// same predictor's ScoreWindow; every other detector kind scores per VM.
+// vote stays here, next to Score, because a TAN adapter scoring through
+// the shared fleet scorer materializes its Verdict from the arena while
+// the arena still holds its window; taken any later, the Verdict would
+// re-run the window pass.
 func (c *Controller) observe(now simclock.Time, label metrics.Label, violated bool) (bool, error) {
 	c.confirmed = c.confirmed[:0]
 	row := c.rowScratch

@@ -74,8 +74,8 @@ func (c *Controller) freshFilters() error {
 }
 
 // detectorOptions assembles the per-VM adapter options from the
-// controller's configuration. The fleet is nil unless the spec is pure
-// tan.
+// controller's configuration. The fleet is nil unless the spec has a
+// tan detector or ensemble member.
 func (c *Controller) detectorOptions(id substrate.VMID) predict.DetectorOptions {
 	return predict.DetectorOptions{
 		Names:           c.attrNames,

@@ -30,16 +30,37 @@ import "math/bits"
 //     within a single expression), and skipped zero-probability terms
 //     contribute exact +0.0 products either way, so every float64
 //     matches the scalar path bit for bit.
+//
+// ProjectSeriesBatch extends the same pass with a linear projection of
+// every predicted marginal and its argmax, which is everything the TAN
+// window score needs from a chain: the 8-state kernel runs all of a
+// chain's steps, projections and argmaxes in one call.
 type BatchArena struct {
 	flat   []float64
 	steps  [][]float64
 	series [][][]float64
+	proj   []float64
+	argmax []int32
+	// dist is the 8-state kernel's two distribution buffers, shared by
+	// every chain of the batch so that they stay in L1 instead of
+	// coming in from each chain's own scratch.
+	dist [2][64]float64
 }
 
 // Series returns chain i's series views from the most recent
-// PredictSeriesBatch call through this arena (valid until the next
-// call).
+// PredictSeriesBatch or ProjectSeriesBatch call through this arena
+// (valid until the next call).
 func (a *BatchArena) Series(i int) [][]float64 { return a.series[i] }
+
+// Projections returns every projection of the most recent
+// ProjectSeriesBatch call: chain c's projection at step s, lane u, is
+// element (c*maxSteps+s)*lanes+u. Valid until the next call.
+func (a *BatchArena) Projections() []float64 { return a.proj }
+
+// Argmaxes returns the most likely bin of every marginal of the most
+// recent ProjectSeriesBatch call: chain c's at step s is element
+// c*maxSteps+s, chosen as ArgMax chooses. Valid until the next call.
+func (a *BatchArena) Argmaxes() []int32 { return a.argmax }
 
 // PredictSeriesBatch propagates every chain maxSteps ahead through one
 // shared scratch arena: result[c][k] is chain c's distribution k+1
@@ -48,6 +69,28 @@ func (a *BatchArena) Series(i int) [][]float64 { return a.series[i] }
 // arena; steady-state calls allocate nothing. Results are bit-identical
 // to calling PredictSeries on each chain.
 func PredictSeriesBatch(chains []Predictor, maxSteps int, a *BatchArena) [][][]float64 {
+	return a.run(chains, maxSteps, nil, 0)
+}
+
+// ProjectSeriesBatch is PredictSeriesBatch that also projects every
+// predicted marginal through its chain's table. tabs[c] holds
+// NumStates() rows of lanes values, row v at tabs[c][v*lanes:], and
+// chain c's projection at step s is, per lane u,
+//
+//	Σ_v marg[s][v] · tabs[c][v*lanes+u]
+//
+// summed over v in ascending order from +0, one rounded multiply and
+// one rounded add a term, leaving out every v with marg[s][v] <= 0: bit
+// for bit the float64 a scalar loop over v skipping non-positive
+// probabilities computes. The arena's Projections hold the results and
+// its Argmaxes each marginal's ArgMax.
+func ProjectSeriesBatch(chains []Predictor, maxSteps int, tabs [][]float64, lanes int, a *BatchArena) [][][]float64 {
+	return a.run(chains, maxSteps, tabs, lanes)
+}
+
+// run lays out the arena for the batch and propagates every chain into
+// it, projecting through tabs when they are given.
+func (a *BatchArena) run(chains []Predictor, maxSteps int, tabs [][]float64, lanes int) [][][]float64 {
 	if maxSteps < 1 {
 		maxSteps = 1
 	}
@@ -59,25 +102,80 @@ func PredictSeriesBatch(chains []Predictor, maxSteps int, a *BatchArena) [][][]f
 		a.flat = make([]float64, total)
 	}
 	flat := a.flat[:total]
-	if n := len(chains) * maxSteps; cap(a.steps) < n {
+	n := len(chains) * maxSteps
+	if cap(a.steps) < n {
 		a.steps = make([][]float64, n)
 	}
 	if cap(a.series) < len(chains) {
 		a.series = make([][][]float64, len(chains))
 	}
+	if tabs != nil {
+		if cap(a.proj) < n*lanes {
+			a.proj = make([]float64, n*lanes)
+		}
+		if cap(a.argmax) < n {
+			a.argmax = make([]int32, n)
+		}
+		a.proj, a.argmax = a.proj[:n*lanes], a.argmax[:n]
+	}
 	series := a.series[:len(chains)]
 	off := 0
 	for ci, ch := range chains {
 		st := ch.NumStates()
+		marg := flat[off : off+maxSteps*st]
 		view := a.steps[ci*maxSteps : (ci+1)*maxSteps]
 		for s := range view {
 			view[s] = flat[off : off+st : off+st]
 			off += st
 		}
-		ch.PredictSeriesInto(view)
 		series[ci] = view
+		var tab, proj []float64
+		var argmax []int32
+		if tabs != nil {
+			tab = tabs[ci]
+			proj = a.proj[ci*maxSteps*lanes : (ci+1)*maxSteps*lanes]
+			argmax = a.argmax[ci*maxSteps : (ci+1)*maxSteps]
+		}
+		if c, ok := ch.(*TwoDepChain); ok && c.states == 8 && c.nSeen > 1 && (tabs == nil || lanes == 8) {
+			// The kernel prefetches the next chain's rows while it
+			// runs this one's window: a fleet's rows do not fit in cache,
+			// and without it every window starts on misses.
+			var pre *float64
+			if ci+1 < len(chains) {
+				if nc, ok := chains[ci+1].(*TwoDepChain); ok && nc.rows != nil {
+					pre = &nc.rows[0]
+				}
+			}
+			c.projectSeries8(&a.dist, marg, proj, tab, argmax, pre)
+			continue
+		}
+		ch.PredictSeriesInto(view)
+		if tabs != nil {
+			for s, m := range view {
+				projectGo(m, tab, proj[s*lanes:(s+1)*lanes])
+				argmax[s] = int32(ArgMax(m))
+			}
+		}
 	}
 	return series
+}
+
+// projectGo writes e[u] = Σ_v marg[v]·tab[v*len(e)+u] for every lane u:
+// v ascending from +0, one multiply and one add a term, skipping every
+// v with marg[v] <= 0. It is the projection ProjectSeriesBatch
+// documents, the reference the vector kernel is tested against and the
+// fallback for everything that kernel does not run.
+func projectGo(marg, tab, e []float64) {
+	lanes := len(e)
+	clear(e)
+	for v, pv := range marg {
+		if pv <= 0 {
+			continue
+		}
+		for u, t := range tab[v*lanes : (v+1)*lanes] {
+			e[u] += pv * t
+		}
+	}
 }
 
 // PredictSeriesInto implements Predictor. See PredictSeries for the
@@ -266,20 +364,68 @@ func (c *TwoDepChain) PredictSeriesInto(out [][]float64) {
 	}
 }
 
-// seriesInto8 is the 8-state TwoDepChain propagation: one dense step
-// kernel per horizon, ping-ponging the combined-state distribution
-// between the two scratch buffers.
+// seriesInto8 is the 8-state TwoDepChain propagation into the caller's
+// out: one kernel step per horizon, ping-ponging the combined-state
+// distribution between the two scratch buffers.
 func (c *TwoDepChain) seriesInto8(out [][]float64) {
 	rows := (*[512]float64)(c.rows)
 	dist, next := (*[64]float64)(c.distA), (*[64]float64)(c.distB)
 	*dist = [64]float64{}
 	dist[c.prev*8+c.cur] = 1
 	for s := range out {
-		marg := (*[8]float64)(out[s])
-		if useAVX2 {
-			twoDepStep8AVX2(&rows[0], &dist[0], &next[0], &marg[0])
-		} else {
-			twoDepStep8Go(rows, dist, next, marg)
+		series8(rows, dist, next, out[s][:8], nil, nil, nil, &rows[0])
+		dist, next = next, dist
+	}
+}
+
+// projectSeries8 runs the whole 8-state window in one kernel call,
+// with dist as the distribution buffers: len(marg)/8 steps into the
+// contiguous marg, and with a table their projections and argmaxes (see
+// ProjectSeriesBatch), prefetching from pre (nil: the chain's own rows).
+// The chain must have seen at least two observations.
+func (c *TwoDepChain) projectSeries8(dist *[2][64]float64, marg, proj, tab []float64, argmax []int32, pre *float64) {
+	start := predictSeriesHook.Start()
+	defer predictSeriesHook.Done(start)
+	c.refreshRows()
+	if pre == nil {
+		pre = &c.rows[0]
+	}
+	dist[0] = [64]float64{}
+	dist[0][c.prev*8+c.cur] = 1
+	series8((*[512]float64)(c.rows), &dist[0], &dist[1], marg, proj, tab, argmax, pre)
+}
+
+// series8 propagates dist len(marg)/8 steps, ping-ponging with next,
+// and writes step s's marginal to marg[s*8:]. With a table (proj
+// non-nil) it also writes the marginal's projection through tab to
+// proj[s*8:] and its ArgMax to argmax[s]. The vector kernel runs when
+// CPUID chose it, prefetching from pre (see twoDepSeries8AVX2), the Go
+// kernel otherwise; the two agree bit for bit.
+func series8(rows *[512]float64, dist, next *[64]float64, marg, proj, tab []float64, argmax []int32, pre *float64) {
+	steps := len(marg) / 8
+	if !useAVX2 {
+		twoDepSeries8Go(rows, dist, next, marg[:steps*8], proj, tab, argmax)
+		return
+	}
+	var projP, tabP *float64
+	var argP *int32
+	if proj != nil {
+		_, _, _ = proj[steps*8-1], tab[63], argmax[steps-1]
+		projP, tabP, argP = &proj[0], &tab[0], &argmax[0]
+	}
+	twoDepSeries8AVX2(&rows[0], &dist[0], &next[0], steps, &marg[0], projP, tabP, argP, pre)
+}
+
+// twoDepSeries8Go is the portable series kernel and the reference the
+// vector kernel is tested against: twoDepStep8Go a step, then, with a
+// table, projectGo and ArgMax on the step's marginal.
+func twoDepSeries8Go(rows *[512]float64, dist, next *[64]float64, marg, proj, tab []float64, argmax []int32) {
+	for s := 0; s < len(marg)/8; s++ {
+		m := marg[s*8 : s*8+8]
+		twoDepStep8Go(rows, dist, next, (*[8]float64)(m))
+		if proj != nil {
+			projectGo(m, tab[:64], proj[s*8:s*8+8])
+			argmax[s] = int32(ArgMax(m))
 		}
 		dist, next = next, dist
 	}

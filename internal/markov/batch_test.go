@@ -275,7 +275,8 @@ func TestRefreshColumnMatchesRowInto(t *testing.T) {
 	}
 }
 
-// BenchmarkTwoDepStep8 times one propagation step under each kernel.
+// BenchmarkTwoDepStep8 times one propagation step under each kernel,
+// the vector one as a one-step series call.
 func BenchmarkTwoDepStep8(b *testing.B) {
 	ch, _ := NewTwoDepChain(8)
 	rng := rand.New(rand.NewSource(1))
@@ -300,13 +301,14 @@ func BenchmarkTwoDepStep8(b *testing.B) {
 			b.Skip("no AVX2 on this machine")
 		}
 		for i := 0; i < b.N; i++ {
-			twoDepStep8AVX2(&rows[0], &dist[0], &next[0], &marg[0])
+			twoDepSeries8AVX2(&rows[0], &dist[0], &next[0], 1, &marg[0], nil, nil, nil, &rows[0])
 		}
 	})
 }
 
-// TestStepKernelAllocs pins every step kernel this machine can run at
-// zero allocations.
+// TestStepKernelAllocs pins every step and series kernel this machine
+// can run at zero allocations: one step, and a 24-step window with its
+// projections and argmaxes.
 func TestStepKernelAllocs(t *testing.T) {
 	ch, _ := NewTwoDepChain(8)
 	rng := rand.New(rand.NewSource(1))
@@ -320,17 +322,30 @@ func TestStepKernelAllocs(t *testing.T) {
 	dist := (*[64]float64)(ch.distA)
 	var next [64]float64
 	var marg [8]float64
+	var tab [64]float64
+	var window, proj [24 * 8]float64
+	var argmax [24]int32
+	for i := range tab {
+		tab[i] = rng.NormFloat64()
+	}
 	type kernel struct {
 		name string
 		step func()
 	}
-	kernels := []kernel{{"go", func() { twoDepStep8Go(rows, dist, &next, &marg) }}}
+	kernels := []kernel{
+		{"go", func() { twoDepStep8Go(rows, dist, &next, &marg) }},
+		{"go series", func() { twoDepSeries8Go(rows, dist, &next, window[:], proj[:], tab[:], argmax[:]) }},
+	}
 	if useAVX2 {
-		kernels = append(kernels, kernel{"avx2", func() { twoDepStep8AVX2(&rows[0], &dist[0], &next[0], &marg[0]) }})
+		kernels = append(kernels,
+			kernel{"avx2", func() { twoDepSeries8AVX2(&rows[0], &dist[0], &next[0], 1, &marg[0], nil, nil, nil, &rows[0]) }},
+			kernel{"avx2 series", func() {
+				twoDepSeries8AVX2(&rows[0], &dist[0], &next[0], 24, &window[0], &proj[0], &tab[0], &argmax[0], &rows[0])
+			}})
 	}
 	for _, k := range kernels {
 		if allocs := testing.AllocsPerRun(100, k.step); allocs != 0 {
-			t.Errorf("%s step kernel allocates %v/op, want 0", k.name, allocs)
+			t.Errorf("%s kernel allocates %v/op, want 0", k.name, allocs)
 		}
 	}
 }

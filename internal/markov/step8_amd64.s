@@ -1,37 +1,90 @@
 #include "textflag.h"
 
-// The 8-state TwoDepChain propagation step, four float64 lanes at a
-// time. See twoDepStep8Go in batch.go for the scalar kernel this
-// mirrors and must match bit for bit.
+// The 8-state TwoDepChain series kernel: every step of a chain's
+// window in one call, four float64 lanes at a time. Each step
+// propagates the combined-state distribution and writes its marginal;
+// with a table it also projects the marginal through the table and
+// picks the marginal's argmax. See twoDepSeries8Go in batch.go for the
+// Go kernel this mirrors and must match bit for bit.
 //
-// Why it is bit-identical. Each YMM lane holds one accumulator of the
-// scalar kernel and performs exactly the scalar kernel's sequence: it
-// starts at +0, then for p = 0..7 in ascending order takes one IEEE
-// multiply (dist[p*8+c] * rows[(c*8+p)*8+j]) followed by one IEEE
-// add, and the marginal lanes add the finished columns in ascending c.
-// VMULPD and VADDPD round each lane exactly like MULSD and ADDSD. There
-// is no VFMADD here and there must never be: a fused multiply-add skips
-// the rounding of the product and changes the low bits.
+// Why the step is bit-identical. Each YMM lane holds one accumulator of
+// twoDepStep8Go and performs exactly its sequence: it starts at +0,
+// then for p = 0..7 in ascending order takes one IEEE multiply
+// (dist[p*8+c] * rows[(c*8+p)*8+j]) followed by one IEEE add, and the
+// marginal lanes add the finished columns in ascending c. VMULPD and
+// VADDPD round each lane exactly like MULSD and ADDSD. There is no
+// VFMADD here and there must never be: a fused multiply-add skips the
+// rounding of the product and changes the low bits.
 //
-// The scalar kernel skips terms whose dist entry is zero; this one does
-// not. That is exact because rows are finite non-negative
-// probabilities, so a skipped product is +0, and a + (+0) == a for
-// every value an accumulator can hold (+0 or positive).
+// The Go step skips terms whose dist entry is zero; this one does not.
+// That is exact because rows are finite non-negative probabilities, so
+// a skipped product is +0, and a + (+0) == a for every value an
+// accumulator can hold (+0 or positive).
+//
+// Why the projection is bit-identical. Lane u of a step's projection is
+// projectGo's accumulator e[u]: it starts at +0 and, for v = 0..7 in
+// ascending order, adds the rounded product marg[v] * tab[v*8+u]. A
+// term projectGo skips (marg[v] <= 0) is masked to +0 before the add
+// instead: VCMPPD keeps the lanes where marg[v] > 0 or is NaN, exactly
+// the terms projectGo keeps, and VANDPD clears the rest, so a masked
+// product is +0 even when the table holds an infinity. Adding +0 leaves
+// every accumulator unchanged except -0, and an accumulator that starts
+// at +0 can never become -0 under round-to-nearest (x + y is -0 only
+// when both are -0).
+//
+// Why the argmax is ArgMax's. ArgMax keeps the first index whose value
+// beats every earlier one, starting from -1. When no marginal value is
+// negative or NaN that is the lowest index equal to the maximum, which
+// the kernel finds by a VMAXPD reduction, an equality compare and BSF
+// (== treats -0 and +0 alike, as > does). When any value is negative or
+// NaN the kernel runs ArgMax's scalar loop itself.
 
-// func twoDepStep8AVX2(rows, dist, next, marg *float64)
+// func twoDepSeries8AVX2(rows, dist, next *float64, steps int, marg, proj, tab *float64, argmax *int32, pre *float64)
 //
 // rows is [512]float64 column-major, indexed [(c*8+p)*8+j]: the row of
 // combined state (p, c), with column c's eight rows one contiguous
-// 512-byte run. dist and next are [64]float64 indexed [p*8+c], marg is
-// [8]float64:
+// 512-byte run. dist and next are [64]float64 indexed [p*8+c], and
+// swap roles after every step. Step s writes
 //
-//	next[c*8+j] = sum_p dist[p*8+c] * rows[(c*8+p)*8+j]
-//	marg[j]     = sum_c next[c*8+j]
-TEXT ·twoDepStep8AVX2(SB), NOSPLIT, $0-32
-	MOVQ rows+0(FP), SI
-	MOVQ dist+8(FP), DI
-	MOVQ next+16(FP), DX
-	MOVQ marg+24(FP), BX
+//	next[c*8+j]    = sum_p dist[p*8+c] * rows[(c*8+p)*8+j]
+//	marg[s*8+j]    = sum_c next[c*8+j]
+//	proj[s*8+u]    = sum_v marg[s*8+v] * tab[v*8+u]   (marg[s*8+v] > 0 or NaN)
+//	argmax[s]      = ArgMax(marg[s*8 : s*8+8])
+//
+// and when proj is nil only the first two. Each of the first 22 steps
+// also prefetches the next three cache lines from pre onwards, so that
+// the 4 KB of rows the caller passes next are in L1 by the time it
+// does.
+TEXT ·twoDepSeries8AVX2(SB), NOSPLIT, $0-72
+	MOVQ rows+0(FP), R8
+	MOVQ dist+8(FP), R9
+	MOVQ next+16(FP), R10
+	MOVQ steps+24(FP), R11
+	MOVQ marg+32(FP), BX
+	MOVQ proj+40(FP), R12
+	MOVQ tab+48(FP), R13
+	MOVQ argmax+56(FP), AX
+	MOVQ pre+64(FP), R14 // ABI0 code may clobber R14; the wrapper restores g
+	VXORPD Y15, Y15, Y15 // +0 in every lane, for the compares
+	TESTQ R11, R11
+	JZ done
+
+step:
+	// Three more lines of the rows the caller runs next, in each of the
+	// first 22 steps: 66 lines cover the 4 KB.
+	MOVQ steps+24(FP), CX
+	SUBQ R11, CX
+	CMPQ CX, $22
+	JGE sweep
+	PREFETCHT0 (R14)
+	PREFETCHT0 64(R14)
+	PREFETCHT0 128(R14)
+	ADDQ $192, R14
+
+sweep:
+	MOVQ R8, SI
+	MOVQ R9, DI
+	MOVQ R10, DX
 	VXORPD Y4, Y4, Y4 // marg[0:4]
 	VXORPD Y5, Y5, Y5 // marg[4:8]
 	MOVQ $8, CX
@@ -70,6 +123,93 @@ column:
 
 	VMOVUPD Y4, (BX)
 	VMOVUPD Y5, 32(BX)
+	TESTQ R12, R12
+	JZ advance
+
+	VXORPD Y8, Y8, Y8 // proj[0:4]
+	VXORPD Y9, Y9, Y9 // proj[4:8]
+
+// One marginal term: marg[v] broadcast, the mask of lanes that keep it
+// (marg[v] > 0 or NaN: predicate NLE_US, !(marg[v] <= 0)), and table
+// row v, 64 bytes a row.
+#define PROJ(v) \
+	VBROADCASTSD (v*8)(BX), Y2    \
+	VCMPPD $6, Y15, Y2, Y3        \
+	VMULPD (v*64)(R13), Y2, Y6    \
+	VANDPD Y3, Y6, Y6             \
+	VADDPD Y6, Y8, Y8             \
+	VMULPD (v*64+32)(R13), Y2, Y7 \
+	VANDPD Y3, Y7, Y7             \
+	VADDPD Y7, Y9, Y9
+
+	PROJ(0)
+	PROJ(1)
+	PROJ(2)
+	PROJ(3)
+	PROJ(4)
+	PROJ(5)
+	PROJ(6)
+	PROJ(7)
+
+	VMOVUPD Y8, (R12)
+	VMOVUPD Y9, 32(R12)
+
+	// Any value negative or NaN (predicate NGE_US, !(m >= 0))? Then the
+	// scalar loop decides.
+	VCMPPD $9, Y15, Y4, Y6
+	VCMPPD $9, Y15, Y5, Y7
+	VORPD Y7, Y6, Y6
+	VMOVMSKPD Y6, CX
+	TESTL CX, CX
+	JNZ scalarmax
+
+	// The maximum in every lane, then the lowest index equal to it.
+	VMAXPD Y5, Y4, Y6
+	VPERM2F128 $1, Y6, Y6, Y7
+	VMAXPD Y7, Y6, Y6
+	VPERMILPD $5, Y6, Y7
+	VMAXPD Y7, Y6, Y6
+	VCMPPD $0, Y6, Y4, Y7 // EQ_OQ
+	VMOVMSKPD Y7, CX
+	VCMPPD $0, Y6, Y5, Y7
+	VMOVMSKPD Y7, DX
+	SHLL $4, DX
+	ORL DX, CX
+	BSFL CX, CX
+	JMP argdone
+
+scalarmax:
+	// ArgMax: best = -1, index 0; take v when marg[v] > best (an
+	// unordered compare is not above, so NaN never wins).
+	MOVQ $0xbff0000000000000, DX
+	VMOVQ DX, X6
+	XORL CX, CX
+	XORL SI, SI
+
+scan:
+	VMOVSD (BX)(SI*8), X7
+	VUCOMISD X6, X7
+	JLS scannext
+	VMOVAPD X7, X6
+	MOVL SI, CX
+
+scannext:
+	INCL SI
+	CMPL SI, $8
+	JLT scan
+
+argdone:
+	MOVL CX, (AX)
+	ADDQ $64, R12
+	ADDQ $4, AX
+
+advance:
+	ADDQ $64, BX
+	XCHGQ R9, R10 // this step's next is the following step's dist
+	DECQ R11
+	JNZ step
+
+done:
 	VZEROUPPER
 	RET
 

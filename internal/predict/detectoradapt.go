@@ -31,9 +31,10 @@ type DetectorOptions struct {
 	// Seed drives unsupervised detector initialization.
 	Seed int64
 	// Fleet, when non-nil, routes TAN window scoring through the
-	// shared fleet batch scorer (the columnar hot path). Verdict must
-	// directly follow the Score call it materializes, before any other
-	// predictor scores through the same fleet.
+	// shared fleet batch scorer (the columnar hot path), for a tan
+	// detector and for the tan members of an ensemble. A Verdict taken
+	// after another predictor scored through the same fleet re-runs its
+	// own window pass first.
 	Fleet *Fleet
 	// Instruments wires predictor telemetry (zero value disables).
 	Instruments Instruments
@@ -71,11 +72,7 @@ func NewDetector(spec detector.Spec, opts DetectorOptions) (detector.Detector, e
 	case detector.KindEnsemble:
 		members := make([]detector.Member, len(spec.Members))
 		for i, kind := range spec.Members {
-			memberOpts := opts
-			// Ensemble members always score scalar: the fleet batch
-			// scorer's Materialize window is owned by the pure-TAN path.
-			memberOpts.Fleet = nil
-			d, err := NewDetector(detector.Spec{Kind: kind}, memberOpts)
+			d, err := NewDetector(detector.Spec{Kind: kind}, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -114,9 +111,7 @@ func LoadDetector(kind string, r io.Reader, opts DetectorOptions) (detector.Dete
 		ens, err := detector.LoadEnsemble(r, func(mk string, data []byte) (detector.Detector, error) {
 			switch mk {
 			case detector.KindTAN, detector.KindKMeans:
-				memberOpts := opts
-				memberOpts.Fleet = nil
-				return LoadDetector(mk, bytes.NewReader(data), memberOpts)
+				return LoadDetector(mk, bytes.NewReader(data), opts)
 			default:
 				return nil, detector.ErrUnknownKind
 			}
@@ -144,6 +139,7 @@ type tanDetector struct {
 	lastVerdict Verdict // scalar-path verdict cached for Verdict()
 	lastScalar  bool
 	lastValid   bool
+	lookaheadS  int64 // the last Score's window, to re-run it in Verdict
 }
 
 // Kind implements detector.Detector.
@@ -201,6 +197,7 @@ func (d *tanDetector) Retrain() error {
 
 // Score implements detector.Detector.
 func (d *tanDetector) Score(lookaheadS int64) (detector.Decision, error) {
+	d.lookaheadS = lookaheadS
 	if d.opts.Fleet != nil {
 		dec, err := d.opts.Fleet.ScoreWindow(d.p, lookaheadS)
 		if err != nil {
@@ -236,7 +233,17 @@ func (d *tanDetector) Verdict() (detector.Verdict, error) {
 	}
 	v := d.lastVerdict
 	if !d.lastScalar {
-		mv, err := d.opts.Fleet.Materialize(d.p)
+		f := d.opts.Fleet
+		if !f.holds(d.p) {
+			// Another predictor scored through the shared fleet since
+			// Score and overwrote this window. Nothing may move the chains
+			// or the model between Score and Verdict, so running the
+			// window pass again reproduces the decision.
+			if _, err := f.ScoreWindow(d.p, d.lookaheadS); err != nil {
+				return detector.Verdict{}, err
+			}
+		}
+		mv, err := f.Materialize(d.p)
 		if err != nil {
 			return detector.Verdict{}, err
 		}

@@ -22,12 +22,14 @@ type WindowDecision struct {
 // Fleet batches the per-VM look-ahead window scoring of many predictors
 // through one shared scratch arena — PredictWindow's batched
 // counterpart. One Fleet serves any number of predictors; per VM it
-// runs the dense Markov batch kernels into the arena and scores every
-// step through the precomputed TAN log-ratio table, producing the same
-// decisions as PredictWindow without any per-VM allocation. Confirmed
-// decisions are materialized into full Verdicts on demand
-// (Materialize), so steady-state cost is independent of fleet size
-// while alerting VMs still get the complete strengths ranking.
+// runs one Markov series kernel call per chain, which propagates every
+// step of the window and projects each step's marginal through the TAN
+// log-ratio table, then sums the projections into each step's Equation
+// (1) score. It produces the same decisions as PredictWindow without any
+// per-VM allocation. Confirmed decisions are materialized into full
+// Verdicts on demand (Materialize), so steady-state cost is independent
+// of fleet size while alerting VMs still get the complete strengths
+// ranking.
 //
 // A Fleet reuses internal scratch across calls and must stay confined
 // to one goroutine, like the predictors themselves.
@@ -36,8 +38,7 @@ type Fleet struct {
 
 	// Materialize context: the predictor scored last, its series views
 	// into the arena, and the winning step. Arena views are overwritten
-	// by the next ScoreWindow call, so Materialize must be called before
-	// scoring the next predictor.
+	// by the next ScoreWindow call.
 	last      *Predictor
 	lastBest  int
 	lastValid bool
@@ -60,43 +61,44 @@ func (f *Fleet) ScoreWindow(p *Predictor, lookaheadS int64) (WindowDecision, err
 	tStart := p.ins.windowStart()
 	defer p.ins.windowDone(tStart)
 	maxSteps := p.StepsFor(lookaheadS)
-	series := markov.PredictSeriesBatch(p.vm.chains, maxSteps, &f.arena)
-	marginals := p.marginalsBuf()
-	lr := p.logRatios()
-	bestStep, bestScore := 0, 0.0
-	for s := 0; s < maxSteps; s++ {
-		for j := range marginals {
-			marginals[j] = series[j][s]
-		}
-		var score float64
-		if lr != nil {
-			score = p.model.MarginalScoreFast(marginals, lr, &p.scratch)
-		} else {
-			// Argmax-scoring configurations have no expectation fast path;
-			// fall back to the scalar per-step scorer (still fed from the
-			// shared arena, so the propagation savings remain).
-			var err error
-			score, err = p.stepScore(marginals)
+	var dec WindowDecision
+	if lr := p.logRatios(); lr != nil {
+		markov.ProjectSeriesBatch(p.vm.chains, maxSteps, lr.Tables(), lr.Lanes(), &f.arena)
+		dec.Score, dec.BestStep = lr.WindowScore(f.arena.Projections(), f.arena.Argmaxes(), maxSteps)
+	} else {
+		// Argmax scoring classifies each step's most likely bins, which
+		// no projection expresses: score step by step from the arena.
+		series := markov.PredictSeriesBatch(p.vm.chains, maxSteps, &f.arena)
+		marginals := p.marginalsBuf()
+		for s := 0; s < maxSteps; s++ {
+			for j := range marginals {
+				marginals[j] = series[j][s]
+			}
+			score, err := p.stepScore(marginals)
 			if err != nil {
 				return WindowDecision{}, fmt.Errorf("predict: classify future state: %w", err)
 			}
-		}
-		if s == 0 || score > bestScore {
-			bestStep, bestScore = s, score
+			if s == 0 || score > dec.Score {
+				dec.BestStep, dec.Score = s, score
+			}
 		}
 	}
-	f.last, f.lastBest, f.lastValid = p, bestStep, true
-	return WindowDecision{Score: bestScore, BestStep: bestStep}, nil
+	f.last, f.lastBest, f.lastValid = p, dec.BestStep, true
+	return dec, nil
 }
 
+// holds reports whether the arena still holds p's most recent window.
+func (f *Fleet) holds(p *Predictor) bool { return f.lastValid && f.last == p }
+
 // Materialize builds the full Verdict (future bins, ranked strengths)
-// for the predictor's most recent ScoreWindow decision. It must be
-// called before the fleet scores another predictor — the decision's
-// marginals live in the shared arena. The Verdict is identical to what
-// PredictWindow would have returned.
+// for the predictor's most recent ScoreWindow decision. The decision's
+// marginals live in the shared arena, so it fails once the fleet has
+// scored another predictor (see tanDetector.Verdict for how the adapter
+// recovers). The Verdict is identical to what PredictWindow would have
+// returned.
 func (f *Fleet) Materialize(p *Predictor) (Verdict, error) {
-	if !f.lastValid || f.last != p {
-		return Verdict{}, errors.New("predict: Materialize must directly follow ScoreWindow for the same predictor")
+	if !f.holds(p) {
+		return Verdict{}, errors.New("predict: Materialize must follow ScoreWindow for the same predictor")
 	}
 	marginals := p.marginalsBuf()
 	for j := range marginals {

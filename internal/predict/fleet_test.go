@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"prepare/internal/bayes"
+	"prepare/internal/detector"
 	"prepare/internal/metrics"
 )
 
@@ -56,6 +57,10 @@ func TestFleetMatchesPredictWindow(t *testing.T) {
 		{"simple-markov", Config{Order: SimpleMarkov}},
 		{"naive", Config{Naive: true}},
 		{"argmax", Config{ArgmaxScore: true}},
+		// Five bins take the Go projection instead of the 8-state
+		// series kernel.
+		{"bins5", Config{Bins: 5}},
+		{"simple-markov-bins5", Config{Order: SimpleMarkov, Bins: 5}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			scalar, batch := trainedPair(t, tc.cfg, 5)
@@ -118,6 +123,120 @@ func TestFleetMaterializeGuard(t *testing.T) {
 	}
 	if _, err := fleet.Materialize(a); err != nil {
 		t.Fatalf("materializing the scored predictor: %v", err)
+	}
+}
+
+// TestFleetVerdictAfterAnotherScore takes a tan adapter's Verdict after
+// the shared fleet has scored another predictor: the adapter re-runs its
+// own window pass, and the verdict equals the scalar PredictWindow
+// path's.
+func TestFleetVerdictAfterAnotherScore(t *testing.T) {
+	scalar, a := trainedPair(t, Config{}, 5)
+	_, b := trainedPair(t, Config{}, 11)
+	fleet := NewFleet()
+	const margin = -1e9 // every window alerts, so every round takes a Verdict
+	da := &tanDetector{opts: DetectorOptions{Fleet: fleet, Margin: margin}, p: a}
+	db := &tanDetector{opts: DetectorOptions{Fleet: fleet, Margin: margin}, p: b}
+	ref := &tanDetector{opts: DetectorOptions{Margin: margin}, p: scalar}
+	rng := rand.New(rand.NewSource(17))
+	row := make([]float64, len(AttributeNames()))
+	for round := 0; round < 20; round++ {
+		for j := range row {
+			row[j] = 10*math.Sin(float64(round)/4+float64(j)) + rng.Float64()*3
+		}
+		for _, d := range []*tanDetector{da, db, ref} {
+			if err := d.Observe(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		gotDec, err := da.Score(120)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Score(120); err != nil {
+			t.Fatal(err)
+		}
+		got, err := da.Verdict()
+		if err != nil {
+			t.Fatalf("round %d: Verdict after another predictor scored: %v", round, err)
+		}
+		wantDec, err := ref.Score(120)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.Verdict()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotDec != wantDec || !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: fleet %+v %+v, PredictWindow %+v %+v", round, gotDec, got, wantDec, want)
+		}
+	}
+}
+
+// TestEnsembleTANMemberThroughFleet runs the same ensemble with and
+// without a fleet: the tan member scoring through the fleet must give
+// every decision and verdict the scalar member gives.
+func TestEnsembleTANMemberThroughFleet(t *testing.T) {
+	spec, err := detector.ParseSpec("ensemble:tan+kmeans@1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The trace turns abnormal at tick 300: train across the onset.
+	trace, labels := benchTrace(400, 3)
+	const train = 340
+	build := func(fleet *Fleet) detector.Detector {
+		d, err := NewDetector(spec, DetectorOptions{
+			Names:           AttributeNames(),
+			Margin:          -1e9, // the tan member always votes, so its verdict always counts
+			LookbackSamples: 24,
+			Incremental:     true,
+			Seed:            7,
+			Fleet:           fleet,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := make([][]float64, train)
+		for i := range rows {
+			rows[i] = append([]float64(nil), trace[i]...)
+		}
+		if err := d.Train(rows, append([]metrics.Label(nil), labels[:train]...)); err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	fleet := NewFleet()
+	viaFleet, scalar := build(fleet), build(nil)
+	alerts := 0
+	for i := train; i < len(trace); i++ {
+		var decs [2]detector.Decision
+		var vs [2]detector.Verdict
+		for k, d := range []detector.Detector{viaFleet, scalar} {
+			if err := d.Update(trace[i], labels[i]); err != nil {
+				t.Fatal(err)
+			}
+			if decs[k], err = d.Score(120); err != nil {
+				t.Fatal(err)
+			}
+			// Verdict on every tick, as a k-of-W filter may ask for one
+			// on a tick whose own vote fell short.
+			if vs[k], err = d.Verdict(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if decs[0] != decs[1] || !reflect.DeepEqual(vs[0], vs[1]) {
+			t.Fatalf("tick %d: through the fleet %+v %+v, scalar %+v %+v", i, decs[0], vs[0], decs[1], vs[1])
+		}
+		if decs[0].Abnormal {
+			alerts++
+		}
+	}
+	if !fleet.lastValid {
+		t.Fatal("the ensemble's tan member never scored through the fleet")
+	}
+	if alerts == 0 {
+		t.Fatal("the ensemble never alerted")
 	}
 }
 
