@@ -30,11 +30,12 @@ type DetectorOptions struct {
 	Incremental bool
 	// Seed drives unsupervised detector initialization.
 	Seed int64
-	// Fleet, when non-nil, routes TAN window scoring through the
-	// shared fleet batch scorer (the columnar hot path), for a tan
-	// detector and for the tan members of an ensemble. A Verdict taken
-	// after another predictor scored through the same fleet re-runs its
-	// own window pass first.
+	// Fleet is the batch scorer every TAN window is scored through (the
+	// columnar hot path), for a tan detector and for the tan members of
+	// an ensemble. Sharing one fleet among a host's detectors shares its
+	// scratch; nil gives each tan detector a fleet of its own. A
+	// Verdict taken after another predictor scored through the same
+	// fleet re-runs its own window pass first.
 	Fleet *Fleet
 	// Instruments wires predictor telemetry (zero value disables).
 	Instruments Instruments
@@ -61,7 +62,7 @@ func NewDetector(spec detector.Spec, opts DetectorOptions) (detector.Detector, e
 	}
 	switch spec.Kind {
 	case detector.KindTAN:
-		return &tanDetector{opts: opts}, nil
+		return newTANDetector(opts, nil), nil
 	case detector.KindKMeans:
 		return &outlierDetector{opts: opts}, nil
 	case detector.KindEWMA:
@@ -100,7 +101,7 @@ func LoadDetector(kind string, r io.Reader, opts DetectorOptions) (detector.Dete
 			return nil, err
 		}
 		p.SetInstruments(opts.Instruments)
-		return &tanDetector{opts: opts, p: p}, nil
+		return newTANDetector(opts, p), nil
 	case detector.KindKMeans:
 		return loadOutlierDetector(r, opts)
 	case detector.KindEWMA:
@@ -126,20 +127,28 @@ func LoadDetector(kind string, r io.Reader, opts DetectorOptions) (detector.Dete
 	}
 }
 
-// tanDetector adapts the supervised Markov+TAN Predictor: Score is
-// PredictWindow (or the fleet's batched equivalent) against the alert
-// margin, Current is Evaluate, Update/Retrain route to the incremental
-// sufficient-statistics machinery when enabled. Byte-identical to the
-// control loop's former hard-wired supervised path.
+// tanDetector adapts the supervised Markov+TAN Predictor: Score is the
+// fleet's batched PredictWindow against the alert margin, Current is
+// Evaluate, Update/Retrain route to the incremental sufficient-statistics
+// machinery when enabled. Byte-identical to the control loop's former
+// hard-wired supervised path.
 type tanDetector struct {
-	opts DetectorOptions
-	p    *Predictor
+	opts  DetectorOptions
+	fleet *Fleet // opts.Fleet, or the detector's own
+	p     *Predictor
 
-	lastDec     detector.Decision
-	lastVerdict Verdict // scalar-path verdict cached for Verdict()
-	lastScalar  bool
-	lastValid   bool
-	lookaheadS  int64 // the last Score's window, to re-run it in Verdict
+	lastDec    detector.Decision
+	lastValid  bool
+	lookaheadS int64 // the last Score's window, to re-run it in Verdict
+}
+
+// newTANDetector builds a tan adapter over p (nil until Train).
+func newTANDetector(opts DetectorOptions, p *Predictor) *tanDetector {
+	fleet := opts.Fleet
+	if fleet == nil {
+		fleet = NewFleet()
+	}
+	return &tanDetector{opts: opts, fleet: fleet, p: p}
 }
 
 // Kind implements detector.Detector.
@@ -198,29 +207,14 @@ func (d *tanDetector) Retrain() error {
 // Score implements detector.Detector.
 func (d *tanDetector) Score(lookaheadS int64) (detector.Decision, error) {
 	d.lookaheadS = lookaheadS
-	if d.opts.Fleet != nil {
-		dec, err := d.opts.Fleet.ScoreWindow(d.p, lookaheadS)
-		if err != nil {
-			return detector.Decision{}, err
-		}
-		d.lastDec = detector.Decision{
-			Abnormal:  dec.Score > d.opts.Margin,
-			Score:     dec.Score,
-			LeadSteps: dec.BestStep + 1,
-		}
-		d.lastScalar = false
-	} else {
-		v, err := d.p.PredictWindow(lookaheadS)
-		if err != nil {
-			return detector.Decision{}, err
-		}
-		d.lastVerdict = v
-		d.lastDec = detector.Decision{
-			Abnormal:  v.Score > d.opts.Margin,
-			Score:     v.Score,
-			LeadSteps: d.p.lastBestStep + 1,
-		}
-		d.lastScalar = true
+	dec, err := d.fleet.ScoreWindow(d.p, lookaheadS)
+	if err != nil {
+		return detector.Decision{}, err
+	}
+	d.lastDec = detector.Decision{
+		Abnormal:  dec.Score > d.opts.Margin,
+		Score:     dec.Score,
+		LeadSteps: dec.BestStep + 1,
 	}
 	d.lastValid = true
 	return d.lastDec, nil
@@ -231,23 +225,18 @@ func (d *tanDetector) Verdict() (detector.Verdict, error) {
 	if !d.lastValid {
 		return detector.Verdict{}, errors.New("predict: tan verdict without a preceding score")
 	}
-	v := d.lastVerdict
-	if !d.lastScalar {
-		f := d.opts.Fleet
-		if !f.holds(d.p) {
-			// Another predictor scored through the shared fleet since
-			// Score and overwrote this window. Nothing may move the chains
-			// or the model between Score and Verdict, so running the
-			// window pass again reproduces the decision.
-			if _, err := f.ScoreWindow(d.p, d.lookaheadS); err != nil {
-				return detector.Verdict{}, err
-			}
-		}
-		mv, err := f.Materialize(d.p)
-		if err != nil {
+	if !d.fleet.holds(d.p) {
+		// Another predictor scored through the shared fleet since Score
+		// and overwrote this window. Nothing may move the chains or the
+		// model between Score and Verdict, so running the window pass
+		// again reproduces the decision.
+		if _, err := d.fleet.ScoreWindow(d.p, d.lookaheadS); err != nil {
 			return detector.Verdict{}, err
 		}
-		v = mv
+	}
+	v, err := d.fleet.Materialize(d.p)
+	if err != nil {
+		return detector.Verdict{}, err
 	}
 	return supervisedVerdict(v, d.lastDec.Abnormal, d.lastDec.LeadSteps), nil
 }

@@ -128,24 +128,23 @@ func TestFleetMaterializeGuard(t *testing.T) {
 
 // TestFleetVerdictAfterAnotherScore takes a tan adapter's Verdict after
 // the shared fleet has scored another predictor: the adapter re-runs its
-// own window pass, and the verdict equals the scalar PredictWindow
-// path's.
+// own window pass, and the decision and verdict equal the reference
+// PredictWindow's.
 func TestFleetVerdictAfterAnotherScore(t *testing.T) {
 	scalar, a := trainedPair(t, Config{}, 5)
 	_, b := trainedPair(t, Config{}, 11)
 	fleet := NewFleet()
 	const margin = -1e9 // every window alerts, so every round takes a Verdict
-	da := &tanDetector{opts: DetectorOptions{Fleet: fleet, Margin: margin}, p: a}
-	db := &tanDetector{opts: DetectorOptions{Fleet: fleet, Margin: margin}, p: b}
-	ref := &tanDetector{opts: DetectorOptions{Margin: margin}, p: scalar}
+	da := newTANDetector(DetectorOptions{Fleet: fleet, Margin: margin}, a)
+	db := newTANDetector(DetectorOptions{Fleet: fleet, Margin: margin}, b)
 	rng := rand.New(rand.NewSource(17))
 	row := make([]float64, len(AttributeNames()))
 	for round := 0; round < 20; round++ {
 		for j := range row {
 			row[j] = 10*math.Sin(float64(round)/4+float64(j)) + rng.Float64()*3
 		}
-		for _, d := range []*tanDetector{da, db, ref} {
-			if err := d.Observe(row); err != nil {
+		for _, p := range []*Predictor{a, b, scalar} {
+			if err := p.Observe(row); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -160,14 +159,12 @@ func TestFleetVerdictAfterAnotherScore(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: Verdict after another predictor scored: %v", round, err)
 		}
-		wantDec, err := ref.Score(120)
+		v, err := scalar.PredictWindow(120)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := ref.Verdict()
-		if err != nil {
-			t.Fatal(err)
-		}
+		wantDec := detector.Decision{Abnormal: v.Score > margin, Score: v.Score, LeadSteps: scalar.lastBestStep + 1}
+		want := supervisedVerdict(v, wantDec.Abnormal, wantDec.LeadSteps)
 		if gotDec != wantDec || !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: fleet %+v %+v, PredictWindow %+v %+v", round, gotDec, got, wantDec, want)
 		}

@@ -115,7 +115,8 @@ type Predictor struct {
 	lr *bayes.LogRatios
 
 	// lastBestStep records the winning window step of the most recent
-	// PredictWindow call (0-based), for lead-time reporting.
+	// PredictWindow call (0-based): the lead time of the reference path
+	// the fleet's WindowDecision.BestStep is checked against.
 	lastBestStep int
 
 	// ins is the (possibly zero/disabled) telemetry wiring.

@@ -183,15 +183,25 @@ func writeIngestResult(w http.ResponseWriter, res IngestResult, err error) {
 	case errors.Is(err, ErrBackpressure):
 		w.Header().Set("Retry-After", strconv.Itoa(res.RetryAfterS))
 		writeJSON(w, http.StatusTooManyRequests, res)
-	case errors.Is(err, ErrUnknownTenant):
-		writeError(w, http.StatusNotFound, err)
-	case errors.Is(err, ErrBatchTooLarge):
-		writeError(w, http.StatusRequestEntityTooLarge, err)
-	case errors.Is(err, ErrNotRunning):
-		writeError(w, http.StatusServiceUnavailable, err)
 	default:
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, ingestStatus(err), err)
 	}
+}
+
+// ingestStatus maps a rejected ingest onto its HTTP status: the
+// client's fault is 404 for an unknown tenant, 413 for an oversized
+// batch, and 400 for anything else malformed; a stopped pipeline is
+// 503.
+func ingestStatus(err error) int {
+	switch {
+	case errors.Is(err, ErrUnknownTenant):
+		return http.StatusNotFound
+	case errors.Is(err, ErrBatchTooLarge):
+		return http.StatusRequestEntityTooLarge
+	case errors.Is(err, ErrNotRunning):
+		return http.StatusServiceUnavailable
+	}
+	return http.StatusBadRequest
 }
 
 // handleStream drains length-prefixed binary frames from a long-lived
@@ -208,19 +218,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case err == nil:
 		writeJSON(w, http.StatusOK, res)
-	case errors.Is(err, ErrBadFrame):
-		writeError(w, http.StatusBadRequest, err)
-	case errors.Is(err, ErrUnknownTenant):
-		writeError(w, http.StatusNotFound, err)
-	case errors.Is(err, ErrBatchTooLarge):
-		writeError(w, http.StatusRequestEntityTooLarge, err)
-	case errors.Is(err, ErrNotRunning):
-		writeError(w, http.StatusServiceUnavailable, err)
 	case errors.Is(err, io.ErrUnexpectedEOF):
 		// The connection dropped mid-frame; complete frames are applied.
 		writeError(w, http.StatusBadRequest, fmt.Errorf("stream truncated mid-frame after %d complete frames", res.Frames))
 	default:
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, ingestStatus(err), err)
 	}
 }
 

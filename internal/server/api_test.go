@@ -55,9 +55,16 @@ func validSample(vm substrate.VMID, timeS int64) SampleIn {
 }
 
 func TestIngestHandlerValidation(t *testing.T) {
-	_, ts, traces := newAPIServer(t, Config{})
+	srv, ts, traces := newAPIServer(t, Config{})
 	vms := sortedVMs(traces)
 	ok := validSample(vms[0], 0)
+	ghostVM := SampleIn{VM: "api-vm99", TimeS: 5, Values: ok.Values}
+	// Validation is all-or-nothing across batches: a valid batch ahead
+	// of an invalid one must not be enqueued.
+	validThenBad, _ := json.Marshal(ingestRequest{Batches: []Batch{
+		{Tenant: "api", Samples: []SampleIn{validSample(vms[1], 0)}},
+		{Tenant: "api", Samples: []SampleIn{ghostVM}},
+	}})
 
 	short := ok
 	short.Values = ok.Values[:3]
@@ -77,13 +84,15 @@ func TestIngestHandlerValidation(t *testing.T) {
 		{"no batches", `{"batches": []}`, http.StatusBadRequest},
 		{"empty batch", `{"batches": [{"tenant": "api", "samples": []}]}`, http.StatusBadRequest},
 		{"unknown tenant", ingestBody("ghost", ok), http.StatusNotFound},
-		{"unknown VM", ingestBody("api", SampleIn{VM: "api-vm99", TimeS: 5, Values: ok.Values}), http.StatusBadRequest},
+		{"unknown VM", ingestBody("api", ghostVM), http.StatusBadRequest},
+		{"valid batch then unknown VM", string(validThenBad), http.StatusBadRequest},
 		{"short vector", ingestBody("api", short), http.StatusBadRequest},
 		{"bad label", ingestBody("api", badLabel), http.StatusBadRequest},
 		{"negative time", ingestBody("api", negative), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			accepted := srv.Stats().SamplesAccepted
 			resp, err := http.Post(ts.URL+"/v1/samples", "application/json", strings.NewReader(tc.body))
 			if err != nil {
 				t.Fatal(err)
@@ -92,6 +101,9 @@ func TestIngestHandlerValidation(t *testing.T) {
 			if resp.StatusCode != tc.status {
 				body, _ := io.ReadAll(resp.Body)
 				t.Fatalf("status = %d, want %d (%s)", resp.StatusCode, tc.status, body)
+			}
+			if got := srv.Stats().SamplesAccepted; tc.status != http.StatusOK && got != accepted {
+				t.Fatalf("rejected request accepted %d samples", got-accepted)
 			}
 		})
 	}

@@ -39,7 +39,7 @@ type eventLog[T any] struct {
 	buf   []T // grows to size, then wraps: the oldest record is at head
 	size  int
 	head  int
-	next  uint64 // next sequence number to assign
+	next  uint64 // newest sequence number assigned (0 = none yet)
 	first uint64 // sequence of the oldest retained record (0 = empty)
 }
 
@@ -72,13 +72,14 @@ func (l *eventLog[T]) append(make func(seq uint64) T) uint64 {
 // since returns up to limit records with sequence numbers strictly
 // greater than cursor, the cursor to pass next, the oldest retained
 // sequence, and whether records between cursor and the oldest retained
-// one have been evicted (the caller missed them).
+// one have been evicted (the caller missed them). A cursor at or past
+// the newest record reads an empty, untruncated page.
 func (l *eventLog[T]) since(cursor uint64, limit int) (items []T, next uint64, first uint64, truncated bool) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	next = cursor
 	first = l.first
-	if l.first == 0 { // nothing ever published
+	if cursor >= l.next { // nothing published past the cursor
 		return nil, next, first, false
 	}
 	truncated = cursor+1 < l.first
@@ -92,9 +93,6 @@ func (l *eventLog[T]) since(cursor uint64, limit int) (items []T, next uint64, f
 	for seq := start; seq <= l.next && len(items) < limit; seq++ {
 		items = append(items, l.buf[(l.head+int(seq-l.first))%len(l.buf)])
 		next = seq
-	}
-	if next < cursor {
-		next = cursor
 	}
 	return items, next, first, truncated
 }

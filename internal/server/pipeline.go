@@ -8,7 +8,6 @@ import (
 	"prepare/internal/metrics"
 	"prepare/internal/prevent"
 	"prepare/internal/simclock"
-	"prepare/internal/substrate"
 	"prepare/internal/telemetry"
 )
 
@@ -42,11 +41,11 @@ type IngestResult struct {
 type itemKind int
 
 const (
-	itemBatch itemKind = iota
-	// itemColumnar carries a decoded binary columnar frame: the worker
-	// appends straight from the decode state's column slices, then
-	// returns it to the pool.
-	itemColumnar
+	// itemSamples carries one tenant's columnar batch — a decoded
+	// binary frame or a filled JSON batch: the worker appends straight
+	// from the decode state's column slices, then returns it to the
+	// pool.
+	itemSamples itemKind = iota
 	// itemBarrier pauses the worker: it acks, then blocks until the
 	// coordinator releases the gate (checkpoint quiescing).
 	itemBarrier
@@ -58,18 +57,12 @@ const (
 type item struct {
 	kind       itemKind
 	tenant     *tenant
-	samples    []ingestSample
-	ds         *decodeState // itemColumnar
+	ds         *decodeState // itemSamples
 	enqueuedAt time.Time
 
 	ack   chan<- struct{}   // itemBarrier
 	gate  <-chan struct{}   // itemBarrier
 	reply chan<- modelReply // itemModel
-}
-
-type ingestSample struct {
-	vm     substrate.VMID
-	sample metrics.Sample
 }
 
 // pubEvent carries one tick's freshly confirmed alerts and executed
@@ -96,81 +89,107 @@ func parseLabel(s string) (metrics.Label, error) {
 
 // Ingest validates and enqueues a batched sample request — the same
 // entry point the HTTP handler uses, callable in-process by the load
-// generator at full memory speed. Validation failures reject the whole
-// request before anything is enqueued; once validation passes, each
-// tenant batch is individually enqueued to its shard, and any batch
-// that meets a full queue is rejected with ErrBackpressure while the
-// rest proceed (the result reports both counts).
+// generator at full memory speed. Each tenant batch is filled into a
+// pooled decodeState through the wire.Batch builder, so it reaches its
+// shard as the same columnar item a binary frame decodes into.
+// Validation failures reject the whole request before anything is
+// enqueued; once validation passes, each tenant batch is individually
+// enqueued to its shard, and any batch that meets a full queue is
+// rejected with ErrBackpressure while the rest proceed (the result
+// reports both counts).
 func (s *Server) Ingest(batches []Batch) (IngestResult, error) {
-	var res IngestResult
 	if len(batches) == 0 {
-		return res, fmt.Errorf("%w: no batches", ErrBadBatch)
+		return IngestResult{}, fmt.Errorf("%w: no batches", ErrBadBatch)
+	}
+	items := make([]item, 0, len(batches))
+	reject := func(err error) (IngestResult, error) {
+		for _, it := range items {
+			putDecodeState(it.ds)
+		}
+		return IngestResult{}, err
 	}
 	total := 0
-	items := make([]item, 0, len(batches))
 	now := time.Now()
 	for _, b := range batches {
 		t := s.tenants[b.Tenant]
 		if t == nil {
-			return res, fmt.Errorf("%w: %q", ErrUnknownTenant, b.Tenant)
+			return reject(fmt.Errorf("%w: %q", ErrUnknownTenant, b.Tenant))
 		}
 		if len(b.Samples) == 0 {
-			return res, fmt.Errorf("%w: tenant %q: no samples", ErrBadBatch, b.Tenant)
+			return reject(fmt.Errorf("%w: tenant %q: no samples", ErrBadBatch, b.Tenant))
 		}
 		total += len(b.Samples)
 		if total > s.cfg.MaxBatchSamples {
-			return res, fmt.Errorf("%w: %d samples exceed the %d-sample limit", ErrBatchTooLarge, total, s.cfg.MaxBatchSamples)
+			return reject(fmt.Errorf("%w: %d samples exceed the %d-sample limit", ErrBatchTooLarge, total, s.cfg.MaxBatchSamples))
 		}
-		it := item{tenant: t, samples: make([]ingestSample, 0, len(b.Samples)), enqueuedAt: now}
+		ds := decodePool.Get().(*decodeState)
+		items = append(items, item{tenant: t, ds: ds, enqueuedAt: now})
+		cb := ds.arena.Batch()
+		cb.Reset(nil)
+		// The VM dictionary gets one entry per row: JSON samples name
+		// their VM each, and the apply stage only indexes it.
+		ds.vms = ds.vms[:0]
 		for _, in := range b.Samples {
-			vm := substrate.VMID(in.VM)
-			if !t.vms[vm] {
-				return res, fmt.Errorf("%w: tenant %q has no VM %q", ErrBadBatch, b.Tenant, in.VM)
+			vm, ok := t.intern[in.VM]
+			if !ok {
+				return reject(fmt.Errorf("%w: tenant %q has no VM %q", ErrBadBatch, b.Tenant, in.VM))
 			}
 			if in.TimeS < 0 {
-				return res, fmt.Errorf("%w: negative sample time %d", ErrBadBatch, in.TimeS)
+				return reject(fmt.Errorf("%w: negative sample time %d", ErrBadBatch, in.TimeS))
 			}
 			if len(in.Values) != metrics.NumAttributes {
-				return res, fmt.Errorf("%w: vector has %d values, want %d", ErrBadBatch, len(in.Values), metrics.NumAttributes)
+				return reject(fmt.Errorf("%w: vector has %d values, want %d", ErrBadBatch, len(in.Values), metrics.NumAttributes))
 			}
 			label, err := parseLabel(in.Label)
 			if err != nil {
-				return res, err
+				return reject(err)
 			}
-			var vec metrics.Vector
-			copy(vec[:], in.Values)
-			it.samples = append(it.samples, ingestSample{
-				vm:     vm,
-				sample: metrics.Sample{Time: simclock.Time(in.TimeS), Values: vec, Label: label},
-			})
+			ds.vms = append(ds.vms, vm)
+			cb.Add(len(ds.vms)-1, in.TimeS, label, in.Values)
 		}
-		items = append(items, it)
+		cb.TickFirst = b.Samples[0].TimeS
 	}
+	return s.enqueue(items)
+}
 
+// enqueue hands validated items to their shard queues — the one path
+// every transport reaches the queue through. Ownership of each item's
+// decodeState passes to the shard worker on a successful send; a
+// rejected item's state goes straight back to the pool.
+func (s *Server) enqueue(items []item) (IngestResult, error) {
+	var res IngestResult
 	// Hold the read lock across the sends so Close cannot close a
 	// queue underneath them.
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.state != stateRunning {
+		for _, it := range items {
+			putDecodeState(it.ds)
+		}
 		return res, ErrNotRunning
 	}
 	for _, it := range items {
+		// Read the batch before the send: once queued, the worker owns
+		// the state and may already have returned it to the pool.
+		b := it.ds.arena.Batch()
+		n := b.Rows()
 		sh := s.shards[it.tenant.shardIdx]
 		select {
 		case sh.queue <- it:
-			res.Accepted += len(it.samples)
+			res.Accepted += n
 			s.tel.depth(sh.idx, len(sh.queue))
 		default:
 			// Backpressure threshold: the queue is full, the batch is
 			// rejected — never buffered — and the client is told when
 			// to retry.
-			res.Rejected += len(it.samples)
+			res.Rejected += n
 			s.batchesRejected.Add(1)
 			s.tel.backpressure.Inc()
 			if s.tel.reg != nil {
-				s.tel.reg.Emit(int64(it.samples[0].sample.Time), "", telemetry.StageServer, telemetry.KindBackpressure,
-					it.tenant.id, telemetry.F("samples", float64(len(it.samples))))
+				s.tel.reg.Emit(b.TickFirst, "", telemetry.StageServer, telemetry.KindBackpressure,
+					it.tenant.id, telemetry.F("samples", float64(n)))
 			}
+			putDecodeState(it.ds)
 		}
 	}
 	s.samplesAccepted.Add(int64(res.Accepted))
@@ -195,12 +214,9 @@ func (s *Server) runShard(sh *shard) {
 	for it := range sh.queue {
 		s.tel.depth(sh.idx, len(sh.queue))
 		switch it.kind {
-		case itemBatch:
+		case itemSamples:
 			s.tel.queueWait.ObserveSince(it.enqueuedAt)
-			s.applyBatch(sh, it)
-		case itemColumnar:
-			s.tel.queueWait.ObserveSince(it.enqueuedAt)
-			s.applyColumnar(sh, it)
+			s.apply(sh, it)
 		case itemBarrier:
 			it.ack <- struct{}{}
 			<-it.gate
@@ -210,36 +226,13 @@ func (s *Server) runShard(sh *shard) {
 	}
 }
 
-// applyBatch is the apply stage: append the batch's samples, move the
-// tenant's watermark, and tick the shard as far as the new watermark
-// allows. Prediction, diagnosis, and actuation all run inside the
-// controllers' OnTick.
-func (s *Server) applyBatch(sh *shard, it item) {
-	if s.Failure() != nil {
-		return // pipeline is latched failed; drain without side effects
-	}
-	start := time.Now()
-	t := it.tenant
-	applied := 0
-	for _, in := range it.samples {
-		if err := t.sub.Append(in.vm, in.sample); err != nil {
-			// A client violated the per-VM monotonic-time contract (or
-			// raced the cursor). The sample is dropped and counted; the
-			// pipeline keeps going.
-			s.appendErrors.Add(1)
-			s.tel.appendErrors.Inc()
-			continue
-		}
-		applied++
-	}
-	s.finishApply(sh, t, applied, start, it.enqueuedAt)
-}
-
-// applyColumnar is the apply stage for binary frames: identical to
-// applyBatch except rows are read straight out of the decoded column
-// slices — one stack-allocated metrics.Sample per row, no intermediate
-// sample slice — and the decode state returns to the pool afterwards.
-func (s *Server) applyColumnar(sh *shard, it item) {
+// apply is the apply stage: append the item's rows straight out of its
+// batch's column slices — one stack-allocated metrics.Sample per row,
+// no intermediate sample slice — move the tenant's watermark, and tick
+// the shard as far as the new watermark allows. Prediction, diagnosis,
+// and actuation all run inside the controllers' OnTick. The decode
+// state returns to the pool afterwards.
+func (s *Server) apply(sh *shard, it item) {
 	ds := it.ds
 	defer putDecodeState(ds)
 	if s.Failure() != nil {
@@ -257,24 +250,23 @@ func (s *Server) applyColumnar(sh *shard, it item) {
 			sm.Values[a] = b.Cols[a][i]
 		}
 		if err := t.sub.Append(ds.vms[b.VMIdx[i]], sm); err != nil {
+			// A client violated the per-VM monotonic-time contract (or
+			// raced the cursor). The sample is dropped and counted; the
+			// pipeline keeps going.
 			s.appendErrors.Add(1)
 			s.tel.appendErrors.Inc()
 			continue
 		}
 		applied++
 	}
-	s.finishApply(sh, t, applied, start, it.enqueuedAt)
-}
-
-// finishApply is the shared apply-stage tail: counters, watermark
-// advance, shard ticking, and end-to-end latency.
-func (s *Server) finishApply(sh *shard, t *tenant, applied int, start time.Time, enqueuedAt time.Time) {
-	s.samplesApplied.Add(int64(applied))
-	s.tel.samplesApplied.Add(int64(applied))
 	t.watermark = t.minLastTime()
 	s.tel.applyLatency.ObserveSince(start)
-	s.advanceShard(sh, enqueuedAt)
-	s.tel.ingestE2E.ObserveSince(enqueuedAt)
+	s.advanceShard(sh, it.enqueuedAt)
+	// Count the rows only once the ticks they unlocked have run, so a
+	// reader that sees SamplesApplied reach n also sees those ticks.
+	s.samplesApplied.Add(int64(applied))
+	s.tel.samplesApplied.Add(int64(applied))
+	s.tel.ingestE2E.ObserveSince(it.enqueuedAt)
 }
 
 // minLastTime recomputes the tenant's watermark: the last instant for

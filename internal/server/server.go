@@ -138,10 +138,10 @@ type tenant struct {
 	chaosSub *chaos.Substrate
 	app      *replay.App
 	ctl      *control.Controller
-	vms      map[substrate.VMID]bool
-	// intern resolves wire-format VM-ID bytes to the canonical VMID
-	// without allocating: map[string] lookups with a []byte-conversion
-	// key stay on the stack.
+	// intern resolves a VM ID — wire-format bytes or a JSON string — to
+	// the canonical VMID, and answers whether the tenant has that VM at
+	// all. map[string] lookups with a []byte-conversion key stay on the
+	// stack.
 	intern  map[string]substrate.VMID
 	vmOrder []substrate.VMID
 
@@ -308,13 +308,11 @@ func newTenant(tc TenantConfig, reg *telemetry.Registry) (*tenant, error) {
 		chaosSub:  chaosSub,
 		app:       app,
 		ctl:       ctl,
-		vms:       make(map[substrate.VMID]bool, len(tc.VMs)),
 		intern:    make(map[string]substrate.VMID, len(tc.VMs)),
 		watermark: -1,
 	}
 	st.vmOrder = sub.VMs()
 	for _, id := range st.vmOrder {
-		st.vms[id] = true
 		st.intern[string(id)] = id
 	}
 	return st, nil

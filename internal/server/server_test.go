@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -430,6 +431,11 @@ func TestEventLogRing(t *testing.T) {
 	items, next, _, _ = l.since(10, 0)
 	if len(items) != 0 || next != 10 {
 		t.Errorf("caught-up read: items=%v next=%d", items, next)
+	}
+	// A cursor past the newest record must not wrap cursor+1 to 0.
+	items, next, _, truncated = l.since(math.MaxUint64, 0)
+	if len(items) != 0 || next != math.MaxUint64 || truncated {
+		t.Errorf("max-cursor read: items=%v next=%d truncated=%v", items, next, truncated)
 	}
 }
 

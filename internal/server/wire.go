@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"prepare/internal/substrate"
-	"prepare/internal/telemetry"
 	"prepare/internal/wire"
 )
 
@@ -16,13 +15,14 @@ import (
 // Mapped to 400 by the API layer.
 var ErrBadFrame = errors.New("server: malformed binary frame")
 
-// decodeState is the pooled per-frame scratch that carries a decoded
+// decodeState is the pooled per-batch scratch that carries one tenant's
 // columnar batch from the ingest goroutine to the shard worker without
 // materializing intermediate sample structs: the frame buffer, the
-// decode arena whose column slices alias nothing outside the state, and
-// the dictionary resolved to interned VM IDs. Ownership passes to the
-// shard queue on enqueue; the worker returns it to the pool after the
-// apply stage.
+// arena whose batch is either decoded from that buffer (binary frames)
+// or filled through the wire.Batch builder (Ingest's JSON and Go
+// batches), and the batch's VM-ID dictionary resolved to interned VM
+// IDs. Ownership passes to the shard queue on enqueue; the worker
+// returns it to the pool after the apply stage.
 type decodeState struct {
 	buf   []byte // frame payload; the arena's batch aliases it
 	arena wire.Arena
@@ -52,9 +52,7 @@ func (s *Server) IngestFrame(frame []byte) (IngestResult, error) {
 	if err != nil {
 		return res, fmt.Errorf("%w: %v", ErrBadFrame, err)
 	}
-	ds := decodePool.Get().(*decodeState)
-	ds.buf = append(ds.buf[:0], payload...)
-	return s.ingestDecoded(ds)
+	return s.ingestPayload(payload)
 }
 
 // IngestStream drains a sequence of length-prefixed frames from r —
@@ -81,9 +79,7 @@ func (s *Server) IngestStream(r io.Reader) (StreamResult, error) {
 			return res, io.ErrUnexpectedEOF
 		}
 		scratch = payload[:0]
-		ds := decodePool.Get().(*decodeState)
-		ds.buf = append(ds.buf[:0], payload...)
-		one, err := s.ingestDecoded(ds)
+		one, err := s.ingestPayload(payload)
 		res.Frames++
 		res.Accepted += one.Accepted
 		res.Rejected += one.Rejected
@@ -97,29 +93,30 @@ func (s *Server) IngestStream(r io.Reader) (StreamResult, error) {
 	}
 }
 
-// ingestDecoded decodes ds.buf, validates the batch against the tenant,
-// and enqueues it. On any return path that does not enqueue, ds goes
-// back to the pool. The whole path performs no per-sample allocation:
-// the tenant and VM lookups use the compiler's zero-alloc
-// map[string]-with-byte-slice-key form against interned IDs.
-func (s *Server) ingestDecoded(ds *decodeState) (IngestResult, error) {
-	var res IngestResult
+// ingestPayload copies one frame payload into pooled scratch, decodes
+// it, validates the batch against the tenant, and enqueues it. On any
+// return path that does not enqueue, the state goes back to the pool.
+// The whole path performs no per-sample allocation: the tenant and VM
+// lookups use the compiler's zero-alloc map[string]-with-byte-slice-key
+// form against interned IDs.
+func (s *Server) ingestPayload(payload []byte) (IngestResult, error) {
+	ds := decodePool.Get().(*decodeState)
+	ds.buf = append(ds.buf[:0], payload...)
 	start := time.Now()
 	b, err := wire.DecodeBatch(ds.buf, &ds.arena)
 	if err != nil {
 		putDecodeState(ds)
-		return res, fmt.Errorf("%w: %v", ErrBadFrame, err)
+		return IngestResult{}, fmt.Errorf("%w: %v", ErrBadFrame, err)
 	}
 	s.tel.decodeLatency.ObserveSince(start)
 	t := s.tenants[string(b.Tenant)]
 	if t == nil {
 		putDecodeState(ds)
-		return res, fmt.Errorf("%w: %q", ErrUnknownTenant, b.Tenant)
+		return IngestResult{}, fmt.Errorf("%w: %q", ErrUnknownTenant, b.Tenant)
 	}
-	n := b.Rows()
-	if n > s.cfg.MaxBatchSamples {
+	if n := b.Rows(); n > s.cfg.MaxBatchSamples {
 		putDecodeState(ds)
-		return res, fmt.Errorf("%w: %d samples exceed the %d-sample limit", ErrBatchTooLarge, n, s.cfg.MaxBatchSamples)
+		return IngestResult{}, fmt.Errorf("%w: %d samples exceed the %d-sample limit", ErrBatchTooLarge, n, s.cfg.MaxBatchSamples)
 	}
 	if cap(ds.vms) < len(b.VMs) {
 		ds.vms = make([]substrate.VMID, len(b.VMs))
@@ -129,43 +126,16 @@ func (s *Server) ingestDecoded(ds *decodeState) (IngestResult, error) {
 		vm, ok := t.intern[string(id)]
 		if !ok {
 			putDecodeState(ds)
-			return res, fmt.Errorf("%w: tenant %q has no VM %q", ErrBadBatch, t.id, id)
+			return IngestResult{}, fmt.Errorf("%w: tenant %q has no VM %q", ErrBadBatch, t.id, id)
 		}
 		ds.vms[i] = vm
 	}
 
-	it := item{kind: itemColumnar, tenant: t, ds: ds, enqueuedAt: time.Now()}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.state != stateRunning {
-		putDecodeState(ds)
-		return res, ErrNotRunning
+	items := [1]item{{tenant: t, ds: ds, enqueuedAt: time.Now()}}
+	res, err := s.enqueue(items[:])
+	if !errors.Is(err, ErrNotRunning) {
+		s.binaryFrames.Add(1)
+		s.tel.frames.Inc()
 	}
-	sh := s.shards[t.shardIdx]
-	select {
-	case sh.queue <- it:
-		res.Accepted = n
-		s.tel.depth(sh.idx, len(sh.queue))
-	default:
-		res.Rejected = n
-		s.batchesRejected.Add(1)
-		s.tel.backpressure.Inc()
-		if s.tel.reg != nil {
-			s.tel.reg.Emit(b.TickFirst, "", telemetry.StageServer, telemetry.KindBackpressure,
-				t.id, telemetry.F("samples", float64(n)))
-		}
-		putDecodeState(ds)
-	}
-	s.binaryFrames.Add(1)
-	s.samplesAccepted.Add(int64(res.Accepted))
-	s.samplesRejected.Add(int64(res.Rejected))
-	s.tel.batches.Inc()
-	s.tel.frames.Inc()
-	s.tel.samplesAccepted.Add(int64(res.Accepted))
-	s.tel.samplesRejected.Add(int64(res.Rejected))
-	if res.Rejected > 0 {
-		res.RetryAfterS = s.cfg.RetryAfterS
-		return res, ErrBackpressure
-	}
-	return res, nil
+	return res, err
 }
