@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"prepare/internal/metrics"
@@ -54,17 +55,38 @@ type Config struct {
 // watermark-gated callers such as internal/server never trigger it.
 var ErrNoSample = fmt.Errorf("replay: no sample ingested yet: %w", substrate.ErrUnavailable)
 
+var errNotAppendable = errors.New("replay: substrate is not appendable (use NewAppendable)")
+
+// trimAfter is how far an appendable VM's cursor may run past the start
+// of its series before Advance drops the consumed prefix. The trim only
+// copies the pending samples down, so a short threshold is cheap and
+// keeps each series' backing array small.
+const trimAfter = 16
+
+// vmSlot is one VM's replay state: its series and cursor, the time of
+// its latest sample, its book-kept allocation and any migration in
+// flight.
+type vmSlot struct {
+	series    []metrics.Sample
+	cursor    int
+	last      simclock.Time // latest sample time; -1 before the first
+	alloc     substrate.Allocation
+	migrating bool
+	migEnd    simclock.Time
+}
+
 // Substrate replays per-VM metric series through the substrate
-// contract.
+// contract. Each VM owns one slot, in the canonical sorted-ID order;
+// by-ID calls resolve the slot through one map lookup, and the per-tick
+// loops (Advance, MinLastTime, App) walk the slots directly.
 type Substrate struct {
-	vmIDs  []substrate.VMID
-	traces map[substrate.VMID][]metrics.Sample
-	cursor map[substrate.VMID]int
+	vmIDs []substrate.VMID
+	slots []vmSlot
+	index map[substrate.VMID]int32
 
-	allocs    map[substrate.VMID]substrate.Allocation
-	migrating map[substrate.VMID]simclock.Time // migration end time
-	now       simclock.Time
-
+	now        simclock.Time
+	advanced   bool
+	inFlight   int // slots with a migration not yet expired
 	migSeconds func(memMB float64) int64
 	actions    []Action
 
@@ -72,11 +94,32 @@ type Substrate struct {
 	// trace fixed at construction; consumed prefixes are trimmed so a
 	// long-running ingest server holds O(pending), not O(history).
 	appendable bool
-	advanced   bool
-	lastTime   map[substrate.VMID]simclock.Time
 }
 
 var _ substrate.Substrate = (*Substrate)(nil)
+
+// newSubstrate lays out one slot per VM in the order of ids, which the
+// caller has sorted and deduplicated.
+func newSubstrate(ids []substrate.VMID, cfg Config) *Substrate {
+	s := &Substrate{
+		vmIDs:      ids,
+		slots:      make([]vmSlot, len(ids)),
+		index:      make(map[substrate.VMID]int32, len(ids)),
+		migSeconds: cfg.MigrationSecondsFn,
+	}
+	if s.migSeconds == nil {
+		s.migSeconds = func(memMB float64) int64 { return int64(7 + memMB/330) }
+	}
+	for k, id := range ids {
+		a, ok := cfg.Allocations[id]
+		if !ok {
+			a = DefaultAllocation
+		}
+		s.slots[k] = vmSlot{last: -1, alloc: a}
+		s.index[id] = int32(k)
+	}
+	return s
+}
 
 // New builds a replay substrate over the per-VM series. Every series
 // must be non-empty and sorted by time.
@@ -90,8 +133,8 @@ func New(traces map[substrate.VMID][]metrics.Sample, cfg Config) (*Substrate, er
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 
-	owned := make(map[substrate.VMID][]metrics.Sample, len(traces))
-	for _, id := range ids {
+	s := newSubstrate(ids, cfg)
+	for k, id := range ids {
 		series := traces[id]
 		if len(series) == 0 {
 			return nil, fmt.Errorf("replay: trace for VM %q is empty", id)
@@ -101,31 +144,11 @@ func New(traces map[substrate.VMID][]metrics.Sample, cfg Config) (*Substrate, er
 				return nil, fmt.Errorf("replay: trace for VM %q is not sorted at index %d", id, i)
 			}
 		}
-		cp := make([]metrics.Sample, len(series))
-		copy(cp, series)
-		owned[id] = cp
+		sl := &s.slots[k]
+		sl.series = append([]metrics.Sample(nil), series...)
+		sl.last = series[len(series)-1].Time
 	}
-
-	allocs := make(map[substrate.VMID]substrate.Allocation, len(ids))
-	for _, id := range ids {
-		a, ok := cfg.Allocations[id]
-		if !ok {
-			a = DefaultAllocation
-		}
-		allocs[id] = a
-	}
-	migSeconds := cfg.MigrationSecondsFn
-	if migSeconds == nil {
-		migSeconds = func(memMB float64) int64 { return int64(7 + memMB/330) }
-	}
-	return &Substrate{
-		vmIDs:      ids,
-		traces:     owned,
-		cursor:     make(map[substrate.VMID]int, len(ids)),
-		allocs:     allocs,
-		migrating:  make(map[substrate.VMID]simclock.Time),
-		migSeconds: migSeconds,
-	}, nil
+	return s, nil
 }
 
 // NewAppendable builds a replay substrate over the VM set with empty
@@ -147,32 +170,9 @@ func NewAppendable(vmIDs []substrate.VMID, cfg Config) (*Substrate, error) {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 
-	allocs := make(map[substrate.VMID]substrate.Allocation, len(ids))
-	traces := make(map[substrate.VMID][]metrics.Sample, len(ids))
-	last := make(map[substrate.VMID]simclock.Time, len(ids))
-	for _, id := range ids {
-		a, ok := cfg.Allocations[id]
-		if !ok {
-			a = DefaultAllocation
-		}
-		allocs[id] = a
-		traces[id] = nil
-		last[id] = -1
-	}
-	migSeconds := cfg.MigrationSecondsFn
-	if migSeconds == nil {
-		migSeconds = func(memMB float64) int64 { return int64(7 + memMB/330) }
-	}
-	return &Substrate{
-		vmIDs:      ids,
-		traces:     traces,
-		cursor:     make(map[substrate.VMID]int, len(ids)),
-		allocs:     allocs,
-		migrating:  make(map[substrate.VMID]simclock.Time),
-		migSeconds: migSeconds,
-		appendable: true,
-		lastTime:   last,
-	}, nil
+	s := newSubstrate(ids, cfg)
+	s.appendable = true
+	return s, nil
 }
 
 // Append ingests one sample for an appendable substrate's VM. Samples
@@ -181,35 +181,69 @@ func NewAppendable(vmIDs []substrate.VMID, cfg Config) (*Substrate, error) {
 // moves forward).
 func (s *Substrate) Append(id substrate.VMID, sample metrics.Sample) error {
 	if !s.appendable {
-		return errors.New("replay: substrate is not appendable (use NewAppendable)")
+		return errNotAppendable
 	}
-	last, ok := s.lastTime[id]
+	k, ok := s.index[id]
 	if !ok {
 		return substrate.ErrNoSuchVM
 	}
-	if sample.Time.Before(last) {
-		return fmt.Errorf("replay: VM %q: sample at %v arrived after %v", id, sample.Time, last)
+	v, err := s.AppendSlot(int(k), sample.Time, sample.Label)
+	if err != nil {
+		return err
 	}
-	if s.advanced && !sample.Time.After(s.now) {
-		// The cursor already read this instant: a late sample here
-		// would be skipped (or re-read inconsistently), breaking the
-		// replay's determinism contract.
-		return fmt.Errorf("replay: VM %q: sample at %v is not after the cursor (now=%v)", id, sample.Time, s.now)
-	}
-	s.traces[id] = append(s.traces[id], sample)
-	s.lastTime[id] = sample.Time
+	*v = sample.Values
 	return nil
 }
 
-// LastTime returns the time of the VM's most recently appended sample,
-// or (-1, true) when nothing has been appended yet. The second result
-// is false for unknown VMs.
+// AppendSlot is Append addressed by slot — the VM's index in VMs(),
+// which must be in range — for callers that resolve VM IDs once and
+// fill attribute vectors from their own layout. On success it returns
+// the new sample's zeroed attribute vector, which the caller fills in
+// place before its next call on the substrate.
+func (s *Substrate) AppendSlot(slot int, t simclock.Time, label metrics.Label) (*metrics.Vector, error) {
+	if !s.appendable {
+		return nil, errNotAppendable
+	}
+	sl := &s.slots[slot]
+	if t.Before(sl.last) {
+		return nil, fmt.Errorf("replay: VM %q: sample at %v arrived after %v", s.vmIDs[slot], t, sl.last)
+	}
+	if s.advanced && !t.After(s.now) {
+		// The cursor already read this instant: a late sample here
+		// would be skipped (or re-read inconsistently), breaking the
+		// replay's determinism contract.
+		return nil, fmt.Errorf("replay: VM %q: sample at %v is not after the cursor (now=%v)", s.vmIDs[slot], t, s.now)
+	}
+	n := len(sl.series)
+	sl.series = slices.Grow(sl.series, 1)[:n+1]
+	p := &sl.series[n]
+	*p = metrics.Sample{Time: t, Label: label}
+	sl.last = t
+	return &p.Values, nil
+}
+
+// LastTime returns the time of the VM's latest sample — the last one
+// appended, or the end of a fixed trace — or (-1, true) when nothing
+// has been appended yet. The second result is false for unknown VMs.
 func (s *Substrate) LastTime(id substrate.VMID) (simclock.Time, bool) {
-	t, ok := s.lastTime[id]
+	k, ok := s.index[id]
 	if !ok {
 		return -1, false
 	}
-	return t, true
+	return s.slots[k].last, true
+}
+
+// MinLastTime returns the minimum of LastTime over every VM: the last
+// instant for which every VM has a sample, or -1 while some VM has
+// none.
+func (s *Substrate) MinLastTime() simclock.Time {
+	min := s.slots[0].last
+	for k := 1; k < len(s.slots); k++ {
+		if lt := s.slots[k].last; lt.Before(min) {
+			min = lt
+		}
+	}
+	return min
 }
 
 // FromCSV builds a replay substrate by parsing one WriteSamplesCSV
@@ -234,69 +268,93 @@ func (s *Substrate) VMs() []substrate.VMID {
 }
 
 // Advance moves every VM's replay cursor to the latest sample at or
-// before now and expires completed migrations.
+// before now and expires completed migrations. Advancing again to the
+// instant already reached moves no cursor — Append refuses samples at
+// or before it — so only the migration expiry runs.
 func (s *Substrate) Advance(now simclock.Time) {
-	s.now = now
-	s.advanced = true
-	for _, id := range s.vmIDs {
-		series := s.traces[id]
-		if len(series) == 0 {
-			continue
-		}
-		i := s.cursor[id]
-		for i+1 < len(series) && !now.Before(series[i+1].Time) {
-			i++
-		}
-		s.cursor[id] = i
-		if s.appendable && i > 64 {
-			// Drop the consumed prefix (keeping the current sample) so
-			// a long-running ingest server holds O(pending) memory. A
-			// fresh backing array releases the trimmed samples.
-			s.traces[id] = append([]metrics.Sample(nil), series[i:]...)
-			s.cursor[id] = 0
+	if !s.advanced || now != s.now {
+		s.now = now
+		s.advanced = true
+		for k := range s.slots {
+			sl := &s.slots[k]
+			series := sl.series
+			if len(series) == 0 {
+				continue
+			}
+			i := sl.cursor
+			for i+1 < len(series) && !now.Before(series[i+1].Time) {
+				i++
+			}
+			if s.appendable && i > trimAfter {
+				// Drop the consumed prefix (keeping the current sample)
+				// so a long-running ingest server holds O(pending)
+				// memory. The pending samples move down within the same
+				// backing array; Sample holds no pointers, so the stale
+				// tail past the new length retains nothing.
+				sl.series = series[:copy(series, series[i:])]
+				i = 0
+			}
+			sl.cursor = i
 		}
 	}
-	for id, end := range s.migrating {
-		if !now.Before(end) {
-			delete(s.migrating, id)
+	for k := 0; s.inFlight > 0 && k < len(s.slots); k++ {
+		if sl := &s.slots[k]; sl.migrating && !now.Before(sl.migEnd) {
+			sl.migrating = false
+			s.inFlight--
 		}
 	}
+}
+
+// current returns the slot's sample under the cursor.
+func (sl *vmSlot) current() (*metrics.Sample, error) {
+	if len(sl.series) == 0 {
+		return nil, ErrNoSample
+	}
+	return &sl.series[sl.cursor], nil
+}
+
+// slot resolves a VM ID to its slot.
+func (s *Substrate) slot(id substrate.VMID) (*vmSlot, error) {
+	k, ok := s.index[id]
+	if !ok {
+		return nil, substrate.ErrNoSuchVM
+	}
+	return &s.slots[k], nil
 }
 
 // Sample returns the VM's current replayed attribute vector. Replayed
 // traces already carry measurement noise, so samplers over this source
 // should disable their own (monitor.Config.NoiseStd < 0).
 func (s *Substrate) Sample(id substrate.VMID) (metrics.Vector, error) {
-	series, ok := s.traces[id]
-	if !ok {
-		return metrics.Vector{}, substrate.ErrNoSuchVM
+	sl, err := s.slot(id)
+	if err != nil {
+		return metrics.Vector{}, err
 	}
-	if len(series) == 0 {
-		return metrics.Vector{}, ErrNoSample
+	cur, err := sl.current()
+	if err != nil {
+		return metrics.Vector{}, err
 	}
-	return series[s.cursor[id]].Values, nil
+	return cur.Values, nil
 }
 
 // Label returns the SLO label recorded with the VM's current sample.
 func (s *Substrate) Label(id substrate.VMID) (metrics.Label, error) {
-	series, ok := s.traces[id]
-	if !ok {
-		return metrics.LabelUnknown, substrate.ErrNoSuchVM
+	sl, err := s.slot(id)
+	if err != nil {
+		return metrics.LabelUnknown, err
 	}
-	if len(series) == 0 {
-		return metrics.LabelUnknown, ErrNoSample
+	cur, err := sl.current()
+	if err != nil {
+		return metrics.LabelUnknown, err
 	}
-	return series[s.cursor[id]].Label, nil
+	return cur.Label, nil
 }
 
 // End returns the last instant covered by any trace.
 func (s *Substrate) End() simclock.Time {
 	var end simclock.Time
-	for _, series := range s.traces {
-		if len(series) == 0 {
-			continue
-		}
-		if last := series[len(series)-1].Time; end.Before(last) {
+	for k := range s.slots {
+		if last := s.slots[k].last; end.Before(last) {
 			end = last
 		}
 	}
@@ -305,20 +363,20 @@ func (s *Substrate) End() simclock.Time {
 
 // Allocation returns the VM's book-kept resource caps.
 func (s *Substrate) Allocation(id substrate.VMID) (substrate.Allocation, error) {
-	a, ok := s.allocs[id]
-	if !ok {
-		return substrate.Allocation{}, substrate.ErrNoSuchVM
+	sl, err := s.slot(id)
+	if err != nil {
+		return substrate.Allocation{}, err
 	}
-	return a, nil
+	return sl.alloc, nil
 }
 
 // Migrating reports whether a recorded migration is still in flight.
 func (s *Substrate) Migrating(id substrate.VMID) (bool, error) {
-	if _, ok := s.allocs[id]; !ok {
-		return false, substrate.ErrNoSuchVM
+	sl, err := s.slot(id)
+	if err != nil {
+		return false, err
 	}
-	_, mig := s.migrating[id]
-	return mig, nil
+	return sl.migrating, nil
 }
 
 // ScaleCPU records a CPU scaling action and updates the inventory.
@@ -332,35 +390,36 @@ func (s *Substrate) ScaleMem(now simclock.Time, id substrate.VMID, newMemMB floa
 }
 
 func (s *Substrate) scale(now simclock.Time, id substrate.VMID, kind substrate.ActionKind, cpuPct, memMB float64) error {
-	a, ok := s.allocs[id]
-	if !ok {
-		return substrate.ErrNoSuchVM
+	sl, err := s.slot(id)
+	if err != nil {
+		return err
 	}
-	if _, mig := s.migrating[id]; mig {
+	if sl.migrating {
 		return substrate.ErrMigrating
 	}
 	if kind == substrate.ActionScaleCPU {
-		a.CPUPct = cpuPct
+		sl.alloc.CPUPct = cpuPct
 	} else {
-		a.MemMB = memMB
+		sl.alloc.MemMB = memMB
 	}
-	s.allocs[id] = a
-	s.actions = append(s.actions, Action{Time: now, Kind: kind, VM: id, CPUPct: a.CPUPct, MemMB: a.MemMB})
+	s.actions = append(s.actions, Action{Time: now, Kind: kind, VM: id, CPUPct: sl.alloc.CPUPct, MemMB: sl.alloc.MemMB})
 	return nil
 }
 
 // Migrate records a live migration: the VM is marked in-flight for the
 // modeled duration and lands with the desired allocation.
 func (s *Substrate) Migrate(now simclock.Time, id substrate.VMID, desiredCPUPct, desiredMemMB float64) error {
-	a, ok := s.allocs[id]
-	if !ok {
-		return substrate.ErrNoSuchVM
+	sl, err := s.slot(id)
+	if err != nil {
+		return err
 	}
-	if _, mig := s.migrating[id]; mig {
+	if sl.migrating {
 		return substrate.ErrMigrating
 	}
-	s.migrating[id] = now.Add(s.migSeconds(a.MemMB))
-	s.allocs[id] = substrate.Allocation{CPUPct: desiredCPUPct, MemMB: desiredMemMB}
+	sl.migrating = true
+	sl.migEnd = now.Add(s.migSeconds(sl.alloc.MemMB))
+	s.inFlight++
+	sl.alloc = substrate.Allocation{CPUPct: desiredCPUPct, MemMB: desiredMemMB}
 	s.actions = append(s.actions, Action{Time: now, Kind: substrate.ActionMigrate, VM: id, CPUPct: desiredCPUPct, MemMB: desiredMemMB})
 	return nil
 }
@@ -398,8 +457,8 @@ func (a *App) Tick(simclock.Time) {}
 
 // SLOViolated reports whether any VM's current sample is abnormal.
 func (a *App) SLOViolated() bool {
-	for _, id := range a.sub.vmIDs {
-		if l, err := a.sub.Label(id); err == nil && l == metrics.LabelAbnormal {
+	for k := range a.sub.slots {
+		if cur, err := a.sub.slots[k].current(); err == nil && cur.Label == metrics.LabelAbnormal {
 			return true
 		}
 	}
@@ -409,12 +468,12 @@ func (a *App) SLOViolated() bool {
 // SLOMetric returns the fraction of VMs currently labeled abnormal.
 func (a *App) SLOMetric() float64 {
 	n := 0
-	for _, id := range a.sub.vmIDs {
-		if l, err := a.sub.Label(id); err == nil && l == metrics.LabelAbnormal {
+	for k := range a.sub.slots {
+		if cur, err := a.sub.slots[k].current(); err == nil && cur.Label == metrics.LabelAbnormal {
 			n++
 		}
 	}
-	return float64(n) / float64(len(a.sub.vmIDs))
+	return float64(n) / float64(len(a.sub.slots))
 }
 
 // VMIDs lists the replayed VMs in canonical order.

@@ -126,11 +126,11 @@ func (s *Server) Ingest(batches []Batch) (IngestResult, error) {
 		items = append(items, item{tenant: t, ds: ds, enqueuedAt: now})
 		cb := ds.arena.Batch()
 		cb.Reset(nil)
-		// The VM dictionary gets one entry per row: JSON samples name
+		// The slot dictionary gets one entry per row: JSON samples name
 		// their VM each, and the apply stage only indexes it.
-		ds.vms = ds.vms[:0]
+		ds.slots = ds.slots[:0]
 		for _, in := range b.Samples {
-			vm, ok := t.intern[in.VM]
+			slot, ok := t.intern[in.VM]
 			if !ok {
 				return reject(fmt.Errorf("%w: tenant %q has no VM %q", ErrBadBatch, b.Tenant, in.VM))
 			}
@@ -144,8 +144,8 @@ func (s *Server) Ingest(batches []Batch) (IngestResult, error) {
 			if err != nil {
 				return reject(err)
 			}
-			ds.vms = append(ds.vms, vm)
-			cb.Add(len(ds.vms)-1, in.TimeS, label, in.Values)
+			ds.slots = append(ds.slots, slot)
+			cb.Add(len(ds.slots)-1, in.TimeS, label, in.Values)
 		}
 		cb.TickFirst = b.Samples[0].TimeS
 	}
@@ -226,9 +226,10 @@ func (s *Server) runShard(sh *shard) {
 	}
 }
 
-// apply is the apply stage: append the item's rows straight out of its
-// batch's column slices — one stack-allocated metrics.Sample per row,
-// no intermediate sample slice — move the tenant's watermark, and tick
+// apply is the apply stage: append the item's rows into their VMs'
+// substrate slots straight out of the batch's column slices — no
+// intermediate sample — move the tenant's watermark (the last instant
+// every VM has reported, -1 until each has one sample), and tick
 // the shard as far as the new watermark allows. Prediction, diagnosis,
 // and actuation all run inside the controllers' OnTick. The decode
 // state returns to the pool afterwards.
@@ -242,14 +243,9 @@ func (s *Server) apply(sh *shard, it item) {
 	t := it.tenant
 	b := ds.arena.Batch()
 	applied := 0
-	var sm metrics.Sample
 	for i, n := 0, b.Rows(); i < n; i++ {
-		sm.Time = simclock.Time(b.Times[i])
-		sm.Label = b.Labels[i]
-		for a := range b.Cols {
-			sm.Values[a] = b.Cols[a][i]
-		}
-		if err := t.sub.Append(ds.vms[b.VMIdx[i]], sm); err != nil {
+		v, err := t.sub.AppendSlot(int(ds.slots[b.VMIdx[i]]), simclock.Time(b.Times[i]), b.Labels[i])
+		if err != nil {
 			// A client violated the per-VM monotonic-time contract (or
 			// raced the cursor). The sample is dropped and counted; the
 			// pipeline keeps going.
@@ -257,9 +253,12 @@ func (s *Server) apply(sh *shard, it item) {
 			s.tel.appendErrors.Inc()
 			continue
 		}
+		for a := range b.Cols {
+			v[a] = b.Cols[a][i]
+		}
 		applied++
 	}
-	t.watermark = t.minLastTime()
+	t.watermark = t.sub.MinLastTime()
 	s.tel.applyLatency.ObserveSince(start)
 	s.advanceShard(sh, it.enqueuedAt)
 	// Count the rows only once the ticks they unlocked have run, so a
@@ -267,20 +266,6 @@ func (s *Server) apply(sh *shard, it item) {
 	s.samplesApplied.Add(int64(applied))
 	s.tel.samplesApplied.Add(int64(applied))
 	s.tel.ingestE2E.ObserveSince(it.enqueuedAt)
-}
-
-// minLastTime recomputes the tenant's watermark: the last instant for
-// which every VM has reported. -1 until every VM has at least one
-// sample.
-func (t *tenant) minLastTime() simclock.Time {
-	min := simclock.Time(-1)
-	for i, id := range t.vmOrder {
-		lt, _ := t.sub.LastTime(id)
-		if i == 0 || lt.Before(min) {
-			min = lt
-		}
-	}
-	return min
 }
 
 // advanceShard runs the predict→diagnose→actuate stages: every control

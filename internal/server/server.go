@@ -139,11 +139,10 @@ type tenant struct {
 	app      *replay.App
 	ctl      *control.Controller
 	// intern resolves a VM ID — wire-format bytes or a JSON string — to
-	// the canonical VMID, and answers whether the tenant has that VM at
-	// all. map[string] lookups with a []byte-conversion key stay on the
-	// stack.
-	intern  map[string]substrate.VMID
-	vmOrder []substrate.VMID
+	// the VM's slot in sub, and answers whether the tenant has that VM
+	// at all. map[string] lookups with a []byte-conversion key stay on
+	// the stack.
+	intern map[string]int32
 
 	watermark  simclock.Time // min over VMs of last ingested sample time
 	resumeFrom simclock.Time // ticks <= resumeFrom replay nothing (restored checkpoint)
@@ -308,12 +307,11 @@ func newTenant(tc TenantConfig, reg *telemetry.Registry) (*tenant, error) {
 		chaosSub:  chaosSub,
 		app:       app,
 		ctl:       ctl,
-		intern:    make(map[string]substrate.VMID, len(tc.VMs)),
+		intern:    make(map[string]int32, len(tc.VMs)),
 		watermark: -1,
 	}
-	st.vmOrder = sub.VMs()
-	for _, id := range st.vmOrder {
-		st.intern[string(id)] = id
+	for k, id := range sub.VMs() {
+		st.intern[string(id)] = int32(k)
 	}
 	return st, nil
 }

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"prepare/internal/substrate"
 	"prepare/internal/wire"
 )
 
@@ -20,13 +19,13 @@ var ErrBadFrame = errors.New("server: malformed binary frame")
 // materializing intermediate sample structs: the frame buffer, the
 // arena whose batch is either decoded from that buffer (binary frames)
 // or filled through the wire.Batch builder (Ingest's JSON and Go
-// batches), and the batch's VM-ID dictionary resolved to interned VM
-// IDs. Ownership passes to the shard queue on enqueue; the worker
-// returns it to the pool after the apply stage.
+// batches), and the batch's VM-ID dictionary resolved to the tenant's
+// substrate slots. Ownership passes to the shard queue on enqueue; the
+// worker returns it to the pool after the apply stage.
 type decodeState struct {
 	buf   []byte // frame payload; the arena's batch aliases it
 	arena wire.Arena
-	vms   []substrate.VMID // resolved VM-ID dictionary
+	slots []int32 // VM-ID dictionary resolved to substrate slots
 }
 
 var decodePool = sync.Pool{New: func() any { return new(decodeState) }}
@@ -98,7 +97,7 @@ func (s *Server) IngestStream(r io.Reader) (StreamResult, error) {
 // return path that does not enqueue, the state goes back to the pool.
 // The whole path performs no per-sample allocation: the tenant and VM
 // lookups use the compiler's zero-alloc map[string]-with-byte-slice-key
-// form against interned IDs.
+// form against the interned slot table.
 func (s *Server) ingestPayload(payload []byte) (IngestResult, error) {
 	ds := decodePool.Get().(*decodeState)
 	ds.buf = append(ds.buf[:0], payload...)
@@ -118,17 +117,17 @@ func (s *Server) ingestPayload(payload []byte) (IngestResult, error) {
 		putDecodeState(ds)
 		return IngestResult{}, fmt.Errorf("%w: %d samples exceed the %d-sample limit", ErrBatchTooLarge, n, s.cfg.MaxBatchSamples)
 	}
-	if cap(ds.vms) < len(b.VMs) {
-		ds.vms = make([]substrate.VMID, len(b.VMs))
+	if cap(ds.slots) < len(b.VMs) {
+		ds.slots = make([]int32, len(b.VMs))
 	}
-	ds.vms = ds.vms[:len(b.VMs)]
+	ds.slots = ds.slots[:len(b.VMs)]
 	for i, id := range b.VMs {
-		vm, ok := t.intern[string(id)]
+		slot, ok := t.intern[string(id)]
 		if !ok {
 			putDecodeState(ds)
 			return IngestResult{}, fmt.Errorf("%w: tenant %q has no VM %q", ErrBadBatch, t.id, id)
 		}
-		ds.vms[i] = vm
+		ds.slots[i] = slot
 	}
 
 	items := [1]item{{tenant: t, ds: ds, enqueuedAt: time.Now()}}
