@@ -148,28 +148,50 @@ func BenchmarkTable1TwoDepMarkovTraining600(b *testing.B) {
 }
 
 func BenchmarkTable1TANTraining600(b *testing.B) {
+	binsPer, binned, labels := benchBinnedTrainingData()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := benchTrainTAN(binsPer, binned, labels, bayes.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchBinnedTrainingData bins the Table I training window the way
+// experiment.Table1 does: every value modulo eight bins.
+func benchBinnedTrainingData() ([]int, [][]int, []metrics.Label) {
 	rows, labels := benchTrainingData()
 	binsPer := make([]int, metrics.NumAttributes)
 	for j := range binsPer {
 		binsPer[j] = 8
 	}
-	instances := make([]bayes.Instance, len(rows))
+	binned := make([][]int, len(rows))
 	for i, row := range rows {
-		binned := make([]int, len(row))
+		binned[i] = make([]int, len(row))
 		for j, v := range row {
-			binned[j] = int(v) % 8
-			if binned[j] < 0 {
-				binned[j] += 8
+			binned[i][j] = int(v) % 8
+			if binned[i][j] < 0 {
+				binned[i][j] += 8
 			}
 		}
-		instances[i] = bayes.Instance{Bins: binned, Abnormal: labels[i] == metrics.LabelAbnormal}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := bayes.Train(instances, binsPer, bayes.Options{}); err != nil {
-			b.Fatal(err)
+	return binsPer, binned, labels
+}
+
+// benchTrainTAN is one TAN fit: count the binned rows into a fresh
+// table, then build the model from the counts.
+func benchTrainTAN(binsPer []int, binned [][]int, labels []metrics.Label, opts bayes.Options) error {
+	table, err := bayes.NewCountTable(binsPer)
+	if err != nil {
+		return err
+	}
+	for i, bins := range binned {
+		if err := table.Add(bins, labels[i] == metrics.LabelAbnormal); err != nil {
+			return err
 		}
 	}
+	_, err = bayes.TrainFromCounts(table, opts)
+	return err
 }
 
 func BenchmarkTable1AnomalyPrediction(b *testing.B) {
@@ -324,32 +346,17 @@ func BenchmarkFig13SamplingInterval(b *testing.B) {
 // BenchmarkAblationTANvsNaive compares classifier training cost; the
 // accuracy comparison lives in the experiment package tests.
 func BenchmarkAblationTANvsNaive(b *testing.B) {
-	rows, labels := benchTrainingData()
-	binsPer := make([]int, metrics.NumAttributes)
-	for j := range binsPer {
-		binsPer[j] = 8
-	}
-	instances := make([]bayes.Instance, len(rows))
-	for i, row := range rows {
-		binned := make([]int, len(row))
-		for j, v := range row {
-			binned[j] = int(v) % 8
-			if binned[j] < 0 {
-				binned[j] += 8
-			}
-		}
-		instances[i] = bayes.Instance{Bins: binned, Abnormal: labels[i] == metrics.LabelAbnormal}
-	}
+	binsPer, binned, labels := benchBinnedTrainingData()
 	b.Run("tan", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := bayes.Train(instances, binsPer, bayes.Options{}); err != nil {
+			if err := benchTrainTAN(binsPer, binned, labels, bayes.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("naive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := bayes.Train(instances, binsPer, bayes.Options{Naive: true}); err != nil {
+			if err := benchTrainTAN(binsPer, binned, labels, bayes.Options{Naive: true}); err != nil {
 				b.Fatal(err)
 			}
 		}

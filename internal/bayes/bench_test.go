@@ -16,15 +16,15 @@ func benchModel(b testing.TB) (*Model, [][]float64, []int) {
 	for j := range binsPer {
 		binsPer[j] = bins
 	}
-	instances := make([]Instance, 600)
+	instances := make([]instance, 600)
 	for i := range instances {
 		vals := make([]int, attrs)
 		for j := range vals {
 			vals[j] = rng.Intn(bins)
 		}
-		instances[i] = Instance{Bins: vals, Abnormal: i%5 == 0}
+		instances[i] = instance{Bins: vals, Abnormal: i%5 == 0}
 	}
-	m, err := Train(instances, binsPer, Options{})
+	m, err := train(instances, binsPer, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -57,25 +57,12 @@ func BenchmarkScoreMarginals(b *testing.B) {
 	}
 }
 
-func BenchmarkScoreMarginalsScratch(b *testing.B) {
-	m, marginals, _ := benchModel(b)
-	var sc Scratch
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := m.ScoreMarginalsScratch(marginals, &sc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkMarginalScore(b *testing.B) {
 	m, marginals, _ := benchModel(b)
-	var sc Scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.MarginalScore(marginals, &sc); err != nil {
+		if _, err := m.marginalScore(marginals); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -92,21 +79,9 @@ func BenchmarkAttributeStrengths(b *testing.B) {
 	}
 }
 
-func BenchmarkAttributeStrengthsScratch(b *testing.B) {
-	m, _, obs := benchModel(b)
-	var sc Scratch
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.AttributeStrengthsScratch(obs, &sc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // TestScoringAllocs pins the allocation count of each scoring path the
-// benchmarks above time: with a reused Scratch the scratch variants
-// allocate only what they return, and the marginal scores nothing.
+// benchmarks above time: the materializing scores allocate what they
+// return, and the per-step score through the log-ratio table nothing.
 func TestScoringAllocs(t *testing.T) {
 	m, marginals, obs := benchModel(t)
 	lr := m.LogRatios()
@@ -116,16 +91,12 @@ func TestScoringAllocs(t *testing.T) {
 		max  float64
 		call func() error
 	}{
-		{"ScoreMarginalsScratch", 3, func() error {
-			_, _, err := m.ScoreMarginalsScratch(marginals, &sc)
+		{"ScoreMarginals", 5, func() error {
+			_, _, err := m.ScoreMarginals(marginals)
 			return err
 		}},
-		{"AttributeStrengthsScratch", 3, func() error {
-			_, err := m.AttributeStrengthsScratch(obs, &sc)
-			return err
-		}},
-		{"MarginalScore", 0, func() error {
-			_, err := m.MarginalScore(marginals, &sc)
+		{"AttributeStrengths", 4, func() error {
+			_, err := m.AttributeStrengths(obs)
 			return err
 		}},
 		{"MarginalScoreFast", 0, func() error {

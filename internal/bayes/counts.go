@@ -295,9 +295,10 @@ func (t *CountTable) cmi(i, j int) float64 {
 
 // TrainFromCounts builds a TAN (or naive Bayes) model from accumulated
 // sufficient statistics in O(attrs² · bins²), independent of how many
-// instances the table has counted. A table populated from the same
-// effective instances as a batch Train call yields a bit-identical
-// model (same tree parents, same CPT values).
+// instances the table has counted. Every count converts to float64
+// exactly, so tables holding the same counts yield bit-identical models
+// (same tree parents, same CPT values), however the counts were
+// accumulated.
 func TrainFromCounts(t *CountTable, opts Options) (*Model, error) {
 	m := &Model{}
 	if err := m.RefitFromCounts(t, opts); err != nil {
@@ -311,18 +312,11 @@ func TrainFromCounts(t *CountTable, opts Options) (*Model, error) {
 // from the same table, in the storage the model already owns, so
 // refitting allocates nothing. A LogRatios table built from the model
 // goes stale (LogRatios.Refresh refills it). On error the model is
-// untouched and keeps scoring as before.
+// untouched and keeps scoring as before. A zero Model takes its shape
+// from the table; after that the shape is fixed.
 func (m *Model) RefitFromCounts(t *CountTable, opts Options) error {
 	start := trainHook.Start()
 	defer trainHook.Done(start)
-	return m.refit(t, opts)
-}
-
-// refit is the unhooked fit shared by Train, TrainFromCounts and
-// RefitFromCounts (so a batch Train records exactly one training in
-// telemetry, not two). A zero Model takes its shape from the table;
-// after that the shape is fixed.
-func (m *Model) refit(t *CountTable, opts Options) error {
 	if t == nil || t.total == 0 {
 		return ErrNoInstances
 	}

@@ -10,14 +10,14 @@ import (
 
 // randomInstances draws n instances over the given bin shape, with the
 // requested abnormal fraction.
-func randomInstances(rng *rand.Rand, bins []int, n int, abnormalFrac float64) []Instance {
-	out := make([]Instance, n)
+func randomInstances(rng *rand.Rand, bins []int, n int, abnormalFrac float64) []instance {
+	out := make([]instance, n)
 	for i := range out {
 		b := make([]int, len(bins))
 		for j := range b {
 			b[j] = rng.Intn(bins[j])
 		}
-		out[i] = Instance{Bins: b, Abnormal: rng.Float64() < abnormalFrac}
+		out[i] = instance{Bins: b, Abnormal: rng.Float64() < abnormalFrac}
 	}
 	return out
 }
@@ -34,7 +34,7 @@ func TestTrainFromCountsMatchesBatchTrain(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		instances := randomInstances(rng, bins, 50+rng.Intn(400), 0.3)
 		for _, naive := range []bool{false, true} {
-			want, err := Train(instances, bins, Options{Naive: naive})
+			want, err := train(instances, bins, Options{Naive: naive})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,12 +145,12 @@ func TestFoldAbnormalMatchesRelabeledBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	allNormal := make([]Instance, len(instances))
+	allNormal := make([]instance, len(instances))
 	for i, inst := range instances {
 		if err := ct.Add(inst.Bins, inst.Abnormal); err != nil {
 			t.Fatal(err)
 		}
-		allNormal[i] = Instance{Bins: inst.Bins, Abnormal: false}
+		allNormal[i] = instance{Bins: inst.Bins, Abnormal: false}
 	}
 	folded := ct.FoldAbnormal()
 	if folded.ClassCount(true) != 0 {
@@ -160,7 +160,7 @@ func TestFoldAbnormalMatchesRelabeledBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Train(allNormal, bins, Options{})
+	want, err := train(allNormal, bins, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestCountTableRefusesOutOfRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, inst := range []Instance{{[]int{0, 1, 2}, false}, {[]int{1, 1, 3}, true}, {[]int{2, 0, 0}, false}} {
+	for _, inst := range []instance{{[]int{0, 1, 2}, false}, {[]int{1, 1, 3}, true}, {[]int{2, 0, 0}, false}} {
 		if err := ct.Add(inst.Bins, inst.Abnormal); err != nil {
 			t.Fatal(err)
 		}

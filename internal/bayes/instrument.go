@@ -7,10 +7,12 @@ import "prepare/internal/telemetry"
 // load and branch per call, keeping the scratch-path scoring
 // allocation-free (see the bayes benchmarks).
 var (
-	// scoreHook times the Equation (1) scoring passes (MarginalScore and
-	// ScoreMarginalsScratch), the TAN classifier's hot path.
+	// scoreHook times the Equation (1) scoring passes (WindowScore,
+	// MarginalScoreFast and ScoreMarginals), the TAN classifier's hot
+	// path.
 	scoreHook telemetry.Hook
-	// trainHook times Train (tree construction + CPT estimation).
+	// trainHook times RefitFromCounts (tree construction + CPT
+	// estimation), which every fit and refit runs.
 	trainHook telemetry.Hook
 )
 
@@ -19,5 +21,5 @@ var (
 func SetScoreHistogram(h *telemetry.Histogram) { scoreHook.Set(h) }
 
 // SetTrainHistogram installs (or, with nil, removes) the histogram
-// receiving Train wall-clock timings.
+// receiving model fit wall-clock timings.
 func SetTrainHistogram(h *telemetry.Histogram) { trainHook.Set(h) }

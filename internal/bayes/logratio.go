@@ -6,7 +6,7 @@ import "math"
 // ratios log[P(a_i=v | a_pi=u, C=1) / P(a_i=v | a_pi=u, C=0)] plus the
 // class prior ratio — everything Equation (1) needs, with every
 // math.Log evaluated once at build time instead of once per scored
-// step. Scoring through the table is bit-identical to MarginalScore:
+// step. Scoring through the table is bit-identical to ScoreMarginals:
 // the logarithm of a given CPT ratio is the same float64 whether it is
 // computed eagerly or lazily, and the multiply/add order of the scoring
 // loop is unchanged.
@@ -134,14 +134,15 @@ func (lr *LogRatios) Refresh() {
 // model pointer).
 func (lr *LogRatios) Model() *Model { return lr.model }
 
-// MarginalScoreFast is MarginalScore evaluated through a precomputed
-// LogRatios table, skipping per-call shape validation — the batch
-// prediction path guarantees marginal shapes by construction (its arena
-// slices are sized from the same bin configuration the model was
-// trained with). The returned score is bit-identical to MarginalScore:
-// argmax selection, skip conditions, and the summation order of both
-// loops are unchanged; only the per-term math.Log calls are replaced by
-// table lookups of the same float64 values.
+// MarginalScoreFast is the Equation (1) expected score of one step's
+// predicted marginals — ScoreMarginals' score without the strengths
+// ranking — evaluated through a precomputed LogRatios table and
+// skipping per-call shape validation: callers size the marginals from
+// the same bin configuration the model was trained with. The returned
+// score is bit-identical to ScoreMarginals': argmax selection, skip
+// conditions, and the summation order of both loops are unchanged; only
+// the per-term math.Log calls are replaced by table lookups of the same
+// float64 values.
 func (m *Model) MarginalScoreFast(marginals [][]float64, lr *LogRatios, sc *Scratch) float64 {
 	start := scoreHook.Start()
 	defer scoreHook.Done(start)

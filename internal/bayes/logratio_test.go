@@ -14,15 +14,15 @@ func trainRandomModel(t testing.TB, rng *rand.Rand, nAttrs, bins int, naive bool
 	for i := range binsPer {
 		binsPer[i] = bins
 	}
-	instances := make([]Instance, 160)
+	instances := make([]instance, 160)
 	for k := range instances {
 		vals := make([]int, nAttrs)
 		for i := range vals {
 			vals[i] = rng.Intn(bins)
 		}
-		instances[k] = Instance{Bins: vals, Abnormal: rng.Float64() < 0.3}
+		instances[k] = instance{Bins: vals, Abnormal: rng.Float64() < 0.3}
 	}
-	m, err := Train(instances, binsPer, Options{Naive: naive})
+	m, err := train(instances, binsPer, Options{Naive: naive})
 	if err != nil {
 		t.Fatalf("train: %v", err)
 	}
@@ -40,7 +40,7 @@ func TestMarginalScoreFastBitIdentical(t *testing.T) {
 		if lr.Model() != m {
 			t.Fatal("LogRatios.Model mismatch")
 		}
-		var scSlow, scFast Scratch
+		var scFast Scratch
 		marginals := make([][]float64, 13)
 		for i := range marginals {
 			marginals[i] = make([]float64, 8)
@@ -63,7 +63,7 @@ func TestMarginalScoreFastBitIdentical(t *testing.T) {
 					}
 				}
 			}
-			slow, err := m.MarginalScore(marginals, &scSlow)
+			slow, err := m.marginalScore(marginals)
 			if err != nil {
 				t.Fatalf("MarginalScore: %v", err)
 			}

@@ -13,7 +13,7 @@ func pointMass(bins, at int) []float64 {
 
 func TestScoreMarginalsMatchesPointScore(t *testing.T) {
 	instances, bins := synthData(400, 11)
-	m, err := Train(instances, bins, Options{})
+	m, err := train(instances, bins, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestScoreMarginalsMatchesPointScore(t *testing.T) {
 
 func TestScoreMarginalsInterpolates(t *testing.T) {
 	instances, bins := synthData(400, 12)
-	m, err := Train(instances, bins, Options{})
+	m, err := train(instances, bins, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestScoreMarginalsInterpolates(t *testing.T) {
 
 func TestScoreMarginalsShapeErrors(t *testing.T) {
 	instances, bins := synthData(100, 13)
-	m, err := Train(instances, bins, Options{})
+	m, err := train(instances, bins, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestScoreMarginalsShapeErrors(t *testing.T) {
 
 func TestScoreMarginalsStrengthsSorted(t *testing.T) {
 	instances, bins := synthData(300, 14)
-	m, err := Train(instances, bins, Options{})
+	m, err := train(instances, bins, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,8 @@ import (
 // dependentInstances draws n instances in which attribute j copies
 // attribute src[j] nine times in ten (src[j] < j; attribute 0 is free),
 // so the Chow-Liu tree follows src.
-func dependentInstances(rng *rand.Rand, bins, src []int, n int) []Instance {
-	out := make([]Instance, n)
+func dependentInstances(rng *rand.Rand, bins, src []int, n int) []instance {
+	out := make([]instance, n)
 	for k := range out {
 		b := make([]int, len(bins))
 		for j := range b {
@@ -21,7 +21,7 @@ func dependentInstances(rng *rand.Rand, bins, src []int, n int) []Instance {
 				b[j] = b[src[j]] % bins[j]
 			}
 		}
-		out[k] = Instance{Bins: b, Abnormal: rng.Intn(4) == 0}
+		out[k] = instance{Bins: b, Abnormal: rng.Intn(4) == 0}
 	}
 	return out
 }
@@ -48,7 +48,7 @@ func TestRefitMatchesFreshTrain(t *testing.T) {
 		}
 		m := &Model{}
 		var lr *LogRatios
-		var window [][]Instance
+		var window [][]instance
 		var prevParents []int
 		for round := 0; round < 8; round++ {
 			src := make([]int, len(bins))
@@ -90,7 +90,7 @@ func TestRefitMatchesFreshTrain(t *testing.T) {
 			} else {
 				lr.Refresh()
 			}
-			var scSlow, scFast Scratch
+			var scFast Scratch
 			marginals := make([][]float64, len(bins))
 			for trial := 0; trial < 20; trial++ {
 				for i, b := range bins {
@@ -101,7 +101,7 @@ func TestRefitMatchesFreshTrain(t *testing.T) {
 						}
 					}
 				}
-				want, err := fresh.MarginalScore(marginals, &scSlow)
+				want, err := fresh.marginalScore(marginals)
 				if err != nil {
 					t.Fatal(err)
 				}

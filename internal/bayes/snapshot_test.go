@@ -8,7 +8,7 @@ import (
 func trainedModel(t *testing.T) *Model {
 	t.Helper()
 	instances, bins := synthData(300, 21)
-	m, err := Train(instances, bins, Options{})
+	m, err := train(instances, bins, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

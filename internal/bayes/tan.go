@@ -30,14 +30,7 @@ import (
 // estimates.
 const laplaceAlpha = 0.5
 
-// Instance is one labeled training example: discretized attribute values
-// plus the anomaly label.
-type Instance struct {
-	Bins     []int
-	Abnormal bool
-}
-
-// Errors returned by training and classification.
+// Errors returned by fitting and scoring.
 var (
 	ErrNoInstances = errors.New("bayes: no training instances")
 	ErrShape       = errors.New("bayes: instance shape mismatch")
@@ -76,48 +69,6 @@ type Options struct {
 	// Naive disables the dependency tree, producing a plain naive Bayes
 	// classifier (every attribute's only parent is the class).
 	Naive bool
-}
-
-// Train fits a TAN (or naive Bayes) model. bins gives the number of
-// discretized states per attribute; every instance must have len(bins)
-// values within range.
-//
-// Train is a thin wrapper over the sufficient-statistics path: it
-// accumulates the instances into a CountTable and builds the model
-// from the counts. Because all counts are exact integers, the result
-// is bit-identical to the historical per-instance implementation —
-// and to an incrementally maintained table fed the same instances.
-func Train(instances []Instance, bins []int, opts Options) (*Model, error) {
-	start := trainHook.Start()
-	defer trainHook.Done(start)
-	if len(instances) == 0 {
-		return nil, ErrNoInstances
-	}
-	if uint64(len(instances)) > maxCount {
-		return nil, fmt.Errorf("%w: %d instances", ErrCountRange, len(instances))
-	}
-	t, err := NewCountTable(bins)
-	if err != nil {
-		return nil, err
-	}
-	n := len(bins)
-	for idx, inst := range instances {
-		if len(inst.Bins) != n {
-			return nil, fmt.Errorf("%w: instance %d has %d attrs, want %d", ErrShape, idx, len(inst.Bins), n)
-		}
-		for i, v := range inst.Bins {
-			if v < 0 || v >= bins[i] {
-				return nil, fmt.Errorf("%w: instance %d attr %d value %d not in [0,%d)",
-					ErrShape, idx, i, v, bins[i])
-			}
-		}
-		t.add(inst.Bins, classIdx(inst.Abnormal))
-	}
-	m := &Model{}
-	if err := m.refit(t, opts); err != nil {
-		return nil, err
-	}
-	return m, nil
 }
 
 func classIdx(abnormal bool) int {
@@ -315,21 +266,11 @@ func (m *Model) Score(bins []int) (float64, error) {
 	return score, nil
 }
 
-// Classify reports whether the observation is classified abnormal.
-func (m *Model) Classify(bins []int) (bool, error) {
-	score, err := m.Score(bins)
-	if err != nil {
-		return false, err
-	}
-	return score > 0, nil
-}
-
-// Scratch holds reusable buffers for the scoring hot paths. A zero
-// Scratch is ready to use; buffers grow on demand and are reused across
-// calls, so one Scratch must not be shared between goroutines.
+// Scratch holds the reusable buffer of MarginalScoreFast. A zero
+// Scratch is ready to use; the buffer grows on demand and is reused
+// across calls, so one Scratch must not be shared between goroutines.
 type Scratch struct {
-	argmax    []int
-	strengths []Strength
+	argmax []int
 }
 
 func (s *Scratch) argmaxBuf(n int) []int {
@@ -337,13 +278,6 @@ func (s *Scratch) argmaxBuf(n int) []int {
 		s.argmax = make([]int, n)
 	}
 	return s.argmax[:n]
-}
-
-func (s *Scratch) strengthsBuf(n int) []Strength {
-	if cap(s.strengths) < n {
-		s.strengths = make([]Strength, n)
-	}
-	return s.strengths[:n]
 }
 
 // ScoreMarginals evaluates Equation (1) in expectation over per-attribute
@@ -355,26 +289,13 @@ func (s *Scratch) strengthsBuf(n int) []Strength {
 // what gives the anomaly predictor usable lead time. It returns the
 // score and the per-attribute expected strengths sorted descending.
 func (m *Model) ScoreMarginals(marginals [][]float64) (float64, []Strength, error) {
-	return m.ScoreMarginalsScratch(marginals, nil)
-}
-
-// ScoreMarginalsScratch is ScoreMarginals reusing sc's buffers: the
-// returned strengths alias sc and are valid only until the next call
-// using the same Scratch. A nil sc allocates fresh slices, matching
-// ScoreMarginals.
-func (m *Model) ScoreMarginalsScratch(marginals [][]float64, sc *Scratch) (float64, []Strength, error) {
 	start := scoreHook.Start()
 	defer scoreHook.Done(start)
-	argmax, err := m.checkMarginals(marginals, sc)
+	argmax, err := m.checkMarginals(marginals)
 	if err != nil {
 		return 0, nil, err
 	}
-	var strengths []Strength
-	if sc != nil {
-		strengths = sc.strengthsBuf(m.numAttrs)
-	} else {
-		strengths = make([]Strength, m.numAttrs)
-	}
+	strengths := make([]Strength, m.numAttrs)
 	score := m.ClassPrior()
 	for i := 0; i < m.numAttrs; i++ {
 		expL := m.expectedStrength(marginals, argmax, i)
@@ -385,35 +306,13 @@ func (m *Model) ScoreMarginalsScratch(marginals [][]float64, sc *Scratch) (float
 	return score, strengths, nil
 }
 
-// MarginalScore computes just the Equation (1) expected score, skipping
-// the strengths ranking — the cheap inner-loop variant PredictWindow
-// uses to locate the worst step before materializing its full verdict.
-func (m *Model) MarginalScore(marginals [][]float64, sc *Scratch) (float64, error) {
-	start := scoreHook.Start()
-	defer scoreHook.Done(start)
-	argmax, err := m.checkMarginals(marginals, sc)
-	if err != nil {
-		return 0, err
-	}
-	score := m.ClassPrior()
-	for i := 0; i < m.numAttrs; i++ {
-		score += m.expectedStrength(marginals, argmax, i)
-	}
-	return score, nil
-}
-
 // checkMarginals validates the marginal shapes and returns each
 // attribute's most likely predicted bin.
-func (m *Model) checkMarginals(marginals [][]float64, sc *Scratch) ([]int, error) {
+func (m *Model) checkMarginals(marginals [][]float64) ([]int, error) {
 	if len(marginals) != m.numAttrs {
 		return nil, fmt.Errorf("%w: got %d marginals, want %d", ErrShape, len(marginals), m.numAttrs)
 	}
-	var argmax []int
-	if sc != nil {
-		argmax = sc.argmaxBuf(m.numAttrs)
-	} else {
-		argmax = make([]int, m.numAttrs)
-	}
+	argmax := make([]int, m.numAttrs)
 	for i, dist := range marginals {
 		if len(dist) != m.bins[i] {
 			return nil, fmt.Errorf("%w: marginal %d has %d bins, want %d", ErrShape, i, len(dist), m.bins[i])
@@ -457,22 +356,10 @@ type Strength struct {
 // observation, sorted descending — the paper's ranked list of metrics
 // most related to the predicted anomaly.
 func (m *Model) AttributeStrengths(bins []int) ([]Strength, error) {
-	return m.AttributeStrengthsScratch(bins, nil)
-}
-
-// AttributeStrengthsScratch is AttributeStrengths reusing sc's buffers:
-// the returned slice aliases sc and is valid only until the next call
-// using the same Scratch. A nil sc allocates a fresh slice.
-func (m *Model) AttributeStrengthsScratch(bins []int, sc *Scratch) ([]Strength, error) {
 	if err := m.checkShape(bins); err != nil {
 		return nil, err
 	}
-	var out []Strength
-	if sc != nil {
-		out = sc.strengthsBuf(m.numAttrs)
-	} else {
-		out = make([]Strength, m.numAttrs)
-	}
+	out := make([]Strength, m.numAttrs)
 	for i := 0; i < m.numAttrs; i++ {
 		out[i] = Strength{Attribute: i, L: m.strength(bins, i)}
 	}

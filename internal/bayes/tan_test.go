@@ -6,13 +6,42 @@ import (
 	"testing/quick"
 )
 
+// instance is one labeled training example: discretized attribute
+// values plus the anomaly label.
+type instance struct {
+	Bins     []int
+	Abnormal bool
+}
+
+// train fits a model the way every caller outside the tests does:
+// count the instances into a fresh CountTable, then fit from the counts.
+func train(instances []instance, bins []int, opts Options) (*Model, error) {
+	t, err := NewCountTable(bins)
+	if err != nil {
+		return nil, err
+	}
+	for _, inst := range instances {
+		if err := t.Add(inst.Bins, inst.Abnormal); err != nil {
+			return nil, err
+		}
+	}
+	return TrainFromCounts(t, opts)
+}
+
+// classify reports whether the observation scores abnormal under
+// Equation (1).
+func (m *Model) classify(bins []int) (bool, error) {
+	score, err := m.Score(bins)
+	return score > 0, err
+}
+
 // synthData builds a dataset where attribute 0 is strongly predictive
 // (value >= 2 ⇒ abnormal), attribute 1 copies attribute 0 (dependency),
 // and attribute 2 is pure noise.
-func synthData(n int, seed int64) ([]Instance, []int) {
+func synthData(n int, seed int64) ([]instance, []int) {
 	rng := rand.New(rand.NewSource(seed))
 	bins := []int{4, 4, 4}
-	instances := make([]Instance, 0, n)
+	instances := make([]instance, 0, n)
 	for i := 0; i < n; i++ {
 		abnormal := rng.Float64() < 0.3
 		var a0 int
@@ -26,38 +55,38 @@ func synthData(n int, seed int64) ([]Instance, []int) {
 			a1 = rng.Intn(4)
 		}
 		a2 := rng.Intn(4)
-		instances = append(instances, Instance{Bins: []int{a0, a1, a2}, Abnormal: abnormal})
+		instances = append(instances, instance{Bins: []int{a0, a1, a2}, Abnormal: abnormal})
 	}
 	return instances, bins
 }
 
 func TestTrainValidation(t *testing.T) {
-	if _, err := Train(nil, []int{2}, Options{}); err == nil {
+	if _, err := train(nil, []int{2}, Options{}); err == nil {
 		t.Error("no instances should fail")
 	}
-	if _, err := Train([]Instance{{Bins: []int{0}}}, nil, Options{}); err == nil {
+	if _, err := train([]instance{{Bins: []int{0}}}, nil, Options{}); err == nil {
 		t.Error("empty bins should fail")
 	}
-	if _, err := Train([]Instance{{Bins: []int{0}}}, []int{0}, Options{}); err == nil {
+	if _, err := train([]instance{{Bins: []int{0}}}, []int{0}, Options{}); err == nil {
 		t.Error("zero-bin attribute should fail")
 	}
-	if _, err := Train([]Instance{{Bins: []int{0, 1}}}, []int{2}, Options{}); err == nil {
+	if _, err := train([]instance{{Bins: []int{0, 1}}}, []int{2}, Options{}); err == nil {
 		t.Error("shape mismatch should fail")
 	}
-	if _, err := Train([]Instance{{Bins: []int{5}}}, []int{2}, Options{}); err == nil {
+	if _, err := train([]instance{{Bins: []int{5}}}, []int{2}, Options{}); err == nil {
 		t.Error("out-of-range value should fail")
 	}
 }
 
 func TestClassifySeparableData(t *testing.T) {
 	instances, bins := synthData(500, 1)
-	m, err := Train(instances, bins, Options{})
+	m, err := train(instances, bins, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	correct := 0
 	for _, inst := range instances {
-		got, err := m.Classify(inst.Bins)
+		got, err := m.classify(inst.Bins)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +102,7 @@ func TestClassifySeparableData(t *testing.T) {
 
 func TestTreeFindsDependency(t *testing.T) {
 	instances, bins := synthData(800, 2)
-	m, err := Train(instances, bins, Options{})
+	m, err := train(instances, bins, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +116,7 @@ func TestTreeFindsDependency(t *testing.T) {
 
 func TestParentsFormTree(t *testing.T) {
 	instances, bins := synthData(300, 3)
-	m, err := Train(instances, bins, Options{})
+	m, err := train(instances, bins, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +148,7 @@ func TestParentsFormTree(t *testing.T) {
 
 func TestNaiveHasNoTree(t *testing.T) {
 	instances, bins := synthData(300, 4)
-	m, err := Train(instances, bins, Options{Naive: true})
+	m, err := train(instances, bins, Options{Naive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +165,7 @@ func TestTANBeatsNaiveOnDependentNoise(t *testing.T) {
 	// and the duplication misleads naive Bayes on borderline cases.
 	rng := rand.New(rand.NewSource(7))
 	bins := []int{3, 3, 3}
-	var train, test []Instance
+	var fitSet, test []instance
 	for i := 0; i < 1200; i++ {
 		abnormal := rng.Float64() < 0.4
 		var a0 int
@@ -147,25 +176,25 @@ func TestTANBeatsNaiveOnDependentNoise(t *testing.T) {
 		}
 		a1 := a0
 		a2 := rng.Intn(3)
-		inst := Instance{Bins: []int{a0, a1, a2}, Abnormal: abnormal}
+		inst := instance{Bins: []int{a0, a1, a2}, Abnormal: abnormal}
 		if i < 600 {
-			train = append(train, inst)
+			fitSet = append(fitSet, inst)
 		} else {
 			test = append(test, inst)
 		}
 	}
-	tan, err := Train(train, bins, Options{})
+	tan, err := train(fitSet, bins, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := Train(train, bins, Options{Naive: true})
+	naive, err := train(fitSet, bins, Options{Naive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	accOf := func(m *Model) float64 {
 		correct := 0
 		for _, inst := range test {
-			got, err := m.Classify(inst.Bins)
+			got, err := m.classify(inst.Bins)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,7 +212,7 @@ func TestTANBeatsNaiveOnDependentNoise(t *testing.T) {
 
 func TestAttributeStrengthRanking(t *testing.T) {
 	instances, bins := synthData(800, 5)
-	m, err := Train(instances, bins, Options{})
+	m, err := train(instances, bins, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,39 +240,18 @@ func TestAttributeStrengthRanking(t *testing.T) {
 	}
 }
 
-func TestScoreSignMatchesClassify(t *testing.T) {
-	instances, bins := synthData(400, 6)
-	m, err := Train(instances, bins, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, inst := range instances[:50] {
-		score, err := m.Score(inst.Bins)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cls, err := m.Classify(inst.Bins)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cls != (score > 0) {
-			t.Errorf("Classify disagrees with Score sign: score=%g cls=%v", score, cls)
-		}
-	}
-}
-
 func TestSingleClassTrainingClassifiesThatClass(t *testing.T) {
 	// All-normal training data must classify everything normal (prior
 	// dominates).
-	var instances []Instance
+	var instances []instance
 	for i := 0; i < 100; i++ {
-		instances = append(instances, Instance{Bins: []int{i % 3, (i + 1) % 3}, Abnormal: false})
+		instances = append(instances, instance{Bins: []int{i % 3, (i + 1) % 3}, Abnormal: false})
 	}
-	m, err := Train(instances, []int{3, 3}, Options{})
+	m, err := train(instances, []int{3, 3}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := m.Classify([]int{2, 2})
+	got, err := m.classify([]int{2, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,14 +265,14 @@ func TestSingleClassTrainingClassifiesThatClass(t *testing.T) {
 
 func TestClassifyShapeErrors(t *testing.T) {
 	instances, bins := synthData(100, 8)
-	m, err := Train(instances, bins, Options{})
+	m, err := train(instances, bins, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Classify([]int{1}); err == nil {
+	if _, err := m.classify([]int{1}); err == nil {
 		t.Error("wrong width should fail")
 	}
-	if _, err := m.Classify([]int{9, 0, 0}); err == nil {
+	if _, err := m.classify([]int{9, 0, 0}); err == nil {
 		t.Error("out-of-range should fail")
 	}
 	if _, err := m.AttributeStrengths([]int{1}); err == nil {
@@ -273,20 +281,20 @@ func TestClassifyShapeErrors(t *testing.T) {
 }
 
 func TestSingleAttributeModel(t *testing.T) {
-	var instances []Instance
+	var instances []instance
 	for i := 0; i < 200; i++ {
 		abnormal := i%4 == 0
 		v := 0
 		if abnormal {
 			v = 1
 		}
-		instances = append(instances, Instance{Bins: []int{v}, Abnormal: abnormal})
+		instances = append(instances, instance{Bins: []int{v}, Abnormal: abnormal})
 	}
-	m, err := Train(instances, []int{2}, Options{})
+	m, err := train(instances, []int{2}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := m.Classify([]int{1})
+	got, err := m.classify([]int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +306,7 @@ func TestSingleAttributeModel(t *testing.T) {
 func TestPropertyCPTsAreDistributions(t *testing.T) {
 	f := func(seed int64) bool {
 		instances, bins := synthData(120, seed)
-		m, err := Train(instances, bins, Options{})
+		m, err := train(instances, bins, Options{})
 		if err != nil {
 			return false
 		}

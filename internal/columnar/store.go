@@ -25,7 +25,6 @@ package columnar
 
 import (
 	"fmt"
-	"math"
 
 	"prepare/internal/metrics"
 	"prepare/internal/simclock"
@@ -104,12 +103,6 @@ func (s *Store) StageRow(vm int, v *metrics.Vector) {
 	}
 }
 
-// StageValue writes a single attribute of a single VM into the tick
-// being staged.
-func (s *Store) StageValue(vm int, a metrics.Attribute, val float64) {
-	s.cols[a.Index()][s.stageSlot()*s.nVMs+vm] = val
-}
-
 // Commit publishes the staged tick with its timestamp and fleet-wide
 // SLO label, evicting the oldest tick once the ring is full.
 func (s *Store) Commit(t simclock.Time, label metrics.Label) {
@@ -162,41 +155,3 @@ func (s *Store) Time(back int) simclock.Time { return s.times[s.slotOf(back)] }
 // Label returns the fleet-wide SLO label of the tick back ticks before
 // the latest.
 func (s *Store) Label(back int) metrics.Label { return s.labels[s.slotOf(back)] }
-
-// badValue mirrors the monitor package's sanitization predicate: the 13
-// monitored attributes are nonnegative finite quantities, so NaN, ±Inf,
-// and negative readings are collector defects.
-func badValue(x float64) bool {
-	return math.IsNaN(x) || math.IsInf(x, 0) || x < 0
-}
-
-// SanitizeColumn repairs one attribute column in place over the whole
-// fleet: every NaN, ±Inf, or negative value is replaced by the same VM's
-// fallback (its last known-good value for this attribute), or by zero
-// when the fallback is itself unusable. It applies exactly the
-// per-element rule of monitor.SanitizeVector, columnwise, and returns
-// how many values were repaired.
-func SanitizeColumn(col, fallback []float64) int {
-	repaired := 0
-	for i, x := range col {
-		if badValue(x) {
-			f := fallback[i]
-			if badValue(f) {
-				f = 0
-			}
-			col[i] = f
-			repaired++
-		}
-	}
-	return repaired
-}
-
-// DiscretizeColumn maps one attribute column onto bins for the whole
-// fleet in a single pass: out[vm] = d.Bin(col[vm]). out must have
-// len(col) elements.
-func DiscretizeColumn(d metrics.Discretizer, col []float64, out []int) {
-	_ = out[len(col)-1]
-	for i, x := range col {
-		out[i] = d.Bin(x)
-	}
-}

@@ -1,12 +1,10 @@
 package columnar_test
 
 import (
-	"math"
 	"testing"
 
 	"prepare/internal/columnar"
 	"prepare/internal/metrics"
-	"prepare/internal/monitor"
 	"prepare/internal/simclock"
 )
 
@@ -89,7 +87,9 @@ func TestStoreColumnIsContiguousPerTick(t *testing.T) {
 		t.Fatal(err)
 	}
 	for vm := 0; vm < 5; vm++ {
-		s.StageValue(vm, metrics.Load1, float64(vm)*1.5)
+		var v metrics.Vector
+		v.Set(metrics.Load1, float64(vm)*1.5)
+		s.StageRow(vm, &v)
 	}
 	s.Commit(1, metrics.LabelNormal)
 	col := s.Column(metrics.Load1)
@@ -127,54 +127,6 @@ func TestStoreValidation(t *testing.T) {
 	mustPanic("StageRow out of range", func() { s.StageRow(2, &v) })
 	mustPanic("RowInto before commit", func() { s.RowInto(0, make([]float64, metrics.NumAttributes)) })
 	mustPanic("ColumnAt before commit", func() { _ = s.Column(metrics.NetIn) })
-}
-
-// TestSanitizeColumnMatchesSanitizeVector pins the columnar bulk
-// sanitizer to the monitor package's per-vector rule element for
-// element.
-func TestSanitizeColumnMatchesSanitizeVector(t *testing.T) {
-	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -3.5}
-	vals := append([]float64{0, 1.25, 7e9}, bad...)
-	// Try every (value, fallback) pair through both implementations.
-	for _, x := range vals {
-		for _, f := range vals {
-			var v, fb metrics.Vector
-			for a := range v {
-				v[a], fb[a] = x, f
-			}
-			wantVec, wantN := monitor.SanitizeVector(v, fb)
-
-			col := make([]float64, metrics.NumAttributes)
-			fcol := make([]float64, metrics.NumAttributes)
-			for a := range col {
-				col[a], fcol[a] = x, f
-			}
-			gotN := columnar.SanitizeColumn(col, fcol)
-			if gotN != wantN {
-				t.Fatalf("x=%v f=%v: repaired %d, want %d", x, f, gotN, wantN)
-			}
-			for a := range col {
-				if math.Float64bits(col[a]) != math.Float64bits(wantVec[a]) {
-					t.Fatalf("x=%v f=%v attr %d: col %v vs vector %v", x, f, a, col[a], wantVec[a])
-				}
-			}
-		}
-	}
-}
-
-func TestDiscretizeColumn(t *testing.T) {
-	d, err := metrics.NewEqualWidthRange(0, 80, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	col := []float64{-5, 0, 9.9, 10, 45, 79.9, 80, 1e12, math.NaN()}
-	out := make([]int, len(col))
-	columnar.DiscretizeColumn(d, col, out)
-	for i, x := range col {
-		if out[i] != d.Bin(x) {
-			t.Fatalf("out[%d] = %d, want %d", i, out[i], d.Bin(x))
-		}
-	}
 }
 
 func TestStoreSteadyStateAllocFree(t *testing.T) {

@@ -480,16 +480,17 @@ func (c *Controller) OnTick(now simclock.Time) error {
 func (c *Controller) observe(now simclock.Time, label metrics.Label, violated bool) (bool, error) {
 	c.confirmed = c.confirmed[:0]
 	row := c.rowScratch
+	fold := c.incrementalTraining()
 	for i := range c.vms {
 		v := &c.vms[i]
 		c.store.RowInto(v.store, row)
-		if v.det.Incremental() && v.fitAt != now {
+		if fold && v.fitAt != now {
 			// Incremental training: one Update advances the value-
 			// prediction chains AND folds the labeled row into the TAN
 			// sufficient statistics. Samples the sampler refused to record
 			// (past the staleness budget) become unlabeled so a frozen
 			// sensor cannot teach the classifier a flat line, mirroring
-			// what batch refits from the series would have seen.
+			// what refits from the series would have seen.
 			lbl := label
 			if !c.sampler.Recording(v.id) {
 				lbl = metrics.LabelUnknown
@@ -498,9 +499,9 @@ func (c *Controller) observe(now simclock.Time, label metrics.Label, violated bo
 				return false, fmt.Errorf("control: update %s: %w", v.id, err)
 			}
 		} else if err := v.det.Observe(row); err != nil {
-			// A model (re)fit this tick already counted the current row
-			// from the series; it only observes, exactly like batch
-			// training has always done.
+			// A model fit this tick already counted the current row from
+			// the series, and a model that is never refit from counts
+			// needs none: either only observes.
 			return false, fmt.Errorf("control: observe %s: %w", v.id, err)
 		}
 		switch c.scheme {

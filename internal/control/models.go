@@ -37,14 +37,14 @@ func (c *Controller) train(now simclock.Time) error {
 // fitEach fits every VM's detector, then gives every VM a fresh alarm
 // filter. Per-VM fits are independent and deterministically seeded, so
 // they fan out across the worker pool; each goroutine writes only its
-// own VM's state. With incremental set, a detector that keeps count
-// tables retrains from them instead.
-func (c *Controller) fitEach(now simclock.Time, incremental bool) error {
+// own VM's state. With fromCounts set, every detector retrains from the
+// counts Update has folded into it instead of refitting from the series.
+func (c *Controller) fitEach(now simclock.Time, fromCounts bool) error {
 	runner := pool.Runner{Workers: c.cfg.TrainWorkers}
 	c.growFitBufs(runner.Size(len(c.vms)))
 	err := runner.ForEachWorker(context.Background(), len(c.vms), func(_ context.Context, w, i int) error {
-		if d := c.vms[i].det; incremental && d != nil && d.Incremental() {
-			if err := d.Retrain(); err != nil {
+		if fromCounts {
+			if err := c.vms[i].det.Retrain(); err != nil {
 				return fmt.Errorf("retrain %s: %w", c.vms[i].id, err)
 			}
 			return nil
@@ -82,7 +82,6 @@ func (c *Controller) detectorOptions(id substrate.VMID) predict.DetectorOptions 
 		Config:          c.cfg.Predict,
 		Margin:          c.cfg.AlertScoreMargin,
 		LookbackSamples: int(c.cfg.LookaheadS / c.cfg.SamplingIntervalS),
-		Incremental:     c.incrementalTraining(),
 		Seed:            c.cfg.MonitorSeed,
 		Fleet:           c.fleet,
 		Instruments:     c.tel.predict,
@@ -108,8 +107,8 @@ func (c *Controller) growFitBufs(n int) {
 // fitVM fits the i-th VM's detector from its retained series, read
 // straight from the ring into buf, and installs it as fit at now. The
 // detector adapter applies the kind-appropriate training protocol:
-// anomaly-onset relabeling plus a batch TAN fit, incremental sufficient
-// statistics, or an unlabeled outlier/forecast fit. A detector is built
+// anomaly-onset relabeling plus a TAN fit that keeps its counts, or an
+// unlabeled outlier/forecast fit. A detector is built
 // only when the VM has none of its own (first training, or after
 // installDetectors); otherwise the one it built is refit in place. Train
 // replaces all model state and keeps neither rows nor labels, so buf is
@@ -133,23 +132,21 @@ func (c *Controller) fitVM(now simclock.Time, i int, buf *fitBuf) error {
 	return nil
 }
 
-// incrementalTraining reports whether this configuration maintains
-// per-VM sufficient statistics and retrains from them. Only the pure
-// supervised TAN detector has a count-table form, and only periodic
-// retraining ever consumes the statistics; everything else
-// (unsupervised, forecast-error, ensembles, train-once) fits from the
-// retained series.
+// incrementalTraining is the one place that decides whether this
+// configuration folds each sample into the per-VM counts (Update) and
+// retrains from them (Retrain). Only the pure supervised TAN detector
+// has a count-table form, and only periodic retraining ever consumes
+// the counts; everything else (unsupervised, forecast-error, ensembles,
+// train-once) observes each sample and refits from the retained series.
 func (c *Controller) incrementalTraining() bool {
 	return c.cfg.Detector.Kind == detector.KindTAN && c.cfg.RetrainIntervalS > 0
 }
 
-// retrain performs one periodic model update. Detectors without a
-// count-table form refit from the retained series (O(history)). The tan
-// detector rebuilds each classifier from its accumulated count table
-// (O(attrs²·bins²), independent of history length) and refits from the
-// series only to self-heal predictors that carry no incremental state
-// (e.g. restored from an older snapshot). Alarm filters restart fresh
-// either way.
+// retrain performs one periodic model update. Under incremental
+// training every tan detector rebuilds its classifier from its
+// accumulated count table (O(attrs²·bins²), independent of history
+// length); every other configuration refits from the retained series
+// (O(history)). Alarm filters restart fresh either way.
 func (c *Controller) retrain(now simclock.Time) error {
 	incremental := c.incrementalTraining()
 	latency := c.tel.retrainBatch
@@ -248,6 +245,11 @@ func (c *Controller) decodeModels(r io.Reader) ([]detector.Detector, error) {
 	models := make([]detector.Detector, len(c.vms))
 	for i, v := range c.vms {
 		entry := snap.VMs[string(v.id)]
+		if entry.Kind != c.cfg.Detector.Kind {
+			// A retraining tan controller would otherwise be handed a
+			// model that cannot Retrain.
+			return nil, fmt.Errorf("control: model for %s is %q, this controller runs %q", v.id, entry.Kind, c.cfg.Detector.Kind)
+		}
 		if models[i], err = predict.LoadDetector(entry.Kind, bytes.NewReader(entry.Data), c.detectorOptions(v.id)); err != nil {
 			return nil, fmt.Errorf("control: restore models for %s: %w", v.id, err)
 		}

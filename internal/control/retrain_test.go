@@ -111,36 +111,44 @@ func TestPeriodicRetrainingAdaptsViaSeriesRefit(t *testing.T) {
 	}
 }
 
-// TestIncrementalTrainingRule pins the one retraining rule: per-VM
-// sufficient statistics are maintained iff the detector is pure tan and
-// periodic retraining is enabled; everything else fits from the series.
+// TestIncrementalTrainingRule pins the one retraining rule by what the
+// loop does: a pure tan detector under periodic retraining folds every
+// sampled tick after its fit into its counts (Update, counted by
+// train.incremental.updates) and retrains from them; a train-once tan
+// detector only observes; ewma, kmeans and an ensemble with a tan member
+// fold nothing and refit from the series.
 func TestIncrementalTrainingRule(t *testing.T) {
+	const trainAt, retrainS, end = 100, 300, 420
 	for _, tc := range []struct {
 		spec     string
 		retrainS int64
-		want     bool
+		fold     bool // every sampled tick after the fit is folded in
+		// retrains from the counts and refits from the series
+		fromCounts, fromSeries int
 	}{
-		{"tan", 0, false},
-		{"tan", 300, true},
-		{"ewma", 300, false},
-		{"kmeans", 300, false},
-		{"ensemble:tan+ewma", 300, false},
+		{"tan", 0, false, 0, 0},
+		{"tan", retrainS, true, 1, 0},
+		{"ewma", retrainS, false, 0, 1},
+		{"kmeans", retrainS, false, 0, 1},
+		{"ensemble:tan+ewma", retrainS, false, 0, 1},
 	} {
 		spec, err := detector.ParseSpec(tc.spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		c, sub, app := newFakeWorld(t, workload.Constant{Value: 60})
+		reg := telemetry.New(telemetry.Options{})
 		ctl, err := New(SchemePREPARE, sub, app, Config{
-			TrainAtS:         100,
+			TrainAtS:         trainAt,
 			RetrainIntervalS: tc.retrainS,
 			Detector:         spec,
 			MonitorSeed:      3,
+			Telemetry:        reg,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for s := int64(1); s <= 100; s++ {
+		for s := int64(1); s <= end; s++ {
 			app.Tick(simclock.Time(s))
 			c.Tick(simclock.Time(s))
 			if err := ctl.OnTick(simclock.Time(s)); err != nil {
@@ -150,10 +158,20 @@ func TestIncrementalTrainingRule(t *testing.T) {
 		if !ctl.Trained() {
 			t.Fatalf("%s: controller never trained", tc.spec)
 		}
-		for _, v := range ctl.vms {
-			if got := v.det.Incremental(); got != tc.want {
-				t.Errorf("%s retrain=%ds: %s trained incremental=%v, want %v", tc.spec, tc.retrainS, v.id, got, tc.want)
-			}
+		snap := reg.Snapshot()
+		var want int64
+		if tc.fold {
+			sampled := (end - trainAt) / ctl.cfg.SamplingIntervalS // the ticks after the fit's own
+			want = sampled * int64(len(ctl.vms))
+		}
+		if got := snap.Counter("train.incremental.updates"); got != want {
+			t.Errorf("%s retrain=%ds: %d samples folded into the counts, want %d", tc.spec, tc.retrainS, got, want)
+		}
+		if got := snap.Histograms["control.retrain.latency.incremental"].Count; got != uint64(tc.fromCounts) {
+			t.Errorf("%s retrain=%ds: %d retrains from the counts, want %d", tc.spec, tc.retrainS, got, tc.fromCounts)
+		}
+		if got := snap.Histograms["control.retrain.latency.batch"].Count; got != uint64(tc.fromSeries) {
+			t.Errorf("%s retrain=%ds: %d refits from the series, want %d", tc.spec, tc.retrainS, got, tc.fromSeries)
 		}
 	}
 }

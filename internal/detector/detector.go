@@ -88,10 +88,6 @@ type Detector interface {
 	// sample (used on the tick a fresh Train already consumed it).
 	Observe(row []float64) error
 
-	// Incremental reports whether Retrain can rebuild the model from
-	// streamed statistics alone (no history replay needed).
-	Incremental() bool
-
 	// Score scores the prediction window ending lookaheadS seconds
 	// ahead of the last streamed sample.
 	Score(lookaheadS int64) (Decision, error)
@@ -103,9 +99,9 @@ type Detector interface {
 	// prediction window, attribution included.
 	Current(row []float64) (Verdict, error)
 
-	// Retrain rebuilds the model in place from incrementally streamed
-	// statistics. Detectors with Incremental() == false return an
-	// error; the caller refits via Train instead.
+	// Retrain rebuilds the model in place from the statistics Update
+	// has folded in. Only the tan detector keeps such statistics; the
+	// other kinds return an error, and their host refits them via Train.
 	Retrain() error
 
 	// Save writes a snapshot that the kind's loader restores into a

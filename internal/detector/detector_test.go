@@ -153,7 +153,6 @@ func (s *stubDetector) Train([][]float64, []metrics.Label) error { return nil }
 func (s *stubDetector) Trained() bool                            { return true }
 func (s *stubDetector) Update([]float64, metrics.Label) error    { return nil }
 func (s *stubDetector) Observe([]float64) error                  { return nil }
-func (s *stubDetector) Incremental() bool                        { return false }
 func (s *stubDetector) Retrain() error                           { return nil }
 func (s *stubDetector) Save(io.Writer) error                     { return nil }
 func (s *stubDetector) Score(int64) (Decision, error) {

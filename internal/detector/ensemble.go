@@ -167,22 +167,10 @@ func (e *Ensemble) Observe(row []float64) error {
 	return nil
 }
 
-// Incremental implements Detector: only true when every member can
-// rebuild from streamed statistics.
-func (e *Ensemble) Incremental() bool {
-	for _, m := range e.members {
-		if !m.Detector.Incremental() {
-			return false
-		}
-	}
-	return len(e.members) > 0
-}
-
-// Retrain implements Detector.
+// Retrain implements Detector: the members retrain in order, and the
+// first that cannot fails the ensemble's retrain (the members before it
+// keep their refit).
 func (e *Ensemble) Retrain() error {
-	if !e.Incremental() {
-		return errors.New("detector: ensemble has non-incremental members")
-	}
 	for _, m := range e.members {
 		if err := m.Detector.Retrain(); err != nil {
 			return fmt.Errorf("detector: ensemble member %s: %w", m.Name, err)

@@ -215,12 +215,8 @@ func (e *EWMA) adapt(row []float64) {
 	}
 }
 
-// Incremental implements Detector: the Holt state streams, but the
-// frozen baseline needs history to refit, so periodic retrains refit
-// via Train.
-func (e *EWMA) Incremental() bool { return false }
-
-// Retrain implements Detector.
+// Retrain implements Detector: the Holt state streams, but the frozen
+// baseline needs history to refit, so periodic retrains refit via Train.
 func (e *EWMA) Retrain() error {
 	return errors.New("detector: ewma does not support incremental retrain")
 }

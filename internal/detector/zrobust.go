@@ -173,9 +173,6 @@ func (z *ZRobust) Observe(row []float64) error {
 	return nil
 }
 
-// Incremental implements Detector.
-func (z *ZRobust) Incremental() bool { return false }
-
 // Retrain implements Detector.
 func (z *ZRobust) Retrain() error {
 	return errors.New("detector: zrobust does not support incremental retrain")

@@ -190,20 +190,28 @@ func timeTANTraining(rows [][]float64, labels []metrics.Label, rounds int) (stri
 	for j := range binsPer {
 		binsPer[j] = 8
 	}
-	instances := make([]bayes.Instance, len(rows))
+	binned := make([][]int, len(rows))
 	for i, row := range rows {
-		binned := make([]int, len(row))
+		binned[i] = make([]int, len(row))
 		for j, v := range row {
-			binned[j] = int(v) % 8
-			if binned[j] < 0 {
-				binned[j] += 8
+			binned[i][j] = int(v) % 8
+			if binned[i][j] < 0 {
+				binned[i][j] += 8
 			}
 		}
-		instances[i] = bayes.Instance{Bins: binned, Abnormal: labels[i] == metrics.LabelAbnormal}
 	}
 	start := time.Now()
 	for r := 0; r < rounds; r++ {
-		if _, err := bayes.Train(instances, binsPer, bayes.Options{}); err != nil {
+		table, err := bayes.NewCountTable(binsPer)
+		if err != nil {
+			return "", err
+		}
+		for i, b := range binned {
+			if err := table.Add(b, labels[i] == metrics.LabelAbnormal); err != nil {
+				return "", err
+			}
+		}
+		if _, err := bayes.TrainFromCounts(table, bayes.Options{}); err != nil {
 			return "", err
 		}
 	}

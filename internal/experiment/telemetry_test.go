@@ -95,7 +95,7 @@ func TestRunEmitsMemleakEventSequence(t *testing.T) {
 	// alert is confirmed, the cause is ranked, a prevention is applied.
 	target := string(res.FaultTarget)
 	firstSeq := func(kind string) uint64 {
-		for _, e := range snap.EventsOfKind(kind) {
+		for _, e := range eventsOfKind(snap, kind) {
 			if e.VM == target {
 				return e.Seq
 			}
@@ -111,7 +111,7 @@ func TestRunEmitsMemleakEventSequence(t *testing.T) {
 		t.Errorf("pipeline out of order: window %d, alert %d, ranked %d, applied %d",
 			window, alert, ranked, applied)
 	}
-	if suppressed > 0 && len(snap.EventsOfKind(telemetry.KindAlertFiltered)) == 0 {
+	if suppressed > 0 && len(eventsOfKind(snap, telemetry.KindAlertFiltered)) == 0 {
 		t.Error("filter suppressed alerts but emitted no alert-filtered events")
 	}
 
@@ -195,4 +195,15 @@ func TestRepeatMergesPerRunTelemetry(t *testing.T) {
 	if global != fromRuns {
 		t.Errorf("global ingested %d != sum of per-run snapshots %d", global, fromRuns)
 	}
+}
+
+// eventsOfKind filters the snapshot's events by kind, preserving order.
+func eventsOfKind(s *telemetry.Snapshot, kind string) []telemetry.Event {
+	var out []telemetry.Event
+	for _, e := range s.Events {
+		if e.Kind == kind {
+			out = append(out, e)
+		}
+	}
+	return out
 }

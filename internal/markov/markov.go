@@ -460,12 +460,3 @@ func ArgMax(dist []float64) int {
 	}
 	return bestIdx
 }
-
-// Expectation returns the expected bin index under the distribution.
-func Expectation(dist []float64) float64 {
-	e := 0.0
-	for i, p := range dist {
-		e += float64(i) * p
-	}
-	return e
-}

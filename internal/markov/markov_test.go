@@ -253,15 +253,6 @@ func TestArgMax(t *testing.T) {
 	}
 }
 
-func TestExpectation(t *testing.T) {
-	if got := Expectation([]float64{0, 0, 1}); got != 2 {
-		t.Errorf("Expectation = %g, want 2", got)
-	}
-	if got := Expectation([]float64{0.5, 0, 0.5}); got != 1 {
-		t.Errorf("Expectation = %g, want 1", got)
-	}
-}
-
 func TestLongHorizonApproachesStationary(t *testing.T) {
 	s, err := NewSimpleChain(2)
 	if err != nil {

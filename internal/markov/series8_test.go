@@ -358,20 +358,25 @@ func checkProjectSeriesBatch(t *testing.T, states int, simple, naive bool) {
 	rng := rand.New(rand.NewSource(int64(states)))
 	// Train a model over correlated bins, so that the tree is not
 	// trivial, with both classes present.
-	instances := make([]bayes.Instance, 400)
 	bins := make([]int, attrs)
 	for i := range bins {
 		bins[i] = states
 	}
-	for n := range instances {
+	table, err := bayes.NewCountTable(bins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < 400; n++ {
 		vals := make([]int, attrs)
 		base := rng.Intn(states)
 		for i := range vals {
 			vals[i] = (base + rng.Intn(2)*i) % states
 		}
-		instances[n] = bayes.Instance{Bins: vals, Abnormal: base >= states-2}
+		if err := table.Add(vals, base >= states-2); err != nil {
+			t.Fatal(err)
+		}
 	}
-	m, err := bayes.Train(instances, bins, bayes.Options{Naive: naive})
+	m, err := bayes.TrainFromCounts(table, bayes.Options{Naive: naive})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -119,9 +119,6 @@ func (s *Series) Len() int { return s.count }
 // Limit returns the ring capacity (0 for an unbounded series).
 func (s *Series) Limit() int { return s.limit }
 
-// At returns the i-th retained sample (0-based, oldest first).
-func (s *Series) At(i int) Sample { return s.samples[s.idx(i)] }
-
 // Last returns the most recent sample. The boolean is false when the
 // series is empty.
 func (s *Series) Last() (Sample, bool) {
@@ -129,19 +126,6 @@ func (s *Series) Last() (Sample, bool) {
 		return Sample{}, false
 	}
 	return s.samples[s.idx(s.count-1)], true
-}
-
-// Recent returns up to the last n samples, oldest first. The returned
-// slice is a copy so callers cannot mutate the series.
-func (s *Series) Recent(n int) []Sample {
-	if n > s.count {
-		n = s.count
-	}
-	out := make([]Sample, n)
-	for i := 0; i < n; i++ {
-		out[i] = s.samples[s.idx(s.count-n+i)]
-	}
-	return out
 }
 
 // Window returns a copy of the retained samples with from <= t < to.

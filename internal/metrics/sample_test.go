@@ -63,25 +63,6 @@ func TestSeriesLast(t *testing.T) {
 	}
 }
 
-func TestSeriesRecent(t *testing.T) {
-	s := NewSeries(0)
-	for i := 0; i < 10; i++ {
-		if err := s.Append(mkSample(simclock.Time(i), float64(i), LabelNormal)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r := s.Recent(3)
-	if len(r) != 3 {
-		t.Fatalf("Recent(3) len = %d", len(r))
-	}
-	if r[0].Time != 7 || r[2].Time != 9 {
-		t.Errorf("Recent(3) times = %v..%v, want 7..9", r[0].Time, r[2].Time)
-	}
-	if got := s.Recent(100); len(got) != 10 {
-		t.Errorf("Recent(100) len = %d, want 10", len(got))
-	}
-}
-
 func TestSeriesWindow(t *testing.T) {
 	s := NewSeries(0)
 	for i := 0; i < 10; i++ {

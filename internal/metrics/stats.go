@@ -45,24 +45,6 @@ func Summarize(values []float64) Summary {
 	return s
 }
 
-// MeanVector averages each attribute across the given samples. An empty
-// input yields the zero vector.
-func MeanVector(samples []Sample) Vector {
-	var out Vector
-	if len(samples) == 0 {
-		return out
-	}
-	for _, sm := range samples {
-		for i := range out {
-			out[i] += sm.Values[i]
-		}
-	}
-	for i := range out {
-		out[i] /= float64(len(samples))
-	}
-	return out
-}
-
 // Clamp limits v to the inclusive range [lo, hi].
 func Clamp(v, lo, hi float64) float64 {
 	if v < lo {

@@ -35,19 +35,6 @@ func TestSummarizeSingleValue(t *testing.T) {
 	}
 }
 
-func TestMeanVector(t *testing.T) {
-	a := mkSample(0, 10, LabelNormal)
-	b := mkSample(5, 30, LabelNormal)
-	mv := MeanVector([]Sample{a, b})
-	if got := mv.Get(CPUTotal); got != 20 {
-		t.Errorf("mean cpu = %g, want 20", got)
-	}
-	var zero Vector
-	if MeanVector(nil) != zero {
-		t.Error("MeanVector(nil) should be zero")
-	}
-}
-
 func TestClamp(t *testing.T) {
 	tests := []struct {
 		v, lo, hi, want float64

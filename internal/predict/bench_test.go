@@ -48,13 +48,12 @@ func benchPredictor(b *testing.B) *Predictor {
 	return p
 }
 
-// BenchmarkPredictWindow is the acceptance benchmark pinning the
-// control loop's per-tick prediction cost with telemetry disabled:
-// 33 allocs/op (one marginals scratch reuse miss per attribute plus the
-// verdict's future-bins copy) after the scratch-buffer work, held by
-// TestPredictWindowAllocBudget. The predictor carries zero
-// instruments here, so this also pins the disabled-telemetry overhead
-// at nothing but nil checks.
+// BenchmarkPredictWindow is the acceptance benchmark pinning one
+// standalone window prediction with telemetry disabled: the window
+// scored through the predictor's own Fleet and its worst step
+// materialized, held by TestPredictWindowAllocBudget. The predictor
+// carries zero instruments here, so this also pins the
+// disabled-telemetry overhead at nothing but nil checks.
 func BenchmarkPredictWindow(b *testing.B) {
 	p := benchPredictor(b)
 	b.ReportAllocs()
@@ -78,7 +77,7 @@ func TestPredictWindowAllocBudget(t *testing.T) {
 	if err := p.Train(rows, labels); err != nil {
 		t.Fatal(err)
 	}
-	const budget = 33 // one marginals scratch miss per attribute + the verdict's future-bins copy
+	const budget = 6 // the verdict: future bins, strengths, the argmax scratch and the ranking
 	allocs := testing.AllocsPerRun(200, func() {
 		if _, err := p.PredictWindow(120); err != nil {
 			t.Fatal(err)

@@ -25,8 +25,10 @@ type DetectorOptions struct {
 	// LookbackSamples is the training relabel look-back
 	// (lookaheadS / samplingIntervalS).
 	LookbackSamples int
-	// Incremental selects sufficient-statistics training for the TAN
-	// detector, enabling O(1) Retrain.
+	// Incremental is ignored: every tan detector keeps its count table,
+	// and its host decides per tick whether to fold samples (Update) and
+	// refit from the counts (Retrain). It goes together with the
+	// benchmark probes that still set it.
 	Incremental bool
 	// Seed drives unsupervised detector initialization.
 	Seed int64
@@ -127,11 +129,10 @@ func LoadDetector(kind string, r io.Reader, opts DetectorOptions) (detector.Dete
 	}
 }
 
-// tanDetector adapts the supervised Markov+TAN Predictor: Score is the
-// fleet's batched PredictWindow against the alert margin, Current is
-// Evaluate, Update/Retrain route to the incremental sufficient-statistics
-// machinery when enabled. Byte-identical to the control loop's former
-// hard-wired supervised path.
+// tanDetector adapts the supervised Markov+TAN Predictor: Train is
+// TrainIncremental, Score is the fleet's window score against the alert
+// margin, Current is Evaluate, and Update/Retrain fold samples into the
+// predictor's count table and refit from it.
 type tanDetector struct {
 	opts  DetectorOptions
 	fleet *Fleet // opts.Fleet, or the detector's own
@@ -154,25 +155,18 @@ func newTANDetector(opts DetectorOptions, p *Predictor) *tanDetector {
 // Kind implements detector.Detector.
 func (d *tanDetector) Kind() string { return detector.KindTAN }
 
-// Train implements detector.Detector: a fresh predictor is fit exactly
-// as the control loop's fitVM used to — incremental training when
-// enabled, otherwise anomaly-onset relabeling plus a batch fit. rows
-// and labels are mutated by relabeling, matching the legacy path.
+// Train implements detector.Detector: a fresh predictor is fit as
+// TrainIncremental fits it, except that labels are relabeled in place,
+// so the members an ensemble trains after this one see them exactly as
+// RelabelForTraining leaves them.
 func (d *tanDetector) Train(rows [][]float64, labels []metrics.Label) error {
 	p, err := New(d.opts.Config, d.opts.Names)
 	if err != nil {
 		return err
 	}
 	p.SetInstruments(d.opts.Instruments)
-	if d.opts.Incremental {
-		if err := p.TrainIncremental(rows, labels, d.opts.LookbackSamples); err != nil {
-			return err
-		}
-	} else {
-		RelabelForTraining(rows, labels, d.opts.LookbackSamples)
-		if err := p.Train(rows, labels); err != nil {
-			return err
-		}
+	if err := p.relabelAndFit(rows, labels, d.opts.LookbackSamples); err != nil {
+		return err
 	}
 	d.p = p
 	d.lastValid = false
@@ -183,18 +177,10 @@ func (d *tanDetector) Train(rows [][]float64, labels []metrics.Label) error {
 func (d *tanDetector) Trained() bool { return d.p != nil && d.p.Trained() }
 
 // Update implements detector.Detector.
-func (d *tanDetector) Update(row []float64, label metrics.Label) error {
-	if d.p.Incremental() {
-		return d.p.Update(row, label)
-	}
-	return d.p.Observe(row)
-}
+func (d *tanDetector) Update(row []float64, label metrics.Label) error { return d.p.Update(row, label) }
 
 // Observe implements detector.Detector.
 func (d *tanDetector) Observe(row []float64) error { return d.p.Observe(row) }
-
-// Incremental implements detector.Detector.
-func (d *tanDetector) Incremental() bool { return d.p != nil && d.p.Incremental() }
 
 // Retrain implements detector.Detector.
 func (d *tanDetector) Retrain() error {

@@ -11,25 +11,23 @@ import (
 // WindowDecision is the allocation-free result of one batched window
 // scoring pass: the maximum Equation (1) score across the look-ahead
 // window and the step it occurred at. Score is bit-identical to the
-// Score field of the Verdict PredictWindow returns for the same
-// predictor state (PredictWindow's final verdict re-scores the best
-// step's marginals, which reproduces the same float64).
+// Score of the Verdict Materialize builds from it (which re-scores the
+// best step's marginals, reproducing the same float64).
 type WindowDecision struct {
 	Score    float64
 	BestStep int
 }
 
-// Fleet batches the per-VM look-ahead window scoring of many predictors
-// through one shared scratch arena — PredictWindow's batched
-// counterpart. One Fleet serves any number of predictors; per VM it
-// runs one Markov series kernel call per chain, which propagates every
-// step of the window and projects each step's marginal through the TAN
-// log-ratio table, then sums the projections into each step's Equation
-// (1) score. It produces the same decisions as PredictWindow without any
-// per-VM allocation. Confirmed decisions are materialized into full
-// Verdicts on demand (Materialize), so steady-state cost is independent
-// of fleet size while alerting VMs still get the complete strengths
-// ranking.
+// Fleet scores the look-ahead windows of many predictors through one
+// shared scratch arena; it is the one window scorer, and PredictWindow
+// runs through a Fleet of the predictor's own. One Fleet serves any
+// number of predictors; per VM it runs one Markov series kernel call
+// per chain, which propagates every step of the window and projects
+// each step's marginal through the TAN log-ratio table, then sums the
+// projections into each step's Equation (1) score, without any per-VM
+// allocation. Confirmed decisions are materialized into full Verdicts
+// on demand (Materialize), so steady-state cost is independent of fleet
+// size while alerting VMs still get the complete strengths ranking.
 //
 // A Fleet reuses internal scratch across calls and must stay confined
 // to one goroutine, like the predictors themselves.
@@ -47,12 +45,11 @@ type Fleet struct {
 // NewFleet builds an empty fleet scorer.
 func NewFleet() *Fleet { return &Fleet{} }
 
-// ScoreWindow is the batched equivalent of PredictWindow's scoring
-// phase: it classifies the predicted state at every step of the
-// look-ahead window and returns the maximum score and its step, without
-// materializing a Verdict. The returned decision is bit-identical to
-// the verdict PredictWindow would return (same Score, same best step)
-// for the same predictor state.
+// ScoreWindow classifies the predicted state at every step of the
+// look-ahead window and returns the maximum score and the first step
+// that reaches it, without materializing a Verdict. Each step's score is
+// the Equation (1) expectation over that step's predicted marginals, or
+// under ArgmaxScore the score of each attribute's most likely bin.
 func (f *Fleet) ScoreWindow(p *Predictor, lookaheadS int64) (WindowDecision, error) {
 	f.lastValid = false
 	if !p.trained {
@@ -69,12 +66,12 @@ func (f *Fleet) ScoreWindow(p *Predictor, lookaheadS int64) (WindowDecision, err
 		// Argmax scoring classifies each step's most likely bins, which
 		// no projection expresses: score step by step from the arena.
 		series := markov.PredictSeriesBatch(p.vm.chains, maxSteps, &f.arena)
-		marginals := p.marginalsBuf()
+		future := p.futureBuf()
 		for s := 0; s < maxSteps; s++ {
-			for j := range marginals {
-				marginals[j] = series[j][s]
+			for j := range future {
+				future[j] = markov.ArgMax(series[j][s])
 			}
-			score, err := p.stepScore(marginals)
+			score, err := p.model.Score(future)
 			if err != nil {
 				return WindowDecision{}, fmt.Errorf("predict: classify future state: %w", err)
 			}
@@ -94,8 +91,7 @@ func (f *Fleet) holds(p *Predictor) bool { return f.lastValid && f.last == p }
 // for the predictor's most recent ScoreWindow decision. The decision's
 // marginals live in the shared arena, so it fails once the fleet has
 // scored another predictor (see tanDetector.Verdict for how the adapter
-// recovers). The Verdict is identical to what PredictWindow would have
-// returned.
+// recovers).
 func (f *Fleet) Materialize(p *Predictor) (Verdict, error) {
 	if !f.holds(p) {
 		return Verdict{}, errors.New("predict: Materialize must follow ScoreWindow for the same predictor")
@@ -110,8 +106,8 @@ func (f *Fleet) Materialize(p *Predictor) (Verdict, error) {
 // logRatios returns the predictor's cached TAN log-ratio table, brought
 // up to date with the model: Retrain refits the model in place, which
 // the table notices by the model's fit generation and answers by
-// refilling itself, and Train installs a new *bayes.Model, which takes a
-// new table. Nil when the configuration scores by argmax or the model
+// refilling itself, and a fit installs a new *bayes.Model, which takes
+// a new table. Nil when the configuration scores by argmax or the model
 // is absent.
 func (p *Predictor) logRatios() *bayes.LogRatios {
 	if p.vm.cfg.ArgmaxScore || p.model == nil {

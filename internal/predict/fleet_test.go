@@ -8,8 +8,56 @@ import (
 
 	"prepare/internal/bayes"
 	"prepare/internal/detector"
+	"prepare/internal/markov"
 	"prepare/internal/metrics"
 )
+
+// referenceWindow is the per-step window scorer the fleet kernel is
+// pinned against. It propagates each chain's predicted series on its
+// own, scores every step separately (MarginalScoreFast over a freshly
+// built log-ratio table, or the Score of the argmax bins under
+// ArgmaxScore), and materializes the verdict of the first step that
+// reaches the maximum. It returns that verdict and its 0-based step.
+func referenceWindow(p *Predictor, lookaheadS int64) (Verdict, int, error) {
+	if !p.trained {
+		return Verdict{}, 0, ErrNotTrained
+	}
+	maxSteps := p.StepsFor(lookaheadS)
+	series := make([][][]float64, len(p.vm.names))
+	for j, ch := range p.vm.chains {
+		series[j] = ch.PredictSeries(maxSteps)
+	}
+	lr := p.model.LogRatios()
+	var sc bayes.Scratch
+	marginals := make([][]float64, len(series))
+	future := make([]int, len(series))
+	bestStep, bestScore := 0, 0.0
+	for s := 0; s < maxSteps; s++ {
+		for j := range marginals {
+			marginals[j] = series[j][s]
+		}
+		var score float64
+		if p.vm.cfg.ArgmaxScore {
+			for j, dist := range marginals {
+				future[j] = markov.ArgMax(dist)
+			}
+			var err error
+			if score, err = p.model.Score(future); err != nil {
+				return Verdict{}, 0, err
+			}
+		} else {
+			score = p.model.MarginalScoreFast(marginals, lr, &sc)
+		}
+		if s == 0 || score > bestScore {
+			bestStep, bestScore = s, score
+		}
+	}
+	for j := range marginals {
+		marginals[j] = series[j][bestStep]
+	}
+	v, err := p.score(marginals)
+	return v, bestStep, err
+}
 
 // trainedPair builds two identically trained predictors over synthetic
 // labeled rows (one for the scalar oracle, one for the batch path).
@@ -45,9 +93,11 @@ func trainedPair(t testing.TB, cfg Config, seed int64) (*Predictor, *Predictor) 
 	return build(), build()
 }
 
-// TestFleetMatchesPredictWindow drives scalar and batch predictors
-// through interleaved observations and predictions and requires
-// bit-identical scores, best steps, and materialized verdicts.
+// TestFleetMatchesPredictWindow drives two identically trained
+// predictors through interleaved observations and predictions, one
+// scored by the per-step reference and one through a shared Fleet, and
+// requires bit-identical scores, best steps, and materialized verdicts;
+// PredictWindow must return the same verdict too.
 func TestFleetMatchesPredictWindow(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -77,16 +127,16 @@ func TestFleetMatchesPredictWindow(t *testing.T) {
 				if err := batch.Observe(row); err != nil {
 					t.Fatal(err)
 				}
-				want, err := scalar.PredictWindow(120)
+				want, wantStep, err := referenceWindow(scalar, 120)
 				if err != nil {
-					t.Fatalf("PredictWindow: %v", err)
+					t.Fatalf("reference window: %v", err)
 				}
 				dec, err := fleet.ScoreWindow(batch, 120)
 				if err != nil {
 					t.Fatalf("ScoreWindow: %v", err)
 				}
-				if math.Float64bits(dec.Score) != math.Float64bits(want.Score) {
-					t.Fatalf("round %d: score %v vs %v", round, dec.Score, want.Score)
+				if math.Float64bits(dec.Score) != math.Float64bits(want.Score) || dec.BestStep != wantStep {
+					t.Fatalf("round %d: score %v at step %d vs %v at step %d", round, dec.Score, dec.BestStep, want.Score, wantStep)
 				}
 				got, err := fleet.Materialize(batch)
 				if err != nil {
@@ -95,12 +145,19 @@ func TestFleetMatchesPredictWindow(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("round %d: verdict mismatch\n got %+v\nwant %+v", round, got, want)
 				}
+				pw, err := scalar.PredictWindow(120)
+				if err != nil {
+					t.Fatalf("PredictWindow: %v", err)
+				}
+				if !reflect.DeepEqual(pw, want) {
+					t.Fatalf("round %d: PredictWindow mismatch\n got %+v\nwant %+v", round, pw, want)
+				}
 			}
 		})
 	}
 }
 
-// TestFleetUntrained mirrors PredictWindow's not-trained error.
+// TestFleetUntrained: scoring an untrained predictor fails.
 func TestFleetUntrained(t *testing.T) {
 	p, err := New(Config{}, AttributeNames())
 	if err != nil {
@@ -128,8 +185,8 @@ func TestFleetMaterializeGuard(t *testing.T) {
 
 // TestFleetVerdictAfterAnotherScore takes a tan adapter's Verdict after
 // the shared fleet has scored another predictor: the adapter re-runs its
-// own window pass, and the decision and verdict equal the reference
-// PredictWindow's.
+// own window pass, and the decision and verdict equal the per-step
+// reference's.
 func TestFleetVerdictAfterAnotherScore(t *testing.T) {
 	scalar, a := trainedPair(t, Config{}, 5)
 	_, b := trainedPair(t, Config{}, 11)
@@ -159,14 +216,14 @@ func TestFleetVerdictAfterAnotherScore(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: Verdict after another predictor scored: %v", round, err)
 		}
-		v, err := scalar.PredictWindow(120)
+		v, step, err := referenceWindow(scalar, 120)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantDec := detector.Decision{Abnormal: v.Score > margin, Score: v.Score, LeadSteps: scalar.lastBestStep + 1}
+		wantDec := detector.Decision{Abnormal: v.Score > margin, Score: v.Score, LeadSteps: step + 1}
 		want := supervisedVerdict(v, wantDec.Abnormal, wantDec.LeadSteps)
 		if gotDec != wantDec || !reflect.DeepEqual(got, want) {
-			t.Fatalf("round %d: fleet %+v %+v, PredictWindow %+v %+v", round, gotDec, got, wantDec, want)
+			t.Fatalf("round %d: fleet %+v %+v, reference %+v %+v", round, gotDec, got, wantDec, want)
 		}
 	}
 }
@@ -271,7 +328,7 @@ func TestFleetLogRatioCacheInvalidation(t *testing.T) {
 	if err := batch.Train(rows, labels); err != nil {
 		t.Fatal(err)
 	}
-	want, err := scalar.PredictWindow(120)
+	want, _, err := referenceWindow(scalar, 120)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,8 +346,8 @@ func TestFleetLogRatioCacheInvalidation(t *testing.T) {
 	// The in-place case: Retrain refits the model the pointer already
 	// names, so only the fit generation tells the cached table it is
 	// stale. Stream shifted rows in, Retrain, and the fleet score must
-	// equal the PredictWindow of an oracle whose classifier was trained
-	// fresh from the same counts.
+	// equal the reference window of an oracle whose classifier was
+	// trained fresh from the same counts.
 	inc, err := New(Config{}, AttributeNames())
 	if err != nil {
 		t.Fatal(err)
@@ -330,7 +387,7 @@ func TestFleetLogRatioCacheInvalidation(t *testing.T) {
 	}
 	oracle := *inc
 	oracle.model, oracle.lr = fresh, nil
-	want, err = oracle.PredictWindow(120)
+	want, _, err = referenceWindow(&oracle, 120)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +404,7 @@ func TestFleetLogRatioCacheInvalidation(t *testing.T) {
 }
 
 // TestFleetScoreWindowAllocFree pins the batch scoring path at zero
-// steady-state allocations per VM (the scalar PredictWindow pin is 33).
+// steady-state allocations per VM.
 func TestFleetScoreWindowAllocFree(t *testing.T) {
 	_, batch := trainedPair(t, Config{}, 5)
 	fleet := NewFleet()

@@ -1,18 +1,12 @@
 package predict
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
 	"prepare/internal/bayes"
 	"prepare/internal/metrics"
 )
-
-// ErrNotIncremental is returned by Update/Retrain on a predictor that
-// was not trained with TrainIncremental (or restored from a snapshot
-// without incremental state).
-var ErrNotIncremental = errors.New("predict: predictor has no incremental training state")
 
 // ringEntry is one recent row retained for the streaming backward
 // extension: when a violation onset arrives, the contiguous deviating
@@ -25,12 +19,12 @@ type ringEntry struct {
 	counted   bool // instance present in the count table
 }
 
-// incrementalState is the sufficient-statistics side of an incrementally
-// trained predictor. The Markov chains are inherently incremental (every
+// incrementalState is the sufficient-statistics side of a trained
+// predictor. The Markov chains are inherently incremental (every
 // Observe already updates their transition counts), so the state here
-// covers only what batch retraining used to recompute from full history:
-// the TAN count table, the frozen relabeling baseline, and the short
-// ring of recent rows the backward extension can still rewrite.
+// covers only what a refit from full history would recompute: the TAN
+// count table, the frozen relabeling baseline, and the short ring of
+// recent rows the backward extension can still rewrite.
 type incrementalState struct {
 	ct       *bayes.CountTable
 	base     *baseline // nil when initial training lacked baseline rows
@@ -86,69 +80,77 @@ func (s *incrementalState) push(bins []int, applied metrics.Label, deviating, co
 	s.n++
 }
 
-// Incremental reports whether the predictor carries incremental training
-// state (Update/Retrain available).
-func (p *Predictor) Incremental() bool { return p.inc != nil }
-
 // IncrementalUpdates returns how many rows Update has folded into the
-// sufficient statistics since (re)training started.
+// sufficient statistics since the last fit.
 func (p *Predictor) IncrementalUpdates() uint64 {
-	if p.inc == nil {
+	if !p.trained {
 		return 0
 	}
 	return p.inc.updates
 }
 
-// TrainIncremental performs the initial batch fit exactly like Train —
-// same discretizers, chains, relabeling, and classifier, bit-identical
-// on the same data — and additionally retains the sufficient statistics
-// needed to keep training online: the TAN count table, the relabeling
-// baseline (frozen from this window, as are the discretizers), and a
-// lookback ring of recent rows for streaming backward extension. After
-// it returns, feed each new sample to Update (O(1) amortized) and call
-// Retrain to rebuild the classifier from the accumulated counts in
+// TrainIncremental fits the predictor for streaming training: it fits
+// a robust baseline on the window's normal rows, applies the streaming
+// relabel against it (deviation gate and backward extension over
+// lookbackSamples), and runs the one fit over the relabeled window,
+// which keeps the baseline frozen for Update. The model is bit-identical
+// to RelabelForTraining followed by Train on the same window: the
+// minimum-support fold RelabelForTraining applies to the labels, the fit
+// applies as a view of the counts, so abnormal rows that lack support
+// now still count once enough arrive. rawLabels is left as it was.
+// After it returns, feed each new sample to Update (O(1) amortized) and
+// call Retrain to rebuild the classifier from the accumulated counts in
 // O(attrs²·bins²), independent of history length.
 func (p *Predictor) TrainIncremental(rows [][]float64, rawLabels []metrics.Label, lookbackSamples int) error {
-	if len(rows) == 0 {
-		return ErrNoData
-	}
-	if len(rows) != len(rawLabels) {
-		return fmt.Errorf("%w: %d rows vs %d labels", ErrShape, len(rows), len(rawLabels))
-	}
-	if lookbackSamples < 0 {
-		lookbackSamples = 0
-	}
+	return p.relabelAndFit(rows, append([]metrics.Label(nil), rawLabels...), lookbackSamples)
+}
 
-	// Streaming labels: gate + backward extension, but NOT the minimum-
-	// support fold — that is a global property of the current window and
-	// is re-decided at every (re)train from the class counts, so early
-	// abnormal rows that lacked support at first can still contribute
-	// once enough arrive.
-	base := fitBaseline(rows, rawLabels)
-	streamLabels := append([]metrics.Label(nil), rawLabels...)
-	deviating := make([]bool, len(rows))
+// relabelAndFit is TrainIncremental on labels it relabels in place:
+// when it returns they are what RelabelForTraining would have made of
+// them, minimum-support fold included.
+func (p *Predictor) relabelAndFit(rows [][]float64, labels []metrics.Label, lookback int) error {
+	lookback = max(lookback, 0)
+	base := fitBaseline(rows, labels)
 	if base != nil {
+		deviating := make([]bool, len(rows))
 		for i, row := range rows {
 			deviating[i] = base.deviating(row)
 		}
-		gateAndExtend(streamLabels, deviating, lookbackSamples)
+		gateAndExtend(labels, deviating, lookback)
 	}
-	modelLabels := append([]metrics.Label(nil), streamLabels...)
-	if base != nil {
-		applyMinSupport(modelLabels)
-	}
-
-	// The batch fit proper: discretizers, chains, and classifier are
-	// exactly what Train produces for this window.
-	if err := p.Train(rows, modelLabels); err != nil {
+	if err := p.fit(rows, labels, base, lookback); err != nil {
 		return err
 	}
+	if base != nil {
+		applyMinSupport(labels)
+	}
+	return nil
+}
 
-	// Accumulate the count table from the stream labels (pre-fold) and
-	// seed the extension ring with the window's tail.
-	binsPerAttr := make([]int, len(p.vm.names))
+// fit is the one TAN fit behind Train and TrainIncremental. It fits the
+// value model on rows, bins every row once, counts the rows labeled
+// normal or abnormal into a fresh count table, seeds the look-back ring
+// with the window's last lookback rows, and builds the classifier from
+// the counts (see incrementalState.refit). base is the frozen relabel
+// baseline the labels were gated against, nil when they are taken as
+// given. A failed fit leaves the predictor as it was.
+func (p *Predictor) fit(rows [][]float64, labels []metrics.Label, base *baseline, lookback int) error {
+	if len(rows) == 0 {
+		return ErrNoData
+	}
+	if p.ins.TrainLatency != nil {
+		defer p.ins.TrainLatency.ObserveSince(time.Now())
+	}
+	if len(rows) != len(labels) {
+		return fmt.Errorf("%w: %d rows vs %d labels", ErrShape, len(rows), len(labels))
+	}
+	vm := p.vm
+	if err := vm.fit(rows); err != nil {
+		return err
+	}
+	binsPerAttr := make([]int, len(vm.names))
 	for j := range binsPerAttr {
-		binsPerAttr[j] = p.vm.cfg.Bins
+		binsPerAttr[j] = vm.cfg.Bins
 	}
 	ct, err := bayes.NewCountTable(binsPerAttr)
 	if err != nil {
@@ -157,33 +159,48 @@ func (p *Predictor) TrainIncremental(rows [][]float64, rawLabels []metrics.Label
 	inc := &incrementalState{
 		ct:         ct,
 		base:       base,
-		lookback:   lookbackSamples,
-		ring:       make([]ringEntry, 0, lookbackSamples),
-		prev:       metrics.LabelUnknown,
-		binScratch: make([]int, len(p.vm.names)),
+		lookback:   lookback,
+		ring:       make([]ringEntry, 0, lookback),
+		prev:       labels[len(labels)-1],
+		binScratch: make([]int, len(vm.names)),
 	}
-	binned := make([]int, len(p.vm.names))
+	binned := inc.binScratch
 	for i, row := range rows {
 		for j, v := range row {
-			binned[j] = p.vm.disc[j].Bin(v)
+			binned[j] = vm.disc[j].Bin(v)
 		}
-		counted := false
-		switch streamLabels[i] {
-		case metrics.LabelNormal, metrics.LabelAbnormal:
-			if err := ct.Add(binned, streamLabels[i] == metrics.LabelAbnormal); err != nil {
+		counted := labels[i] == metrics.LabelNormal || labels[i] == metrics.LabelAbnormal
+		if counted {
+			if err := ct.Add(binned, labels[i] == metrics.LabelAbnormal); err != nil {
 				return err
 			}
-			counted = true
 		}
-		if i >= len(rows)-lookbackSamples {
-			inc.push(binned, streamLabels[i], deviating[i], counted)
+		if i >= len(rows)-lookback {
+			inc.push(binned, labels[i], base != nil && base.deviating(row), counted)
 		}
 	}
-	if len(rows) > 0 {
-		inc.prev = streamLabels[len(rows)-1]
+	if ct.Total() == 0 {
+		return fmt.Errorf("%w: no labeled rows", ErrNoData)
 	}
-	p.inc = inc
+	model := new(bayes.Model)
+	if err := inc.refit(model, vm.cfg.Naive); err != nil {
+		return fmt.Errorf("predict: train classifier: %w", err)
+	}
+	p.vm, p.model, p.inc, p.trained = vm, model, inc, true
 	return nil
+}
+
+// refit fits m to the accumulated counts. When the labels were gated
+// against a baseline, an abnormal class below minAbnormalSupport is gate
+// leakage: the fit sees it folded into the normal class (the view
+// applyMinSupport takes of a label slice), while the counts themselves
+// keep accumulating either way.
+func (s *incrementalState) refit(m *bayes.Model, naive bool) error {
+	view := s.ct
+	if ab := view.ClassCount(true); s.base != nil && ab > 0 && ab < minAbnormalSupport {
+		view = view.FoldAbnormal()
+	}
+	return m.RefitFromCounts(view, bayes.Options{Naive: naive})
 }
 
 // Update folds one new labeled sample into the predictor's sufficient
@@ -199,9 +216,6 @@ func (p *Predictor) TrainIncremental(rows [][]float64, rawLabels []metrics.Label
 func (p *Predictor) Update(row []float64, label metrics.Label) error {
 	if !p.trained {
 		return ErrNotTrained
-	}
-	if p.inc == nil {
-		return ErrNotIncremental
 	}
 	if len(row) != len(p.vm.names) {
 		return fmt.Errorf("%w: row has %d columns, want %d", ErrShape, len(row), len(p.vm.names))
@@ -259,28 +273,18 @@ func (p *Predictor) Update(row []float64, label metrics.Label) error {
 // Retrain refits the TAN classifier from the accumulated count table
 // in O(attrs²·bins²) — independent of how much history produced the
 // counts, which is what turns the control loop's periodic retrain from
-// O(T) into O(1) amortized. The minimum-support rule is applied as a
-// view (abnormal counts folded into normal when below threshold), so the
-// underlying statistics keep accumulating either way. The result is
-// bit-identical to a batch Train over the same rows relabeled against
-// the same frozen baseline. The model is refitted in place, which
-// allocates nothing unless the fold is taken; if the refit fails the
-// old fit keeps scoring.
+// O(T) into O(1) amortized. The result is bit-identical to a fit over
+// the same rows relabeled against the same frozen baseline. The model is
+// refitted in place, which allocates nothing unless the minimum-support
+// fold is taken; if the refit fails the old fit keeps scoring.
 func (p *Predictor) Retrain() error {
 	if !p.trained {
 		return ErrNotTrained
 	}
-	if p.inc == nil {
-		return ErrNotIncremental
-	}
 	if p.ins.TrainLatency != nil {
 		defer p.ins.TrainLatency.ObserveSince(time.Now())
 	}
-	view := p.inc.ct
-	if ab := view.ClassCount(true); p.inc.base != nil && ab > 0 && ab < minAbnormalSupport {
-		view = view.FoldAbnormal()
-	}
-	if err := p.model.RefitFromCounts(view, bayes.Options{Naive: p.vm.cfg.Naive}); err != nil {
+	if err := p.inc.refit(p.model, p.vm.cfg.Naive); err != nil {
 		return fmt.Errorf("predict: retrain classifier: %w", err)
 	}
 	return nil

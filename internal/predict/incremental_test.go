@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -69,9 +70,6 @@ func TestTrainIncrementalMatchesBatchTrain(t *testing.T) {
 	}
 	if err := p.TrainIncremental(rows, labels, lookback); err != nil {
 		t.Fatal(err)
-	}
-	if !p.Incremental() {
-		t.Fatal("TrainIncremental left no incremental state")
 	}
 
 	q, err := New(Config{}, AttributeNames())
@@ -149,6 +147,111 @@ func TestRetrainMatchesFrozenBatch(t *testing.T) {
 	}
 }
 
+// fuzzTrace draws n rows of four columns: a noisy steady state broken
+// by episodes in which the first two columns jump far from it, first for
+// up to five rows still labeled normal (the pre-violation drift the
+// backward extension claims) and then for a run of 1 to 12 rows labeled
+// abnormal, so the abnormal class lands on both sides of the
+// minimum-support threshold. Abnormal labels also leak onto quiet rows,
+// which the deviation gate must turn back, and a share of the rows is
+// unlabeled.
+func fuzzTrace(rng *rand.Rand, n, episodes int) ([][]float64, []metrics.Label) {
+	phase := make([]int, n) // 0 quiet, 1 drifting, 2 violating
+	for e := 0; e < episodes; e++ {
+		start, pre, run := rng.Intn(n), rng.Intn(6), 1+rng.Intn(12)
+		for i := start; i < start+pre+run && i < n; i++ {
+			phase[i] = 1
+			if i >= start+pre {
+				phase[i] = 2
+			}
+		}
+	}
+	unknownEvery := 3 + rng.Intn(40)
+	rows := make([][]float64, n)
+	labels := make([]metrics.Label, n)
+	for i := range rows {
+		row := make([]float64, 4)
+		for j := range row {
+			row[j] = 50 + 5*rng.NormFloat64()
+		}
+		labels[i] = metrics.LabelNormal
+		if phase[i] > 0 {
+			row[0] += 200
+			row[1] -= 150
+		}
+		if phase[i] == 2 || (phase[i] == 0 && rng.Intn(25) == 0) {
+			labels[i] = metrics.LabelAbnormal
+		}
+		if rng.Intn(unknownEvery) == 0 {
+			labels[i] = metrics.LabelUnknown
+		}
+		rows[i] = row
+	}
+	return rows, labels
+}
+
+// FuzzTrainIncrementalMatchesBatch is the equivalence the one TAN fit
+// rests on, over random traces, look-backs and prefixes: TrainIncremental
+// on the prefix yields the model RelabelForTraining followed by Train
+// yields, and after each Update of the rest of the trace a Retrain (at
+// random points) yields the model a fit over the whole history so far,
+// relabeled against the same frozen baseline, would (frozenRefitModel).
+func FuzzTrainIncrementalMatchesBatch(f *testing.F) {
+	f.Add(int64(1), uint16(200), uint16(90), uint8(12), uint8(4), uint8(5), false)
+	f.Add(int64(2), uint16(300), uint16(150), uint8(24), uint8(7), uint8(1), false)
+	f.Add(int64(3), uint16(120), uint16(40), uint8(0), uint8(3), uint8(9), true)
+	f.Add(int64(4), uint16(250), uint16(60), uint8(6), uint8(6), uint8(3), false)
+	f.Add(int64(5), uint16(30), uint16(5), uint8(31), uint8(1), uint8(0), false)
+	f.Fuzz(func(t *testing.T, seed int64, n, prefix uint16, lookback, episodes, retrainEvery uint8, naive bool) {
+		rng := rand.New(rand.NewSource(seed))
+		rowsN := 12 + int(n)%300
+		pre := 1 + int(prefix)%rowsN
+		lb := int(lookback) % 32
+		rows, raw := fuzzTrace(rng, rowsN, int(episodes)%8)
+		names := []string{"a", "b", "c", "d"}
+		cfg := Config{Naive: naive}
+
+		p, err := New(cfg, names)
+		if err != nil {
+			t.Fatal(err)
+		}
+		errInc := p.TrainIncremental(rows[:pre], raw[:pre], lb)
+		q, err := New(cfg, names)
+		if err != nil {
+			t.Fatal(err)
+		}
+		relabeled := append([]metrics.Label(nil), raw[:pre]...)
+		RelabelForTraining(rows[:pre], relabeled, lb)
+		errBatch := q.Train(rows[:pre], relabeled)
+		if (errInc == nil) != (errBatch == nil) {
+			t.Fatalf("TrainIncremental: %v, RelabelForTraining + Train: %v", errInc, errBatch)
+		}
+		if errInc != nil {
+			return
+		}
+		if !reflect.DeepEqual(p.model.Snapshot(), q.model.Snapshot()) {
+			t.Fatal("TrainIncremental model differs from RelabelForTraining + Train")
+		}
+
+		every := 1 + int(retrainEvery)%40
+		for i := pre; i < rowsN; i++ {
+			if err := p.Update(rows[i], raw[i]); err != nil {
+				t.Fatal(err)
+			}
+			if i != rowsN-1 && rng.Intn(every) != 0 {
+				continue
+			}
+			if err := p.Retrain(); err != nil {
+				t.Fatal(err)
+			}
+			want := frozenRefitModel(t, p, rows[:i+1], raw[:i+1], lb)
+			if !reflect.DeepEqual(p.model.Snapshot(), want.Snapshot()) {
+				t.Fatalf("row %d: retrained model differs from the frozen refit", i+1)
+			}
+		}
+	})
+}
+
 // TestIncrementalSaveLoadResumesIdentically: snapshotting an
 // incrementally trained predictor mid-stream and restoring it must
 // resume exactly — same verdicts on every subsequent tick, same model
@@ -180,9 +283,6 @@ func TestIncrementalSaveLoadResumesIdentically(t *testing.T) {
 	q, err := Load(&buf)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !q.Incremental() {
-		t.Fatal("restored predictor lost its incremental state")
 	}
 	if q.IncrementalUpdates() != p.IncrementalUpdates() {
 		t.Fatalf("restored updates = %d, want %d", q.IncrementalUpdates(), p.IncrementalUpdates())
@@ -217,37 +317,6 @@ func TestIncrementalSaveLoadResumesIdentically(t *testing.T) {
 	}
 	if !reflect.DeepEqual(p.model.Snapshot(), q.model.Snapshot()) {
 		t.Fatal("models diverged after resume")
-	}
-}
-
-// TestUpdateRequiresIncrementalState: batch-trained predictors must
-// reject the incremental entry points loudly rather than silently
-// training nothing.
-func TestUpdateRequiresIncrementalState(t *testing.T) {
-	p, err := New(Config{}, AttributeNames())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, labels := benchTrace(300, 9)
-	if err := p.Train(rows, labels); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Update(rows[0], labels[0]); err != ErrNotIncremental {
-		t.Errorf("Update on batch predictor = %v, want ErrNotIncremental", err)
-	}
-	if err := p.Retrain(); err != ErrNotIncremental {
-		t.Errorf("Retrain on batch predictor = %v, want ErrNotIncremental", err)
-	}
-	// A fresh batch Train over an incremental predictor discards the
-	// statistics (they describe a window the new fit never saw).
-	if err := p.TrainIncremental(rows, labels, 10); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Train(rows, labels); err != nil {
-		t.Fatal(err)
-	}
-	if p.Incremental() {
-		t.Error("batch retrain kept stale incremental state")
 	}
 }
 

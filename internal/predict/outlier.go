@@ -86,9 +86,6 @@ func (d *outlierDetector) Observe(row []float64) error {
 	return nil
 }
 
-// Incremental implements detector.Detector.
-func (d *outlierDetector) Incremental() bool { return false }
-
 // Retrain implements detector.Detector.
 func (d *outlierDetector) Retrain() error {
 	return errors.New("predict: unsupervised detectors do not support incremental retrain")

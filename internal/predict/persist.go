@@ -2,6 +2,7 @@ package predict
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
@@ -18,10 +19,10 @@ type predictorSnapshot struct {
 	Discretizers []metrics.DiscretizerSnapshot `json:"discretizers"`
 	Chains       []markov.Snapshot             `json:"chains"`
 	Model        bayes.Snapshot                `json:"model"`
-	// Incremental carries the sufficient statistics of incremental
-	// training when present; batch-trained predictors omit it, and
-	// snapshots written before the field existed load as batch models.
-	Incremental *incrementalSnapshot `json:"incremental,omitempty"`
+	// Incremental carries the sufficient statistics every trained
+	// predictor keeps (count table, baseline, look-back ring). It is
+	// required: Load refuses a snapshot without it (errNoCounts).
+	Incremental *incrementalSnapshot `json:"incremental"`
 }
 
 // incrementalSnapshot serializes incrementalState.
@@ -45,6 +46,10 @@ type ringEntrySnapshot struct {
 // snapshotVersion guards the wire format.
 const snapshotVersion = 1
 
+// errNoCounts refuses a snapshot that carries no count table: the
+// predictor it describes could neither fold samples nor retrain.
+var errNoCounts = errors.New("predict: snapshot has no incremental counts")
+
 // Save writes the trained predictor as JSON, so a model trained offline
 // can be deployed to score live streams without retraining.
 func (p *Predictor) Save(w io.Writer) error {
@@ -63,28 +68,27 @@ func (p *Predictor) Save(w io.Writer) error {
 		Chains:       chains,
 		Model:        p.model.Snapshot(),
 	}
-	if s := p.inc; s != nil {
-		is := &incrementalSnapshot{
-			Counts:   s.ct.Snapshot(),
-			Lookback: s.lookback,
-			Prev:     s.prev,
-			Updates:  s.updates,
-		}
-		if s.base != nil {
-			is.Mean = append([]float64(nil), s.base.mean...)
-			is.Std = append([]float64(nil), s.base.std...)
-		}
-		for k := s.n - 1; k >= 0; k-- { // oldest first
-			e := s.at(k)
-			is.Ring = append(is.Ring, ringEntrySnapshot{
-				Bins:      append([]int(nil), e.bins...),
-				Applied:   e.applied,
-				Deviating: e.deviating,
-				Counted:   e.counted,
-			})
-		}
-		snap.Incremental = is
+	s := p.inc
+	is := &incrementalSnapshot{
+		Counts:   s.ct.Snapshot(),
+		Lookback: s.lookback,
+		Prev:     s.prev,
+		Updates:  s.updates,
 	}
+	if s.base != nil {
+		is.Mean = append([]float64(nil), s.base.mean...)
+		is.Std = append([]float64(nil), s.base.std...)
+	}
+	for k := s.n - 1; k >= 0; k-- { // oldest first
+		e := s.at(k)
+		is.Ring = append(is.Ring, ringEntrySnapshot{
+			Bins:      append([]int(nil), e.bins...),
+			Applied:   e.applied,
+			Deviating: e.deviating,
+			Counted:   e.counted,
+		})
+	}
+	snap.Incremental = is
 	enc := json.NewEncoder(w)
 	if err := enc.Encode(snap); err != nil {
 		return fmt.Errorf("predict: encode snapshot: %w", err)
@@ -102,6 +106,10 @@ func Load(r io.Reader) (*Predictor, error) {
 	if snap.Version != snapshotVersion {
 		return nil, fmt.Errorf("predict: unsupported snapshot version %d", snap.Version)
 	}
+	is := snap.Incremental
+	if is == nil {
+		return nil, errNoCounts
+	}
 	vm, err := restoreValueModel(snap.Config, snap.Names, snap.Discretizers, snap.Chains)
 	if err != nil {
 		return nil, err
@@ -118,44 +126,42 @@ func Load(r io.Reader) (*Predictor, error) {
 	}
 	p.model = model
 	p.trained = true
-	if is := snap.Incremental; is != nil {
-		ct, err := bayes.CountTableFromSnapshot(is.Counts)
-		if err != nil {
-			return nil, fmt.Errorf("predict: %w", err)
-		}
-		if ct.NumAttributes() != n {
-			return nil, fmt.Errorf("predict: snapshot count table has %d attributes, want %d",
-				ct.NumAttributes(), n)
-		}
-		if is.Lookback < 0 || len(is.Ring) > is.Lookback {
-			return nil, fmt.Errorf("predict: snapshot ring has %d entries, lookback %d",
-				len(is.Ring), is.Lookback)
-		}
-		inc := &incrementalState{
-			ct:         ct,
-			lookback:   is.Lookback,
-			ring:       make([]ringEntry, 0, is.Lookback),
-			prev:       is.Prev,
-			updates:    is.Updates,
-			binScratch: make([]int, n),
-		}
-		if is.Mean != nil {
-			if len(is.Mean) != n || len(is.Std) != n {
-				return nil, fmt.Errorf("predict: snapshot baseline has %d/%d columns, want %d",
-					len(is.Mean), len(is.Std), n)
-			}
-			inc.base = &baseline{
-				mean: append([]float64(nil), is.Mean...),
-				std:  append([]float64(nil), is.Std...),
-			}
-		}
-		for _, e := range is.Ring {
-			if len(e.Bins) != n {
-				return nil, fmt.Errorf("predict: snapshot ring entry has %d bins, want %d", len(e.Bins), n)
-			}
-			inc.push(e.Bins, e.Applied, e.Deviating, e.Counted)
-		}
-		p.inc = inc
+	ct, err := bayes.CountTableFromSnapshot(is.Counts)
+	if err != nil {
+		return nil, fmt.Errorf("predict: %w", err)
 	}
+	if ct.NumAttributes() != n {
+		return nil, fmt.Errorf("predict: snapshot count table has %d attributes, want %d",
+			ct.NumAttributes(), n)
+	}
+	if is.Lookback < 0 || len(is.Ring) > is.Lookback {
+		return nil, fmt.Errorf("predict: snapshot ring has %d entries, lookback %d",
+			len(is.Ring), is.Lookback)
+	}
+	inc := &incrementalState{
+		ct:         ct,
+		lookback:   is.Lookback,
+		ring:       make([]ringEntry, 0, is.Lookback),
+		prev:       is.Prev,
+		updates:    is.Updates,
+		binScratch: make([]int, n),
+	}
+	if is.Mean != nil {
+		if len(is.Mean) != n || len(is.Std) != n {
+			return nil, fmt.Errorf("predict: snapshot baseline has %d/%d columns, want %d",
+				len(is.Mean), len(is.Std), n)
+		}
+		inc.base = &baseline{
+			mean: append([]float64(nil), is.Mean...),
+			std:  append([]float64(nil), is.Std...),
+		}
+	}
+	for _, e := range is.Ring {
+		if len(e.Bins) != n {
+			return nil, fmt.Errorf("predict: snapshot ring entry has %d bins, want %d", len(e.Bins), n)
+		}
+		inc.push(e.Bins, e.Applied, e.Deviating, e.Counted)
+	}
+	p.inc = inc
 	return p, nil
 }

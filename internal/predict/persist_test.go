@@ -99,6 +99,21 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		}
 		return string(out)
 	}
+	// The TAN fixture with its count table removed: every tan snapshot
+	// must carry the counts Update and Retrain work from.
+	tanFixture, err := os.ReadFile(filepath.Join("testdata", "tan.snapshot.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tanSnap map[string]any
+	if err := json.Unmarshal(tanFixture, &tanSnap); err != nil {
+		t.Fatal(err)
+	}
+	delete(tanSnap, "incremental")
+	tanNoCounts, err := json.Marshal(tanSnap)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const tan, km = detector.KindTAN, detector.KindKMeans
 	for _, tc := range []struct {
 		name, kind, data string
@@ -108,6 +123,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		{name: "bad version", kind: tan, data: `{"version":99,"names":["a"]}`},
 		{name: "no names", kind: tan, data: `{"version":1,"names":[]}`},
 		{name: "mismatch", kind: tan, data: `{"version":1,"names":["a","b"],"discretizers":[],"chains":[]}`},
+		{name: "tan without counts", kind: tan, data: string(tanNoCounts), wantInErr: []string{"no incremental counts"}},
 		{name: "outlier not json", kind: km, data: "hello"},
 		{name: "outlier bad version", kind: km, data: mutated(func(snap, _ map[string]any) { snap["version"] = 99 })},
 		{name: "outlier no names", kind: km, data: mutated(func(snap, _ map[string]any) { snap["names"] = []string{} })},

@@ -15,7 +15,6 @@ package predict
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"prepare/internal/bayes"
 	"prepare/internal/markov"
@@ -99,25 +98,24 @@ type Predictor struct {
 	trained bool
 
 	// Scratch reused across predictions: per-step marginal headers, the
-	// argmax bins of the step under evaluation, the classifier's own
-	// scoring buffers, and ForecastValueMax's predicted series.
+	// argmax bins of the step under evaluation, and ForecastValueMax's
+	// predicted series.
 	marginalsScratch [][]float64
 	futureScratch    []int
-	scratch          bayes.Scratch
 	forecastScratch  [][]float64
 
-	// inc holds the sufficient statistics of incremental training, set
-	// by TrainIncremental and nil on batch-trained predictors.
+	// inc holds the TAN count table, the frozen relabel baseline and the
+	// look-back ring every fit leaves behind; Update folds samples into
+	// it and Retrain refits the classifier from it.
 	inc *incrementalState
 
 	// lr caches the TAN log-ratio table for the fleet batch scorer (see
 	// Predictor.logRatios for how it is kept fresh).
 	lr *bayes.LogRatios
 
-	// lastBestStep records the winning window step of the most recent
-	// PredictWindow call (0-based): the lead time of the reference path
-	// the fleet's WindowDecision.BestStep is checked against.
-	lastBestStep int
+	// fleet is the scorer PredictWindow runs through, built on first
+	// use; hosts scoring many predictors share a Fleet of their own.
+	fleet *Fleet
 
 	// ins is the (possibly zero/disabled) telemetry wiring.
 	ins Instruments
@@ -146,56 +144,12 @@ func (p *Predictor) Trained() bool { return p.trained }
 func (p *Predictor) Config() Config { return p.vm.cfg }
 
 // Train fits the discretizers, value predictors and classifier from a
-// labeled window of rows. Rows with LabelUnknown train the value
-// predictors but are excluded from the classifier. Training requires at
-// least one normal and is robust to (but weaker without) abnormal rows.
+// labeled window of rows, taking the labels as given. Rows with
+// LabelUnknown train the value predictors but are excluded from the
+// classifier. Training requires at least one normal and is robust to
+// (but weaker without) abnormal rows.
 func (p *Predictor) Train(rows [][]float64, labels []metrics.Label) error {
-	if len(rows) == 0 {
-		return ErrNoData
-	}
-	if p.ins.TrainLatency != nil {
-		defer p.ins.TrainLatency.ObserveSince(time.Now())
-	}
-	if len(rows) != len(labels) {
-		return fmt.Errorf("%w: %d rows vs %d labels", ErrShape, len(rows), len(labels))
-	}
-	// Fit a copy so a failed Train leaves the predictor as it was.
-	vm := p.vm
-	if err := vm.fit(rows); err != nil {
-		return err
-	}
-
-	nCols := len(vm.names)
-	binsPerAttr := make([]int, nCols)
-	for j := range binsPerAttr {
-		binsPerAttr[j] = vm.cfg.Bins
-	}
-	var instances []bayes.Instance
-	for i, row := range rows {
-		if labels[i] != metrics.LabelNormal && labels[i] != metrics.LabelAbnormal {
-			continue
-		}
-		binned := make([]int, nCols)
-		for j, v := range row {
-			binned[j] = vm.disc[j].Bin(v)
-		}
-		instances = append(instances, bayes.Instance{Bins: binned, Abnormal: labels[i] == metrics.LabelAbnormal})
-	}
-	if len(instances) == 0 {
-		return fmt.Errorf("%w: no labeled rows", ErrNoData)
-	}
-	model, err := bayes.Train(instances, binsPerAttr, bayes.Options{Naive: vm.cfg.Naive})
-	if err != nil {
-		return fmt.Errorf("predict: train classifier: %w", err)
-	}
-
-	p.vm = vm
-	p.model = model
-	p.trained = true
-	// A fresh batch fit discards any previous incremental statistics;
-	// TrainIncremental reinstalls them after delegating here.
-	p.inc = nil
-	return nil
+	return p.fit(rows, labels, nil, 0)
 }
 
 // Observe feeds a new runtime row to the value predictors, advancing
@@ -297,52 +251,18 @@ func (p *Predictor) PredictAt(lookaheadS int64) (Verdict, error) {
 // horizon and the maximum-scoring verdict is returned. Point-in-time
 // classification at long horizons would look "through" short anomalies
 // into the recovery that follows them; the window maximum does not.
+//
+// It is the predictor's own Fleet scoring the window (ScoreWindow) and
+// materializing its worst step (Materialize), so it returns exactly what
+// a host scoring many predictors through a shared Fleet gets.
 func (p *Predictor) PredictWindow(lookaheadS int64) (Verdict, error) {
-	if !p.trained {
-		return Verdict{}, ErrNotTrained
+	if p.fleet == nil {
+		p.fleet = NewFleet()
 	}
-	tStart := p.ins.windowStart()
-	defer p.ins.windowDone(tStart)
-	maxSteps := p.StepsFor(lookaheadS)
-	series := make([][][]float64, len(p.vm.names))
-	for j, ch := range p.vm.chains {
-		series[j] = ch.PredictSeries(maxSteps)
+	if _, err := p.fleet.ScoreWindow(p, lookaheadS); err != nil {
+		return Verdict{}, err
 	}
-	// Locate the worst step with the allocation-free score path, then
-	// materialize the full verdict (strengths ranking, future bins) for
-	// that step only.
-	marginals := p.marginalsBuf()
-	bestStep, bestScore := 0, 0.0
-	for s := 0; s < maxSteps; s++ {
-		for j := range p.vm.names {
-			marginals[j] = series[j][s]
-		}
-		score, err := p.stepScore(marginals)
-		if err != nil {
-			return Verdict{}, fmt.Errorf("predict: classify future state: %w", err)
-		}
-		if s == 0 || score > bestScore {
-			bestStep, bestScore = s, score
-		}
-	}
-	p.lastBestStep = bestStep
-	for j := range p.vm.names {
-		marginals[j] = series[j][bestStep]
-	}
-	return p.score(marginals)
-}
-
-// stepScore computes just the classification score for one step's
-// marginals, reusing the predictor's scratch buffers.
-func (p *Predictor) stepScore(marginals [][]float64) (float64, error) {
-	if p.vm.cfg.ArgmaxScore {
-		future := p.futureBuf()
-		for j, dist := range marginals {
-			future[j] = markov.ArgMax(dist)
-		}
-		return p.model.Score(future)
-	}
-	return p.model.MarginalScore(marginals, &p.scratch)
+	return p.fleet.Materialize(p)
 }
 
 // score classifies one set of per-attribute predicted marginals.

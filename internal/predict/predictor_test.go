@@ -83,6 +83,12 @@ func TestUntrainedErrors(t *testing.T) {
 	if _, err := p.ClassifyCurrent([]float64{1}); err != ErrNotTrained {
 		t.Errorf("ClassifyCurrent untrained = %v, want ErrNotTrained", err)
 	}
+	if err := p.Update([]float64{1}, metrics.LabelNormal); err != ErrNotTrained {
+		t.Errorf("Update untrained = %v, want ErrNotTrained", err)
+	}
+	if err := p.Retrain(); err != ErrNotTrained {
+		t.Errorf("Retrain untrained = %v, want ErrNotTrained", err)
+	}
 }
 
 func TestPredictsLeakAnomalyInAdvance(t *testing.T) {

@@ -264,13 +264,6 @@ func (p *Planner) clearRetry(id substrate.VMID) {
 	delete(p.retry, id)
 }
 
-// RetryPending reports whether the VM has a transient retry scheduled
-// and not yet due at now.
-func (p *Planner) RetryPending(now simclock.Time, id substrate.VMID) bool {
-	rs, ok := p.retry[id]
-	return ok && now.Before(rs.nextTry)
-}
-
 // scale grows the VM's allocation of the resource by the configured step.
 func (p *Planner) scale(now simclock.Time, id substrate.VMID, alloc substrate.Allocation, res infer.ResourceKind) (Step, error) {
 	switch res {

@@ -187,6 +187,13 @@ func equalStrings(a, b []string) bool {
 	return true
 }
 
+// retryPending reports whether the VM has a transient retry scheduled
+// and not yet due at now: the state the backoff gate reads.
+func (p *Planner) retryPending(now simclock.Time, id substrate.VMID) bool {
+	rs, ok := p.retry[id]
+	return ok && now.Before(rs.nextTry)
+}
+
 // TestRetryBackoffTiming pins the deterministic sim-clock schedule: the
 // doubling backoff (2, 4, 8, ...) gates exactly when the actuator is
 // re-invoked, and calls between deadlines return ErrBackoff without
@@ -201,7 +208,7 @@ func TestRetryBackoffTiming(t *testing.T) {
 	var gotCalls []int64
 	for s := int64(1); s <= 20; s++ {
 		now := simclock.Time(s)
-		pending := p.RetryPending(now, "vm1")
+		pending := p.retryPending(now, "vm1")
 		before := len(sys.calls)
 		step, perr := p.Prevent(now, cpuDiag("vm1"), 0)
 		if pending && len(sys.calls) > before {

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"testing"
 
+	"prepare/internal/control"
+	"prepare/internal/detector"
 	"prepare/internal/metrics"
 	"prepare/internal/substrate"
 )
@@ -110,9 +112,10 @@ func TestServerWarmFailover(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsBadCheckpoints: version and topology mismatches are
-// refused before any state is installed, and restore after Start is an
-// error.
+// TestRestoreRejectsBadCheckpoints: version and topology mismatches, a
+// tan model without its count table and models of another detector
+// kind are refused before any state is installed, and restore after
+// Start is an error.
 func TestRestoreRejectsBadCheckpoints(t *testing.T) {
 	traces := map[string]map[substrate.VMID][]metrics.Sample{
 		"solo": tenantTraces("solo", 1, 3),
@@ -145,6 +148,26 @@ func TestRestoreRejectsBadCheckpoints(t *testing.T) {
 	if err := s.Restore(bytes.NewReader([]byte(`{}`))); err == nil {
 		t.Error("restore accepted a running server")
 	}
+
+	replicaCfgs, _ := failoverTopology(0)
+	ckpt := trainedCheckpoint(t, 0)
+	if restoreLeavesNothing(t, replicaCfgs, ckpt) {
+		t.Fatal("the unmodified checkpoint was rejected")
+	}
+	if !restoreLeavesNothing(t, replicaCfgs, noCountsBody(t, ckpt)) {
+		t.Error("restore accepted a tan model without its count table")
+	}
+	ewma := ewmaCheckpoint(t)
+	ewmaCfgs, _ := failoverTopology(0)
+	for i := range ewmaCfgs {
+		ewmaCfgs[i].Control.Detector = detector.Spec{Kind: detector.KindEWMA}
+	}
+	if restoreLeavesNothing(t, ewmaCfgs, ewma) {
+		t.Fatal("ewma tenants rejected their own checkpoint")
+	}
+	if !restoreLeavesNothing(t, replicaCfgs, ewma) {
+		t.Error("tan tenants accepted ewma models")
+	}
 }
 
 // failoverTopology is two one-VM tenants that train at trainAtS.
@@ -159,14 +182,27 @@ func failoverTopology(trainAtS int64) ([]TenantConfig, map[string]map[substrate.
 	return cfgs, traces
 }
 
-// trainedCheckpoint is a checkpoint of a trained two-tenant server.
-// With retrainS > 0 the tenants retrain incrementally, so the
-// checkpoint carries their TAN count tables too.
+// trainedCheckpoint is a checkpoint of a trained two-tenant server of
+// tan detectors. With retrainS > 0 the tenants retrain incrementally.
 func trainedCheckpoint(tb testing.TB, retrainS int64) []byte {
+	tb.Helper()
+	return checkpointOf(tb, func(c *control.Config) { c.RetrainIntervalS = retrainS })
+}
+
+// ewmaCheckpoint is a checkpoint of the same server running ewma
+// detectors.
+func ewmaCheckpoint(tb testing.TB) []byte {
+	tb.Helper()
+	return checkpointOf(tb, func(c *control.Config) { c.Detector = detector.Spec{Kind: detector.KindEWMA} })
+}
+
+// checkpointOf is a checkpoint of the trained two-tenant server whose
+// controller configurations configure adjusts.
+func checkpointOf(tb testing.TB, configure func(*control.Config)) []byte {
 	tb.Helper()
 	cfgs, traces := failoverTopology(testTrainAt)
 	for i := range cfgs {
-		cfgs[i].Control.RetrainIntervalS = retrainS
+		configure(&cfgs[i].Control)
 	}
 	primary, err := New(cfgs, Config{Shards: 2})
 	if err != nil {
@@ -216,38 +252,62 @@ func hostileCountBodies(tb testing.TB, ckpt []byte) map[string][]byte {
 	return bodies
 }
 
+// editJSON decodes the JSON object raw, lets change alter its fields
+// and re-encodes it.
+func editJSON(tb testing.TB, raw []byte, change func(map[string]json.RawMessage)) []byte {
+	tb.Helper()
+	var obj map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &obj); err != nil {
+		tb.Fatal(err)
+	}
+	change(obj)
+	out, err := json.Marshal(obj)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
+
+// editEastVMs returns ckpt with change applied to tenant east's map of
+// per-VM model envelopes.
+func editEastVMs(tb testing.TB, ckpt []byte, change func(vms map[string]json.RawMessage)) []byte {
+	tb.Helper()
+	return editJSON(tb, ckpt, func(snap map[string]json.RawMessage) {
+		snap["models"] = editJSON(tb, snap["models"], func(models map[string]json.RawMessage) {
+			models["tenants"] = editJSON(tb, models["tenants"], func(tenants map[string]json.RawMessage) {
+				tenants["east"] = editJSON(tb, tenants["east"], func(east map[string]json.RawMessage) {
+					east["vms"] = editJSON(tb, east["vms"], change)
+				})
+			})
+		})
+	})
+}
+
 // extraVMBody returns ckpt with tenant east's one VM model copied under
 // a VM name the topology does not have.
 func extraVMBody(tb testing.TB, ckpt []byte) []byte {
 	tb.Helper()
-	// edit decodes the JSON object raw, lets change alter its fields and
-	// re-encodes it.
-	edit := func(raw []byte, change func(map[string]json.RawMessage)) []byte {
-		var obj map[string]json.RawMessage
-		if err := json.Unmarshal(raw, &obj); err != nil {
-			tb.Fatal(err)
+	return editEastVMs(tb, ckpt, func(vms map[string]json.RawMessage) {
+		var model json.RawMessage
+		for _, m := range vms { // east has one VM
+			model = m
 		}
-		change(obj)
-		out, err := json.Marshal(obj)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		return out
-	}
-	return edit(ckpt, func(snap map[string]json.RawMessage) {
-		snap["models"] = edit(snap["models"], func(models map[string]json.RawMessage) {
-			models["tenants"] = edit(models["tenants"], func(tenants map[string]json.RawMessage) {
-				tenants["east"] = edit(tenants["east"], func(east map[string]json.RawMessage) {
-					east["vms"] = edit(east["vms"], func(vms map[string]json.RawMessage) {
-						var model json.RawMessage
-						for _, m := range vms { // east has one VM
-							model = m
-						}
-						vms["vm-ghost"] = model
-					})
+		vms["vm-ghost"] = model
+	})
+}
+
+// noCountsBody returns ckpt with the count table section cut from
+// tenant east's tan model.
+func noCountsBody(tb testing.TB, ckpt []byte) []byte {
+	tb.Helper()
+	return editEastVMs(tb, ckpt, func(vms map[string]json.RawMessage) {
+		for id, m := range vms {
+			vms[id] = editJSON(tb, m, func(model map[string]json.RawMessage) {
+				model["data"] = editJSON(tb, model["data"], func(data map[string]json.RawMessage) {
+					delete(data, "incremental")
 				})
 			})
-		})
+		}
 	})
 }
 
@@ -297,6 +357,8 @@ func FuzzCheckpointRestore(f *testing.F) {
 	ckpt := trainedCheckpoint(f, 0)
 	f.Add(ckpt)
 	f.Add(extraVMBody(f, ckpt))
+	f.Add(noCountsBody(f, ckpt))
+	f.Add(ewmaCheckpoint(f))
 	f.Add([]byte(`{"version":99,"ticks":{"solo":10},"models":{}}`))
 	f.Add([]byte(`{"version":1,"ticks":{"other":10},"models":{}}`))
 	f.Add([]byte(`{}`))

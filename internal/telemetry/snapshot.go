@@ -86,20 +86,6 @@ func (s *Snapshot) CounterNames() []string {
 	return names
 }
 
-// EventsOfKind filters the snapshot's events by kind, preserving order.
-func (s *Snapshot) EventsOfKind(kind string) []Event {
-	if s == nil {
-		return nil
-	}
-	var out []Event
-	for _, e := range s.Events {
-		if e.Kind == kind {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // Snapshot copies the registry's current state. Returns nil when r is
 // nil (disabled mode).
 func (r *Registry) Snapshot() *Snapshot {

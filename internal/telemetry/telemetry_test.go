@@ -203,18 +203,6 @@ func TestMergeMismatchedBounds(t *testing.T) {
 	}
 }
 
-func TestEventsOfKind(t *testing.T) {
-	r := New(Options{})
-	r.Emit(1, "a", StagePredict, KindPredictionWindow, "")
-	r.Emit(2, "a", StageControl, KindAlertRaised, "")
-	r.Emit(3, "b", StagePredict, KindPredictionWindow, "")
-	s := r.Snapshot()
-	got := s.EventsOfKind(KindPredictionWindow)
-	if len(got) != 2 || got[0].SimTime != 1 || got[1].SimTime != 3 {
-		t.Errorf("EventsOfKind = %+v", got)
-	}
-}
-
 func TestHook(t *testing.T) {
 	var k Hook
 	if start := k.Start(); !start.IsZero() {

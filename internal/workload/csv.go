@@ -43,70 +43,3 @@ func WriteCSV(w io.Writer, points []Point) error {
 	cw.Flush()
 	return cw.Error()
 }
-
-// ReadCSV parses rows written by WriteCSV.
-func ReadCSV(r io.Reader) ([]Point, error) {
-	cr := csv.NewReader(r)
-	records, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("workload: read csv: %w", err)
-	}
-	if len(records) == 0 {
-		return nil, nil
-	}
-	points := make([]Point, 0, len(records)-1)
-	for i, rec := range records[1:] {
-		if len(rec) != 2 {
-			return nil, fmt.Errorf("workload: row %d has %d fields, want 2", i+2, len(rec))
-		}
-		sec, err := strconv.ParseInt(rec[0], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("workload: row %d time: %w", i+2, err)
-		}
-		rate, err := strconv.ParseFloat(rec[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("workload: row %d rate: %w", i+2, err)
-		}
-		points = append(points, Point{Time: simclock.Time(sec), Rate: rate})
-	}
-	return points, nil
-}
-
-// Replay is a Generator backed by a recorded trace. Queries past the end
-// of the trace return the final rate; queries before the start return the
-// first rate.
-type Replay struct {
-	points []Point
-}
-
-var _ Generator = (*Replay)(nil)
-
-// NewReplay builds a Replay from points, which must be non-empty and
-// sorted by time.
-func NewReplay(points []Point) (*Replay, error) {
-	if len(points) == 0 {
-		return nil, fmt.Errorf("workload: replay needs at least one point")
-	}
-	for i := 1; i < len(points); i++ {
-		if points[i].Time.Before(points[i-1].Time) {
-			return nil, fmt.Errorf("workload: replay points not sorted at index %d", i)
-		}
-	}
-	cp := make([]Point, len(points))
-	copy(cp, points)
-	return &Replay{points: cp}, nil
-}
-
-// Rate implements Generator via step interpolation.
-func (r *Replay) Rate(t simclock.Time) float64 {
-	if t.Before(r.points[0].Time) {
-		return r.points[0].Rate
-	}
-	// Linear scan is fine: traces are replayed sequentially and are short.
-	for i := len(r.points) - 1; i >= 0; i-- {
-		if !t.Before(r.points[i].Time) {
-			return r.points[i].Rate
-		}
-	}
-	return r.points[len(r.points)-1].Rate
-}
