@@ -14,17 +14,26 @@ import (
 // TestDetectorPackageImportsStayMinimal enforces the detector layer's
 // dependency contract: internal/detector is the interface every scorer
 // implements, so it may import only the row vocabulary
-// (internal/metrics) and the counters (internal/telemetry) beyond the
-// standard library. Model-backed adapters live with their models in
-// internal/predict, never here — otherwise every detector user would
-// drag in the full prediction stack.
+// (internal/metrics), the counters (internal/telemetry) and the
+// checkpoint codec (internal/binenc) beyond the standard library.
+// Model-backed adapters live with their models in internal/predict,
+// never here — otherwise every detector user would drag in the full
+// prediction stack. The codec itself is a leaf: it imports nothing
+// from this module.
 func TestDetectorPackageImportsStayMinimal(t *testing.T) {
-	allowed := map[string]bool{
+	checkImports(t, filepath.Join("internal", "detector"), map[string]bool{
 		"prepare/internal/metrics":   true,
 		"prepare/internal/telemetry": true,
-	}
+		"prepare/internal/binenc":    true,
+	})
+	checkImports(t, filepath.Join("internal", "binenc"), nil)
+}
+
+// checkImports fails for every import of a prepare/ package outside
+// allowed in the non-test files of dir.
+func checkImports(t *testing.T, dir string, allowed map[string]bool) {
+	t.Helper()
 	fset := token.NewFileSet()
-	dir := filepath.Join("internal", "detector")
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatalf("reading %s: %v", dir, err)
@@ -42,11 +51,19 @@ func TestDetectorPackageImportsStayMinimal(t *testing.T) {
 		for _, imp := range f.Imports {
 			p := strings.Trim(imp.Path.Value, `"`)
 			if strings.HasPrefix(p, "prepare/") && !allowed[p] {
-				t.Errorf("%s imports %s; internal/detector may import only internal/metrics and internal/telemetry",
-					path, p)
+				t.Errorf("%s imports %s; %s may import only %v from this module", path, p, dir, sortedKeys(allowed))
 			}
 		}
 	}
+}
+
+func sortedKeys(m map[string]bool) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // TestDecideImportsStayPure enforces the tick's phase contract:

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+
+	"prepare/internal/binenc"
 )
 
 // ErrCountRange is returned by a count table update that would take a
@@ -387,26 +389,88 @@ type CountSnapshot struct {
 // Snapshot exports the table state, every count as a whole-number
 // float64.
 func (t *CountTable) Snapshot() CountSnapshot {
-	s := CountSnapshot{
-		Bins:  append([]int(nil), t.bins...),
-		Class: [2]float64{float64(t.classCount[0]), float64(t.classCount[1])},
-		Total: float64(t.total),
-	}
-	for c := 0; c < 2; c++ {
-		s.Marg[c] = floatRows(t.marg[c])
-		s.Pair[c] = floatRows(t.pair[c])
-	}
+	var s CountSnapshot
+	t.SnapshotInto(&s)
 	return s
 }
 
-// floatRows copies count rows out as float64 rows.
-func floatRows(rows [][]uint32) [][]float64 {
-	out := make([][]float64, len(rows))
-	for i, row := range rows {
-		out[i] = make([]float64, len(row))
-		copyCounts(out[i], row)
+// SnapshotInto exports the table state into s, reusing its rows where
+// they already have the table's shape.
+func (t *CountTable) SnapshotInto(s *CountSnapshot) {
+	s.Bins = append(s.Bins[:0], t.bins...)
+	s.Class = [2]float64{float64(t.classCount[0]), float64(t.classCount[1])}
+	s.Total = float64(t.total)
+	for c := 0; c < 2; c++ {
+		s.Marg[c] = shapedLike(s.Marg[c], t.marg[c])
+		s.Pair[c] = shapedLike(s.Pair[c], t.pair[c])
+		for i, row := range t.marg[c] {
+			copyCounts(s.Marg[c][i], row)
+		}
+		for k, row := range t.pair[c] {
+			copyCounts(s.Pair[c][k], row)
+		}
 	}
-	return out
+}
+
+// Encode appends the snapshot in the binary checkpoint encoding: the
+// bins, then the class counts and total as one count block, then per
+// class the attribute tables and the pair tables as one count block
+// each.
+func (s *CountSnapshot) Encode(e *binenc.Encoder) {
+	e.Ints(s.Bins)
+	e.Counts([][]float64{{s.Class[0], s.Class[1], s.Total}})
+	for c := 0; c < 2; c++ {
+		e.Counts(s.Marg[c])
+		e.Counts(s.Pair[c])
+	}
+}
+
+// Decode reads a snapshot Encode appended, cutting each class's count
+// blocks into the tables the bins call for. It checks only what that
+// needs; CountTableFromSnapshot checks the rest.
+func (s *CountSnapshot) Decode(d *binenc.Decoder) {
+	s.Bins = d.Ints()
+	head := d.Counts()
+	if d.Err() != nil {
+		return
+	}
+	if len(head) != 3 {
+		d.Fail(fmt.Errorf("bayes: count snapshot head has %d counts, want 3", len(head)))
+		return
+	}
+	s.Class, s.Total = [2]float64{head[0], head[1]}, head[2]
+	n := len(s.Bins)
+	for c := 0; c < 2; c++ {
+		marg, pair := d.Counts(), d.Counts()
+		if d.Err() != nil {
+			return
+		}
+		s.Marg[c] = make([][]float64, n)
+		for i, bi := range s.Bins {
+			if bi < 1 || bi > len(marg) {
+				d.Fail(fmt.Errorf("bayes: count snapshot marg[%d][%d] of %d cells does not fit its %d cells", c, i, bi, len(marg)))
+				return
+			}
+			s.Marg[c][i], marg = marg[:bi:bi], marg[bi:]
+		}
+		s.Pair[c] = nil
+		for i, bi := range s.Bins {
+			for _, bj := range s.Bins[i+1:] {
+				// Every bin is at least 1, so a pair width over the
+				// cells that remain is refused before it is formed.
+				if bj > len(pair)/bi {
+					d.Fail(fmt.Errorf("bayes: count snapshot pair tables of class %d do not fit their %d cells", c, len(pair)))
+					return
+				}
+				w := bi * bj
+				s.Pair[c], pair = append(s.Pair[c], pair[:w:w]), pair[w:]
+			}
+		}
+		if len(marg) != 0 || len(pair) != 0 {
+			d.Fail(fmt.Errorf("bayes: count snapshot class %d has %d cells beyond its tables", c, len(marg)+len(pair)))
+			return
+		}
+	}
 }
 
 // CountTableFromSnapshot reconstructs a CountTable. It refuses, with

@@ -5,8 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"sort"
 
+	"prepare/internal/binenc"
+	"prepare/internal/detector"
 	"prepare/internal/pool"
 	"prepare/internal/prevent"
 	"prepare/internal/simclock"
@@ -255,4 +258,83 @@ func (e *Engine) Stats() EngineStats {
 		st.ViolationSeconds += c.sloLog.ViolationSeconds(0, c.sloLog.End().Add(1))
 	}
 	return st
+}
+
+// engineMagic opens an engine's model snapshot.
+const engineMagic = "PEM"
+
+// SaveModels writes every tenant's trained models as one binary
+// document.
+func (e *Engine) SaveModels(w io.Writer) error {
+	enc := binenc.NewEncoder(nil)
+	enc.Header(engineMagic, modelsVersion)
+	AppendEngineModels(&enc, e)
+	return writeDocument(w, &enc)
+}
+
+// AppendEngineModels appends the engine snapshot's body — the tenant
+// count, then per tenant its ID and a section holding its controller's
+// body — for a caller that frames it in a document of its own (the
+// server checkpoint); SaveModels frames it alone. An untrained tenant
+// fails enc.
+func AppendEngineModels(enc *binenc.Encoder, e *Engine) {
+	enc.Uvarint(uint64(len(e.tenants)))
+	for _, t := range e.tenants {
+		enc.String(t.ID)
+		mark := enc.Begin()
+		t.Controller.appendModels(enc, "control: tenant "+t.ID)
+		enc.End(mark)
+	}
+}
+
+// RestoreModels loads an engine snapshot, restoring every tenant's
+// models. The snapshot must cover every tenant in the engine, and no
+// other. Every tenant's models are decoded and checked before any is
+// installed, so a snapshot that fails leaves every tenant as it was.
+func (e *Engine) RestoreModels(r io.Reader) error {
+	d, err := readDocument(r, engineMagic)
+	if err != nil {
+		return err
+	}
+	return RestoreEngineModels(e, d)
+}
+
+// RestoreEngineModels is RestoreModels over a body AppendEngineModels
+// wrote, read to the end of d.
+func RestoreEngineModels(e *Engine, d *binenc.Decoder) error {
+	// An ID and a section prefix take five bytes at least.
+	n := d.Len(5)
+	bodies := make(map[string][]byte, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		id := d.String()
+		if _, dup := bodies[id]; dup {
+			return fmt.Errorf("control: snapshot has two entries for tenant %s", id)
+		}
+		bodies[id] = d.Section()
+	}
+	if err := d.Finish(); err != nil {
+		return fmt.Errorf("control: decode engine models: %w", err)
+	}
+	if extra := len(bodies) - len(e.tenants); extra > 0 {
+		return fmt.Errorf("control: snapshot has models for %d tenants this engine does not run", extra)
+	}
+	decoded := make([][]detector.Detector, len(e.tenants))
+	for i, t := range e.tenants {
+		body, ok := bodies[t.ID]
+		if !ok {
+			return fmt.Errorf("control: snapshot has no models for tenant %s", t.ID)
+		}
+		td := binenc.NewDecoder(body)
+		models, err := t.Controller.decodeModels(&td)
+		if err != nil {
+			return fmt.Errorf("control: tenant %s: %w", t.ID, err)
+		}
+		decoded[i] = models
+	}
+	for i, t := range e.tenants {
+		if err := t.Controller.installDetectors(decoded[i]); err != nil {
+			return fmt.Errorf("control: tenant %s: %w", t.ID, err)
+		}
+	}
+	return nil
 }

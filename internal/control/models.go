@@ -9,6 +9,7 @@ import (
 	"io"
 	"time"
 
+	"prepare/internal/binenc"
 	"prepare/internal/detector"
 	"prepare/internal/metrics"
 	"prepare/internal/pool"
@@ -157,100 +158,142 @@ func (c *Controller) retrain(now simclock.Time) error {
 	return c.fitEach(now, incremental)
 }
 
-// modelsVersion guards the controller model snapshot wire format.
-// Version 2 wraps each VM's payload in a {kind, data} envelope so every
-// detector kind — TAN, unsupervised, forecast-error, ensembles — round-
-// trips.
-const modelsVersion = 2
+// A controller's model snapshot and an engine's (engine.go) are binary
+// documents: a magic, the layout version, then the body appendModels or
+// AppendEngineModels writes (DESIGN.md §10). Versions 1 and 2 were
+// JSON, and RestoreModels refuses them.
+const (
+	modelsMagic   = "PCM"
+	modelsVersion = 3
+)
 
-// vmModelSnapshot is one VM's detector snapshot: the detector kind that
-// wrote it plus the kind-specific payload.
-type vmModelSnapshot struct {
-	Kind string          `json:"kind"`
-	Data json.RawMessage `json:"data"`
-}
-
-// modelsSnapshot is the JSON wire format of a controller's trained
-// per-VM detectors. Each payload carries the detector's full online
-// state, so a restored controller scores subsequent samples exactly as
-// the saved one would have.
-type modelsSnapshot struct {
-	Version int                        `json:"version"`
-	VMs     map[string]vmModelSnapshot `json:"vms"`
-}
-
-// SaveModels writes the controller's trained per-VM detectors as JSON.
-// The snapshot is self-contained: restored into a fresh controller over
-// the same VM set (RestoreModels), it reproduces the saved controller's
-// subsequent predictions exactly. Every detector kind snapshots,
-// including unsupervised detectors and ensembles.
+// SaveModels writes the controller's trained per-VM detectors as one
+// binary document. The snapshot is self-contained: restored into a
+// fresh controller over the same VM set (RestoreModels), it reproduces
+// the saved controller's subsequent predictions exactly. Every detector
+// kind snapshots, including unsupervised detectors and ensembles.
 func (c *Controller) SaveModels(w io.Writer) error {
+	e := binenc.NewEncoder(nil)
+	e.Header(modelsMagic, modelsVersion)
+	c.appendModels(&e, "control")
+	return writeDocument(w, &e)
+}
+
+// appendModels appends the controller's body: the VM count, then per
+// VM, in vmOrder, its ID, its detector kind and a section holding the
+// detector's AppendBinary. An untrained controller fails e, its error
+// prefixed with errPrefix.
+func (c *Controller) appendModels(e *binenc.Encoder, errPrefix string) {
+	if !c.trained {
+		e.Fail(fmt.Errorf("%s: models are not trained", errPrefix))
+		return
+	}
+	e.Uvarint(uint64(len(c.vms)))
+	for _, v := range c.vms {
+		e.String(string(v.id))
+		e.String(v.det.Kind())
+		e.Section(v.det.AppendBinary)
+	}
+}
+
+// writeDocument writes a finished document to w.
+func writeDocument(w io.Writer, e *binenc.Encoder) error {
+	b, err := e.Finish()
+	if err == nil {
+		_, err = w.Write(b)
+	}
+	return err
+}
+
+// WriteModelsJSON renders the controller's trained per-VM detectors as
+// the JSON model document, {"version":2,"vms":{ID:{"kind","data"}}}
+// with each data the detector's JSON Save, for people and tools to
+// read. It writes the envelope itself, keys in vmOrder (sorted by ID,
+// as encoding/json sorts map keys), so the payloads are not
+// re-compacted.
+func WriteModelsJSON(w io.Writer, c *Controller) error {
 	if !c.trained {
 		return errors.New("control: models are not trained")
 	}
-	snap := modelsSnapshot{
-		Version: modelsVersion,
-		VMs:     make(map[string]vmModelSnapshot, len(c.vms)),
-	}
+	b, sep := []byte(`{"version":2,"vms":{`), ""
+	var data bytes.Buffer
 	for _, v := range c.vms {
-		var buf bytes.Buffer
-		if err := v.det.Save(&buf); err != nil {
+		data.Reset()
+		if err := v.det.Save(&data); err != nil {
 			return fmt.Errorf("control: save models for %s: %w", v.id, err)
 		}
-		snap.VMs[string(v.id)] = vmModelSnapshot{
-			Kind: v.det.Kind(),
-			Data: json.RawMessage(bytes.TrimSpace(buf.Bytes())),
-		}
+		id, _ := json.Marshal(string(v.id)) // a string always marshals
+		kind, _ := json.Marshal(v.det.Kind())
+		b = fmt.Appendf(b, `%s%s:{"kind":%s,"data":%s}`, sep, id, kind, bytes.TrimSpace(data.Bytes()))
+		sep = ","
 	}
-	if err := json.NewEncoder(w).Encode(snap); err != nil {
-		return fmt.Errorf("control: encode models: %w", err)
-	}
-	return nil
+	_, err := w.Write(append(b, "}}\n"...))
+	return err
 }
 
 // RestoreModels loads a SaveModels snapshot into the controller,
 // marking it trained. The snapshot must provide a model for every VM
-// the controller manages, and for no other.
+// the controller manages, and for no other. A snapshot that fails
+// leaves the controller as it was.
 func (c *Controller) RestoreModels(r io.Reader) error {
-	models, err := c.decodeModels(r)
+	d, err := readDocument(r, modelsMagic)
+	if err != nil {
+		return err
+	}
+	models, err := c.decodeModels(d)
 	if err != nil {
 		return err
 	}
 	return c.installDetectors(models)
 }
 
-// decodeModels decodes a SaveModels snapshot into one detector per
-// managed VM, in vmOrder, ready for installDetectors, without touching
-// the controller. Its VM set is checked before any model is decoded.
-func (c *Controller) decodeModels(r io.Reader) ([]detector.Detector, error) {
+// readDocument reads a whole document and checks its magic and
+// version; a failed check surfaces as the decoder's error.
+func readDocument(r io.Reader, magic string) (*binenc.Decoder, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("control: read models: %w", err)
 	}
-	var snap modelsSnapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
+	d := binenc.NewDecoder(raw)
+	d.Header(magic, modelsVersion)
+	return &d, nil
+}
+
+// decodeModels reads a controller body to the end of d into one
+// detector per managed VM, in vmOrder, ready for installDetectors,
+// without touching the controller. Its VM set is checked before any
+// model is decoded.
+func (c *Controller) decodeModels(d *binenc.Decoder) ([]detector.Detector, error) {
+	// An ID, a kind and a section prefix take six bytes at least.
+	n := d.Len(6)
+	payloads := make(map[string][]byte, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		id, kind, payload := d.String(), d.String(), d.Section()
+		if _, dup := payloads[id]; dup {
+			return nil, fmt.Errorf("control: snapshot has two models for VM %s", id)
+		}
+		if kind != c.cfg.Detector.Kind && d.Err() == nil {
+			// A retraining tan controller would otherwise be handed a
+			// model that cannot Retrain.
+			return nil, fmt.Errorf("control: model for %s is %q, this controller runs %q", id, kind, c.cfg.Detector.Kind)
+		}
+		payloads[id] = payload
+	}
+	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("control: decode models: %w", err)
 	}
-	if snap.Version != modelsVersion {
-		return nil, fmt.Errorf("control: unsupported model snapshot version %d", snap.Version)
-	}
 	for _, v := range c.vms {
-		if _, ok := snap.VMs[string(v.id)]; !ok {
+		if _, ok := payloads[string(v.id)]; !ok {
 			return nil, fmt.Errorf("control: no model for VM %s", v.id)
 		}
 	}
-	if extra := len(snap.VMs) - len(c.vms); extra > 0 {
+	if extra := len(payloads) - len(c.vms); extra > 0 {
 		return nil, fmt.Errorf("control: snapshot has models for %d VMs this controller does not manage", extra)
 	}
 	models := make([]detector.Detector, len(c.vms))
 	for i, v := range c.vms {
-		entry := snap.VMs[string(v.id)]
-		if entry.Kind != c.cfg.Detector.Kind {
-			// A retraining tan controller would otherwise be handed a
-			// model that cannot Retrain.
-			return nil, fmt.Errorf("control: model for %s is %q, this controller runs %q", v.id, entry.Kind, c.cfg.Detector.Kind)
-		}
-		if models[i], err = predict.LoadDetector(entry.Kind, bytes.NewReader(entry.Data), c.detectorOptions(v.id)); err != nil {
+		var err error
+		if models[i], err = predict.DecodeDetector(c.cfg.Detector.Kind, payloads[string(v.id)], c.detectorOptions(v.id)); err != nil {
 			return nil, fmt.Errorf("control: restore models for %s: %w", v.id, err)
 		}
 	}
@@ -274,62 +317,5 @@ func (c *Controller) installDetectors(models []detector.Detector) error {
 	}
 	c.trained = true
 	c.nextRetrainAt = 0
-	return nil
-}
-
-// engineSnapshot is the JSON wire format of every tenant's models.
-type engineSnapshot struct {
-	Version int                        `json:"version"`
-	Tenants map[string]json.RawMessage `json:"tenants"`
-}
-
-// SaveModels writes every tenant's trained models as one JSON snapshot.
-func (e *Engine) SaveModels(w io.Writer) error {
-	snap := engineSnapshot{
-		Version: modelsVersion,
-		Tenants: make(map[string]json.RawMessage, len(e.tenants)),
-	}
-	for _, t := range e.tenants {
-		var buf bytes.Buffer
-		if err := t.Controller.SaveModels(&buf); err != nil {
-			return fmt.Errorf("control: tenant %s: %w", t.ID, err)
-		}
-		snap.Tenants[t.ID] = json.RawMessage(bytes.TrimSpace(buf.Bytes()))
-	}
-	if err := json.NewEncoder(w).Encode(snap); err != nil {
-		return fmt.Errorf("control: encode engine models: %w", err)
-	}
-	return nil
-}
-
-// RestoreModels loads an engine snapshot, restoring every tenant's
-// models. The snapshot must cover every tenant in the engine. Every
-// tenant's models are decoded and checked before any is installed, so a
-// snapshot that fails leaves every tenant as it was.
-func (e *Engine) RestoreModels(r io.Reader) error {
-	var snap engineSnapshot
-	if err := json.NewDecoder(r).Decode(&snap); err != nil {
-		return fmt.Errorf("control: decode engine models: %w", err)
-	}
-	if snap.Version != modelsVersion {
-		return fmt.Errorf("control: unsupported engine snapshot version %d", snap.Version)
-	}
-	decoded := make([][]detector.Detector, len(e.tenants))
-	for i, t := range e.tenants {
-		raw, ok := snap.Tenants[t.ID]
-		if !ok {
-			return fmt.Errorf("control: snapshot has no models for tenant %s", t.ID)
-		}
-		models, err := t.Controller.decodeModels(bytes.NewReader(raw))
-		if err != nil {
-			return fmt.Errorf("control: tenant %s: %w", t.ID, err)
-		}
-		decoded[i] = models
-	}
-	for i, t := range e.tenants {
-		if err := t.Controller.installDetectors(decoded[i]); err != nil {
-			return fmt.Errorf("control: tenant %s: %w", t.ID, err)
-		}
-	}
 	return nil
 }

@@ -3,9 +3,11 @@ package control
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
+	"prepare/internal/binenc"
 	"prepare/internal/detector"
 	"prepare/internal/metrics"
 	"prepare/internal/predict"
@@ -50,11 +52,56 @@ func trainingRows(dims, n int) [][]float64 {
 	return rows
 }
 
-// TestSaveModelsV2RoundTripsNonTANKinds checks the version-2 envelope:
-// a controller running a forecast-error detector snapshots and restores
-// with the detector kind intact, the restored detectors score the same
-// stream identically, and re-saving reproduces the snapshot
-// byte-for-byte.
+// vmEntry is one VM's entry in a controller body.
+type vmEntry struct {
+	id, kind string
+	payload  []byte
+}
+
+// docEntries parses a SaveModels document into its per-VM entries.
+func docEntries(t *testing.T, doc []byte) []vmEntry {
+	t.Helper()
+	d := binenc.NewDecoder(doc)
+	d.Header(modelsMagic, modelsVersion)
+	entries := make([]vmEntry, d.Len(6))
+	for i := range entries {
+		entries[i] = vmEntry{id: d.String(), kind: d.String(), payload: d.Section()}
+	}
+	if err := d.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	return entries
+}
+
+// appendBody appends a controller body holding entries.
+func appendBody(e *binenc.Encoder, entries []vmEntry) {
+	e.Uvarint(uint64(len(entries)))
+	for _, en := range entries {
+		e.String(en.id)
+		e.String(en.kind)
+		payload := en.payload
+		e.Section(func(b []byte) ([]byte, error) { return append(b, payload...), nil })
+	}
+}
+
+// modelsDoc is a SaveModels document holding entries.
+func modelsDoc(t *testing.T, entries ...vmEntry) []byte {
+	t.Helper()
+	e := binenc.NewEncoder(nil)
+	e.Header(modelsMagic, modelsVersion)
+	appendBody(&e, entries)
+	b, err := e.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestSaveModelsV2RoundTripsNonTANKinds checks the per-VM {kind,
+// payload} entry: a controller running a forecast-error detector
+// snapshots and restores with the detector kind intact, the restored
+// detectors score the same stream identically, and re-saving
+// reproduces the snapshot byte-for-byte.
 func TestSaveModelsV2RoundTripsNonTANKinds(t *testing.T) {
 	vms := []substrate.VMID{"vm-a", "vm-b"}
 	spec := detector.Spec{Kind: detector.KindEWMA}
@@ -77,16 +124,13 @@ func TestSaveModelsV2RoundTripsNonTANKinds(t *testing.T) {
 	if err := c1.SaveModels(&snap); err != nil {
 		t.Fatal(err)
 	}
-	var wire modelsSnapshot
-	if err := json.Unmarshal(snap.Bytes(), &wire); err != nil {
-		t.Fatal(err)
+	entries := docEntries(t, snap.Bytes())
+	if len(entries) != len(vms) {
+		t.Fatalf("snapshot has %d entries, want %d", len(entries), len(vms))
 	}
-	if wire.Version != modelsVersion {
-		t.Fatalf("snapshot version %d, want %d", wire.Version, modelsVersion)
-	}
-	for id, entry := range wire.VMs {
-		if entry.Kind != detector.KindEWMA {
-			t.Fatalf("VM %s snapshotted as %q, want ewma", id, entry.Kind)
+	for i, entry := range entries {
+		if entry.id != string(vms[i]) || entry.kind != detector.KindEWMA {
+			t.Fatalf("entry %d is VM %s of kind %q, want %s of kind ewma", i, entry.id, entry.kind, vms[i])
 		}
 	}
 
@@ -99,7 +143,7 @@ func TestSaveModelsV2RoundTripsNonTANKinds(t *testing.T) {
 	}
 
 	// Determinism: re-saving the freshly restored controller reproduces
-	// the exact bytes (JSON object keys are sorted, payloads are state).
+	// the exact bytes (entries in vmOrder, payloads are state).
 	var again bytes.Buffer
 	if err := c2.SaveModels(&again); err != nil {
 		t.Fatal(err)
@@ -140,14 +184,15 @@ func TestSaveModelsV2RoundTripsNonTANKinds(t *testing.T) {
 	}
 }
 
-// TestRestoreModelsRejectsV1: no writer has produced the version-1
-// format (bare supervised predictor payloads keyed by VM) since the
-// {kind, data} envelope replaced it. Such a document must fail by its
-// version and leave the controller untrained; the same payload in a
-// version-2 envelope restores.
+// TestRestoreModelsRejectsV1: no writer has produced the JSON model
+// documents — version 1 (bare supervised predictor payloads keyed by
+// VM) or version 2 (the {kind, data} envelope WriteModelsJSON still
+// renders) — since the binary document replaced them. Each must fail as
+// JSON and leave the controller untrained; the same payload's binary
+// form in a binary document restores.
 func TestRestoreModelsRejectsV1(t *testing.T) {
 	dims := len(predict.AttributeNames())
-	p, err := predict.New(predict.Config{}, predict.AttributeNames())
+	tan, err := predict.NewDetector(detector.Spec{Kind: detector.KindTAN}, predict.DetectorOptions{Names: predict.AttributeNames()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,54 +204,93 @@ func TestRestoreModelsRejectsV1(t *testing.T) {
 			labels[i] = metrics.LabelAbnormal
 		}
 	}
-	if err := p.Train(rows, labels); err != nil {
+	if err := tan.Train(rows, labels); err != nil {
 		t.Fatal(err)
 	}
 	var payload bytes.Buffer
-	if err := p.Save(&payload); err != nil {
+	if err := tan.Save(&payload); err != nil {
 		t.Fatal(err)
 	}
-
-	v1, err := json.Marshal(map[string]any{
-		"version": 1,
-		"vms":     map[string]json.RawMessage{"vm-a": payload.Bytes()},
-	})
+	binPayload, err := tan.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	for version, doc := range map[int]any{
+		1: map[string]any{"version": 1, "vms": map[string]json.RawMessage{"vm-a": payload.Bytes()}},
+		2: map[string]any{"version": 2, "vms": map[string]any{"vm-a": map[string]any{"kind": detector.KindTAN, "data": json.RawMessage(payload.Bytes())}}},
+	} {
+		raw, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := persistController(detector.Spec{}, "vm-a")
+		if err := c.RestoreModels(bytes.NewReader(raw)); !errors.Is(err, binenc.ErrJSON) {
+			t.Fatalf("JSON version-%d restore: %v, want binenc.ErrJSON", version, err)
+		}
+		if dets, _ := installed(c); c.trained || dets != 0 {
+			t.Fatalf("rejected JSON version-%d snapshot left the controller trained", version)
+		}
+	}
+
 	c := persistController(detector.Spec{}, "vm-a")
-	err = c.RestoreModels(bytes.NewReader(v1))
-	if err == nil || !strings.Contains(err.Error(), "unsupported model snapshot version 1") {
-		t.Fatalf("version-1 restore: %v, want unsupported model snapshot version 1", err)
-	}
-	if dets, _ := installed(c); c.trained || dets != 0 {
-		t.Fatal("rejected version-1 snapshot left the controller trained")
-	}
-
-	v2, err := json.Marshal(modelsSnapshot{
-		Version: modelsVersion,
-		VMs:     map[string]vmModelSnapshot{"vm-a": {Kind: detector.KindTAN, Data: payload.Bytes()}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.RestoreModels(bytes.NewReader(v2)); err != nil {
+	doc := modelsDoc(t, vmEntry{id: "vm-a", kind: detector.KindTAN, payload: binPayload})
+	if err := c.RestoreModels(bytes.NewReader(doc)); err != nil {
 		t.Fatal(err)
 	}
 	if !c.trained || c.vms[0].det.Kind() != detector.KindTAN {
-		t.Fatal("version-2 envelope did not install the TAN detector")
+		t.Fatal("binary document did not install the TAN detector")
 	}
 
 	// A snapshot missing a managed VM must be rejected whole.
 	c2 := persistController(detector.Spec{}, "vm-a", "vm-b")
-	err = c2.RestoreModels(bytes.NewReader(v2))
+	err = c2.RestoreModels(bytes.NewReader(doc))
 	if err == nil || !strings.Contains(err.Error(), "vm-b") {
 		t.Fatalf("restore with missing VM: %v, want no-model error for vm-b", err)
 	}
 
 	// Unknown future versions fail loudly instead of misparsing.
-	if err := c.RestoreModels(strings.NewReader(`{"version":99,"vms":{}}`)); err == nil {
-		t.Fatal("version 99 snapshot accepted")
+	future := append([]byte(nil), doc...)
+	future[len(modelsMagic)] = 99
+	if err := c2.RestoreModels(bytes.NewReader(future)); !errors.Is(err, binenc.ErrVersion) {
+		t.Fatalf("version 99 snapshot: %v, want binenc.ErrVersion", err)
+	}
+	if dets, _ := installed(c2); c2.trained || dets != 0 {
+		t.Fatal("rejected snapshots left the controller trained")
+	}
+}
+
+// TestRestoreModelsRejectsBadEntries: a document naming one VM twice,
+// or carrying a model of another detector kind, is refused whole.
+func TestRestoreModelsRejectsBadEntries(t *testing.T) {
+	spec := detector.Spec{Kind: detector.KindEWMA}
+	src := persistController(spec, "vm-a", "vm-b")
+	if err := src.installDetectors(ewmaModels(t, 2)); err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := src.SaveModels(&snap); err != nil {
+		t.Fatal(err)
+	}
+	entries := docEntries(t, snap.Bytes())
+	dup := entries[0]
+	twice := append(append([]vmEntry(nil), entries...), dup)
+	for name, tc := range map[string]struct {
+		doc  []byte
+		spec detector.Spec
+		want string
+	}{
+		"duplicate VM":  {modelsDoc(t, twice...), spec, "two models for VM vm-a"},
+		"kind mismatch": {snap.Bytes(), detector.Spec{Kind: detector.KindZRobust}, `is "ewma", this controller runs "zrobust"`},
+	} {
+		c := persistController(tc.spec, "vm-a", "vm-b")
+		err := c.RestoreModels(bytes.NewReader(tc.doc))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: %v, want an error containing %q", name, err, tc.want)
+		}
+		if dets, filters := installed(c); c.trained || dets != 0 || filters != 0 {
+			t.Errorf("%s: rejected snapshot left trained=%v with %d detectors, %d filters", name, c.trained, dets, filters)
+		}
 	}
 }
 
@@ -228,10 +312,18 @@ func TestEngineRestoreIsAllOrNothing(t *testing.T) {
 	if err := trained.SaveModels(&good); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := json.Marshal(engineSnapshot{Version: modelsVersion, Tenants: map[string]json.RawMessage{
-		"a": bytes.TrimSpace(good.Bytes()),
-		"b": json.RawMessage(`{"version":2,"vms":{"vm-b":{"kind":"ewma","data":{"corrupt":true}}}}`),
-	}})
+	enc := binenc.NewEncoder(nil)
+	enc.Header(engineMagic, modelsVersion)
+	enc.Uvarint(2)
+	enc.String("a")
+	mark := enc.Begin()
+	appendBody(&enc, docEntries(t, good.Bytes()))
+	enc.End(mark)
+	enc.String("b")
+	mark = enc.Begin()
+	appendBody(&enc, []vmEntry{{id: "vm-b", kind: detector.KindEWMA, payload: []byte("corrupt")}})
+	enc.End(mark)
+	snap, err := enc.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}

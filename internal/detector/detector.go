@@ -107,6 +107,11 @@ type Detector interface {
 	// Save writes a snapshot that the kind's loader restores into a
 	// detector resuming an identical score stream.
 	Save(w io.Writer) error
+
+	// AppendBinary appends the same snapshot in its binary checkpoint
+	// encoding to b, which the kind's binary decoder restores through
+	// the same checks as the JSON loader.
+	AppendBinary(b []byte) ([]byte, error)
 }
 
 // Detector kinds accepted by ParseSpec. TAN and KMeans are

@@ -155,6 +155,7 @@ func (s *stubDetector) Update([]float64, metrics.Label) error    { return nil }
 func (s *stubDetector) Observe([]float64) error                  { return nil }
 func (s *stubDetector) Retrain() error                           { return nil }
 func (s *stubDetector) Save(io.Writer) error                     { return nil }
+func (s *stubDetector) AppendBinary(b []byte) ([]byte, error)    { return b, nil }
 func (s *stubDetector) Score(int64) (Decision, error) {
 	return Decision{Abnormal: s.abnormal, Score: s.score, LeadSteps: s.lead}, nil
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"sort"
 
+	"prepare/internal/binenc"
 	"prepare/internal/metrics"
 	"prepare/internal/telemetry"
 )
@@ -327,13 +328,20 @@ func sortMerged(merged map[int]float64) []Strength {
 	return out
 }
 
-// ensembleSnapshot is the versioned JSON form of an ensemble: member
-// snapshots nest as raw JSON under their kinds so the loader can
-// dispatch without this package importing the model packages.
+// ensembleSnapshot is the one snapshot of an ensemble: member snapshots
+// nest under their kinds so the loader can dispatch without this
+// package importing the model packages. Save gives it its JSON form,
+// where members nest as raw JSON; AppendBinary its binary checkpoint
+// form, where each member is a section of its own binary form.
 type ensembleSnapshot struct {
-	Version int              `json:"version"`
-	Quorum  float64          `json:"quorum"`
+	ensembleHeader
 	Members []memberSnapshot `json:"members"`
+}
+
+// ensembleHeader is the small scalar part of ensembleSnapshot.
+type ensembleHeader struct {
+	Version int     `json:"version"`
+	Quorum  float64 `json:"quorum"`
 }
 
 type memberSnapshot struct {
@@ -345,7 +353,7 @@ type memberSnapshot struct {
 
 // Save implements Detector.
 func (e *Ensemble) Save(w io.Writer) error {
-	snap := ensembleSnapshot{Version: 1, Quorum: e.quorum, Members: make([]memberSnapshot, len(e.members))}
+	snap := ensembleSnapshot{ensembleHeader: e.header(), Members: make([]memberSnapshot, len(e.members))}
 	for i, m := range e.members {
 		var buf bytes.Buffer
 		if err := m.Detector.Save(&buf); err != nil {
@@ -355,6 +363,29 @@ func (e *Ensemble) Save(w io.Writer) error {
 	}
 	return json.NewEncoder(w).Encode(&snap)
 }
+
+// AppendBinary implements Detector: the header as JSON, then per member
+// its name, kind and weight and a section holding its AppendBinary.
+func (e *Ensemble) AppendBinary(b []byte) ([]byte, error) {
+	enc := binenc.NewEncoder(b)
+	h := e.header()
+	enc.JSON(&h)
+	enc.Uvarint(uint64(len(e.members)))
+	for _, m := range e.members {
+		enc.String(m.Name)
+		enc.String(m.Detector.Kind())
+		enc.Float64(m.Weight)
+		enc.Section(m.Detector.AppendBinary)
+	}
+	b, err := enc.Finish()
+	if err != nil {
+		return b, fmt.Errorf("detector: save ensemble: %w", err)
+	}
+	return b, nil
+}
+
+// header captures the ensemble's scalar state.
+func (e *Ensemble) header() ensembleHeader { return ensembleHeader{Version: 1, Quorum: e.quorum} }
 
 // LoadEnsemble restores an ensemble saved by Save. loadMember restores
 // one member snapshot by kind — injected by the caller so model-backed
@@ -366,6 +397,35 @@ func LoadEnsemble(r io.Reader, loadMember func(kind string, data []byte) (Detect
 	if err := json.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("detector: decode ensemble snapshot: %w", err)
 	}
+	return snap.restore(loadMember, loadLocal)
+}
+
+// DecodeEnsemble restores an ensemble from the bytes AppendBinary wrote,
+// through the same checks as LoadEnsemble; decodeMember is loadMember
+// for the members' binary forms.
+func DecodeEnsemble(b []byte, decodeMember func(kind string, data []byte) (Detector, error)) (*Ensemble, error) {
+	var snap ensembleSnapshot
+	d := binenc.NewDecoder(b)
+	d.JSON(&snap.ensembleHeader)
+	// A name, a kind, a weight and a section prefix take 14 bytes.
+	if n := d.Len(14); n > 0 {
+		snap.Members = make([]memberSnapshot, n)
+		for i := range snap.Members {
+			m := &snap.Members[i]
+			m.Name, m.Kind, m.Weight = d.String(), d.String(), d.Float64()
+			m.Data = d.Section()
+		}
+	}
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("detector: decode ensemble snapshot: %w", err)
+	}
+	return snap.restore(decodeMember, decodeLocal)
+}
+
+// restore is the one validating restore of an ensemble snapshot,
+// whichever encoding it was read from: members load through load, or
+// through local when load does not handle their kind.
+func (snap *ensembleSnapshot) restore(load, local func(kind string, data []byte) (Detector, error)) (*Ensemble, error) {
 	if snap.Version != 1 {
 		return nil, fmt.Errorf("detector: unsupported ensemble snapshot version %d", snap.Version)
 	}
@@ -375,13 +435,13 @@ func LoadEnsemble(r io.Reader, loadMember func(kind string, data []byte) (Detect
 			d   Detector
 			err error
 		)
-		if loadMember != nil {
-			d, err = loadMember(ms.Kind, ms.Data)
+		if load != nil {
+			d, err = load(ms.Kind, ms.Data)
 		} else {
 			err = ErrUnknownKind
 		}
 		if errors.Is(err, ErrUnknownKind) {
-			d, err = loadLocal(ms.Kind, ms.Data)
+			d, err = local(ms.Kind, ms.Data)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("detector: load ensemble member %s: %w", ms.Name, err)
@@ -402,6 +462,18 @@ func loadLocal(kind string, data []byte) (Detector, error) {
 		return LoadEWMA(bytes.NewReader(data))
 	case KindZRobust:
 		return LoadZRobust(bytes.NewReader(data))
+	default:
+		return nil, fmt.Errorf("%w: %q", ErrUnknownKind, kind)
+	}
+}
+
+// decodeLocal is loadLocal for the binary forms.
+func decodeLocal(kind string, data []byte) (Detector, error) {
+	switch kind {
+	case KindEWMA:
+		return DecodeEWMA(data)
+	case KindZRobust:
+		return DecodeZRobust(data)
 	default:
 		return nil, fmt.Errorf("%w: %q", ErrUnknownKind, kind)
 	}

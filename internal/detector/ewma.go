@@ -9,6 +9,7 @@ import (
 	"sort"
 	"sync"
 
+	"prepare/internal/binenc"
 	"prepare/internal/metrics"
 )
 
@@ -335,34 +336,58 @@ func (e *EWMA) Current(row []float64) (Verdict, error) {
 	}, nil
 }
 
-// ewmaSnapshot is the versioned JSON form of an EWMA detector.
+// ewmaSnapshot is the one snapshot of an EWMA detector. Save gives it
+// its JSON form, AppendBinary its binary checkpoint form, in which the
+// header stays JSON.
 type ewmaSnapshot struct {
+	ewmaHeader
+	Center  []float64 `json:"center"`
+	Scale   []float64 `json:"scale"`
+	Scale0  []float64 `json:"scale0"`
+	Level   []float64 `json:"level"`
+	Trend   []float64 `json:"trend"`
+	N       int64     `json:"n"`
+	Trained bool      `json:"trained"`
+}
+
+// ewmaHeader is the small scalar part of ewmaSnapshot.
+type ewmaHeader struct {
 	Version int         `json:"version"`
 	Opts    EWMAOptions `json:"opts"`
-	Center  []float64   `json:"center"`
-	Scale   []float64   `json:"scale"`
-	Scale0  []float64   `json:"scale0"`
-	Level   []float64   `json:"level"`
-	Trend   []float64   `json:"trend"`
-	N       int64       `json:"n"`
-	Trained bool        `json:"trained"`
+}
+
+// snapshot captures the detector.
+func (e *EWMA) snapshot() ewmaSnapshot {
+	return ewmaSnapshot{
+		ewmaHeader: ewmaHeader{Version: 1, Opts: e.opts},
+		Center:     e.center,
+		Scale:      e.scale,
+		Scale0:     e.scale0,
+		Level:      e.level,
+		Trend:      e.trend,
+		N:          e.n,
+		Trained:    e.trained,
+	}
 }
 
 // Save implements Detector.
 func (e *EWMA) Save(w io.Writer) error {
-	snap := ewmaSnapshot{
-		Version: 1,
-		Opts:    e.opts,
-		Center:  e.center,
-		Scale:   e.scale,
-		Scale0:  e.scale0,
-		Level:   e.level,
-		Trend:   e.trend,
-		N:       e.n,
-		Trained: e.trained,
+	snap := e.snapshot()
+	return json.NewEncoder(w).Encode(&snap)
+}
+
+// AppendBinary implements Detector: the header as JSON, then the five
+// baseline vectors as raw float64 bits.
+func (e *EWMA) AppendBinary(b []byte) ([]byte, error) {
+	snap := e.snapshot()
+	enc := binenc.NewEncoder(b)
+	enc.JSON(&snap.ewmaHeader)
+	for _, xs := range [][]float64{snap.Center, snap.Scale, snap.Scale0, snap.Level, snap.Trend} {
+		enc.Floats(xs)
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(&snap)
+	enc.Int(snap.N)
+	enc.Bool(snap.Trained)
+	return enc.Finish()
 }
 
 // LoadEWMA restores a detector saved by (*EWMA).Save; the restored
@@ -373,6 +398,29 @@ func LoadEWMA(r io.Reader) (*EWMA, error) {
 	if err := json.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("detector: decode ewma snapshot: %w", err)
 	}
+	return snap.restore()
+}
+
+// DecodeEWMA restores a detector from the bytes AppendBinary wrote,
+// through the same checks as LoadEWMA.
+func DecodeEWMA(b []byte) (*EWMA, error) {
+	var snap ewmaSnapshot
+	d := binenc.NewDecoder(b)
+	d.JSON(&snap.ewmaHeader)
+	for _, xs := range []*[]float64{&snap.Center, &snap.Scale, &snap.Scale0, &snap.Level, &snap.Trend} {
+		*xs = d.Floats()
+	}
+	snap.N = d.Int()
+	snap.Trained = d.Bool()
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("detector: decode ewma snapshot: %w", err)
+	}
+	return snap.restore()
+}
+
+// restore is the one validating restore of an ewma snapshot, whichever
+// encoding it was read from.
+func (snap *ewmaSnapshot) restore() (*EWMA, error) {
 	if snap.Version != 1 {
 		return nil, fmt.Errorf("detector: unsupported ewma snapshot version %d", snap.Version)
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 
+	"prepare/internal/binenc"
 	"prepare/internal/metrics"
 )
 
@@ -229,35 +230,63 @@ func (z *ZRobust) strengths(row []float64) []Strength {
 	return rankStrengths(w)
 }
 
-// zrobustSnapshot is the versioned JSON form of a ZRobust detector.
+// zrobustSnapshot is the one snapshot of a ZRobust detector. Save gives
+// it its JSON form, AppendBinary its binary checkpoint form, in which
+// the header stays JSON.
 type zrobustSnapshot struct {
-	Version   int            `json:"version"`
-	Opts      ZRobustOptions `json:"opts"`
-	Center    []float64      `json:"center"`
-	Scale     []float64      `json:"scale"`
-	CalibMean float64        `json:"calib_mean"`
-	CalibVar  float64        `json:"calib_var"`
-	CalibN    int64          `json:"calib_n"`
-	LastRow   []float64      `json:"last_row"`
-	LastScore float64        `json:"last_score"`
-	Trained   bool           `json:"trained"`
+	zrobustHeader
+	Center    []float64 `json:"center"`
+	Scale     []float64 `json:"scale"`
+	CalibMean float64   `json:"calib_mean"`
+	CalibVar  float64   `json:"calib_var"`
+	CalibN    int64     `json:"calib_n"`
+	LastRow   []float64 `json:"last_row"`
+	LastScore float64   `json:"last_score"`
+	Trained   bool      `json:"trained"`
+}
+
+// zrobustHeader is the small scalar part of zrobustSnapshot.
+type zrobustHeader struct {
+	Version int            `json:"version"`
+	Opts    ZRobustOptions `json:"opts"`
+}
+
+// snapshot captures the detector.
+func (z *ZRobust) snapshot() zrobustSnapshot {
+	return zrobustSnapshot{
+		zrobustHeader: zrobustHeader{Version: 1, Opts: z.opts},
+		Center:        z.center,
+		Scale:         z.scale,
+		CalibMean:     z.calibMean,
+		CalibVar:      z.calibVar,
+		CalibN:        z.calibN,
+		LastRow:       z.lastRow,
+		LastScore:     z.lastScore,
+		Trained:       z.trained,
+	}
 }
 
 // Save implements Detector.
 func (z *ZRobust) Save(w io.Writer) error {
-	snap := zrobustSnapshot{
-		Version:   1,
-		Opts:      z.opts,
-		Center:    z.center,
-		Scale:     z.scale,
-		CalibMean: z.calibMean,
-		CalibVar:  z.calibVar,
-		CalibN:    z.calibN,
-		LastRow:   z.lastRow,
-		LastScore: z.lastScore,
-		Trained:   z.trained,
-	}
+	snap := z.snapshot()
 	return json.NewEncoder(w).Encode(&snap)
+}
+
+// AppendBinary implements Detector: the header as JSON, then the
+// baseline, calibration and last row with every float as raw bits.
+func (z *ZRobust) AppendBinary(b []byte) ([]byte, error) {
+	snap := z.snapshot()
+	e := binenc.NewEncoder(b)
+	e.JSON(&snap.zrobustHeader)
+	e.Floats(snap.Center)
+	e.Floats(snap.Scale)
+	e.Float64(snap.CalibMean)
+	e.Float64(snap.CalibVar)
+	e.Int(snap.CalibN)
+	e.Floats(snap.LastRow)
+	e.Float64(snap.LastScore)
+	e.Bool(snap.Trained)
+	return e.Finish()
 }
 
 // LoadZRobust restores a detector saved by (*ZRobust).Save; the
@@ -268,6 +297,30 @@ func LoadZRobust(r io.Reader) (*ZRobust, error) {
 	if err := json.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("detector: decode zrobust snapshot: %w", err)
 	}
+	return snap.restore()
+}
+
+// DecodeZRobust restores a detector from the bytes AppendBinary wrote,
+// through the same checks as LoadZRobust.
+func DecodeZRobust(b []byte) (*ZRobust, error) {
+	var snap zrobustSnapshot
+	d := binenc.NewDecoder(b)
+	d.JSON(&snap.zrobustHeader)
+	snap.Center, snap.Scale = d.Floats(), d.Floats()
+	snap.CalibMean, snap.CalibVar = d.Float64(), d.Float64()
+	snap.CalibN = d.Int()
+	snap.LastRow = d.Floats()
+	snap.LastScore = d.Float64()
+	snap.Trained = d.Bool()
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("detector: decode zrobust snapshot: %w", err)
+	}
+	return snap.restore()
+}
+
+// restore is the one validating restore of a zrobust snapshot,
+// whichever encoding it was read from.
+func (snap *zrobustSnapshot) restore() (*ZRobust, error) {
 	if snap.Version != 1 {
 		return nil, fmt.Errorf("detector: unsupported zrobust snapshot version %d", snap.Version)
 	}

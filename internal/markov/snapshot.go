@@ -3,6 +3,8 @@ package markov
 import (
 	"fmt"
 	"math"
+
+	"prepare/internal/binenc"
 )
 
 // Snapshot is a serializable dump of a chain's state (transition counts
@@ -23,37 +25,61 @@ type Snapshot struct {
 
 // Snapshot exports the chain state.
 func (c *SimpleChain) Snapshot() Snapshot {
-	s := c.states
-	counts := floatRows(s, s)
-	for i, row := range counts {
+	var s Snapshot
+	c.SnapshotInto(&s)
+	return s
+}
+
+// SnapshotInto exports the chain state into s, reusing its count rows
+// when they already have the chain's shape.
+func (c *SimpleChain) SnapshotInto(s *Snapshot) {
+	st := c.states
+	s.Counts = floatRows(s.Counts, st, st)
+	for i, row := range s.Counts {
 		for j := range row {
-			row[j] = float64(c.counts[i*s+j])
+			row[j] = float64(c.counts[i*st+j])
 		}
 	}
 	nSeen := 0
 	if c.seen {
 		nSeen = 1
 	}
-	return Snapshot{Order: 1, States: s, Counts: counts, Cur: c.cur, NSeen: nSeen}
+	s.Order, s.States, s.Cur, s.Prev, s.NSeen = 1, st, c.cur, 0, nSeen
 }
 
 // Snapshot exports the chain state, its counts in row-major order.
 func (c *TwoDepChain) Snapshot() Snapshot {
-	s := c.states
-	counts := floatRows(s*s, s)
-	for i, row := range counts {
-		r := (i%s)*s + i/s // row (prev, cur) = (i/s, i%s), stored at cur*s+prev
-		for j := range row {
-			row[j] = float64(c.counts[r*s+j])
-		}
-	}
-	return Snapshot{Order: 2, States: s, Counts: counts, Cur: c.cur, Prev: c.prev, NSeen: c.nSeen}
+	var s Snapshot
+	c.SnapshotInto(&s)
+	return s
 }
 
-// floatRows carves n rows of width w out of one backing array.
-func floatRows(n, w int) [][]float64 {
+// SnapshotInto exports the chain state into s, reusing its count rows
+// when they already have the chain's shape.
+func (c *TwoDepChain) SnapshotInto(s *Snapshot) {
+	st := c.states
+	s.Counts = floatRows(s.Counts, st*st, st)
+	for i, row := range s.Counts {
+		r := (i%st)*st + i/st // row (prev, cur) = (i/st, i%st), stored at cur*st+prev
+		for j, n := range c.counts[r*st : (r+1)*st] {
+			row[j] = float64(n)
+		}
+	}
+	s.Order, s.States, s.Cur, s.Prev, s.NSeen = 2, st, c.cur, c.prev, c.nSeen
+}
+
+// floatRows returns rows if it already holds n rows of width w, else n
+// new rows of width w carved out of one backing array.
+func floatRows(rows [][]float64, n, w int) [][]float64 {
+	same := rows != nil && len(rows) == n
+	for i := 0; same && i < n; i++ {
+		same = len(rows[i]) == w
+	}
+	if same {
+		return rows
+	}
 	flat := make([]float64, n*w)
-	rows := make([][]float64, n)
+	rows = make([][]float64, n)
 	for i := range rows {
 		rows[i] = flat[i*w : (i+1)*w : (i+1)*w]
 	}
@@ -142,4 +168,51 @@ func FromSnapshot(s Snapshot) (Predictor, error) {
 	}
 	c.cur, c.prev, c.nSeen = s.Cur, s.Prev, s.NSeen
 	return c, nil
+}
+
+// Encode appends the snapshot in the binary checkpoint encoding: order,
+// states and position, then the counts as one count block.
+func (s *Snapshot) Encode(e *binenc.Encoder) {
+	e.Uvarint(uint64(s.Order))
+	e.Uvarint(uint64(s.States))
+	e.Int(int64(s.Cur))
+	e.Int(int64(s.Prev))
+	e.Int(int64(s.NSeen))
+	e.Counts(s.Counts)
+}
+
+// Decode reads a snapshot Encode appended. It checks only what sizing
+// the rows needs; FromSnapshot checks the rest.
+func (s *Snapshot) Decode(d *binenc.Decoder) {
+	order, states := d.Uvarint(), d.Uvarint()
+	s.Cur, s.Prev, s.NSeen = int(d.Int()), int(d.Int()), int(d.Int())
+	flat := d.Counts()
+	if d.Err() != nil {
+		return
+	}
+	if order != 1 && order != 2 {
+		d.Fail(fmt.Errorf("markov: unknown snapshot order %d", order))
+		return
+	}
+	// Counts must be states^(order+1); divided out, so a hostile
+	// states cannot overflow the product.
+	st, rows := int(states), 0
+	ok := states >= 1 && states <= uint64(len(flat)) && len(flat)%st == 0
+	if ok {
+		rows = len(flat) / st
+		if order == 1 {
+			ok = rows == st
+		} else {
+			ok = rows%st == 0 && rows/st == st
+		}
+	}
+	if !ok {
+		d.Fail(fmt.Errorf("markov: snapshot of %d states and order %d has %d counts", states, order, len(flat)))
+		return
+	}
+	s.Order, s.States = int(order), st
+	s.Counts = make([][]float64, rows)
+	for i := range s.Counts {
+		s.Counts[i] = flat[i*st : (i+1)*st : (i+1)*st]
+	}
 }

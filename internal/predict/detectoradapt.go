@@ -129,6 +129,43 @@ func LoadDetector(kind string, r io.Reader, opts DetectorOptions) (detector.Dete
 	}
 }
 
+// DecodeDetector restores a detector from the bytes its AppendBinary
+// wrote — the binary checkpoint form of the snapshot LoadDetector reads
+// as JSON — through the same checks LoadDetector runs.
+func DecodeDetector(kind string, b []byte, opts DetectorOptions) (detector.Detector, error) {
+	switch kind {
+	case detector.KindTAN:
+		p, err := decodePredictor(b)
+		if err != nil {
+			return nil, err
+		}
+		p.SetInstruments(opts.Instruments)
+		return newTANDetector(opts, p), nil
+	case detector.KindKMeans:
+		return decodeOutlierDetector(b, opts)
+	case detector.KindEWMA:
+		return detector.DecodeEWMA(b)
+	case detector.KindZRobust:
+		return detector.DecodeZRobust(b)
+	case detector.KindEnsemble:
+		ens, err := detector.DecodeEnsemble(b, func(mk string, data []byte) (detector.Detector, error) {
+			switch mk {
+			case detector.KindTAN, detector.KindKMeans:
+				return DecodeDetector(mk, data, opts)
+			default:
+				return nil, detector.ErrUnknownKind
+			}
+		})
+		if err != nil {
+			return nil, err
+		}
+		ens.SetTelemetry(opts.Telemetry, opts.TelemetryScope)
+		return ens, nil
+	default:
+		return nil, fmt.Errorf("predict: unknown detector kind %q", kind)
+	}
+}
+
 // tanDetector adapts the supervised Markov+TAN Predictor: Train is
 // TrainIncremental, Score is the fleet's window score against the alert
 // margin, Current is Evaluate, and Update/Retrain fold samples into the
@@ -244,6 +281,14 @@ func (d *tanDetector) Save(w io.Writer) error {
 		return ErrNotTrained
 	}
 	return d.p.Save(w)
+}
+
+// AppendBinary implements detector.Detector.
+func (d *tanDetector) AppendBinary(b []byte) ([]byte, error) {
+	if d.p == nil {
+		return b, ErrNotTrained
+	}
+	return d.p.appendBinary(b)
 }
 
 // supervisedVerdict converts a predict.Verdict.

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"prepare/internal/binenc"
 	"prepare/internal/detector"
 	"prepare/internal/markov"
 	"prepare/internal/metrics"
@@ -379,23 +380,29 @@ func quantile(xs []float64, q float64) float64 {
 	return cp[idx]
 }
 
-// outlierSnapshot is the JSON wire format of a trained kmeans
-// detector: the value model, the scorer, and the last observed row
-// (part of the scoring state — Score takes the max with it), so a
-// restored detector resumes an identical score stream. The format
-// names the kind twice, as it did when a second outlier kind shared
-// it: Kind is the integer 1 (kmeansWireKind), Detector.Kind the spec
-// string. Both are kept so existing checkpoints restore, and the loader
-// requires both.
+// outlierSnapshot is the one snapshot of a trained kmeans detector:
+// the value model, the scorer, and the last observed row (part of the
+// scoring state — Score takes the max with it), so a restored detector
+// resumes an identical score stream. Save gives it its JSON form,
+// AppendBinary its binary checkpoint form, in which the header stays
+// JSON. The format names the kind twice, as it did when a second outlier
+// kind shared it: Kind is the integer 1 (kmeansWireKind), Detector.Kind
+// the spec string. Both are kept so existing checkpoints restore, and
+// the loader requires both.
 type outlierSnapshot struct {
+	outlierHeader
+	Chains   []markov.Snapshot `json:"chains"`
+	Detector scorerSnapshot    `json:"detector"`
+	LastRow  []float64         `json:"last_row,omitempty"`
+}
+
+// outlierHeader is the small scalar part of outlierSnapshot.
+type outlierHeader struct {
 	Version      int                           `json:"version"`
 	Names        []string                      `json:"names"`
 	Config       Config                        `json:"config"`
 	Kind         int                           `json:"kind"`
 	Discretizers []metrics.DiscretizerSnapshot `json:"discretizers"`
-	Chains       []markov.Snapshot             `json:"chains"`
-	Detector     scorerSnapshot                `json:"detector"`
-	LastRow      []float64                     `json:"last_row,omitempty"`
 }
 
 type scorerSnapshot struct {
@@ -412,20 +419,57 @@ const kmeansWireKind = 1
 
 // Save implements detector.Detector.
 func (d *outlierDetector) Save(w io.Writer) error {
-	if !d.trained {
-		return ErrNotTrained
-	}
-	discs, chains, err := d.vm.snapshot()
+	snap, err := d.snapshot()
 	if err != nil {
 		return err
 	}
-	snap := outlierSnapshot{
-		Version:      snapshotVersion,
-		Names:        d.vm.names,
-		Config:       d.vm.cfg,
-		Kind:         kmeansWireKind,
-		Discretizers: discs,
-		Chains:       chains,
+	if err := json.NewEncoder(w).Encode(snap); err != nil {
+		return fmt.Errorf("predict: encode unsupervised snapshot: %w", err)
+	}
+	return nil
+}
+
+// AppendBinary implements detector.Detector: the header as JSON, then
+// the chains, the scorer and the last row.
+func (d *outlierDetector) AppendBinary(b []byte) ([]byte, error) {
+	snap, err := d.snapshot()
+	if err != nil {
+		return b, err
+	}
+	e := binenc.NewEncoder(b)
+	e.JSON(&snap.outlierHeader)
+	encodeChains(&e, snap.Chains)
+	sc := &snap.Detector
+	e.String(sc.Kind)
+	e.Floats(sc.Center)
+	e.Floats(sc.Scale)
+	e.Uvarint(uint64(len(sc.Centroids)))
+	for _, c := range sc.Centroids {
+		e.Floats(c)
+	}
+	e.Float64(sc.Threshold)
+	e.Floats(snap.LastRow)
+	return e.Finish()
+}
+
+// snapshot captures the trained detector.
+func (d *outlierDetector) snapshot() (outlierSnapshot, error) {
+	if !d.trained {
+		return outlierSnapshot{}, ErrNotTrained
+	}
+	discs, chains, err := d.vm.snapshot(nil, nil)
+	if err != nil {
+		return outlierSnapshot{}, err
+	}
+	return outlierSnapshot{
+		outlierHeader: outlierHeader{
+			Version:      snapshotVersion,
+			Names:        d.vm.names,
+			Config:       d.vm.cfg,
+			Kind:         kmeansWireKind,
+			Discretizers: discs,
+		},
+		Chains: chains,
 		Detector: scorerSnapshot{
 			Kind:      detector.KindKMeans,
 			Center:    d.sc.center,
@@ -434,21 +478,48 @@ func (d *outlierDetector) Save(w io.Writer) error {
 			Threshold: d.sc.threshold,
 		},
 		LastRow: d.lastRow,
-	}
-	if err := json.NewEncoder(w).Encode(snap); err != nil {
-		return fmt.Errorf("predict: encode unsupervised snapshot: %w", err)
-	}
-	return nil
+	}, nil
 }
 
 // loadOutlierDetector restores a kmeans detector from a snapshot written
-// by Save, rejecting one that was written for another kind or whose
-// widths disagree with its column names.
+// by Save.
 func loadOutlierDetector(r io.Reader, opts DetectorOptions) (*outlierDetector, error) {
 	var snap outlierSnapshot
 	if err := json.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("predict: decode unsupervised snapshot: %w", err)
 	}
+	return outlierFromSnapshot(&snap, opts)
+}
+
+// decodeOutlierDetector restores a kmeans detector from the bytes
+// AppendBinary wrote, through the same checks as loadOutlierDetector.
+func decodeOutlierDetector(b []byte, opts DetectorOptions) (*outlierDetector, error) {
+	var snap outlierSnapshot
+	d := binenc.NewDecoder(b)
+	d.JSON(&snap.outlierHeader)
+	snap.Chains = decodeChains(&d)
+	sc := &snap.Detector
+	sc.Kind = d.String()
+	sc.Center, sc.Scale = d.Floats(), d.Floats()
+	if n := d.Len(1); n > 0 {
+		sc.Centroids = make([][]float64, n)
+		for i := range sc.Centroids {
+			sc.Centroids[i] = d.Floats()
+		}
+	}
+	sc.Threshold = d.Float64()
+	snap.LastRow = d.Floats()
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("predict: decode unsupervised snapshot: %w", err)
+	}
+	return outlierFromSnapshot(&snap, opts)
+}
+
+// outlierFromSnapshot is the one validating restore of a kmeans
+// snapshot, whichever encoding it was read from: it rejects one that
+// was written for another kind or whose widths disagree with its column
+// names.
+func outlierFromSnapshot(snap *outlierSnapshot, opts DetectorOptions) (*outlierDetector, error) {
 	if snap.Version != snapshotVersion {
 		return nil, fmt.Errorf("predict: unsupported unsupervised snapshot version %d", snap.Version)
 	}

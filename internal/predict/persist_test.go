@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"prepare/internal/detector"
+	"prepare/internal/metrics"
 )
 
 func trainedPredictor(t *testing.T) *Predictor {
@@ -192,5 +193,94 @@ func TestSaveLoadSimpleChainVariant(t *testing.T) {
 	}
 	if _, err := q.PredictWindow(60); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBinarySnapshotRoundTrip: for every detector kind, the binary
+// checkpoint encoding decodes to a detector whose JSON Save is the
+// original's, byte for byte — the unchanged JSON document is the oracle
+// for "the same state" — and encodes back to the same bytes. The parent
+// snapshot fixtures make the same round trip.
+func TestBinarySnapshotRoundTrip(t *testing.T) {
+	train, trainLabels := fixtureTrace(240, 150, 200, 21)
+	stream, streamLabels := fixtureTrace(50, 0, 30, 22)
+	roundTrip := func(t *testing.T, kind string, d detector.Detector) {
+		t.Helper()
+		var want bytes.Buffer
+		if err := d.Save(&want); err != nil {
+			t.Fatal(err)
+		}
+		const prefix = "prefix"
+		bin, err := d.AppendBinary([]byte(prefix))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(bin[:len(prefix)]) != prefix {
+			t.Fatal("AppendBinary overwrote the bytes it appends to")
+		}
+		bin = bin[len(prefix):]
+		got, err := DecodeDetector(kind, bin, fixtureOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var again bytes.Buffer
+		if err := got.Save(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(want.Bytes(), again.Bytes()) {
+			t.Fatalf("JSON Save after the binary round trip differs:\n got %s\nwant %s", again.Bytes(), want.Bytes())
+		}
+		rebin, err := got.AppendBinary(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rebin, bin) {
+			t.Fatal("re-encoding the decoded detector changed the binary bytes")
+		}
+	}
+	for _, spec := range []detector.Spec{
+		{Kind: detector.KindTAN},
+		{Kind: detector.KindKMeans},
+		{Kind: detector.KindEWMA},
+		{Kind: detector.KindZRobust},
+		{Kind: detector.KindEnsemble, Members: []string{detector.KindTAN, detector.KindEWMA}},
+		{Kind: detector.KindEnsemble, Members: []string{detector.KindTAN, detector.KindKMeans, detector.KindEWMA, detector.KindZRobust}, Quorum: 2},
+	} {
+		name := spec.Kind + strings.Join(spec.Members, "+")
+		t.Run(name, func(t *testing.T) {
+			d, err := NewDetector(spec, fixtureOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Train(train, append([]metrics.Label(nil), trainLabels...)); err != nil {
+				t.Fatal(err)
+			}
+			for i, row := range stream {
+				// A tan detector folds the stream into its counts and
+				// look-back ring; the other kinds observe it.
+				if spec.Kind == detector.KindTAN {
+					err = d.Update(row, streamLabels[i])
+				} else {
+					err = d.Observe(row)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			roundTrip(t, spec.Kind, d)
+		})
+	}
+	for _, kind := range []string{detector.KindTAN, detector.KindKMeans} {
+		t.Run("fixture-"+kind, func(t *testing.T) {
+			snap, err := os.ReadFile(filepath.Join("testdata", kind+".snapshot.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := LoadDetector(kind, bytes.NewReader(snap), fixtureOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			roundTrip(t, kind, d)
+		})
 	}
 }

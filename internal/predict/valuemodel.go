@@ -103,21 +103,28 @@ func (m *valueModel) stepsFor(lookaheadS int64) int {
 	return steps
 }
 
-// snapshot exports the fitted discretizers and chains.
-func (m *valueModel) snapshot() ([]metrics.DiscretizerSnapshot, []markov.Snapshot, error) {
-	discs := make([]metrics.DiscretizerSnapshot, 0, len(m.names))
-	chains := make([]markov.Snapshot, 0, len(m.names))
+// snapshot exports the fitted discretizers and chains into discs and
+// chains, reusing their elements' storage, and returns them resized.
+func (m *valueModel) snapshot(discs []metrics.DiscretizerSnapshot, chains []markov.Snapshot) ([]metrics.DiscretizerSnapshot, []markov.Snapshot, error) {
+	n := len(m.names)
+	if cap(discs) < n {
+		discs = make([]metrics.DiscretizerSnapshot, n)
+	}
+	if cap(chains) < n {
+		chains = make([]markov.Snapshot, n)
+	}
+	discs, chains = discs[:n], chains[:n]
 	for j, name := range m.names {
 		ew, ok := m.disc[j].(*metrics.EqualWidth)
 		if !ok {
 			return nil, nil, fmt.Errorf("predict: unsupported discretizer type for %s", name)
 		}
-		discs = append(discs, ew.Snapshot())
+		discs[j] = ew.Snapshot()
 		switch ch := m.chains[j].(type) {
 		case *markov.SimpleChain:
-			chains = append(chains, ch.Snapshot())
+			ch.SnapshotInto(&chains[j])
 		case *markov.TwoDepChain:
-			chains = append(chains, ch.Snapshot())
+			ch.SnapshotInto(&chains[j])
 		default:
 			return nil, nil, fmt.Errorf("predict: unsupported chain type for %s", name)
 		}

@@ -53,8 +53,9 @@ type auditResponse struct {
 //	                              columnar frames on one long-lived connection
 //	GET  /v1/alerts?since=&limit= — confirmed alerts after the cursor
 //	GET  /v1/audit?since=&limit=  — actuation audit log after the cursor
-//	GET  /v1/tenants/{id}/model — the tenant's current model snapshot
-//	GET  /v1/checkpoint         — a fresh warm-failover checkpoint
+//	GET  /v1/tenants/{id}/model — the tenant's models as JSON
+//	GET  /v1/checkpoint         — a fresh warm-failover checkpoint,
+//	                              application/x-prepare-checkpoint
 //	GET  /v1/stats              — pipeline counters
 //	GET  /healthz, /readyz      — liveness / readiness
 //	GET  /metrics, /trace       — telemetry (when enabled)
@@ -288,8 +289,8 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCheckpoint(w http.ResponseWriter, _ *http.Request) {
-	var buf bytes.Buffer
-	if err := s.Checkpoint(&buf); err != nil {
+	b, err := s.checkpoint()
+	if err != nil {
 		if errors.Is(err, ErrNotRunning) {
 			writeError(w, http.StatusServiceUnavailable, err)
 		} else {
@@ -297,9 +298,9 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, _ *http.Request) {
 		}
 		return
 	}
-	s.lastCkpt.Store(buf.Bytes())
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(buf.Bytes())
+	s.lastCkpt.Store(b)
+	w.Header().Set("Content-Type", "application/x-prepare-checkpoint")
+	_, _ = w.Write(b)
 }
 
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -372,5 +373,79 @@ func TestStatsAndMetricsEndpoints(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "prepare_server_ingest_samples_accepted") {
 		t.Errorf("/metrics = %d: %.200s", resp.StatusCode, body)
+	}
+}
+
+// TestCheckpointEndpointServesBinary: GET /v1/checkpoint answers with
+// the binary checkpoint media type and the bytes LastCheckpoint then
+// holds, which a replica restores; a later checkpoint, requested or
+// periodic, leaves the bytes LastCheckpoint returned earlier unchanged.
+// The pause histogram and the size gauge record every checkpoint and
+// are served on /metrics.
+func TestCheckpointEndpointServesBinary(t *testing.T) {
+	reg := telemetry.New(telemetry.Options{})
+	srv, ts, traces := newAPIServer(t, Config{Telemetry: reg, CheckpointInterval: time.Millisecond})
+	byTenant := map[string]map[substrate.VMID][]metrics.Sample{"api": traces}
+	feed(t, srv, byTenant, 0, testTrainAt+5)
+	get := func() []byte {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/checkpoint")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /v1/checkpoint = %d: %s", resp.StatusCode, body)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/x-prepare-checkpoint" {
+			t.Fatalf("checkpoint Content-Type %q, want application/x-prepare-checkpoint", ct)
+		}
+		return body
+	}
+	body := get()
+	held := srv.LastCheckpoint()
+	want := append([]byte(nil), held...)
+	feed(t, srv, byTenant, testTrainAt+10, testTrainAt+100)
+	later := get()
+	if bytes.Equal(later, body) {
+		t.Fatal("the later checkpoint equals the first; the scenario cannot tell them apart")
+	}
+	// Let the periodic checkpointer take a few more.
+	for start := srv.Stats().Checkpoints; srv.Stats().Checkpoints < start+3; {
+		time.Sleep(time.Millisecond)
+	}
+	if !bytes.Equal(held, want) {
+		t.Fatal("a later checkpoint changed the bytes LastCheckpoint returned")
+	}
+
+	replica, err := New([]TenantConfig{{ID: "api", VMs: sortedVMs(traces), Control: testControlConfig(11, 0)}}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := replica.Restore(bytes.NewReader(later)); err != nil {
+		t.Fatalf("restore the served checkpoint: %v", err)
+	}
+
+	snap := reg.Snapshot()
+	if h := snap.Histograms["server.checkpoint.pause_ms"]; h.Count < 2 {
+		t.Errorf("pause histogram holds %d checkpoints, at least 2 were taken", h.Count)
+	}
+	if g := snap.Gauges["server.checkpoint.bytes"]; g.Max < float64(len(body)) {
+		t.Errorf("checkpoint size gauge max %v, a checkpoint was %d bytes", g.Max, len(body))
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metricsBody, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, name := range []string{"prepare_server_checkpoint_pause_ms", "prepare_server_checkpoint_bytes"} {
+		if !strings.Contains(string(metricsBody), name) {
+			t.Errorf("/metrics does not serve %s", name)
+		}
 	}
 }

@@ -2,30 +2,25 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"time"
 
+	"prepare/internal/binenc"
+	"prepare/internal/control"
 	"prepare/internal/simclock"
 	"prepare/internal/telemetry"
 )
 
-// checkpointVersion guards the server checkpoint wire format.
-const checkpointVersion = 1
-
-// checkpointSnapshot is the JSON wire format of a warm-failover
-// checkpoint: every tenant's last executed tick plus the engine model
-// snapshot (control's SaveModels format, verbatim). Restored into a
-// fresh server over the same topology and fed the post-checkpoint
-// samples, the replica produces a byte-identical subsequent alert
-// stream.
-type checkpointSnapshot struct {
-	Version int              `json:"version"`
-	Ticks   map[string]int64 `json:"ticks"`
-	Models  json.RawMessage  `json:"models"`
-}
+// The warm-failover checkpoint (DESIGN.md §10): magic, version, a
+// section of tenant ticks and a section of control.AppendEngineModels.
+// Version 1 was JSON and is refused.
+const (
+	checkpointMagic   = "PCK"
+	checkpointVersion = 2
+)
 
 type modelReply struct {
 	data []byte
@@ -36,14 +31,14 @@ type modelReply struct {
 // worker between ticks, where the models are quiescent.
 func snapshotModels(t *tenant) modelReply {
 	var buf bytes.Buffer
-	if err := t.ctl.SaveModels(&buf); err != nil {
+	if err := control.WriteModelsJSON(&buf, t.ctl); err != nil {
 		return modelReply{err: err}
 	}
 	return modelReply{data: buf.Bytes()}
 }
 
 // TenantModel returns the tenant's current model snapshot (control's
-// SaveModels JSON). The request is routed through the tenant's shard
+// WriteModelsJSON). The request is routed through the tenant's shard
 // queue so it serializes with ticking; it shares the ingest queue and
 // therefore the same backpressure.
 func (s *Server) TenantModel(id string) ([]byte, error) {
@@ -64,11 +59,19 @@ func (s *Server) TenantModel(id string) ([]byte, error) {
 }
 
 // Checkpoint quiesces every shard behind a barrier, captures each
-// tenant's tick position and the full engine model snapshot, and
-// releases the pipeline. Checkpoints require every tenant to be
-// trained (control's SaveModels contract). Serialized: concurrent
-// checkpoints run one at a time.
+// tenant's tick position and the full engine model snapshot, releases
+// the pipeline and writes the checkpoint to w. Every tenant must be
+// trained. Serialized: concurrent checkpoints run one at a time.
 func (s *Server) Checkpoint(w io.Writer) error {
+	b, err := s.checkpoint()
+	if err == nil {
+		_, err = w.Write(b)
+	}
+	return err
+}
+
+// checkpoint encodes a checkpoint into a fresh buffer in one pass at the barrier.
+func (s *Server) checkpoint() ([]byte, error) {
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
 
@@ -77,7 +80,7 @@ func (s *Server) Checkpoint(w io.Writer) error {
 	s.mu.RLock()
 	if s.state != stateRunning {
 		s.mu.RUnlock()
-		return ErrNotRunning
+		return nil, ErrNotRunning
 	}
 	acks := make(chan struct{}, len(s.shards))
 	gate := make(chan struct{})
@@ -90,55 +93,41 @@ func (s *Server) Checkpoint(w io.Writer) error {
 	}
 	// Every worker is paused at the gate: tick state and models are
 	// quiescent and safe to read from here.
-	err := s.capture(w)
-	close(gate)
-	if err != nil {
-		return err
-	}
-	s.checkpoints.Add(1)
-	s.tel.checkpoints.Inc()
-	if s.tel.reg != nil {
-		s.tel.reg.Emit(s.maxTick(), "", telemetry.StageServer, telemetry.KindCheckpoint, "checkpoint")
-	}
-	return nil
-}
-
-// capture writes the checkpoint while the pipeline is paused.
-func (s *Server) capture(w io.Writer) error {
-	snap := checkpointSnapshot{
-		Version: checkpointVersion,
-		Ticks:   make(map[string]int64, len(s.tenants)),
-	}
+	parked := time.Now()
+	e := binenc.NewEncoder(make([]byte, 0, s.ckptSize))
+	e.Header(checkpointMagic, checkpointVersion)
+	mark := e.Begin()
+	e.Uvarint(uint64(len(s.tenants)))
+	var maxTick int64 // stamps the telemetry event
 	for _, sh := range s.shards {
 		for _, t := range sh.tenants {
-			snap.Ticks[t.id] = sh.lastTick.Seconds()
+			e.String(t.id)
+			e.Int(sh.lastTick.Seconds())
 		}
+		maxTick = max(maxTick, sh.lastTick.Seconds())
 	}
-	var models bytes.Buffer
-	if err := s.engine.SaveModels(&models); err != nil {
-		return fmt.Errorf("server: checkpoint: %w", err)
+	e.End(mark)
+	mark = e.Begin()
+	control.AppendEngineModels(&e, s.engine)
+	e.End(mark)
+	close(gate)
+	s.tel.checkpointPause.Observe(float64(time.Since(parked).Nanoseconds()) / 1e6)
+	b, err := e.Finish()
+	if err != nil {
+		return nil, fmt.Errorf("server: checkpoint: %w", err)
 	}
-	snap.Models = json.RawMessage(bytes.TrimSpace(models.Bytes()))
-	if err := json.NewEncoder(w).Encode(snap); err != nil {
-		return fmt.Errorf("server: encode checkpoint: %w", err)
+	s.ckptSize = len(b)
+	s.checkpoints.Add(1)
+	s.tel.checkpoints.Inc()
+	s.tel.checkpointBytes.Set(float64(len(b)))
+	if s.tel.reg != nil {
+		s.tel.reg.Emit(maxTick, "", telemetry.StageServer, telemetry.KindCheckpoint, "checkpoint")
 	}
-	return nil
-}
-
-// maxTick is the furthest tick any shard has executed (only used to
-// stamp telemetry events; shards are paused when it is read).
-func (s *Server) maxTick() int64 {
-	var max int64
-	for _, sh := range s.shards {
-		if t := sh.lastTick.Seconds(); t > max {
-			max = t
-		}
-	}
-	return max
+	return b, nil
 }
 
 // Restore loads a checkpoint into a server that has not started yet:
-// models are installed through the engine's RestoreModels and each
+// models are installed through control.RestoreEngineModels and each
 // tenant resumes after its checkpointed tick — ticks at or before it
 // are skipped, so feeding the replica the post-checkpoint samples
 // reproduces the primary's subsequent alert stream exactly.
@@ -148,25 +137,35 @@ func (s *Server) Restore(r io.Reader) error {
 	if s.state != stateNew {
 		return errors.New("server: restore requires a server that has not started")
 	}
-	var snap checkpointSnapshot
-	if err := json.NewDecoder(r).Decode(&snap); err != nil {
+	raw, err := io.ReadAll(r)
+	if err != nil {
+		return fmt.Errorf("server: read checkpoint: %w", err)
+	}
+	d := binenc.NewDecoder(raw)
+	d.Header(checkpointMagic, checkpointVersion)
+	td := binenc.NewDecoder(d.Section())
+	n := td.Len(2) // an ID and a tick take two bytes at least
+	ticks := make(map[string]int64, n)
+	for i := 0; i < n; i++ {
+		ticks[td.String()] = td.Int()
+	}
+	models := binenc.NewDecoder(d.Section())
+	if err := cmp.Or(d.Finish(), td.Finish()); err != nil {
 		return fmt.Errorf("server: decode checkpoint: %w", err)
 	}
-	if snap.Version != checkpointVersion {
-		return fmt.Errorf("server: unsupported checkpoint version %d", snap.Version)
-	}
 	for id := range s.tenants {
-		if _, ok := snap.Ticks[id]; !ok {
+		if _, ok := ticks[id]; !ok {
 			return fmt.Errorf("server: checkpoint has no tick for tenant %q", id)
 		}
 	}
-	if err := s.engine.RestoreModels(bytes.NewReader(snap.Models)); err != nil {
+	if n != len(s.tenants) { // every tenant has a tick, so n counts others or repeats
+		return fmt.Errorf("server: checkpoint has %d tenant ticks, this server runs %d tenants", n, len(s.tenants))
+	}
+	if err := control.RestoreEngineModels(s.engine, &models); err != nil {
 		return err
 	}
-	for id, tick := range snap.Ticks {
-		if t := s.tenants[id]; t != nil {
-			t.resumeFrom = simclock.Time(tick)
-		}
+	for id, tick := range ticks {
+		s.tenants[id].resumeFrom = simclock.Time(tick)
 	}
 	// Skip the replayed-history range instead of iterating over it.
 	for _, sh := range s.shards {
@@ -182,7 +181,8 @@ func (s *Server) Restore(r io.Reader) error {
 }
 
 // LastCheckpoint returns the most recent checkpoint captured by the
-// periodic checkpointer or GET /v1/checkpoint, or nil.
+// periodic checkpointer or GET /v1/checkpoint, or nil; no later one
+// changes its bytes.
 func (s *Server) LastCheckpoint() []byte {
 	if b, ok := s.lastCkpt.Load().([]byte); ok {
 		return b
@@ -201,9 +201,8 @@ func (s *Server) runCheckpointer() {
 		case <-s.stopCkpt:
 			return
 		case <-ticker.C:
-			var buf bytes.Buffer
-			if err := s.Checkpoint(&buf); err == nil {
-				s.lastCkpt.Store(buf.Bytes())
+			if b, err := s.checkpoint(); err == nil {
+				s.lastCkpt.Store(b)
 			}
 		}
 	}

@@ -189,6 +189,7 @@ type Server struct {
 	wg       sync.WaitGroup // shard workers
 	pubWG    sync.WaitGroup
 	ckptMu   sync.Mutex // serializes checkpoint barriers
+	ckptSize int        // the last checkpoint's length, the next one's buffer size (ckptMu)
 	stopCkpt chan struct{}
 
 	lastCkpt atomic.Value // []byte: most recent checkpoint snapshot

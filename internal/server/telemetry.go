@@ -23,6 +23,12 @@ type instruments struct {
 	stepsPublished  *telemetry.Counter
 	checkpoints     *telemetry.Counter
 	backpressure    *telemetry.Counter
+
+	// checkpointPause is how long each checkpoint holds the barrier
+	// (milliseconds, from the last shard worker parking to the gate's
+	// release); checkpointBytes is the last checkpoint's size.
+	checkpointPause *telemetry.Histogram
+	checkpointBytes *telemetry.Gauge
 	frames          *telemetry.Counter
 
 	// queueDepth gauges track each shard's pending ingest batches.
@@ -58,6 +64,8 @@ func newInstruments(reg *telemetry.Registry, shards int) instruments {
 		checkpoints:     reg.Counter("server.checkpoints"),
 		backpressure:    reg.Counter("server.ingest.backpressure"),
 		frames:          reg.Counter("server.ingest.frames"),
+		checkpointPause: reg.HistogramWith("server.checkpoint.pause_ms", pauseBucketsMs),
+		checkpointBytes: reg.Gauge("server.checkpoint.bytes"),
 		decodeLatency:   reg.HistogramWith("server.stage.decode", telemetry.LatencyBuckets),
 		queueWait:       reg.HistogramWith("server.stage.queue_wait", telemetry.LatencyBuckets),
 		applyLatency:    reg.HistogramWith("server.stage.apply", telemetry.LatencyBuckets),
@@ -73,6 +81,16 @@ func newInstruments(reg *telemetry.Registry, shards int) instruments {
 		}
 	}
 	return ins
+}
+
+// pauseBucketsMs is the checkpoint pause histogram's layout: upper
+// bounds in milliseconds, 1-2-5 per decade from 0.1 ms to 10 s.
+var pauseBucketsMs = []float64{
+	0.1, 0.2, 0.5,
+	1, 2, 5,
+	10, 20, 50,
+	100, 200, 500,
+	1000, 2000, 5000, 10000,
 }
 
 // depth records the shard's current queue depth, nil-safe.

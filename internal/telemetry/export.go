@@ -129,8 +129,14 @@ func (s *Snapshot) WriteSummary(w io.Writer) error {
 		fmt.Fprintln(w, "histograms (count / mean / p50 / p99):")
 		for _, name := range hnames {
 			hs := s.Histograms[name]
+			// Histograms are in seconds unless their name says
+			// milliseconds.
+			scale := 1.0
+			if strings.HasSuffix(name, "_ms") {
+				scale = 1e-3
+			}
 			fmt.Fprintf(w, "  %-42s %d / %s / %s / %s\n", name, hs.Count,
-				fmtSeconds(hs.Mean()), fmtSeconds(hs.Quantile(0.5)), fmtSeconds(hs.Quantile(0.99)))
+				fmtSeconds(hs.Mean()*scale), fmtSeconds(hs.Quantile(0.5)*scale), fmtSeconds(hs.Quantile(0.99)*scale))
 		}
 	}
 	const tail = 12
