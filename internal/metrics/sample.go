@@ -93,11 +93,12 @@ func (s *Series) idx(i int) int {
 // Append adds a sample to the end of the series, evicting the oldest
 // when a bounded series is full. Samples are expected in non-decreasing
 // time order; Append returns an error otherwise so callers catch wiring
-// mistakes early.
+// mistakes early. The order check reads only the last sample's time,
+// in place.
 func (s *Series) Append(sm Sample) error {
 	if s.count > 0 {
-		if last := s.samples[s.idx(s.count-1)]; sm.Time.Before(last.Time) {
-			return fmt.Errorf("metrics: sample at %v appended after %v", sm.Time, last.Time)
+		if last := s.samples[s.idx(s.count-1)].Time; sm.Time.Before(last) {
+			return fmt.Errorf("metrics: sample at %v appended after %v", sm.Time, last)
 		}
 	}
 	if s.limit > 0 && s.count == s.limit {

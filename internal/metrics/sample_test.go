@@ -49,6 +49,43 @@ func TestSeriesRejectsOutOfOrder(t *testing.T) {
 	}
 }
 
+// TestSeriesAppendRingZeroAlloc pins the bounded ring's steady state:
+// an append into a full ring evicts in place, allocates nothing, and
+// leaves the samples oldest first across the wrap.
+func TestSeriesAppendRingZeroAlloc(t *testing.T) {
+	const limit = 5
+	s, err := NewBoundedSeries(limit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	appendNext := func() {
+		if err := s.Append(mkSample(simclock.Time(next*5), float64(next), LabelNormal)); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	for next < limit {
+		appendNext()
+	}
+	if allocs := testing.AllocsPerRun(2*limit+2, appendNext); allocs != 0 {
+		t.Fatalf("append into a full ring: %v allocs/op, want 0", allocs)
+	}
+	if s.Len() != limit {
+		t.Fatalf("Len = %d, want %d", s.Len(), limit)
+	}
+	// The ring has wrapped more than twice; it holds the last limit
+	// samples, oldest first.
+	for i, sm := range s.All() {
+		if want := next - limit + i; sm.Time != simclock.Time(want*5) || sm.Values.Get(CPUTotal) != float64(want) {
+			t.Fatalf("sample %d = t%v cpu %v, want sample %d", i, sm.Time, sm.Values.Get(CPUTotal), want)
+		}
+	}
+	if last, _ := s.Last(); last.Time != simclock.Time((next-1)*5) {
+		t.Fatalf("Last = t%v, want t%v", last.Time, (next-1)*5)
+	}
+}
+
 func TestSeriesLast(t *testing.T) {
 	s := NewSeries(0)
 	if _, ok := s.Last(); ok {

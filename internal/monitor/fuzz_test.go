@@ -28,10 +28,41 @@ func vectorsFromBytes(data []byte) (raw, fallback metrics.Vector) {
 	return raw, fallback
 }
 
+// sanitizeByValue is the by-value sanitizer SanitizeVector replaced,
+// kept as the oracle its in-place form must match bit for bit.
+func sanitizeByValue(v, fallback metrics.Vector) (metrics.Vector, int) {
+	repaired := 0
+	for i := range v {
+		if badValue(v[i]) {
+			f := fallback[i]
+			if badValue(f) {
+				f = 0
+			}
+			v[i] = f
+			repaired++
+		}
+	}
+	return v, repaired
+}
+
+// sameBits reports whether two vectors are equal bit for bit, NaN
+// payloads included.
+func sameBits(a, b metrics.Vector) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // FuzzVectorSanitize checks SanitizeVector's contract over arbitrary
 // bit patterns: the output never carries NaN, ±Inf, or negative values
-// into discretization; clean attributes pass through untouched; and the
-// repair count matches exactly the number of unusable inputs.
+// into discretization; clean attributes pass through untouched; the
+// repair count matches exactly the number of unusable inputs; the
+// fallback is left as it was; and the in-place repair equals the
+// by-value oracle's bit for bit, also when it runs on the fallback
+// itself.
 func FuzzVectorSanitize(f *testing.F) {
 	seed := func(raw, fallback metrics.Vector) {
 		buf := make([]byte, 2*metrics.NumAttributes*8)
@@ -50,7 +81,11 @@ func FuzzVectorSanitize(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		raw, fallback := vectorsFromBytes(data)
-		clean, repaired := SanitizeVector(raw, fallback)
+		clean, keep := raw, fallback
+		repaired := SanitizeVector(&clean, &keep)
+		if !sameBits(keep, fallback) {
+			t.Fatalf("fallback was modified: %v -> %v", fallback, keep)
+		}
 
 		wantRepaired := 0
 		for i := range raw {
@@ -73,6 +108,16 @@ func FuzzVectorSanitize(f *testing.F) {
 		}
 		if repaired != wantRepaired {
 			t.Fatalf("repaired = %d, want %d", repaired, wantRepaired)
+		}
+
+		if want, wantN := sanitizeByValue(raw, fallback); !sameBits(clean, want) || repaired != wantN {
+			t.Fatalf("in place: %v (%d repaired), oracle %v (%d)", clean, repaired, want, wantN)
+		}
+		// The fallback, itself possibly bad, repaired against itself.
+		self := fallback
+		selfN := SanitizeVector(&self, &self)
+		if want, wantN := sanitizeByValue(fallback, fallback); !sameBits(self, want) || selfN != wantN {
+			t.Fatalf("aliased: %v (%d repaired), oracle %v (%d)", self, selfN, want, wantN)
 		}
 	})
 }

@@ -227,8 +227,7 @@ func (s *Sampler) sampleOne(i int, v *metrics.Vector) (bool, error) {
 		synthesized = true
 		s.carried.Inc()
 	}
-	clean, repaired := SanitizeVector(clean, st.lastGood)
-	if repaired > 0 {
+	if repaired := SanitizeVector(&clean, &st.lastGood); repaired > 0 {
 		s.sanitized.Add(int64(repaired))
 	}
 

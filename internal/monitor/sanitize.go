@@ -13,18 +13,18 @@ func badValue(x float64) bool {
 	return math.IsNaN(x) || math.IsInf(x, 0) || x < 0
 }
 
-// SanitizeVector repairs a raw metric vector before it reaches
-// discretization and model training: every NaN, ±Inf, or negative
-// attribute is replaced by the same attribute from fallback (the VM's
-// last known-good vector), or by zero when the fallback attribute is
-// itself unusable. It returns the repaired vector and how many
-// attributes were replaced.
+// SanitizeVector repairs a raw metric vector in place before it
+// reaches discretization and model training: every NaN, ±Inf, or
+// negative attribute of v is replaced by the same attribute from
+// fallback (the VM's last known-good vector), or by zero when the
+// fallback attribute is itself unusable. It returns how many attributes
+// were replaced. v and fallback may be the same vector.
 //
 // Without this guard a single stuck or broken sensor silently corrupts
 // the Markov and TAN models: NaN survives discretization bin lookups
 // and noise multiplication, and every downstream count it touches
 // becomes NaN too.
-func SanitizeVector(v, fallback metrics.Vector) (metrics.Vector, int) {
+func SanitizeVector(v, fallback *metrics.Vector) int {
 	repaired := 0
 	for i := range v {
 		if badValue(v[i]) {
@@ -36,5 +36,5 @@ func SanitizeVector(v, fallback metrics.Vector) (metrics.Vector, int) {
 			repaired++
 		}
 	}
-	return v, repaired
+	return repaired
 }

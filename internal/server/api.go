@@ -118,9 +118,14 @@ func writeError(w http.ResponseWriter, status int, err error) {
 }
 
 // isBinaryIngest reports whether the request negotiated the columnar
-// wire format.
+// wire format. The canonical header is matched before any parsing, as
+// mime.ParseMediaType allocates a parameter map per call; every other
+// spelling (parameters, case) still goes through it.
 func isBinaryIngest(r *http.Request) bool {
 	ct := r.Header.Get("Content-Type")
+	if ct == wire.ContentType {
+		return true
+	}
 	if ct == "" {
 		return false
 	}
@@ -131,18 +136,13 @@ func isBinaryIngest(r *http.Request) bool {
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	if isBinaryIngest(r) {
-		frame, err := io.ReadAll(body)
-		if err != nil {
-			writeIngestReadError(w, err)
-			return
-		}
-		res, err := s.IngestFrame(frame)
+		res, err := s.ingestBody(body, r.ContentLength)
 		writeIngestResult(w, res, err)
 		return
 	}
 	payload, err := io.ReadAll(body)
 	if err != nil {
-		writeIngestReadError(w, err)
+		writeIngestResult(w, IngestResult{}, ingestReadError(err))
 		return
 	}
 	res, err := s.IngestJSON(payload)
@@ -164,16 +164,15 @@ func (s *Server) IngestJSON(body []byte) (IngestResult, error) {
 	return s.Ingest(req.Batches)
 }
 
-// writeIngestReadError maps body-read failures: MaxBytesReader overflow
-// is the client's fault and sized like ErrBatchTooLarge (413),
-// everything else is a malformed request (400).
-func writeIngestReadError(w http.ResponseWriter, err error) {
+// ingestReadError maps a body-read failure: MaxBytesReader overflow is
+// the client's fault and sized like ErrBatchTooLarge (413); anything
+// else stays as it is, a malformed request (400).
+func ingestReadError(err error) error {
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
-		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("%w: body exceeds %d bytes", ErrBatchTooLarge, tooLarge.Limit))
-		return
+		return fmt.Errorf("%w: body exceeds %d bytes", ErrBatchTooLarge, tooLarge.Limit)
 	}
-	writeError(w, http.StatusBadRequest, err)
+	return err
 }
 
 // writeIngestResult maps Ingest/IngestFrame outcomes onto HTTP statuses.

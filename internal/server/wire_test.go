@@ -2,10 +2,14 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -233,7 +237,7 @@ func TestWireTransportsEquivalent(t *testing.T) {
 }
 
 // binFrame builds a small valid frame for the api tenant.
-func binFrame(t *testing.T, tenant string, vm substrate.VMID, times ...int64) []byte {
+func binFrame(t testing.TB, tenant string, vm substrate.VMID, times ...int64) []byte {
 	t.Helper()
 	var b wire.Batch
 	b.Reset([]byte(tenant))
@@ -458,4 +462,228 @@ func TestBinaryIngestMatchesHTTP(t *testing.T) {
 	if st.BinaryFrames != 1 || st.SamplesAccepted != 3 {
 		t.Fatalf("stats = %+v", st)
 	}
+}
+
+// serveBinary runs one POST /v1/samples of body through h in-process
+// with the given Content-Length (-1: unknown) and returns the recorder.
+func serveBinary(h http.Handler, body []byte, contentLength int64) *httptest.ResponseRecorder {
+	req := httptest.NewRequest("POST", "/v1/samples", bytes.NewReader(body))
+	req.Header.Set("Content-Type", wire.ContentType)
+	req.ContentLength = contentLength
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	return rec
+}
+
+// settle waits until the shard workers have applied (or dropped with an
+// append error) every sample the server accepted.
+func settle(t testing.TB, srv *Server) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.samplesApplied.Load()+srv.appendErrors.Load() != srv.samplesAccepted.Load() {
+		if err := srv.Failure(); err != nil {
+			t.Fatalf("pipeline failed: %v", err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("pipeline stuck: %+v", srv.Stats())
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestBinaryIngestBodyBounds pins the binary POST body read: the body
+// goes straight into a pooled decode state whose buffer a declared
+// length sizes but never past MaxBodyBytes+1, an oversized body is 413
+// whatever it declares, an unknown length still ingests, a short or
+// mis-prefixed frame is 400, no rejection applies a sample, and a
+// buffer a large frame grew decodes only a later small frame's bytes.
+func TestBinaryIngestBodyBounds(t *testing.T) {
+	const limit = 4096
+	srv, _, traces := newAPIServer(t, Config{MaxBodyBytes: limit, MaxBatchSamples: 64})
+	h := srv.Handler()
+	vms := sortedVMs(traces)
+	valid := binFrame(t, "api", vms[0], 0)
+	oversized := append(binFrame(t, "api", vms[0], 5), make([]byte, limit)...)
+
+	rejected := func(name string, rec *httptest.ResponseRecorder, status int, want error) {
+		t.Helper()
+		if rec.Code != status {
+			t.Errorf("%s: status = %d, want %d (%s)", name, rec.Code, status, rec.Body)
+		}
+		if !strings.Contains(rec.Body.String(), want.Error()) {
+			t.Errorf("%s: body %q does not name %q", name, rec.Body, want)
+		}
+		if n := srv.samplesAccepted.Load(); n != 0 {
+			t.Fatalf("%s: a rejected body accepted %d samples", name, n)
+		}
+	}
+	for _, declared := range []int64{int64(len(oversized)), -1, 1 << 40} {
+		rejected(fmt.Sprintf("oversized, Content-Length %d", declared),
+			serveBinary(h, oversized, declared), http.StatusRequestEntityTooLarge, ErrBatchTooLarge)
+	}
+	misprefixed := func(delta uint32) []byte {
+		b := append([]byte(nil), valid...)
+		binary.LittleEndian.PutUint32(b, binary.LittleEndian.Uint32(b)+delta)
+		return b
+	}
+	for name, body := range map[string][]byte{
+		"truncated mid-frame": valid[:len(valid)-3],
+		"prefix too long":     misprefixed(1),
+		"prefix too short":    misprefixed(^uint32(0)),
+		"prefix only":         valid[:4],
+		"empty":               nil,
+	} {
+		rejected(name, serveBinary(h, body, int64(len(body))), http.StatusBadRequest, ErrBadFrame)
+		// The declared length promised the whole frame; the body ended early.
+		rejected(name+", declared whole", serveBinary(h, body, int64(len(valid))), http.StatusBadRequest, ErrBadFrame)
+	}
+
+	// The read itself, on a fresh state: neither a hostile declared
+	// length nor growth for an unknown one sizes past limit+1.
+	for _, declared := range []int64{1 << 40, limit, -1} {
+		for _, body := range [][]byte{oversized, make([]byte, limit), valid} {
+			ds := new(decodeState)
+			err := ds.readBody(http.MaxBytesReader(nil, io.NopCloser(bytes.NewReader(body)), limit), declared, limit)
+			var tooLarge *http.MaxBytesError
+			if len(body) > limit != errors.As(err, &tooLarge) {
+				t.Errorf("declared %d, %d-byte body: err = %v", declared, len(body), err)
+			}
+			if c := cap(ds.buf); c > limit+1 {
+				t.Errorf("declared %d, %d-byte body: buffer capacity %d > %d", declared, len(body), c, limit+1)
+			}
+		}
+	}
+
+	if rec := serveBinary(h, valid, -1); rec.Code != http.StatusOK {
+		t.Fatalf("unknown length: status = %d (%s)", rec.Code, rec.Body)
+	}
+	settle(t, srv)
+	if n := srv.samplesApplied.Load(); n != 1 {
+		t.Fatalf("unknown length: applied %d samples, want 1", n)
+	}
+
+	// A state a large frame grew, reused for a smaller one.
+	large := binFrame(t, "api", vms[1], 0, 5, 10, 15, 20, 25, 30, 35)
+	small := binFrame(t, "api", vms[0], 5)
+	ds := new(decodeState)
+	for _, frame := range [][]byte{large, small} {
+		if err := ds.readBody(bytes.NewReader(frame), int64(len(frame)), limit); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(ds.buf, frame) {
+			t.Fatalf("buffer holds %d bytes, want the %d-byte frame just read", len(ds.buf), len(frame))
+		}
+	}
+	payload, err := wire.Payload(ds.buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := srv.ingestState(ds, payload)
+	if err != nil || res.Accepted != 1 {
+		t.Fatalf("reused state: %+v, %v; want the small frame's one sample", res, err)
+	}
+	settle(t, srv)
+	if n := srv.samplesApplied.Load(); n != 2 {
+		t.Fatalf("applied %d samples, want 2", n)
+	}
+}
+
+// TestBinaryIngestHandlerAllocs pins the allocations of a steady-state
+// binary POST through the handler, including the shard worker's apply.
+func TestBinaryIngestHandlerAllocs(t *testing.T) {
+	srv, _, traces := newAPIServer(t, Config{})
+	h := srv.Handler()
+	frame := binFrame(t, "api", sortedVMs(traces)[0], 0)
+	body := bytes.NewReader(frame)
+	req := httptest.NewRequest("POST", "/v1/samples", nil)
+	req.Header.Set("Content-Type", wire.ContentType)
+	req.Body = io.NopCloser(body)
+	req.ContentLength = int64(len(frame))
+	w := &nopResponseWriter{h: make(http.Header)}
+	post := func() {
+		body.Reset(frame)
+		h.ServeHTTP(w, req)
+		settle(t, srv)
+	}
+	post() // warm the pools
+	allocs := testing.AllocsPerRun(500, post)
+	// What remains is per request, none per sample: the
+	// http.MaxBytesReader wrapper, the IngestResult boxed into writeJSON's
+	// any, and the value slice Header.Set allocates for Content-Type.
+	if allocs > 3 && !raceEnabled {
+		t.Fatalf("binary POST allocs/op = %v, want <= 3", allocs)
+	}
+}
+
+// FuzzIngestHTTPFrame: arbitrary body bytes under an arbitrary
+// Content-Length through the HTTP handler agree with IngestFrame on the
+// same bytes — same status, same number of samples applied — run
+// against a second server that sees the same inputs in the same order.
+// A body past MaxBodyBytes, which IngestFrame does not bound, is 413
+// and applies nothing.
+func FuzzIngestHTTPFrame(f *testing.F) {
+	const limit = 2048
+	traces := tenantTraces("api", 2, 11)
+	vms := sortedVMs(traces)
+	newSrv := func() *Server {
+		srv, err := New([]TenantConfig{{ID: "api", VMs: vms, Control: testControlConfig(11, testTrainAt)}},
+			Config{MaxBodyBytes: limit, MaxBatchSamples: 32})
+		if err != nil {
+			f.Fatal(err)
+		}
+		if err := srv.Start(); err != nil {
+			f.Fatal(err)
+		}
+		f.Cleanup(func() { srv.Close() })
+		return srv
+	}
+	viaHTTP, oracle := newSrv(), newSrv()
+	h := viaHTTP.Handler()
+
+	valid := binFrame(f, "api", vms[0], 0, 5)
+	misprefixed := append([]byte(nil), valid...)
+	binary.LittleEndian.PutUint32(misprefixed, uint32(len(valid)-3)) // one past the payload
+	for _, body := range [][]byte{
+		valid,
+		misprefixed,
+		binFrame(f, "api", vms[1], 0, 5, 10),
+		binFrame(f, "ghost", vms[0], 0),
+		binFrame(f, "api", "api-vm99", 0),
+		valid[:len(valid)-3],
+		valid[:4],
+		append(append([]byte(nil), valid...), 'x'),
+		append(append([]byte(nil), valid...), make([]byte, limit)...),
+		nil,
+	} {
+		for _, declared := range []int64{int64(len(body)), -1, 0, 1 << 40} {
+			f.Add(body, declared)
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte, declared int64) {
+		applied0, oracle0 := viaHTTP.samplesApplied.Load(), oracle.samplesApplied.Load()
+		rec := serveBinary(h, body, declared)
+		settle(t, viaHTTP)
+
+		want := http.StatusRequestEntityTooLarge
+		if len(body) <= limit {
+			_, err := oracle.IngestFrame(body)
+			switch {
+			case err == nil:
+				want = http.StatusOK
+			case errors.Is(err, ErrBackpressure):
+				want = http.StatusTooManyRequests
+			default:
+				want = ingestStatus(err)
+			}
+			settle(t, oracle)
+		}
+		if rec.Code != want {
+			t.Fatalf("HTTP status %d, IngestFrame %d (%s)", rec.Code, want, rec.Body)
+		}
+		got, exp := viaHTTP.samplesApplied.Load()-applied0, oracle.samplesApplied.Load()-oracle0
+		if got != exp {
+			t.Fatalf("HTTP applied %d samples, IngestFrame %d", got, exp)
+		}
+	})
 }
