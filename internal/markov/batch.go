@@ -39,8 +39,12 @@ type BatchArena struct {
 	flat   []float64
 	steps  [][]float64
 	series [][][]float64
-	proj   []float64
-	argmax []int32
+	// offs[i] is where chain i's maxSteps marginals start in flat, and
+	// offs[len(chains)] is their total length.
+	offs     []int
+	maxSteps int
+	proj     []float64
+	argmax   []int32
 	// dist is the 8-state kernel's two distribution buffers, shared by
 	// every chain of the batch so that they stay in L1 instead of
 	// coming in from each chain's own scratch.
@@ -49,8 +53,19 @@ type BatchArena struct {
 
 // Series returns chain i's series views from the most recent
 // PredictSeriesBatch or ProjectSeriesBatch call through this arena
-// (valid until the next call).
-func (a *BatchArena) Series(i int) [][]float64 { return a.series[i] }
+// (valid until the next call). The views are built on demand: a
+// projected window is read through its projections and argmaxes, and
+// only a materialized decision reads its marginals.
+func (a *BatchArena) Series(i int) [][]float64 {
+	off := a.offs[i]
+	st := (a.offs[i+1] - off) / a.maxSteps
+	view := a.steps[i*a.maxSteps : (i+1)*a.maxSteps]
+	for s := range view {
+		view[s] = a.flat[off : off+st : off+st]
+		off += st
+	}
+	return view
+}
 
 // Projections returns every projection of the most recent
 // ProjectSeriesBatch call: chain c's projection at step s, lane u, is
@@ -69,7 +84,15 @@ func (a *BatchArena) Argmaxes() []int32 { return a.argmax }
 // arena; steady-state calls allocate nothing. Results are bit-identical
 // to calling PredictSeries on each chain.
 func PredictSeriesBatch(chains []Predictor, maxSteps int, a *BatchArena) [][][]float64 {
-	return a.run(chains, maxSteps, nil, 0)
+	a.run(chains, maxSteps, nil, 0)
+	if cap(a.series) < len(chains) {
+		a.series = make([][][]float64, len(chains))
+	}
+	series := a.series[:len(chains)]
+	for i := range series {
+		series[i] = a.Series(i)
+	}
+	return series
 }
 
 // ProjectSeriesBatch is PredictSeriesBatch that also projects every
@@ -82,32 +105,33 @@ func PredictSeriesBatch(chains []Predictor, maxSteps int, a *BatchArena) [][][]f
 // summed over v in ascending order from +0, one rounded multiply and
 // one rounded add a term, leaving out every v with marg[s][v] <= 0: bit
 // for bit the float64 a scalar loop over v skipping non-positive
-// probabilities computes. The arena's Projections hold the results and
-// its Argmaxes each marginal's ArgMax.
-func ProjectSeriesBatch(chains []Predictor, maxSteps int, tabs [][]float64, lanes int, a *BatchArena) [][][]float64 {
-	return a.run(chains, maxSteps, tabs, lanes)
+// probabilities computes. The arena's Projections hold the results, its
+// Argmaxes each marginal's ArgMax and its Series the marginals.
+func ProjectSeriesBatch(chains []Predictor, maxSteps int, tabs [][]float64, lanes int, a *BatchArena) {
+	a.run(chains, maxSteps, tabs, lanes)
 }
 
 // run lays out the arena for the batch and propagates every chain into
 // it, projecting through tabs when they are given.
-func (a *BatchArena) run(chains []Predictor, maxSteps int, tabs [][]float64, lanes int) [][][]float64 {
+func (a *BatchArena) run(chains []Predictor, maxSteps int, tabs [][]float64, lanes int) {
 	if maxSteps < 1 {
 		maxSteps = 1
 	}
-	total := 0
-	for _, ch := range chains {
-		total += maxSteps * ch.NumStates()
+	if cap(a.offs) < len(chains)+1 {
+		a.offs = make([]int, len(chains)+1)
 	}
-	if cap(a.flat) < total {
+	offs := a.offs[:len(chains)+1]
+	offs[0] = 0
+	for i, ch := range chains {
+		offs[i+1] = offs[i] + maxSteps*ch.NumStates()
+	}
+	a.offs, a.maxSteps = offs, maxSteps
+	if total := offs[len(chains)]; cap(a.flat) < total {
 		a.flat = make([]float64, total)
 	}
-	flat := a.flat[:total]
 	n := len(chains) * maxSteps
 	if cap(a.steps) < n {
 		a.steps = make([][]float64, n)
-	}
-	if cap(a.series) < len(chains) {
-		a.series = make([][][]float64, len(chains))
 	}
 	if tabs != nil {
 		if cap(a.proj) < n*lanes {
@@ -118,17 +142,7 @@ func (a *BatchArena) run(chains []Predictor, maxSteps int, tabs [][]float64, lan
 		}
 		a.proj, a.argmax = a.proj[:n*lanes], a.argmax[:n]
 	}
-	series := a.series[:len(chains)]
-	off := 0
 	for ci, ch := range chains {
-		st := ch.NumStates()
-		marg := flat[off : off+maxSteps*st]
-		view := a.steps[ci*maxSteps : (ci+1)*maxSteps]
-		for s := range view {
-			view[s] = flat[off : off+st : off+st]
-			off += st
-		}
-		series[ci] = view
 		var tab, proj []float64
 		var argmax []int32
 		if tabs != nil {
@@ -146,9 +160,10 @@ func (a *BatchArena) run(chains []Predictor, maxSteps int, tabs [][]float64, lan
 					pre = &nc.rows[0]
 				}
 			}
-			c.projectSeries8(&a.dist, marg, proj, tab, argmax, pre)
+			c.projectSeries8(&a.dist, a.flat[offs[ci]:offs[ci+1]], proj, tab, argmax, pre)
 			continue
 		}
+		view := a.Series(ci)
 		ch.PredictSeriesInto(view)
 		if tabs != nil {
 			for s, m := range view {
@@ -157,7 +172,6 @@ func (a *BatchArena) run(chains []Predictor, maxSteps int, tabs [][]float64, lan
 			}
 		}
 	}
-	return series
 }
 
 // projectGo writes e[u] = Σ_v marg[v]·tab[v*len(e)+u] for every lane u:
@@ -365,24 +379,25 @@ func (c *TwoDepChain) PredictSeriesInto(out [][]float64) {
 }
 
 // seriesInto8 is the 8-state TwoDepChain propagation into the caller's
-// out: one kernel step per horizon, ping-ponging the combined-state
-// distribution between the two scratch buffers.
+// out: one kernel step per horizon from the dense distribution,
+// ping-ponging it between the two scratch buffers.
 func (c *TwoDepChain) seriesInto8(out [][]float64) {
 	rows := (*[512]float64)(c.rows)
 	dist, next := (*[64]float64)(c.distA), (*[64]float64)(c.distB)
 	*dist = [64]float64{}
 	dist[c.prev*8+c.cur] = 1
 	for s := range out {
-		series8(rows, dist, next, out[s][:8], nil, nil, nil, &rows[0])
+		series8(rows, dist, next, -1, out[s][:8], nil, nil, nil, &rows[0])
 		dist, next = next, dist
 	}
 }
 
-// projectSeries8 runs the whole 8-state window in one kernel call,
-// with dist as the distribution buffers: len(marg)/8 steps into the
-// contiguous marg, and with a table their projections and argmaxes (see
-// ProjectSeriesBatch), prefetching from pre (nil: the chain's own rows).
-// The chain must have seen at least two observations.
+// projectSeries8 runs the whole 8-state window in one kernel call from
+// the chain's own state, with dist as the distribution buffers:
+// len(marg)/8 steps into the contiguous marg, and with a table their
+// projections and argmaxes (see ProjectSeriesBatch), prefetching from
+// pre (nil: the chain's own rows). The chain must have seen at least
+// two observations.
 func (c *TwoDepChain) projectSeries8(dist *[2][64]float64, marg, proj, tab []float64, argmax []int32, pre *float64) {
 	start := predictSeriesHook.Start()
 	defer predictSeriesHook.Done(start)
@@ -390,20 +405,54 @@ func (c *TwoDepChain) projectSeries8(dist *[2][64]float64, marg, proj, tab []flo
 	if pre == nil {
 		pre = &c.rows[0]
 	}
-	dist[0] = [64]float64{}
-	dist[0][c.prev*8+c.cur] = 1
-	series8((*[512]float64)(c.rows), &dist[0], &dist[1], marg, proj, tab, argmax, pre)
+	series8((*[512]float64)(c.rows), &dist[0], &dist[1], c.prev*8+c.cur, marg, proj, tab, argmax, pre)
 }
 
-// series8 propagates dist len(marg)/8 steps, ping-ponging with next,
-// and writes step s's marginal to marg[s*8:]. With a table (proj
-// non-nil) it also writes the marginal's projection through tab to
-// proj[s*8:] and its ArgMax to argmax[s]. The vector kernel runs when
-// CPUID chose it, prefetching from pre (see twoDepSeries8AVX2), the Go
-// kernel otherwise; the two agree bit for bit.
-func series8(rows *[512]float64, dist, next *[64]float64, marg, proj, tab []float64, argmax []int32, pre *float64) {
+// kernelKind names a series kernel series8 can run.
+type kernelKind uint8
+
+const (
+	kernelGo kernelKind = iota
+	kernelAVX2
+	kernelAVX512
+)
+
+func (k kernelKind) String() string { return [...]string{"go", "avx2", "avx512"}[k] }
+
+// series8Kernel is the kernel series8 runs: decided once from CPUID,
+// the 512-bit kernel where the CPU and OS support AVX-512F, else the
+// AVX2 kernel, else twoDepSeries8Go, whose output both vector kernels
+// reproduce bit for bit (TestTwoDepSeries8MatchesGo,
+// TestSeries8StartStateMatchesGo). Tests switch it to run every kernel
+// the machine has.
+var series8Kernel = bestKernel()
+
+func bestKernel() kernelKind {
+	switch {
+	case kernelAvailable(kernelAVX512):
+		return kernelAVX512
+	case kernelAvailable(kernelAVX2):
+		return kernelAVX2
+	}
+	return kernelGo
+}
+
+// series8 propagates len(marg)/8 steps, ping-ponging dist with next,
+// and writes step s's marginal to marg[s*8:]. With start >= 0 it starts
+// from the one-hot distribution at start and dist is scratch; with
+// start < 0 it starts from dist. With a table (proj non-nil) it also
+// writes the marginal's projection through tab to proj[s*8:] and its
+// ArgMax to argmax[s]. A vector kernel runs when CPUID chose one,
+// prefetching from pre (see twoDepSeries8AVX512), the Go kernel
+// otherwise; they agree bit for bit.
+func series8(rows *[512]float64, dist, next *[64]float64, start int, marg, proj, tab []float64, argmax []int32, pre *float64) {
 	steps := len(marg) / 8
-	if !useAVX2 {
+	k := series8Kernel
+	if k == kernelGo {
+		if start >= 0 {
+			*dist = [64]float64{}
+			dist[start] = 1
+		}
 		twoDepSeries8Go(rows, dist, next, marg[:steps*8], proj, tab, argmax)
 		return
 	}
@@ -413,7 +462,11 @@ func series8(rows *[512]float64, dist, next *[64]float64, marg, proj, tab []floa
 		_, _, _ = proj[steps*8-1], tab[63], argmax[steps-1]
 		projP, tabP, argP = &proj[0], &tab[0], &argmax[0]
 	}
-	twoDepSeries8AVX2(&rows[0], &dist[0], &next[0], steps, &marg[0], projP, tabP, argP, pre)
+	if k == kernelAVX512 {
+		twoDepSeries8AVX512(&rows[0], &dist[0], &next[0], start, steps, &marg[0], projP, tabP, argP, pre)
+	} else {
+		twoDepSeries8AVX2(&rows[0], &dist[0], &next[0], start, steps, &marg[0], projP, tabP, argP, pre)
+	}
 }
 
 // twoDepSeries8Go is the portable series kernel and the reference the

@@ -297,13 +297,52 @@ func BenchmarkTwoDepStep8(b *testing.B) {
 		}
 	})
 	b.Run("avx2", func(b *testing.B) {
-		if !useAVX2 {
-			b.Skip("no AVX2 on this machine")
-		}
+		skipUnavailable(b, kernelAVX2)
 		for i := 0; i < b.N; i++ {
-			twoDepSeries8AVX2(&rows[0], &dist[0], &next[0], 1, &marg[0], nil, nil, nil, &rows[0])
+			twoDepSeries8AVX2(&rows[0], &dist[0], &next[0], -1, 1, &marg[0], nil, nil, nil, &rows[0])
 		}
 	})
+	b.Run("avx512", func(b *testing.B) {
+		skipUnavailable(b, kernelAVX512)
+		for i := 0; i < b.N; i++ {
+			twoDepSeries8AVX512(&rows[0], &dist[0], &next[0], -1, 1, &marg[0], nil, nil, nil, &rows[0])
+		}
+	})
+}
+
+// BenchmarkSeries8Window times the window path's kernel call under each
+// kernel: a trained chain's 24-step window from its own state, with
+// every step's projection and argmax, L1-resident. The vector kernels
+// take the start-state entry; the Go kernel starts from the one-hot
+// dist series8 builds for it.
+func BenchmarkSeries8Window(b *testing.B) {
+	ch, _ := NewTwoDepChain(8)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 240; i++ {
+		if err := ch.Observe(rng.Intn(8)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ch.refreshRows()
+	rows := (*[512]float64)(ch.rows)
+	var dist [2][64]float64
+	var tab [64]float64
+	var marg, proj [24 * 8]float64
+	var argmax [24]int32
+	for i := range tab {
+		tab[i] = rng.NormFloat64()
+	}
+	start := ch.prev*8 + ch.cur
+	for _, k := range allKernels {
+		b.Run(k.String(), func(b *testing.B) {
+			skipUnavailable(b, k)
+			defer func(was kernelKind) { series8Kernel = was }(series8Kernel)
+			series8Kernel = k
+			for i := 0; i < b.N; i++ {
+				series8(rows, &dist[0], &dist[1], start, marg[:], proj[:], tab[:], argmax[:], &rows[0])
+			}
+		})
+	}
 }
 
 // TestStepKernelAllocs pins every step and series kernel this machine
@@ -336,11 +375,18 @@ func TestStepKernelAllocs(t *testing.T) {
 		{"go", func() { twoDepStep8Go(rows, dist, &next, &marg) }},
 		{"go series", func() { twoDepSeries8Go(rows, dist, &next, window[:], proj[:], tab[:], argmax[:]) }},
 	}
-	if useAVX2 {
+	if kernelAvailable(kernelAVX2) {
 		kernels = append(kernels,
-			kernel{"avx2", func() { twoDepSeries8AVX2(&rows[0], &dist[0], &next[0], 1, &marg[0], nil, nil, nil, &rows[0]) }},
+			kernel{"avx2", func() { twoDepSeries8AVX2(&rows[0], &dist[0], &next[0], -1, 1, &marg[0], nil, nil, nil, &rows[0]) }},
 			kernel{"avx2 series", func() {
-				twoDepSeries8AVX2(&rows[0], &dist[0], &next[0], 24, &window[0], &proj[0], &tab[0], &argmax[0], &rows[0])
+				twoDepSeries8AVX2(&rows[0], &dist[0], &next[0], -1, 24, &window[0], &proj[0], &tab[0], &argmax[0], &rows[0])
+			}})
+	}
+	if kernelAvailable(kernelAVX512) {
+		kernels = append(kernels,
+			kernel{"avx512", func() { twoDepSeries8AVX512(&rows[0], &dist[0], &next[0], -1, 1, &marg[0], nil, nil, nil, &rows[0]) }},
+			kernel{"avx512 series", func() {
+				twoDepSeries8AVX512(&rows[0], &dist[0], &next[0], -1, 24, &window[0], &proj[0], &tab[0], &argmax[0], &rows[0])
 			}})
 	}
 	for _, k := range kernels {

@@ -114,18 +114,103 @@ func tabInput(rng *rand.Rand, rootLike bool) *[64]float64 {
 // seriesKernel is the series kernels' contract, over slices.
 type seriesKernel func(rows *[512]float64, dist, next *[64]float64, marg, proj, tab []float64, argmax []int32)
 
-// vectorSeries8 is twoDepSeries8AVX2 behind the seriesKernel contract.
-func vectorSeries8(rows *[512]float64, dist, next *[64]float64, marg, proj, tab []float64, argmax []int32) {
-	twoDepSeries8AVX2(&rows[0], &dist[0], &next[0], len(marg)/8, &marg[0], &proj[0], &tab[0], &argmax[0], &rows[0])
-}
+// vecKernel is the vector series kernels' signature.
+type vecKernel func(rows, dist, next *float64, start, steps int, marg, proj, tab *float64, argmax *int32, pre *float64)
 
-// seriesKernels lists every series kernel this machine can run.
-func seriesKernels() map[string]seriesKernel {
-	ks := map[string]seriesKernel{"go": twoDepSeries8Go}
-	if useAVX2 {
-		ks["avx2"] = vectorSeries8
+// vectorKernels are both vector series kernels, whether this machine
+// can run them or not.
+var vectorKernels = []struct {
+	kind kernelKind
+	run  vecKernel
+}{{kernelAVX512, twoDepSeries8AVX512}, {kernelAVX2, twoDepSeries8AVX2}}
+
+// availableVectorKernels lists the vector kernels this machine can run.
+func availableVectorKernels() []vecKernel {
+	var ks []vecKernel
+	for _, vk := range vectorKernels {
+		if kernelAvailable(vk.kind) {
+			ks = append(ks, vk.run)
+		}
 	}
 	return ks
+}
+
+// skipUnavailable skips a test of kernel k, by name, on a machine that
+// cannot run it.
+func skipUnavailable(t testing.TB, k kernelKind) {
+	t.Helper()
+	if !kernelAvailable(k) {
+		t.Skipf("no %s kernel on this machine", k)
+	}
+}
+
+// eachVectorKernel runs f as one subtest per vector kernel, named after
+// it, skipping those this machine lacks.
+func eachVectorKernel(t *testing.T, f func(t *testing.T, k vecKernel)) {
+	for _, vk := range vectorKernels {
+		t.Run(vk.kind.String(), func(t *testing.T) {
+			skipUnavailable(t, vk.kind)
+			f(t, vk.run)
+		})
+	}
+}
+
+// allKernels is every series kernel, fastest first.
+var allKernels = []kernelKind{kernelAVX512, kernelAVX2, kernelGo}
+
+// TestKernelsAvailable logs which series kernels this machine can run
+// and the one CPUID selected, so that a test log shows whether the
+// vector kernels' tests ran or were skipped.
+func TestKernelsAvailable(t *testing.T) {
+	for _, k := range allKernels {
+		t.Logf("%s kernel available: %v", k, kernelAvailable(k))
+	}
+	t.Logf("series8 runs the %s kernel", series8Kernel)
+	if series8Kernel != bestKernel() {
+		t.Errorf("series8 runs %s, want the fastest available, %s", series8Kernel, bestKernel())
+	}
+	if kernelAvailable(kernelAVX512) && !kernelAvailable(kernelAVX2) {
+		t.Error("the 512-bit kernel is available without AVX2, which its CPUID check requires")
+	}
+}
+
+// eachKernel runs f as one subtest per series kernel, named after it,
+// with series8 switched to that kernel. Kernels this machine lacks are
+// skipped; the Go kernel runs everywhere, so the fallback is exercised
+// on machines that have a vector kernel too.
+func eachKernel(t *testing.T, f func(t *testing.T)) {
+	for _, k := range allKernels {
+		t.Run(k.String(), func(t *testing.T) {
+			skipUnavailable(t, k)
+			defer func(was kernelKind) { series8Kernel = was }(series8Kernel)
+			series8Kernel = k
+			f(t)
+		})
+	}
+}
+
+// dense puts vector kernel k behind the seriesKernel contract, starting
+// from the dense dist.
+func dense(k vecKernel) seriesKernel {
+	return func(rows *[512]float64, dist, next *[64]float64, marg, proj, tab []float64, argmax []int32) {
+		k(&rows[0], &dist[0], &next[0], -1, len(marg)/8, &marg[0], &proj[0], &tab[0], &argmax[0], &rows[0])
+	}
+}
+
+// kindedKernel is a series kernel and the kind it is.
+type kindedKernel struct {
+	kind kernelKind
+	run  seriesKernel
+}
+
+// seriesKernels lists every series kernel, whether this machine can run
+// it or not.
+func seriesKernels() []kindedKernel {
+	var ks []kindedKernel
+	for _, vk := range vectorKernels {
+		ks = append(ks, kindedKernel{vk.kind, dense(vk.run)})
+	}
+	return append(ks, kindedKernel{kernelGo, twoDepSeries8Go})
 }
 
 // windowOut is one 24-step window's kernel outputs.
@@ -161,15 +246,15 @@ func sameBits(a, b []float64) int {
 	return -1
 }
 
-// checkSeries8 requires the vector series kernel to reproduce the Go
-// series kernel bit for bit: every marginal, projection, argmax and
-// both final distribution buffers.
-func checkSeries8(t *testing.T, seed int64, shape int, rootLike bool) {
+// checkSeries8 requires series kernel k to reproduce the Go series
+// kernel bit for bit: every marginal, projection, argmax and both final
+// distribution buffers.
+func checkSeries8(t *testing.T, k seriesKernel, seed int64, shape int, rootLike bool) {
 	t.Helper()
 	rows, dist := stepInputs(seed, shape)
 	tab := tabInput(rand.New(rand.NewSource(^seed)), rootLike)
 	want := runWindow(twoDepSeries8Go, rows, dist, tab)
-	got := runWindow(vectorSeries8, rows, dist, tab)
+	got := runWindow(k, rows, dist, tab)
 	for _, out := range []struct {
 		name      string
 		want, got []float64
@@ -180,27 +265,110 @@ func checkSeries8(t *testing.T, seed int64, shape int, rootLike bool) {
 		{"next", want.next[:], got.next[:]},
 	} {
 		if i := sameBits(out.want, out.got); i >= 0 {
-			t.Fatalf("seed %d shape %d: %s[%d] go %v (%#x) vs avx2 %v (%#x)", seed, shape, out.name, i,
+			t.Fatalf("seed %d shape %d: %s[%d] go %v (%#x) vs vector %v (%#x)", seed, shape, out.name, i,
 				out.want[i], math.Float64bits(out.want[i]), out.got[i], math.Float64bits(out.got[i]))
 		}
 	}
 	if want.argmax != got.argmax {
-		t.Fatalf("seed %d shape %d: argmax go %v vs avx2 %v", seed, shape, want.argmax, got.argmax)
+		t.Fatalf("seed %d shape %d: argmax go %v vs vector %v", seed, shape, want.argmax, got.argmax)
 	}
 }
 
-// TestTwoDepSeries8MatchesGo pins the vector series kernel to the Go
+// TestTwoDepSeries8MatchesGo pins every vector series kernel to the Go
 // series kernel. Like TestTwoDepStep8MatchesGo it holds for the default
 // (GOAMD64=v1) build only.
 func TestTwoDepSeries8MatchesGo(t *testing.T) {
-	if !useAVX2 {
-		t.Skip("no AVX2 on this machine")
-	}
-	for shape := 0; shape < numShapes; shape++ {
-		for seed := int64(1); seed <= 40; seed++ {
-			checkSeries8(t, seed, shape, seed%4 == 0)
+	eachVectorKernel(t, func(t *testing.T, k vecKernel) {
+		for shape := 0; shape < numShapes; shape++ {
+			for seed := int64(1); seed <= 40; seed++ {
+				checkSeries8(t, dense(k), seed, shape, seed%4 == 0)
+			}
+		}
+	})
+}
+
+// startSteps are the window lengths the start-state checks run: each
+// prologue step alone, the first dense step after them, and a full
+// window.
+var startSteps = []int{1, 2, 3, 24}
+
+// checkStartState requires vector kernel k, entered at start state
+// start = prev*8+cur, to reproduce bit for bit the Go series kernel run
+// from the one-hot dist at start, over steps steps of the given shape's
+// rows: every marginal, with a table every projection and argmax, and
+// each distribution buffer a step wrote (dist is the start entry's
+// scratch, so it is compared from step 2 on). Every output of k is
+// poisoned with NaN first, dist included.
+func checkStartState(t *testing.T, k vecKernel, seed int64, shape, start, steps int, withTab bool) {
+	t.Helper()
+	rows, _ := stepInputs(seed, shape)
+	want, got := &windowOut{}, &windowOut{}
+	want.dist[start] = 1
+	for _, out := range [][]float64{got.dist[:], got.next[:], got.marg[:], got.proj[:]} {
+		for i := range out {
+			out[i] = math.NaN()
 		}
 	}
+	for i := range got.argmax {
+		want.argmax[i], got.argmax[i] = -1, -1
+	}
+	n := steps * 8
+	var tab *[64]float64
+	if withTab {
+		tab = tabInput(rand.New(rand.NewSource(^seed)), seed%4 == 0)
+		twoDepSeries8Go(rows, &want.dist, &want.next, want.marg[:n], want.proj[:n], tab[:], want.argmax[:steps])
+		k(&rows[0], &got.dist[0], &got.next[0], start, steps, &got.marg[0], &got.proj[0], &tab[0], &got.argmax[0], &rows[0])
+	} else {
+		twoDepSeries8Go(rows, &want.dist, &want.next, want.marg[:n], nil, nil, nil)
+		k(&rows[0], &got.dist[0], &got.next[0], start, steps, &got.marg[0], nil, nil, nil, &rows[0])
+	}
+	type output struct {
+		name      string
+		want, got []float64
+	}
+	outs := []output{{"marg", want.marg[:n], got.marg[:n]}, {"next", want.next[:], got.next[:]}}
+	if steps >= 2 {
+		outs = append(outs, output{"dist", want.dist[:], got.dist[:]})
+	}
+	if withTab {
+		outs = append(outs, output{"proj", want.proj[:n], got.proj[:n]})
+	}
+	for _, out := range outs {
+		if i := sameBits(out.want, out.got); i >= 0 {
+			t.Fatalf("seed %d shape %d start %d steps %d table %v: %s[%d] go %v (%#x) vs vector %v (%#x)",
+				seed, shape, start, steps, withTab, out.name, i,
+				out.want[i], math.Float64bits(out.want[i]), out.got[i], math.Float64bits(out.got[i]))
+		}
+	}
+	if want.argmax != got.argmax {
+		t.Fatalf("seed %d shape %d start %d steps %d table %v: argmax go %v vs vector %v",
+			seed, shape, start, steps, withTab, want.argmax, got.argmax)
+	}
+}
+
+// TestSeries8StartStateMatchesGo pins every vector kernel's start-state
+// entry, the window path's, to the Go series kernel run from the
+// one-hot dist: every start state, each prologue step alone, the first
+// dense step after them and a full window, over every finite-row shape,
+// with and without a table. The NaN-row shape is outside the entry's
+// contract; TestTwoDepSeries8MatchesGo covers it through the dense
+// entry.
+func TestSeries8StartStateMatchesGo(t *testing.T) {
+	eachVectorKernel(t, func(t *testing.T, k vecKernel) {
+		for shape := 0; shape < numShapes; shape++ {
+			if shape == shapeNaN {
+				continue
+			}
+			for seed := int64(1); seed <= 3; seed++ {
+				for start := 0; start < 64; start++ {
+					for _, steps := range startSteps {
+						checkStartState(t, k, seed, shape, start, steps, false)
+						checkStartState(t, k, seed, shape, start, steps, true)
+					}
+				}
+			}
+		}
+	})
 }
 
 // scoreModel builds a model over attrs 8-bin attributes from random
@@ -302,11 +470,12 @@ func checkWindowScore(t *testing.T, k seriesKernel, seed int64, shape int, naive
 // shape, under TAN and naive models, through every series kernel this
 // machine can run, against the per-step scalar scorer.
 func TestSeries8MatchesMarginalScoreFast(t *testing.T) {
-	for name, k := range seriesKernels() {
-		t.Run(name, func(t *testing.T) {
+	for _, k := range seriesKernels() {
+		t.Run(k.kind.String(), func(t *testing.T) {
+			skipUnavailable(t, k.kind)
 			for shape := 0; shape < numShapes; shape++ {
 				for seed := int64(1); seed <= 12; seed++ {
-					checkWindowScore(t, k, seed, shape, seed%3 == 0)
+					checkWindowScore(t, k.run, seed, shape, seed%3 == 0)
 				}
 			}
 		})
@@ -319,11 +488,18 @@ func FuzzTwoDepSeries8(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed int64, shape uint8, naive bool) {
 		sh := int(shape % numShapes)
-		if useAVX2 {
-			checkSeries8(t, seed, sh, naive)
+		for _, k := range availableVectorKernels() {
+			checkSeries8(t, dense(k), seed, sh, naive)
+			if sh != shapeNaN {
+				// The start state and window length come from the seed.
+				start, steps := int(uint64(seed)%64), startSteps[uint64(seed)/64%uint64(len(startSteps))]
+				checkStartState(t, k, seed, sh, start, steps, !naive)
+			}
 		}
 		for _, k := range seriesKernels() {
-			checkWindowScore(t, k, seed, sh, naive)
+			if kernelAvailable(k.kind) {
+				checkWindowScore(t, k.run, seed, sh, naive)
+			}
 		}
 	})
 }
@@ -400,13 +576,13 @@ func checkProjectSeriesBatch(t *testing.T, states int, simple, naive bool) {
 				}
 			}
 		}
-		series := ProjectSeriesBatch(chains, steps, lr.Tables(), lr.Lanes(), &arena)
+		ProjectSeriesBatch(chains, steps, lr.Tables(), lr.Lanes(), &arena)
 		var best float64
 		bestStep := 0
 		for s := 0; s < steps; s++ {
 			for i, ch := range chains {
-				marginals[i] = series[i][s]
-				if j := sameBits(ch.PredictSeries(steps)[s], series[i][s]); j >= 0 {
+				marginals[i] = arena.Series(i)[s]
+				if j := sameBits(ch.PredictSeries(steps)[s], marginals[i]); j >= 0 {
 					t.Fatalf("round %d chain %d step %d: marginal[%d] differs from PredictSeries", round, i, s, j)
 				}
 			}
