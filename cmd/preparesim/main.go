@@ -40,7 +40,7 @@
 //
 // The run, engine and serve modes accept retraining knobs: -retrain N updates
 // the prediction models every N simulated seconds, and -history-window M
-// bounds per-VM sample history to a ring of M samples:
+// bounds the sample history to the most recent M sampling ticks:
 //
 //	preparesim -experiment run -app rubis -fault memleak -retrain 600
 //	preparesim -engine -tenants 4 -retrain 600 -history-window 720
@@ -231,7 +231,7 @@ func run(args []string) error {
 	fs.Int64Var(&opts.retrainS, "retrain", 0,
 		"retrain the prediction models every N simulated seconds in the run, engine and serve modes (0 = train once)")
 	fs.IntVar(&opts.historyWindow, "history-window", 0,
-		"bound per-VM sample history to a ring of N samples (0 = unbounded)")
+		"bound the sample history to the most recent N sampling ticks (0 = unbounded)")
 	fs.StringVar(&opts.detector, "detector", "",
 		"anomaly detector for the run, engine and detectors modes: tan (default), kmeans, ewma, zrobust, or an ensemble spec like ensemble:tan+ewma@1")
 	fs.StringVar(&opts.policy, "policy", "",
@@ -272,6 +272,9 @@ func run(args []string) error {
 	}
 	if err := checkModeFlags(fs, opts.mode()); err != nil {
 		return err
+	}
+	if opts.historyWindow < 0 {
+		return fmt.Errorf("-history-window %d must be >= 0 (0 = unbounded)", opts.historyWindow)
 	}
 
 	if opts.telemetry || opts.telemetryAddr != "" {

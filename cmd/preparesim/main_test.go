@@ -132,6 +132,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 			"-detector is not read by -serve (only by -experiment run, -engine, -experiment detectors)"},
 		{[]string{"-experiment", "fig10", "-retrain", "0"},
 			"-retrain is not read by -experiment fig10 (only by -experiment run, -engine, -serve)"},
+		{[]string{"-experiment", "run", "-history-window", "-5"},
+			"-history-window -5 must be >= 0 (0 = unbounded)"},
 		{[]string{"-wire", "json"}, "flag provided but not defined: -wire"},
 		{[]string{"-placement", "naive"}, "flag provided but not defined: -placement"},
 	} {

@@ -14,8 +14,16 @@
 // — so "attribute a of the whole fleet at the latest tick" is one
 // contiguous slice (Column) that a single sweep can sanitize or
 // discretize, while "the full row of one VM" is a strided gather
-// (RowInto) that the per-VM model updates still need. Ticks are a ring:
-// once Window ticks are held, each Commit overwrites the oldest.
+// (RowInto) that the per-VM model updates still need.
+//
+// The store is also the control loop's sample history. Each (tick, VM)
+// cell carries a recorded flag: a recorded row belongs to the VM's
+// training history, an unrecorded one (a sample synthesized past the
+// sampler's staleness budget) is readable as the tick's row but left
+// out of RowsInto, ValuesInto and Samples. A store built with New keeps
+// the most recent window ticks as a ring, each Commit overwriting the
+// oldest once full; one built with NewGrowing keeps every tick,
+// doubling its capacity as it fills.
 //
 // Writers stage the next tick with StageRow and publish it atomically
 // (with respect to the accessors, not goroutines) with Commit; the Store
@@ -30,89 +38,138 @@ import (
 	"prepare/internal/simclock"
 )
 
+// growFrom is the initial capacity, in ticks, of a growing store.
+const growFrom = 512
+
 // Store is a struct-of-arrays ring of fleet metric samples.
 type Store struct {
-	nVMs   int
+	nVMs int
+	// window is the number of ticks retained, 0 for every tick.
 	window int
+	// slots is the ring's capacity in ticks: window, or the current
+	// capacity of a growing store, which is never full between commits.
+	slots int
 
-	// cols[a] has window*nVMs values laid out tick-major; the tick in
-	// ring slot s occupies cols[a][s*nVMs : (s+1)*nVMs].
-	cols [metrics.NumAttributes][]float64
+	// cols[a] has slots*nVMs values laid out tick-major; the tick in
+	// ring slot s occupies cols[a][s*nVMs : (s+1)*nVMs]. recorded is
+	// laid out the same way.
+	cols     [metrics.NumAttributes][]float64
+	recorded []bool
 
 	times  []simclock.Time
 	labels []metrics.Label
 
 	head  int // ring slot of the oldest committed tick
-	count int // committed ticks currently held (≤ window)
+	count int // committed ticks currently held (≤ slots)
 }
 
 // New builds a store for nVMs VMs retaining the most recent window
 // ticks.
 func New(nVMs, window int) (*Store, error) {
-	if nVMs < 1 {
-		return nil, fmt.Errorf("columnar: nVMs %d must be >= 1", nVMs)
-	}
 	if window < 1 {
 		return nil, fmt.Errorf("columnar: window %d must be >= 1", window)
 	}
-	s := &Store{nVMs: nVMs, window: window,
-		times:  make([]simclock.Time, window),
-		labels: make([]metrics.Label, window),
+	return newStore(nVMs, window, window)
+}
+
+// NewGrowing builds a store for nVMs VMs that retains every tick,
+// starting with room for 512 and doubling whenever it fills.
+func NewGrowing(nVMs int) (*Store, error) {
+	return newStore(nVMs, 0, growFrom)
+}
+
+func newStore(nVMs, window, slots int) (*Store, error) {
+	if nVMs < 1 {
+		return nil, fmt.Errorf("columnar: nVMs %d must be >= 1", nVMs)
 	}
-	for a := range s.cols {
-		s.cols[a] = make([]float64, window*nVMs)
-	}
+	s := &Store{nVMs: nVMs, window: window}
+	s.resize(slots)
 	return s, nil
+}
+
+// resize gives the store room for slots ticks, keeping what it holds.
+// Only a store that has never wrapped (head 0) grows.
+func (s *Store) resize(slots int) {
+	n := slots * s.nVMs
+	for a := range s.cols {
+		s.cols[a] = append(make([]float64, 0, n), s.cols[a]...)[:n]
+	}
+	s.recorded = append(make([]bool, 0, n), s.recorded...)[:n]
+	s.times = append(make([]simclock.Time, 0, slots), s.times...)[:slots]
+	s.labels = append(make([]metrics.Label, 0, slots), s.labels...)[:slots]
+	s.slots = slots
 }
 
 // VMs returns the fleet size the store was built for.
 func (s *Store) VMs() int { return s.nVMs }
 
-// Window returns the ring capacity in ticks.
+// Window returns the number of ticks the store retains, 0 when it
+// retains every tick.
 func (s *Store) Window() int { return s.window }
 
-// Ticks returns how many committed ticks the ring currently holds.
+// Ticks returns how many committed ticks the store currently holds.
 func (s *Store) Ticks() int { return s.count }
 
 // stageSlot is the ring slot the next Commit will publish.
 func (s *Store) stageSlot() int {
-	if s.count < s.window {
-		return (s.head + s.count) % s.window
+	if s.count < s.slots {
+		return (s.head + s.count) % s.slots
 	}
 	return s.head // full ring: overwrite the oldest
 }
+
+// slot maps the k-th held tick, oldest first, to a ring slot.
+func (s *Store) slot(k int) int { return (s.head + k) % s.slots }
 
 // slotOf maps "back ticks before the latest" to a ring slot.
 func (s *Store) slotOf(back int) int {
 	if back < 0 || back >= s.count {
 		panic(fmt.Sprintf("columnar: tick back=%d out of range (have %d)", back, s.count))
 	}
-	return (s.head + s.count - 1 - back) % s.window
+	return s.slot(s.count - 1 - back)
 }
 
-// StageRow writes one VM's full attribute vector into the tick being
-// staged. vm indexes the fleet in the caller's fixed order (the sampler's
-// VM order in the control loop).
-func (s *Store) StageRow(vm int, v *metrics.Vector) {
+// checkVM panics on a VM index outside the fleet.
+func (s *Store) checkVM(vm int) {
 	if vm < 0 || vm >= s.nVMs {
 		panic(fmt.Sprintf("columnar: vm %d out of range [0,%d)", vm, s.nVMs))
 	}
-	base := s.stageSlot() * s.nVMs
+}
+
+// StageRow writes one VM's full attribute vector into the tick being
+// staged and marks it recorded. vm indexes the fleet in the caller's
+// fixed order (the sampler's VM order in the control loop).
+func (s *Store) StageRow(vm int, v *metrics.Vector) {
+	s.checkVM(vm)
+	i := s.stageSlot()*s.nVMs + vm
 	for a := range s.cols {
-		s.cols[a][base+vm] = v[a]
+		s.cols[a][i] = v[a]
 	}
+	s.recorded[i] = true
+}
+
+// Unrecord leaves VM vm's staged row out of the history: the committed
+// tick still holds it for Column, RowInto and Latest, but RowsInto,
+// ValuesInto and Samples skip it.
+func (s *Store) Unrecord(vm int) {
+	s.checkVM(vm)
+	s.recorded[s.stageSlot()*s.nVMs+vm] = false
 }
 
 // Commit publishes the staged tick with its timestamp and fleet-wide
-// SLO label, evicting the oldest tick once the ring is full.
+// SLO label, evicting the oldest tick once a bounded ring is full and
+// growing a growing store once it fills.
 func (s *Store) Commit(t simclock.Time, label metrics.Label) {
 	slot := s.stageSlot()
 	s.times[slot] = t
 	s.labels[slot] = label
-	if s.count < s.window {
+	if s.count < s.slots {
 		s.count++
 	} else {
-		s.head = (s.head + 1) % s.window
+		s.head = (s.head + 1) % s.slots
+	}
+	if s.window == 0 && s.count == s.slots {
+		s.resize(2 * s.slots)
 	}
 }
 
@@ -134,13 +191,15 @@ func (s *Store) ColumnAt(back int, a metrics.Attribute) []float64 {
 // tick into dst (len >= NumAttributes), in Attribute.Index order — the
 // layout model training consumes.
 func (s *Store) RowInto(vm int, dst []float64) {
-	if vm < 0 || vm >= s.nVMs {
-		panic(fmt.Sprintf("columnar: vm %d out of range [0,%d)", vm, s.nVMs))
-	}
-	base := s.slotOf(0)*s.nVMs + vm
+	s.checkVM(vm)
+	s.gather(s.slotOf(0)*s.nVMs+vm, dst)
+}
+
+// gather copies the 13 attribute values at flat index i into dst.
+func (s *Store) gather(i int, dst []float64) {
 	_ = dst[metrics.NumAttributes-1]
 	for a := range s.cols {
-		dst[a] = s.cols[a][base]
+		dst[a] = s.cols[a][i]
 	}
 }
 
@@ -155,3 +214,88 @@ func (s *Store) Time(back int) simclock.Time { return s.times[s.slotOf(back)] }
 // Label returns the fleet-wide SLO label of the tick back ticks before
 // the latest.
 func (s *Store) Label(back int) metrics.Label { return s.labels[s.slotOf(back)] }
+
+// Recorded reports whether VM vm's row back ticks before the latest
+// belongs to its history.
+func (s *Store) Recorded(back, vm int) bool {
+	s.checkVM(vm)
+	return s.recorded[s.slotOf(back)*s.nVMs+vm]
+}
+
+// recordedRows counts VM vm's recorded rows.
+func (s *Store) recordedRows(vm int) int {
+	s.checkVM(vm)
+	n := 0
+	for k := 0; k < s.count; k++ {
+		if s.recorded[s.slot(k)*s.nVMs+vm] {
+			n++
+		}
+	}
+	return n
+}
+
+// RowsInto writes VM vm's recorded rows, oldest first, as rows of
+// NumAttributes values plus each tick's label. Rows are consecutive,
+// capacity-capped windows of backing. Each buffer is reused when it is
+// large enough and replaced when not; RowsInto returns all three, so a
+// caller that keeps them gathers VM after VM without allocating.
+func (s *Store) RowsInto(vm int, backing []float64, rows [][]float64, labels []metrics.Label) ([]float64, [][]float64, []metrics.Label) {
+	n := s.recordedRows(vm)
+	const w = metrics.NumAttributes
+	if cap(backing) < n*w {
+		backing = make([]float64, n*w)
+	}
+	if cap(rows) < n {
+		rows = make([][]float64, n)
+	}
+	if cap(labels) < n {
+		labels = make([]metrics.Label, n)
+	}
+	backing, rows, labels = backing[:n*w], rows[:n], labels[:n]
+	r := 0
+	for k := 0; k < s.count; k++ {
+		slot := s.slot(k)
+		i := slot*s.nVMs + vm
+		if !s.recorded[i] {
+			continue
+		}
+		row := backing[r*w : (r+1)*w : (r+1)*w]
+		s.gather(i, row)
+		rows[r], labels[r] = row, s.labels[slot]
+		r++
+	}
+	return backing, rows, labels
+}
+
+// ValuesInto appends attribute a of VM vm's recorded rows with
+// from <= t < to, oldest first, to dst[:0] and returns it.
+func (s *Store) ValuesInto(dst []float64, vm int, a metrics.Attribute, from, to simclock.Time) []float64 {
+	s.checkVM(vm)
+	dst = dst[:0]
+	col := s.cols[a.Index()]
+	for k := 0; k < s.count; k++ {
+		slot := s.slot(k)
+		i := slot*s.nVMs + vm
+		if t := s.times[slot]; s.recorded[i] && !t.Before(from) && t.Before(to) {
+			dst = append(dst, col[i])
+		}
+	}
+	return dst
+}
+
+// Samples returns a copy of VM vm's recorded rows, oldest first, as
+// samples with each tick's time and label.
+func (s *Store) Samples(vm int) []metrics.Sample {
+	out := make([]metrics.Sample, 0, s.recordedRows(vm))
+	for k := 0; k < s.count; k++ {
+		slot := s.slot(k)
+		i := slot*s.nVMs + vm
+		if !s.recorded[i] {
+			continue
+		}
+		sm := metrics.Sample{Time: s.times[slot], Label: s.labels[slot]}
+		s.gather(i, sm.Values[:])
+		out = append(out, sm)
+	}
+	return out
+}

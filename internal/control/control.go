@@ -103,20 +103,22 @@ type Config struct {
 	// disables periodic retraining; the value predictors still update
 	// online on every sample either way. With it set, the tan detector
 	// retrains from per-VM count tables (O(attrs²·bins²), independent of
-	// history length); every other kind refits from the retained series.
+	// history length); every other kind refits from the retained history.
 	RetrainIntervalS int64
 	// TrainWorkers bounds how many per-VM model fits run concurrently
 	// during (re)training (0 = the pool default). Per-VM fits are
 	// independent and deterministically seeded, so results are identical
 	// for any worker count.
 	TrainWorkers int
-	// HistoryWindowSamples bounds each VM's retained training series to a
-	// ring of the most recent samples, capping monitoring memory for
-	// long-running loops. Zero keeps full history. Retraining from count
-	// tables does not read old samples, but fits from the series see only
-	// what the ring still holds — keep the window larger than the
-	// training prefix (TrainAtS/SamplingIntervalS) and the validation
-	// look-back.
+	// HistoryWindowSamples bounds the retained sample history to the
+	// most recent sampling ticks, capping monitoring memory for
+	// long-running loops. It counts ticks, not recorded samples: a VM
+	// past its staleness budget has fewer recorded samples in the
+	// window than ticks. Zero keeps full history; negative is an error.
+	// Retraining from count tables does not read old samples, but fits
+	// from the history see only what the window still holds — keep it
+	// larger than the training prefix (TrainAtS/SamplingIntervalS) and
+	// the validation look-back.
 	HistoryWindowSamples int
 	// Detector selects the anomaly detector driving the loop (default
 	// the paper's supervised Markov+TAN pipeline). Any detector.Spec
@@ -207,7 +209,7 @@ type vmState struct {
 	// train again in place. installDetectors clears it, so a detector
 	// installed from outside is replaced, not refit.
 	built detector.Detector
-	// fitAt records the tick at which det was last fit from the series;
+	// fitAt records the tick at which det was last fit from the history;
 	// on that tick an incremental detector only observes the current row
 	// (the fit already counted it) instead of re-counting it via Update.
 	fitAt simclock.Time
@@ -252,9 +254,10 @@ type Controller struct {
 	app    App
 
 	sampler *monitor.Sampler
-	// store is the struct-of-arrays ring every tick's samples land in
-	// (the loop's only sample representation), and fleet the batched
-	// window scorer (nil unless the spec has a tan detector or member).
+	// store is the struct-of-arrays history every tick's samples land in
+	// (the loop's only sample representation: training fits, validation
+	// and Dataset read it), and fleet the batched window scorer (nil
+	// unless the spec has a tan detector or member).
 	store  *columnar.Store
 	fleet  *predict.Fleet
 	sloLog *monitor.SLOLog
@@ -277,8 +280,10 @@ type Controller struct {
 	// one buffer serves every VM without per-sample allocation.
 	rowScratch []float64
 	// fitBufs holds one training worker's row buffers each, refilled
-	// from the series ring for every VM that worker fits.
+	// from the store for every VM that worker fits.
 	fitBufs []fitBuf
+	// before and after are resolveValidation's reusable value windows.
+	before, after []float64
 
 	// vms is every managed VM's state, in vmOrder.
 	vms []vmState
@@ -316,13 +321,15 @@ func New(scheme Scheme, sub substrate.Substrate, app App, cfg Config) (*Controll
 	if err := cfg.Detector.Validate(); err != nil {
 		return nil, fmt.Errorf("control: %w", err)
 	}
+	if cfg.HistoryWindowSamples < 0 {
+		return nil, fmt.Errorf("control: history window %d must be >= 0", cfg.HistoryWindowSamples)
+	}
 	vms := app.VMIDs()
 	sampler, err := monitor.NewSampler(sub, vms, monitor.Config{
-		NoiseStd:      cfg.MonitorNoiseStd,
-		Seed:          cfg.MonitorSeed,
-		Telemetry:     cfg.Telemetry,
-		Resilience:    cfg.MonitorResilience,
-		WindowSamples: cfg.HistoryWindowSamples,
+		NoiseStd:   cfg.MonitorNoiseStd,
+		Seed:       cfg.MonitorSeed,
+		Telemetry:  cfg.Telemetry,
+		Resilience: cfg.MonitorResilience,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("control: %w", err)
@@ -331,7 +338,12 @@ func New(scheme Scheme, sub substrate.Substrate, app App, cfg Config) (*Controll
 	if err != nil {
 		return nil, fmt.Errorf("control: %w", err)
 	}
-	store, err := columnar.New(len(vms), 4)
+	var store *columnar.Store
+	if cfg.HistoryWindowSamples > 0 {
+		store, err = columnar.New(len(vms), cfg.HistoryWindowSamples)
+	} else {
+		store, err = columnar.NewGrowing(len(vms))
+	}
 	if err != nil {
 		return nil, fmt.Errorf("control: %w", err)
 	}
@@ -370,8 +382,15 @@ func (c *Controller) DetectorSpec() detector.Spec { return c.cfg.Detector }
 // SLOLog returns the recorded SLO state log.
 func (c *Controller) SLOLog() *monitor.SLOLog { return c.sloLog }
 
-// Sampler exposes the monitoring module (for trace-driven analyses).
-func (c *Controller) Sampler() *monitor.Sampler { return c.sampler }
+// Dataset returns each VM's recorded samples, oldest first, keyed by
+// VM ID, for offline (trace-driven) experiments.
+func (c *Controller) Dataset() map[substrate.VMID][]metrics.Sample {
+	out := make(map[substrate.VMID][]metrics.Sample, len(c.vms))
+	for _, v := range c.vms {
+		out[v.id] = c.store.Samples(v.store)
+	}
+	return out
+}
 
 // Steps returns the prevention actions executed so far.
 func (c *Controller) Steps() []prevent.Step { return append([]prevent.Step{}, c.steps...) }
@@ -450,7 +469,7 @@ func (c *Controller) OnTick(now simclock.Time) error {
 		// first sampling tick at or past it (a modulo check would never
 		// fire when the sampling interval does not divide the retrain
 		// interval) and then advances by a full interval. Installed
-		// models are not refit on their first tick: the series behind
+		// models are not refit on their first tick: the history behind
 		// them may hold a single sample.
 		if c.nextRetrainAt != 0 {
 			if err := c.retrain(now); err != nil {
@@ -487,12 +506,12 @@ func (c *Controller) observe(now simclock.Time, label metrics.Label, violated bo
 		if fold && v.fitAt != now {
 			// Incremental training: one Update advances the value-
 			// prediction chains AND folds the labeled row into the TAN
-			// sufficient statistics. Samples the sampler refused to record
+			// sufficient statistics. Rows the sampler left unrecorded
 			// (past the staleness budget) become unlabeled so a frozen
 			// sensor cannot teach the classifier a flat line, mirroring
-			// what refits from the series would have seen.
+			// what refits from the history would have seen.
 			lbl := label
-			if !c.sampler.Recording(v.id) {
+			if !c.store.Recorded(0, v.store) {
 				lbl = metrics.LabelUnknown
 			}
 			if err := v.det.Update(row, lbl); err != nil {
@@ -500,7 +519,7 @@ func (c *Controller) observe(now simclock.Time, label metrics.Label, violated bo
 			}
 		} else if err := v.det.Observe(row); err != nil {
 			// A model fit this tick already counted the current row from
-			// the series, and a model that is never refit from counts
+			// the history, and a model that is never refit from counts
 			// needs none: either only observes.
 			return false, fmt.Errorf("control: observe %s: %w", v.id, err)
 		}
@@ -715,19 +734,15 @@ func (c *Controller) recordStep(now simclock.Time, step prevent.Step) {
 }
 
 // resolveValidation applies the look-back/look-ahead effectiveness check
-// to one VM's pending action.
+// to one VM's pending action, over the implicated attribute's recorded
+// values before and after the step.
 func (c *Controller) resolveValidation(now simclock.Time, v *vmState, alertsStopped bool) {
 	p := v.pending
-	series, err := c.sampler.Series(v.id)
-	if err != nil {
-		v.pending = nil
-		return
-	}
 	lookBack := p.step.Time.Add(-c.cfg.ValidationDelayS)
-	before := series.Window(lookBack, p.step.Time)
-	after := series.Window(p.step.Time.Add(1), now.Add(1))
+	c.before = c.store.ValuesInto(c.before, v.store, p.attr, lookBack, p.step.Time)
+	c.after = c.store.ValuesInto(c.after, v.store, p.attr, p.step.Time.Add(1), now.Add(1))
 
-	switch c.validator.Validate(before, after, p.attr, alertsStopped) {
+	switch c.validator.Validate(c.before, c.after, alertsStopped) {
 	case prevent.Effective:
 		c.tel.valEffective.Inc()
 		v.attempts = 0

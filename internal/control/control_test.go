@@ -82,6 +82,9 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Scheme(42), sub, app, Config{}); err == nil {
 		t.Error("bad scheme should fail")
 	}
+	if _, err := New(SchemePREPARE, sub, app, Config{HistoryWindowSamples: -5}); err == nil {
+		t.Error("negative history window should fail")
+	}
 }
 
 func TestSchemeStrings(t *testing.T) {

@@ -19,7 +19,7 @@ import (
 )
 
 // train fits one predictor (and alarm filter) per VM from the collected
-// labeled series. Following the paper, fault localization decides which
+// labeled history. Following the paper, fault localization decides which
 // VMs' samples are actually trained as "abnormal": a sample keeps its
 // abnormal label only if the VM itself deviates from its own fault-free
 // baseline at that instant (at least two attributes beyond 3.5 sigma).
@@ -39,7 +39,7 @@ func (c *Controller) train(now simclock.Time) error {
 // filter. Per-VM fits are independent and deterministically seeded, so
 // they fan out across the worker pool; each goroutine writes only its
 // own VM's state. With fromCounts set, every detector retrains from the
-// counts Update has folded into it instead of refitting from the series.
+// counts Update has folded into it instead of refitting from the history.
 func (c *Controller) fitEach(now simclock.Time, fromCounts bool) error {
 	runner := pool.Runner{Workers: c.cfg.TrainWorkers}
 	c.growFitBufs(runner.Size(len(c.vms)))
@@ -91,7 +91,7 @@ func (c *Controller) detectorOptions(id substrate.VMID) predict.DetectorOptions 
 	}
 }
 
-// fitBuf is one training worker's rows and labels (see Series.RowsInto).
+// fitBuf is one training worker's rows and labels (see Store.RowsInto).
 type fitBuf struct {
 	backing []float64
 	rows    [][]float64
@@ -105,8 +105,8 @@ func (c *Controller) growFitBufs(n int) {
 	}
 }
 
-// fitVM fits the i-th VM's detector from its retained series, read
-// straight from the ring into buf, and installs it as fit at now. The
+// fitVM fits the i-th VM's detector from its recorded history, gathered
+// from the store into buf, and installs it as fit at now. The
 // detector adapter applies the kind-appropriate training protocol:
 // anomaly-onset relabeling plus a TAN fit that keeps its counts, or an
 // unlabeled outlier/forecast fit. A detector is built
@@ -116,12 +116,9 @@ func (c *Controller) growFitBufs(n int) {
 // free for the worker's next VM.
 func (c *Controller) fitVM(now simclock.Time, i int, buf *fitBuf) error {
 	v := &c.vms[i]
-	series, err := c.sampler.Series(v.id)
-	if err != nil {
-		return err
-	}
-	buf.backing, buf.rows, buf.labels = series.RowsInto(buf.backing, buf.rows, buf.labels)
+	buf.backing, buf.rows, buf.labels = c.store.RowsInto(v.store, buf.backing, buf.rows, buf.labels)
 	if v.built == nil {
+		var err error
 		if v.built, err = predict.NewDetector(c.cfg.Detector, c.detectorOptions(v.id)); err != nil {
 			return err
 		}
@@ -138,7 +135,7 @@ func (c *Controller) fitVM(now simclock.Time, i int, buf *fitBuf) error {
 // retrains from them (Retrain). Only the pure supervised TAN detector
 // has a count-table form, and only periodic retraining ever consumes
 // the counts; everything else (unsupervised, forecast-error, ensembles,
-// train-once) observes each sample and refits from the retained series.
+// train-once) observes each sample and refits from the retained history.
 func (c *Controller) incrementalTraining() bool {
 	return c.cfg.Detector.Kind == detector.KindTAN && c.cfg.RetrainIntervalS > 0
 }
@@ -146,7 +143,7 @@ func (c *Controller) incrementalTraining() bool {
 // retrain performs one periodic model update. Under incremental
 // training every tan detector rebuilds its classifier from its
 // accumulated count table (O(attrs²·bins²), independent of history
-// length); every other configuration refits from the retained series
+// length); every other configuration refits from the retained history
 // (O(history)). Alarm filters restart fresh either way.
 func (c *Controller) retrain(now simclock.Time) error {
 	incremental := c.incrementalTraining()

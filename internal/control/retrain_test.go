@@ -177,8 +177,8 @@ func TestIncrementalTrainingRule(t *testing.T) {
 }
 
 // TestHistoryWindowBoundsSeries: with a bounded history window the
-// sampler's series must never exceed the configured ring size while the
-// loop still trains and operates normally.
+// store must never hold more than the configured number of ticks while
+// the loop still trains and operates normally.
 func TestHistoryWindowBoundsSeries(t *testing.T) {
 	c, sub, app := newFakeWorld(t, workload.Constant{Value: 60})
 	ctl, err := New(SchemePREPARE, sub, app, Config{
@@ -200,14 +200,10 @@ func TestHistoryWindowBoundsSeries(t *testing.T) {
 	if !ctl.Trained() {
 		t.Fatal("controller never trained")
 	}
-	series, err := ctl.Sampler().Series("vm1")
-	if err != nil {
-		t.Fatal(err)
+	if n := len(ctl.Dataset()["vm1"]); n != 40 {
+		t.Errorf("history retains %d samples, want the 40-tick window", n)
 	}
-	if series.Len() != 40 {
-		t.Errorf("series retains %d samples, want the 40-sample window", series.Len())
-	}
-	if series.Limit() != 40 {
-		t.Errorf("series limit = %d, want 40", series.Limit())
+	if w := ctl.store.Window(); w != 40 {
+		t.Errorf("store window = %d, want 40", w)
 	}
 }

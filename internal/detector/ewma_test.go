@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"prepare/internal/metrics"
-	"prepare/internal/simclock"
 )
 
 // eagerScore is EWMA.Score as it used to attribute: every step that
@@ -76,42 +75,37 @@ func TestEWMAVerdictMatchesEagerAttribution(t *testing.T) {
 	}
 }
 
-// ringSeries fills a bounded series of window samples, wrapped, with a
-// jittered stream and a labeled abnormal span.
-func ringSeries(tb testing.TB, window int) *metrics.Series {
-	tb.Helper()
-	s, err := metrics.NewBoundedSeries(window)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	for i := 0; i < window+window/2; i++ {
-		sm := metrics.Sample{Time: simclock.Time(5 * i), Label: metrics.LabelNormal}
-		for j := range sm.Values {
-			sm.Values[j] = 20 + float64((i*3+j)%7) + 0.1*float64(j)
+// ringSeries returns the rows and labels a window-sample history holds
+// after window+window/2 samples of a jittered stream with a labeled
+// abnormal span: its last window samples, oldest first.
+func ringSeries(window int) ([][]float64, []metrics.Label) {
+	n := window + window/2
+	rows, labels := make([][]float64, n), make([]metrics.Label, n)
+	for i := range rows {
+		row := make([]float64, metrics.NumAttributes)
+		for j := range row {
+			row[j] = 20 + float64((i*3+j)%7) + 0.1*float64(j)
 		}
+		labels[i] = metrics.LabelNormal
 		if i%40 >= 35 {
-			sm.Values[2] *= 3
-			sm.Label = metrics.LabelAbnormal
+			row[2] *= 3
+			labels[i] = metrics.LabelAbnormal
 		}
-		if err := s.Append(sm); err != nil {
-			tb.Fatal(err)
-		}
+		rows[i] = row
 	}
-	return s
+	return rows[n-window:], labels[n-window:]
 }
 
 // TestEWMARefitAllocationFree: once warm, refitting a VM's EWMA from its
-// series ring — RowsInto into kept buffers, then Train — allocates
-// nothing, and neither does the per-tick Observe + Score.
+// history rows allocates nothing, and neither does the per-tick Observe
+// + Score.
 func TestEWMARefitAllocationFree(t *testing.T) {
-	series := ringSeries(t, 128)
+	rows, labels := ringSeries(128)
 	e := NewEWMA(metrics.NumAttributes, EWMAOptions{})
-	backing, rows, labels := series.RowsInto(nil, nil, nil)
 	if err := e.Train(rows, labels); err != nil {
 		t.Fatal(err)
 	}
 	refit := func() {
-		backing, rows, labels = series.RowsInto(backing, rows, labels)
 		if err := e.Train(rows, labels); err != nil {
 			t.Fatal(err)
 		}
@@ -395,20 +389,14 @@ func TestLoadEWMARejectsBadSnapshots(t *testing.T) {
 	}
 }
 
-// BenchmarkEWMARefit measures one VM's periodic refit from a 128-sample
-// series ring: RowsInto into kept buffers, then an in-place Train.
+// BenchmarkEWMARefit measures one VM's periodic in-place refit from a
+// 128-sample history.
 func BenchmarkEWMARefit(b *testing.B) {
-	series := ringSeries(b, 128)
+	rows, labels := ringSeries(128)
 	e := NewEWMA(metrics.NumAttributes, EWMAOptions{})
-	var (
-		backing []float64
-		rows    [][]float64
-		labels  []metrics.Label
-	)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		backing, rows, labels = series.RowsInto(backing, rows, labels)
 		if err := e.Train(rows, labels); err != nil {
 			b.Fatal(err)
 		}

@@ -85,8 +85,9 @@ type Scenario struct {
 	// RetrainIntervalS periodically retrains the models with the data
 	// accumulated since training (0 disables periodic retraining).
 	RetrainIntervalS int64
-	// HistoryWindowSamples bounds each VM's retained training series to
-	// the most recent samples (0 keeps full history).
+	// HistoryWindowSamples bounds the retained sample history to the
+	// most recent sampling ticks (0 keeps full history; see
+	// control.Config.HistoryWindowSamples).
 	HistoryWindowSamples int
 	// Predict overrides predictor options (order, bins, naive).
 	Predict predict.Config
@@ -332,7 +333,7 @@ func Run(sc Scenario) (Result, error) {
 		Steps:                 ctl.Steps(),
 		Alerts:                ctl.Alerts(),
 		Trace:                 trace,
-		Dataset:               ctl.Sampler().Dataset(),
+		Dataset:               ctl.Dataset(),
 		VMOrder:               app.VMIDs(),
 		FaultTarget:           w.target,
 	}

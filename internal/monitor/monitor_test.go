@@ -247,25 +247,27 @@ func TestCollectProducesAllAttributes(t *testing.T) {
 	}
 }
 
+// TestCollectAppendsToSeries: every healthy collect is one recorded row
+// of the VM's history in the store.
 func TestCollectAppendsToSeries(t *testing.T) {
 	s, err := NewSampler(newFakeSource(), []substrate.VMID{"vm1"}, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	store := newHistory(t, s)
 	for i := int64(0); i < 5; i++ {
-		if _, err := collect(s, simclock.Time(i*5), metrics.LabelNormal); err != nil {
+		if _, err := collectInto(s, store, simclock.Time(i*5), metrics.LabelNormal); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sr, err := s.Series("vm1")
-	if err != nil {
-		t.Fatal(err)
+	if n := len(store.Samples(0)); n != 5 {
+		t.Errorf("history length = %d, want 5", n)
 	}
-	if sr.Len() != 5 {
-		t.Errorf("series length = %d, want 5", sr.Len())
-	}
-	if _, err := s.Series("ghost"); err == nil {
-		t.Error("unknown VM series should fail")
+}
+
+func TestNewSamplerRejectsDuplicateVM(t *testing.T) {
+	if _, err := NewSampler(newFakeSource(), []substrate.VMID{"vm1", "vm1"}, Config{}); err == nil {
+		t.Error("a VM listed twice should fail")
 	}
 }
 
@@ -348,16 +350,19 @@ func TestLoadEMAConverges(t *testing.T) {
 	}
 }
 
+// TestDataset: a collect commits its samples with the tick's time and
+// SLO label.
 func TestDataset(t *testing.T) {
 	s, err := NewSampler(newFakeSource(), []substrate.VMID{"vm1"}, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := collect(s, 0, metrics.LabelAbnormal); err != nil {
+	store := newHistory(t, s)
+	if _, err := collectInto(s, store, 0, metrics.LabelAbnormal); err != nil {
 		t.Fatal(err)
 	}
-	ds := s.Dataset()
-	if len(ds["vm1"]) != 1 || ds["vm1"][0].Label != metrics.LabelAbnormal {
+	ds := store.Samples(0)
+	if len(ds) != 1 || ds[0].Label != metrics.LabelAbnormal || ds[0].Time != 0 {
 		t.Errorf("dataset = %+v", ds)
 	}
 }

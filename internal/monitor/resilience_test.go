@@ -77,29 +77,38 @@ func TestNewSamplerToleratesTransientSource(t *testing.T) {
 func TestCollectCarriesForwardOverTransientGaps(t *testing.T) {
 	src := newFlakySource()
 	// Call 0 is the construction probe; calls 1.. are collect ticks.
-	src.errAt[2] = fmt.Errorf("gap: %w", substrate.ErrUnavailable)
-	s := noiseless(t, src, Resilience{})
+	for _, i := range []int{2, 4, 5} {
+		src.errAt[i] = fmt.Errorf("gap: %w", substrate.ErrUnavailable)
+	}
+	// A budget of one stale tick makes the recorded flag show the
+	// staleness run: recorded at 0 or 1, unrecorded at 2.
+	s := noiseless(t, src, Resilience{MaxStaleTicks: 1})
+	store := newHistory(t, s)
 
-	first, err := collect(s, 5, metrics.LabelNormal)
+	first, err := collectInto(s, store, 5, metrics.LabelNormal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := collect(s, 10, metrics.LabelNormal)
+	got, err := collectInto(s, store, 10, metrics.LabelNormal)
 	if err != nil {
 		t.Fatalf("transient gap surfaced from CollectColumnar: %v", err)
 	}
 	if got["vm1"].Values != first["vm1"].Values {
 		t.Errorf("carried sample = %v, want last good %v", got["vm1"].Values, first["vm1"].Values)
 	}
-	if n := s.StaleTicks("vm1"); n != 1 {
-		t.Errorf("StaleTicks = %d, want 1", n)
+	// Ticks 15 (healthy), 20 (gap) and 25 (gap): the healthy tick resets
+	// the run, so the gap after it is recorded again, and consecutive
+	// gaps count one stale tick each, so the second one is not.
+	want := []bool{true, true, true, true, false}
+	for tick := 15; tick <= 25; tick += 5 {
+		if _, err := collectInto(s, store, simclock.Time(tick), metrics.LabelNormal); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// A healthy tick resets the staleness run.
-	if _, err := collect(s, 15, metrics.LabelNormal); err != nil {
-		t.Fatal(err)
-	}
-	if n := s.StaleTicks("vm1"); n != 0 {
-		t.Errorf("StaleTicks after recovery = %d, want 0", n)
+	for k, w := range want {
+		if got := store.Recorded(len(want)-1-k, 0); got != w {
+			t.Errorf("tick %d recorded = %v, want %v", 5*(k+1), got, w)
+		}
 	}
 }
 
@@ -124,12 +133,13 @@ func TestCollectSanitizesCorruptReadings(t *testing.T) {
 	poisoned[5] = -42
 	src.vecAt[2] = poisoned
 	s := noiseless(t, src, Resilience{})
+	store := newHistory(t, s)
 
-	first, err := collect(s, 5, metrics.LabelNormal)
+	first, err := collectInto(s, store, 5, metrics.LabelNormal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := collect(s, 10, metrics.LabelNormal)
+	got, err := collectInto(s, store, 10, metrics.LabelNormal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,15 +154,11 @@ func TestCollectSanitizesCorruptReadings(t *testing.T) {
 		t.Errorf("sanitized attrs %v/%v/%v, want fallbacks %v/%v/%v",
 			v[1], v[3], v[5], first["vm1"].Values[1], first["vm1"].Values[3], first["vm1"].Values[5])
 	}
-	// The training series must be clean too.
-	series, err := s.Series("vm1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sm := range series.All() {
+	// The training history must be clean too.
+	for _, sm := range store.Samples(0) {
 		for i, x := range sm.Values {
 			if math.IsNaN(x) || math.IsInf(x, 0) || x < 0 {
-				t.Errorf("series sample t=%v attr %d is corrupt: %v", sm.Time, i, x)
+				t.Errorf("history sample t=%v attr %d is corrupt: %v", sm.Time, i, x)
 			}
 		}
 	}
@@ -164,9 +170,10 @@ func TestStaleBudgetStopsTrainingAppends(t *testing.T) {
 		src.errAt[i] = fmt.Errorf("outage: %w", substrate.ErrUnavailable)
 	}
 	s := noiseless(t, src, Resilience{MaxStaleTicks: 3})
+	store := newHistory(t, s)
 
 	for tick := 1; tick <= 10; tick++ {
-		out, err := collect(s, simclock.Time(tick*5), metrics.LabelNormal)
+		out, err := collectInto(s, store, simclock.Time(tick*5), metrics.LabelNormal)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,14 +181,10 @@ func TestStaleBudgetStopsTrainingAppends(t *testing.T) {
 			t.Fatalf("tick %d: control loop got no sample during the outage", tick)
 		}
 	}
-	series, err := s.Series("vm1")
-	if err != nil {
-		t.Fatal(err)
-	}
 	// 1 healthy sample + MaxStaleTicks carried ones; the rest of the
 	// outage must not teach the models a flat line.
-	if got, want := series.Len(), 1+3; got != want {
-		t.Errorf("series length = %d, want %d (healthy + stale budget)", got, want)
+	if got, want := len(store.Samples(0)), 1+3; got != want {
+		t.Errorf("history length = %d, want %d (healthy + stale budget)", got, want)
 	}
 }
 
@@ -192,23 +195,20 @@ func TestStuckSensorCountsAgainstBudget(t *testing.T) {
 		src.vecAt[i] = frozen // bitwise-identical reading every tick
 	}
 	s := noiseless(t, src, Resilience{MaxStaleTicks: 2, StuckThreshold: 3})
+	store := newHistory(t, s)
 
 	for tick := 1; tick <= 12; tick++ {
-		if _, err := collect(s, simclock.Time(tick*5), metrics.LabelNormal); err != nil {
+		if _, err := collectInto(s, store, simclock.Time(tick*5), metrics.LabelNormal); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := s.StaleTicks("vm1"); n == 0 {
+	if store.Recorded(0, 0) {
 		t.Error("frozen sensor never judged stale")
 	}
-	series, err := s.Series("vm1")
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The flat line stops being recorded once the budget is spent:
-	// strictly fewer appended samples than collect calls.
-	if series.Len() >= 12 {
-		t.Errorf("series length = %d; stuck sensor was never cut off", series.Len())
+	// strictly fewer recorded samples than collect calls.
+	if n := len(store.Samples(0)); n >= 12 {
+		t.Errorf("history length = %d; stuck sensor was never cut off", n)
 	}
 
 	// With detection disabled (the default), the same frozen source is
@@ -218,16 +218,13 @@ func TestStuckSensorCountsAgainstBudget(t *testing.T) {
 		src2.vecAt[i] = frozen
 	}
 	s2 := noiseless(t, src2, Resilience{})
+	store2 := newHistory(t, s2)
 	for tick := 1; tick <= 12; tick++ {
-		if _, err := collect(s2, simclock.Time(tick*5), metrics.LabelNormal); err != nil {
+		if _, err := collectInto(s2, store2, simclock.Time(tick*5), metrics.LabelNormal); err != nil {
 			t.Fatal(err)
 		}
 	}
-	series2, err := s2.Series("vm1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if series2.Len() != 12 {
-		t.Errorf("series length = %d with stuck detection off, want 12", series2.Len())
+	if n := len(store2.Samples(0)); n != 12 {
+		t.Errorf("history length = %d with stuck detection off, want 12", n)
 	}
 }

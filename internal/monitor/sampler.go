@@ -31,7 +31,8 @@ var noiseOrder = []metrics.Attribute{
 
 // Sampler collects the 13 system-level attributes of each monitored VM
 // from any substrate's metric source, adds measurement noise, and
-// appends labeled samples to per-VM series. It is the simulated
+// commits each tick's labeled samples to a columnar store, the control
+// loop's sample history. It is the simulated
 // analogue of domain-0 libxenstat monitoring, but works identically
 // over replayed traces or any other MetricSource.
 //
@@ -41,9 +42,9 @@ var noiseOrder = []metrics.Attribute{
 // against it before discretization ever sees them, and a sensor that
 // freezes on one bitwise-identical vector is detected as stuck. Both
 // carried and stuck samples count toward a bounded per-VM staleness
-// budget; once it is exceeded the synthesized samples stop being
-// appended to the training series (the control loop still receives
-// them), so a long outage cannot teach the models a flat line.
+// budget; once it is exceeded the synthesized samples are committed
+// unrecorded (the control loop still receives them, training does not),
+// so a long outage cannot teach the models a flat line.
 type Sampler struct {
 	source   substrate.MetricSource
 	vmIDs    []substrate.VMID
@@ -52,12 +53,10 @@ type Sampler struct {
 	res      Resilience
 
 	// vms holds each VM's state in vmIDs order (the columnar store's VM
-	// order), so the collect loop walks one dense slice; idx serves only
-	// the ID-keyed accessors.
+	// order), so the collect loop walks one dense slice.
 	vms []vmState
-	idx map[substrate.VMID]int
 
-	// ingested counts appended samples; nil (disabled telemetry) no-ops,
+	// ingested counts recorded samples; nil (disabled telemetry) no-ops,
 	// as do the resilience counters below.
 	ingested     *telemetry.Counter
 	carried      *telemetry.Counter
@@ -68,7 +67,6 @@ type Sampler struct {
 
 // vmState is one monitored VM's sampling state.
 type vmState struct {
-	series *metrics.Series
 	// lastGood is the VM's most recent sanitized raw vector; it seeds
 	// carry-forward and per-attribute sanitization fallbacks.
 	lastGood metrics.Vector
@@ -84,10 +82,10 @@ type vmState struct {
 type Resilience struct {
 	// MaxStaleTicks bounds how many consecutive sampling ticks a VM's
 	// sample may be synthesized (carried forward over a transient error,
-	// or repeated by a stuck sensor) and still be appended to the
-	// training series (default 6; one monitoring half-minute at the
+	// or repeated by a stuck sensor) and still be recorded to the
+	// training history (default 6; one monitoring half-minute at the
 	// paper's 5 s interval). Past the bound the control loop still
-	// receives the carried value, but the series stops recording it.
+	// receives the carried value, but the history leaves it out.
 	MaxStaleTicks int
 	// StuckThreshold is the number of consecutive bitwise-identical raw
 	// vectors after which the sensor is judged stuck and the samples
@@ -120,11 +118,9 @@ type Config struct {
 	// Resilience tunes carry-forward, sanitization, and stuck-sensor
 	// accounting.
 	Resilience Resilience
-	// WindowSamples bounds each VM's training series to a ring of the
-	// most recent samples, capping memory for long-running monitoring.
-	// Zero keeps the full history (the default; incremental training
-	// does not need old samples, but batch retraining refits from
-	// whatever the ring still holds).
+	// Deprecated: WindowSamples is ignored. The sample history is the
+	// columnar store the caller collects into, and its window is the
+	// store's (control.Config.HistoryWindowSamples).
 	WindowSamples int
 }
 
@@ -136,7 +132,12 @@ func NewSampler(source substrate.MetricSource, vmIDs []substrate.VMID, cfg Confi
 	if len(vmIDs) == 0 {
 		return nil, errors.New("monitor: at least one VM is required")
 	}
+	seen := make(map[substrate.VMID]bool, len(vmIDs))
 	for _, id := range vmIDs {
+		if seen[id] {
+			return nil, fmt.Errorf("monitor: VM %q listed twice", id)
+		}
+		seen[id] = true
 		// A transiently unavailable sample (a chaos drop, a collector
 		// hiccup) must not fail construction: the first collect carries
 		// forward instead. Only permanent errors (unknown VM) reject.
@@ -150,54 +151,19 @@ func NewSampler(source substrate.MetricSource, vmIDs []substrate.VMID, cfg Confi
 	}
 	ids := make([]substrate.VMID, len(vmIDs))
 	copy(ids, vmIDs)
-	s := &Sampler{
+	return &Sampler{
 		source:       source,
 		vmIDs:        ids,
 		rng:          rand.New(rand.NewSource(cfg.Seed)),
 		noiseStd:     noise,
 		res:          cfg.Resilience.withDefaults(),
 		vms:          make([]vmState, len(ids)),
-		idx:          make(map[substrate.VMID]int, len(ids)),
 		ingested:     cfg.Telemetry.Counter("monitor.samples.ingested"),
 		carried:      cfg.Telemetry.Counter("monitor.samples.carried_forward"),
 		sanitized:    cfg.Telemetry.Counter("monitor.samples.sanitized"),
 		stuckSamples: cfg.Telemetry.Counter("monitor.samples.stuck"),
 		droppedStale: cfg.Telemetry.Counter("monitor.samples.dropped_stale"),
-	}
-	for i, id := range ids {
-		if cfg.WindowSamples > 0 {
-			sr, err := metrics.NewBoundedSeries(cfg.WindowSamples)
-			if err != nil {
-				return nil, fmt.Errorf("monitor: %w", err)
-			}
-			s.vms[i].series = sr
-		} else {
-			s.vms[i].series = metrics.NewSeries(512)
-		}
-		if _, dup := s.idx[id]; dup {
-			return nil, fmt.Errorf("monitor: VM %q listed twice", id)
-		}
-		s.idx[id] = i
-	}
-	return s, nil
-}
-
-// state returns the VM's sampling state, nil when it is not monitored.
-func (s *Sampler) state(id substrate.VMID) *vmState {
-	i, ok := s.idx[id]
-	if !ok {
-		return nil
-	}
-	return &s.vms[i]
-}
-
-// Series returns the sample series of a VM.
-func (s *Sampler) Series(id substrate.VMID) (*metrics.Series, error) {
-	st := s.state(id)
-	if st == nil {
-		return nil, fmt.Errorf("monitor: VM %q is not monitored", id)
-	}
-	return st.series, nil
+	}, nil
 }
 
 // Advance moves the metric source to now; call once per simulated
@@ -211,7 +177,7 @@ func (s *Sampler) Advance(now simclock.Time) {
 // source read, transient carry-forward, sanitization, stuck/staleness
 // accounting, measurement noise — writes the noised vector into v, and
 // reports whether the VM is within its staleness budget (i.e. the sample
-// should be recorded to the training series).
+// should be recorded to the training history).
 func (s *Sampler) sampleOne(i int, v *metrics.Vector) (bool, error) {
 	st := &s.vms[i]
 	clean, err := s.source.Sample(s.vmIDs[i])
@@ -262,56 +228,40 @@ func (s *Sampler) sampleOne(i int, v *metrics.Vector) (bool, error) {
 	return st.staleRun <= s.res.MaxStaleTicks, nil
 }
 
-// CollectColumnar samples every monitored VM at the given instant,
-// labels the samples with the current SLO state, appends them to the
-// per-VM series, and stages the noised vectors into the columnar store
-// (VM i of the store is the i-th VM given to NewSampler) as one
-// committed tick. Every VM gets a row even when its sample had to be
-// synthesized by carry-forward; past the staleness budget the training
-// series stops recording the flat line.
+// CollectColumnar samples every monitored VM at the given instant and
+// commits the noised vectors to the columnar store (VM i of the store is
+// the i-th VM given to NewSampler) as one tick labeled with the current
+// SLO state. Every VM gets a row even when its sample had to be
+// synthesized by carry-forward; past the staleness budget the row is
+// committed unrecorded, so the training history leaves the flat line
+// out. A tick earlier than the store's latest is refused.
 func (s *Sampler) CollectColumnar(now simclock.Time, label metrics.Label, st *columnar.Store) error {
 	if st.VMs() != len(s.vmIDs) {
 		return fmt.Errorf("monitor: columnar store holds %d VMs, sampler monitors %d", st.VMs(), len(s.vmIDs))
 	}
+	if st.Ticks() > 0 {
+		if last := st.Time(0); now.Before(last) {
+			return fmt.Errorf("monitor: tick at %v collected after %v", now, last)
+		}
+	}
 	ingested := 0
-	sm := metrics.Sample{Time: now, Label: label}
+	var v metrics.Vector
 	for i := range s.vms {
-		record, err := s.sampleOne(i, &sm.Values)
+		record, err := s.sampleOne(i, &v)
 		if err != nil {
 			return err
 		}
-		st.StageRow(i, &sm.Values)
+		st.StageRow(i, &v)
 		if record {
-			if err := s.vms[i].series.Append(sm); err != nil {
-				return fmt.Errorf("monitor: append %q: %w", s.vmIDs[i], err)
-			}
 			ingested++
 		} else {
+			st.Unrecord(i)
 			s.droppedStale.Inc()
 		}
 	}
 	st.Commit(now, label)
 	s.ingested.Add(int64(ingested))
 	return nil
-}
-
-// StaleTicks returns how many consecutive sampling ticks the VM's
-// sample has been synthesized or judged sensor-stuck (0 for a healthy
-// source).
-func (s *Sampler) StaleTicks(id substrate.VMID) int {
-	if st := s.state(id); st != nil {
-		return st.staleRun
-	}
-	return 0
-}
-
-// Recording reports whether the VM's samples are currently inside the
-// staleness budget and thus being appended to its training series. The
-// control loop's incremental trainer mirrors this gate: samples the
-// series refuses are fed to the classifier statistics as unlabeled, so
-// a frozen sensor cannot teach the model a flat line.
-func (s *Sampler) Recording(id substrate.VMID) bool {
-	return s.StaleTicks(id) <= s.res.MaxStaleTicks
 }
 
 func (s *Sampler) noisy(value float64) float64 {
@@ -323,14 +273,4 @@ func (s *Sampler) noisy(value float64) float64 {
 		v = 0
 	}
 	return v
-}
-
-// Dataset bundles each VM's labeled series for offline (trace-driven)
-// experiments, keyed by VM ID.
-func (s *Sampler) Dataset() map[substrate.VMID][]metrics.Sample {
-	out := make(map[substrate.VMID][]metrics.Sample, len(s.vms))
-	for i, id := range s.vmIDs {
-		out[id] = s.vms[i].series.All()
-	}
-	return out
 }

@@ -376,9 +376,10 @@ type Validator struct {
 }
 
 // Validate compares the implicated attribute's usage before and after a
-// prevention action. alertsStopped reflects whether the anomaly
-// prediction models stopped raising alerts after the action.
-func (v Validator) Validate(before, after []metrics.Sample, attr metrics.Attribute, alertsStopped bool) Validation {
+// prevention action, given as its sampled values in each window.
+// alertsStopped reflects whether the anomaly prediction models stopped
+// raising alerts after the action.
+func (v Validator) Validate(before, after []float64, alertsStopped bool) Validation {
 	if alertsStopped {
 		return Effective
 	}
@@ -389,8 +390,8 @@ func (v Validator) Validate(before, after []metrics.Sample, attr metrics.Attribu
 	if len(before) == 0 || len(after) == 0 {
 		return Inconclusive
 	}
-	bm := metrics.Summarize(columnOf(before, attr)).Mean
-	am := metrics.Summarize(columnOf(after, attr)).Mean
+	bm := metrics.Summarize(before).Mean
+	am := metrics.Summarize(after).Mean
 	base := bm
 	if base < 1e-9 {
 		base = 1e-9
@@ -403,12 +404,4 @@ func (v Validator) Validate(before, after []metrics.Sample, attr metrics.Attribu
 		return Ineffective
 	}
 	return Inconclusive
-}
-
-func columnOf(samples []metrics.Sample, attr metrics.Attribute) []float64 {
-	out := make([]float64, len(samples))
-	for i, sm := range samples {
-		out[i] = sm.Values.Get(attr)
-	}
-	return out
 }

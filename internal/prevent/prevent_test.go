@@ -280,19 +280,9 @@ func TestPreventUnknownVM(t *testing.T) {
 	}
 }
 
-func mkSamples(times []int64, attr metrics.Attribute, values []float64) []metrics.Sample {
-	out := make([]metrics.Sample, len(times))
-	for i := range times {
-		var v metrics.Vector
-		v.Set(attr, values[i])
-		out[i] = metrics.Sample{Time: simclock.Time(times[i]), Values: v}
-	}
-	return out
-}
-
 func TestValidateAlertsStoppedIsEffective(t *testing.T) {
 	var v Validator
-	got := v.Validate(nil, nil, metrics.FreeMem, true)
+	got := v.Validate(nil, nil, true)
 	if got != Effective {
 		t.Errorf("validation = %v, want effective", got)
 	}
@@ -300,9 +290,9 @@ func TestValidateAlertsStoppedIsEffective(t *testing.T) {
 
 func TestValidateUnchangedUsageIsIneffective(t *testing.T) {
 	var v Validator
-	before := mkSamples([]int64{0, 5, 10}, metrics.FreeMem, []float64{100, 101, 99})
-	after := mkSamples([]int64{20, 25, 30}, metrics.FreeMem, []float64{100, 100, 101})
-	got := v.Validate(before, after, metrics.FreeMem, false)
+	before := []float64{100, 101, 99}
+	after := []float64{100, 100, 101}
+	got := v.Validate(before, after, false)
 	if got != Ineffective {
 		t.Errorf("validation = %v, want ineffective", got)
 	}
@@ -310,9 +300,9 @@ func TestValidateUnchangedUsageIsIneffective(t *testing.T) {
 
 func TestValidateChangedUsageIsInconclusive(t *testing.T) {
 	var v Validator
-	before := mkSamples([]int64{0, 5}, metrics.FreeMem, []float64{100, 100})
-	after := mkSamples([]int64{20, 25}, metrics.FreeMem, []float64{400, 420})
-	got := v.Validate(before, after, metrics.FreeMem, false)
+	before := []float64{100, 100}
+	after := []float64{400, 420}
+	got := v.Validate(before, after, false)
 	if got != Inconclusive {
 		t.Errorf("validation = %v, want inconclusive", got)
 	}
@@ -320,7 +310,7 @@ func TestValidateChangedUsageIsInconclusive(t *testing.T) {
 
 func TestValidateEmptyWindowsInconclusive(t *testing.T) {
 	var v Validator
-	if got := v.Validate(nil, nil, metrics.FreeMem, false); got != Inconclusive {
+	if got := v.Validate(nil, nil, false); got != Inconclusive {
 		t.Errorf("validation = %v, want inconclusive", got)
 	}
 }
@@ -329,13 +319,13 @@ func TestValidateCustomThreshold(t *testing.T) {
 	// A ~15% drop is Inconclusive at the 10% default but Ineffective when
 	// the planner demands a 25% swing; the fallthrough to the next ranked
 	// metric keys off this verdict.
-	before := mkSamples([]int64{0, 5}, metrics.CPUTotal, []float64{100, 100})
-	after := mkSamples([]int64{20, 25}, metrics.CPUTotal, []float64{85, 85})
-	if got := (Validator{}).Validate(before, after, metrics.CPUTotal, false); got != Inconclusive {
+	before := []float64{100, 100}
+	after := []float64{85, 85}
+	if got := (Validator{}).Validate(before, after, false); got != Inconclusive {
 		t.Errorf("default threshold validation = %v, want inconclusive", got)
 	}
 	strict := Validator{MinRelChange: 0.25}
-	if got := strict.Validate(before, after, metrics.CPUTotal, false); got != Ineffective {
+	if got := strict.Validate(before, after, false); got != Ineffective {
 		t.Errorf("strict threshold validation = %v, want ineffective", got)
 	}
 }
