@@ -94,8 +94,11 @@ type EWMA struct {
 	lastValid bool
 
 	scratch []float64
-	// sums holds Score's per-step sums of squared deviations, grown to
-	// the longest window scored.
+	// loud holds the indices of the attributes Score found loud, in
+	// order, with room for every attribute; sums holds the sweep's
+	// per-step sums of squared deviations, grown to the longest window
+	// swept.
+	loud []int
 	sums []float64
 }
 
@@ -110,6 +113,7 @@ func NewEWMA(dims int, opts EWMAOptions) *EWMA {
 		trend:   make([]float64, dims),
 		lastZ:   make([]float64, dims),
 		scratch: make([]float64, dims),
+		loud:    make([]int, 0, dims),
 	}
 }
 
@@ -211,8 +215,11 @@ func (e *EWMA) adapt(row []float64) {
 		}
 		e.center[j] += g * d
 		// 1.2533 = sqrt(pi/2) scales mean absolute deviation to the
-		// stddev of a normal distribution.
-		e.scale[j] = math.Max((1-g)*e.scale[j]+g*1.2533*math.Abs(d), 0.25*e.scale0[j])
+		// stddev of a normal distribution. The builtin max runs inline;
+		// it differs from math.Max only on a NaN against +Inf, and the
+		// floor 0.25*scale0 is finite wherever the sampler's sanitized
+		// rows trained it (DESIGN.md, "Monotone windows").
+		e.scale[j] = max((1-g)*e.scale[j]+g*1.2533*math.Abs(d), 0.25*e.scale0[j])
 	}
 }
 
@@ -244,14 +251,22 @@ func (e *EWMA) deviation(values, out []float64) float64 {
 // trend projection (ramp faults). The per-attribute attribution is left
 // to Verdict.
 //
-// An attribute whose clamped deviation is 0 at both ends of the window
-// is 0 at every step, because the projection is monotone in h after
-// rounding and scale > 0 (DESIGN.md, "Quiet attributes"), so it is
-// skipped: it would add +0 to every step's sum. The rest are scored
-// attribute-outer, step-inner, so each step still sums its attributes
-// in order j = 0..D-1 with deviation's operations and every sum keeps
-// its bits. The projection keeps project's expression shape at every
-// site, so any fusion the compiler applies is the same at each.
+// One pass over the window's ends decides how much of the window has
+// to be scored (DESIGN.md, "Quiet attributes" and "Monotone windows").
+// An attribute whose clamped deviation is 0 at both ends is 0 at every
+// step, because the projection is monotone in h after rounding and
+// scale > 0, so it is skipped: it would add +0 to every step's sum. Each
+// other, loud, attribute moves away from its center, toward it without
+// crossing it, or across it. When every loud attribute moves away,
+// every step's sum is at least the one before, so the window's score is
+// the far end's and only the first step that reaches it is searched
+// for; when every one moves toward its center, step 0 wins. Only a
+// crossing or a mix of directions sweeps the window, attribute-outer
+// and step-inner over the loud attributes. Every path sums a step's
+// attributes in order j = 0..D-1 with deviation's operations, so every
+// sum, score and lead step has the sweep's bits. The projection keeps
+// project's expression shape at every site, so any fusion the compiler
+// applies is the same at each.
 func (e *EWMA) Score(lookaheadS int64) (Decision, error) {
 	if !e.trained {
 		return Decision{}, errors.New("detector: ewma not trained")
@@ -260,19 +275,107 @@ func (e *EWMA) Score(lookaheadS int64) (Decision, error) {
 	if steps < 1 {
 		steps = 1
 	}
+	slack := e.opts.Slack
+	loud := e.loud[:0]
+	// away and toward stay true while every loud attribute so far
+	// moves away from, or toward, its center; both hold when none is
+	// loud. sum0 and sumH are the sums at steps 0 and steps.
+	away, toward := true, true
+	var sum0, sumH float64
+	for j, l := range e.level {
+		t, c, s := e.trend[j], e.center[j], e.scale[j]
+		d0, dH := l+float64(0)*t-c, l+float64(steps)*t-c
+		first, last := math.Abs(d0)/s-slack, math.Abs(dH)/s-slack
+		if first <= 0 && last <= 0 {
+			continue
+		}
+		loud = append(loud, j)
+		switch {
+		case t == 0 || t > 0 && d0 >= 0 || t < 0 && d0 <= 0:
+			toward = false
+		case t < 0 && dH >= 0 || t > 0 && dH <= 0:
+			away = false
+		default:
+			away, toward = false, false
+		}
+		if first < 0 {
+			first = 0
+		}
+		if last < 0 {
+			last = 0
+		}
+		sum0 += first * first
+		sumH += last * last
+	}
+	var best float64
+	step := 0
+	switch {
+	case toward:
+		best = math.Sqrt(sum0)
+	case away:
+		best = math.Sqrt(sumH)
+		if !math.IsNaN(best) {
+			step = e.firstStepAt(best, steps, loud)
+		}
+	}
+	// A NaN score breaks the order the shortcuts rest on; it takes the
+	// sweep, as a crossing or a mix does.
+	if !(away || toward) || math.IsNaN(best) {
+		best, step = e.sweep(steps, loud)
+	}
+	e.lastDec = Decision{Abnormal: best > e.opts.Threshold, Score: best, LeadSteps: step}
+	e.lastValid = true
+	return e.lastDec, nil
+}
+
+// stepSum returns step h's sum of squared clamped deviations over the
+// loud attributes, added in index order as sweep adds them.
+func (e *EWMA) stepSum(h int, loud []int) float64 {
+	slack := e.opts.Slack
+	var sum float64
+	for _, j := range loud {
+		z := math.Abs(e.level[j]+float64(h)*e.trend[j]-e.center[j])/e.scale[j] - slack
+		if z < 0 {
+			z = 0
+		}
+		sum += z * z
+	}
+	return sum
+}
+
+// firstStepAt returns the first step whose score equals best, the
+// score at steps, on a window whose score does not fall from step to
+// step: steps itself unless the step before ties it, else the start of
+// the plateau, found by bisection.
+func (e *EWMA) firstStepAt(best float64, steps int, loud []int) int {
+	if math.Sqrt(e.stepSum(steps-1, loud)) < best {
+		return steps
+	}
+	lo, hi := 0, steps-1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if math.Sqrt(e.stepSum(mid, loud)) < best {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// sweep scores every step of the window over the loud attributes,
+// attribute-outer and step-inner into one sum per step, so the CPU
+// overlaps the steps' independent chains of divides and adds, and
+// returns the first strict maximum of the steps' scores and its step.
+func (e *EWMA) sweep(steps int, loud []int) (float64, int) {
 	if cap(e.sums) <= steps {
 		e.sums = make([]float64, steps+1)
 	}
 	sums := e.sums[:steps+1]
 	clear(sums)
 	slack := e.opts.Slack
-	for j, l := range e.level {
-		t, c, s := e.trend[j], e.center[j], e.scale[j]
-		first := math.Abs(l+float64(0)*t-c)/s - slack
-		last := math.Abs(l+float64(steps)*t-c)/s - slack
-		if first <= 0 && last <= 0 {
-			continue
-		}
+	for _, j := range loud {
+		l, t, c, s := e.level[j], e.trend[j], e.center[j], e.scale[j]
 		for h := range sums {
 			z := math.Abs(l+float64(h)*t-c)/s - slack
 			if z < 0 {
@@ -287,9 +390,7 @@ func (e *EWMA) Score(lookaheadS int64) (Decision, error) {
 			best, bestStep = s, h
 		}
 	}
-	e.lastDec = Decision{Abnormal: best > e.opts.Threshold, Score: best, LeadSteps: bestStep}
-	e.lastValid = true
-	return e.lastDec, nil
+	return best, bestStep
 }
 
 // project writes the Holt forecast h steps ahead into scratch and

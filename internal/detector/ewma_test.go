@@ -128,9 +128,11 @@ func TestEWMARefitAllocationFree(t *testing.T) {
 }
 
 // ewmaState builds a trained EWMA straight from per-attribute level,
-// trend, center and scale, skipping the training replay.
+// trend, center and scale, skipping the training replay. The slack is
+// set as given, 0 included, which the options would default to 2.
 func ewmaState(slack float64, level, trend, center, scale []float64) *EWMA {
-	e := NewEWMA(len(level), EWMAOptions{Slack: slack})
+	e := NewEWMA(len(level), EWMAOptions{})
+	e.opts.Slack = slack
 	copy(e.level, level)
 	copy(e.trend, trend)
 	copy(e.center, center)
@@ -173,15 +175,29 @@ func checkScoreMatchesEager(t *testing.T, e *EWMA, lookaheadS int64) int {
 	return len(want)
 }
 
-// TestEWMAScoreMatchesEager drives Score, with its quiet-attribute skip
-// and step-parallel sums, against the per-step oracle on random states
-// built so that most attributes sit near the dead zone's edge: quiet
-// ones, ones that cross the center mid-window, ones that leave the dead
-// zone only at the far end, and flat ones at the 1e-9 scale floor.
+// TestEWMAScoreMatchesEager drives Score, with its quiet-attribute skip,
+// its monotone-window shortcuts and its step-parallel sweep, against the
+// per-step oracle on random states built so that most attributes sit
+// near the dead zone's edge: quiet ones, ones that cross the center
+// mid-window, ones that leave the dead zone only at the far end, flat
+// ones at the 1e-9 scale floor, ±0 trends, trends under the level's
+// ulp that hold the projection on plateaus, and ones that move toward
+// the center and end exactly on it. A third of the states move every
+// attribute away from its center and a third every one toward it, so
+// both shortcuts run often; one in five has up to 80 attributes, and
+// the slack is 0 to 3. The test counts the states that took the
+// shortcuts and the sweep (sweepTaken) and requires plenty of each.
 func TestEWMAScoreMatchesEager(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for iter := 0; iter < 5000; iter++ {
+	var fast, swept int
+	for iter := 0; iter < 6000; iter++ {
 		dims := 1 + rng.Intn(metrics.NumAttributes)
+		if iter%5 == 0 {
+			dims = 1 + rng.Intn(80)
+		}
+		lookaheadS := int64(rng.Intn(700))
+		steps := float64(max(lookaheadS/5, 1))
+		mode := iter % 3 // 0: any mix; 1: every attribute away; 2: every one toward
 		level, trend := make([]float64, dims), make([]float64, dims)
 		center, scale := make([]float64, dims), make([]float64, dims)
 		for j := 0; j < dims; j++ {
@@ -191,17 +207,104 @@ func TestEWMAScoreMatchesEager(t *testing.T) {
 				scale[j] = 1e-9
 			}
 			level[j] = center[j] + scale[j]*rng.NormFloat64()*3
-			switch rng.Intn(4) {
+			dev := level[j] - center[j]
+			away := math.Copysign(1, dev)
+			kind := rng.Intn(7)
+			switch {
+			case mode == 1 && (kind == 1 || kind >= 5):
+				kind = 4
+			case mode == 2 && kind < 5:
+				kind = 5 + rng.Intn(2)
+			}
+			switch kind {
 			case 0:
 				trend[j] = 0
+				if rng.Intn(2) == 0 {
+					trend[j] = math.Copysign(0, -1)
+				}
+				if rng.Intn(4) == 0 {
+					level[j], center[j] = math.Copysign(0, -dev), math.Copysign(0, dev)
+				}
 			case 1:
-				trend[j] = (center[j] - level[j]) / float64(1+rng.Intn(30)) // crosses the center
-			default:
-				trend[j] = scale[j] * rng.NormFloat64() / 8
+				trend[j] = -dev / float64(1+rng.Intn(30)) // crosses the center
+			case 2:
+				trend[j] = away * math.Abs(scale[j]*rng.NormFloat64()/8)
+			case 3:
+				// Under the level's ulp: the projection moves every few
+				// steps and holds in between.
+				ulp := math.Nextafter(math.Abs(level[j]), math.Inf(1)) - math.Abs(level[j])
+				trend[j] = away * ulp * rng.Float64() * 2
+			case 4:
+				trend[j] = away * scale[j] * rng.Float64()
+			case 5:
+				// Toward the center, ending exactly on it at the far end:
+				// every value is a short dyadic, so each operation is exact.
+				r := math.Ldexp(1, -rng.Intn(7))
+				level[j] = center[j] + away*r*steps
+				trend[j] = -away * r
+			case 6:
+				// Toward the center without reaching it.
+				trend[j] = -dev / (steps * (1 + rng.Float64()))
 			}
 		}
 		e := ewmaState(float64(rng.Intn(4)), level, trend, center, scale)
-		checkScoreMatchesEager(t, e, int64(rng.Intn(700)))
+		checkScoreMatchesEager(t, e, lookaheadS)
+		if sweepTaken(e) {
+			swept++
+		} else {
+			fast++
+		}
+	}
+	if fast < 1000 || swept < 1000 {
+		t.Errorf("%d states took a shortcut and %d the sweep, want at least 1000 each", fast, swept)
+	}
+}
+
+// sweepTaken reports whether a detector has ever swept its window: the
+// sweep is the only path that sizes the per-step sums.
+func sweepTaken(e *EWMA) bool { return cap(e.sums) > 0 }
+
+// TestEWMAScorePaths: a rising, a falling, a quiet and a converging
+// state take the monotone shortcuts and leave the per-step sums
+// unsized; a state that crosses its center, and one that mixes an away
+// and a toward attribute, sweep, as does a rising state whose NaN
+// slack makes its score NaN. Every one matches the oracle. On the
+// top plateau two rising attributes' last two sums differ by an ulp of
+// 1 while their square roots tie, so the first strict maximum lies
+// before the window's end and the shortcut must bisect to find it.
+func TestEWMAScorePaths(t *testing.T) {
+	const steps = 24 // of the 120 s window
+	for _, tc := range []struct {
+		name                        string
+		slack                       float64
+		level, trend, center, scale []float64
+		sweep                       bool
+	}{
+		{"rising", 2, []float64{12, 10}, []float64{0.5, 0}, []float64{10, 10}, []float64{1, 1}, false},
+		{"falling", 2, []float64{8, 10}, []float64{-0.5, 0.01}, []float64{10, 10}, []float64{1, 1}, false},
+		{"quiet", 2, []float64{10.5, 9.8}, []float64{0.01, -0.01}, []float64{10, 10}, []float64{1, 1}, false},
+		{"toward", 2, []float64{22, 4}, []float64{-0.5, 0.25}, []float64{10, 10}, []float64{1, 1}, false},
+		{"crossing", 2, []float64{14, 10}, []float64{-0.5, 0}, []float64{10, 10}, []float64{1, 1}, true},
+		{"mixed", 2, []float64{13, 4}, []float64{0.5, 0.1}, []float64{10, 10}, []float64{1, 1}, true},
+		{"top plateau", 0, []float64{1, 0}, []float64{0, 0x1.cp-30}, []float64{0, 0}, []float64{1, 1}, false},
+		{"NaN slack", math.NaN(), []float64{12, 10}, []float64{0.5, 0}, []float64{10, 10}, []float64{1, 1}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := ewmaState(tc.slack, tc.level, tc.trend, tc.center, tc.scale)
+			checkScoreMatchesEager(t, e, 120)
+			if got := sweepTaken(e); got != tc.sweep {
+				t.Errorf("swept %v, want %v", got, tc.sweep)
+			}
+			if tc.name != "top plateau" {
+				return
+			}
+			all := []int{0, 1}
+			top, below := e.stepSum(steps, all), e.stepSum(steps-1, all)
+			if top == below || math.Sqrt(top) != math.Sqrt(below) || e.lastDec.LeadSteps >= steps-1 {
+				t.Errorf("sums %x and %x, lead step %d: want distinct sums with tied roots and a plateau that starts before step %d",
+					below, top, e.lastDec.LeadSteps, steps-1)
+			}
+		})
 	}
 }
 
@@ -237,9 +340,25 @@ func FuzzEWMAScore(f *testing.F) {
 	for _, lookahead := range []int64{0, 7, 120, 600} {
 		f.Add(mixed, 2.0, lookahead)
 	}
+	// A top plateau: the last two steps' sums differ by an ulp of 1 and
+	// their square roots tie (TestEWMAScorePaths).
+	f.Add(pack([4]float64{1, 0, 0, 1}, [4]float64{0, 0x1.cp-30, 0, 1}), 0.0, int64(120))
+	// Trends of +0 and -0, with level and center of either sign of 0.
+	f.Add(pack([4]float64{4, 0, 1, 1}, [4]float64{-4, math.Copysign(0, -1), 1, 1},
+		[4]float64{math.Copysign(0, -1), math.Copysign(0, -1), 0, 1e-9}), 0.0, int64(120))
+	// Toward the center, ending exactly on it at h = 24 from either side.
+	f.Add(pack([4]float64{22, -0.5, 10, 1}, [4]float64{-2, 0.5, 10, 1}), 2.0, int64(120))
+	// Slack 0, rising and falling away from the center.
+	f.Add(pack([4]float64{12, 0.5, 10, 1}, [4]float64{8, -0.5, 10, 1}), 0.0, int64(120))
+	// 80 attributes, every one rising: wider than any fixed-width mask.
+	wide := make([][4]float64, 80)
+	for j := range wide {
+		wide[j] = [4]float64{12 + float64(j%5), 0.25, 10, 1}
+	}
+	f.Add(pack(wide...), 2.0, int64(120))
 	f.Fuzz(func(t *testing.T, attrs []byte, slack float64, lookaheadS int64) {
 		dims := len(attrs) / 32
-		if dims == 0 || dims > 64 || !(slack >= 0) || math.IsInf(slack, 1) {
+		if dims == 0 || dims > 128 || !(slack >= 0) || math.IsInf(slack, 1) {
 			return
 		}
 		lookaheadS %= 3600
@@ -290,11 +409,20 @@ func TestEWMAScoreAllocs(t *testing.T) {
 
 // BenchmarkEWMAScore measures one VM's per-tick Observe + Score over the
 // control loop's default 120 s window (25 forecast steps). On a ramp
-// every attribute leaves the dead zone and every step improves the best
-// score, the quiet-attribute skip's worst case; quiet is a steady
-// stream inside the dead zone, the common case, where Score skips every
-// attribute.
+// every attribute leaves the dead zone, moving away from its center,
+// and every step improves the best score; quiet is a steady stream
+// inside the dead zone, the common case, where Score skips every
+// attribute. mixed scores one fixed state, without Observe, in which
+// one attribute rises away from its center and one crosses it, so
+// every Score sweeps the window.
 func BenchmarkEWMAScore(b *testing.B) {
+	train := func(b *testing.B) *EWMA {
+		e := NewEWMA(metrics.NumAttributes, EWMAOptions{})
+		if err := e.Train(rampRows(metrics.NumAttributes, 128), nil); err != nil {
+			b.Fatal(err)
+		}
+		return e
+	}
 	for _, tc := range []struct {
 		name string
 		row  func(i, j int) float64
@@ -303,10 +431,7 @@ func BenchmarkEWMAScore(b *testing.B) {
 		{"quiet", func(i, j int) float64 { return 10 + float64((i+j)%3) }},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			e := NewEWMA(metrics.NumAttributes, EWMAOptions{})
-			if err := e.Train(rampRows(metrics.NumAttributes, 128), nil); err != nil {
-				b.Fatal(err)
-			}
+			e := train(b)
 			row := make([]float64, metrics.NumAttributes)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -323,6 +448,24 @@ func BenchmarkEWMAScore(b *testing.B) {
 			}
 		})
 	}
+	b.Run("mixed", func(b *testing.B) {
+		e := train(b)
+		e.level[0], e.trend[0] = e.center[0]+4*e.scale[0], e.scale[0]/4
+		e.level[1], e.trend[1] = e.center[1]+4*e.scale[1], -e.scale[1]/2
+		if _, err := e.Score(120); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := e.Score(120); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if !sweepTaken(e) {
+			b.Fatal("the mixed state did not sweep")
+		}
+	})
 }
 
 // checkLoadRejects saves d, then for each field and each scale value no

@@ -307,6 +307,23 @@ func TestNoiseDisabledPassesValuesThrough(t *testing.T) {
 	}
 }
 
+// TestNoiseOrderCoversEveryAttribute: noiseOrder names each attribute
+// once, so the noised vector writes every attribute, and with noise
+// off sampleOne's whole-vector copy is what the per-attribute loop
+// would write.
+func TestNoiseOrderCoversEveryAttribute(t *testing.T) {
+	if len(noiseOrder) != metrics.NumAttributes {
+		t.Fatalf("noiseOrder has %d attributes, want %d", len(noiseOrder), metrics.NumAttributes)
+	}
+	seen := make(map[metrics.Attribute]bool)
+	for _, a := range noiseOrder {
+		if !a.Valid() || seen[a] {
+			t.Fatalf("noiseOrder holds %v twice or out of range", a)
+		}
+		seen[a] = true
+	}
+}
+
 func TestNoiseNeverNegative(t *testing.T) {
 	src := newFakeSource()
 	v := src.vectors["vm1"]

@@ -222,8 +222,14 @@ func (s *Sampler) sampleOne(i int, v *metrics.Vector) (bool, error) {
 		st.haveGood = true
 	}
 
-	for _, a := range noiseOrder {
-		v[int(a)-1] = s.noisy(clean[int(a)-1])
+	if s.noiseStd < 0 {
+		// Noise off draws nothing and noiseOrder covers every
+		// attribute, so the noised vector is the clean one.
+		*v = clean
+	} else {
+		for _, a := range noiseOrder {
+			v[int(a)-1] = s.noisy(clean[int(a)-1])
+		}
 	}
 	return st.staleRun <= s.res.MaxStaleTicks, nil
 }
@@ -264,10 +270,9 @@ func (s *Sampler) CollectColumnar(now simclock.Time, label metrics.Label, st *co
 	return nil
 }
 
+// noisy draws one attribute's measurement noise; sampleOne calls it
+// only when noise is on.
 func (s *Sampler) noisy(value float64) float64 {
-	if s.noiseStd < 0 {
-		return value
-	}
 	v := value * (1 + s.rng.NormFloat64()*s.noiseStd)
 	if v < 0 {
 		v = 0
