@@ -236,11 +236,13 @@ func (s *Store) recordedRows(vm int) int {
 
 // RowsInto writes VM vm's recorded rows, oldest first, as rows of
 // NumAttributes values plus each tick's label. Rows are consecutive,
-// capacity-capped windows of backing. Each buffer is reused when it is
-// large enough and replaced when not; RowsInto returns all three, so a
-// caller that keeps them gathers VM after VM without allocating.
+// capacity-capped windows of backing. Each buffer is reused when it can
+// hold every committed tick and replaced when not; RowsInto returns all
+// three, trimmed to the rows it gathered in its one pass, so a caller
+// that keeps them gathers VM after VM without allocating.
 func (s *Store) RowsInto(vm int, backing []float64, rows [][]float64, labels []metrics.Label) ([]float64, [][]float64, []metrics.Label) {
-	n := s.recordedRows(vm)
+	s.checkVM(vm)
+	n := s.count
 	const w = metrics.NumAttributes
 	if cap(backing) < n*w {
 		backing = make([]float64, n*w)
@@ -264,7 +266,7 @@ func (s *Store) RowsInto(vm int, backing []float64, rows [][]float64, labels []m
 		rows[r], labels[r] = row, s.labels[slot]
 		r++
 	}
-	return backing, rows, labels
+	return backing[:r*w], rows[:r], labels[:r]
 }
 
 // ValuesInto appends attribute a of VM vm's recorded rows with

@@ -1,25 +1,20 @@
 package markov
 
-// CPUID's verdicts, taken once.
-var hasAVX2, hasAVX512 = cpuHasAVX2(), cpuHasAVX512()
+import "prepare/internal/cpufeat"
 
 // kernelAvailable reports whether this machine can run kernel k.
 func kernelAvailable(k kernelKind) bool {
 	switch k {
 	case kernelAVX512:
-		return hasAVX512
+		return cpufeat.AVX512
 	case kernelAVX2:
-		return hasAVX2
+		return cpufeat.AVX2
 	}
 	return true
 }
 
-// cpuHasAVX2 and twoDepSeries8AVX2 are implemented in step8_amd64.s,
-// cpuHasAVX512 and twoDepSeries8AVX512 in step8_avx512_amd64.s.
-
-func cpuHasAVX2() bool
-
-func cpuHasAVX512() bool
+// twoDepSeries8AVX2 is implemented in step8_amd64.s and
+// twoDepSeries8AVX512 in step8_avx512_amd64.s.
 
 // twoDepSeries8AVX512 is twoDepSeries8Go over raw pointers: steps
 // propagation steps from dist (ping-ponging with next), or with

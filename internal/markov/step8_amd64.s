@@ -302,31 +302,3 @@ advance:
 done:
 	VZEROUPPER
 	RET
-
-// func cpuHasAVX2() bool
-//
-// AVX2 is usable when the CPU has it (CPUID.7.0:EBX[5]) and the OS
-// saves the YMM state: OSXSAVE and AVX in CPUID.1:ECX[27,28], and
-// XGETBV(0) reporting XMM and YMM state enabled. A CPU that reports AVX
-// has the XSAVE leaf 0xD, so leaf 7 is within range.
-TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
-	MOVB $0, ret+0(FP)
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	ANDL $0x18000000, CX
-	CMPL CX, $0x18000000
-	JNE done
-	XORL CX, CX
-	XGETBV
-	ANDL $6, AX
-	CMPL AX, $6
-	JNE done
-	MOVL $7, AX
-	XORL CX, CX
-	CPUID
-	SHRL $5, BX
-	ANDL $1, BX
-	MOVB BX, ret+0(FP)
-done:
-	RET

@@ -247,33 +247,3 @@ argdone:
 done:
 	VZEROUPPER
 	RET
-
-// func cpuHasAVX512() bool
-//
-// The 512-bit kernel is usable when the CPU has AVX2 and AVX-512F
-// (CPUID.7.0:EBX[5,16]) and the OS saves the opmask and ZMM state as
-// well as the XMM and YMM state: XGETBV(0) bits 1, 2, 5, 6 and 7 (XMM,
-// YMM, opmask, the upper halves of ZMM0-15, ZMM16-31), after the same
-// OSXSAVE and AVX check as cpuHasAVX2.
-TEXT ·cpuHasAVX512(SB), NOSPLIT, $0-1
-	MOVB $0, ret+0(FP)
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	ANDL $0x18000000, CX
-	CMPL CX, $0x18000000
-	JNE done
-	XORL CX, CX
-	XGETBV
-	ANDL $0xe6, AX
-	CMPL AX, $0xe6
-	JNE done
-	MOVL $7, AX
-	XORL CX, CX
-	CPUID
-	ANDL $0x10020, BX
-	CMPL BX, $0x10020
-	JNE done
-	MOVB $1, ret+0(FP)
-done:
-	RET

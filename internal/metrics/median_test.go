@@ -11,7 +11,7 @@ import (
 
 // robustScaleSorting is RobustScale as it was fit before selection: every
 // median by sorting, deviations taken in sorted order. The selection
-// path must reproduce its bits.
+// and sorted-kernel paths must reproduce its bits.
 func robustScaleSorting(rows [][]float64) (center, scale []float64) {
 	center = make([]float64, len(rows[0]))
 	scale = make([]float64, len(rows[0]))
@@ -52,21 +52,33 @@ func medianShape(rng *rand.Rand, n int, withNaN bool) []float64 {
 	return xs
 }
 
-// checkMedian requires Median to equal medianSorting in bits and to
-// leave its input untouched.
+// checkMedian requires selectMedian, where it does not decline, to
+// equal medianSorting in bits, and to decline only on a NaN or a zero
+// median next to a -0.
 func checkMedian(t *testing.T, xs []float64) {
 	t.Helper()
-	orig := append([]float64(nil), xs...)
-	want := medianSorting(append([]float64(nil), xs...))
-	got := Median(xs)
-	if math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("Median(%v) = %v (%#x), sorting gives %v (%#x)", orig, got, math.Float64bits(got), want, math.Float64bits(want))
-	}
-	for i := range xs {
-		if math.Float64bits(xs[i]) != math.Float64bits(orig[i]) {
-			t.Fatalf("Median reordered its input at %d", i)
+	want := medianSorting(slices.Clone(xs))
+	got, ok := selectMedian(slices.Clone(xs))
+	if !ok {
+		if !slices.ContainsFunc(xs, func(v float64) bool { return v != v }) &&
+			!(want == 0 && slices.ContainsFunc(xs, func(v float64) bool { return v == 0 && math.Signbit(v) })) {
+			t.Fatalf("selectMedian(%v) declined", xs)
 		}
+		return
 	}
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("selectMedian(%v) = %v (%#x), sorting gives %v (%#x)", xs, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+}
+
+// bitsOf is the sorted multiset of vs's bit patterns.
+func bitsOf(vs []float64) []uint64 {
+	b := make([]uint64, len(vs))
+	for i, v := range vs {
+		b[i] = math.Float64bits(v)
+	}
+	slices.Sort(b)
+	return b
 }
 
 // checkSelectK runs selectK at every k over copies of xs, which holds no
@@ -78,14 +90,6 @@ func checkSelectK(t *testing.T, xs []float64) {
 	t.Helper()
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
-	bitsOf := func(vs []float64) []uint64 {
-		b := make([]uint64, len(vs))
-		for i, v := range vs {
-			b[i] = math.Float64bits(v)
-		}
-		slices.Sort(b)
-		return b
-	}
 	want := bitsOf(xs)
 	work := make([]float64, len(xs))
 	for k := range xs {
@@ -141,48 +145,208 @@ func TestMedianSelectMatchesSort(t *testing.T) {
 	var scratch []float64
 	for iter := 0; iter < 2000; iter++ {
 		n, width := 1+rng.Intn(300), 1+rng.Intn(4)
-		rows := make([][]float64, n)
 		cols := make([][]float64, width)
 		for j := range cols {
 			cols[j] = medianShape(rng, n, iter%8 == 0)
 		}
-		for i := range rows {
-			rows[i] = make([]float64, width)
-			for j := range cols {
-				rows[i][j] = cols[j][i]
-			}
+		scratch = checkRobustScale(t, cols, scratch)
+	}
+}
+
+// checkRobustScale fits the rows whose columns are cols (all of one
+// length) with RobustScaleInto under the current robustKernel and
+// requires robustScaleSorting's bits. It returns the scratch to reuse.
+func checkRobustScale(t *testing.T, cols [][]float64, scratch []float64) []float64 {
+	t.Helper()
+	rows := make([][]float64, len(cols[0]))
+	for i := range rows {
+		rows[i] = make([]float64, len(cols))
+		for j := range cols {
+			rows[i][j] = cols[j][i]
 		}
-		wantC, wantS := robustScaleSorting(rows)
-		center, scale := make([]float64, width), make([]float64, width)
-		scratch = RobustScaleInto(rows, center, scale, scratch)
-		for j := 0; j < width; j++ {
-			if math.Float64bits(center[j]) != math.Float64bits(wantC[j]) || math.Float64bits(scale[j]) != math.Float64bits(wantS[j]) {
-				t.Fatalf("column %v: RobustScaleInto = (%#x, %#x), sorting gives (%#x, %#x)", cols[j],
-					math.Float64bits(center[j]), math.Float64bits(scale[j]), math.Float64bits(wantC[j]), math.Float64bits(wantS[j]))
+	}
+	wantC, wantS := robustScaleSorting(rows)
+	center, scale := make([]float64, len(cols)), make([]float64, len(cols))
+	scratch = RobustScaleInto(rows, center, scale, scratch)
+	for j := range cols {
+		if math.Float64bits(center[j]) != math.Float64bits(wantC[j]) || math.Float64bits(scale[j]) != math.Float64bits(wantS[j]) {
+			t.Fatalf("%s, column %v: RobustScaleInto = (%#x, %#x), sorting gives (%#x, %#x)", robustKernel, cols[j],
+				math.Float64bits(center[j]), math.Float64bits(scale[j]), math.Float64bits(wantC[j]), math.Float64bits(wantS[j]))
+		}
+	}
+	return scratch
+}
+
+// robustKinds is every way RobustScaleInto can fit a column, fastest
+// first.
+var robustKinds = []robustKind{robustSort, robustSelect}
+
+func robustKindAvailable(k robustKind) bool { return k == robustSelect || sort128Available }
+
+// withRobustKernel runs f with RobustScaleInto switched to kernel k.
+func withRobustKernel(k robustKind, f func()) {
+	defer func(was robustKind) { robustKernel = was }(robustKernel)
+	robustKernel = k
+	f()
+}
+
+// eachRobustKernel runs f as one subtest per kernel, named after it,
+// with RobustScaleInto switched to that kernel. A kernel this machine
+// lacks is skipped; selection runs everywhere, so the portable path is
+// exercised on machines that have the sort too.
+func eachRobustKernel(t *testing.T, f func(t *testing.T)) {
+	for _, k := range robustKinds {
+		t.Run(k.String(), func(t *testing.T) {
+			if !robustKindAvailable(k) {
+				t.Skipf("the %s kernel is not available on this machine", k)
 			}
+			withRobustKernel(k, func() { f(t) })
+		})
+	}
+}
+
+// TestRobustKernelAvailable logs the kernel CPUID picked, so a test log
+// shows whether the sort's tests ran or were skipped.
+func TestRobustKernelAvailable(t *testing.T) {
+	t.Logf("RobustScaleInto sorts with %s", robustKernel)
+	if robustKernel != bestRobustKernel() {
+		t.Errorf("RobustScaleInto runs %s, want the fastest available, %s", robustKernel, bestRobustKernel())
+	}
+}
+
+// edgeColumns is n-value columns on the edges of fitSorted's decline
+// rules: flat ones, every zero a -0 or one -0 among +0s (a zero
+// median), a -0 away from a non-zero median, an infinite or NaN median
+// (mostly +Inf, half -Inf and half +Inf), a mean of the middle values
+// that overflows, and subnormals.
+func edgeColumns(n int) [][]float64 {
+	negZero, inf, big := math.Copysign(0, -1), math.Inf(1), math.MaxFloat64
+	fill := func(f func(i int) float64) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = f(i)
+		}
+		return xs
+	}
+	return [][]float64{
+		fill(func(int) float64 { return 2.5 }),
+		fill(func(int) float64 { return 0 }),
+		fill(func(int) float64 { return negZero }),
+		fill(func(i int) float64 { return [...]float64{0, 0, 0, negZero}[i%4] }),
+		fill(func(i int) float64 { return [...]float64{negZero, 3, 4, 5}[i%4] }),
+		fill(func(i int) float64 { return [...]float64{inf, inf, 1}[i%3] }),
+		fill(func(i int) float64 { return [...]float64{inf, -inf}[i%2] }),
+		fill(func(i int) float64 { return [...]float64{big, big, -1}[i%3] }),
+		fill(func(i int) float64 { return float64(i%5-2) * 5e-324 }),
+	}
+}
+
+// TestRobustScaleKernelMatchesSort pins each kernel's robust fit to
+// robustScaleSorting bit for bit at every n from 1 to 300, across the
+// sorted kernel's 64-, 128- and 129-row boundaries: medianShape's
+// columns (ties, ±0, ±Inf, subnormals, NaNs with payloads), two-valued
+// columns and edgeColumns.
+func TestRobustScaleKernelMatchesSort(t *testing.T) {
+	eachRobustKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(4))
+		var scratch []float64
+		for n := 1; n <= 300; n++ {
+			for rep := 0; rep < 6; rep++ {
+				cols := make([][]float64, 3)
+				for j := range cols {
+					cols[j] = medianShape(rng, n, rep == 5 && j == 0)
+				}
+				a, b := cols[2][0], cols[2][n-1]
+				for i := range cols[2] { // two-valued
+					cols[2][i] = a
+					if rng.Intn(2) == 0 {
+						cols[2][i] = b
+					}
+				}
+				scratch = checkRobustScale(t, cols, scratch)
+			}
+			scratch = checkRobustScale(t, edgeColumns(n), scratch)
+		}
+	})
+}
+
+// TestSort128 checks the register sort itself: over NaN-free input it
+// sorts ascending and permutes the bit patterns, with or without ±0
+// and ±Inf; it reports a -0 exactly when there is one; with a NaN it
+// reports it and leaves its input alone. fitSorted must take the
+// kernel's result for a plain column and decline where selection
+// decides.
+func TestSort128(t *testing.T) {
+	if !sort128Available {
+		t.Skip("the sort kernel is not available on this machine")
+	}
+	rng := rand.New(rand.NewSource(5))
+	for iter := 0; iter < 5000; iter++ {
+		var xs [128]float64
+		copy(xs[:], medianShape(rng, 128, iter%4 == 0))
+		in := xs
+		hasNaN := slices.ContainsFunc(in[:], func(v float64) bool { return v != v })
+		hasNegZero := slices.ContainsFunc(in[:], func(v float64) bool { return v == 0 && math.Signbit(v) })
+		nan, negZero := sort128AVX512(&xs)
+		if nan != hasNaN || (!nan && negZero != hasNegZero) {
+			t.Fatalf("sort128AVX512(%v) reports nan %v, -0 %v", in, nan, negZero)
+		}
+		if nan {
+			for i := range xs {
+				if math.Float64bits(xs[i]) != math.Float64bits(in[i]) {
+					t.Fatalf("sort128AVX512 changed an input holding a NaN at %d", i)
+				}
+			}
+			continue
+		}
+		if !slices.IsSorted(xs[:]) || !slices.Equal(bitsOf(xs[:]), bitsOf(in[:])) {
+			t.Fatalf("sort128AVX512(%v) = %v", in, xs)
+		}
+	}
+
+	negZero := math.Copysign(0, -1)
+	for _, tc := range []struct {
+		xs []float64
+		ok bool
+	}{
+		{[]float64{3, 1, 2, 7}, true},
+		{[]float64{negZero, 3, 4}, true},
+		{[]float64{0, 0, 1}, true},
+		{[]float64{negZero, 0, 1}, false},
+		{[]float64{1, math.NaN(), 2}, false},
+		{[]float64{math.Inf(1), math.Inf(1), 1}, false},
+	} {
+		var col [sortLen]float64
+		copy(col[:], tc.xs)
+		if _, _, ok := fitSorted(&col, len(tc.xs)); ok != tc.ok {
+			t.Errorf("fitSorted(%v) ok = %v, want %v", tc.xs, ok, tc.ok)
 		}
 	}
 }
 
 // TestRobustScaleIntoAllocationFree: a caller that keeps the returned
-// scratch refits without allocating.
+// scratch refits without allocating, under every kernel.
 func TestRobustScaleIntoAllocationFree(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	rows := make([][]float64, 128)
-	for i := range rows {
-		rows[i] = medianShape(rng, NumAttributes, false)
-	}
-	center, scale := make([]float64, NumAttributes), make([]float64, NumAttributes)
-	scratch := RobustScaleInto(rows, center, scale, nil)
-	if allocs := testing.AllocsPerRun(20, func() {
-		scratch = RobustScaleInto(rows, center, scale, scratch)
-	}); allocs != 0 {
-		t.Errorf("RobustScaleInto allocates %v/op with warm scratch, want 0", allocs)
-	}
+	eachRobustKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(2))
+		rows := make([][]float64, 128)
+		for i := range rows {
+			rows[i] = medianShape(rng, NumAttributes, false)
+		}
+		center, scale := make([]float64, NumAttributes), make([]float64, NumAttributes)
+		scratch := RobustScaleInto(rows, center, scale, nil)
+		if allocs := testing.AllocsPerRun(20, func() {
+			scratch = RobustScaleInto(rows, center, scale, scratch)
+		}); allocs != 0 {
+			t.Errorf("RobustScaleInto allocates %v/op with warm scratch, want 0", allocs)
+		}
+	})
 }
 
 // FuzzMedianSelect feeds arbitrary float64 bit patterns (8 bytes each)
-// through Median and the sorting reference.
+// through selectMedian and the sorting reference, and as a column (and
+// the column reversed) through RobustScaleInto under every kernel this
+// machine has.
 func FuzzMedianSelect(f *testing.F) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{1, 2, 3, 75, 256, 300} {
@@ -203,6 +367,16 @@ func FuzzMedianSelect(f *testing.F) {
 		checkMedian(t, xs)
 		if !slices.ContainsFunc(xs, func(v float64) bool { return v != v }) {
 			checkSelectK(t, xs)
+		}
+		if len(xs) == 0 {
+			return
+		}
+		cols := [][]float64{xs, slices.Clone(xs)}
+		slices.Reverse(cols[1])
+		for _, k := range robustKinds {
+			if robustKindAvailable(k) {
+				withRobustKernel(k, func() { checkRobustScale(t, cols, nil) })
+			}
 		}
 	})
 }

@@ -56,20 +56,10 @@ func Clamp(v, lo, hi float64) float64 {
 	return v
 }
 
-// Median returns the middle value of xs: the mean of the two middle
-// values for an even count, 0 for none. The input is not reordered.
-func Median(xs []float64) float64 {
-	cp := make([]float64, len(xs))
-	copy(cp, xs)
-	if m, ok := selectMedian(cp); ok {
-		return m
-	}
-	copy(cp, xs)
-	return medianSorting(cp)
-}
-
-// medianSorting is Median over a slice it may sort in place. It is the
-// reference selectMedian must reproduce bit for bit.
+// medianSorting returns the middle value of xs, sorting it in place:
+// the mean of the two middle values for an even count, 0 for none. It
+// is the reference every faster median here must reproduce bit for
+// bit.
 func medianSorting(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
@@ -196,50 +186,188 @@ func RobustScale(rows [][]float64) (center, scale []float64) {
 }
 
 // RobustScaleInto is RobustScale writing into caller-owned center and
-// scale (each at least as wide as the rows) with scratch as its one
-// working column. It returns scratch, grown to len(rows) if it was
-// shorter, so a caller that keeps it refits without allocating. No rows
-// leave center and scale untouched.
+// scale (each at least as wide as the rows) with scratch as its working
+// memory. It returns scratch, grown if it was too short (to len(rows),
+// or to 128 values a column where the columns are sorted), so a caller
+// that keeps it refits without allocating. No rows leave center and
+// scale untouched.
+//
+// Where robustKernel is robustSort and there are at most 128 rows, the
+// columns are transposed into scratch and each is sorted in registers
+// (fitSorted); a column that declines, and every column elsewhere, is
+// fit by selection (fitSelect). Both give robustScaleSorting's bits.
 func RobustScaleInto(rows [][]float64, center, scale, scratch []float64) []float64 {
-	if cap(scratch) < len(rows) {
-		scratch = make([]float64, len(rows))
-	}
-	col := scratch[:len(rows)]
-	if len(rows) == 0 {
+	n := len(rows)
+	if n == 0 {
 		return scratch
 	}
-	for j := range rows[0] {
+	width := len(rows[0])
+	if robustKernel != robustSort || n > sortLen {
+		if cap(scratch) < n {
+			scratch = make([]float64, n)
+		}
+		for j := 0; j < width; j++ {
+			c, mad := fitSelect(rows, j, scratch[:n])
+			setRobust(center, scale, j, c, mad)
+		}
+		return scratch
+	}
+	if cap(scratch) < width*sortLen {
+		scratch = make([]float64, width*sortLen)
+	}
+	cols := scratch[:width*sortLen]
+	transpose(cols, rows, width)
+	for j := 0; j < width; j++ {
+		col := (*[sortLen]float64)(cols[j*sortLen:])
+		c, mad, ok := fitSorted(col, n)
+		if !ok {
+			c, mad = fitSelect(rows, j, col[:n])
+		}
+		setRobust(center, scale, j, c, mad)
+	}
+	return scratch
+}
+
+// transpose writes value j of each row i to cols[j*sortLen+i]. It is
+// kept out of line: inlined into RobustScaleInto, its loop counters
+// spill to the stack.
+//
+//go:noinline
+func transpose(cols []float64, rows [][]float64, width int) {
+	for i, row := range rows {
+		for j, v := range row[:width] {
+			cols[j*sortLen+i] = v
+		}
+	}
+}
+
+// setRobust stores column j's center and its scale, 1.4826 MAD floored
+// at 1e-9.
+func setRobust(center, scale []float64, j int, c, mad float64) {
+	center[j] = c
+	scale[j] = 1.4826 * mad
+	if scale[j] < 1e-9 {
+		scale[j] = 1e-9
+	}
+}
+
+// fitSelect returns column j's median and MAD by selection into col
+// (len(rows) long), falling back to sorting where selection declines.
+func fitSelect(rows [][]float64, j int, col []float64) (c, mad float64) {
+	for i, row := range rows {
+		col[i] = row[j]
+	}
+	c, ok := selectMedian(col)
+	if ok {
+		// The deviations hold no -0 (Abs clears the sign) and no NaN
+		// (ok rules one out), so selection agrees with sorting them in
+		// any order, the sorted one included.
+		for i, v := range col {
+			col[i] = math.Abs(v - c)
+		}
+		mad, ok = selectMedian(col)
+	}
+	if !ok {
+		// Either median is order-sensitive: fit the column exactly as
+		// sorting always has, deviations taken in sorted order.
 		for i, row := range rows {
 			col[i] = row[j]
 		}
-		c, ok := selectMedian(col)
-		var mad float64
-		if ok {
-			// The deviations hold no -0 (Abs clears the sign) and no NaN
-			// (ok rules one out), so selection agrees with sorting them in
-			// any order, the sorted one included.
-			for i, v := range col {
-				col[i] = math.Abs(v - c)
-			}
-			mad, ok = selectMedian(col)
+		c = medianSorting(col)
+		for i, v := range col {
+			col[i] = math.Abs(v - c)
 		}
-		if !ok {
-			// Either median is order-sensitive: fit the column exactly as
-			// sorting always has, deviations taken in sorted order.
-			for i, row := range rows {
-				col[i] = row[j]
-			}
-			c = medianSorting(col)
-			for i, v := range col {
-				col[i] = math.Abs(v - c)
-			}
-			mad = medianSorting(col)
-		}
-		center[j] = c
-		scale[j] = 1.4826 * mad
-		if scale[j] < 1e-9 {
-			scale[j] = 1e-9
+		mad = medianSorting(col)
+	}
+	return c, mad
+}
+
+// robustKind names a way RobustScaleInto fits a column.
+type robustKind uint8
+
+const (
+	robustSelect robustKind = iota // fitSelect, on every machine
+	robustSort                     // fitSorted, where sort128AVX512 runs
+)
+
+func (k robustKind) String() string { return [...]string{"select", "sort-avx512"}[k] }
+
+// robustKernel is the way RobustScaleInto fits the columns of at most
+// 128 rows: decided once from CPUID, the register sort where the CPU and
+// OS support AVX-512F, else selection. Tests switch it to run both.
+var robustKernel = bestRobustKernel()
+
+func bestRobustKernel() robustKind {
+	if sort128Available {
+		return robustSort
+	}
+	return robustSelect
+}
+
+// sortLen is the number of values sort128AVX512 sorts.
+const sortLen = 128
+
+// fitSorted returns the median and MAD of col's first n values from one
+// register sort (DESIGN.md, "Sorted robust fit"), sorting col in place.
+// It declines (ok false) where the selection path must decide instead:
+// the column holds a NaN, its median is zero and it holds a -0, or the
+// median is not finite.
+func fitSorted(col *[sortLen]float64, n int) (c, mad float64, ok bool) {
+	// +Inf pads the column: equal values are bit-identical, so the pads
+	// sort behind the n values without changing any of them.
+	inf := math.Inf(1)
+	for i := n; i < sortLen; i++ {
+		col[i] = inf
+	}
+	nan, negZero := sort128AVX512(col)
+	if nan {
+		return 0, 0, false
+	}
+	s := col[:n]
+	h := n / 2
+	c = s[h]
+	if n%2 == 0 {
+		c = (s[h-1] + s[h]) / 2
+	}
+	if (c == 0 && negZero) || c-c != 0 {
+		return 0, 0, false
+	}
+	// s[:h] is at or below c and s[h:] at or above it (a rounded mean of
+	// two values lies between them), so the deviations are the two
+	// ascending runs c-s[h-1-i] and s[h+i]-c: the bits Abs gives, as
+	// rounding is symmetric. The MAD is their middle.
+	mad = kthDeviation(s, h, c, n/2)
+	if n%2 == 0 {
+		mad = (kthDeviation(s, h, c, n/2-1) + mad) / 2
+	}
+	return c, mad, true
+}
+
+// kthDeviation returns the k-th smallest (from 0) of the deviations of
+// the sorted s from c, split at h as in fitSorted: a binary search for
+// how many of the k+1 smallest come from the run below c.
+func kthDeviation(s []float64, h int, c float64, k int) float64 {
+	lo, hi := max(0, k+1-(len(s)-h)), min(k+1, h)
+	for lo < hi {
+		i := int(uint(lo+hi) >> 1)
+		// Run below's i-th against run above's (k-i)-th.
+		if c-s[h-1-i] < s[h+k-i]-c {
+			lo = i + 1
+		} else {
+			hi = i
 		}
 	}
-	return scratch
+	// The k+1 smallest are the run below's first lo and the run above's
+	// first k+1-lo; the k-th is the larger of their last ones.
+	if lo == 0 {
+		return s[h+k] - c
+	}
+	a := c - s[h-lo]
+	if lo == k+1 {
+		return a
+	}
+	if b := s[h+k-lo] - c; b > a {
+		return b
+	}
+	return a
 }

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -53,18 +54,16 @@ func TestClamp(t *testing.T) {
 }
 
 func TestMedian(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	if got := Median(xs); got != 2 {
-		t.Errorf("odd count: %g, want 2", got)
-	}
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Errorf("input reordered: %v", xs)
-	}
-	if got := Median([]float64{4, 1, 2, 3}); got != 2.5 {
-		t.Errorf("even count: %g, want 2.5", got)
-	}
-	if got := Median(nil); got != 0 {
-		t.Errorf("empty: %g, want 0", got)
+	for _, tc := range []struct {
+		xs   []float64
+		want float64
+	}{{[]float64{3, 1, 2}, 2}, {[]float64{4, 1, 2, 3}, 2.5}, {nil, 0}} {
+		if got := medianSorting(slices.Clone(tc.xs)); got != tc.want {
+			t.Errorf("medianSorting(%v) = %g, want %g", tc.xs, got, tc.want)
+		}
+		if got, ok := selectMedian(slices.Clone(tc.xs)); !ok || got != tc.want {
+			t.Errorf("selectMedian(%v) = %g, %v, want %g", tc.xs, got, ok, tc.want)
+		}
 	}
 }
 

@@ -317,14 +317,12 @@ func clampF(v float64) float64 {
 }
 
 func TestMedianAndQuantile(t *testing.T) {
-	if got := metrics.Median([]float64{3, 1, 2}); got != 2 {
-		t.Errorf("median odd = %g", got)
+	// The detector's centers are RobustScale's column medians.
+	if c, _ := metrics.RobustScale([][]float64{{3}, {1}, {2}}); c[0] != 2 {
+		t.Errorf("median odd = %g", c[0])
 	}
-	if got := metrics.Median([]float64{4, 1, 2, 3}); got != 2.5 {
-		t.Errorf("median even = %g", got)
-	}
-	if got := metrics.Median(nil); got != 0 {
-		t.Errorf("median empty = %g", got)
+	if c, _ := metrics.RobustScale([][]float64{{4}, {1}, {2}, {3}}); c[0] != 2.5 {
+		t.Errorf("median even = %g", c[0])
 	}
 	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	if got := quantile(xs, 0); got != 1 {
