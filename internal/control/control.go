@@ -79,7 +79,8 @@ type Config struct {
 	// LookaheadS is the prediction look-ahead window used for prevention
 	// (default 120 s, per the paper).
 	LookaheadS int64
-	// FilterK / FilterW configure false alarm filtering (default 3 of 4).
+	// FilterK / FilterW configure false alarm filtering (default 3 of 4;
+	// New requires 1 ≤ FilterK ≤ FilterW ≤ 64).
 	FilterK, FilterW int
 	// TrainAtS is the simulated instant at which the per-VM models are
 	// trained from the labeled data collected so far (set it after the
@@ -153,10 +154,10 @@ func (c Config) withDefaults() Config {
 		c.LookaheadS = 120
 	}
 	if c.FilterK == 0 {
-		c.FilterK = predict.DefaultAlarmK
+		c.FilterK = detector.DefaultAlarmK
 	}
 	if c.FilterW == 0 {
-		c.FilterW = predict.DefaultAlarmW
+		c.FilterW = detector.DefaultAlarmW
 	}
 	if c.ValidationDelayS == 0 {
 		c.ValidationDelayS = 15
@@ -202,9 +203,10 @@ type vmState struct {
 
 	// det is the VM's anomaly detector — TAN, unsupervised,
 	// forecast-error, or an ensemble — all driven through one code path;
-	// filter is its k-of-W false alarm filter.
+	// filter is its k-of-W false alarm filter, the window of raw votes
+	// observe pushes and decide reads.
 	det    detector.Detector
-	filter *predict.AlarmFilter
+	filter detector.AlarmFilter
 	// built is the detector fitVM built for this VM, which later fits
 	// train again in place. installDetectors clears it, so a detector
 	// installed from outside is replaced, not refit.
@@ -214,9 +216,13 @@ type vmState struct {
 	// (the fit already counted it) instead of re-counting it via Update.
 	fitAt simclock.Time
 
-	// cpu and verdict are this tick's observations: the latest CPU sample
-	// (reactive scheme only) and, for an alerting VM, its verdict.
+	// cpu, raw and verdict are this tick's observations: the latest CPU
+	// sample (reactive scheme only), the raw decision observe voted with,
+	// and the verdict — Current's for every VM under the reactive
+	// scheme, the one apply materializes for a confirmed VM under
+	// PREPARE.
 	cpu     float64
+	raw     detector.Decision
 	verdict detector.Verdict
 
 	// pending is the prevention action awaiting its effectiveness check
@@ -235,12 +241,12 @@ type vmState struct {
 	lastMigration simclock.Time
 }
 
-// newVMStates lays out one vmState per VM: store indices follow ids'
-// order, the slice is sorted by ID.
-func newVMStates(ids []substrate.VMID) []vmState {
+// newVMStates lays out one vmState per VM, each with an empty copy of
+// filter: store indices follow ids' order, the slice is sorted by ID.
+func newVMStates(ids []substrate.VMID, filter detector.AlarmFilter) []vmState {
 	vms := make([]vmState, len(ids))
 	for i, id := range ids {
-		vms[i] = vmState{id: id, store: i, lastAlert: never, lastMigration: never}
+		vms[i] = vmState{id: id, store: i, filter: filter, lastAlert: never, lastMigration: never}
 	}
 	sort.Slice(vms, func(i, j int) bool { return vms[i].id < vms[j].id })
 	return vms
@@ -287,8 +293,8 @@ type Controller struct {
 
 	// vms is every managed VM's state, in vmOrder.
 	vms []vmState
-	// confirmed is observe's reusable list of this tick's
-	// filter-confirmed VMs, as ascending indices into vms.
+	// confirmed is decide's reusable buffer for the tick's alerting
+	// VMs (Plan.Alerts).
 	confirmed []int
 	steps     []prevent.Step
 	alerts    []AlertEvent
@@ -323,6 +329,10 @@ func New(scheme Scheme, sub substrate.Substrate, app App, cfg Config) (*Controll
 	}
 	if cfg.HistoryWindowSamples < 0 {
 		return nil, fmt.Errorf("control: history window %d must be >= 0", cfg.HistoryWindowSamples)
+	}
+	filter, err := detector.NewAlarmFilter(cfg.FilterK, cfg.FilterW)
+	if err != nil {
+		return nil, fmt.Errorf("control: %w", err)
 	}
 	vms := app.VMIDs()
 	sampler, err := monitor.NewSampler(sub, vms, monitor.Config{
@@ -362,7 +372,7 @@ func New(scheme Scheme, sub substrate.Substrate, app App, cfg Config) (*Controll
 		attrNames:  predict.AttributeNames(),
 		planner:    planner,
 		rowScratch: make([]float64, metrics.NumAttributes),
-		vms:        newVMStates(vms),
+		vms:        newVMStates(vms, filter),
 		workload:   wd,
 		tel:        newInstruments(cfg.Telemetry),
 	}
@@ -426,8 +436,9 @@ func (c *Controller) Trained() bool { return c.trained }
 
 // OnTick advances the management loop by one simulated second. Call it
 // after the fault schedule and application have ticked. A sampling tick
-// runs in three phases: observe feeds the detectors and filters, decide
-// turns what they saw into a Plan, and apply carries it out.
+// runs in three phases: observe feeds the detectors and records their
+// raw votes, decide turns the votes and the VMs' state into a Plan, and
+// apply carries it out.
 func (c *Controller) OnTick(now simclock.Time) error {
 	violated := c.app.SLOViolated()
 	if err := c.sloLog.Record(now, violated); err != nil {
@@ -486,18 +497,16 @@ func (c *Controller) OnTick(now simclock.Time) error {
 	if err != nil {
 		return err
 	}
-	return c.apply(now, decide(c.cfg, c.scheme, now, c.vms, c.confirmed, c.violatedStreak, workloadChange))
+	p := decide(c.cfg, c.scheme, now, c.vms, c.confirmed[:0], c.violatedStreak, workloadChange)
+	c.confirmed = p.Alerts[:0]
+	return c.apply(now, p)
 }
 
-// observe feeds the new samples to the per-VM detectors and runs each
-// VM's k-of-W filter vote, listing the confirmed VMs in c.confirmed with
-// their full verdicts, and reports whether the workload changed. The
-// vote stays here, next to Score, because a TAN adapter scoring through
-// the shared fleet scorer materializes its Verdict from the arena while
-// the arena still holds its window; taken any later, the Verdict would
-// re-run the window pass.
+// observe feeds the new samples to the per-VM detectors, records each
+// VM's raw decision for this tick and pushes its vote into the VM's
+// k-of-W window, and reports whether the workload changed. It confirms
+// nothing: decide reads the windows.
 func (c *Controller) observe(now simclock.Time, label metrics.Label, violated bool) (bool, error) {
-	c.confirmed = c.confirmed[:0]
 	row := c.rowScratch
 	fold := c.incrementalTraining()
 	for i := range c.vms {
@@ -529,16 +538,7 @@ func (c *Controller) observe(now simclock.Time, label metrics.Label, violated bo
 			if err != nil {
 				return false, fmt.Errorf("control: predict %s: %w", v.id, err)
 			}
-			conf := v.filter.Offer(dec.Abnormal)
-			if dec.Abnormal {
-				c.tel.onRawAlert(now.Seconds(), string(v.id), dec.Score, conf)
-			}
-			if !conf {
-				continue
-			}
-			if v.verdict, err = v.det.Verdict(); err != nil {
-				return false, fmt.Errorf("control: predict %s: %w", v.id, err)
-			}
+			v.raw = dec
 		case SchemeReactive:
 			// Reactive: only act once the SLO violation is observed; the
 			// per-VM detectors locate the faulty VM. The same k-of-W
@@ -550,17 +550,10 @@ func (c *Controller) observe(now simclock.Time, label metrics.Label, violated bo
 				return false, fmt.Errorf("control: evaluate %s: %w", v.id, err)
 			}
 			v.cpu = c.store.Latest(v.store, metrics.CPUTotal)
-			raw := violated && verdict.Abnormal
-			conf := v.filter.Offer(raw)
-			if raw {
-				c.tel.onRawAlert(now.Seconds(), string(v.id), verdict.Score, conf)
-			}
-			if !conf {
-				continue
-			}
 			v.verdict = verdict
+			v.raw = detector.Decision{Abnormal: violated && verdict.Abnormal, Score: verdict.Score}
 		}
-		c.confirmed = append(c.confirmed, i)
+		v.filter.Push(v.raw.Abnormal)
 	}
 
 	if violated {
@@ -571,22 +564,33 @@ func (c *Controller) observe(now simclock.Time, label metrics.Label, violated bo
 	return c.workload.WorkloadChange(now), nil
 }
 
-// apply carries out a plan in a fixed order — record the alerts,
-// resolve the due validations, then act on every target with no action
-// in flight (the paper triggers one prevention per alerted VM, e.g.,
-// memory scaling on one and CPU scaling on another) — so the telemetry
-// event stream follows from the plan alone.
+// apply carries out a plan in a fixed order — report the raw votes,
+// materialize and record the alerts, resolve the due validations, then
+// act on every target with no action in flight (the paper triggers one
+// prevention per alerted VM, e.g., memory scaling on one and CPU scaling
+// on another) — so the telemetry event stream follows from the plan and
+// the VMs' votes alone.
 func (c *Controller) apply(now simclock.Time, p Plan) error {
-	if p.Busiest >= 0 {
-		// observe already scored this row, so classifying it again
-		// cannot fail.
-		v := &c.vms[p.Busiest]
-		c.store.RowInto(v.store, c.rowScratch)
-		verdict, err := v.det.Current(c.rowScratch)
-		if err != nil {
-			return fmt.Errorf("control: evaluate %s: %w", v.id, err)
+	if c.tel.reg != nil {
+		// Every raw vote, in vmOrder, and whether its VM's own filter
+		// confirmed it: a VM only the reactive fallback picked was
+		// suppressed. Without a registry there is nothing to report.
+		for i := range c.vms {
+			if v := &c.vms[i]; v.raw.Abnormal {
+				c.tel.onRawAlert(now.Seconds(), string(v.id), v.raw.Score, v.filter.Confirmed())
+			}
 		}
-		v.verdict = verdict
+	}
+	if c.scheme == SchemePREPARE {
+		// observe recorded the reactive verdicts; a predictive one is
+		// materialized only for a confirmed VM.
+		for _, i := range p.Alerts {
+			v := &c.vms[i]
+			var err error
+			if v.verdict, err = v.det.Verdict(); err != nil {
+				return fmt.Errorf("control: predict %s: %w", v.id, err)
+			}
+		}
 	}
 	for _, i := range p.Alerts {
 		c.recordAlert(now, &c.vms[i])

@@ -1,15 +1,19 @@
 package control
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"prepare/internal/cloudsim"
 	"prepare/internal/columnar"
 	"prepare/internal/detector"
+	"prepare/internal/infer"
 	"prepare/internal/metrics"
 	"prepare/internal/predict"
 	"prepare/internal/simclock"
 	"prepare/internal/substrate"
+	"prepare/internal/telemetry"
 	"prepare/internal/workload"
 )
 
@@ -84,6 +88,15 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(SchemePREPARE, sub, app, Config{HistoryWindowSamples: -5}); err == nil {
 		t.Error("negative history window should fail")
+	}
+	// The k-of-W filter needs 1 ≤ K ≤ W ≤ 64 (zero means the default).
+	for _, kw := range [][2]int{{5, 4}, {-1, 4}, {3, -4}, {3, 65}, {65, 65}} {
+		if _, err := New(SchemePREPARE, sub, app, Config{FilterK: kw[0], FilterW: kw[1]}); err == nil {
+			t.Errorf("filter K=%d, W=%d should fail", kw[0], kw[1])
+		}
+	}
+	if _, err := New(SchemePREPARE, sub, app, Config{FilterK: 64, FilterW: 64}); err != nil {
+		t.Errorf("filter K=64, W=64: %v", err)
 	}
 }
 
@@ -471,12 +484,13 @@ func TestUnsupervisedReactiveMode(t *testing.T) {
 }
 
 // TestApplyScoresBusiestVM pins the reactive fallback's unified
-// detector path: apply classifies the VM decide picked through the same
+// detector path: observe classifies every VM through the same
 // Detector.Current call every scheme uses, on the VM's current row, and
-// alerts with that verdict.
+// the VM decide's fallback picks alerts with that verdict. Its raw vote,
+// which its own filter has not confirmed, is reported as suppressed.
 func TestApplyScoresBusiestVM(t *testing.T) {
 	names := predict.AttributeNames()
-	vms := newVMStates([]substrate.VMID{"vm1", "vm2"})
+	vms := newVMStates([]substrate.VMID{"vm1", "vm2"}, defaultFilter())
 	for i := range vms {
 		e := detector.NewEWMA(len(names), detector.EWMAOptions{})
 		rows := make([][]float64, 40)
@@ -495,17 +509,26 @@ func TestApplyScoresBusiestVM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	wd, err := infer.NewWorkloadDetector(len(vms), 24, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.New(telemetry.Options{})
 	c := &Controller{
 		cfg:        Config{}.withDefaults(),
 		scheme:     SchemeReactive,
 		vms:        vms,
 		rowScratch: make([]float64, len(names)),
 		store:      store,
+		workload:   wd,
+		tel:        newInstruments(reg),
 	}
 
-	// commit publishes one tick: vm1's attributes at 10, vm2's at
-	// vm2Fill.
-	commit := func(vm2Fill float64) {
+	// tick publishes one violated tick, vm1's attributes at 10 and vm2's
+	// at vm2Fill, observes it and applies the fallback's plan.
+	fallback := Plan{Alerts: []int{1}}
+	tick := func(now simclock.Time, vm2Fill float64) {
+		t.Helper()
 		for i := range vms {
 			var v metrics.Vector
 			for j := range v {
@@ -516,27 +539,36 @@ func TestApplyScoresBusiestVM(t *testing.T) {
 			}
 			store.StageRow(i, &v)
 		}
-		store.Commit(0, metrics.LabelNormal)
+		store.Commit(now, metrics.LabelAbnormal)
+		if _, err := c.observe(now, metrics.LabelAbnormal, true); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.apply(now, fallback); err != nil {
+			t.Fatal(err)
+		}
 	}
-	fallback := Plan{Alerts: []int{1}, Busiest: 1}
-	commit(10) // near baseline
-	if err := c.apply(100, fallback); err != nil {
-		t.Fatal(err)
-	}
+	tick(100, 10) // near baseline
 	if v := c.vms[1].verdict; v.Abnormal {
 		t.Fatalf("near-baseline sample classified abnormal: %+v", v)
 	}
 
 	// A wildly deviant busiest VM yields an abnormal unified verdict
 	// with attribution strengths, and the alert carries its score.
-	commit(500)
-	if err := c.apply(105, fallback); err != nil {
-		t.Fatal(err)
-	}
+	tick(105, 500)
 	if v := c.vms[1].verdict; !v.Abnormal || len(v.Strengths) == 0 {
 		t.Fatalf("deviant sample verdict %+v, want abnormal with strengths", v)
 	}
 	if got := c.alerts[len(c.alerts)-1]; got.VM != "vm2" || got.Score != c.vms[1].verdict.Score || got.Predicted {
 		t.Fatalf("fallback alert %+v, want a reactive vm2 alert scored %v", got, c.vms[1].verdict.Score)
+	}
+	var raw []string
+	for _, e := range reg.Snapshot().Events {
+		if e.Stage == telemetry.StagePredict {
+			raw = append(raw, fmt.Sprintf("%d %s %s", e.SimTime, e.VM, e.Kind))
+		}
+	}
+	want := []string{"105 vm2 " + telemetry.KindPredictionWindow, "105 vm2 " + telemetry.KindAlertFiltered}
+	if !reflect.DeepEqual(raw, want) {
+		t.Fatalf("raw-alert events %q, want %q", raw, want)
 	}
 }

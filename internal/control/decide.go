@@ -14,11 +14,9 @@ const never = simclock.Time(math.MinInt64 / 2)
 // Plan is one sampling tick's decisions. VMs are indices into vmOrder,
 // and every list is ascending.
 type Plan struct {
-	// Alerts lists the VMs alerting this tick: the filter-confirmed
-	// ones, or the reactive fallback's pick.
+	// Alerts lists the VMs alerting this tick: the ones whose k-of-W
+	// filter confirmed, or the reactive fallback's pick.
 	Alerts []int
-	// Busiest is the reactive fallback's pick, or -1.
-	Busiest int
 	// Onsets lists the alerting VMs whose alert episode starts now.
 	Onsets []int
 	// Validations lists the pending actions due for their check; Dropped,
@@ -36,26 +34,35 @@ type Validation struct {
 }
 
 // decide is the tick's policy. It reads only its arguments — the VMs'
-// state and what observe saw: the filter-confirmed VMs (ascending
-// indices into vms), the count of consecutive violated sampling ticks
-// including this one, and whether every VM changed at once (a workload
-// change). It touches neither the substrate, the sampler, telemetry nor
-// the clock.
+// state, whose k-of-W vote windows hold observe's raw votes up to this
+// tick, the count of consecutive violated sampling ticks including this
+// one, and whether every VM changed at once (a workload change). It
+// touches neither the substrate, the sampler, telemetry nor the clock.
+// The plan's Alerts are appended to alerts, an empty buffer the caller
+// reuses across ticks.
+//
+// A VM alerts when its filter confirms: at least K of its last W raw
+// votes were alerts (the paper's false alarm filter).
 //
 // Targeting is propagation-aware fault localization: the alerting VMs
 // whose episode onset is within one sampling interval of the earliest
 // onset are acted upon. Downstream victims alert later than the faulty
 // VM, so they are filtered out; near-simultaneous onsets are all acted
 // upon, as in the paper's two-VM example.
-func decide(cfg Config, scheme Scheme, now simclock.Time, vms []vmState, confirmed []int, violatedStreak int, workloadChange bool) Plan {
-	p := Plan{Alerts: confirmed, Busiest: -1}
-	if scheme == SchemeReactive && len(confirmed) == 0 && violatedStreak >= cfg.FilterK {
+func decide(cfg Config, scheme Scheme, now simclock.Time, vms []vmState, alerts []int, violatedStreak int, workloadChange bool) Plan {
+	for i := range vms {
+		if vms[i].filter.Confirmed() {
+			alerts = append(alerts, i)
+		}
+	}
+	p := Plan{Alerts: alerts}
+	if scheme == SchemeReactive && len(alerts) == 0 && violatedStreak >= cfg.FilterK {
 		// The violation is real and persistent, but no per-VM classifier
 		// fired (e.g., the symptom manifests only in the SLO): blame the
 		// busiest VM so the reactive baseline still intervenes, as its
 		// real counterpart would.
 		if b := busiest(vms); b >= 0 {
-			p.Busiest, p.Alerts = b, []int{b}
+			p.Alerts = append(alerts, b)
 		}
 	}
 

@@ -332,9 +332,7 @@ func RestoreEngineModels(e *Engine, d *binenc.Decoder) error {
 		decoded[i] = models
 	}
 	for i, t := range e.tenants {
-		if err := t.Controller.installDetectors(decoded[i]); err != nil {
-			return fmt.Errorf("control: tenant %s: %w", t.ID, err)
-		}
+		t.Controller.installDetectors(decoded[i])
 	}
 	return nil
 }

@@ -93,9 +93,7 @@ func TestStaleRowsLeaveTheHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	spy := &spyDetector{}
-	if err := ctl.installDetectors([]detector.Detector{spy}); err != nil {
-		t.Fatal(err)
-	}
+	ctl.installDetectors([]detector.Detector{spy})
 	unrecorded := func(at simclock.Time) bool { return !at.Before(200+5*maxStale) && at.Before(250) }
 
 	var lastGood []float64

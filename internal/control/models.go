@@ -18,11 +18,11 @@ import (
 	"prepare/internal/substrate"
 )
 
-// train fits one predictor (and alarm filter) per VM from the collected
-// labeled history. Following the paper, fault localization decides which
-// VMs' samples are actually trained as "abnormal": a sample keeps its
-// abnormal label only if the VM itself deviates from its own fault-free
-// baseline at that instant (at least two attributes beyond 3.5 sigma).
+// train fits one predictor per VM from the collected labeled history.
+// Following the paper, fault localization decides which VMs' samples
+// are actually trained as "abnormal": a sample keeps its abnormal label
+// only if the VM itself deviates from its own fault-free baseline at
+// that instant (at least two attributes beyond 3.5 sigma).
 // Without this gating, every VM's model would learn the application-level
 // violation windows — including VMs whose metrics carry no fault signal —
 // and then raise persistent false alarms on recurring workload patterns.
@@ -35,10 +35,10 @@ func (c *Controller) train(now simclock.Time) error {
 	return nil
 }
 
-// fitEach fits every VM's detector, then gives every VM a fresh alarm
-// filter. Per-VM fits are independent and deterministically seeded, so
-// they fan out across the worker pool; each goroutine writes only its
-// own VM's state. With fromCounts set, every detector retrains from the
+// fitEach fits every VM's detector, then empties every VM's alarm
+// filter window. Per-VM fits are independent and deterministically
+// seeded, so they fan out across the worker pool; each goroutine writes
+// only its own VM's state. With fromCounts set, every detector retrains from the
 // counts Update has folded into it instead of refitting from the history.
 func (c *Controller) fitEach(now simclock.Time, fromCounts bool) error {
 	runner := pool.Runner{Workers: c.cfg.TrainWorkers}
@@ -55,22 +55,10 @@ func (c *Controller) fitEach(now simclock.Time, fromCounts bool) error {
 	if err != nil {
 		return err
 	}
-	if err := c.freshFilters(); err != nil {
-		return err
+	for i := range c.vms {
+		c.vms[i].filter.Reset()
 	}
 	c.tel.trainings.Inc()
-	return nil
-}
-
-// freshFilters gives every VM a new, empty alarm filter.
-func (c *Controller) freshFilters() error {
-	for i := range c.vms {
-		f, err := predict.NewAlarmFilter(c.cfg.FilterK, c.cfg.FilterW)
-		if err != nil {
-			return err
-		}
-		c.vms[i].filter = f
-	}
 	return nil
 }
 
@@ -144,7 +132,7 @@ func (c *Controller) incrementalTraining() bool {
 // training every tan detector rebuilds its classifier from its
 // accumulated count table (O(attrs²·bins²), independent of history
 // length); every other configuration refits from the retained history
-// (O(history)). Alarm filters restart fresh either way.
+// (O(history)). Alarm filter windows restart empty either way.
 func (c *Controller) retrain(now simclock.Time) error {
 	incremental := c.incrementalTraining()
 	latency := c.tel.retrainBatch
@@ -241,7 +229,8 @@ func (c *Controller) RestoreModels(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	return c.installDetectors(models)
+	c.installDetectors(models)
+	return nil
 }
 
 // readDocument reads a whole document and checks its magic and
@@ -299,20 +288,17 @@ func (c *Controller) decodeModels(d *binenc.Decoder) ([]detector.Detector, error
 
 // installDetectors installs pre-trained detectors — one per managed VM,
 // in vmOrder — and marks the controller trained, so it starts
-// predicting without an online training pass. Fresh alarm filters are
-// created alongside, as train does, and the next periodic retrain is
+// predicting without an online training pass. The alarm filter windows
+// are emptied, as train empties them, and the next periodic retrain is
 // left for the next sampling tick to schedule.
-func (c *Controller) installDetectors(models []detector.Detector) error {
-	if err := c.freshFilters(); err != nil {
-		return err
-	}
+func (c *Controller) installDetectors(models []detector.Detector) {
 	for i := range c.vms {
 		// Retraining replaces an installed detector rather than refitting
 		// it in place: it may carry options this controller did not give
 		// it.
 		c.vms[i].det, c.vms[i].built = models[i], nil
+		c.vms[i].filter.Reset()
 	}
 	c.trained = true
 	c.nextRetrainAt = 0
-	return nil
 }

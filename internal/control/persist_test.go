@@ -22,23 +22,19 @@ func persistController(spec detector.Spec, vms ...substrate.VMID) *Controller {
 	cfg := Config{SamplingIntervalS: 5, Detector: spec}.withDefaults()
 	return &Controller{
 		cfg:       cfg,
-		vms:       newVMStates(vms),
+		vms:       newVMStates(vms, defaultFilter()),
 		attrNames: predict.AttributeNames(),
 	}
 }
 
-// installed counts the VMs holding a detector and the VMs holding an
-// alarm filter.
-func installed(c *Controller) (dets, filters int) {
+// installed counts the VMs holding a detector.
+func installed(c *Controller) (dets int) {
 	for _, v := range c.vms {
 		if v.det != nil {
 			dets++
 		}
-		if v.filter != nil {
-			filters++
-		}
 	}
-	return dets, filters
+	return dets
 }
 
 func trainingRows(dims, n int) [][]float64 {
@@ -116,9 +112,7 @@ func TestSaveModelsV2RoundTripsNonTANKinds(t *testing.T) {
 		}
 		models[i] = d
 	}
-	if err := c1.installDetectors(models); err != nil {
-		t.Fatal(err)
-	}
+	c1.installDetectors(models)
 
 	var snap bytes.Buffer
 	if err := c1.SaveModels(&snap); err != nil {
@@ -228,7 +222,7 @@ func TestRestoreModelsRejectsV1(t *testing.T) {
 		if err := c.RestoreModels(bytes.NewReader(raw)); !errors.Is(err, binenc.ErrJSON) {
 			t.Fatalf("JSON version-%d restore: %v, want binenc.ErrJSON", version, err)
 		}
-		if dets, _ := installed(c); c.trained || dets != 0 {
+		if dets := installed(c); c.trained || dets != 0 {
 			t.Fatalf("rejected JSON version-%d snapshot left the controller trained", version)
 		}
 	}
@@ -255,7 +249,7 @@ func TestRestoreModelsRejectsV1(t *testing.T) {
 	if err := c2.RestoreModels(bytes.NewReader(future)); !errors.Is(err, binenc.ErrVersion) {
 		t.Fatalf("version 99 snapshot: %v, want binenc.ErrVersion", err)
 	}
-	if dets, _ := installed(c2); c2.trained || dets != 0 {
+	if dets := installed(c2); c2.trained || dets != 0 {
 		t.Fatal("rejected snapshots left the controller trained")
 	}
 }
@@ -265,9 +259,7 @@ func TestRestoreModelsRejectsV1(t *testing.T) {
 func TestRestoreModelsRejectsBadEntries(t *testing.T) {
 	spec := detector.Spec{Kind: detector.KindEWMA}
 	src := persistController(spec, "vm-a", "vm-b")
-	if err := src.installDetectors(ewmaModels(t, 2)); err != nil {
-		t.Fatal(err)
-	}
+	src.installDetectors(ewmaModels(t, 2))
 	var snap bytes.Buffer
 	if err := src.SaveModels(&snap); err != nil {
 		t.Fatal(err)
@@ -288,8 +280,8 @@ func TestRestoreModelsRejectsBadEntries(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: %v, want an error containing %q", name, err, tc.want)
 		}
-		if dets, filters := installed(c); c.trained || dets != 0 || filters != 0 {
-			t.Errorf("%s: rejected snapshot left trained=%v with %d detectors, %d filters", name, c.trained, dets, filters)
+		if dets := installed(c); c.trained || dets != 0 {
+			t.Errorf("%s: rejected snapshot left trained=%v with %d detectors", name, c.trained, dets)
 		}
 	}
 }
@@ -305,9 +297,7 @@ func TestEngineRestoreIsAllOrNothing(t *testing.T) {
 	if err := d.Train(trainingRows(dims, 50), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := trained.installDetectors([]detector.Detector{d}); err != nil {
-		t.Fatal(err)
-	}
+	trained.installDetectors([]detector.Detector{d})
 	var good bytes.Buffer
 	if err := trained.SaveModels(&good); err != nil {
 		t.Fatal(err)
@@ -338,9 +328,9 @@ func TestEngineRestoreIsAllOrNothing(t *testing.T) {
 		t.Fatalf("restore with a corrupt second tenant: %v, want an error naming tenant b", err)
 	}
 	for id, c := range map[string]*Controller{"a": first, "b": second} {
-		if dets, filters := installed(c); c.trained || dets != 0 || filters != 0 {
-			t.Errorf("tenant %s: failed restore left trained=%v with %d detectors, %d filters",
-				id, c.trained, dets, filters)
+		if dets := installed(c); c.trained || dets != 0 {
+			t.Errorf("tenant %s: failed restore left trained=%v with %d detectors",
+				id, c.trained, dets)
 		}
 	}
 }
@@ -359,9 +349,7 @@ func TestRetrainReplacesInstalledDetectors(t *testing.T) {
 	}
 
 	models := ewmaModels(t, len(ctl.vms))
-	if err := ctl.installDetectors(models); err != nil {
-		t.Fatal(err)
-	}
+	ctl.installDetectors(models)
 	if err := ctl.retrain(500); err != nil {
 		t.Fatal(err)
 	}
@@ -432,9 +420,7 @@ func TestRestoredModelsSurviveFirstTick(t *testing.T) {
 func TestRestoreModelsRejectsUnknownVMs(t *testing.T) {
 	spec := detector.Spec{Kind: detector.KindEWMA}
 	src := persistController(spec, "vm-a", "vm-b", "vm-c")
-	if err := src.installDetectors(ewmaModels(t, 3)); err != nil {
-		t.Fatal(err)
-	}
+	src.installDetectors(ewmaModels(t, 3))
 	var snap bytes.Buffer
 	if err := src.SaveModels(&snap); err != nil {
 		t.Fatal(err)
@@ -444,7 +430,7 @@ func TestRestoreModelsRejectsUnknownVMs(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "does not manage") {
 		t.Fatalf("restore with an unmanaged VM: %v, want a does-not-manage error", err)
 	}
-	if dets, filters := installed(c); c.trained || dets != 0 || filters != 0 {
-		t.Fatalf("rejected snapshot left trained=%v with %d detectors, %d filters", c.trained, dets, filters)
+	if dets := installed(c); c.trained || dets != 0 {
+		t.Fatalf("rejected snapshot left trained=%v with %d detectors", c.trained, dets)
 	}
 }

@@ -55,13 +55,14 @@ type Verdict struct {
 
 // Detector is the streaming interface the control loop drives.
 //
-// Lifecycle: Train (or a kind-specific Load) first; then once per
-// sampling tick exactly one of Update/Observe followed by either
-// Score+Verdict (predictive schemes) or Current (reactive schemes).
-// Verdict must directly follow the Score call it materializes, on the
-// same detector — implementations may cache window state in between.
-// Implementations are not safe for concurrent use; the control loop
-// confines each detector to its VM's shard.
+// Lifecycle: Train (or a kind-specific decoder) first; then once per
+// sampling tick exactly one of Update/Observe, followed by Score
+// (predictive schemes; Verdict too when the alert is confirmed) or
+// Current (reactive schemes). Verdict materializes the detector's own
+// last Score: nothing may Update, Observe, Train or Retrain it in
+// between, but other detectors — sharing scratch with it or not — may
+// score in between. Implementations are not safe for concurrent use;
+// the control loop confines each detector to its VM's shard.
 type Detector interface {
 	// Kind returns the spec kind that constructed this detector
 	// (KindTAN, KindEWMA, ...).
@@ -92,7 +93,8 @@ type Detector interface {
 	// ahead of the last streamed sample.
 	Score(lookaheadS int64) (Decision, error)
 
-	// Verdict materializes the attribution for the last Score call.
+	// Verdict materializes the attribution for this detector's last
+	// Score call.
 	Verdict() (Verdict, error)
 
 	// Current scores the given sample as-is (reactive path): no
@@ -104,13 +106,13 @@ type Detector interface {
 	// other kinds return an error, and their host refits them via Train.
 	Retrain() error
 
-	// Save writes a snapshot that the kind's loader restores into a
-	// detector resuming an identical score stream.
+	// Save writes the detector's snapshot as JSON: the readable view of
+	// a trained model.
 	Save(w io.Writer) error
 
 	// AppendBinary appends the same snapshot in its binary checkpoint
-	// encoding to b, which the kind's binary decoder restores through
-	// the same checks as the JSON loader.
+	// encoding to b, which the kind's decoder restores into a detector
+	// resuming an identical score stream.
 	AppendBinary(b []byte) ([]byte, error)
 }
 

@@ -1,7 +1,6 @@
 package detector
 
 import (
-	"bytes"
 	"io"
 	"math"
 	"testing"
@@ -252,7 +251,7 @@ func streamScores(t *testing.T, d Detector, rows [][]float64) []Decision {
 	return out
 }
 
-// TestSnapshotRoundTripResumesIdenticalScores saves each in-package
+// TestSnapshotRoundTripResumesIdenticalScores checkpoints each in-package
 // detector kind mid-stream and checks the restored detector produces a
 // bit-identical decision stream on the remaining samples.
 func TestSnapshotRoundTripResumesIdenticalScores(t *testing.T) {
@@ -271,11 +270,11 @@ func TestSnapshotRoundTripResumesIdenticalScores(t *testing.T) {
 			return e
 		},
 	}
-	load := map[string]func(r io.Reader) (Detector, error){
-		KindEWMA:    func(r io.Reader) (Detector, error) { return LoadEWMA(r) },
-		KindZRobust: func(r io.Reader) (Detector, error) { return LoadZRobust(r) },
-		KindEnsemble: func(r io.Reader) (Detector, error) {
-			return LoadEnsemble(r, nil) // nil loader: local kinds only
+	decode := map[string]func(b []byte) (Detector, error){
+		KindEWMA:    func(b []byte) (Detector, error) { return DecodeEWMA(b) },
+		KindZRobust: func(b []byte) (Detector, error) { return DecodeZRobust(b) },
+		KindEnsemble: func(b []byte) (Detector, error) {
+			return DecodeEnsemble(b, nil) // nil decoder: local kinds only
 		},
 	}
 
@@ -299,11 +298,11 @@ func TestSnapshotRoundTripResumesIdenticalScores(t *testing.T) {
 			}
 			_ = streamScores(t, d, stream[:20])
 
-			var buf bytes.Buffer
-			if err := d.Save(&buf); err != nil {
+			snap, err := d.AppendBinary(nil)
+			if err != nil {
 				t.Fatal(err)
 			}
-			restored, err := load[kind](&buf)
+			restored, err := decode[kind](snap)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -329,7 +329,7 @@ func sortMerged(merged map[int]float64) []Strength {
 }
 
 // ensembleSnapshot is the one snapshot of an ensemble: member snapshots
-// nest under their kinds so the loader can dispatch without this
+// nest under their kinds so the decoder can dispatch without this
 // package importing the model packages. Save gives it its JSON form,
 // where members nest as raw JSON; AppendBinary its binary checkpoint
 // form, where each member is a section of its own binary form.
@@ -387,22 +387,12 @@ func (e *Ensemble) AppendBinary(b []byte) ([]byte, error) {
 // header captures the ensemble's scalar state.
 func (e *Ensemble) header() ensembleHeader { return ensembleHeader{Version: 1, Quorum: e.quorum} }
 
-// LoadEnsemble restores an ensemble saved by Save. loadMember restores
-// one member snapshot by kind — injected by the caller so model-backed
-// kinds (tan, kmeans) can come from internal/predict without a
-// dependency cycle; EWMA/ZRobust members are handled here when
-// loadMember returns ErrUnknownKind.
-func LoadEnsemble(r io.Reader, loadMember func(kind string, data []byte) (Detector, error)) (*Ensemble, error) {
-	var snap ensembleSnapshot
-	if err := json.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("detector: decode ensemble snapshot: %w", err)
-	}
-	return snap.restore(loadMember, loadLocal)
-}
-
-// DecodeEnsemble restores an ensemble from the bytes AppendBinary wrote,
-// through the same checks as LoadEnsemble; decodeMember is loadMember
-// for the members' binary forms.
+// DecodeEnsemble restores an ensemble from the bytes AppendBinary
+// wrote. decodeMember restores one member by kind from its binary form
+// — injected by the caller so model-backed kinds (tan, kmeans) can come
+// from internal/predict without a dependency cycle; EWMA/ZRobust
+// members are handled here when decodeMember is nil or returns
+// ErrUnknownKind.
 func DecodeEnsemble(b []byte, decodeMember func(kind string, data []byte) (Detector, error)) (*Ensemble, error) {
 	var snap ensembleSnapshot
 	d := binenc.NewDecoder(b)
@@ -419,13 +409,13 @@ func DecodeEnsemble(b []byte, decodeMember func(kind string, data []byte) (Detec
 	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("detector: decode ensemble snapshot: %w", err)
 	}
-	return snap.restore(decodeMember, decodeLocal)
+	return snap.restore(decodeMember)
 }
 
-// restore is the one validating restore of an ensemble snapshot,
-// whichever encoding it was read from: members load through load, or
-// through local when load does not handle their kind.
-func (snap *ensembleSnapshot) restore(load, local func(kind string, data []byte) (Detector, error)) (*Ensemble, error) {
+// restore is the validating restore of an ensemble snapshot: members
+// decode through load, or through decodeLocal when load does not handle
+// their kind.
+func (snap *ensembleSnapshot) restore(load func(kind string, data []byte) (Detector, error)) (*Ensemble, error) {
 	if snap.Version != 1 {
 		return nil, fmt.Errorf("detector: unsupported ensemble snapshot version %d", snap.Version)
 	}
@@ -441,7 +431,7 @@ func (snap *ensembleSnapshot) restore(load, local func(kind string, data []byte)
 			err = ErrUnknownKind
 		}
 		if errors.Is(err, ErrUnknownKind) {
-			d, err = local(ms.Kind, ms.Data)
+			d, err = decodeLocal(ms.Kind, ms.Data)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("detector: load ensemble member %s: %w", ms.Name, err)
@@ -451,23 +441,11 @@ func (snap *ensembleSnapshot) restore(load, local func(kind string, data []byte)
 	return NewEnsemble(members, snap.Quorum)
 }
 
-// ErrUnknownKind signals a member loader does not handle a kind, so
-// LoadEnsemble falls back to this package's own detectors.
+// ErrUnknownKind signals a member decoder does not handle a kind, so
+// DecodeEnsemble falls back to this package's own detectors.
 var ErrUnknownKind = errors.New("detector: unknown kind")
 
-// loadLocal restores the kinds implemented in this package.
-func loadLocal(kind string, data []byte) (Detector, error) {
-	switch kind {
-	case KindEWMA:
-		return LoadEWMA(bytes.NewReader(data))
-	case KindZRobust:
-		return LoadZRobust(bytes.NewReader(data))
-	default:
-		return nil, fmt.Errorf("%w: %q", ErrUnknownKind, kind)
-	}
-}
-
-// decodeLocal is loadLocal for the binary forms.
+// decodeLocal restores the kinds implemented in this package.
 func decodeLocal(kind string, data []byte) (Detector, error) {
 	switch kind {
 	case KindEWMA:

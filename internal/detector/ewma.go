@@ -481,6 +481,11 @@ func (e *EWMA) Save(w io.Writer) error {
 // baseline vectors as raw float64 bits.
 func (e *EWMA) AppendBinary(b []byte) ([]byte, error) {
 	snap := e.snapshot()
+	return snap.appendBinary(b)
+}
+
+// appendBinary appends the snapshot's binary checkpoint form to b.
+func (snap *ewmaSnapshot) appendBinary(b []byte) ([]byte, error) {
 	enc := binenc.NewEncoder(b)
 	enc.JSON(&snap.ewmaHeader)
 	for _, xs := range [][]float64{snap.Center, snap.Scale, snap.Scale0, snap.Level, snap.Trend} {
@@ -491,19 +496,9 @@ func (e *EWMA) AppendBinary(b []byte) ([]byte, error) {
 	return enc.Finish()
 }
 
-// LoadEWMA restores a detector saved by (*EWMA).Save; the restored
-// detector resumes an identical score stream. A snapshot whose baseline
-// no training produces is refused whole (ewmaSnapshot.check).
-func LoadEWMA(r io.Reader) (*EWMA, error) {
-	var snap ewmaSnapshot
-	if err := json.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("detector: decode ewma snapshot: %w", err)
-	}
-	return snap.restore()
-}
-
-// DecodeEWMA restores a detector from the bytes AppendBinary wrote,
-// through the same checks as LoadEWMA.
+// DecodeEWMA restores a detector from the bytes AppendBinary wrote; the
+// restored detector resumes an identical score stream. A snapshot whose
+// baseline no training produces is refused whole (ewmaSnapshot.check).
 func DecodeEWMA(b []byte) (*EWMA, error) {
 	var snap ewmaSnapshot
 	d := binenc.NewDecoder(b)

@@ -468,10 +468,11 @@ func BenchmarkEWMAScore(b *testing.B) {
 	})
 }
 
-// checkLoadRejects saves d, then for each field and each scale value no
-// training produces (0, -0, negative) writes the value into element 0
-// of that field and requires load to refuse the snapshot with an error
-// and no detector. The untouched snapshot must load.
+// checkLoadRejects saves d as JSON, then for each field and each scale
+// value no training produces (0, -0, negative) writes the value into
+// element 0 of that field and requires load, handed the edited JSON, to
+// refuse the snapshot with an error and no detector. The untouched
+// snapshot must load.
 func checkLoadRejects(t *testing.T, d Detector, load func([]byte) (loaded bool, err error), fields ...string) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -501,7 +502,7 @@ func checkLoadRejects(t *testing.T, d Detector, load func([]byte) (loaded bool, 
 }
 
 // TestLoadEWMARejectsBadSnapshots: a snapshot whose scale or scale0 is
-// 0, -0 or negative is refused on load, and so is one whose center,
+// 0, -0 or negative is refused by DecodeEWMA, and so is one whose center,
 // level, trend, scale or scale0 is NaN or ±Inf. JSON carries no NaN or
 // Inf (a number past float64's range fails to decode), so those are
 // checked on the decoded snapshot.
@@ -512,7 +513,15 @@ func TestLoadEWMARejectsBadSnapshots(t *testing.T) {
 		t.Fatal(err)
 	}
 	saved := checkLoadRejects(t, e, func(b []byte) (bool, error) {
-		d, err := LoadEWMA(bytes.NewReader(b))
+		var snap ewmaSnapshot
+		if err := json.Unmarshal(b, &snap); err != nil {
+			return false, err
+		}
+		bin, err := snap.appendBinary(nil)
+		if err != nil {
+			return false, err
+		}
+		d, err := DecodeEWMA(bin)
 		return d != nil, err
 	}, "scale", "scale0")
 	for _, field := range []string{"center", "level", "trend", "scale", "scale0"} {

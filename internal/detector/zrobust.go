@@ -276,6 +276,11 @@ func (z *ZRobust) Save(w io.Writer) error {
 // baseline, calibration and last row with every float as raw bits.
 func (z *ZRobust) AppendBinary(b []byte) ([]byte, error) {
 	snap := z.snapshot()
+	return snap.appendBinary(b)
+}
+
+// appendBinary appends the snapshot's binary checkpoint form to b.
+func (snap *zrobustSnapshot) appendBinary(b []byte) ([]byte, error) {
 	e := binenc.NewEncoder(b)
 	e.JSON(&snap.zrobustHeader)
 	e.Floats(snap.Center)
@@ -289,19 +294,10 @@ func (z *ZRobust) AppendBinary(b []byte) ([]byte, error) {
 	return e.Finish()
 }
 
-// LoadZRobust restores a detector saved by (*ZRobust).Save; the
-// restored detector resumes an identical score stream. A snapshot whose
-// baseline no training produces is refused whole (zrobustSnapshot.check).
-func LoadZRobust(r io.Reader) (*ZRobust, error) {
-	var snap zrobustSnapshot
-	if err := json.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("detector: decode zrobust snapshot: %w", err)
-	}
-	return snap.restore()
-}
-
-// DecodeZRobust restores a detector from the bytes AppendBinary wrote,
-// through the same checks as LoadZRobust.
+// DecodeZRobust restores a detector from the bytes AppendBinary wrote;
+// the restored detector resumes an identical score stream. A snapshot
+// whose baseline no training produces is refused whole
+// (zrobustSnapshot.check).
 func DecodeZRobust(b []byte) (*ZRobust, error) {
 	var snap zrobustSnapshot
 	d := binenc.NewDecoder(b)

@@ -1,14 +1,13 @@
 package detector
 
 import (
-	"bytes"
 	"encoding/json"
 	"math"
 	"testing"
 )
 
 // TestLoadZRobustRejectsBadSnapshots: a snapshot whose scale is 0, -0
-// or negative is refused on load, and so is one whose center or scale
+// or negative is refused by DecodeZRobust, and so is one whose center or scale
 // is NaN or ±Inf (checked on the decoded snapshot, as JSON carries
 // neither).
 func TestLoadZRobustRejectsBadSnapshots(t *testing.T) {
@@ -18,7 +17,15 @@ func TestLoadZRobustRejectsBadSnapshots(t *testing.T) {
 		t.Fatal(err)
 	}
 	saved := checkLoadRejects(t, z, func(b []byte) (bool, error) {
-		d, err := LoadZRobust(bytes.NewReader(b))
+		var snap zrobustSnapshot
+		if err := json.Unmarshal(b, &snap); err != nil {
+			return false, err
+		}
+		bin, err := snap.appendBinary(nil)
+		if err != nil {
+			return false, err
+		}
+		d, err := DecodeZRobust(bin)
 		return d != nil, err
 	}, "scale")
 	for _, field := range []string{"center", "scale"} {

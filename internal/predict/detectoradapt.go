@@ -1,7 +1,6 @@
 package predict
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -92,46 +91,10 @@ func NewDetector(spec detector.Spec, opts DetectorOptions) (detector.Detector, e
 	}
 }
 
-// LoadDetector restores a detector snapshot written by Detector.Save,
-// dispatching on the kind recorded alongside the snapshot (the
-// controller's model snapshots store kind + payload per VM).
-func LoadDetector(kind string, r io.Reader, opts DetectorOptions) (detector.Detector, error) {
-	switch kind {
-	case detector.KindTAN:
-		p, err := Load(r)
-		if err != nil {
-			return nil, err
-		}
-		p.SetInstruments(opts.Instruments)
-		return newTANDetector(opts, p), nil
-	case detector.KindKMeans:
-		return loadOutlierDetector(r, opts)
-	case detector.KindEWMA:
-		return detector.LoadEWMA(r)
-	case detector.KindZRobust:
-		return detector.LoadZRobust(r)
-	case detector.KindEnsemble:
-		ens, err := detector.LoadEnsemble(r, func(mk string, data []byte) (detector.Detector, error) {
-			switch mk {
-			case detector.KindTAN, detector.KindKMeans:
-				return LoadDetector(mk, bytes.NewReader(data), opts)
-			default:
-				return nil, detector.ErrUnknownKind
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		ens.SetTelemetry(opts.Telemetry, opts.TelemetryScope)
-		return ens, nil
-	default:
-		return nil, fmt.Errorf("predict: unknown detector kind %q", kind)
-	}
-}
-
-// DecodeDetector restores a detector from the bytes its AppendBinary
-// wrote — the binary checkpoint form of the snapshot LoadDetector reads
-// as JSON — through the same checks LoadDetector runs.
+// DecodeDetector restores a detector of the given kind from the bytes
+// its AppendBinary wrote (the controller's model snapshots store kind +
+// payload per VM); the restored detector resumes an identical score
+// stream.
 func DecodeDetector(kind string, b []byte, opts DetectorOptions) (detector.Detector, error) {
 	switch kind {
 	case detector.KindTAN:
@@ -252,8 +215,8 @@ func (d *tanDetector) Verdict() (detector.Verdict, error) {
 		// Another predictor scored through the shared fleet since Score
 		// and overwrote this window. Nothing may move the chains or the
 		// model between Score and Verdict, so running the window pass
-		// again reproduces the decision.
-		if _, err := d.fleet.ScoreWindow(d.p, d.lookaheadS); err != nil {
+		// again reproduces the decision; Score already counted it.
+		if _, err := d.fleet.scoreWindow(d.p, d.lookaheadS); err != nil {
 			return detector.Verdict{}, err
 		}
 	}

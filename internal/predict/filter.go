@@ -1,64 +1,22 @@
 package predict
 
-import "fmt"
+import "prepare/internal/detector"
 
-// AlarmFilter implements the paper's false-alarm filtering: a simple
-// majority voting scheme that confirms an anomaly alert only after
-// receiving at least K alerts within the most recent W predictions. Real
-// anomaly symptoms persist, while most false alarms come from transient,
-// sporadic resource spikes. The paper sets K=3, W=4.
-// The window is a fixed ring sized at construction, so steady-state
-// Offer calls never allocate — the fleet batch path pins its per-tick
-// allocation budget on this.
-type AlarmFilter struct {
-	k, w int
-	ring []bool
-	n    int // live entries (≤ w)
-	next int // ring slot the next Offer writes
-}
+// AlarmFilter is the paper's k-of-W false alarm filter
+// (detector.AlarmFilter), for offline scoring and the facade.
+type AlarmFilter = detector.AlarmFilter
 
 // DefaultAlarmK and DefaultAlarmW are the paper's filter settings.
 const (
-	DefaultAlarmK = 3
-	DefaultAlarmW = 4
+	DefaultAlarmK = detector.DefaultAlarmK
+	DefaultAlarmW = detector.DefaultAlarmW
 )
 
-// NewAlarmFilter builds a K-of-W filter.
+// NewAlarmFilter builds a K-of-W filter (1 ≤ k ≤ w ≤ 64).
 func NewAlarmFilter(k, w int) (*AlarmFilter, error) {
-	if w < 1 {
-		return nil, fmt.Errorf("predict: window %d must be >= 1", w)
+	f, err := detector.NewAlarmFilter(k, w)
+	if err != nil {
+		return nil, err
 	}
-	if k < 1 || k > w {
-		return nil, fmt.Errorf("predict: threshold %d must be in [1, %d]", k, w)
-	}
-	return &AlarmFilter{k: k, w: w, ring: make([]bool, w)}, nil
+	return &f, nil
 }
-
-// Offer records the latest raw prediction and reports whether the alarm
-// is confirmed (at least K of the last W raw predictions were alerts).
-func (f *AlarmFilter) Offer(alert bool) bool {
-	f.ring[f.next] = alert
-	f.next = (f.next + 1) % f.w
-	if f.n < f.w {
-		f.n++
-	}
-	count := 0
-	for _, a := range f.ring[:f.n] {
-		if a {
-			count++
-		}
-	}
-	return count >= f.k
-}
-
-// Reset clears the filter's history (used after a prevention action so
-// stale alerts do not immediately re-trigger).
-func (f *AlarmFilter) Reset() {
-	f.n, f.next = 0, 0
-}
-
-// K returns the confirmation threshold.
-func (f *AlarmFilter) K() int { return f.k }
-
-// W returns the voting window size.
-func (f *AlarmFilter) W() int { return f.w }

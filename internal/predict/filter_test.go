@@ -15,6 +15,9 @@ func TestNewAlarmFilterValidation(t *testing.T) {
 	if _, err := NewAlarmFilter(1, 0); err == nil {
 		t.Error("w=0 should fail")
 	}
+	if _, err := NewAlarmFilter(3, 65); err == nil {
+		t.Error("w>64 should fail")
+	}
 	f, err := NewAlarmFilter(DefaultAlarmK, DefaultAlarmW)
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +146,7 @@ func TestAlarmFilterOfferAllocFree(t *testing.T) {
 	}
 }
 
-// TestFilterWraparoundEviction pins the ring semantics at exactly W
+// TestFilterWraparoundEviction pins the window semantics at exactly W
 // offers and one past it: the W+1th offer must evict the oldest vote,
 // not stack on top of it.
 func TestFilterWraparoundEviction(t *testing.T) {
@@ -191,27 +194,24 @@ func TestFilterDuplicateTickOffers(t *testing.T) {
 	}
 }
 
-// TestFilterResetDropsStaleSlots guards the Reset implementation
-// detail: Reset rewinds n and next but leaves ring contents in place,
-// so the count must only ever scan the live prefix ring[:n]. A stale
-// slot beyond n leaking into the vote would re-confirm instantly after
-// a prevention action.
+// TestFilterResetDropsStaleSlots: after Reset, the votes cast before
+// it count as quiet. A stale vote leaking into the count would
+// re-confirm instantly after a prevention action.
 func TestFilterResetDropsStaleSlots(t *testing.T) {
 	f, err := NewAlarmFilter(3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		f.Offer(true) // saturate the ring with alert votes
+		f.Offer(true) // saturate the window with alert votes
 	}
 	f.Reset()
-	// Post-reset, two fresh alerts must NOT confirm even though the
-	// ring's stale slots still physically hold true values.
+	// Post-reset, two fresh alerts must NOT confirm.
 	if f.Offer(true) {
-		t.Fatal("first post-reset offer confirmed: stale ring slot counted")
+		t.Fatal("first post-reset offer confirmed: a stale vote counted")
 	}
 	if f.Offer(true) {
-		t.Fatal("second post-reset offer confirmed: stale ring slot counted")
+		t.Fatal("second post-reset offer confirmed: a stale vote counted")
 	}
 	if !f.Offer(true) {
 		t.Fatal("third post-reset alert should confirm (k=3 fresh votes)")

@@ -57,6 +57,14 @@ func (f *Fleet) ScoreWindow(p *Predictor, lookaheadS int64) (WindowDecision, err
 	}
 	tStart := p.ins.windowStart()
 	defer p.ins.windowDone(tStart)
+	return f.scoreWindow(p, lookaheadS)
+}
+
+// scoreWindow is ScoreWindow for a trained predictor, unrecorded in its
+// window telemetry: tanDetector.Verdict re-runs a window it already
+// scored and counted.
+func (f *Fleet) scoreWindow(p *Predictor, lookaheadS int64) (WindowDecision, error) {
+	f.lastValid = false
 	maxSteps := p.StepsFor(lookaheadS)
 	var dec WindowDecision
 	if lr := p.logRatios(); lr != nil {

@@ -228,6 +228,84 @@ func TestFleetVerdictAfterAnotherScore(t *testing.T) {
 	}
 }
 
+// TestVerdictAfterOtherScores pins the Detector contract the control
+// loop relies on: Verdict materializes the detector's own last Score,
+// however many other detectors scored in between. For each kind, N
+// detectors score in turn and then each takes its Verdict; twins of
+// them, fed the same stream, take theirs straight after their own
+// Score. Every Verdict must equal its twin's bit for bit. The tan
+// detectors (and tan members) of each side share one fleet.
+func TestVerdictAfterOtherScores(t *testing.T) {
+	const n, train, ticks = 3, 340, 40
+	for _, text := range []string{"tan", "kmeans", "ewma", "zrobust", "ensemble:tan+ewma"} {
+		t.Run(text, func(t *testing.T) {
+			spec, err := detector.ParseSpec(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			traces := make([][][]float64, n)
+			build := func(fleet *Fleet) []detector.Detector {
+				ds := make([]detector.Detector, n)
+				for i := range ds {
+					d, err := NewDetector(spec, DetectorOptions{
+						Names:           AttributeNames(),
+						Margin:          -1e9, // every tan window alerts
+						LookbackSamples: 24,
+						Seed:            7,
+						Fleet:           fleet,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					trace, labels := benchTrace(train+ticks, int64(3+i))
+					traces[i] = trace
+					rows := make([][]float64, train)
+					for r := range rows {
+						rows[r] = append([]float64(nil), trace[r]...)
+					}
+					if err := d.Train(rows, append([]metrics.Label(nil), labels[:train]...)); err != nil {
+						t.Fatal(err)
+					}
+					ds[i] = d
+				}
+				return ds
+			}
+			batched, direct := build(NewFleet()), build(NewFleet())
+			for tick := train; tick < train+ticks; tick++ {
+				for i := 0; i < n; i++ {
+					for _, d := range []detector.Detector{batched[i], direct[i]} {
+						if err := d.Observe(traces[i][tick]); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				for _, d := range batched {
+					if _, err := d.Score(120); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i := 0; i < n; i++ {
+					if _, err := direct[i].Score(120); err != nil {
+						t.Fatal(err)
+					}
+					want, err := direct[i].Verdict()
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := batched[i].Verdict()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("tick %d detector %d: Verdict after %d other scores %+v, straight after its own %+v",
+							tick, i, n-1, got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestEnsembleTANMemberThroughFleet runs the same ensemble with and
 // without a fleet: the tan member scoring through the fleet must give
 // every decision and verdict the scalar member gives.

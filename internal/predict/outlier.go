@@ -436,6 +436,11 @@ func (d *outlierDetector) AppendBinary(b []byte) ([]byte, error) {
 	if err != nil {
 		return b, err
 	}
+	return snap.appendBinary(b)
+}
+
+// appendBinary appends the snapshot's binary checkpoint form to b.
+func (snap *outlierSnapshot) appendBinary(b []byte) ([]byte, error) {
 	e := binenc.NewEncoder(b)
 	e.JSON(&snap.outlierHeader)
 	encodeChains(&e, snap.Chains)
@@ -481,18 +486,8 @@ func (d *outlierDetector) snapshot() (outlierSnapshot, error) {
 	}, nil
 }
 
-// loadOutlierDetector restores a kmeans detector from a snapshot written
-// by Save.
-func loadOutlierDetector(r io.Reader, opts DetectorOptions) (*outlierDetector, error) {
-	var snap outlierSnapshot
-	if err := json.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("predict: decode unsupervised snapshot: %w", err)
-	}
-	return outlierFromSnapshot(&snap, opts)
-}
-
 // decodeOutlierDetector restores a kmeans detector from the bytes
-// AppendBinary wrote, through the same checks as loadOutlierDetector.
+// AppendBinary wrote.
 func decodeOutlierDetector(b []byte, opts DetectorOptions) (*outlierDetector, error) {
 	var snap outlierSnapshot
 	d := binenc.NewDecoder(b)

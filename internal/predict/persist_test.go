@@ -145,7 +145,13 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		{name: "short last row", kind: km, data: mutated(func(snap, _ map[string]any) { snap["last_row"] = []float64{1} })},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := LoadDetector(tc.kind, strings.NewReader(tc.data), DetectorOptions{})
+			bin, err := binaryFromJSON(tc.kind, []byte(tc.data))
+			if err != nil {
+				// Not a snapshot of the kind at all: decode the bytes as
+				// they are.
+				bin = []byte(tc.data)
+			}
+			_, err = DecodeDetector(tc.kind, bin, DetectorOptions{})
 			if err == nil {
 				t.Fatal("garbage snapshot should fail to load")
 			}
@@ -276,7 +282,7 @@ func TestBinarySnapshotRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d, err := LoadDetector(kind, bytes.NewReader(snap), fixtureOptions())
+			d, err := restoreJSON(kind, snap, fixtureOptions())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package predict
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -11,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"prepare/internal/binenc"
 	"prepare/internal/detector"
 	"prepare/internal/metrics"
 )
@@ -24,6 +26,60 @@ func fixtureOptions() DetectorOptions {
 		LookbackSamples: 12,
 		Incremental:     true,
 		Seed:            7,
+	}
+}
+
+// restoreJSON restores a tan or kmeans detector from the JSON its Save
+// wrote: the JSON fills the kind's snapshot struct, which restores
+// through the validation every binary decode runs.
+func restoreJSON(kind string, data []byte, opts DetectorOptions) (detector.Detector, error) {
+	switch kind {
+	case detector.KindTAN:
+		var snap predictorSnapshot
+		if err := json.Unmarshal(data, &snap); err != nil {
+			return nil, err
+		}
+		p, err := fromSnapshot(&snap)
+		if err != nil {
+			return nil, err
+		}
+		return newTANDetector(opts, p), nil
+	case detector.KindKMeans:
+		var snap outlierSnapshot
+		if err := json.Unmarshal(data, &snap); err != nil {
+			return nil, err
+		}
+		d, err := outlierFromSnapshot(&snap, opts)
+		if err != nil {
+			return nil, err
+		}
+		return d, nil
+	default:
+		return nil, fmt.Errorf("no JSON snapshot struct for kind %q", kind)
+	}
+}
+
+// binaryFromJSON re-encodes a tan or kmeans JSON snapshot, as the
+// kind's snapshot struct holds it, in the binary checkpoint form
+// DecodeDetector reads.
+func binaryFromJSON(kind string, data []byte) ([]byte, error) {
+	switch kind {
+	case detector.KindTAN:
+		var snap predictorSnapshot
+		if err := json.Unmarshal(data, &snap); err != nil {
+			return nil, err
+		}
+		e := binenc.NewEncoder(nil)
+		snap.encode(&e)
+		return e.Finish()
+	case detector.KindKMeans:
+		var snap outlierSnapshot
+		if err := json.Unmarshal(data, &snap); err != nil {
+			return nil, err
+		}
+		return snap.appendBinary(nil)
+	default:
+		return nil, fmt.Errorf("no JSON snapshot struct for kind %q", kind)
 	}
 }
 
@@ -52,11 +108,13 @@ func fixtureTrace(n, lo, hi int, seed int64) ([][]float64, []metrics.Label) {
 	return rows, labels
 }
 
-// TestParentSnapshotsResume loads the detector snapshots commit a347e8d
-// wrote (NewDetector with fixtureOptions; Train on fixtureTrace(240,
-// 150, 200, 21); Observe fixtureTrace(50, 0, 0, 22); Save), streams the
-// next 100 rows into each and requires the score stream that commit
-// produced, bit for bit, and a Save that reproduces the fixture bytes:
+// TestParentSnapshotsResume restores the detector snapshots commit
+// a347e8d wrote (NewDetector with fixtureOptions; Train on
+// fixtureTrace(240, 150, 200, 21); Observe fixtureTrace(50, 0, 0, 22);
+// Save) through the kind's snapshot struct and its shared restore,
+// streams the next 100 rows into each and requires the score stream
+// that commit produced, bit for bit, and a Save that reproduces the
+// fixture bytes:
 // a checkpoint taken before the value model and the outlier detector
 // were folded restores and continues unchanged. The fixtures are that
 // commit's output; do not regenerate them from a later tree.
@@ -75,7 +133,7 @@ func TestParentSnapshotsResume(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d, err := LoadDetector(kind, bytes.NewReader(snap), fixtureOptions())
+			d, err := restoreJSON(kind, snap, fixtureOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,7 +145,7 @@ func TestParentSnapshotsResume(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(resaved.Bytes(), snap) {
-				t.Error("Save after Load does not reproduce the fixture bytes")
+				t.Error("Save after the restore does not reproduce the fixture bytes")
 			}
 			var got strings.Builder
 			for i, row := range next {
@@ -108,7 +166,7 @@ func TestParentSnapshotsResume(t *testing.T) {
 }
 
 // TestZScoreKindRejected: the zscore kind is gone. Parsing it, alone or
-// as an ensemble member, and loading its checkpoints fail with an error
+// as an ensemble member, and decoding its checkpoints fail with an error
 // that names it, so a configuration or snapshot that still asks for it
 // is refused rather than silently served by another kind.
 func TestZScoreKindRejected(t *testing.T) {
@@ -116,24 +174,39 @@ func TestZScoreKindRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ensemble := `{"version":1,"members":[{"name":"zscore","kind":"zscore","weight":1,"data":` +
-		strings.TrimSpace(string(fixture)) + `}]}`
+	// The fixture in binary form, as a kmeans snapshot struct holds it,
+	// and an ensemble whose one member is that zscore checkpoint.
+	bin, err := binaryFromJSON(detector.KindKMeans, fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := binenc.NewEncoder(nil)
+	e.JSON(map[string]any{"version": 1, "quorum": 1})
+	e.Uvarint(1)
+	e.String("zscore")
+	e.String("zscore")
+	e.Float64(1)
+	e.Section(func(b []byte) ([]byte, error) { return append(b, bin...), nil })
+	ensemble, err := e.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		try  func() error
 	}{
 		{"ParseSpec", func() error { _, err := detector.ParseSpec("zscore"); return err }},
 		{"ParseSpec ensemble member", func() error { _, err := detector.ParseSpec("ensemble:tan+zscore"); return err }},
-		{"LoadDetector as zscore", func() error {
-			_, err := LoadDetector("zscore", bytes.NewReader(fixture), fixtureOptions())
+		{"DecodeDetector as zscore", func() error {
+			_, err := DecodeDetector("zscore", bin, fixtureOptions())
 			return err
 		}},
-		{"LoadDetector as kmeans", func() error {
-			_, err := LoadDetector(detector.KindKMeans, bytes.NewReader(fixture), fixtureOptions())
+		{"DecodeDetector as kmeans", func() error {
+			_, err := DecodeDetector(detector.KindKMeans, bin, fixtureOptions())
 			return err
 		}},
-		{"LoadDetector ensemble member", func() error {
-			_, err := LoadDetector(detector.KindEnsemble, strings.NewReader(ensemble), fixtureOptions())
+		{"DecodeDetector ensemble member", func() error {
+			_, err := DecodeDetector(detector.KindEnsemble, ensemble, fixtureOptions())
 			return err
 		}},
 	} {
