@@ -39,9 +39,9 @@ func TestPropertyNoRequestCreation(t *testing.T) {
 			now := simclock.Time(s)
 			app.Tick(now)
 			c.Tick(now)
-			offered += app.RequestRate()
-			done += app.CompletedRate()
-			if app.ResponseMs() < 0 || app.CompletedRate() < 0 {
+			offered += app.reqRate
+			done += app.doneRate
+			if app.SLOMetric() < 0 || app.doneRate < 0 {
 				return false
 			}
 		}
@@ -82,7 +82,7 @@ func TestPropertyResponseCapped(t *testing.T) {
 		for s := int64(1); s <= 80; s++ {
 			app.Tick(simclock.Time(s))
 			c.Tick(simclock.Time(s))
-			if app.ResponseMs() < 0 || app.ResponseMs() > respCapMs {
+			if app.SLOMetric() < 0 || app.SLOMetric() > respCapMs {
 				return false
 			}
 		}
@@ -108,6 +108,6 @@ func TestRecoveryAfterHogRemoved(t *testing.T) {
 	vm.ExternalCPU = 0
 	run(app, c, 180, 400)
 	if app.SLOViolated() {
-		t.Errorf("SLO still violated 220s after hog removal: %.1f ms", app.ResponseMs())
+		t.Errorf("SLO still violated 220s after hog removal: %.1f ms", app.SLOMetric())
 	}
 }

@@ -58,7 +58,6 @@ const (
 
 // tier is one stage of the pipeline.
 type tier struct {
-	name      string
 	vm        cloudsim.VMID
 	costPer   float64
 	baseMs    float64
@@ -107,10 +106,10 @@ func New(cluster *cloudsim.Cluster, cfg Config) (*App, error) {
 	a := &App{
 		cluster: cluster,
 		input:   input,
-		web:     &tier{name: "web", vm: "vm-web", costPer: webCostPerReq, baseMs: webBaseMs, wsMB: webWSMB},
-		app1:    &tier{name: "app1", vm: "vm-app1", costPer: appCostPerReq, baseMs: appBaseMs, wsMB: appWSMB},
-		app2:    &tier{name: "app2", vm: "vm-app2", costPer: appCostPerReq, baseMs: appBaseMs, wsMB: appWSMB},
-		db:      &tier{name: "db", vm: "vm-db", costPer: dbCostPerReq, baseMs: dbBaseMs, wsMB: dbWSMB},
+		web:     &tier{vm: "vm-web", costPer: webCostPerReq, baseMs: webBaseMs, wsMB: webWSMB},
+		app1:    &tier{vm: "vm-app1", costPer: appCostPerReq, baseMs: appBaseMs, wsMB: appWSMB},
+		app2:    &tier{vm: "vm-app2", costPer: appCostPerReq, baseMs: appBaseMs, wsMB: appWSMB},
+		db:      &tier{vm: "vm-db", costPer: dbCostPerReq, baseMs: dbBaseMs, wsMB: dbWSMB},
 	}
 	placements := []struct {
 		id       cloudsim.VMID
@@ -134,18 +133,6 @@ func New(cluster *cloudsim.Cluster, cfg Config) (*App, error) {
 func (a *App) VMIDs() []cloudsim.VMID {
 	return []cloudsim.VMID{"vm-web", "vm-app1", "vm-app2", "vm-db"}
 }
-
-// TierByVM returns the tier name for a VM ID, comma-ok style.
-func (a *App) TierByVM(id cloudsim.VMID) (string, bool) {
-	for _, t := range a.tiers() {
-		if t.vm == id {
-			return t.name, true
-		}
-	}
-	return "", false
-}
-
-func (a *App) tiers() []*tier { return []*tier{a.web, a.app1, a.app2, a.db} }
 
 // Tick advances the pipeline by one simulated second and publishes per-VM
 // resource usage for the monitor.
@@ -212,15 +199,6 @@ func (a *App) tickTier(t *tier, arrivals float64) float64 {
 	return done
 }
 
-// RequestRate returns the offered request rate last tick (req/s).
-func (a *App) RequestRate() float64 { return a.reqRate }
-
-// CompletedRate returns the end-to-end completed request rate (req/s).
-func (a *App) CompletedRate() float64 { return a.doneRate }
-
-// ResponseMs returns the average request response time last tick.
-func (a *App) ResponseMs() float64 { return a.responseMs }
-
 // SLOViolated reports whether the average response time exceeded 200 ms
 // last tick (the paper's RUBiS SLO).
 func (a *App) SLOViolated() bool {
@@ -230,7 +208,3 @@ func (a *App) SLOViolated() bool {
 // SLOMetric returns the headline trace metric, the average response time
 // in ms (Figures 7b/7d/9b/9d plot this).
 func (a *App) SLOMetric() float64 { return a.responseMs }
-
-// BottleneckVM returns the VM that saturates first under a ramp (the
-// database server, as in the paper).
-func (a *App) BottleneckVM() cloudsim.VMID { return "vm-db" }

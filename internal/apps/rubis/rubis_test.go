@@ -63,27 +63,16 @@ func TestFourVMsPlaced(t *testing.T) {
 	}
 }
 
-func TestTierByVM(t *testing.T) {
-	app, _ := newApp(t, nil)
-	name, ok := app.TierByVM("vm-db")
-	if !ok || name != "db" {
-		t.Errorf("TierByVM(vm-db) = %q, %v", name, ok)
-	}
-	if _, ok := app.TierByVM("vm-nope"); ok {
-		t.Error("unknown VM should not resolve")
-	}
-}
-
 func TestSteadyStateMeetsSLO(t *testing.T) {
 	app, c := newApp(t, workload.Constant{Value: 80})
 	run(app, c, 0, 60)
 	if app.SLOViolated() {
-		t.Errorf("steady state violates SLO: resp = %.1f ms", app.ResponseMs())
+		t.Errorf("steady state violates SLO: resp = %.1f ms", app.SLOMetric())
 	}
-	if app.ResponseMs() <= 0 || app.ResponseMs() >= SLOResponseMs {
-		t.Errorf("steady response %.1f ms, want within (0, 200)", app.ResponseMs())
+	if app.SLOMetric() <= 0 || app.SLOMetric() >= SLOResponseMs {
+		t.Errorf("steady response %.1f ms, want within (0, 200)", app.SLOMetric())
 	}
-	if ratio := app.CompletedRate() / app.RequestRate(); ratio < 0.99 {
+	if ratio := app.doneRate / app.reqRate; ratio < 0.99 {
 		t.Errorf("completed/offered = %.3f, want ~1", ratio)
 	}
 }
@@ -195,8 +184,8 @@ func TestBottleneckRampViolates(t *testing.T) {
 			busiest = id
 		}
 	}
-	if busiest != app.BottleneckVM() {
-		t.Errorf("busiest VM = %s, want %s", busiest, app.BottleneckVM())
+	if busiest != "vm-db" {
+		t.Errorf("busiest VM = %s, want vm-db", busiest)
 	}
 }
 
@@ -216,7 +205,7 @@ func TestMemScalingRecoversDBLeak(t *testing.T) {
 	}
 	run(app, c, 30, 120)
 	if app.SLOViolated() {
-		t.Errorf("still violated after memory scaling: %.1f ms", app.ResponseMs())
+		t.Errorf("still violated after memory scaling: %.1f ms", app.SLOMetric())
 	}
 }
 
@@ -236,7 +225,7 @@ func TestCPUScalingRecoversHog(t *testing.T) {
 	}
 	run(app, c, 30, 120)
 	if app.SLOViolated() {
-		t.Errorf("still violated after CPU scaling: %.1f ms", app.ResponseMs())
+		t.Errorf("still violated after CPU scaling: %.1f ms", app.SLOMetric())
 	}
 }
 
@@ -261,7 +250,7 @@ func TestMigrationRecoversHogViaLargerAllocation(t *testing.T) {
 	}
 	run(app, c, 30, 120)
 	if app.SLOViolated() {
-		t.Errorf("still violated after migration: %.1f ms", app.ResponseMs())
+		t.Errorf("still violated after migration: %.1f ms", app.SLOMetric())
 	}
 	if vm.Host().ID == "d" {
 		t.Log("note: db still on original host") // informational only
@@ -294,7 +283,7 @@ func TestResourceUsagePublished(t *testing.T) {
 func TestSLOMetricIsResponseTime(t *testing.T) {
 	app, c := newApp(t, workload.Constant{Value: 80})
 	run(app, c, 0, 10)
-	if app.SLOMetric() != app.ResponseMs() {
+	if app.SLOMetric() != app.responseMs {
 		t.Error("SLOMetric should be the response time")
 	}
 }

@@ -17,7 +17,6 @@ package streamsys
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"prepare/internal/cloudsim"
 	"prepare/internal/simclock"
@@ -62,12 +61,6 @@ type PE struct {
 	tupleMs    float64 // per-tuple latency contribution this tick
 }
 
-// Queue returns the PE's current queue length in Ktuples.
-func (p *PE) Queue() float64 { return p.queue }
-
-// ProcessedRate returns the PE's processing rate last tick (Ktuples/s).
-func (p *PE) ProcessedRate() float64 { return p.procRate }
-
 // App is the simulated System S application bound to a cloudsim cluster.
 type App struct {
 	cluster *cloudsim.Cluster
@@ -80,13 +73,6 @@ type App struct {
 	inputRate  float64 // offered load this tick (Ktuples/s)
 	outputRate float64 // sink emission this tick
 	avgTupleMs float64 // average end-to-end per-tuple time this tick
-}
-
-// Topology returns the names of the PEs in topological order.
-func (a *App) Topology() []string {
-	out := make([]string, len(a.order))
-	copy(out, a.order)
-	return out
 }
 
 // Config parameterizes the application.
@@ -172,16 +158,6 @@ func (a *App) VMIDs() []cloudsim.VMID {
 		out = append(out, a.pes[name].VM)
 	}
 	return out
-}
-
-// PEByVM maps a VM back to its PE name. The boolean follows comma-ok.
-func (a *App) PEByVM(id cloudsim.VMID) (string, bool) {
-	for name, p := range a.pes {
-		if p.VM == id {
-			return name, true
-		}
-	}
-	return "", false
 }
 
 // Tick advances the dataflow by one simulated second: tuples arrive at
@@ -288,15 +264,6 @@ func (a *App) pathLatencyMs() float64 {
 	return worst
 }
 
-// InputRate returns the offered load last tick (Ktuples/s).
-func (a *App) InputRate() float64 { return a.inputRate }
-
-// OutputRate returns the sink emission rate last tick (Ktuples/s).
-func (a *App) OutputRate() float64 { return a.outputRate }
-
-// AvgTupleTimeMs returns the average per-tuple processing time last tick.
-func (a *App) AvgTupleTimeMs() float64 { return a.avgTupleMs }
-
 // SLOViolated reports whether the application violated its SLO last tick,
 // per the paper: output/input ratio below 0.95 or per-tuple time above
 // 20 ms.
@@ -311,18 +278,3 @@ func (a *App) SLOViolated() bool {
 // SLOMetric returns the headline trace metric, the end-to-end throughput
 // in Ktuples/s (Figures 7a/7c/9a/9c plot this).
 func (a *App) SLOMetric() float64 { return a.outputRate }
-
-// PEs returns the PE names sorted alphabetically (for deterministic
-// iteration in diagnostics).
-func (a *App) PEs() []string {
-	out := make([]string, 0, len(a.pes))
-	for name := range a.pes {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// BottleneckPE returns the name of the PE designed to saturate first
-// under a workload ramp (PE6, the network-intensive sink stage).
-func (a *App) BottleneckPE() string { return "pe6" }

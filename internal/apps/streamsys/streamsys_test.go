@@ -60,19 +60,8 @@ func TestSevenPEsPlaced(t *testing.T) {
 			t.Errorf("VM %s missing from cluster: %v", id, err)
 		}
 	}
-	if got := len(app.Topology()); got != 7 {
+	if got := len(app.order); got != 7 {
 		t.Errorf("topology has %d PEs, want 7", got)
-	}
-}
-
-func TestPEByVM(t *testing.T) {
-	app, _ := newApp(t, nil)
-	name, ok := app.PEByVM("vm-pe6")
-	if !ok || name != "pe6" {
-		t.Errorf("PEByVM(vm-pe6) = %q, %v", name, ok)
-	}
-	if _, ok := app.PEByVM("vm-unknown"); ok {
-		t.Error("unknown VM should not resolve")
 	}
 }
 
@@ -81,14 +70,14 @@ func TestSteadyStateMeetsSLO(t *testing.T) {
 	run(app, c, 0, 60)
 	if app.SLOViolated() {
 		t.Errorf("steady state violates SLO: out/in = %.3f/%.3f, tuple %.1fms",
-			app.OutputRate(), app.InputRate(), app.AvgTupleTimeMs())
+			app.outputRate, app.inputRate, app.avgTupleMs)
 	}
-	ratio := app.OutputRate() / app.InputRate()
+	ratio := app.outputRate / app.inputRate
 	if ratio < 0.99 {
 		t.Errorf("steady-state throughput ratio = %.3f, want ~1", ratio)
 	}
-	if app.AvgTupleTimeMs() >= SLOTupleTimeMs {
-		t.Errorf("steady-state tuple time %.1f ms exceeds SLO", app.AvgTupleTimeMs())
+	if app.avgTupleMs >= SLOTupleTimeMs {
+		t.Errorf("steady-state tuple time %.1f ms exceeds SLO", app.avgTupleMs)
 	}
 }
 
@@ -208,7 +197,7 @@ func TestMemScalingRecoversLeak(t *testing.T) {
 	run(app, c, 30, 90)
 	if app.SLOViolated() {
 		t.Errorf("SLO still violated after memory scaling: tuple %.1fms ratio %.3f",
-			app.AvgTupleTimeMs(), app.OutputRate()/app.InputRate())
+			app.avgTupleMs, app.outputRate/app.inputRate)
 	}
 }
 
@@ -229,14 +218,14 @@ func TestCPUScalingRecoversHog(t *testing.T) {
 	run(app, c, 30, 120)
 	if app.SLOViolated() {
 		t.Errorf("SLO still violated after CPU scaling: tuple %.1fms ratio %.3f",
-			app.AvgTupleTimeMs(), app.OutputRate()/app.InputRate())
+			app.avgTupleMs, app.outputRate/app.inputRate)
 	}
 }
 
 func TestSLOMetricIsThroughput(t *testing.T) {
 	app, c := newApp(t, workload.Constant{Value: 25})
 	run(app, c, 0, 20)
-	if app.SLOMetric() != app.OutputRate() {
+	if app.SLOMetric() != app.outputRate {
 		t.Error("SLOMetric should report output throughput")
 	}
 	if app.SLOMetric() < 20 {
@@ -264,15 +253,5 @@ func TestResourceUsagePublished(t *testing.T) {
 		if vm.CPUUsage > vm.CPUAllocation+1e-9 {
 			t.Errorf("%s: CPU usage %.1f exceeds allocation %.1f", id, vm.CPUUsage, vm.CPUAllocation)
 		}
-	}
-}
-
-func TestBottleneckPEName(t *testing.T) {
-	app, _ := newApp(t, nil)
-	if app.BottleneckPE() != "pe6" {
-		t.Errorf("BottleneckPE = %s, want pe6", app.BottleneckPE())
-	}
-	if got := len(app.PEs()); got != 7 {
-		t.Errorf("PEs() returned %d names, want 7", got)
 	}
 }

@@ -116,9 +116,6 @@ func (t *CountTable) pairIdx(i, j int) int {
 // NumAttributes returns the number of attributes.
 func (t *CountTable) NumAttributes() int { return len(t.bins) }
 
-// Bins returns a copy of the per-attribute bin counts.
-func (t *CountTable) Bins() []int { return append([]int(nil), t.bins...) }
-
 // Total returns the number of counted instances.
 func (t *CountTable) Total() float64 { return float64(t.total) }
 
@@ -151,24 +148,6 @@ func (t *CountTable) Add(bins []int, abnormal bool) error {
 		return fmt.Errorf("%w: table already counts %d instances", ErrCountRange, t.total)
 	}
 	t.add(bins, classIdx(abnormal))
-	return nil
-}
-
-// Remove un-counts one previously added instance. Counts are exact
-// integers, so removal restores the table to its pre-Add state
-// bit-for-bit. An instance one of whose counts is already zero cannot
-// have been added and is refused with ErrCountRange; removing one that
-// was never added but whose counts are all positive still corrupts the
-// table, and callers own that bookkeeping.
-func (t *CountTable) Remove(bins []int, abnormal bool) error {
-	if err := t.checkBins(bins); err != nil {
-		return err
-	}
-	c := classIdx(abnormal)
-	if err := t.checkRemovable(bins, c); err != nil {
-		return err
-	}
-	t.remove(bins, c)
 	return nil
 }
 
@@ -384,14 +363,6 @@ type CountSnapshot struct {
 	Total float64        `json:"total"`
 	Marg  [2][][]float64 `json:"marg"`
 	Pair  [2][][]float64 `json:"pair"`
-}
-
-// Snapshot exports the table state, every count as a whole-number
-// float64.
-func (t *CountTable) Snapshot() CountSnapshot {
-	var s CountSnapshot
-	t.SnapshotInto(&s)
-	return s
 }
 
 // SnapshotInto exports the table state into s, reusing its rows where

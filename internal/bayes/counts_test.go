@@ -51,7 +51,7 @@ func TestTrainFromCountsMatchesBatchTrain(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got.Snapshot(), want.Snapshot()) {
+			if !reflect.DeepEqual(modelSnapshot(got), modelSnapshot(want)) {
 				t.Fatalf("trial %d (naive=%v): count-table model differs from batch model", trial, naive)
 			}
 		}
@@ -96,7 +96,7 @@ func TestCountTableRelabelMatchesFinalLabels(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if !reflect.DeepEqual(streamed.Snapshot(), direct.Snapshot()) {
+		if !reflect.DeepEqual(countSnapshot(streamed), countSnapshot(direct)) {
 			t.Fatalf("trial %d: relabeled table differs from directly-built table", trial)
 		}
 	}
@@ -117,7 +117,7 @@ func TestCountTableRemoveUndoesAdd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := ct.Snapshot()
+	before := countSnapshot(ct)
 	extra := randomInstances(rng, bins, 30, 0.6)
 	for _, inst := range extra {
 		if err := ct.Add(inst.Bins, inst.Abnormal); err != nil {
@@ -125,11 +125,11 @@ func TestCountTableRemoveUndoesAdd(t *testing.T) {
 		}
 	}
 	for _, inst := range extra {
-		if err := ct.Remove(inst.Bins, inst.Abnormal); err != nil {
+		if err := removeCounted(ct, inst.Bins, inst.Abnormal); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !reflect.DeepEqual(ct.Snapshot(), before) {
+	if !reflect.DeepEqual(countSnapshot(ct), before) {
 		t.Fatal("Add+Remove did not restore the table")
 	}
 }
@@ -164,7 +164,7 @@ func TestFoldAbnormalMatchesRelabeledBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Snapshot(), want.Snapshot()) {
+	if !reflect.DeepEqual(modelSnapshot(got), modelSnapshot(want)) {
 		t.Fatal("folded model differs from all-normal batch model")
 	}
 	// The original table must be untouched by the fold.
@@ -187,11 +187,11 @@ func TestCountSnapshotRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	back, err := CountTableFromSnapshot(ct.Snapshot())
+	back, err := CountTableFromSnapshot(countSnapshot(ct))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(back.Snapshot(), ct.Snapshot()) {
+	if !reflect.DeepEqual(countSnapshot(back), countSnapshot(ct)) {
 		t.Fatal("snapshot round trip changed the table")
 	}
 	// Both copies must evolve identically.
@@ -206,7 +206,7 @@ func TestCountSnapshotRoundTrip(t *testing.T) {
 	}
 	a, _ := TrainFromCounts(ct, Options{})
 	b, _ := TrainFromCounts(back, Options{})
-	if !reflect.DeepEqual(a.Snapshot(), b.Snapshot()) {
+	if !reflect.DeepEqual(modelSnapshot(a), modelSnapshot(b)) {
 		t.Fatal("restored table diverged from the original")
 	}
 }
@@ -248,20 +248,20 @@ func TestCountTableRefusesOutOfRange(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := ct.Snapshot()
+	before := countSnapshot(ct)
 	unchanged := func(what string, err error) {
 		t.Helper()
 		if !errors.Is(err, ErrCountRange) {
 			t.Fatalf("%s: %v, want ErrCountRange", what, err)
 		}
-		if !reflect.DeepEqual(ct.Snapshot(), before) {
+		if !reflect.DeepEqual(countSnapshot(ct), before) {
 			t.Fatalf("%s: a refused update changed the table", what)
 		}
 	}
 	// (0,1,3) shares attribute values with counted normal instances but
 	// its pair (attr 0, attr 2) = (0, 3) was never counted.
-	unchanged("remove a pair never counted", ct.Remove([]int{0, 1, 3}, false))
-	unchanged("remove from the wrong class", ct.Remove([]int{0, 1, 2}, true))
+	unchanged("remove a pair never counted", removeCounted(ct, []int{0, 1, 3}, false))
+	unchanged("remove from the wrong class", removeCounted(ct, []int{0, 1, 2}, true))
 	unchanged("relabel from the wrong class", ct.Relabel([]int{1, 1, 3}, true))
 	unchanged("relabel a value never counted", ct.Relabel([]int{0, 0, 1}, true))
 
@@ -274,7 +274,7 @@ func TestCountTableRefusesOutOfRange(t *testing.T) {
 			t.Fatalf("%s: %v, want ErrCountRange", what, err)
 		}
 	}
-	unchanged("remove from an emptied class", ct.Remove([]int{1, 1, 3}, true))
+	unchanged("remove from an emptied class", removeCounted(ct, []int{1, 1, 3}, true))
 
 	full, err := NewCountTable(bins)
 	if err != nil {
@@ -293,7 +293,7 @@ func TestCountTableRefusesOutOfRange(t *testing.T) {
 	if full.total != maxCount || full.classCount[1] != 0 || full.marg[1][0][0] != 0 {
 		t.Fatal("a refused add changed the table")
 	}
-	if err := full.Remove([]int{0, 0, 0}, false); err != nil {
+	if err := removeCounted(full, []int{0, 0, 0}, false); err != nil {
 		t.Fatalf("remove from a full table: %v", err)
 	}
 	if err := full.Add([]int{0, 0, 0}, true); err != nil {
@@ -317,7 +317,7 @@ func TestCountTableFromSnapshotRejectsBadCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := CountTableFromSnapshot(ct.Snapshot()); err != nil {
+	if _, err := CountTableFromSnapshot(countSnapshot(ct)); err != nil {
 		t.Fatalf("valid snapshot refused: %v", err)
 	}
 	bad := map[string]float64{
@@ -338,7 +338,7 @@ func TestCountTableFromSnapshotRejectsBadCounts(t *testing.T) {
 			{"class", func(s *CountSnapshot) { s.Class[1] = x }},
 			{"total", func(s *CountSnapshot) { s.Total = x }},
 		} {
-			s := ct.Snapshot()
+			s := countSnapshot(ct)
 			at.set(&s)
 			if _, err := CountTableFromSnapshot(s); !errors.Is(err, ErrCountRange) {
 				t.Errorf("%s %s count %v: %v, want ErrCountRange", name, at.where, x, err)
@@ -353,10 +353,39 @@ func TestCountTableFromSnapshotRejectsBadCounts(t *testing.T) {
 			s.Class[0], s.Class[1], s.Total = maxCount, maxCount, maxCount
 		},
 	} {
-		s := ct.Snapshot()
+		s := countSnapshot(ct)
 		set(&s)
 		if _, err := CountTableFromSnapshot(s); !errors.Is(err, ErrCountRange) {
 			t.Errorf("%s: %v, want ErrCountRange", name, err)
 		}
 	}
+}
+
+// countSnapshot exports ct through SnapshotInto.
+func countSnapshot(ct *CountTable) CountSnapshot {
+	var s CountSnapshot
+	ct.SnapshotInto(&s)
+	return s
+}
+
+// modelSnapshot exports m through SnapshotInto.
+func modelSnapshot(m *Model) Snapshot {
+	var s Snapshot
+	m.SnapshotInto(&s)
+	return s
+}
+
+// removeCounted un-counts one previously added instance from its
+// class, through the same check and update Relabel runs; a removal
+// that could not have been counted is refused with ErrCountRange.
+func removeCounted(ct *CountTable, bins []int, abnormal bool) error {
+	if err := ct.checkBins(bins); err != nil {
+		return err
+	}
+	c := classIdx(abnormal)
+	if err := ct.checkRemovable(bins, c); err != nil {
+		return err
+	}
+	ct.remove(bins, c)
+	return nil
 }

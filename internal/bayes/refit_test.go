@@ -63,7 +63,7 @@ func TestRefitMatchesFreshTrain(t *testing.T) {
 			}
 			if window = append(window, batch); len(window) > 2 {
 				for _, inst := range window[0] {
-					if err := ct.Remove(inst.Bins, inst.Abnormal); err != nil {
+					if err := removeCounted(ct, inst.Bins, inst.Abnormal); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -77,13 +77,13 @@ func TestRefitMatchesFreshTrain(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(m.Snapshot(), fresh.Snapshot()) {
+			if !reflect.DeepEqual(modelSnapshot(m), modelSnapshot(fresh)) {
 				t.Fatalf("evolution %d round %d: refitted model differs from a fresh train", evolution, round)
 			}
-			if prevParents != nil && !reflect.DeepEqual(prevParents, m.Parents()) {
+			if prevParents != nil && !reflect.DeepEqual(prevParents, m.parent) {
 				treeChanges++
 			}
-			prevParents = m.Parents()
+			prevParents = append([]int(nil), m.parent...)
 
 			if lr == nil {
 				lr = m.LogRatios()
@@ -152,7 +152,7 @@ func TestRefitAllocatesNothing(t *testing.T) {
 		if err := ct.Relabel(inst.Bins, inst.Abnormal); err != nil {
 			t.Fatal(err)
 		}
-		if err := ct.Remove(inst.Bins, inst.Abnormal); err != nil {
+		if err := removeCounted(ct, inst.Bins, inst.Abnormal); err != nil {
 			t.Fatal(err)
 		}
 		if err := ct.Add(inst.Bins, inst.Abnormal); err != nil {
@@ -173,7 +173,7 @@ func TestRefitAllocatesNothing(t *testing.T) {
 // old fit keeps scoring.
 func TestRefitRejectsWithoutTouchingModel(t *testing.T) {
 	m := trainRandomModel(t, rand.New(rand.NewSource(3)), 5, 4, false)
-	before := m.Snapshot()
+	before := modelSnapshot(m)
 	lr := m.LogRatios()
 
 	empty, err := NewCountTable([]int{4, 4, 4, 4, 4})
@@ -196,7 +196,7 @@ func TestRefitRejectsWithoutTouchingModel(t *testing.T) {
 	if err := m.RefitFromCounts(other, Options{}); !errors.Is(err, ErrShape) {
 		t.Fatalf("refit from a table of another shape: %v, want ErrShape", err)
 	}
-	if !reflect.DeepEqual(m.Snapshot(), before) {
+	if !reflect.DeepEqual(modelSnapshot(m), before) {
 		t.Fatal("a refused refit changed the model")
 	}
 	if lr.gen != m.gen {

@@ -18,13 +18,6 @@ type Snapshot struct {
 	Total      float64          `json:"total"`
 }
 
-// Snapshot exports the trained model state.
-func (m *Model) Snapshot() Snapshot {
-	var s Snapshot
-	m.SnapshotInto(&s)
-	return s
-}
-
 // SnapshotInto exports the trained model state into s, reusing its
 // slices where they already have the shape the state needs.
 func (m *Model) SnapshotInto(s *Snapshot) {

@@ -17,7 +17,7 @@ func trainedModel(t *testing.T) *Model {
 
 func TestModelSnapshotRoundTrip(t *testing.T) {
 	m := trainedModel(t)
-	restored, err := FromSnapshot(m.Snapshot())
+	restored, err := FromSnapshot(modelSnapshot(m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestModelSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 	// Parents preserved.
-	p1, p2 := m.Parents(), restored.Parents()
+	p1, p2 := m.parent, restored.parent
 	for i := range p1 {
 		if p1[i] != p2[i] {
 			t.Errorf("parent[%d] = %d vs %d", i, p1[i], p2[i])
@@ -51,7 +51,7 @@ func TestModelSnapshotRoundTrip(t *testing.T) {
 
 func TestModelSnapshotIsACopy(t *testing.T) {
 	m := trainedModel(t)
-	snap := m.Snapshot()
+	snap := modelSnapshot(m)
 	snap.CPT[0][0][0][0] = 0.123456
 	if m.cpt[0][0][0][0] == 0.123456 {
 		t.Error("snapshot shares memory with the model")
@@ -61,57 +61,57 @@ func TestModelSnapshotIsACopy(t *testing.T) {
 func TestBayesFromSnapshotValidation(t *testing.T) {
 	m := trainedModel(t)
 	cases := map[string]func() Snapshot{
-		"no attrs": func() Snapshot { s := m.Snapshot(); s.Bins = nil; return s },
-		"shape":    func() Snapshot { s := m.Snapshot(); s.Parent = s.Parent[:1]; return s },
-		"total":    func() Snapshot { s := m.Snapshot(); s.Total = 0; return s },
-		"bad bins": func() Snapshot { s := m.Snapshot(); s.Bins[0] = 0; return s },
+		"no attrs": func() Snapshot { s := modelSnapshot(m); s.Bins = nil; return s },
+		"shape":    func() Snapshot { s := modelSnapshot(m); s.Parent = s.Parent[:1]; return s },
+		"total":    func() Snapshot { s := modelSnapshot(m); s.Total = 0; return s },
+		"bad bins": func() Snapshot { s := modelSnapshot(m); s.Bins[0] = 0; return s },
 		"self parent": func() Snapshot {
-			s := m.Snapshot()
+			s := modelSnapshot(m)
 			for i := range s.Parent {
 				s.Parent[i] = i
 			}
 			return s
 		},
 		"bad prob": func() Snapshot {
-			s := m.Snapshot()
+			s := modelSnapshot(m)
 			s.CPT[0][0][0][0] = 1.5
 			return s
 		},
 		"zero prob": func() Snapshot {
-			s := m.Snapshot()
+			s := modelSnapshot(m)
 			s.CPT[0][1][0][0] = 0
 			return s
 		},
 		"nan prob": func() Snapshot {
-			s := m.Snapshot()
+			s := modelSnapshot(m)
 			s.CPT[1][0][0][0] = math.NaN()
 			return s
 		},
-		"nan total": func() Snapshot { s := m.Snapshot(); s.Total = math.NaN(); return s },
+		"nan total": func() Snapshot { s := modelSnapshot(m); s.Total = math.NaN(); return s },
 		// Each class-count case keeps c0 + c1 == Total, so only the
 		// count itself is wrong.
 		"negative class count": func() Snapshot {
-			s := m.Snapshot()
+			s := modelSnapshot(m)
 			s.ClassCount, s.Total = [2]float64{-5, 10}, 5
 			return s
 		},
 		"fractional class count": func() Snapshot {
-			s := m.Snapshot()
+			s := modelSnapshot(m)
 			s.ClassCount, s.Total = [2]float64{2.5, 1.5}, 4
 			return s
 		},
 		"nan class count": func() Snapshot {
-			s := m.Snapshot()
+			s := modelSnapshot(m)
 			s.ClassCount[1] = math.NaN()
 			return s
 		},
 		"infinite class count": func() Snapshot {
-			s := m.Snapshot()
+			s := modelSnapshot(m)
 			s.ClassCount, s.Total = [2]float64{math.Inf(1), 1}, math.Inf(1)
 			return s
 		},
 		"counts disagree with total": func() Snapshot {
-			s := m.Snapshot()
+			s := modelSnapshot(m)
 			s.Total++
 			return s
 		},

@@ -215,12 +215,6 @@ func (m *Model) normalizeCPTs() {
 // on.
 func (m *Model) NumAttributes() int { return m.numAttrs }
 
-// Parents returns a copy of the dependency-tree parent array (-1 marks
-// attributes whose only parent is the class variable).
-func (m *Model) Parents() []int {
-	return append([]int(nil), m.parent...)
-}
-
 // ClassPrior returns the smoothed log prior ratio
 // log P(C=1)/P(C=0).
 func (m *Model) ClassPrior() float64 {

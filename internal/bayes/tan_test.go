@@ -106,7 +106,7 @@ func TestTreeFindsDependency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parents := m.Parents()
+	parents := m.parent
 	// a1 copies a0, so the strongest CMI edge is 0-1: one of them must be
 	// the other's parent.
 	if !(parents[1] == 0 || parents[0] == 1) {
@@ -120,7 +120,7 @@ func TestParentsFormTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parents := m.Parents()
+	parents := m.parent
 	roots := 0
 	for i, p := range parents {
 		if p == -1 {
@@ -152,7 +152,7 @@ func TestNaiveHasNoTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, p := range m.Parents() {
+	for i, p := range m.parent {
 		if p != -1 {
 			t.Errorf("naive model attribute %d has parent %d", i, p)
 		}

@@ -103,10 +103,6 @@ func (s *Store) resize(slots int) {
 // VMs returns the fleet size the store was built for.
 func (s *Store) VMs() int { return s.nVMs }
 
-// Window returns the number of ticks the store retains, 0 when it
-// retains every tick.
-func (s *Store) Window() int { return s.window }
-
 // Ticks returns how many committed ticks the store currently holds.
 func (s *Store) Ticks() int { return s.count }
 
@@ -210,10 +206,6 @@ func (s *Store) Latest(vm int, a metrics.Attribute) float64 {
 
 // Time returns the timestamp of the tick back ticks before the latest.
 func (s *Store) Time(back int) simclock.Time { return s.times[s.slotOf(back)] }
-
-// Label returns the fleet-wide SLO label of the tick back ticks before
-// the latest.
-func (s *Store) Label(back int) metrics.Label { return s.labels[s.slotOf(back)] }
 
 // Recorded reports whether VM vm's row back ticks before the latest
 // belongs to its history.

@@ -203,7 +203,7 @@ func TestHistoryWindowBoundsSeries(t *testing.T) {
 	if n := len(ctl.Dataset()["vm1"]); n != 40 {
 		t.Errorf("history retains %d samples, want the 40-tick window", n)
 	}
-	if w := ctl.store.Window(); w != 40 {
-		t.Errorf("store window = %d, want 40", w)
+	if n := ctl.store.Ticks(); n != 40 {
+		t.Errorf("store holds %d ticks, want the 40-tick window", n)
 	}
 }

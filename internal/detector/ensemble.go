@@ -116,12 +116,6 @@ func (e *Ensemble) SetTelemetry(reg *telemetry.Registry, scope string) {
 	}
 }
 
-// Members exposes the member list (for stats reporting).
-func (e *Ensemble) Members() []Member { return e.members }
-
-// Quorum exposes the resolved vote weight required to alert.
-func (e *Ensemble) Quorum() float64 { return e.quorum }
-
 // Kind implements Detector.
 func (e *Ensemble) Kind() string { return KindEnsemble }
 

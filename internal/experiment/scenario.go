@@ -46,18 +46,6 @@ func (a AppKind) String() string {
 	}
 }
 
-// AppKindByName resolves an application name, comma-ok style.
-func AppKindByName(name string) (AppKind, bool) {
-	switch name {
-	case "systems":
-		return SystemS, true
-	case "rubis":
-		return RUBiS, true
-	default:
-		return 0, false
-	}
-}
-
 // Scenario describes one experiment run. The default timeline follows
 // the paper: runs last 1200-1800 s with two ~300 s injections of the
 // same fault; the model learns the anomaly during the first injection
@@ -383,12 +371,10 @@ func buildSystemS(cluster *cloudsim.Cluster, sc Scenario) (control.App, *faults.
 		s1 := &faults.Surge{
 			Inner: base, PeakFactor: surgeFactor,
 			Start: simclock.Time(sc.Inject1[0]), End: simclock.Time(sc.Inject1[1]),
-			Bottleneck: "vm-pe6",
 		}
 		s2 := &faults.Surge{
 			Inner: s1, PeakFactor: surgeFactor,
 			Start: simclock.Time(sc.Inject2[0]), End: simclock.Time(sc.Inject2[1]),
-			Bottleneck: "vm-pe6",
 		}
 		input = s2
 		schedule = faults.NewSchedule(s1, s2)
@@ -476,12 +462,10 @@ func buildRUBiS(cluster *cloudsim.Cluster, sc Scenario) (control.App, *faults.Sc
 		s1 := &faults.Surge{
 			Inner: base, PeakFactor: surgeFactor,
 			Start: simclock.Time(sc.Inject1[0]), End: simclock.Time(sc.Inject1[1]),
-			Bottleneck: target,
 		}
 		s2 := &faults.Surge{
 			Inner: s1, PeakFactor: surgeFactor,
 			Start: simclock.Time(sc.Inject2[0]), End: simclock.Time(sc.Inject2[1]),
-			Bottleneck: target,
 		}
 		input = s2
 		schedule = faults.NewSchedule(s1, s2)

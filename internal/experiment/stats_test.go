@@ -74,18 +74,6 @@ func TestScenarioDefaults(t *testing.T) {
 	}
 }
 
-func TestAppKindByName(t *testing.T) {
-	if a, ok := AppKindByName("systems"); !ok || a != SystemS {
-		t.Error("systems lookup failed")
-	}
-	if a, ok := AppKindByName("rubis"); !ok || a != RUBiS {
-		t.Error("rubis lookup failed")
-	}
-	if _, ok := AppKindByName("x"); ok {
-		t.Error("unknown name resolved")
-	}
-}
-
 func TestTable1Rows(t *testing.T) {
 	rows, err := Table1(3)
 	if err != nil {

@@ -37,27 +37,11 @@ func (k Kind) String() string {
 	}
 }
 
-// KindByName resolves a fault name, comma-ok style.
-func KindByName(name string) (Kind, bool) {
-	for _, k := range []Kind{MemoryLeak, CPUHog, Bottleneck} {
-		if k.String() == name {
-			return k, true
-		}
-	}
-	return 0, false
-}
-
 // Injector perturbs the simulated system while active. Apply must be
 // called exactly once per simulated second, before the application tick.
 type Injector interface {
 	// Apply advances the fault's effect at the given instant.
 	Apply(now simclock.Time)
-	// Active reports whether the fault is being injected at the instant.
-	Active(now simclock.Time) bool
-	// Kind returns the fault class.
-	Kind() Kind
-	// Target returns the faulty VM, or "" for workload-level faults.
-	Target() cloudsim.VMID
 }
 
 // LeakInjector grows a VM's leaked memory linearly while active — the
@@ -107,16 +91,10 @@ func (l *LeakInjector) Apply(now simclock.Time) {
 	}
 }
 
-// Active implements Injector.
+// Active reports whether the fault is being injected at the instant.
 func (l *LeakInjector) Active(now simclock.Time) bool {
 	return !now.Before(l.start) && now.Before(l.end)
 }
-
-// Kind implements Injector.
-func (l *LeakInjector) Kind() Kind { return MemoryLeak }
-
-// Target implements Injector.
-func (l *LeakInjector) Target() cloudsim.VMID { return l.vm }
 
 // HogInjector pins an external CPU-bound process inside the VM while
 // active — the paper's infinite-loop bug competing with the application.
@@ -166,16 +144,10 @@ func (h *HogInjector) Apply(now simclock.Time) {
 	}
 }
 
-// Active implements Injector.
+// Active reports whether the fault is being injected at the instant.
 func (h *HogInjector) Active(now simclock.Time) bool {
 	return !now.Before(h.start) && now.Before(h.end)
 }
-
-// Kind implements Injector.
-func (h *HogInjector) Kind() Kind { return CPUHog }
-
-// Target implements Injector.
-func (h *HogInjector) Target() cloudsim.VMID { return h.vm }
 
 // Surge implements the bottleneck fault as a workload transformation:
 // while active, the offered load ramps from the baseline up to
@@ -190,9 +162,6 @@ type Surge struct {
 	// RampFrac is the fraction of the window spent ramping up (the rest
 	// holds at peak). Defaults to 0.6 when zero.
 	RampFrac float64
-	// Bottleneck optionally names the component expected to saturate, for
-	// diagnosis bookkeeping.
-	Bottleneck cloudsim.VMID
 }
 
 var (
@@ -224,19 +193,12 @@ func (s *Surge) Rate(t simclock.Time) float64 {
 // no-op).
 func (s *Surge) Apply(simclock.Time) {}
 
-// Active implements Injector.
+// Active reports whether the fault is being injected at the instant.
 func (s *Surge) Active(now simclock.Time) bool {
 	return !now.Before(s.Start) && now.Before(s.End)
 }
 
-// Kind implements Injector.
-func (s *Surge) Kind() Kind { return Bottleneck }
-
-// Target implements Injector.
-func (s *Surge) Target() cloudsim.VMID { return s.Bottleneck }
-
-// Schedule applies a set of injectors each tick and answers whether any
-// fault is currently active.
+// Schedule applies a set of injectors each tick.
 type Schedule struct {
 	injectors []Injector
 }
@@ -251,21 +213,4 @@ func (s *Schedule) Apply(now simclock.Time) {
 	for _, inj := range s.injectors {
 		inj.Apply(now)
 	}
-}
-
-// AnyActive reports whether any injector is active at the instant.
-func (s *Schedule) AnyActive(now simclock.Time) bool {
-	for _, inj := range s.injectors {
-		if inj.Active(now) {
-			return true
-		}
-	}
-	return false
-}
-
-// Injectors returns the scheduled injectors.
-func (s *Schedule) Injectors() []Injector {
-	out := make([]Injector, len(s.injectors))
-	copy(out, s.injectors)
-	return out
 }

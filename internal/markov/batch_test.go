@@ -159,7 +159,7 @@ func TestRefreshRowsAfterSnapshotRestore(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		restored, err := FromSnapshot(orig.Snapshot())
+		restored, err := FromSnapshot(snapshotOf(orig))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -51,12 +51,6 @@ type Predictor interface {
 	PredictSeriesInto(out [][]float64)
 	// NumStates returns the number of discretized states.
 	NumStates() int
-	// Observations returns how many observations the chain has absorbed
-	// in total. Derived from the transition counts (plus the warm-up
-	// states), so it survives snapshot round-trips — incremental training
-	// uses it to assert that streamed and batch-fit chains saw the same
-	// data.
-	Observations() int
 }
 
 // ErrBadState is returned when an observation is outside [0, states).
@@ -104,19 +98,6 @@ func NewSimpleChain(states int) (*SimpleChain, error) {
 // NumStates implements Predictor.
 func (c *SimpleChain) NumStates() int { return c.states }
 
-// Observations implements Predictor: the recorded transitions plus the
-// initial warm-up observation.
-func (c *SimpleChain) Observations() int {
-	total := 0
-	for _, n := range c.counts {
-		total += int(n)
-	}
-	if c.seen {
-		total++
-	}
-	return total
-}
-
 // Observe implements Predictor.
 func (c *SimpleChain) Observe(bin int) error {
 	if bin < 0 || bin >= c.states {
@@ -145,13 +126,6 @@ func (c *SimpleChain) Fit(seq []int) error {
 		}
 	}
 	return nil
-}
-
-// row returns the smoothed transition distribution out of state i.
-func (c *SimpleChain) row(i int) []float64 {
-	out := make([]float64, c.states)
-	c.rowInto(i, out)
-	return out
 }
 
 // rowInto writes the smoothed transition distribution out of state i
@@ -311,16 +285,6 @@ func NewTwoDepChain(states int) (*TwoDepChain, error) {
 
 // NumStates implements Predictor.
 func (c *TwoDepChain) NumStates() int { return c.states }
-
-// Observations implements Predictor: the recorded transitions plus the
-// two warm-up observations that seed the combined state.
-func (c *TwoDepChain) Observations() int {
-	total := 0
-	for _, n := range c.colTot {
-		total += int(n)
-	}
-	return total + c.nSeen
-}
 
 // Observe implements Predictor.
 func (c *TwoDepChain) Observe(bin int) error {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -13,7 +14,7 @@ var refreshStates = []int{2, 5, 8, 9}
 
 // checkRefreshedRows refreshes ch and requires every row to equal the
 // row-at-a-time oracle by bits, the running totals to equal a recount
-// of the counts, and Observations to equal the number of bins fed.
+// of the counts, and the counts plus warm-up to equal the bins fed.
 func checkRefreshedRows(t *testing.T, ch *TwoDepChain, fed int, where string) {
 	t.Helper()
 	s := ch.states
@@ -61,8 +62,8 @@ func checkRefreshedRows(t *testing.T, ch *TwoDepChain, fed int, where string) {
 	if min(fed, 2) != ch.nSeen {
 		t.Fatalf("%s: nSeen %d after %d bins", where, ch.nSeen, fed)
 	}
-	if got := ch.Observations(); got != fed || total+ch.nSeen != fed {
-		t.Fatalf("%s: Observations %d, counts recount %d + %d warm-up, fed %d", where, got, total, ch.nSeen, fed)
+	if total+ch.nSeen != fed {
+		t.Fatalf("%s: counts recount %d + %d warm-up, fed %d", where, total, ch.nSeen, fed)
 	}
 }
 
@@ -94,7 +95,7 @@ func driveRefresh(t *testing.T, states int, ops []byte) {
 		case 4:
 			checkRefreshedRows(t, ch, fed, "refresh")
 		case 5:
-			p, err := FromSnapshot(ch.Snapshot())
+			p, err := FromSnapshot(snapshotOf(ch))
 			if err != nil {
 				t.Fatalf("round trip: %v", err)
 			}
@@ -192,7 +193,7 @@ func TestFromSnapshotRejectsBadCounts(t *testing.T) {
 	valid := func(order int) Snapshot {
 		var p interface {
 			Predictor
-			Snapshot() Snapshot
+			SnapshotInto(*Snapshot)
 		}
 		if order == 1 {
 			p, _ = NewSimpleChain(3)
@@ -204,7 +205,7 @@ func TestFromSnapshotRejectsBadCounts(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return p.Snapshot()
+		return snapshotOf(p)
 	}
 	for _, order := range []int{1, 2} {
 		if _, err := FromSnapshot(valid(order)); err != nil {
@@ -251,7 +252,7 @@ func TestObserveRefusesOverflow(t *testing.T) {
 	if err := d.Fit([]int{0, 1, 2, 1}); err != nil {
 		t.Fatal(err)
 	}
-	snap := d.Snapshot()
+	snap := snapshotOf(d)
 	// The chain sits at (prev, cur) = (2, 1); fill column 1 to the bound.
 	snap.Counts[0*3+1][2] = maxCount - snap.Counts[2*3+1][1]
 	p, err := FromSnapshot(snap)
@@ -259,12 +260,12 @@ func TestObserveRefusesOverflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	d = p.(*TwoDepChain)
-	before, obs := d.Snapshot(), d.Observations()
+	before := snapshotOf(d)
 	if err := d.Observe(0); !errors.Is(err, ErrCountOverflow) {
 		t.Fatalf("two-dep observe past the bound: %v, want ErrCountOverflow", err)
 	}
-	after := d.Snapshot()
-	if after.Cur != before.Cur || after.Prev != before.Prev || d.Observations() != obs {
+	after := snapshotOf(d)
+	if !reflect.DeepEqual(after, before) {
 		t.Fatalf("a refused observe moved the chain: %+v -> %+v", before, after)
 	}
 
@@ -272,7 +273,7 @@ func TestObserveRefusesOverflow(t *testing.T) {
 	if err := s.Fit([]int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	ssnap := s.Snapshot()
+	ssnap := snapshotOf(s)
 	ssnap.Counts[1][0] = maxCount
 	p, err = FromSnapshot(ssnap)
 	if err != nil {

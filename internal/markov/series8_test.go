@@ -435,7 +435,9 @@ func checkWindowScore(t *testing.T, k seriesKernel, seed int64, shape int, naive
 		proj = append(proj, outs[i].proj[:]...)
 		argmax = append(argmax, outs[i].argmax[:]...)
 	}
-	parents := m.Parents()
+	var snap bayes.Snapshot
+	m.SnapshotInto(&snap)
+	parents := snap.Parent
 	marginals := make([][]float64, attrs)
 	var sc bayes.Scratch
 	var best float64

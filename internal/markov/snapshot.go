@@ -23,13 +23,6 @@ type Snapshot struct {
 	NSeen int `json:"nSeen"`
 }
 
-// Snapshot exports the chain state.
-func (c *SimpleChain) Snapshot() Snapshot {
-	var s Snapshot
-	c.SnapshotInto(&s)
-	return s
-}
-
 // SnapshotInto exports the chain state into s, reusing its count rows
 // when they already have the chain's shape.
 func (c *SimpleChain) SnapshotInto(s *Snapshot) {
@@ -45,13 +38,6 @@ func (c *SimpleChain) SnapshotInto(s *Snapshot) {
 		nSeen = 1
 	}
 	s.Order, s.States, s.Cur, s.Prev, s.NSeen = 1, st, c.cur, 0, nSeen
-}
-
-// Snapshot exports the chain state, its counts in row-major order.
-func (c *TwoDepChain) Snapshot() Snapshot {
-	var s Snapshot
-	c.SnapshotInto(&s)
-	return s
 }
 
 // SnapshotInto exports the chain state into s, reusing its count rows

@@ -13,7 +13,7 @@ func TestSimpleChainSnapshotRoundTrip(t *testing.T) {
 	if err := c.Fit([]int{0, 1, 2, 3, 2, 1, 0, 1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	snap := c.Snapshot()
+	snap := snapshotOf(c)
 	if snap.Order != 1 || snap.States != 4 {
 		t.Fatalf("snapshot meta = %+v", snap)
 	}
@@ -39,7 +39,7 @@ func TestTwoDepChainSnapshotRoundTrip(t *testing.T) {
 	if err := c.Fit([]int{0, 1, 2, 1, 0, 1, 2, 1, 0}); err != nil {
 		t.Fatal(err)
 	}
-	snap := c.Snapshot()
+	snap := snapshotOf(c)
 	if snap.Order != 2 || snap.States != 3 || snap.NSeen < 2 {
 		t.Fatalf("snapshot meta = %+v", snap)
 	}
@@ -63,7 +63,7 @@ func TestSnapshotIsACopy(t *testing.T) {
 	if err := c.Fit([]int{0, 1, 0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	snap := c.Snapshot()
+	snap := snapshotOf(c)
 	snap.Counts[0][0] = 999
 	if c.counts[0] == 999 {
 		t.Error("snapshot shares memory with the chain")
@@ -74,7 +74,7 @@ func TestFromSnapshotValidation(t *testing.T) {
 	valid := func() Snapshot {
 		c, _ := NewSimpleChain(2)
 		_ = c.Fit([]int{0, 1, 0})
-		return c.Snapshot()
+		return snapshotOf(c)
 	}
 	cases := map[string]func() Snapshot{
 		"zero states":  func() Snapshot { s := valid(); s.States = 0; return s },
@@ -94,15 +94,22 @@ func TestFromSnapshotValidation(t *testing.T) {
 	// Two-dep specific: prev out of range.
 	d, _ := NewTwoDepChain(2)
 	_ = d.Fit([]int{0, 1, 0})
-	snap := d.Snapshot()
+	snap := snapshotOf(d)
 	snap.Prev = 7
 	if _, err := FromSnapshot(snap); err == nil {
 		t.Error("invalid prev should fail")
 	}
 	// Two-dep row-count mismatch.
-	snap2 := d.Snapshot()
+	snap2 := snapshotOf(d)
 	snap2.Counts = snap2.Counts[:2]
 	if _, err := FromSnapshot(snap2); err == nil {
 		t.Error("two-dep row count mismatch should fail")
 	}
+}
+
+// snapshotOf exports a chain through its SnapshotInto.
+func snapshotOf(c interface{ SnapshotInto(*Snapshot) }) Snapshot {
+	var s Snapshot
+	c.SnapshotInto(&s)
+	return s
 }

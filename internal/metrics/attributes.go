@@ -75,17 +75,6 @@ func (a Attribute) Index() int {
 	return int(a) - 1
 }
 
-// AttributeByName resolves a canonical name back to its Attribute. The
-// boolean result follows the comma-ok idiom.
-func AttributeByName(name string) (Attribute, bool) {
-	for attr, n := range attributeNames {
-		if n == name {
-			return attr, true
-		}
-	}
-	return 0, false
-}
-
 // AllAttributes returns the 13 attributes in vector order. The slice is
 // freshly allocated so callers may modify it.
 func AllAttributes() []Attribute {

@@ -40,25 +40,6 @@ func TestAttributeNamesUnique(t *testing.T) {
 	}
 }
 
-func TestAttributeByNameRoundTrip(t *testing.T) {
-	for _, a := range AllAttributes() {
-		got, ok := AttributeByName(a.String())
-		if !ok {
-			t.Errorf("AttributeByName(%q) not found", a.String())
-			continue
-		}
-		if got != a {
-			t.Errorf("AttributeByName(%q) = %v, want %v", a.String(), got, a)
-		}
-	}
-}
-
-func TestAttributeByNameUnknown(t *testing.T) {
-	if _, ok := AttributeByName("no_such_metric"); ok {
-		t.Error("AttributeByName should not resolve unknown names")
-	}
-}
-
 func TestInvalidAttribute(t *testing.T) {
 	if Attribute(0).Valid() {
 		t.Error("attribute 0 should be invalid")

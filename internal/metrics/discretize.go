@@ -4,35 +4,20 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
-
-// Discretizer maps a continuous attribute value onto one of a fixed number
-// of integer bins. Both Markov value prediction and the TAN classifier
-// operate on discretized attribute values, as in the paper (Figure 2 shows
-// an attribute discretized into three single states).
-type Discretizer interface {
-	// Bin returns the 0-based bin index for the value. Values outside the
-	// fitted range clamp to the first or last bin.
-	Bin(value float64) int
-	// NumBins returns the number of bins.
-	NumBins() int
-	// Center returns a representative (center) value for the bin, used to
-	// turn predicted bins back into approximate metric values.
-	Center(bin int) float64
-}
 
 // ErrNoData is returned when a discretizer is fitted on an empty dataset.
 var ErrNoData = errors.New("metrics: cannot fit discretizer on empty data")
 
-// EqualWidth is a Discretizer with uniformly sized bins across the fitted
-// value range.
+// EqualWidth maps a continuous attribute value onto one of a fixed number
+// of uniformly sized bins across the fitted value range. Both Markov
+// value prediction and the TAN classifier operate on discretized
+// attribute values, as in the paper (Figure 2 shows an attribute
+// discretized into three single states).
 type EqualWidth struct {
 	lo, hi float64
 	bins   int
 }
-
-var _ Discretizer = (*EqualWidth)(nil)
 
 // NewEqualWidth fits an equal-width discretizer with the given number of
 // bins over the observed range of values.
@@ -73,7 +58,8 @@ func NewEqualWidthRange(lo, hi float64, bins int) (*EqualWidth, error) {
 	return &EqualWidth{lo: lo, hi: hi, bins: bins}, nil
 }
 
-// Bin implements Discretizer.
+// Bin returns the 0-based bin index for the value. Values outside the
+// fitted range clamp to the first or last bin; NaN maps to bin 0.
 func (d *EqualWidth) Bin(value float64) int {
 	if math.IsNaN(value) {
 		return 0
@@ -91,10 +77,8 @@ func (d *EqualWidth) Bin(value float64) int {
 	return b
 }
 
-// NumBins implements Discretizer.
-func (d *EqualWidth) NumBins() int { return d.bins }
-
-// Center implements Discretizer.
+// Center returns the center value of the bin, used to turn predicted
+// bins back into approximate metric values. Out-of-range bins clamp.
 func (d *EqualWidth) Center(bin int) float64 {
 	if bin < 0 {
 		bin = 0
@@ -104,90 +88,4 @@ func (d *EqualWidth) Center(bin int) float64 {
 	}
 	width := (d.hi - d.lo) / float64(d.bins)
 	return d.lo + (float64(bin)+0.5)*width
-}
-
-// Quantile is a Discretizer whose bin boundaries are empirical quantiles
-// of the fitted data, so each bin holds roughly the same number of
-// training observations. This is more robust than equal-width binning for
-// heavy-tailed metrics such as network byte counts.
-type Quantile struct {
-	cuts    []float64 // len bins-1, ascending
-	centers []float64 // len bins
-}
-
-var _ Discretizer = (*Quantile)(nil)
-
-// NewQuantile fits a quantile discretizer with the given number of bins.
-// Duplicate quantile boundaries (common with highly skewed data, e.g.,
-// mostly-zero network counters) are collapsed, so the effective number of
-// bins may be smaller than requested but every bin is distinguishable.
-func NewQuantile(values []float64, bins int) (*Quantile, error) {
-	if bins < 1 {
-		return nil, fmt.Errorf("metrics: bins %d must be >= 1", bins)
-	}
-	if len(values) == 0 {
-		return nil, ErrNoData
-	}
-	sorted := make([]float64, len(values))
-	copy(sorted, values)
-	sort.Float64s(sorted)
-
-	cuts := make([]float64, 0, bins-1)
-	for i := 1; i < bins; i++ {
-		idx := i * len(sorted) / bins
-		if idx >= len(sorted) {
-			idx = len(sorted) - 1
-		}
-		cut := sorted[idx]
-		if n := len(cuts); n == 0 || cuts[n-1] < cut {
-			cuts = append(cuts, cut)
-		}
-	}
-
-	// Bin b holds values v with (number of cuts strictly below v) == b.
-	nbins := len(cuts) + 1
-	sums := make([]float64, nbins)
-	counts := make([]int, nbins)
-	for _, v := range sorted {
-		b := binOf(cuts, v)
-		sums[b] += v
-		counts[b]++
-	}
-	centers := make([]float64, nbins)
-	for b := range centers {
-		switch {
-		case counts[b] > 0:
-			centers[b] = sums[b] / float64(counts[b])
-		case b < len(cuts):
-			centers[b] = cuts[b]
-		default:
-			centers[b] = sorted[len(sorted)-1]
-		}
-	}
-	return &Quantile{cuts: cuts, centers: centers}, nil
-}
-
-func binOf(cuts []float64, value float64) int {
-	// Count of cut points strictly less than value: values equal to a cut
-	// stay in the lower bin, so heavy point masses keep their own bin.
-	return sort.Search(len(cuts), func(i int) bool { return cuts[i] >= value })
-}
-
-// Bin implements Discretizer.
-func (d *Quantile) Bin(value float64) int {
-	return binOf(d.cuts, value)
-}
-
-// NumBins implements Discretizer.
-func (d *Quantile) NumBins() int { return len(d.centers) }
-
-// Center implements Discretizer.
-func (d *Quantile) Center(bin int) float64 {
-	if bin < 0 {
-		bin = 0
-	}
-	if bin >= len(d.centers) {
-		bin = len(d.centers) - 1
-	}
-	return d.centers[bin]
 }

@@ -30,8 +30,8 @@ func TestEqualWidthFromData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.NumBins() != 4 {
-		t.Fatalf("NumBins = %d, want 4", d.NumBins())
+	if d.bins != 4 {
+		t.Fatalf("bins = %d, want 4", d.bins)
 	}
 	if got := d.Bin(2); got != 0 {
 		t.Errorf("Bin(min) = %d, want 0", got)
@@ -78,7 +78,7 @@ func TestEqualWidthCenterInvertsApproximately(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for b := 0; b < d.NumBins(); b++ {
+	for b := 0; b < d.bins; b++ {
 		c := d.Center(b)
 		if got := d.Bin(c); got != b {
 			t.Errorf("Bin(Center(%d)) = %d, want %d (center=%g)", b, got, b, c)
@@ -121,72 +121,6 @@ func TestPropertyEqualWidthMonotonic(t *testing.T) {
 			a, b = b, a
 		}
 		return d.Bin(a) <= d.Bin(b)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuantileBalancedBins(t *testing.T) {
-	values := make([]float64, 1000)
-	for i := range values {
-		values[i] = float64(i)
-	}
-	d, err := NewQuantile(values, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := make([]int, 4)
-	for _, v := range values {
-		counts[d.Bin(v)]++
-	}
-	for b, c := range counts {
-		if c < 200 || c > 300 {
-			t.Errorf("bin %d holds %d values, want ~250", b, c)
-		}
-	}
-}
-
-func TestQuantileHeavyTail(t *testing.T) {
-	// 90% zeros plus a heavy tail: equal-width would waste bins, quantile
-	// should still spread the tail across at least two bins.
-	values := make([]float64, 0, 100)
-	for i := 0; i < 90; i++ {
-		values = append(values, 0)
-	}
-	for i := 0; i < 10; i++ {
-		values = append(values, float64(1000*(i+1)))
-	}
-	d, err := NewQuantile(values, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Bin(0) == d.Bin(10000) {
-		t.Error("zeros and extreme tail should land in different bins")
-	}
-}
-
-func TestQuantileErrors(t *testing.T) {
-	if _, err := NewQuantile(nil, 4); err == nil {
-		t.Error("empty data should fail")
-	}
-	if _, err := NewQuantile([]float64{1}, 0); err == nil {
-		t.Error("zero bins should fail")
-	}
-}
-
-func TestPropertyQuantileBinInRange(t *testing.T) {
-	values := []float64{1, 2, 3, 5, 8, 13, 21, 34, 55, 89}
-	d, err := NewQuantile(values, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := func(v float64) bool {
-		if math.IsNaN(v) {
-			v = 0
-		}
-		b := d.Bin(v)
-		return b >= 0 && b < d.NumBins()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

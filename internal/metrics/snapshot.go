@@ -4,15 +4,11 @@ import "fmt"
 
 // DiscretizerSnapshot is a serializable dump of a fitted discretizer.
 type DiscretizerSnapshot struct {
-	// Kind is "equal-width" or "quantile".
-	Kind string `json:"kind"`
-	// Lo/Hi/Bins describe an equal-width discretizer.
+	// Kind is "equal-width", the only kind.
+	Kind string  `json:"kind"`
 	Lo   float64 `json:"lo,omitempty"`
 	Hi   float64 `json:"hi,omitempty"`
 	Bins int     `json:"bins,omitempty"`
-	// Cuts/Centers describe a quantile discretizer.
-	Cuts    []float64 `json:"cuts,omitempty"`
-	Centers []float64 `json:"centers,omitempty"`
 }
 
 // Snapshot exports the discretizer.
@@ -20,38 +16,11 @@ func (d *EqualWidth) Snapshot() DiscretizerSnapshot {
 	return DiscretizerSnapshot{Kind: "equal-width", Lo: d.lo, Hi: d.hi, Bins: d.bins}
 }
 
-// Snapshot exports the discretizer.
-func (d *Quantile) Snapshot() DiscretizerSnapshot {
-	return DiscretizerSnapshot{
-		Kind:    "quantile",
-		Cuts:    append([]float64(nil), d.cuts...),
-		Centers: append([]float64(nil), d.centers...),
-	}
-}
-
-// DiscretizerFromSnapshot reconstructs a Discretizer.
-func DiscretizerFromSnapshot(s DiscretizerSnapshot) (Discretizer, error) {
-	switch s.Kind {
-	case "equal-width":
-		return NewEqualWidthRange(s.Lo, s.Hi, s.Bins)
-	case "quantile":
-		if len(s.Centers) == 0 {
-			return nil, fmt.Errorf("metrics: quantile snapshot has no centers")
-		}
-		if len(s.Cuts) != len(s.Centers)-1 {
-			return nil, fmt.Errorf("metrics: quantile snapshot has %d cuts for %d centers",
-				len(s.Cuts), len(s.Centers))
-		}
-		for i := 1; i < len(s.Cuts); i++ {
-			if s.Cuts[i] < s.Cuts[i-1] {
-				return nil, fmt.Errorf("metrics: quantile snapshot cuts not sorted at %d", i)
-			}
-		}
-		return &Quantile{
-			cuts:    append([]float64(nil), s.Cuts...),
-			centers: append([]float64(nil), s.Centers...),
-		}, nil
-	default:
+// DiscretizerFromSnapshot reconstructs a discretizer. Any kind but
+// "equal-width" is refused.
+func DiscretizerFromSnapshot(s DiscretizerSnapshot) (*EqualWidth, error) {
+	if s.Kind != "equal-width" {
 		return nil, fmt.Errorf("metrics: unknown discretizer kind %q", s.Kind)
 	}
+	return NewEqualWidthRange(s.Lo, s.Hi, s.Bins)
 }

@@ -45,17 +45,6 @@ func Summarize(values []float64) Summary {
 	return s
 }
 
-// Clamp limits v to the inclusive range [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
 // medianSorting returns the middle value of xs, sorting it in place:
 // the mean of the two middle values for an even count, 0 for none. It
 // is the reference every faster median here must reproduce bit for

@@ -36,23 +36,6 @@ func TestSummarizeSingleValue(t *testing.T) {
 	}
 }
 
-func TestClamp(t *testing.T) {
-	tests := []struct {
-		v, lo, hi, want float64
-	}{
-		{5, 0, 10, 5},
-		{-1, 0, 10, 0},
-		{11, 0, 10, 10},
-		{0, 0, 10, 0},
-		{10, 0, 10, 10},
-	}
-	for _, tt := range tests {
-		if got := Clamp(tt.v, tt.lo, tt.hi); got != tt.want {
-			t.Errorf("Clamp(%g,%g,%g) = %g, want %g", tt.v, tt.lo, tt.hi, got, tt.want)
-		}
-	}
-}
-
 func TestMedian(t *testing.T) {
 	for _, tc := range []struct {
 		xs   []float64

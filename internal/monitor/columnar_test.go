@@ -37,7 +37,7 @@ func collectInto(s *Sampler, store *columnar.Store, now simclock.Time, label met
 	}
 	out := make(map[substrate.VMID]metrics.Sample, len(s.vmIDs))
 	for i, id := range s.vmIDs {
-		sm := metrics.Sample{Time: store.Time(0), Label: store.Label(0)}
+		sm := metrics.Sample{Time: store.Time(0), Label: label}
 		store.RowInto(i, sm.Values[:])
 		out[id] = sm
 	}

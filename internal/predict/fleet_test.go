@@ -438,7 +438,7 @@ func TestFleetLogRatioCacheInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	model, table := inc.model, inc.lr
-	before := model.Snapshot()
+	before := modelSnapshot(model)
 	for i := 600; i < len(trace); i++ {
 		for j := range trace[i] {
 			trace[i][j] += 80 * float64(j%3) // far enough to pass the deviation gate
@@ -453,7 +453,7 @@ func TestFleetLogRatioCacheInvalidation(t *testing.T) {
 	if inc.model != model {
 		t.Fatal("Retrain replaced the model instead of refitting it in place")
 	}
-	if reflect.DeepEqual(model.Snapshot(), before) {
+	if reflect.DeepEqual(modelSnapshot(model), before) {
 		t.Fatal("the shifted rows did not change the fit; the stale table would go unnoticed")
 	}
 	if ab := inc.inc.ct.ClassCount(true); ab < minAbnormalSupport {

@@ -84,7 +84,7 @@ func TestTrainIncrementalMatchesBatchTrain(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if !reflect.DeepEqual(p.model.Snapshot(), q.model.Snapshot()) {
+	if !reflect.DeepEqual(modelSnapshot(p.model), modelSnapshot(q.model)) {
 		t.Fatal("initial incremental model differs from batch model")
 	}
 	// Chains and discretizers must match too: identically trained
@@ -138,7 +138,7 @@ func TestRetrainMatchesFrozenBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := frozenRefitModel(t, p, rows[:i+1], raw[:i+1], lookback)
-		if !reflect.DeepEqual(p.model.Snapshot(), want.Snapshot()) {
+		if !reflect.DeepEqual(modelSnapshot(p.model), modelSnapshot(want)) {
 			t.Fatalf("checkpoint %d: incremental model differs from frozen batch refit", i+1)
 		}
 	}
@@ -229,7 +229,7 @@ func FuzzTrainIncrementalMatchesBatch(f *testing.F) {
 		if errInc != nil {
 			return
 		}
-		if !reflect.DeepEqual(p.model.Snapshot(), q.model.Snapshot()) {
+		if !reflect.DeepEqual(modelSnapshot(p.model), modelSnapshot(q.model)) {
 			t.Fatal("TrainIncremental model differs from RelabelForTraining + Train")
 		}
 
@@ -245,7 +245,7 @@ func FuzzTrainIncrementalMatchesBatch(f *testing.F) {
 				t.Fatal(err)
 			}
 			want := frozenRefitModel(t, p, rows[:i+1], raw[:i+1], lb)
-			if !reflect.DeepEqual(p.model.Snapshot(), want.Snapshot()) {
+			if !reflect.DeepEqual(modelSnapshot(p.model), modelSnapshot(want)) {
 				t.Fatalf("row %d: retrained model differs from the frozen refit", i+1)
 			}
 		}
@@ -315,7 +315,7 @@ func TestIncrementalSaveLoadResumesIdentically(t *testing.T) {
 			}
 		}
 	}
-	if !reflect.DeepEqual(p.model.Snapshot(), q.model.Snapshot()) {
+	if !reflect.DeepEqual(modelSnapshot(p.model), modelSnapshot(q.model)) {
 		t.Fatal("models diverged after resume")
 	}
 }
@@ -413,7 +413,9 @@ func TestRefitFailureKeepsModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	empty, err := bayes.NewCountTable(p.inc.ct.Bins())
+	var counts bayes.CountSnapshot
+	p.inc.ct.SnapshotInto(&counts)
+	empty, err := bayes.NewCountTable(counts.Bins)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,4 +450,11 @@ func TestRowsFromSamplesAllocBudget(t *testing.T) {
 	if allocs > 3 {
 		t.Errorf("RowsFromSamples allocates %.1f/op, budget 3", allocs)
 	}
+}
+
+// modelSnapshot exports a TAN model through SnapshotInto.
+func modelSnapshot(m *bayes.Model) bayes.Snapshot {
+	var s bayes.Snapshot
+	m.SnapshotInto(&s)
+	return s
 }

@@ -17,7 +17,7 @@ import (
 type valueModel struct {
 	cfg    Config
 	names  []string
-	disc   []metrics.Discretizer
+	disc   []*metrics.EqualWidth
 	chains []markov.Predictor
 }
 
@@ -48,7 +48,7 @@ func (m *valueModel) fit(rows [][]float64) error {
 			return fmt.Errorf("%w: row %d has %d columns, want %d", ErrShape, i, len(r), nCols)
 		}
 	}
-	disc := make([]metrics.Discretizer, nCols)
+	disc := make([]*metrics.EqualWidth, nCols)
 	chains := make([]markov.Predictor, nCols)
 	col := make([]float64, len(rows))
 	for j := 0; j < nCols; j++ {
@@ -115,11 +115,7 @@ func (m *valueModel) snapshot(discs []metrics.DiscretizerSnapshot, chains []mark
 	}
 	discs, chains = discs[:n], chains[:n]
 	for j, name := range m.names {
-		ew, ok := m.disc[j].(*metrics.EqualWidth)
-		if !ok {
-			return nil, nil, fmt.Errorf("predict: unsupported discretizer type for %s", name)
-		}
-		discs[j] = ew.Snapshot()
+		discs[j] = m.disc[j].Snapshot()
 		switch ch := m.chains[j].(type) {
 		case *markov.SimpleChain:
 			ch.SnapshotInto(&chains[j])
@@ -147,7 +143,7 @@ func restoreValueModel(cfg Config, names []string, discs []metrics.DiscretizerSn
 	if err != nil {
 		return valueModel{}, err
 	}
-	m.disc = make([]metrics.Discretizer, n)
+	m.disc = make([]*metrics.EqualWidth, n)
 	m.chains = make([]markov.Predictor, n)
 	for j := 0; j < n; j++ {
 		if m.disc[j], err = metrics.DiscretizerFromSnapshot(discs[j]); err != nil {

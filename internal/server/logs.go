@@ -97,13 +97,6 @@ func (l *eventLog[T]) since(cursor uint64, limit int) (items []T, next uint64, f
 	return items, next, first, truncated
 }
 
-// len returns the retained record count.
-func (l *eventLog[T]) retained() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return len(l.buf)
-}
-
 // Alerts returns published alerts with sequence numbers strictly
 // greater than since (limit <= 0 returns all retained).
 func (s *Server) Alerts(since uint64, limit int) []Alert {

@@ -411,8 +411,8 @@ func TestEventLogRing(t *testing.T) {
 			t.Fatalf("append %d assigned seq %d", i, seq)
 		}
 	}
-	if l.retained() != 4 {
-		t.Fatalf("retained %d, want 4", l.retained())
+	if len(l.buf) != 4 {
+		t.Fatalf("retained %d, want 4", len(l.buf))
 	}
 	items, next, first, truncated := l.since(0, 0)
 	if !truncated {
@@ -488,8 +488,8 @@ func TestEventLogRingMatchesSliceModel(t *testing.T) {
 		}
 	}
 	check(cursor, 0)
-	if l.retained() != size {
-		t.Fatalf("retained %d, want %d", l.retained(), size)
+	if len(l.buf) != size {
+		t.Fatalf("retained %d, want %d", len(l.buf), size)
 	}
 }
 

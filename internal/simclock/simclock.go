@@ -1,16 +1,12 @@
-// Package simclock provides a deterministic discrete-time simulation clock.
+// Package simclock defines simulated time, counted in whole seconds.
 //
-// All PREPARE simulations advance in integer-second ticks. The clock never
-// reads wall-clock time, so every run is exactly reproducible given the
-// same seed and configuration. A small tick-scheduler lets components
-// register callbacks at fixed periods (e.g., the monitor sampling every
-// 5 simulated seconds while the applications advance every second).
+// All PREPARE simulations advance in integer-second ticks. Simulated
+// time never reads the wall clock, so every run is exactly reproducible
+// given the same seed and configuration.
 package simclock
 
 import (
-	"errors"
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -39,66 +35,3 @@ func (t Time) After(u Time) bool { return t > u }
 
 // String formats the instant as "123s".
 func (t Time) String() string { return fmt.Sprintf("%ds", int64(t)) }
-
-// Clock is a manually advanced simulation clock with periodic callbacks.
-// The zero value is not usable; construct with New.
-type Clock struct {
-	now   Time
-	tasks []*task
-	next  int // monotonically increasing task id for stable ordering
-}
-
-type task struct {
-	id     int
-	period int64
-	offset int64
-	fn     func(Time)
-}
-
-// New returns a clock positioned at simulated time zero.
-func New() *Clock {
-	return &Clock{}
-}
-
-// Now returns the current simulated instant.
-func (c *Clock) Now() Time { return c.now }
-
-// ErrBadPeriod is returned when a non-positive callback period is requested.
-var ErrBadPeriod = errors.New("simclock: period must be positive")
-
-// Every registers fn to run each time the simulated clock crosses an
-// instant congruent to offset modulo period (both in seconds). Callbacks
-// registered earlier run first within a tick. It returns an error if
-// period is not positive or offset is negative.
-func (c *Clock) Every(period, offset int64, fn func(Time)) error {
-	if period <= 0 {
-		return ErrBadPeriod
-	}
-	if offset < 0 {
-		return fmt.Errorf("simclock: offset %d must be non-negative", offset)
-	}
-	c.tasks = append(c.tasks, &task{id: c.next, period: period, offset: offset % period, fn: fn})
-	c.next++
-	return nil
-}
-
-// Tick advances the clock by exactly one second, firing any callbacks due
-// at the new instant, in registration order.
-func (c *Clock) Tick() {
-	c.now++
-	// Tasks are appended in registration order and never reordered, but
-	// sort defensively by id so the invariant survives future edits.
-	sort.SliceStable(c.tasks, func(i, j int) bool { return c.tasks[i].id < c.tasks[j].id })
-	for _, t := range c.tasks {
-		if int64(c.now)%t.period == t.offset%t.period {
-			t.fn(c.now)
-		}
-	}
-}
-
-// Run advances the clock by n seconds, one tick at a time.
-func (c *Clock) Run(n int64) {
-	for i := int64(0); i < n; i++ {
-		c.Tick()
-	}
-}

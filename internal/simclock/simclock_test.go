@@ -2,7 +2,6 @@ package simclock
 
 import (
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -57,122 +56,5 @@ func TestTimeString(t *testing.T) {
 func TestTimeDuration(t *testing.T) {
 	if got := Time(90).Duration(); got != 90*time.Second {
 		t.Errorf("Duration() = %v, want 90s", got)
-	}
-}
-
-func TestClockStartsAtZero(t *testing.T) {
-	c := New()
-	if c.Now() != 0 {
-		t.Errorf("new clock Now() = %v, want 0", c.Now())
-	}
-}
-
-func TestClockTickAdvancesOneSecond(t *testing.T) {
-	c := New()
-	c.Tick()
-	if c.Now() != 1 {
-		t.Errorf("after one tick Now() = %v, want 1", c.Now())
-	}
-	c.Run(9)
-	if c.Now() != 10 {
-		t.Errorf("after Run(9) Now() = %v, want 10", c.Now())
-	}
-}
-
-func TestEveryRejectsBadArgs(t *testing.T) {
-	c := New()
-	if err := c.Every(0, 0, func(Time) {}); err == nil {
-		t.Error("Every(0,...) should fail")
-	}
-	if err := c.Every(-5, 0, func(Time) {}); err == nil {
-		t.Error("Every(-5,...) should fail")
-	}
-	if err := c.Every(5, -1, func(Time) {}); err == nil {
-		t.Error("Every(_, -1, ...) should fail")
-	}
-}
-
-func TestPeriodicCallbackFiresAtPeriod(t *testing.T) {
-	c := New()
-	var fired []Time
-	if err := c.Every(5, 0, func(now Time) { fired = append(fired, now) }); err != nil {
-		t.Fatalf("Every: %v", err)
-	}
-	c.Run(16)
-	want := []Time{5, 10, 15}
-	if len(fired) != len(want) {
-		t.Fatalf("fired %v, want %v", fired, want)
-	}
-	for i := range want {
-		if fired[i] != want[i] {
-			t.Errorf("fired[%d] = %v, want %v", i, fired[i], want[i])
-		}
-	}
-}
-
-func TestPeriodicCallbackHonorsOffset(t *testing.T) {
-	c := New()
-	var fired []Time
-	if err := c.Every(5, 2, func(now Time) { fired = append(fired, now) }); err != nil {
-		t.Fatalf("Every: %v", err)
-	}
-	c.Run(13)
-	want := []Time{2, 7, 12}
-	if len(fired) != len(want) {
-		t.Fatalf("fired %v, want %v", fired, want)
-	}
-	for i := range want {
-		if fired[i] != want[i] {
-			t.Errorf("fired[%d] = %v, want %v", i, fired[i], want[i])
-		}
-	}
-}
-
-func TestCallbacksRunInRegistrationOrder(t *testing.T) {
-	c := New()
-	var order []string
-	for _, name := range []string{"a", "b", "c"} {
-		name := name
-		if err := c.Every(1, 0, func(Time) { order = append(order, name) }); err != nil {
-			t.Fatalf("Every: %v", err)
-		}
-	}
-	c.Tick()
-	if got := len(order); got != 3 {
-		t.Fatalf("got %d callbacks, want 3", got)
-	}
-	if order[0] != "a" || order[1] != "b" || order[2] != "c" {
-		t.Errorf("order = %v, want [a b c]", order)
-	}
-}
-
-func TestEverySecondCallbackFiresEveryTick(t *testing.T) {
-	c := New()
-	count := 0
-	if err := c.Every(1, 0, func(Time) { count++ }); err != nil {
-		t.Fatalf("Every: %v", err)
-	}
-	c.Run(100)
-	if count != 100 {
-		t.Errorf("count = %d, want 100", count)
-	}
-}
-
-func TestPropertyPeriodicFireCount(t *testing.T) {
-	// For any period p in [1,60] and run length n in [0,600], the number of
-	// firings with offset 0 is exactly n/p.
-	f := func(pRaw, nRaw uint16) bool {
-		p := int64(pRaw%60) + 1
-		n := int64(nRaw % 600)
-		c := New()
-		count := int64(0)
-		if err := c.Every(p, 0, func(Time) { count++ }); err != nil {
-			return false
-		}
-		c.Run(n)
-		return count == n/p
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

@@ -16,11 +16,7 @@ func FuzzWireDecodeBatch(f *testing.F) {
 	// interesting corruption classes from the unit tests.
 	var b Batch
 	buildBatch(&b, "fuzz-tenant", 4, 50, 11)
-	for _, o := range []EncodeOptions{{}, {RawTicks: true}} {
-		frame, err := AppendBatchOptions(nil, &b, o)
-		if err != nil {
-			f.Fatal(err)
-		}
+	for _, frame := range [][]byte{mustEncode(f, &b), rawTickFrame(f, &b)} {
 		payload, _ := Payload(frame)
 		f.Add(payload)
 		f.Add(payload[:len(payload)/2])            // truncated body

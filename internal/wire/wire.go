@@ -12,7 +12,8 @@
 //	u32     payload length (bytes after this prefix)
 //	"PCB"   magic
 //	u8      version (1)
-//	u8      flags (bit0: tick column is zigzag-varint delta encoded)
+//	u8      flags (bit0: tick column is zigzag-varint delta encoded;
+//	        AppendBatch always sets it, DecodeBatch accepts either)
 //	uvarint tenant length, then tenant bytes
 //	uvarint tickFirst   — smallest sample time in the batch, seconds
 //	uvarint tickLast    — largest sample time in the batch, seconds
@@ -138,22 +139,10 @@ func (b *Batch) Add(vmIdx int, t int64, label metrics.Label, values []float64) {
 	}
 }
 
-// EncodeOptions tunes AppendBatchOptions.
-type EncodeOptions struct {
-	// RawTicks disables the varint delta encoding of the tick column,
-	// writing absolute 8-byte seconds instead.
-	RawTicks bool
-}
-
 // AppendBatch appends one length-prefixed frame encoding b to dst and
 // returns the extended buffer, using delta-encoded ticks. It allocates
 // only when dst lacks capacity.
 func AppendBatch(dst []byte, b *Batch) ([]byte, error) {
-	return AppendBatchOptions(dst, b, EncodeOptions{})
-}
-
-// AppendBatchOptions is AppendBatch with explicit encoding options.
-func AppendBatchOptions(dst []byte, b *Batch, o EncodeOptions) ([]byte, error) {
 	if len(b.Tenant) == 0 {
 		return dst, errors.New("wire: tenant is required")
 	}
@@ -203,11 +192,7 @@ func AppendBatchOptions(dst []byte, b *Batch, o EncodeOptions) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0) // length prefix, patched below
 	dst = append(dst, magic...)
-	flags := byte(flagDeltaTicks)
-	if o.RawTicks {
-		flags = 0
-	}
-	dst = append(dst, Version, flags)
+	dst = append(dst, Version, flagDeltaTicks)
 	dst = appendUvarint(dst, uint64(len(b.Tenant)))
 	dst = append(dst, b.Tenant...)
 	dst = appendUvarint(dst, uint64(first))
@@ -222,16 +207,10 @@ func AppendBatchOptions(dst []byte, b *Batch, o EncodeOptions) ([]byte, error) {
 	for _, v := range b.VMIdx {
 		dst = appendUvarint(dst, uint64(v))
 	}
-	if o.RawTicks {
-		for _, t := range b.Times {
-			dst = appendU64(dst, uint64(t))
-		}
-	} else {
-		prev := first
-		for _, t := range b.Times {
-			dst = appendVarint(dst, t-prev)
-			prev = t
-		}
+	prev := first
+	for _, t := range b.Times {
+		dst = appendVarint(dst, t-prev)
+		prev = t
 	}
 	for _, l := range b.Labels {
 		dst = append(dst, byte(l))

@@ -35,13 +35,37 @@ func buildBatch(b *Batch, tenant string, nVMs, n int, seed int64) {
 	}
 }
 
-func mustEncode(t *testing.T, b *Batch, o EncodeOptions) []byte {
+func mustEncode(t testing.TB, b *Batch) []byte {
 	t.Helper()
-	frame, err := AppendBatchOptions(nil, b, o)
+	frame, err := AppendBatch(nil, b)
 	if err != nil {
-		t.Fatalf("AppendBatchOptions: %v", err)
+		t.Fatalf("AppendBatch: %v", err)
 	}
 	return frame
+}
+
+// rawTickFrame is AppendBatch's frame of b with flags 0 and the tick
+// column as absolute 8-byte seconds, the layout AppendBatch no longer
+// writes but DecodeBatch still accepts from outside clients.
+func rawTickFrame(t testing.TB, b *Batch) []byte {
+	frame := mustEncode(t, b)
+	first := b.Times[0]
+	for _, tk := range b.Times {
+		first = min(first, tk)
+	}
+	var deltas, raw []byte
+	prev := first
+	for _, tk := range b.Times {
+		deltas = appendVarint(deltas, tk-prev)
+		raw = appendU64(raw, uint64(tk))
+		prev = tk
+	}
+	n := b.Rows()
+	end := len(frame) - n - 8*n*metrics.NumAttributes // the label column follows the ticks
+	out := append(append(append([]byte(nil), frame[:end-len(deltas)]...), raw...), frame[end:]...)
+	out[prefixLen+len(magic)+1] = 0
+	binary.LittleEndian.PutUint32(out, uint32(len(out)-prefixLen))
+	return out
 }
 
 func checkEqual(t *testing.T, want, got *Batch) {
@@ -76,16 +100,16 @@ func checkEqual(t *testing.T, want, got *Batch) {
 
 func TestRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		opts EncodeOptions
+		name   string
+		encode func(testing.TB, *Batch) []byte
 	}{
-		{"delta", EncodeOptions{}},
-		{"raw", EncodeOptions{RawTicks: true}},
+		{"delta", mustEncode},
+		{"raw", rawTickFrame},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var b Batch
 			buildBatch(&b, "tenant-a", 7, 200, 42)
-			frame := mustEncode(t, &b, tc.opts)
+			frame := tc.encode(t, &b)
 			payload, err := Payload(frame)
 			if err != nil {
 				t.Fatalf("Payload: %v", err)
@@ -117,7 +141,7 @@ func TestRoundTripSingleRowAndSpecialFloats(t *testing.T) {
 	vals[3] = -0.0
 	vals[4] = math.MaxFloat64
 	b.Add(0, 0, metrics.LabelNormal, vals[:])
-	frame := mustEncode(t, &b, EncodeOptions{})
+	frame := mustEncode(t, &b)
 	payload, _ := Payload(frame)
 	var a Arena
 	got, err := DecodeBatch(payload, &a)
@@ -137,7 +161,7 @@ func TestArenaReuseAcrossSizes(t *testing.T) {
 	var b Batch
 	for _, n := range []int{300, 4, 300, 17} {
 		buildBatch(&b, "ten", 3, n, int64(n))
-		frame := mustEncode(t, &b, EncodeOptions{})
+		frame := mustEncode(t, &b)
 		payload, _ := Payload(frame)
 		got, err := DecodeBatch(payload, &a)
 		if err != nil {
@@ -181,7 +205,7 @@ func TestEncodeRejects(t *testing.T) {
 func TestDecodeRejects(t *testing.T) {
 	var b Batch
 	buildBatch(&b, "tenant", 3, 30, 7)
-	frame := mustEncode(t, &b, EncodeOptions{})
+	frame := mustEncode(t, &b)
 	valid, _ := Payload(frame)
 
 	mutate := func(f func(p []byte) []byte) []byte {
@@ -236,7 +260,7 @@ func TestDecodeRejectsSemanticCorruption(t *testing.T) {
 	var vals [metrics.NumAttributes]float64
 	b.Add(0, 100, metrics.LabelNormal, vals[:])
 	b.Add(0, 200, metrics.LabelNormal, vals[:])
-	frame := mustEncode(t, &b, EncodeOptions{RawTicks: true})
+	frame := rawTickFrame(t, &b)
 	payload, _ := Payload(frame)
 
 	// Find the raw tick column: last 2*8*(NumAttributes) bytes are the
@@ -263,7 +287,7 @@ func TestDecodeRejectsSemanticCorruption(t *testing.T) {
 func TestReadFrame(t *testing.T) {
 	var b Batch
 	buildBatch(&b, "ten", 2, 20, 3)
-	frame := mustEncode(t, &b, EncodeOptions{})
+	frame := mustEncode(t, &b)
 	two := append(append([]byte(nil), frame...), frame...)
 
 	r := bytes.NewReader(two)
@@ -303,7 +327,7 @@ func TestReadFrame(t *testing.T) {
 func TestPayloadRejectsPrefixMismatch(t *testing.T) {
 	var b Batch
 	buildBatch(&b, "ten", 2, 5, 1)
-	frame := mustEncode(t, &b, EncodeOptions{})
+	frame := mustEncode(t, &b)
 	bad := append([]byte(nil), frame...)
 	binary.LittleEndian.PutUint32(bad, uint32(len(frame))) // too large
 	if _, err := Payload(bad); !errors.Is(err, ErrFrame) {
@@ -319,7 +343,7 @@ func TestPayloadRejectsPrefixMismatch(t *testing.T) {
 func TestDecodeSteadyStateZeroAlloc(t *testing.T) {
 	var b Batch
 	buildBatch(&b, "tenant-alloc", 8, 512, 99)
-	frame := mustEncode(t, &b, EncodeOptions{})
+	frame := mustEncode(t, &b)
 	payload, _ := Payload(frame)
 	var a Arena
 	if _, err := DecodeBatch(payload, &a); err != nil {
