@@ -18,19 +18,22 @@ import (
 // TestDetectorPackageImportsStayMinimal enforces the detector layer's
 // dependency contract: internal/detector is the interface every scorer
 // implements, so it may import only the row vocabulary
-// (internal/metrics), the counters (internal/telemetry) and the
-// checkpoint codec (internal/binenc) beyond the standard library.
+// (internal/metrics), the counters (internal/telemetry), the
+// checkpoint codec (internal/binenc) and the CPUID probe its vector
+// kernels are picked by (internal/cpufeat) beyond the standard library.
 // Model-backed adapters live with their models in internal/predict,
 // never here — otherwise every detector user would drag in the full
-// prediction stack. The codec itself is a leaf: it imports nothing
-// from this module.
+// prediction stack. The codec and the probe are leaves: they import
+// nothing from this module.
 func TestDetectorPackageImportsStayMinimal(t *testing.T) {
 	checkImports(t, filepath.Join("internal", "detector"), map[string]bool{
 		"prepare/internal/metrics":   true,
 		"prepare/internal/telemetry": true,
 		"prepare/internal/binenc":    true,
+		"prepare/internal/cpufeat":   true,
 	})
 	checkImports(t, filepath.Join("internal", "binenc"), nil)
+	checkImports(t, filepath.Join("internal", "cpufeat"), nil)
 }
 
 // checkImports fails for every import of a prepare/ package outside

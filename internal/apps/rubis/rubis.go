@@ -63,8 +63,6 @@ type tier struct {
 	baseMs    float64
 	wsMB      float64
 	queue     float64
-	inRate    float64
-	doneRate  float64
 	latencyMs float64
 }
 
@@ -158,7 +156,6 @@ func (a *App) tickTier(t *tier, arrivals float64) float64 {
 	usable := vm.UsableCPU()
 
 	capacity := usable / (t.costPer * pressure)
-	t.inRate = arrivals
 	pending := t.queue + arrivals
 	done := math.Min(pending, capacity)
 	if done < 0 {
@@ -168,7 +165,6 @@ func (a *App) tickTier(t *tier, arrivals float64) float64 {
 	if t.queue > queueCapReqs {
 		t.queue = queueCapReqs // excess requests are rejected
 	}
-	t.doneRate = done
 
 	util := 0.999
 	if capacity > 0 {

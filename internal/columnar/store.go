@@ -11,10 +11,13 @@
 //
 //	col[a][slot*nVMs + vm]
 //
-// — so "attribute a of the whole fleet at the latest tick" is one
-// contiguous slice (Column) that a single sweep can sanitize or
-// discretize, while "the full row of one VM" is a strided gather
-// (RowInto) that the per-VM model updates still need.
+// — so "attribute a of the whole fleet at one tick" is one contiguous
+// slice that a single sweep can sanitize, discretize or fit from: Column
+// for the latest tick, and Window, a read-only view of every held tick,
+// for the batch refit, which warms every VM's filter and feeds every
+// VM's baseline in one pass over the store's own layout. "The full row
+// of one VM" is a strided gather (RowInto, RowsInto) for the per-VM
+// tick and the model kinds that fit one VM at a time.
 //
 // The store is also the control loop's sample history. Each (tick, VM)
 // cell carries a recorded flag: a recorded row belongs to the VM's
@@ -259,6 +262,46 @@ func (s *Store) RowsInto(vm int, backing []float64, rows [][]float64, labels []m
 		r++
 	}
 	return backing[:r*w], rows[:r], labels[:r]
+}
+
+// Window is a read-only view of the ticks a store holds, oldest first,
+// in the store's own layout: each held tick's line of every attribute
+// across the fleet, its recorded line and its label. Its slices alias
+// the store, are indexed by VM and are valid until the next Commit.
+type Window struct{ s *Store }
+
+// Window returns the view of the ticks s holds.
+func (s *Store) Window() Window { return Window{s} }
+
+// Ticks returns the number of held ticks.
+func (w Window) Ticks() int { return w.s.count }
+
+// heldBase returns the flat index of VM 0 at the k-th held tick, oldest
+// first.
+func (w Window) heldBase(k int) int {
+	if k < 0 || k >= w.s.count {
+		panic(fmt.Sprintf("columnar: held tick %d out of range (have %d)", k, w.s.count))
+	}
+	return w.s.slot(k) * w.s.nVMs
+}
+
+// Line returns attribute a across the fleet at the k-th held tick.
+func (w Window) Line(k int, a metrics.Attribute) []float64 {
+	i := w.heldBase(k)
+	return w.s.cols[a.Index()][i : i+w.s.nVMs : i+w.s.nVMs]
+}
+
+// Recorded returns which VMs' rows at the k-th held tick belong to
+// their histories.
+func (w Window) Recorded(k int) []bool {
+	i := w.heldBase(k)
+	return w.s.recorded[i : i+w.s.nVMs : i+w.s.nVMs]
+}
+
+// Label returns the k-th held tick's label.
+func (w Window) Label(k int) metrics.Label {
+	w.heldBase(k)
+	return w.s.labels[w.s.slot(k)]
 }
 
 // ValuesInto appends attribute a of VM vm's recorded rows with

@@ -288,6 +288,10 @@ type Controller struct {
 	// fitBufs holds one training worker's row buffers each, refilled
 	// from the store for every VM that worker fits.
 	fitBufs []fitBuf
+	// fleetFits holds one training worker's working memory each for an
+	// ewma fleet refit, and lanes each VM's ewma detector by store index.
+	fleetFits []detector.EWMAFleetFit
+	lanes     []*detector.EWMA
 	// before and after are resolveValidation's reusable value windows.
 	before, after []float64
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"prepare/internal/binenc"
+	"prepare/internal/columnar"
 	"prepare/internal/detector"
 	"prepare/internal/metrics"
 	"prepare/internal/pool"
@@ -38,20 +39,27 @@ func (c *Controller) train(now simclock.Time) error {
 // fitEach fits every VM's detector, then empties every VM's alarm
 // filter window. Per-VM fits are independent and deterministically
 // seeded, so they fan out across the worker pool; each goroutine writes
-// only its own VM's state. With fromCounts set, every detector retrains from the
-// counts Update has folded into it instead of refitting from the history.
+// only its own VMs' state. An ewma fleet refits from one pass over the
+// store's window (fitFleet); every other kind fits VM by VM (fitVM).
+// With fromCounts set, every detector retrains from the counts Update
+// has folded into it instead of refitting from the history.
 func (c *Controller) fitEach(now simclock.Time, fromCounts bool) error {
-	runner := pool.Runner{Workers: c.cfg.TrainWorkers}
-	c.growFitBufs(runner.Size(len(c.vms)))
-	err := runner.ForEachWorker(context.Background(), len(c.vms), func(_ context.Context, w, i int) error {
-		if fromCounts {
-			if err := c.vms[i].det.Retrain(); err != nil {
-				return fmt.Errorf("retrain %s: %w", c.vms[i].id, err)
+	var err error
+	if !fromCounts && c.cfg.Detector.Kind == detector.KindEWMA {
+		err = c.fitFleet(now)
+	} else {
+		runner := pool.Runner{Workers: c.cfg.TrainWorkers}
+		c.growFitBufs(runner.Size(len(c.vms)))
+		err = runner.ForEachWorker(context.Background(), len(c.vms), func(_ context.Context, w, i int) error {
+			if fromCounts {
+				if err := c.vms[i].det.Retrain(); err != nil {
+					return fmt.Errorf("retrain %s: %w", c.vms[i].id, err)
+				}
+				return nil
 			}
-			return nil
-		}
-		return c.fitVM(now, i, &c.fitBufs[w])
-	})
+			return c.fitVM(now, i, &c.fitBufs[w])
+		})
+	}
 	if err != nil {
 		return err
 	}
@@ -60,6 +68,68 @@ func (c *Controller) fitEach(now simclock.Time, fromCounts bool) error {
 	}
 	c.tel.trainings.Inc()
 	return nil
+}
+
+// fitFleet refits every VM's ewma detector from the store's window in
+// its own layout (DESIGN.md, "The refit in the store's layout"), each
+// exactly as fitVM would fit it. A VM without a detector of its own
+// gets one first, as in fitVM. The training workers take contiguous
+// ranges of FleetBlock-VM blocks in store order; a single worker runs in place,
+// so a warm refit allocates nothing. A VM without a recorded row fails
+// the refit with fitVM's error.
+func (c *Controller) fitFleet(now simclock.Time) error {
+	if len(c.lanes) != len(c.vms) {
+		c.lanes = make([]*detector.EWMA, len(c.vms))
+	}
+	for i := range c.vms {
+		v := &c.vms[i]
+		if v.built == nil {
+			var err error
+			if v.built, err = predict.NewDetector(c.cfg.Detector, c.detectorOptions(v.id)); err != nil {
+				return err
+			}
+		}
+		c.lanes[v.store] = v.built.(*detector.EWMA)
+	}
+	const block = detector.FleetBlock
+	blocks := (len(c.vms) + block - 1) / block
+	runner := pool.Runner{Workers: c.cfg.TrainWorkers}
+	tasks := runner.Size(blocks)
+	if len(c.fleetFits) < tasks {
+		c.fleetFits = append(c.fleetFits, make([]detector.EWMAFleetFit, tasks-len(c.fleetFits))...)
+	}
+	win := c.store.Window()
+	var err error
+	if tasks == 1 {
+		err = c.fitLanes(win, 0, 0, len(c.vms))
+	} else {
+		err = runner.ForEachWorker(context.Background(), tasks, func(_ context.Context, w, i int) error {
+			return c.fitLanes(win, w, min(block*(i*blocks/tasks), len(c.vms)), min(block*((i+1)*blocks/tasks), len(c.vms)))
+		})
+	}
+	clear(c.lanes) // an installed detector may replace a built one
+	if err != nil {
+		return err
+	}
+	for i := range c.vms {
+		c.vms[i].det, c.vms[i].fitAt = c.vms[i].built, now
+	}
+	return nil
+}
+
+// fitLanes refits the detectors of store lanes lo..hi-1 with training
+// worker w's working memory.
+func (c *Controller) fitLanes(win columnar.Window, w, lo, hi int) error {
+	lane, err := c.fleetFits[w].Fit(win, c.lanes, lo, hi)
+	if err == nil {
+		return nil
+	}
+	for i := range c.vms {
+		if c.vms[i].store == lane {
+			return fmt.Errorf("train %s: %w", c.vms[i].id, err)
+		}
+	}
+	return err
 }
 
 // detectorOptions assembles the per-VM adapter options from the

@@ -127,7 +127,7 @@ func (e *EWMA) Kind() string { return KindEWMA }
 // nothing once the pooled working set has grown to the history's length.
 func (e *EWMA) Train(rows [][]float64, labels []metrics.Label) error {
 	if len(rows) == 0 {
-		return errors.New("detector: ewma needs at least one training row")
+		return errNoTrainingRows
 	}
 	dims := len(e.center)
 	for _, r := range rows {
@@ -162,21 +162,14 @@ func (e *EWMA) Train(rows [][]float64, labels []metrics.Label) error {
 // Trained implements Detector.
 func (e *EWMA) Trained() bool { return e.trained }
 
-// advance folds one sample into the Holt level/trend state.
+// advance folds one sample into the Holt level/trend state: the lane
+// step with one lane per attribute, every lane taking its value.
 func (e *EWMA) advance(row []float64) {
 	if e.n == 0 {
 		copy(e.level, row)
-		for j := range e.trend {
-			e.trend[j] = 0
-		}
-		e.n = 1
-		return
-	}
-	a, b := e.opts.Alpha, e.opts.Beta
-	for j, x := range row {
-		prev := e.level[j]
-		e.level[j] = a*x + (1-a)*(prev+e.trend[j])
-		e.trend[j] = b*(e.level[j]-prev) + (1-b)*e.trend[j]
+		clear(e.trend)
+	} else {
+		holtStep(e.level, e.trend, row, nil, nil, e.opts.Alpha, e.opts.Beta)
 	}
 	e.n++
 }
@@ -586,12 +579,12 @@ func allPositive(kind, field string, xs []float64) error {
 }
 
 // baseline is Train's working set for the median/MAD fit: the normal
-// rows' headers and the median column. It is pooled rather than kept by
-// each detector, so a fleet holds one per training goroutine instead of
-// one per VM, and a warm refit allocates nothing.
+// rows' headers and the fitter's columns. It is pooled rather than kept
+// by each detector, so a fleet holds one per training goroutine instead
+// of one per VM, and a warm refit allocates nothing.
 type baseline struct {
 	normal [][]float64
-	col    []float64
+	fit    metrics.RobustFitter
 }
 
 var baselines = sync.Pool{New: func() any { return new(baseline) }}
@@ -615,7 +608,7 @@ func fitBaseline(rows [][]float64, labels []metrics.Label, center, scale []float
 		keep = append(keep, rows...)
 	}
 	b.normal = keep
-	b.col = metrics.RobustScaleInto(keep, center, scale, b.col)
+	metrics.RobustScaleInto(keep, center, scale, &b.fit)
 	return keep, b
 }
 

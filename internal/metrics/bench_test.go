@@ -44,10 +44,11 @@ func BenchmarkRobustScaleInto(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%s", c.name, k), func(b *testing.B) {
 				center, scale := make([]float64, NumAttributes), make([]float64, NumAttributes)
 				withRobustKernel(k, func() {
-					scratch := RobustScaleInto(c.rows, center, scale, nil)
+					var f RobustFitter
+					RobustScaleInto(c.rows, center, scale, &f)
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						scratch = RobustScaleInto(c.rows, center, scale, scratch)
+						RobustScaleInto(c.rows, center, scale, &f)
 					}
 				})
 			})

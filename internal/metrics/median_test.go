@@ -142,21 +142,21 @@ func TestMedianSelectMatchesSort(t *testing.T) {
 	for iter := 0; iter < 20000; iter++ {
 		checkMedian(t, medianShape(rng, 1+rng.Intn(300), iter%8 == 0))
 	}
-	var scratch []float64
+	var f RobustFitter
 	for iter := 0; iter < 2000; iter++ {
 		n, width := 1+rng.Intn(300), 1+rng.Intn(4)
 		cols := make([][]float64, width)
 		for j := range cols {
 			cols[j] = medianShape(rng, n, iter%8 == 0)
 		}
-		scratch = checkRobustScale(t, cols, scratch)
+		checkRobustScale(t, cols, &f)
 	}
 }
 
 // checkRobustScale fits the rows whose columns are cols (all of one
-// length) with RobustScaleInto under the current robustKernel and
-// requires robustScaleSorting's bits. It returns the scratch to reuse.
-func checkRobustScale(t *testing.T, cols [][]float64, scratch []float64) []float64 {
+// length) with RobustScaleInto through f under the current robustKernel
+// and requires robustScaleSorting's bits.
+func checkRobustScale(t *testing.T, cols [][]float64, f *RobustFitter) {
 	t.Helper()
 	rows := make([][]float64, len(cols[0]))
 	for i := range rows {
@@ -167,23 +167,22 @@ func checkRobustScale(t *testing.T, cols [][]float64, scratch []float64) []float
 	}
 	wantC, wantS := robustScaleSorting(rows)
 	center, scale := make([]float64, len(cols)), make([]float64, len(cols))
-	scratch = RobustScaleInto(rows, center, scale, scratch)
+	RobustScaleInto(rows, center, scale, f)
 	for j := range cols {
 		if math.Float64bits(center[j]) != math.Float64bits(wantC[j]) || math.Float64bits(scale[j]) != math.Float64bits(wantS[j]) {
 			t.Fatalf("%s, column %v: RobustScaleInto = (%#x, %#x), sorting gives (%#x, %#x)", robustKernel, cols[j],
 				math.Float64bits(center[j]), math.Float64bits(scale[j]), math.Float64bits(wantC[j]), math.Float64bits(wantS[j]))
 		}
 	}
-	return scratch
 }
 
-// robustKinds is every way RobustScaleInto can fit a column, fastest
+// robustKinds is every way FitColumn can fit a column, fastest
 // first.
 var robustKinds = []robustKind{robustSort, robustSelect}
 
 func robustKindAvailable(k robustKind) bool { return k == robustSelect || sort128Available }
 
-// withRobustKernel runs f with RobustScaleInto switched to kernel k.
+// withRobustKernel runs f with FitColumn switched to kernel k.
 func withRobustKernel(k robustKind, f func()) {
 	defer func(was robustKind) { robustKernel = was }(robustKernel)
 	robustKernel = k
@@ -191,7 +190,7 @@ func withRobustKernel(k robustKind, f func()) {
 }
 
 // eachRobustKernel runs f as one subtest per kernel, named after it,
-// with RobustScaleInto switched to that kernel. A kernel this machine
+// with FitColumn switched to that kernel. A kernel this machine
 // lacks is skipped; selection runs everywhere, so the portable path is
 // exercised on machines that have the sort too.
 func eachRobustKernel(t *testing.T, f func(t *testing.T)) {
@@ -208,9 +207,9 @@ func eachRobustKernel(t *testing.T, f func(t *testing.T)) {
 // TestRobustKernelAvailable logs the kernel CPUID picked, so a test log
 // shows whether the sort's tests ran or were skipped.
 func TestRobustKernelAvailable(t *testing.T) {
-	t.Logf("RobustScaleInto sorts with %s", robustKernel)
+	t.Logf("FitColumn sorts with %s", robustKernel)
 	if robustKernel != bestRobustKernel() {
-		t.Errorf("RobustScaleInto runs %s, want the fastest available, %s", robustKernel, bestRobustKernel())
+		t.Errorf("FitColumn runs %s, want the fastest available, %s", robustKernel, bestRobustKernel())
 	}
 }
 
@@ -249,7 +248,7 @@ func edgeColumns(n int) [][]float64 {
 func TestRobustScaleKernelMatchesSort(t *testing.T) {
 	eachRobustKernel(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(4))
-		var scratch []float64
+		var f RobustFitter
 		for n := 1; n <= 300; n++ {
 			for rep := 0; rep < 6; rep++ {
 				cols := make([][]float64, 3)
@@ -263,17 +262,19 @@ func TestRobustScaleKernelMatchesSort(t *testing.T) {
 						cols[2][i] = b
 					}
 				}
-				scratch = checkRobustScale(t, cols, scratch)
+				checkRobustScale(t, cols, &f)
 			}
-			scratch = checkRobustScale(t, edgeColumns(n), scratch)
+			checkRobustScale(t, edgeColumns(n), &f)
 		}
 	})
 }
 
-// TestSort128 checks the register sort itself: over NaN-free input it
-// sorts ascending and permutes the bit patterns, with or without ±0
-// and ±Inf; it reports a -0 exactly when there is one; with a NaN it
-// reports it and leaves its input alone. fitSorted must take the
+// TestSort128 checks the register sort itself, over 0 to 128 values
+// with NaNs past them: over NaN-free values it writes them sorted
+// ascending, a permutation of the bit patterns, followed by +Inf pads,
+// with or without ±0 and ±Inf; it reports a -0 exactly when there is
+// one; with a NaN it reports it and leaves its output alone; it never
+// reads past its values or changes them. fitSorted must take the
 // kernel's result for a plain column and decline where selection
 // decides.
 func TestSort128(t *testing.T) {
@@ -282,25 +283,42 @@ func TestSort128(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(5))
 	for iter := 0; iter < 5000; iter++ {
-		var xs [128]float64
-		copy(xs[:], medianShape(rng, 128, iter%4 == 0))
+		n := 128
+		if iter%2 == 1 {
+			n = rng.Intn(129)
+		}
+		var xs, out [128]float64
+		copy(xs[:], medianShape(rng, n, iter%4 == 0))
+		for i := n; i < len(xs); i++ {
+			xs[i] = math.NaN() // past the values: must not be read
+		}
 		in := xs
-		hasNaN := slices.ContainsFunc(in[:], func(v float64) bool { return v != v })
-		hasNegZero := slices.ContainsFunc(in[:], func(v float64) bool { return v == 0 && math.Signbit(v) })
-		nan, negZero := sort128AVX512(&xs)
+		for i := range out {
+			out[i] = float64(i)
+		}
+		was := out
+		hasNaN := slices.ContainsFunc(in[:n], func(v float64) bool { return v != v })
+		hasNegZero := slices.ContainsFunc(in[:n], func(v float64) bool { return v == 0 && math.Signbit(v) })
+		nan, negZero := sort128AVX512(&out, &xs[0], n)
 		if nan != hasNaN || (!nan && negZero != hasNegZero) {
-			t.Fatalf("sort128AVX512(%v) reports nan %v, -0 %v", in, nan, negZero)
+			t.Fatalf("sort128AVX512(%v) reports nan %v, -0 %v", in[:n], nan, negZero)
+		}
+		if !slices.Equal(bitsOf(xs[:]), bitsOf(in[:])) {
+			t.Fatalf("sort128AVX512 changed its input %v to %v", in, xs)
 		}
 		if nan {
-			for i := range xs {
-				if math.Float64bits(xs[i]) != math.Float64bits(in[i]) {
-					t.Fatalf("sort128AVX512 changed an input holding a NaN at %d", i)
-				}
+			if out != was {
+				t.Fatalf("sort128AVX512 wrote an output for an input holding a NaN")
 			}
 			continue
 		}
-		if !slices.IsSorted(xs[:]) || !slices.Equal(bitsOf(xs[:]), bitsOf(in[:])) {
-			t.Fatalf("sort128AVX512(%v) = %v", in, xs)
+		if !slices.IsSorted(out[:n]) || !slices.Equal(bitsOf(out[:n]), bitsOf(in[:n])) {
+			t.Fatalf("sort128AVX512(%v) = %v", in[:n], out[:n])
+		}
+		for i := n; i < len(out); i++ {
+			if !math.IsInf(out[i], 1) {
+				t.Fatalf("sort128AVX512 of %d values padded with %v at %d", n, out[i], i)
+			}
 		}
 	}
 
@@ -316,16 +334,15 @@ func TestSort128(t *testing.T) {
 		{[]float64{1, math.NaN(), 2}, false},
 		{[]float64{math.Inf(1), math.Inf(1), 1}, false},
 	} {
-		var col [sortLen]float64
-		copy(col[:], tc.xs)
-		if _, _, ok := fitSorted(&col, len(tc.xs)); ok != tc.ok {
+		var sorted [SortLen]float64
+		if _, _, ok := fitSorted(tc.xs, &sorted); ok != tc.ok {
 			t.Errorf("fitSorted(%v) ok = %v, want %v", tc.xs, ok, tc.ok)
 		}
 	}
 }
 
-// TestRobustScaleIntoAllocationFree: a caller that keeps the returned
-// scratch refits without allocating, under every kernel.
+// TestRobustScaleIntoAllocationFree: a caller that keeps its
+// RobustFitter refits without allocating, under every kernel.
 func TestRobustScaleIntoAllocationFree(t *testing.T) {
 	eachRobustKernel(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(2))
@@ -334,11 +351,12 @@ func TestRobustScaleIntoAllocationFree(t *testing.T) {
 			rows[i] = medianShape(rng, NumAttributes, false)
 		}
 		center, scale := make([]float64, NumAttributes), make([]float64, NumAttributes)
-		scratch := RobustScaleInto(rows, center, scale, nil)
+		var f RobustFitter
+		RobustScaleInto(rows, center, scale, &f)
 		if allocs := testing.AllocsPerRun(20, func() {
-			scratch = RobustScaleInto(rows, center, scale, scratch)
+			RobustScaleInto(rows, center, scale, &f)
 		}); allocs != 0 {
-			t.Errorf("RobustScaleInto allocates %v/op with warm scratch, want 0", allocs)
+			t.Errorf("RobustScaleInto allocates %v/op with a warm fitter, want 0", allocs)
 		}
 	})
 }
@@ -375,7 +393,7 @@ func FuzzMedianSelect(f *testing.F) {
 		slices.Reverse(cols[1])
 		for _, k := range robustKinds {
 			if robustKindAvailable(k) {
-				withRobustKernel(k, func() { checkRobustScale(t, cols, nil) })
+				withRobustKernel(k, func() { checkRobustScale(t, cols, new(RobustFitter)) })
 			}
 		}
 	})

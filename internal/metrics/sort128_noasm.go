@@ -5,6 +5,6 @@ package metrics
 // Only amd64 has the vector column sort; everything else selects.
 const sort128Available = false
 
-func sort128AVX512(xs *[sortLen]float64) (nan, negZero bool) {
+func sort128AVX512(dst *[SortLen]float64, src *float64, n int) (nan, negZero bool) {
 	panic("metrics: sort128AVX512 called without AVX-512")
 }

@@ -170,108 +170,112 @@ func RobustScale(rows [][]float64) (center, scale []float64) {
 	}
 	center = make([]float64, len(rows[0]))
 	scale = make([]float64, len(rows[0]))
-	RobustScaleInto(rows, center, scale, nil)
+	RobustScaleInto(rows, center, scale, new(RobustFitter))
 	return center, scale
 }
 
-// RobustScaleInto is RobustScale writing into caller-owned center and
-// scale (each at least as wide as the rows) with scratch as its working
-// memory. It returns scratch, grown if it was too short (to len(rows),
-// or to 128 values a column where the columns are sorted), so a caller
-// that keeps it refits without allocating. No rows leave center and
-// scale untouched.
-//
-// Where robustKernel is robustSort and there are at most 128 rows, the
-// columns are transposed into scratch and each is sorted in registers
-// (fitSorted); a column that declines, and every column elsewhere, is
-// fit by selection (fitSelect). Both give robustScaleSorting's bits.
-func RobustScaleInto(rows [][]float64, center, scale, scratch []float64) []float64 {
-	n := len(rows)
-	if n == 0 {
-		return scratch
-	}
-	width := len(rows[0])
-	if robustKernel != robustSort || n > sortLen {
-		if cap(scratch) < n {
-			scratch = make([]float64, n)
-		}
-		for j := 0; j < width; j++ {
-			c, mad := fitSelect(rows, j, scratch[:n])
-			setRobust(center, scale, j, c, mad)
-		}
-		return scratch
-	}
-	if cap(scratch) < width*sortLen {
-		scratch = make([]float64, width*sortLen)
-	}
-	cols := scratch[:width*sortLen]
-	transpose(cols, rows, width)
-	for j := 0; j < width; j++ {
-		col := (*[sortLen]float64)(cols[j*sortLen:])
-		c, mad, ok := fitSorted(col, n)
-		if !ok {
-			c, mad = fitSelect(rows, j, col[:n])
-		}
-		setRobust(center, scale, j, c, mad)
-	}
-	return scratch
+// RobustFitter is the working memory of the robust fit: FitColumn is
+// the fit of one column, and RobustScaleInto feeds it the columns of a
+// set of rows. The zero value is ready to use, and a kept RobustFitter
+// refits without allocating once it has grown to the longest input.
+type RobustFitter struct {
+	cols   []float64        // RobustScaleInto's transposed rows
+	sorted [SortLen]float64 // the register sort's output
+	work   []float64        // selection's working copy of a column
 }
 
-// transpose writes value j of each row i to cols[j*sortLen+i]. It is
+// RobustScaleInto is RobustScale writing into caller-owned center and
+// scale (each at least as wide as the rows), with f as its working
+// memory. It transposes the rows into f, one column per attribute, and
+// fits each column with FitColumn. No rows leave center and scale
+// untouched.
+func RobustScaleInto(rows [][]float64, center, scale []float64, f *RobustFitter) {
+	n := len(rows)
+	if n == 0 {
+		return
+	}
+	width := len(rows[0])
+	if cap(f.cols) < width*n {
+		f.cols = make([]float64, width*n)
+	}
+	cols := f.cols[:width*n]
+	transpose(cols, rows, width, n)
+	for j := 0; j < width; j++ {
+		center[j], scale[j] = f.FitColumn(cols[j*n : (j+1)*n])
+	}
+}
+
+// transpose writes value j of each row i to cols[j*stride+i]. It is
 // kept out of line: inlined into RobustScaleInto, its loop counters
 // spill to the stack.
 //
 //go:noinline
-func transpose(cols []float64, rows [][]float64, width int) {
+func transpose(cols []float64, rows [][]float64, width, stride int) {
 	for i, row := range rows {
 		for j, v := range row[:width] {
-			cols[j*sortLen+i] = v
+			cols[j*stride+i] = v
 		}
 	}
 }
 
-// setRobust stores column j's center and its scale, 1.4826 MAD floored
-// at 1e-9.
-func setRobust(center, scale []float64, j int, c, mad float64) {
-	center[j] = c
-	scale[j] = 1.4826 * mad
-	if scale[j] < 1e-9 {
-		scale[j] = 1e-9
+// FitColumn returns the center and scale of one column, col holding its
+// values in row order: the median, and 1.4826 MAD floored at 1e-9. col
+// is only read. Where robustKernel is robustSort, a column of at most
+// SortLen values is sorted in registers (fitSorted); a column that
+// declines the sort, and every column elsewhere, is fit by selection
+// (fitSelect). Both give robustScaleSorting's bits. col holds at least
+// one value.
+func (f *RobustFitter) FitColumn(col []float64) (center, scale float64) {
+	if robustKernel == robustSort && len(col) <= SortLen {
+		if c, mad, ok := fitSorted(col, &f.sorted); ok {
+			return robust(c, mad)
+		}
 	}
+	return robust(f.fitSelect(col))
 }
 
-// fitSelect returns column j's median and MAD by selection into col
-// (len(rows) long), falling back to sorting where selection declines.
-func fitSelect(rows [][]float64, j int, col []float64) (c, mad float64) {
-	for i, row := range rows {
-		col[i] = row[j]
+// robust is a column's center and its scale, 1.4826 MAD floored at
+// 1e-9.
+func robust(c, mad float64) (center, scale float64) {
+	scale = 1.4826 * mad
+	if scale < 1e-9 {
+		scale = 1e-9
 	}
-	c, ok := selectMedian(col)
+	return c, scale
+}
+
+// fitSelect returns col's median and MAD by selection on a copy of it,
+// falling back to sorting where selection declines.
+func (f *RobustFitter) fitSelect(col []float64) (c, mad float64) {
+	if cap(f.work) < len(col) {
+		f.work = make([]float64, len(col))
+	}
+	work := f.work[:len(col)]
+	copy(work, col)
+	c, ok := selectMedian(work)
 	if ok {
 		// The deviations hold no -0 (Abs clears the sign) and no NaN
 		// (ok rules one out), so selection agrees with sorting them in
 		// any order, the sorted one included.
-		for i, v := range col {
-			col[i] = math.Abs(v - c)
+		for i, v := range work {
+			work[i] = math.Abs(v - c)
 		}
-		mad, ok = selectMedian(col)
+		mad, ok = selectMedian(work)
 	}
 	if !ok {
 		// Either median is order-sensitive: fit the column exactly as
 		// sorting always has, deviations taken in sorted order.
-		for i, row := range rows {
-			col[i] = row[j]
+		copy(work, col)
+		c = medianSorting(work)
+		for i, v := range work {
+			work[i] = math.Abs(v - c)
 		}
-		c = medianSorting(col)
-		for i, v := range col {
-			col[i] = math.Abs(v - c)
-		}
-		mad = medianSorting(col)
+		mad = medianSorting(work)
 	}
 	return c, mad
 }
 
-// robustKind names a way RobustScaleInto fits a column.
+// robustKind names a way FitColumn fits a column.
 type robustKind uint8
 
 const (
@@ -281,8 +285,8 @@ const (
 
 func (k robustKind) String() string { return [...]string{"select", "sort-avx512"}[k] }
 
-// robustKernel is the way RobustScaleInto fits the columns of at most
-// 128 rows: decided once from CPUID, the register sort where the CPU and
+// robustKernel is the way FitColumn fits a column of at most 128
+// values: decided once from CPUID, the register sort where the CPU and
 // OS support AVX-512F, else selection. Tests switch it to run both.
 var robustKernel = bestRobustKernel()
 
@@ -293,26 +297,25 @@ func bestRobustKernel() robustKind {
 	return robustSelect
 }
 
-// sortLen is the number of values sort128AVX512 sorts.
-const sortLen = 128
+// SortLen is the number of values sort128AVX512 sorts: the longest
+// column FitColumn sorts in registers.
+const SortLen = 128
 
-// fitSorted returns the median and MAD of col's first n values from one
-// register sort (DESIGN.md, "Sorted robust fit"), sorting col in place.
-// It declines (ok false) where the selection path must decide instead:
-// the column holds a NaN, its median is zero and it holds a -0, or the
-// median is not finite.
-func fitSorted(col *[sortLen]float64, n int) (c, mad float64, ok bool) {
-	// +Inf pads the column: equal values are bit-identical, so the pads
-	// sort behind the n values without changing any of them.
-	inf := math.Inf(1)
-	for i := n; i < sortLen; i++ {
-		col[i] = inf
-	}
-	nan, negZero := sort128AVX512(col)
+// fitSorted returns the median and MAD of col, 1 to SortLen values, from
+// one register sort into sorted (DESIGN.md, "Sorted robust fit"); col is
+// only read. It declines (ok false) where the selection path must decide
+// instead: the column holds a NaN, its median is zero and it holds a -0,
+// or the median is not finite.
+func fitSorted(col []float64, sorted *[SortLen]float64) (c, mad float64, ok bool) {
+	n := len(col)
+	// The sort pads the column with +Inf: equal values are
+	// bit-identical, so the pads sort behind the n values without
+	// changing any of them.
+	nan, negZero := sort128AVX512(sorted, &col[0], n)
 	if nan {
 		return 0, 0, false
 	}
-	s := col[:n]
+	s := sorted[:n]
 	h := n / 2
 	c = s[h]
 	if n%2 == 0 {
