@@ -13,11 +13,12 @@
 //
 // — so "attribute a of the whole fleet at one tick" is one contiguous
 // slice that a single sweep can sanitize, discretize or fit from: Column
-// for the latest tick, and Window, a read-only view of every held tick,
-// for the batch refit, which warms every VM's filter and feeds every
-// VM's baseline in one pass over the store's own layout. "The full row
-// of one VM" is a strided gather (RowInto, RowsInto) for the per-VM
-// tick and the model kinds that fit one VM at a time.
+// for the latest tick, which the ewma fleet tick and workload inference
+// read in one pass over the VMs, and Window, a read-only view of every
+// held tick, for the batch refit, which warms every VM's filter and
+// feeds every VM's baseline in one pass over the store's own layout.
+// "The full row of one VM" is a strided gather (RowInto, RowsInto) for
+// the detector kinds that tick or fit one VM at a time.
 //
 // The store is also the control loop's sample history. Each (tick, VM)
 // cell carries a recorded flag: a recorded row belongs to the VM's

@@ -183,6 +183,15 @@ type AlertEvent struct {
 	Predicted bool // true for predictive alerts, false for reactive detections
 }
 
+// alertRec is an AlertEvent as the controller's log keeps it: the VM
+// by its index in vms, and Predicted left to the scheme, which fixes it
+// for every alert a controller raises.
+type alertRec struct {
+	time  simclock.Time
+	score float64
+	vm    int32
+}
+
 // pendingValidation tracks a prevention action awaiting its
 // effectiveness check.
 type pendingValidation struct {
@@ -289,9 +298,15 @@ type Controller struct {
 	// from the store for every VM that worker fits.
 	fitBufs []fitBuf
 	// fleetFits holds one training worker's working memory each for an
-	// ewma fleet refit, and lanes each VM's ewma detector by store index.
+	// ewma fleet refit, and lanes is fitFleet's list of the VMs' ewma
+	// detectors by store index.
 	fleetFits []detector.EWMAFleetFit
 	lanes     []*detector.EWMA
+	// ewma is the ewma fleet every VM's detector is a lane of, lane
+	// v.store for VM v, which observe ticks in one pass; nil when the
+	// detectors are not the lanes of one fleet (another kind, or
+	// installed detectors adoptEWMA could not join).
+	ewma *detector.EWMAFleet
 	// before and after are resolveValidation's reusable value windows.
 	before, after []float64
 
@@ -301,7 +316,10 @@ type Controller struct {
 	// VMs (Plan.Alerts).
 	confirmed []int
 	steps     []prevent.Step
-	alerts    []AlertEvent
+	// alerts is every confirmed alert, oldest first, in the compact
+	// form alertRec: the log grows by every alert for the controller's
+	// life, so its record size is most of its memory.
+	alerts []alertRec
 
 	// workload distinguishes external workload changes from internal
 	// faults: simultaneous change points on every component mean the
@@ -410,7 +428,9 @@ func (c *Controller) Dataset() map[substrate.VMID][]metrics.Sample {
 func (c *Controller) Steps() []prevent.Step { return append([]prevent.Step{}, c.steps...) }
 
 // Alerts returns the confirmed alerts raised so far.
-func (c *Controller) Alerts() []AlertEvent { return append([]AlertEvent{}, c.alerts...) }
+func (c *Controller) Alerts() []AlertEvent {
+	return c.appendAlerts(make([]AlertEvent, 0, len(c.alerts)), 0)
+}
 
 // StepCount returns the number of executed prevention steps so far.
 func (c *Controller) StepCount() int { return len(c.steps) }
@@ -424,8 +444,21 @@ func (c *Controller) StepsSince(from int) []prevent.Step { return since(c.steps,
 func (c *Controller) AlertCount() int { return len(c.alerts) }
 
 // AlertsSince returns a copy of the confirmed alerts from index from
-// on. Out-of-range indexes clamp.
-func (c *Controller) AlertsSince(from int) []AlertEvent { return since(c.alerts, from) }
+// on, or nil when there are none. Out-of-range indexes clamp.
+func (c *Controller) AlertsSince(from int) []AlertEvent {
+	if from = max(from, 0); from >= len(c.alerts) {
+		return nil
+	}
+	return c.appendAlerts(make([]AlertEvent, 0, len(c.alerts)-from), from)
+}
+
+// appendAlerts appends the log's alerts from index from on to dst.
+func (c *Controller) appendAlerts(dst []AlertEvent, from int) []AlertEvent {
+	for _, a := range c.alerts[from:] {
+		dst = append(dst, AlertEvent{Time: a.time, VM: c.vms[a.vm].id, Score: a.score, Predicted: c.scheme == SchemePREPARE})
+	}
+	return dst
+}
 
 // since copies s from index from on, or returns nil when that is empty.
 func since[T any](s []T, from int) []T {
@@ -464,10 +497,8 @@ func (c *Controller) OnTick(now simclock.Time) error {
 		return fmt.Errorf("control: %w", err)
 	}
 	// Track inbound traffic for workload-change inference.
-	for i := range c.vms {
-		if err := c.workload.Offer(now, i, c.store.Latest(i, metrics.NetIn)); err != nil {
-			return fmt.Errorf("control: %w", err)
-		}
+	if err := c.workload.OfferLine(now, c.store.Column(metrics.NetIn)); err != nil {
+		return fmt.Errorf("control: %w", err)
 	}
 	if c.scheme == SchemeNone {
 		return nil
@@ -509,14 +540,30 @@ func (c *Controller) OnTick(now simclock.Time) error {
 // observe feeds the new samples to the per-VM detectors, records each
 // VM's raw decision for this tick and pushes its vote into the VM's
 // k-of-W window, and reports whether the workload changed. It confirms
-// nothing: decide reads the windows.
+// nothing: decide reads the windows. An ewma fleet's tick advances,
+// adapts and, under PREPARE, scores every VM in one pass over the
+// store's newest line (DESIGN.md, "The tick in the store's layout");
+// the loop then reads each VM's decision by its store index.
 func (c *Controller) observe(now simclock.Time, label metrics.Label, violated bool) (bool, error) {
+	if c.ewma != nil {
+		if err := c.ewma.Tick(c.store, c.cfg.LookaheadS, c.scheme == SchemePREPARE); err != nil {
+			return false, fmt.Errorf("control: observe: %w", err)
+		}
+	}
 	row := c.rowScratch
 	fold := c.incrementalTraining()
 	for i := range c.vms {
 		v := &c.vms[i]
+		if c.ewma != nil && c.scheme == SchemePREPARE {
+			v.raw = c.ewma.Decision(v.store)
+			v.filter.Push(v.raw.Abnormal)
+			continue
+		}
 		c.store.RowInto(v.store, row)
-		if fold && v.fitAt != now {
+		switch {
+		case c.ewma != nil:
+			// The fleet's tick has observed the row.
+		case fold && v.fitAt != now:
 			// Incremental training: one Update advances the value-
 			// prediction chains AND folds the labeled row into the TAN
 			// sufficient statistics. Rows the sampler left unrecorded
@@ -530,11 +577,13 @@ func (c *Controller) observe(now simclock.Time, label metrics.Label, violated bo
 			if err := v.det.Update(row, lbl); err != nil {
 				return false, fmt.Errorf("control: update %s: %w", v.id, err)
 			}
-		} else if err := v.det.Observe(row); err != nil {
+		default:
 			// A model fit this tick already counted the current row from
 			// the history, and a model that is never refit from counts
 			// needs none: either only observes.
-			return false, fmt.Errorf("control: observe %s: %w", v.id, err)
+			if err := v.det.Observe(row); err != nil {
+				return false, fmt.Errorf("control: observe %s: %w", v.id, err)
+			}
 		}
 		switch c.scheme {
 		case SchemePREPARE:
@@ -597,7 +646,7 @@ func (c *Controller) apply(now simclock.Time, p Plan) error {
 		}
 	}
 	for _, i := range p.Alerts {
-		c.recordAlert(now, &c.vms[i])
+		c.recordAlert(now, i)
 	}
 	for _, i := range p.Dropped {
 		c.vms[i].pending = nil
@@ -621,15 +670,11 @@ func (c *Controller) apply(now simclock.Time, p Plan) error {
 	return nil
 }
 
-// recordAlert appends one confirmed alert to the log and emits its
+// recordAlert appends VM i's confirmed alert to the log and emits its
 // event.
-func (c *Controller) recordAlert(now simclock.Time, v *vmState) {
-	c.alerts = append(c.alerts, AlertEvent{
-		Time:      now,
-		VM:        v.id,
-		Score:     v.verdict.Score,
-		Predicted: c.scheme == SchemePREPARE,
-	})
+func (c *Controller) recordAlert(now simclock.Time, i int) {
+	v := &c.vms[i]
+	c.alerts = append(c.alerts, alertRec{time: now, score: v.verdict.Score, vm: int32(i)})
 	c.tel.confirmedAlerts.Inc()
 	if c.tel.reg != nil {
 		predicted := 0.0

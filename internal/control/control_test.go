@@ -558,7 +558,7 @@ func TestApplyScoresBusiestVM(t *testing.T) {
 	if v := c.vms[1].verdict; !v.Abnormal || len(v.Strengths) == 0 {
 		t.Fatalf("deviant sample verdict %+v, want abnormal with strengths", v)
 	}
-	if got := c.alerts[len(c.alerts)-1]; got.VM != "vm2" || got.Score != c.vms[1].verdict.Score || got.Predicted {
+	if got := c.AlertsSince(c.AlertCount() - 1)[0]; got.VM != "vm2" || got.Score != c.vms[1].verdict.Score || got.Predicted {
 		t.Fatalf("fallback alert %+v, want a reactive vm2 alert scored %v", got, c.vms[1].verdict.Score)
 	}
 	var raw []string

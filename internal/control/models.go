@@ -73,8 +73,10 @@ func (c *Controller) fitEach(now simclock.Time, fromCounts bool) error {
 // fitFleet refits every VM's ewma detector from the store's window in
 // its own layout (DESIGN.md, "The refit in the store's layout"), each
 // exactly as fitVM would fit it. A VM without a detector of its own
-// gets one first, as in fitVM. The training workers take contiguous
-// ranges of FleetBlock-VM blocks in store order; a single worker runs in place,
+// gets one first, as in fitVM; the detectors are joined into the lanes
+// of one fleet, by store index, once, and each refit fits straight into
+// the fleet's lines. The training workers take contiguous ranges of
+// FleetBlock-VM blocks in store order; a single worker runs in place,
 // so a warm refit allocates nothing. A VM without a recorded row fails
 // the refit with fitVM's error.
 func (c *Controller) fitFleet(now simclock.Time) error {
@@ -91,6 +93,11 @@ func (c *Controller) fitFleet(now simclock.Time) error {
 		}
 		c.lanes[v.store] = v.built.(*detector.EWMA)
 	}
+	fleet, err := detector.JoinEWMA(c.lanes)
+	clear(c.lanes) // an installed detector may replace a built one
+	if err != nil {
+		return err
+	}
 	const block = detector.FleetBlock
 	blocks := (len(c.vms) + block - 1) / block
 	runner := pool.Runner{Workers: c.cfg.TrainWorkers}
@@ -99,28 +106,27 @@ func (c *Controller) fitFleet(now simclock.Time) error {
 		c.fleetFits = append(c.fleetFits, make([]detector.EWMAFleetFit, tasks-len(c.fleetFits))...)
 	}
 	win := c.store.Window()
-	var err error
 	if tasks == 1 {
-		err = c.fitLanes(win, 0, 0, len(c.vms))
+		err = c.fitLanes(win, fleet, 0, 0, len(c.vms))
 	} else {
 		err = runner.ForEachWorker(context.Background(), tasks, func(_ context.Context, w, i int) error {
-			return c.fitLanes(win, w, min(block*(i*blocks/tasks), len(c.vms)), min(block*((i+1)*blocks/tasks), len(c.vms)))
+			return c.fitLanes(win, fleet, w, min(block*(i*blocks/tasks), len(c.vms)), min(block*((i+1)*blocks/tasks), len(c.vms)))
 		})
 	}
-	clear(c.lanes) // an installed detector may replace a built one
 	if err != nil {
 		return err
 	}
 	for i := range c.vms {
 		c.vms[i].det, c.vms[i].fitAt = c.vms[i].built, now
 	}
+	c.ewma = fleet
 	return nil
 }
 
-// fitLanes refits the detectors of store lanes lo..hi-1 with training
-// worker w's working memory.
-func (c *Controller) fitLanes(win columnar.Window, w, lo, hi int) error {
-	lane, err := c.fleetFits[w].Fit(win, c.lanes, lo, hi)
+// fitLanes refits lanes lo..hi-1 of fleet with training worker w's
+// working memory.
+func (c *Controller) fitLanes(win columnar.Window, fleet *detector.EWMAFleet, w, lo, hi int) error {
+	lane, err := c.fleetFits[w].Fit(win, fleet, lo, hi)
 	if err == nil {
 		return nil
 	}
@@ -369,6 +375,28 @@ func (c *Controller) installDetectors(models []detector.Detector) {
 		c.vms[i].det, c.vms[i].built = models[i], nil
 		c.vms[i].filter.Reset()
 	}
+	c.ewma = c.adoptEWMA(models)
 	c.trained = true
 	c.nextRetrainAt = 0
+}
+
+// adoptEWMA joins installed detectors into the lanes of one ewma fleet,
+// by store index, so that observe ticks them in one pass, when every
+// one is a trained ewma detector over every attribute and all share
+// one option set. Otherwise it returns nil, and observe drives each
+// VM's detector on its own.
+func (c *Controller) adoptEWMA(models []detector.Detector) *detector.EWMAFleet {
+	lanes := make([]*detector.EWMA, len(c.vms))
+	for i, m := range models {
+		e, ok := m.(*detector.EWMA)
+		if !ok || !e.Trained() {
+			return nil
+		}
+		lanes[c.vms[i].store] = e
+	}
+	fleet, err := detector.JoinEWMA(lanes)
+	if err != nil {
+		return nil
+	}
+	return fleet
 }

@@ -2,6 +2,7 @@ package control
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"strings"
@@ -432,5 +433,65 @@ func TestRestoreModelsRejectsUnknownVMs(t *testing.T) {
 	}
 	if dets := installed(c); c.trained || dets != 0 {
 		t.Fatalf("rejected snapshot left trained=%v with %d detectors", c.trained, dets)
+	}
+}
+
+// TestInstalledEWMAJoinsTheFleetTick: restored ewma detectors that
+// share one option set are joined into one fleet, which observe ticks
+// in one pass, and under PREPARE and the reactive scheme the alert
+// stream is the one the per-VM loop gives the same detectors. An
+// installed set whose options differ stays on the per-VM loop.
+func TestInstalledEWMAJoinsTheFleetTick(t *testing.T) {
+	const nVMs = 7
+	cfg := Config{Detector: detector.Spec{Kind: detector.KindEWMA}}
+	saved, _ := runSynth(t, nVMs, 400, 0, cfg)
+	var snap bytes.Buffer
+	if err := saved.SaveModels(&snap); err != nil {
+		t.Fatal(err)
+	}
+	run := func(scheme Scheme, join bool) (int, string) {
+		w := newSynthWorld(nVMs)
+		ctl, err := New(scheme, w, w, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ctl.RestoreModels(bytes.NewReader(snap.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+		if ctl.ewma == nil {
+			t.Fatal("restored ewma detectors with one option set were not joined into a fleet")
+		}
+		if !join {
+			ctl.ewma = nil
+		}
+		for s := int64(1); s <= 900; s++ {
+			w.Tick(simclock.Time(s))
+			if err := ctl.OnTick(simclock.Time(s)); err != nil {
+				t.Fatalf("tick %d: %v", s, err)
+			}
+		}
+		h := sha256.New()
+		for _, a := range ctl.Alerts() {
+			hashAlert(h, "", a)
+		}
+		return ctl.AlertCount(), hexSum(h)
+	}
+	for _, scheme := range []Scheme{SchemePREPARE, SchemeReactive} {
+		n, fleet := run(scheme, true)
+		m, perVM := run(scheme, false)
+		if n == 0 || fleet != perVM {
+			t.Errorf("%s: the fleet tick raised %d alerts, the per-VM loop %d, or they differ", scheme, n, m)
+		}
+	}
+
+	ctl, _ := runSynth(t, 2, 400, 0, cfg)
+	models := ewmaModels(t, len(ctl.vms))
+	models[1] = detector.NewEWMA(len(predict.AttributeNames()), detector.EWMAOptions{SamplingIntervalS: 5, Threshold: 50})
+	if err := models[1].Train(trainingRows(len(predict.AttributeNames()), 50), nil); err != nil {
+		t.Fatal(err)
+	}
+	ctl.installDetectors(models)
+	if ctl.ewma != nil {
+		t.Error("installed ewma detectors with two option sets were joined into a fleet")
 	}
 }

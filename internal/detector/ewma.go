@@ -69,30 +69,20 @@ func (o EWMAOptions) withDefaults() EWMAOptions {
 // a median/MAD baseline frozen at training time. The trend term gives
 // genuine lead time on ramp faults (a memory leak's projection crosses
 // the alert bar before the raw values do) at a few ns per attribute.
+//
+// An EWMA is one lane of an EWMAFleet, which holds its state: a
+// standalone detector (NewEWMA, DecodeEWMA) is the one lane of a state
+// of its own, and JoinEWMA moves a fleet's detectors into the lanes of
+// one state, which EWMAFleet.Tick advances and scores in one pass. Every
+// method reads and writes the detector's lane in place.
 type EWMA struct {
-	opts EWMAOptions
+	f    *EWMAFleet
+	lane int
 
-	// robust per-attribute baseline: fit at Train, then adapted by
-	// winsorized EW updates as samples stream (opts.Adapt).
-	center []float64
-	scale  []float64
-	// scale0 floors the adapted scale at a quarter of the trained
-	// scale so quiet stretches cannot shrink it into hypersensitivity.
-	scale0 []float64
-
-	// streaming Holt state.
-	level []float64
-	trend []float64
-	n     int64 // samples streamed
-
-	trained bool
-
-	// cached by Score for Verdict, which recomputes the best step's
-	// clamped per-attribute deviations into lastZ.
-	lastDec   Decision
-	lastZ     []float64
-	lastValid bool
-
+	// lastZ receives Verdict's clamped per-attribute deviations and
+	// scratch its projection; Train fits the baseline into the two
+	// before it moves it to the lane.
+	lastZ   []float64
 	scratch []float64
 	// loud holds the indices of the attributes Score found loud, in
 	// order, with room for every attribute; sums holds the sweep's
@@ -102,20 +92,25 @@ type EWMA struct {
 	sums []float64
 }
 
-// NewEWMA builds an untrained EWMA detector over dims attributes.
+// NewEWMA builds an untrained EWMA detector over dims attributes, the
+// one lane of a state of its own.
 func NewEWMA(dims int, opts EWMAOptions) *EWMA {
+	return newEWMAFleet(1, dims, opts.withDefaults()).dets[0]
+}
+
+// newLane builds the detector of lane i of f.
+func newLane(f *EWMAFleet, i int) *EWMA {
 	return &EWMA{
-		opts:    opts.withDefaults(),
-		center:  make([]float64, dims),
-		scale:   make([]float64, dims),
-		scale0:  make([]float64, dims),
-		level:   make([]float64, dims),
-		trend:   make([]float64, dims),
-		lastZ:   make([]float64, dims),
-		scratch: make([]float64, dims),
-		loud:    make([]int, 0, dims),
+		f:       f,
+		lane:    i,
+		lastZ:   make([]float64, f.dims),
+		scratch: make([]float64, f.dims),
+		loud:    make([]int, 0, f.dims),
 	}
 }
+
+// at is the index of attribute j of e's lane in its state's vectors.
+func (e *EWMA) at(j int) int { return j*e.f.stride + e.lane }
 
 // Kind implements Detector.
 func (e *EWMA) Kind() string { return KindEWMA }
@@ -129,49 +124,55 @@ func (e *EWMA) Train(rows [][]float64, labels []metrics.Label) error {
 	if len(rows) == 0 {
 		return errNoTrainingRows
 	}
-	dims := len(e.center)
+	f := e.f
 	for _, r := range rows {
-		if len(r) != dims {
-			return fmt.Errorf("detector: ewma row has %d attributes, want %d", len(r), dims)
+		if len(r) != f.dims {
+			return fmt.Errorf("detector: ewma row has %d attributes, want %d", len(r), f.dims)
 		}
 	}
-	// Fit into the slices NewEWMA allocated alongside level and trend
-	// rather than replacing them, so a fleet's per-VM state stays where
-	// it was laid out.
-	_, b := fitBaseline(rows, labels, e.center, e.scale)
+	// Fit into the detector's own scratch, then move the baseline into
+	// its lane, wherever the lane's state is laid out.
+	_, b := fitBaseline(rows, labels, e.scratch, e.lastZ)
 	b.release()
-	copy(e.scale0, e.scale)
+	for j := range f.dims {
+		k := e.at(j)
+		f.center[k], f.scale[k], f.scale0[k] = e.scratch[j], e.lastZ[j], e.lastZ[j]
+	}
 	// Warm the Holt filter on the full history (faulty spans included:
 	// the filter tracks the signal, the frozen baseline judges it),
 	// then zero the trend. A training history that ends near a faulty
 	// span leaves a stale trend whose window projection dwarfs the
 	// alert bar for minutes of false alarms; the filter re-learns a
 	// live trend within ~1/Beta samples anyway.
-	e.n = 0
+	f.n[e.lane] = 0
 	for _, r := range rows {
 		e.advance(r)
 	}
-	for j := range e.trend {
-		e.trend[j] = 0
+	for j := range f.dims {
+		f.trend[e.at(j)] = 0
 	}
-	e.trained = true
-	e.lastValid = false
+	f.trained[e.lane] = true
+	f.valid[e.lane] = false
 	return nil
 }
 
 // Trained implements Detector.
-func (e *EWMA) Trained() bool { return e.trained }
+func (e *EWMA) Trained() bool { return e.f.trained[e.lane] }
 
-// advance folds one sample into the Holt level/trend state: the lane
-// step with one lane per attribute, every lane taking its value.
+// advance folds one sample into the lane's Holt level and trend with
+// holt, the step every kernel takes: the lane's first sample sets
+// level = x and trend = 0.
 func (e *EWMA) advance(row []float64) {
-	if e.n == 0 {
-		copy(e.level, row)
-		clear(e.trend)
-	} else {
-		holtStep(e.level, e.trend, row, nil, nil, e.opts.Alpha, e.opts.Beta)
+	f, first := e.f, e.f.n[e.lane] == 0
+	for j, x := range row {
+		k := e.at(j)
+		if first {
+			f.level[k], f.trend[k] = x, 0
+		} else {
+			f.level[k], f.trend[k] = holt(f.level[k], f.trend[k], x, f.opts.Alpha, f.opts.Beta)
+		}
 	}
-	e.n++
+	f.n[e.lane]++
 }
 
 // Update implements Detector. EWMA has no labeled statistics, so
@@ -180,12 +181,12 @@ func (e *EWMA) Update(row []float64, _ metrics.Label) error { return e.Observe(r
 
 // Observe implements Detector.
 func (e *EWMA) Observe(row []float64) error {
-	if len(row) != len(e.level) {
-		return fmt.Errorf("detector: ewma row has %d attributes, want %d", len(row), len(e.level))
+	if len(row) != e.f.dims {
+		return fmt.Errorf("detector: ewma row has %d attributes, want %d", len(row), e.f.dims)
 	}
 	e.advance(row)
 	e.adapt(row)
-	e.lastValid = false
+	e.f.valid[e.lane] = false
 	return nil
 }
 
@@ -195,25 +196,34 @@ func (e *EWMA) Observe(row []float64) error {
 // workload plateau change) is absorbed within ~1/Adapt samples, while a
 // fault ramp outruns the bounded step and keeps alerting.
 func (e *EWMA) adapt(row []float64) {
-	g := e.opts.Adapt
-	if g <= 0 || !e.trained {
+	f := e.f
+	g := f.opts.Adapt
+	if g <= 0 || !f.trained[e.lane] {
 		return
 	}
 	for j, x := range row {
-		d := x - e.center[j]
-		if lim := 3 * e.scale[j]; d > lim {
-			d = lim
-		} else if d < -lim {
-			d = -lim
-		}
-		e.center[j] += g * d
-		// 1.2533 = sqrt(pi/2) scales mean absolute deviation to the
-		// stddev of a normal distribution. The builtin max runs inline;
-		// it differs from math.Max only on a NaN against +Inf, and the
-		// floor 0.25*scale0 is finite wherever the sampler's sanitized
-		// rows trained it (DESIGN.md, "Monotone windows").
-		e.scale[j] = max((1-g)*e.scale[j]+g*1.2533*math.Abs(d), 0.25*e.scale0[j])
+		k := e.at(j)
+		f.center[k], f.scale[k] = adaptStep(x, f.center[k], f.scale[k], f.scale0[k], g)
 	}
+}
+
+// adaptStep is one attribute's baseline update by rate g toward sample
+// x: center c moves by g times x's winsorized deviation d, and scale s
+// toward 1.2533|d|, floored at a quarter of the trained scale s0.
+// 1.2533 = sqrt(pi/2) scales mean absolute deviation to the stddev of a
+// normal distribution. Each product is rounded before its sum, as the
+// vector kernel rounds it. The builtin max runs inline; it differs from
+// math.Max only on a NaN against +Inf, and the floor 0.25*s0 is finite
+// wherever the sampler's sanitized rows trained it (DESIGN.md,
+// "Monotone windows").
+func adaptStep(x, c, s, s0, g float64) (center, scale float64) {
+	d := x - c
+	if lim := 3 * s; d > lim {
+		d = lim
+	} else if d < -lim {
+		d = -lim
+	}
+	return c + float64(g*d), max(float64((1-g)*s)+float64(g*1.2533*math.Abs(d)), 0.25*s0)
 }
 
 // Retrain implements Detector: the Holt state streams, but the frozen
@@ -225,17 +235,54 @@ func (e *EWMA) Retrain() error {
 // deviation writes the clamped robust z of values into out and returns
 // the Mahalanobis-style score sqrt(sum of clamped z^2).
 func (e *EWMA) deviation(values, out []float64) float64 {
+	f := e.f
 	var sum float64
 	for j, v := range values {
-		z := math.Abs(v-e.center[j]) / e.scale[j]
-		z -= e.opts.Slack
+		k := e.at(j)
+		z := math.Abs(v-f.center[k])/f.scale[k] - f.opts.Slack
 		if z < 0 {
 			z = 0
 		}
 		out[j] = z
-		sum += z * z
+		sum += float64(z * z)
 	}
 	return math.Sqrt(sum)
+}
+
+// offset is an attribute's projection h steps ahead less its center,
+// level + h*trend - center, with the product rounded on its own as the
+// vector kernel rounds it. Every site that projects uses it, so no
+// build fuses one site and not another.
+func offset(l, t, c, h float64) float64 { return l + float64(h*t) - c }
+
+// clampedSquare is a robust z's share of a step's sum: 0 for z < 0,
+// else z squared (a NaN stays NaN).
+func clampedSquare(z float64) float64 {
+	if z < 0 {
+		z = 0
+	}
+	return float64(z * z)
+}
+
+// heading classifies a loud attribute by its trend t and its offsets
+// at steps 0 and h: moving away from its center (or flat), toward it
+// without crossing it, or across it, a NaN counting as a crossing. It
+// reports whether the attribute rules out the window's away shortcut
+// and its toward shortcut: a crossing rules out both.
+func heading(t, d0, dH float64) (notAway, notToward bool) {
+	switch {
+	case t == 0 || t > 0 && d0 >= 0 || t < 0 && d0 <= 0:
+		return false, true
+	case t < 0 && dH >= 0 || t > 0 && dH <= 0:
+		return true, false
+	}
+	return true, true
+}
+
+// windowSteps is the number of forecast steps in a lookahead of
+// lookaheadS seconds, at least 1.
+func (o *EWMAOptions) windowSteps(lookaheadS int64) int {
+	return max(int(lookaheadS/o.SamplingIntervalS), 1)
 }
 
 // Score implements Detector: projects the Holt forecast over every
@@ -250,55 +297,42 @@ func (e *EWMA) deviation(values, out []float64) float64 {
 // step, because the projection is monotone in h after rounding and
 // scale > 0, so it is skipped: it would add +0 to every step's sum. Each
 // other, loud, attribute moves away from its center, toward it without
-// crossing it, or across it. When every loud attribute moves away,
-// every step's sum is at least the one before, so the window's score is
-// the far end's and only the first step that reaches it is searched
-// for; when every one moves toward its center, step 0 wins. Only a
-// crossing or a mix of directions sweeps the window, attribute-outer
-// and step-inner over the loud attributes. Every path sums a step's
-// attributes in order j = 0..D-1 with deviation's operations, so every
-// sum, score and lead step has the sweep's bits. The projection keeps
-// project's expression shape at every site, so any fusion the compiler
-// applies is the same at each.
+// crossing it, or across it (heading). When every loud attribute moves
+// away, every step's sum is at least the one before, so the window's
+// score is the far end's and only the first step that reaches it is
+// searched for; when every one moves toward its center, step 0 wins.
+// Only a crossing or a mix of directions sweeps the window,
+// attribute-outer and step-inner over the loud attributes. Every path
+// sums a step's attributes in order j = 0..D-1 with deviation's
+// operations, so every sum, score and lead step has the sweep's bits.
+// EWMAFleet.Tick settles most lanes from the same ends test and hands
+// the rest to Score.
 func (e *EWMA) Score(lookaheadS int64) (Decision, error) {
-	if !e.trained {
+	f := e.f
+	if !f.trained[e.lane] {
 		return Decision{}, errors.New("detector: ewma not trained")
 	}
-	steps := int(lookaheadS / e.opts.SamplingIntervalS)
-	if steps < 1 {
-		steps = 1
-	}
-	slack := e.opts.Slack
+	steps := f.opts.windowSteps(lookaheadS)
+	slack, h := f.opts.Slack, float64(steps)
 	loud := e.loud[:0]
 	// away and toward stay true while every loud attribute so far
 	// moves away from, or toward, its center; both hold when none is
 	// loud. sum0 and sumH are the sums at steps 0 and steps.
 	away, toward := true, true
 	var sum0, sumH float64
-	for j, l := range e.level {
-		t, c, s := e.trend[j], e.center[j], e.scale[j]
-		d0, dH := l+float64(0)*t-c, l+float64(steps)*t-c
+	for j := range f.dims {
+		k := e.at(j)
+		l, t, c, s := f.level[k], f.trend[k], f.center[k], f.scale[k]
+		d0, dH := offset(l, t, c, 0), offset(l, t, c, h)
 		first, last := math.Abs(d0)/s-slack, math.Abs(dH)/s-slack
 		if first <= 0 && last <= 0 {
 			continue
 		}
 		loud = append(loud, j)
-		switch {
-		case t == 0 || t > 0 && d0 >= 0 || t < 0 && d0 <= 0:
-			toward = false
-		case t < 0 && dH >= 0 || t > 0 && dH <= 0:
-			away = false
-		default:
-			away, toward = false, false
-		}
-		if first < 0 {
-			first = 0
-		}
-		if last < 0 {
-			last = 0
-		}
-		sum0 += first * first
-		sumH += last * last
+		notAway, notToward := heading(t, d0, dH)
+		away, toward = away && !notAway, toward && !notToward
+		sum0 += clampedSquare(first)
+		sumH += clampedSquare(last)
 	}
 	var best float64
 	step := 0
@@ -316,22 +350,19 @@ func (e *EWMA) Score(lookaheadS int64) (Decision, error) {
 	if !(away || toward) || math.IsNaN(best) {
 		best, step = e.sweep(steps, loud)
 	}
-	e.lastDec = Decision{Abnormal: best > e.opts.Threshold, Score: best, LeadSteps: step}
-	e.lastValid = true
-	return e.lastDec, nil
+	f.dec[e.lane] = Decision{Abnormal: best > f.opts.Threshold, Score: best, LeadSteps: step}
+	f.valid[e.lane] = true
+	return f.dec[e.lane], nil
 }
 
 // stepSum returns step h's sum of squared clamped deviations over the
 // loud attributes, added in index order as sweep adds them.
 func (e *EWMA) stepSum(h int, loud []int) float64 {
-	slack := e.opts.Slack
+	f, hf := e.f, float64(h)
 	var sum float64
 	for _, j := range loud {
-		z := math.Abs(e.level[j]+float64(h)*e.trend[j]-e.center[j])/e.scale[j] - slack
-		if z < 0 {
-			z = 0
-		}
-		sum += z * z
+		k := e.at(j)
+		sum += clampedSquare(math.Abs(offset(f.level[k], f.trend[k], f.center[k], hf))/f.scale[k] - f.opts.Slack)
 	}
 	return sum
 }
@@ -366,15 +397,12 @@ func (e *EWMA) sweep(steps int, loud []int) (float64, int) {
 	}
 	sums := e.sums[:steps+1]
 	clear(sums)
-	slack := e.opts.Slack
+	f := e.f
 	for _, j := range loud {
-		l, t, c, s := e.level[j], e.trend[j], e.center[j], e.scale[j]
+		k := e.at(j)
+		l, t, c, s := f.level[k], f.trend[k], f.center[k], f.scale[k]
 		for h := range sums {
-			z := math.Abs(l+float64(h)*t-c)/s - slack
-			if z < 0 {
-				z = 0
-			}
-			sums[h] += z * z
+			sums[h] += clampedSquare(math.Abs(offset(l, t, c, float64(h)))/s - f.opts.Slack)
 		}
 	}
 	best, bestStep := -1.0, 0
@@ -389,42 +417,47 @@ func (e *EWMA) sweep(steps int, loud []int) (float64, int) {
 // project writes the Holt forecast h steps ahead into scratch and
 // returns it.
 func (e *EWMA) project(h int) []float64 {
-	for j := range e.level {
-		e.scratch[j] = e.level[j] + float64(h)*e.trend[j]
+	f, hf := e.f, float64(h)
+	for j := range e.scratch {
+		k := e.at(j)
+		e.scratch[j] = f.level[k] + float64(hf*f.trend[k])
 	}
 	return e.scratch
 }
 
 // Verdict implements Detector. It recomputes the clamped deviations at
 // the step Score chose, with the same projection and the same deviation
-// arithmetic. That reproduces what Score saw exactly: lastValid holds
-// only until the next Observe, Update or Train, so level, trend, center
-// and scale are unchanged since.
+// arithmetic. That reproduces what Score saw exactly: the lane's last
+// decision is valid only until the next Observe, Update, Train or fleet
+// tick, so level, trend, center and scale are unchanged since.
 func (e *EWMA) Verdict() (Verdict, error) {
-	if !e.lastValid {
+	f := e.f
+	if !f.valid[e.lane] {
 		return Verdict{}, errors.New("detector: ewma verdict without a preceding score")
 	}
-	e.deviation(e.project(e.lastDec.LeadSteps), e.lastZ)
+	dec := f.dec[e.lane]
+	e.deviation(e.project(dec.LeadSteps), e.lastZ)
 	return Verdict{
-		Abnormal:  e.lastDec.Abnormal,
-		Score:     e.lastDec.Score,
-		LeadSteps: e.lastDec.LeadSteps,
+		Abnormal:  dec.Abnormal,
+		Score:     dec.Score,
+		LeadSteps: dec.LeadSteps,
 		Strengths: rankStrengths(e.lastZ),
 	}, nil
 }
 
 // Current implements Detector: scores the sample itself, no forecast.
 func (e *EWMA) Current(row []float64) (Verdict, error) {
-	if !e.trained {
+	f := e.f
+	if !f.trained[e.lane] {
 		return Verdict{}, errors.New("detector: ewma not trained")
 	}
-	if len(row) != len(e.center) {
-		return Verdict{}, fmt.Errorf("detector: ewma row has %d attributes, want %d", len(row), len(e.center))
+	if len(row) != f.dims {
+		return Verdict{}, fmt.Errorf("detector: ewma row has %d attributes, want %d", len(row), f.dims)
 	}
 	z := make([]float64, len(row))
 	s := e.deviation(row, z)
 	return Verdict{
-		Abnormal:  s > e.opts.Threshold,
+		Abnormal:  s > f.opts.Threshold,
 		Score:     s,
 		Strengths: rankStrengths(z),
 	}, nil
@@ -450,18 +483,33 @@ type ewmaHeader struct {
 	Opts    EWMAOptions `json:"opts"`
 }
 
-// snapshot captures the detector.
+// snapshot captures the detector: its lane's values, shared with the
+// state where the lane is the only one.
 func (e *EWMA) snapshot() ewmaSnapshot {
+	f := e.f
 	return ewmaSnapshot{
-		ewmaHeader: ewmaHeader{Version: 1, Opts: e.opts},
-		Center:     e.center,
-		Scale:      e.scale,
-		Scale0:     e.scale0,
-		Level:      e.level,
-		Trend:      e.trend,
-		N:          e.n,
-		Trained:    e.trained,
+		ewmaHeader: ewmaHeader{Version: 1, Opts: f.opts},
+		Center:     e.values(f.center),
+		Scale:      e.values(f.scale),
+		Scale0:     e.values(f.scale0),
+		Level:      e.values(f.level),
+		Trend:      e.values(f.trend),
+		N:          f.n[e.lane],
+		Trained:    f.trained[e.lane],
 	}
+}
+
+// values returns e's lane of one of its state's vectors: the vector
+// itself for a one-lane state, else a copy gathered from the lines.
+func (e *EWMA) values(v []float64) []float64 {
+	if e.f.stride == 1 {
+		return v
+	}
+	out := make([]float64, e.f.dims)
+	for j := range out {
+		out[j] = v[e.at(j)]
+	}
+	return out
 }
 
 // Save implements Detector.
@@ -521,13 +569,13 @@ func (snap *ewmaSnapshot) restore() (*EWMA, error) {
 		return nil, err
 	}
 	e := NewEWMA(dims, snap.Opts)
-	copy(e.center, snap.Center)
-	copy(e.scale, snap.Scale)
-	copy(e.scale0, snap.Scale0)
-	copy(e.level, snap.Level)
-	copy(e.trend, snap.Trend)
-	e.n = snap.N
-	e.trained = snap.Trained
+	f := e.f
+	copy(f.center, snap.Center)
+	copy(f.scale, snap.Scale)
+	copy(f.scale0, snap.Scale0)
+	copy(f.level, snap.Level)
+	copy(f.trend, snap.Trend)
+	f.n[0], f.trained[0] = snap.N, snap.Trained
 	return e, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"prepare/internal/columnar"
@@ -89,16 +90,21 @@ func buildFleetStore(tb testing.TB, c fleetCase) *columnar.Store {
 	return s
 }
 
-// fleetFit refits dets from s's window the way the controller fans the
-// fit out: contiguous ranges of FleetBlock-VM blocks, one per fit, each
-// with its own working memory. It returns the first failing lane's error.
+// fleetFit joins dets into one fleet and refits it from s's window the
+// way the controller fans the fit out: contiguous ranges of
+// FleetBlock-VM blocks, one per fit, each with its own working memory.
+// It returns the first failing lane's error.
 func fleetFit(s *columnar.Store, dets []*EWMA, fits []EWMAFleetFit) (int, error) {
+	f, err := JoinEWMA(dets)
+	if err != nil {
+		return 0, err
+	}
 	n := len(dets)
 	blocks := (n + FleetBlock - 1) / FleetBlock
 	tasks := min(len(fits), blocks)
 	for i := 0; i < tasks; i++ {
 		lo, hi := min(FleetBlock*(i*blocks/tasks), n), min(FleetBlock*((i+1)*blocks/tasks), n)
-		if lane, err := fits[i].Fit(s.Window(), dets, lo, hi); err != nil {
+		if lane, err := fits[i].Fit(s.Window(), f, lo, hi); err != nil {
 			return lane, err
 		}
 	}
@@ -165,24 +171,28 @@ func TestFleetFitMatchesTrain(t *testing.T) {
 	})
 }
 
-// TestFleetFitRefusesMixedDetectors: a range whose detectors disagree
-// on smoothing or width is refused before any changes.
+// TestFleetFitRefusesMixedDetectors: detectors that disagree on
+// smoothing or width are refused a fleet before any changes, and a
+// fleet fit of a detector not over every attribute is refused.
 func TestFleetFitRefusesMixedDetectors(t *testing.T) {
-	s := buildFleetStore(t, fleetCase{"", 9, 16, 20, 9, false, -1})
-	dets := make([]*EWMA, s.VMs())
+	dets := make([]*EWMA, 9)
 	for i := range dets {
 		dets[i] = NewEWMA(metrics.NumAttributes, EWMAOptions{})
 	}
 	dets[4] = NewEWMA(metrics.NumAttributes, EWMAOptions{Alpha: 0.5})
-	var f EWMAFleetFit
-	if lane, err := f.Fit(s.Window(), dets, 0, len(dets)); err == nil || lane != 4 {
-		t.Errorf("Fit over a mixed range = lane %d, %v; want lane 4 refused", lane, err)
+	if f, err := JoinEWMA(dets); err == nil || f != nil || !strings.Contains(err.Error(), "lane 4") {
+		t.Errorf("JoinEWMA over a mixed range = %v, %v; want lane 4 refused", f, err)
 	}
-	if dets[0].Trained() {
-		t.Error("a refused fleet fit trained a detector")
+	if dets[0].f.stride != 1 || dets[0].f.dets[0] != dets[0] {
+		t.Error("a refused join moved a detector")
 	}
 	dets[4] = NewEWMA(3, EWMAOptions{})
-	if _, err := f.Fit(s.Window(), dets, 0, len(dets)); err == nil || errors.Is(err, errNoTrainingRows) {
+	if _, err := JoinEWMA(dets); err == nil {
+		t.Error("JoinEWMA over a 3-attribute detector succeeded")
+	}
+	s := buildFleetStore(t, fleetCase{"", 1, 16, 20, 9, false, -1})
+	var f EWMAFleetFit
+	if _, err := f.Fit(s.Window(), dets[4].f, 0, 1); err == nil || errors.Is(err, errNoTrainingRows) {
 		t.Errorf("Fit over a 3-attribute detector = %v, want a refusal", err)
 	}
 }
@@ -192,13 +202,10 @@ func TestFleetFitRefusesMixedDetectors(t *testing.T) {
 func TestEWMAFleetFitAllocationFree(t *testing.T) {
 	eachLaneKernel(t, func(t *testing.T) {
 		s := buildFleetStore(t, fleetCase{"", 40, 128, 140, 10, false, -1})
-		dets := make([]*EWMA, s.VMs())
-		for i := range dets {
-			dets[i] = NewEWMA(metrics.NumAttributes, EWMAOptions{})
-		}
+		fleet := newEWMAFleet(s.VMs(), metrics.NumAttributes, EWMAOptions{}.withDefaults())
 		var f EWMAFleetFit
 		fit := func() {
-			if _, err := f.Fit(s.Window(), dets, 0, len(dets)); err != nil {
+			if _, err := f.Fit(s.Window(), fleet, 0, s.VMs()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -242,10 +249,7 @@ func FuzzFleetFit(f *testing.F) {
 // 128-tick window, the fleet_ewma world's refit, under each Holt kernel.
 func BenchmarkEWMAFleetFit(b *testing.B) {
 	s := buildFleetStore(b, fleetCase{"", 2000, 128, 128, 12, false, -1})
-	dets := make([]*EWMA, s.VMs())
-	for i := range dets {
-		dets[i] = NewEWMA(metrics.NumAttributes, EWMAOptions{})
-	}
+	fleet := newEWMAFleet(s.VMs(), metrics.NumAttributes, EWMAOptions{}.withDefaults())
 	for _, k := range laneKinds {
 		if !laneKindAvailable(k) {
 			continue
@@ -254,7 +258,7 @@ func BenchmarkEWMAFleetFit(b *testing.B) {
 			withLaneKernel(k, func() {
 				var f EWMAFleetFit
 				for b.Loop() {
-					if _, err := f.Fit(s.Window(), dets, 0, len(dets)); err != nil {
+					if _, err := f.Fit(s.Window(), fleet, 0, s.VMs()); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -15,26 +15,26 @@ import (
 // improves the best score recomputes that step's clamped deviations, so
 // the deviations of the final best step are in hand when the loop ends.
 func eagerScore(e *EWMA, lookaheadS int64) (Decision, []float64) {
-	steps := int(lookaheadS / e.opts.SamplingIntervalS)
+	steps := int(lookaheadS / e.f.opts.SamplingIntervalS)
 	if steps < 1 {
 		steps = 1
 	}
-	proj := make([]float64, len(e.level))
-	z := make([]float64, len(e.level))
+	proj := make([]float64, len(e.f.level))
+	z := make([]float64, len(e.f.level))
 	best, bestStep := -1.0, 0
 	for h := 0; h <= steps; h++ {
-		for j := range e.level {
-			proj[j] = e.level[j] + float64(h)*e.trend[j]
+		for j := range e.f.level {
+			proj[j] = e.f.level[j] + float64(h)*e.f.trend[j]
 		}
 		if s := e.deviation(proj, proj); s > best {
 			best, bestStep = s, h
-			for j := range e.level {
-				proj[j] = e.level[j] + float64(h)*e.trend[j]
+			for j := range e.f.level {
+				proj[j] = e.f.level[j] + float64(h)*e.f.trend[j]
 			}
 			e.deviation(proj, z)
 		}
 	}
-	return Decision{Abnormal: best > e.opts.Threshold, Score: best, LeadSteps: bestStep}, z
+	return Decision{Abnormal: best > e.f.opts.Threshold, Score: best, LeadSteps: bestStep}, z
 }
 
 // TestEWMAVerdictMatchesEagerAttribution: Verdict's lazily recomputed
@@ -132,13 +132,13 @@ func TestEWMARefitAllocationFree(t *testing.T) {
 // set as given, 0 included, which the options would default to 2.
 func ewmaState(slack float64, level, trend, center, scale []float64) *EWMA {
 	e := NewEWMA(len(level), EWMAOptions{})
-	e.opts.Slack = slack
-	copy(e.level, level)
-	copy(e.trend, trend)
-	copy(e.center, center)
-	copy(e.scale, scale)
-	copy(e.scale0, scale)
-	e.trained = true
+	e.f.opts.Slack = slack
+	copy(e.f.level, level)
+	copy(e.f.trend, trend)
+	copy(e.f.center, center)
+	copy(e.f.scale, scale)
+	copy(e.f.scale0, scale)
+	e.f.trained[0] = true
 	return e
 }
 
@@ -156,7 +156,7 @@ func checkScoreMatchesEager(t *testing.T, e *EWMA, lookaheadS int64) int {
 	if dec.Abnormal != wantDec.Abnormal || dec.LeadSteps != wantDec.LeadSteps ||
 		math.Float64bits(dec.Score) != math.Float64bits(wantDec.Score) {
 		t.Fatalf("lookahead %d s, level %v trend %v center %v scale %v slack %v: Score = %+v, eager %+v",
-			lookaheadS, e.level, e.trend, e.center, e.scale, e.opts.Slack, dec, wantDec)
+			lookaheadS, e.f.level, e.f.trend, e.f.center, e.f.scale, e.f.opts.Slack, dec, wantDec)
 	}
 	v, err := e.Verdict()
 	if err != nil {
@@ -300,9 +300,9 @@ func TestEWMAScorePaths(t *testing.T) {
 			}
 			all := []int{0, 1}
 			top, below := e.stepSum(steps, all), e.stepSum(steps-1, all)
-			if top == below || math.Sqrt(top) != math.Sqrt(below) || e.lastDec.LeadSteps >= steps-1 {
+			if top == below || math.Sqrt(top) != math.Sqrt(below) || e.f.dec[0].LeadSteps >= steps-1 {
 				t.Errorf("sums %x and %x, lead step %d: want distinct sums with tied roots and a plateau that starts before step %d",
-					below, top, e.lastDec.LeadSteps, steps-1)
+					below, top, e.f.dec[0].LeadSteps, steps-1)
 			}
 		})
 	}
@@ -450,8 +450,8 @@ func BenchmarkEWMAScore(b *testing.B) {
 	}
 	b.Run("mixed", func(b *testing.B) {
 		e := train(b)
-		e.level[0], e.trend[0] = e.center[0]+4*e.scale[0], e.scale[0]/4
-		e.level[1], e.trend[1] = e.center[1]+4*e.scale[1], -e.scale[1]/2
+		e.f.level[0], e.f.trend[0] = e.f.center[0]+4*e.f.scale[0], e.f.scale[0]/4
+		e.f.level[1], e.f.trend[1] = e.f.center[1]+4*e.f.scale[1], -e.f.scale[1]/2
 		if _, err := e.Score(120); err != nil {
 			b.Fatal(err)
 		}

@@ -1,5 +1,7 @@
 package detector
 
+import "math"
+
 // holtStep advances a set of Holt filters, one per lane in
 // struct-of-arrays form, by one tick: lane i holds level[i] and
 // trend[i] and takes x[i]. rec marks the lanes that take a value this
@@ -10,47 +12,34 @@ package detector
 //	level = a*x + (1-a)*(prev+trend)
 //	trend = b*(level-prev) + (1-b)*trend
 //
-// rec and n may both be nil: every lane then takes its value and has
-// one already. level, trend, rec and n are at least as long as x.
+// level, trend, rec and n are at least as long as x.
 //
-// The fleet warm-up runs it with lanes = VMs over a store line,
-// EWMA.advance with lanes = the attributes of one row (DESIGN.md, "The
-// refit in the store's layout"). Both kernels round after every
-// multiply and add, in this order, so every lane has the bits of the
-// scalar step.
+// The fleet fit's warm-up runs it with lanes = VMs over a store line
+// (DESIGN.md, "The refit in the store's layout"). Both kernels round
+// after every multiply and add, in this order, so every lane has the
+// bits of holt, the scalar step.
 func holtStep(level, trend, x []float64, rec []bool, n []int64, a, b float64) {
 	if len(x) == 0 {
 		return
 	}
-	_, _ = level[len(x)-1], trend[len(x)-1]
-	if rec != nil {
-		_, _ = rec[len(x)-1], n[len(x)-1]
-	}
+	_, _, _, _ = level[len(x)-1], trend[len(x)-1], rec[len(x)-1], n[len(x)-1]
 	if laneKernel == laneAVX512 {
-		var rp *bool
-		var np *int64
-		if rec != nil {
-			rp, np = &rec[0], &n[0]
-		}
-		holtStepAVX512(&level[0], &trend[0], &x[0], rp, np, len(x), a, b)
+		holtStepAVX512(&level[0], &trend[0], &x[0], &rec[0], &n[0], len(x), a, b)
 		return
 	}
 	holtStepGo(level, trend, x, rec, n, a, b)
 }
 
-// holtStepGo is holtStep in Go, the kernel on every machine. Both
-// modes share one loop, so every lane runs the one compiled holt.
+// holtStepGo is holtStep in Go, the kernel on every machine.
 func holtStepGo(level, trend, x []float64, rec []bool, n []int64, a, b float64) {
 	for i, v := range x {
-		if rec != nil {
-			if !rec[i] {
-				continue
-			}
-			n[i]++
-			if n[i] == 1 {
-				level[i], trend[i] = v, 0
-				continue
-			}
+		if !rec[i] {
+			continue
+		}
+		n[i]++
+		if n[i] == 1 {
+			level[i], trend[i] = v, 0
+			continue
 		}
 		level[i], trend[i] = holt(level[i], trend[i], v, a, b)
 	}
@@ -102,13 +91,60 @@ func transposeBlock(cols []float64, stride int, lines [][]float64, keep []uint64
 	}
 }
 
-// laneKind names a kernel of the lane functions, holtStep and
-// transposeBlock.
+// tickLineGo is an ewma fleet tick's pass over attribute line x (see
+// EWMAFleet.Tick) in Go, lane by lane, with the scalar detector's own
+// steps: holt, adaptStep, and Score's ends test (offset, heading,
+// clampedSquare). sums and flags are the fleet's accumulators, acc
+// lanes a run; with p.score unset they are not read.
+func tickLineGo(x, level, trend, center, scale, scale0 []float64, n []int64, sums []float64, acc int, flags []uint8, p *tickParams) {
+	var sum0, sumH, sumM []float64
+	var notAway, notToward []uint8
+	if p.score {
+		sum0, sumH, sumM = sums[:len(x)], sums[acc:acc+len(x)], sums[2*acc:2*acc+len(x)]
+		notAway, notToward = flags[:acc/FleetBlock], flags[acc/FleetBlock:]
+	}
+	level, trend, n = level[:len(x)], trend[:len(x)], n[:len(x)]
+	center, scale, scale0 = center[:len(x)], scale[:len(x)], scale0[:len(x)]
+	for i, v := range x {
+		l, t := v, 0.0
+		if n[i] != 0 {
+			l, t = holt(level[i], trend[i], v, p.a, p.b)
+		}
+		level[i], trend[i] = l, t
+		c, s := center[i], scale[i]
+		if p.adapt {
+			c, s = adaptStep(v, c, s, scale0[i], p.g)
+			center[i], scale[i] = c, s
+		}
+		if !p.score {
+			continue
+		}
+		d0, dH := offset(l, t, c, 0), offset(l, t, c, p.h)
+		first, last := math.Abs(d0)/s-p.slack, math.Abs(dH)/s-p.slack
+		if first <= 0 && last <= 0 {
+			continue
+		}
+		bit := uint8(1) << (i % FleetBlock)
+		notA, notT := heading(t, d0, dH)
+		if notA {
+			notAway[i/FleetBlock] |= bit
+		}
+		if notT {
+			notToward[i/FleetBlock] |= bit
+		}
+		sum0[i] += clampedSquare(first)
+		sumH[i] += clampedSquare(last)
+		sumM[i] += clampedSquare(math.Abs(offset(l, t, c, p.hm))/s - p.slack)
+	}
+}
+
+// laneKind names a kernel of the lane functions: holtStep,
+// transposeBlock and the ewma fleet tick's line pass.
 type laneKind uint8
 
 const (
 	laneGo     laneKind = iota // Go, on every machine
-	laneAVX512                 // holtStepAVX512 and transposeAVX512, where the CPU and OS support AVX-512F
+	laneAVX512                 // holtStepAVX512, transposeAVX512 and tickLineAVX512, where the CPU and OS support AVX-512F
 )
 
 func (k laneKind) String() string { return [...]string{"go", "avx512"}[k] }

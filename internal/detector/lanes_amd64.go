@@ -3,12 +3,12 @@ package detector
 import "prepare/internal/cpufeat"
 
 // laneAVX512Available reports whether this machine can run
-// holtStepAVX512 and transposeAVX512: CPUID's verdict, taken once.
+// holtStepAVX512, transposeAVX512 and tickLineAVX512: CPUID's verdict,
+// taken once.
 var laneAVX512Available = cpufeat.AVX512
 
 // holtStepAVX512 is holtStep over lanes lanes, eight to a ZMM register,
-// the last register masked. rec and n are nil together. It is
-// implemented in lanes_amd64.s.
+// the last register masked. It is implemented in lanes_amd64.s.
 //
 //go:noescape
 func holtStepAVX512(level, trend, x *float64, rec *bool, n *int64, lanes int, a, b float64)
@@ -21,3 +21,13 @@ func holtStepAVX512(level, trend, x *float64, rec *bool, n *int64, lanes int, a,
 //
 //go:noescape
 func transposeAVX512(cols *float64, idx *[FleetBlock]int64, lines *[]float64, groups, off int, keep *uint64, keepStride, lanes int)
+
+// tickLineAVX512 is tickLineGo over lanes lanes, eight to a ZMM
+// register, the last register masked: x and the state lines start at
+// the pointers given, sums holds three runs of acc lanes and flags two
+// runs of flagStride bytes, and the scalars are tickParams' fields
+// (rate and rateAbs are its g and gk). With score unset, sums and flags
+// may be nil. It is implemented in lanes_amd64.s.
+//
+//go:noescape
+func tickLineAVX512(x, level, trend, center, scale, scale0 *float64, n *int64, sums *float64, acc int, flags *uint8, flagStride, lanes int, a, b, rate, rateAbs, slack, h, hm float64, adapt, score bool)

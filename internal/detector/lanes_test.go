@@ -7,13 +7,13 @@ import (
 	"testing"
 )
 
-// laneKinds is every holtStep kernel, fastest first.
+// laneKinds is every lane kernel, fastest first.
 var laneKinds = []laneKind{laneAVX512, laneGo}
 
 func laneKindAvailable(k laneKind) bool { return k == laneGo || laneAVX512Available }
 
 // eachLaneKernel runs f as one subtest per kernel, named after it, with
-// holtStep switched to that kernel. A kernel this machine lacks is
+// the lane functions switched to that kernel. A kernel this machine lacks is
 // skipped; Go runs everywhere.
 func eachLaneKernel(t *testing.T, f func(t *testing.T)) {
 	for _, k := range laneKinds {
@@ -26,7 +26,7 @@ func eachLaneKernel(t *testing.T, f func(t *testing.T)) {
 	}
 }
 
-// withLaneKernel runs f with holtStep switched to kernel k.
+// withLaneKernel runs f with the lane functions switched to kernel k.
 func withLaneKernel(k laneKind, f func()) {
 	defer func(was laneKind) { laneKernel = was }(laneKernel)
 	laneKernel = k
@@ -34,11 +34,11 @@ func withLaneKernel(k laneKind, f func()) {
 }
 
 // TestLaneKernelAvailable logs the kernel CPUID picked, so a test log
-// shows whether the vector kernel's tests ran or were skipped.
+// shows whether the vector kernels' tests ran or were skipped.
 func TestLaneKernelAvailable(t *testing.T) {
-	t.Logf("holtStep runs %s", laneKernel)
+	t.Logf("holtStep, transposeBlock and the ewma fleet tick run %s", laneKernel)
 	if laneKernel != bestLaneKernel() {
-		t.Errorf("holtStep runs %s, want the fastest available, %s", laneKernel, bestLaneKernel())
+		t.Errorf("the lane kernels run %s, want the fastest available, %s", laneKernel, bestLaneKernel())
 	}
 }
 
@@ -64,16 +64,14 @@ func holtValue(rng *rand.Rand) float64 {
 
 // TestHoltStepKernelsAgree runs every kernel against holt, the scalar
 // step, one lane at a time, over 0 to 40 lanes (whole and partial
-// registers), with and without the recorded mask, for 30 ticks of
-// values holtValue draws, and requires the same count and the same bits
-// in every level and trend, a NaN's payload aside (see holt).
+// registers), with random recorded masks, for 30 ticks of values
+// holtValue draws, and requires the same count and the same bits in
+// every level and trend, a NaN's payload aside (see holt).
 func TestHoltStepKernelsAgree(t *testing.T) {
 	eachLaneKernel(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(11))
 		for lanes := 0; lanes <= 40; lanes++ {
-			for _, masked := range []bool{false, true} {
-				checkHoltStep(t, rng, lanes, masked)
-			}
+			checkHoltStep(t, rng, lanes)
 		}
 	})
 }
@@ -84,8 +82,8 @@ func sameFloat(x, y float64) bool {
 }
 
 // checkHoltStep runs holtStep and the scalar reference side by side for
-// 30 ticks over lanes lanes, with random recorded masks when masked.
-func checkHoltStep(t *testing.T, rng *rand.Rand, lanes int, masked bool) {
+// 30 ticks over lanes lanes, with random recorded masks.
+func checkHoltStep(t *testing.T, rng *rand.Rand, lanes int) {
 	t.Helper()
 	const a, b = 0.3, 0.1
 	level, trend := make([]float64, lanes), make([]float64, lanes)
@@ -98,31 +96,24 @@ func checkHoltStep(t *testing.T, rng *rand.Rand, lanes int, masked bool) {
 	for tick := 0; tick < 30; tick++ {
 		for i := range x {
 			x[i] = holtValue(rng)
-			rec[i] = !masked || rng.Intn(3) > 0
+			rec[i] = rng.Intn(3) > 0
 		}
-		if masked {
-			holtStep(level, trend, x, rec, n, a, b)
-		} else {
-			holtStep(level, trend, x, nil, nil, a, b)
-		}
+		holtStep(level, trend, x, rec, n, a, b)
 		for i, v := range x {
 			switch {
 			case !rec[i]:
 				continue
-			case masked && wantN[i] == 0:
+			case wantN[i] == 0:
 				wantL[i], wantT[i] = v, 0
 			default:
 				wantL[i], wantT[i] = holt(wantL[i], wantT[i], v, a, b)
 			}
 			wantN[i]++
 		}
-		if !masked {
-			clear(wantN)
-		}
 		for i := range x {
 			if !sameFloat(level[i], wantL[i]) || !sameFloat(trend[i], wantT[i]) || n[i] != wantN[i] {
-				t.Fatalf("%s, %d lanes, masked %v, tick %d, lane %d: level, trend, n = %#x, %#x, %d, want %#x, %#x, %d",
-					laneKernel, lanes, masked, tick, i, math.Float64bits(level[i]), math.Float64bits(trend[i]), n[i],
+				t.Fatalf("%s, %d lanes, tick %d, lane %d: level, trend, n = %#x, %#x, %d, want %#x, %#x, %d",
+					laneKernel, lanes, tick, i, math.Float64bits(level[i]), math.Float64bits(trend[i]), n[i],
 					math.Float64bits(wantL[i]), math.Float64bits(wantT[i]), wantN[i])
 			}
 		}

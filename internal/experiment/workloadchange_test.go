@@ -32,12 +32,13 @@ func TestWorkloadChangeClassification(t *testing.T) {
 		sawChange := false
 		// Replay the samples in lockstep.
 		n := len(ds.PerVM[ds.Order[0]])
+		line := make([]float64, len(ds.Order))
 		for i := 0; i < n; i++ {
 			for k, id := range ds.Order {
-				sm := ds.PerVM[id][i]
-				if err := wd.Offer(sm.Time, k, sm.Values.Get(metrics.NetIn)); err != nil {
-					t.Fatal(err)
-				}
+				line[k] = ds.PerVM[id][i].Values.Get(metrics.NetIn)
+			}
+			if err := wd.OfferLine(ds.PerVM[ds.Order[0]][i].Time, line); err != nil {
+				t.Fatal(err)
 			}
 			if wd.WorkloadChange(ds.PerVM[ds.Order[0]][i].Time) {
 				sawChange = true

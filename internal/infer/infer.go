@@ -123,8 +123,11 @@ type ChangeDetector struct {
 	threshold float64 // in standard deviations of accumulated drift
 	slack     float64 // per-step slack (also in stds)
 
-	n          int
-	mean, m2   float64
+	n        int
+	mean, m2 float64
+	// std is the warm-up's standard deviation, floored at 1e-9, set by
+	// its last observation: m2 does not change after it.
+	std        float64
 	sPos, sNeg float64
 }
 
@@ -150,13 +153,15 @@ func (c *ChangeDetector) Offer(value float64) bool {
 		delta := value - c.mean
 		c.mean += delta / float64(c.n)
 		c.m2 += delta * (value - c.mean)
+		if c.n == c.warmup {
+			c.std = math.Sqrt(c.m2 / float64(c.warmup-1))
+			if c.std < 1e-9 {
+				c.std = 1e-9
+			}
+		}
 		return false
 	}
-	std := math.Sqrt(c.m2 / float64(c.warmup-1))
-	if std < 1e-9 {
-		std = 1e-9
-	}
-	z := (value - c.mean) / std
+	z := (value - c.mean) / c.std
 	c.sPos = math.Max(0, c.sPos+z-c.slack)
 	c.sNeg = math.Max(0, c.sNeg-z-c.slack)
 	if c.sPos > c.threshold || c.sNeg > c.threshold {
@@ -178,7 +183,7 @@ type WorkloadDetector struct {
 
 // trackedVM is one VM's change detector and its latest change point.
 type trackedVM struct {
-	cd        *ChangeDetector
+	cd        ChangeDetector
 	changedAt simclock.Time
 	changed   bool
 }
@@ -198,18 +203,22 @@ func NewWorkloadDetector(n, warmup int, windowS int64) (*WorkloadDetector, error
 		if err != nil {
 			return nil, err
 		}
-		w.vms[i].cd = cd
+		w.vms[i].cd = *cd
 	}
 	return w, nil
 }
 
-// Offer feeds the i-th VM's tracked metric value at the given instant.
-func (w *WorkloadDetector) Offer(now simclock.Time, i int, value float64) error {
-	if i < 0 || i >= len(w.vms) {
-		return fmt.Errorf("infer: VM index %d is not tracked", i)
+// OfferLine feeds every VM's tracked metric value at the given
+// instant: VM i's is line[i], so a columnar store's Column is a line.
+// The line must hold one value per tracked VM.
+func (w *WorkloadDetector) OfferLine(now simclock.Time, line []float64) error {
+	if len(line) != len(w.vms) {
+		return fmt.Errorf("infer: a line of %d values for %d tracked VMs", len(line), len(w.vms))
 	}
-	if v := &w.vms[i]; v.cd.Offer(value) {
-		v.changedAt, v.changed = now, true
+	for i, value := range line {
+		if v := &w.vms[i]; v.cd.Offer(value) {
+			v.changedAt, v.changed = now, true
+		}
 	}
 	return nil
 }

@@ -193,14 +193,15 @@ func TestWorkloadDetectorAllComponentsChange(t *testing.T) {
 	// Steady phase then a simultaneous jump on all VMs (workload change).
 	for i := 0; i < 80; i++ {
 		now := simclock.Time(i)
-		for vm := 0; vm < vms; vm++ {
-			v := 10.0
+		line := make([]float64, vms)
+		for vm := range line {
+			line[vm] = 10.0
 			if i >= 50 {
-				v = 30
+				line[vm] = 30
 			}
-			if err := w.Offer(now, vm, v); err != nil {
-				t.Fatal(err)
-			}
+		}
+		if err := w.OfferLine(now, line); err != nil {
+			t.Fatal(err)
 		}
 		if i < 45 && w.WorkloadChange(now) {
 			t.Fatalf("premature workload change at %d", i)
@@ -222,10 +223,7 @@ func TestWorkloadDetectorSingleVMChangeIsNotWorkload(t *testing.T) {
 		if i >= 50 {
 			v1 = 40 // only VM 0 shifts (an internal fault)
 		}
-		if err := w.Offer(now, 0, v1); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Offer(now, 1, 10); err != nil {
+		if err := w.OfferLine(now, []float64{v1, 10}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -249,10 +247,7 @@ func TestWorkloadDetectorWindowExpiry(t *testing.T) {
 		if i >= 150 {
 			v2 = 40
 		}
-		if err := w.Offer(now, 0, v1); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Offer(now, 1, v2); err != nil {
+		if err := w.OfferLine(now, []float64{v1, v2}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -266,9 +261,9 @@ func TestWorkloadDetectorUnknownVM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, i := range []int{-1, 1} {
-		if err := w.Offer(0, i, 1); err == nil {
-			t.Errorf("untracked VM index %d should fail", i)
+	for _, line := range [][]float64{nil, {1, 1}} {
+		if err := w.OfferLine(0, line); err == nil {
+			t.Errorf("a line of %d values for 1 tracked VM should fail", len(line))
 		}
 	}
 }

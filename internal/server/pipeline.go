@@ -69,7 +69,6 @@ type item struct {
 // steps from a shard worker to the publisher.
 type pubEvent struct {
 	tenant     *tenant
-	tick       simclock.Time
 	alerts     []control.AlertEvent
 	steps      []prevent.Step
 	enqueuedAt time.Time // enqueue instant of the batch whose apply ran this tick
@@ -295,7 +294,6 @@ func (s *Server) advanceShard(sh *shard, enqueuedAt time.Time) {
 			if na > t.nAlerts || ns > t.nSteps {
 				ev := pubEvent{
 					tenant:     t,
-					tick:       now,
 					alerts:     t.ctl.AlertsSince(t.nAlerts),
 					steps:      t.ctl.StepsSince(t.nSteps),
 					enqueuedAt: enqueuedAt,

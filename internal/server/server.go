@@ -135,8 +135,6 @@ type tenant struct {
 	id       string
 	shardIdx int
 	sub      *replay.Substrate
-	chaosSub *chaos.Substrate
-	app      *replay.App
 	ctl      *control.Controller
 	// intern resolves a VM ID — wire-format bytes or a JSON string — to
 	// the VM's slot in sub, and answers whether the tenant has that VM
@@ -289,9 +287,8 @@ func newTenant(tc TenantConfig, reg *telemetry.Registry) (*tenant, error) {
 	ctlCfg.Telemetry = reg
 
 	var loopSub substrate.Substrate = sub
-	var chaosSub *chaos.Substrate
 	if tc.Chaos.Enabled() {
-		chaosSub, err = chaos.New(sub, tc.Chaos)
+		chaosSub, err := chaos.New(sub, tc.Chaos)
 		if err != nil {
 			return nil, err
 		}
@@ -305,8 +302,6 @@ func newTenant(tc TenantConfig, reg *telemetry.Registry) (*tenant, error) {
 	st := &tenant{
 		id:        tc.ID,
 		sub:       sub,
-		chaosSub:  chaosSub,
-		app:       app,
 		ctl:       ctl,
 		intern:    make(map[string]int32, len(tc.VMs)),
 		watermark: -1,
